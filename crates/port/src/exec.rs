@@ -22,7 +22,7 @@ use naming_core::name::{CompoundName, Name};
 use naming_sim::message::Payload;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
-use naming_sim::world::World;
+use naming_sim::world::{Stepped, World};
 
 use crate::wire::{ExecReply, ExecRequest};
 
@@ -174,6 +174,13 @@ impl ExecService {
             namespace: self.namespace_of(world, parent),
         };
         let server = self.server_on(target);
+        // One sweep for mail the caller's own stepping delivered; after
+        // that each event names the one server to look at.
+        let servers: Vec<(MachineId, ActivityId)> =
+            self.servers.iter().map(|(m, p)| (*m, *p)).collect();
+        for (m, pid) in servers {
+            self.drain_server(world, m, pid);
+        }
         world.send(parent, server, vec![Payload::Bytes(req.encode())]);
 
         let mut steps = 0usize;
@@ -181,16 +188,30 @@ impl ExecService {
             if let Some(r) = self.take_reply(world, parent, id) {
                 break r;
             }
-            if steps >= self.max_steps || !world.step() {
+            let stepped = if steps < self.max_steps {
+                world.step_event()
+            } else {
+                None
+            };
+            let Some(ev) = stepped else {
                 return ExecOutcome {
                     child: None,
                     resolved_args: Vec::new(),
                     latency: world.now() - t0,
                     messages: world.trace().counter("sent") - sent0,
                 };
-            }
+            };
             steps += 1;
-            self.drain_servers(world);
+            if let Stepped::Delivered(pid) = ev {
+                let machine = world.machine_of(pid);
+                if self.servers.get(&machine) == Some(&pid) {
+                    self.drain_server(world, machine, pid);
+                }
+            }
+            debug_assert!(
+                self.servers.values().all(|&s| world.mailbox_len(s) == 0),
+                "mail in an exec server mailbox no event pointed at"
+            );
         };
         ExecOutcome {
             child: reply.child,
@@ -202,9 +223,9 @@ impl ExecService {
 
     fn take_reply(&mut self, world: &mut World, parent: ActivityId, id: u64) -> Option<ExecReply> {
         while let Some(msg) = world.receive(parent) {
-            for part in &msg.parts {
+            for part in msg.parts {
                 if let Payload::Bytes(b) = part {
-                    if let Some(r) = ExecReply::decode(b.clone()) {
+                    if let Some(r) = ExecReply::decode(b) {
                         if r.id == id {
                             return Some(r);
                         }
@@ -215,16 +236,13 @@ impl ExecService {
         None
     }
 
-    fn drain_servers(&mut self, world: &mut World) {
-        let servers: Vec<(MachineId, ActivityId)> =
-            self.servers.iter().map(|(m, p)| (*m, *p)).collect();
-        for (machine, server) in servers {
-            while let Some(msg) = world.receive(server) {
-                for part in &msg.parts {
-                    let Payload::Bytes(b) = part else { continue };
-                    if let Some(req) = ExecRequest::decode(b.clone()) {
-                        self.handle_exec(world, machine, server, msg.from, req);
-                    }
+    fn drain_server(&mut self, world: &mut World, machine: MachineId, server: ActivityId) {
+        while let Some(msg) = world.receive(server) {
+            let from = msg.from;
+            for part in msg.parts {
+                let Payload::Bytes(b) = part else { continue };
+                if let Some(req) = ExecRequest::decode(b) {
+                    self.handle_exec(world, machine, server, from, req);
                 }
             }
         }

@@ -15,13 +15,13 @@ use naming_core::state::SystemState;
 use naming_sim::message::Payload;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
-use naming_sim::world::World;
+use naming_sim::world::{Stepped, World};
 
 use crate::coherence::ZoneJournal;
 use crate::service::NameService;
 use crate::wire::{
-    BatchReply, BatchRequest, Mode, NameTrie, Outcome, Reply, Request, ShardDelta, ZoneChange,
-    ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
+    BatchReply, BatchRequest, Frame, Mode, NameTrie, Outcome, Reply, Request, ShardDelta,
+    ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
 };
 
 /// What a completed resolution cost.
@@ -174,6 +174,10 @@ pub struct ProtocolEngine {
     /// [`ProtocolEngine::publish_binding`] is journaled at its zone
     /// serial, so anti-entropy pulls can be answered incrementally.
     journal: ZoneJournal,
+    /// Test reference: sweep every server mailbox after every event, as
+    /// the engine did before events named their process.
+    #[cfg(test)]
+    pub(crate) sweep_every_event: bool,
 }
 
 impl ProtocolEngine {
@@ -188,6 +192,8 @@ impl ProtocolEngine {
             superseded: BTreeSet::new(),
             counters: RetryCounters::default(),
             journal: ZoneJournal::default(),
+            #[cfg(test)]
+            sweep_every_event: false,
         }
     }
 
@@ -371,6 +377,7 @@ impl ProtocolEngine {
         };
         let mut current_start = start;
         let mut current_name = name.clone();
+        self.drain_servers(world);
 
         loop {
             // Failover order for this hop: the addressed authority first,
@@ -390,12 +397,9 @@ impl ProtocolEngine {
             let (outcome, touched) = 'hop: loop {
                 let (machine, req_start) = candidates[attempt as usize % candidates.len()];
                 if attempt > 0 && machine != candidates[0].0 {
-                    self.counters.failovers += 1;
-                    #[cfg(feature = "telemetry")]
-                    naming_telemetry::counter!("failover.attempts").bump();
+                    self.note_failover();
                 }
-                let id = self.next_id;
-                self.next_id += 1;
+                let id = self.alloc_id();
                 let server = self.service.server_on(machine);
                 // With the `batch-wire` feature, iterative single resolves
                 // ride the batch frames as a batch of one — same exchanges,
@@ -456,19 +460,17 @@ impl ProtocolEngine {
                             // Deadline expired: the outstanding attempt is
                             // superseded — its reply, if it ever lands, is a
                             // late reply, not an answer.
-                            self.superseded.insert(id);
+                            self.supersede(id);
                             attempt += 1;
                             if attempt >= pol.max_attempts {
-                                self.counters.exhausted += 1;
+                                self.note_exhausted();
                                 break 'hop (Outcome::Unreachable { attempts: attempt }, 0);
                             }
-                            self.counters.retransmissions += 1;
-                            #[cfg(feature = "telemetry")]
-                            naming_telemetry::counter!("retry.retransmissions").bump();
+                            self.note_retransmission();
                             continue 'hop;
                         }
                     }
-                    if steps >= self.max_steps || !world.step() {
+                    if !self.pump_one(world, &mut steps) {
                         // Dead protocol (e.g. all messages lost, no
                         // deadline scheduled to force a retry).
                         break 'hop (
@@ -478,8 +480,6 @@ impl ProtocolEngine {
                             0,
                         );
                     }
-                    steps += 1;
-                    self.drain_servers(world);
                 }
             };
 
@@ -601,6 +601,7 @@ impl ProtocolEngine {
         // count is bounded by the deepest name (+1 slack for the final
         // answer round).
         let max_rounds = names.iter().map(|n| n.len() as u32).max().unwrap_or(0) + 1;
+        self.drain_servers(world);
 
         while !pending.is_empty() && rounds < max_rounds {
             rounds += 1;
@@ -643,8 +644,7 @@ impl ProtocolEngine {
                         }
                     }
                 }
-                let id = self.next_id;
-                self.next_id += 1;
+                let id = self.alloc_id();
                 let req = BatchRequest {
                     id,
                     start: ctx,
@@ -676,9 +676,9 @@ impl ProtocolEngine {
             let mut steps = 0usize;
             loop {
                 while let Some(msg) = world.receive(client) {
-                    for part in &msg.parts {
+                    for part in msg.parts {
                         let Payload::Bytes(b) = part else { continue };
-                        if let Some(rep) = BatchReply::decode(b.clone()) {
+                        if let Some(rep) = BatchReply::decode(b) {
                             if awaiting.contains_key(&rep.id) {
                                 world.cancel_wake(rep.id);
                                 got.insert(rep.id, rep);
@@ -703,10 +703,10 @@ impl ProtocolEngine {
                         let Some(mut aw) = awaiting.remove(&token) else {
                             continue;
                         };
-                        self.superseded.insert(token);
+                        self.supersede(token);
                         aw.attempt += 1;
                         if aw.attempt >= pol.max_attempts {
-                            self.counters.exhausted += 1;
+                            self.note_exhausted();
                             for (_, slots) in &aw.entries {
                                 for &(slot, _) in slots {
                                     unreachable[slot] = true;
@@ -714,22 +714,17 @@ impl ProtocolEngine {
                             }
                             continue; // give the request up; round completes without it
                         }
-                        self.counters.retransmissions += 1;
-                        #[cfg(feature = "telemetry")]
-                        naming_telemetry::counter!("retry.retransmissions").bump();
+                        self.note_retransmission();
                         let (machine, ctx) =
                             aw.candidates[aw.attempt as usize % aw.candidates.len()];
                         if machine != aw.candidates[0].0 {
-                            self.counters.failovers += 1;
-                            #[cfg(feature = "telemetry")]
-                            naming_telemetry::counter!("failover.attempts").bump();
+                            self.note_failover();
                         }
                         let group_names: Vec<CompoundName> =
                             aw.entries.iter().map(|(n, _)| n.clone()).collect();
                         let (trie, mapping) = NameTrie::build(&group_names);
                         aw.mapping = mapping;
-                        let id = self.next_id;
-                        self.next_id += 1;
+                        let id = self.alloc_id();
                         let req = BatchRequest {
                             id,
                             start: ctx,
@@ -745,7 +740,7 @@ impl ProtocolEngine {
                         break; // every surviving request answered
                     }
                 }
-                if steps >= self.max_steps || !world.step() {
+                if !self.pump_one(world, &mut steps) {
                     // Dead protocol: unanswered slots are unreachable, not ⊥.
                     for (id, aw) in &awaiting {
                         if !got.contains_key(id) {
@@ -758,8 +753,6 @@ impl ProtocolEngine {
                     }
                     break;
                 }
-                steps += 1;
-                self.drain_servers(world);
             }
 
             for (id, aw) in awaiting {
@@ -911,13 +904,14 @@ impl ProtocolEngine {
         let req = ZoneDeltaRequest { id, since };
         let req_bytes = req.wire_len() as u64;
         let server = self.service.server_on(machine);
+        self.drain_servers(world);
         world.send(client, server, vec![Payload::Bytes(req.encode())]);
         let mut steps = 0usize;
         loop {
             while let Some(msg) = world.receive(client) {
-                for part in &msg.parts {
+                for part in msg.parts {
                     let Payload::Bytes(b) = part else { continue };
-                    if let Some(rep) = ZoneDelta::decode(b.clone()) {
+                    if let Some(rep) = ZoneDelta::decode(b) {
                         if rep.id == id {
                             let bytes = req_bytes + rep.wire_len() as u64;
                             return Some((rep, bytes));
@@ -926,11 +920,9 @@ impl ProtocolEngine {
                     }
                 }
             }
-            if steps >= self.max_steps || !world.step() {
+            if !self.pump_one(world, &mut steps) {
                 return None;
             }
-            steps += 1;
-            self.drain_servers(world);
         }
     }
 
@@ -938,12 +930,28 @@ impl ProtocolEngine {
     /// flight (replica updates, stray replies). Returns the number of
     /// events processed.
     pub fn pump_idle(&mut self, world: &mut World) -> usize {
+        self.drain_servers(world);
         let mut n = 0;
-        while world.step() {
+        while let Some(ev) = world.step_event() {
             n += 1;
-            self.drain_servers(world);
+            self.serve(world, ev);
         }
         n
+    }
+
+    /// Runs the next event, within the pump budget, and lets the server it
+    /// reached handle its mail. False when the budget is spent or the
+    /// event queue is dry.
+    fn pump_one(&mut self, world: &mut World, steps: &mut usize) -> bool {
+        if *steps >= self.max_steps {
+            return false;
+        }
+        let Some(ev) = world.step_event() else {
+            return false;
+        };
+        *steps += 1;
+        self.serve(world, ev);
+        true
     }
 
     /// Pops the client's answer for `id`, if one is waiting — a scalar
@@ -959,29 +967,28 @@ impl ProtocolEngine {
         // late answers to superseded attempts (counted) or stray frames
         // (dropped — single-outstanding-request client).
         while let Some(msg) = world.receive(client) {
-            for part in &msg.parts {
-                if let Payload::Bytes(b) = part {
-                    if let Some(r) = Reply::decode(b.clone()) {
-                        if r.id == id {
-                            return Some((r.outcome, r.servers_touched));
-                        }
-                        self.note_stale_reply(r.id);
-                    } else if let Some(r) = BatchReply::decode(b.clone()) {
-                        if r.id == id {
-                            // An empty outcome list means the transport
-                            // delivered a frame carrying no verdict. That
-                            // says nothing about the binding, so it must
-                            // never surface as ⊥ (`NotFound`).
-                            let outcome = r
-                                .outcomes
-                                .into_iter()
-                                .next()
-                                .unwrap_or(Outcome::Unreachable { attempts: 1 });
-                            return Some((outcome, r.servers_touched));
-                        }
-                        self.note_stale_reply(r.id);
-                    }
+            for part in msg.parts {
+                let Payload::Bytes(b) = part else { continue };
+                let (rid, outcome, touched) = match Frame::decode(b) {
+                    Some(Frame::Reply(r)) => (r.id, r.outcome, r.servers_touched),
+                    // An empty outcome list means the transport delivered
+                    // a frame carrying no verdict. That says nothing about
+                    // the binding, so it must never surface as ⊥
+                    // (`NotFound`).
+                    Some(Frame::BatchReply(r)) => (
+                        r.id,
+                        r.outcomes
+                            .into_iter()
+                            .next()
+                            .unwrap_or(Outcome::Unreachable { attempts: 1 }),
+                        r.servers_touched,
+                    ),
+                    _ => continue,
+                };
+                if rid == id {
+                    return Some((outcome, touched));
                 }
+                self.note_stale_reply(rid);
             }
         }
         None
@@ -998,25 +1005,62 @@ impl ProtocolEngine {
         }
     }
 
-    /// Processes every message waiting in any server's mailbox.
+    /// Lets the process an event reached handle it: a name server drains
+    /// its mailbox, anything else (a client, a wake) is its owner's to
+    /// poll. Every *other* server mailbox was empty before the event —
+    /// the entry points sweep once, and each event adds mail to one
+    /// process only — so this is the whole sweep at the cost of one.
+    pub(crate) fn serve(&mut self, world: &mut World, ev: Stepped) {
+        #[cfg(test)]
+        if self.sweep_every_event {
+            return self.drain_servers(world);
+        }
+        if let Stepped::Delivered(pid) = ev {
+            if let Some(machine) = self.service.machine_served_by(world, pid) {
+                self.drain_server(world, machine, pid);
+            }
+        }
+        debug_assert!(
+            self.service
+                .servers()
+                .all(|(_, s)| world.mailbox_len(s) == 0),
+            "mail in a server mailbox no event pointed at"
+        );
+    }
+
+    /// Processes every message waiting in any server's mailbox: the entry
+    /// points' sweep for mail that a caller's own `world.step()`/`run()`
+    /// delivered while the engine was not pumping.
     pub(crate) fn drain_servers(&mut self, world: &mut World) {
-        let servers: Vec<(naming_sim::topology::MachineId, ActivityId)> =
-            self.service.servers().collect();
-        for (machine, server) in servers {
-            while let Some(msg) = world.receive(server) {
-                for part in &msg.parts {
-                    let Payload::Bytes(b) = part else { continue };
-                    if let Some(req) = Request::decode(b.clone()) {
-                        self.handle_request(world, machine, server, msg.from, req);
-                    } else if let Some(req) = BatchRequest::decode(b.clone()) {
-                        self.handle_batch_request(world, machine, server, msg.from, req);
-                    } else if let Some(rep) = Reply::decode(b.clone()) {
-                        self.handle_forwarded_reply(world, server, rep);
-                    } else if let Some(update) = ZoneUpdate::decode(b.clone()) {
-                        self.handle_zone_update(world, machine, update);
-                    } else if let Some(req) = ZoneDeltaRequest::decode(b.clone()) {
-                        self.handle_zone_delta_request(world, server, msg.from, req);
+        for machine in (0..self.service.machine_span()).map(MachineId) {
+            if let Some(server) = self.service.server_if_on(machine) {
+                self.drain_server(world, machine, server);
+            }
+        }
+    }
+
+    fn drain_server(&mut self, world: &mut World, machine: MachineId, server: ActivityId) {
+        while let Some(msg) = world.receive(server) {
+            let from = msg.from;
+            for part in msg.parts {
+                let Payload::Bytes(b) = part else { continue };
+                match Frame::decode(b) {
+                    Some(Frame::Request(req)) => {
+                        self.handle_request(world, machine, server, from, req)
                     }
+                    Some(Frame::BatchRequest(req)) => {
+                        self.handle_batch_request(world, machine, server, from, req)
+                    }
+                    Some(Frame::Reply(rep)) => self.handle_forwarded_reply(world, server, rep),
+                    Some(Frame::ZoneUpdate(update)) => {
+                        self.handle_zone_update(world, machine, update)
+                    }
+                    Some(Frame::ZoneDeltaRequest(req)) => {
+                        self.handle_zone_delta_request(world, server, from, req)
+                    }
+                    // Replies to clients have no business here; dropped
+                    // like any undecodable frame.
+                    Some(Frame::BatchReply(_) | Frame::ZoneDelta(_)) | None => {}
                 }
             }
         }

@@ -39,7 +39,7 @@ use naming_core::name::CompoundName;
 use naming_sim::message::Payload;
 use naming_sim::time::{Duration, VirtualTime};
 use naming_sim::topology::MachineId;
-use naming_sim::world::World;
+use naming_sim::world::{Stepped, World};
 
 use crate::engine::ProtocolEngine;
 use crate::wire::{BatchReply, BatchRequest, NameTrie, Outcome};
@@ -325,13 +325,24 @@ impl PipelinedService {
             .max_steps
             .saturating_mul(self.inflight.len() + self.backlog.len() + 1);
         let mut steps = 0usize;
+        // One sweep of every server and client for mail that a caller's
+        // own stepping delivered while the reactor was not pumping; after
+        // that each event names the one process to look at.
+        self.engine.drain_servers(world);
+        let mut touched: Vec<ActivityId> = self.clients.iter().copied().collect();
         loop {
             self.admit(world);
-            self.dispatch(world);
+            self.dispatch(world, &touched);
+            touched.clear();
             if self.inflight.is_empty() && self.backlog.is_empty() {
                 return;
             }
-            if steps >= budget || !world.step() {
+            let stepped = if steps < budget {
+                world.step_event()
+            } else {
+                None
+            };
+            let Some(ev) = stepped else {
                 // Dead protocol: no event will ever arrive for the
                 // outstanding requests. Their slots get transport
                 // verdicts; finishing those rounds may start new ones
@@ -346,9 +357,13 @@ impl PipelinedService {
                     }
                 }
                 continue;
-            }
+            };
             steps += 1;
-            self.engine.drain_servers(world);
+            self.engine.serve(world, ev);
+            let (Stepped::Delivered(pid) | Stepped::Woke(pid)) = ev;
+            if self.clients.contains(&pid) {
+                touched.push(pid);
+            }
         }
     }
 
@@ -382,16 +397,15 @@ impl PipelinedService {
         }
     }
 
-    /// Routes delivered replies and fired deadline wakes to their
-    /// continuations, then advances every continuation whose round
-    /// completed.
-    fn dispatch(&mut self, world: &mut World) {
-        let clients: Vec<ActivityId> = self.clients.iter().copied().collect();
-        for client in clients {
+    /// Routes the replies delivered to, and the deadline wakes fired for,
+    /// `clients` to their continuations, then advances every continuation
+    /// whose round completed.
+    fn dispatch(&mut self, world: &mut World, clients: &[ActivityId]) {
+        for &client in clients {
             while let Some(msg) = world.receive(client) {
-                for part in &msg.parts {
+                for part in msg.parts {
                     let Payload::Bytes(b) = part else { continue };
-                    let Some(rep) = BatchReply::decode(b.clone()) else {
+                    let Some(rep) = BatchReply::decode(b) else {
                         continue;
                     };
                     self.route_reply(world, rep);
@@ -404,18 +418,19 @@ impl PipelinedService {
         self.advance(world);
     }
 
-    /// Files a reply with its continuation; unroutable ids are stale
-    /// (superseded attempts) or stray.
+    /// Files a reply with its continuation; unroutable ids — no route, or
+    /// a route to a continuation that is gone — are stale (superseded
+    /// attempts) or stray.
     fn route_reply(&mut self, world: &mut World, rep: BatchReply) {
         let Some(seq) = self.routes.remove(&rep.id) else {
             self.engine.note_stale_reply(rep.id);
             return;
         };
         world.cancel_wake(rep.id);
-        let cont = self
-            .inflight
-            .get_mut(&seq)
-            .expect("routed id must have an in-flight continuation");
+        let Some(cont) = self.inflight.get_mut(&seq) else {
+            self.engine.note_stale_reply(rep.id);
+            return;
+        };
         cont.messages += 1;
         cont.got.insert(rep.id, rep);
         if cont.got.len() == cont.awaiting.len() {
@@ -430,14 +445,15 @@ impl PipelinedService {
             return;
         };
         // Answered on the same step it expired (route removed), or a
-        // stale token for an already-superseded attempt: ignore.
+        // stale token for an already-superseded attempt or a continuation
+        // that is gone: ignore.
         let Some(&seq) = self.routes.get(&token) else {
             return;
         };
-        let cont = self
-            .inflight
-            .get_mut(&seq)
-            .expect("routed id must have an in-flight continuation");
+        let Some(cont) = self.inflight.get_mut(&seq) else {
+            self.routes.remove(&token);
+            return;
+        };
         let Some(mut aw) = cont.awaiting.remove(&token) else {
             return;
         };
@@ -963,6 +979,89 @@ mod tests {
         }
         for r in &runs[1..] {
             assert_eq!(r, &runs[0]);
+        }
+    }
+
+    /// A hub whose root grafts one zone per machine: `/z{i}/leaf` costs a
+    /// referral from the hub to zone `i`'s server.
+    fn star_world(seed: u64, zones: usize) -> (World, NameService, ActivityId, ObjectId) {
+        let mut w = World::new(seed);
+        let net = w.add_network("n");
+        let hub = w.add_machine("hub", net);
+        let root = w.machine_root(hub);
+        let mut machines = vec![hub];
+        for i in 0..zones {
+            let m = w.add_machine(format!("zone{i}"), net);
+            let zroot = w.machine_root(m);
+            let zone = store::ensure_dir(w.state_mut(), zroot, "export");
+            store::create_file(w.state_mut(), zone, "leaf", vec![]);
+            store::attach(w.state_mut(), root, &format!("z{i}"), zone, false);
+            machines.push(m);
+        }
+        let mut svc = NameService::install(&mut w, &machines);
+        for &m in machines.iter().rev() {
+            let r = w.machine_root(m);
+            svc.place_subtree(&w, r, m);
+        }
+        let client = w.spawn(hub, "client", None);
+        (w, svc, client, root)
+    }
+
+    /// Handling only the process an event names must be indistinguishable
+    /// from sweeping every server mailbox after every event — answers,
+    /// accounting, the clock, every trace counter — under loss and
+    /// retries, for both drivers, with many more servers than any one
+    /// event touches.
+    #[test]
+    fn targeted_dispatch_equals_sweeping_every_mailbox() {
+        const ZONES: usize = 40;
+        let batches: Vec<Vec<CompoundName>> = (0..6)
+            .map(|b| {
+                (0..8)
+                    .map(|k| {
+                        let z = (b * 7 + k * 5) % ZONES;
+                        let leaf = if k % 4 == 3 { "missing" } else { "leaf" };
+                        CompoundName::parse_path(&format!("/z{z}/{leaf}")).unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        let run = |sweep: bool, pipelined: bool| {
+            let (mut w, svc, client, root) = star_world(97, ZONES);
+            w.set_message_drop_rate(0.2);
+            let mut engine = ProtocolEngine::new(svc);
+            engine.sweep_every_event = sweep;
+            engine.set_retry_policy(Some(RetryPolicy {
+                max_attempts: 64,
+                ..RetryPolicy::default()
+            }));
+            let answers = if pipelined {
+                let mut svc = PipelinedService::with_limit(engine, 2, 2);
+                for b in &batches {
+                    svc.submit(&mut w, client, root, b);
+                }
+                let done = format!("{:?}", svc.drain(&mut w));
+                engine = svc.into_engine();
+                done
+            } else {
+                let stats: Vec<_> = batches
+                    .iter()
+                    .map(|b| engine.resolve_batch(&mut w, client, root, b))
+                    .collect();
+                format!("{stats:?}")
+            };
+            assert_eq!(w.pending_timers(), 0, "timers left behind");
+            (
+                answers,
+                engine.retry_counters(),
+                w.now(),
+                w.trace().to_string(),
+            )
+        };
+        for pipelined in [false, true] {
+            let targeted = run(false, pipelined);
+            assert!(targeted.1.retransmissions > 0, "the loss never bit");
+            assert_eq!(targeted, run(true, pipelined), "pipelined: {pipelined}");
         }
     }
 }

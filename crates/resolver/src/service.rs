@@ -11,11 +11,55 @@
 use std::collections::BTreeMap;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
+use naming_core::hash::FxHashMap;
 use naming_core::name::CompoundName;
+use naming_core::state::{LOCAL_BITS, MAX_SHARD_OBJECTS};
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
 use crate::wire::{NameTrie, Outcome};
+
+/// Which machine is authoritative for each object: one flat table per
+/// state shard, indexed by the object's shard-local index. Object ids are
+/// dense within a shard, so a probe — several per hop of every request —
+/// is two array reads whatever the namespace size. (A hash map keyed by
+/// the id is not a substitute: the shard sits in the id's high bits, which
+/// the multiplicative hasher never folds into the bucket index, so every
+/// shard's objects pile onto the same buckets.)
+#[derive(Debug, Default)]
+struct Placement {
+    /// `shards[shard][local]` is the machine id plus one; zero = unplaced.
+    shards: Vec<Vec<u32>>,
+    placed: usize,
+}
+
+impl Placement {
+    /// An object id as (shard, shard-local index).
+    fn split(obj: ObjectId) -> (usize, usize) {
+        (obj.index() >> LOCAL_BITS, obj.index() % MAX_SHARD_OBJECTS)
+    }
+
+    fn get(&self, obj: ObjectId) -> Option<MachineId> {
+        let (shard, local) = Placement::split(obj);
+        match *self.shards.get(shard)?.get(local)? {
+            0 => None,
+            m => Some(MachineId(m as usize - 1)),
+        }
+    }
+
+    fn insert(&mut self, obj: ObjectId, machine: MachineId) {
+        let (shard, local) = Placement::split(obj);
+        if self.shards.len() <= shard {
+            self.shards.resize_with(shard + 1, Vec::new);
+        }
+        let table = &mut self.shards[shard];
+        if table.len() <= local {
+            table.resize(local + 1, 0);
+        }
+        self.placed += usize::from(table[local] == 0);
+        table[local] = u32::try_from(machine.0 + 1).expect("machine ids fit in 32 bits");
+    }
+}
 
 /// Per-machine name servers plus the authoritative placement map.
 ///
@@ -27,26 +71,23 @@ use crate::wire::{NameTrie, Outcome};
 /// ([`NameService::replica_divergence`]).
 #[derive(Debug, Default)]
 pub struct NameService {
-    servers: BTreeMap<MachineId, ActivityId>,
-    placement: BTreeMap<ObjectId, MachineId>,
+    /// Indexed by `MachineId`; `None` where no server runs.
+    servers: Vec<Option<ActivityId>>,
+    placement: Placement,
     /// zone object → (secondary machine → copy object).
     replicas: BTreeMap<ObjectId, BTreeMap<MachineId, ObjectId>>,
+    /// copy object → its zone: `replicas` read backwards.
+    zone_of_copy: FxHashMap<ObjectId, ObjectId>,
 }
 
 impl NameService {
     /// Spawns a name-server process (`named`) on each machine.
     pub fn install(world: &mut World, machines: &[MachineId]) -> NameService {
-        let mut servers = BTreeMap::new();
+        let mut svc = NameService::default();
         for &m in machines {
-            let label = format!("named@{}", world.topology().machine_name(m));
-            let pid = world.spawn(m, label, None);
-            servers.insert(m, pid);
+            svc.add_server(world, m);
         }
-        NameService {
-            servers,
-            placement: BTreeMap::new(),
-            replicas: BTreeMap::new(),
-        }
+        svc
     }
 
     /// The server process on a machine.
@@ -55,12 +96,32 @@ impl NameService {
     ///
     /// Panics if no server was installed on `machine`.
     pub fn server_on(&self, machine: MachineId) -> ActivityId {
-        self.servers[&machine]
+        self.server_if_on(machine)
+            .expect("a server was installed on the machine")
+    }
+
+    /// The server process on a machine, if one was installed there.
+    pub fn server_if_on(&self, machine: MachineId) -> Option<ActivityId> {
+        self.servers.get(machine.0).copied().flatten()
+    }
+
+    /// One past the highest machine id that runs a server.
+    pub(crate) fn machine_span(&self) -> usize {
+        self.servers.len()
     }
 
     /// All server processes, in machine order.
     pub fn servers(&self) -> impl Iterator<Item = (MachineId, ActivityId)> + '_ {
-        self.servers.iter().map(|(m, p)| (*m, *p))
+        self.servers
+            .iter()
+            .enumerate()
+            .filter_map(|(m, p)| Some((MachineId(m), (*p)?)))
+    }
+
+    /// The machine `pid` is the name server of, if it is one.
+    pub(crate) fn machine_served_by(&self, world: &World, pid: ActivityId) -> Option<MachineId> {
+        let machine = world.machine_of(pid);
+        (self.server_if_on(machine) == Some(pid)).then_some(machine)
     }
 
     /// Declares `machine` authoritative for `obj`.
@@ -75,14 +136,14 @@ impl NameService {
     pub fn place_subtree(&mut self, world: &World, root: ObjectId, machine: MachineId) {
         let mut stack = vec![root];
         while let Some(o) = stack.pop() {
-            if self.placement.contains_key(&o) {
+            if self.placement.get(o).is_some() {
                 continue;
             }
             self.placement.insert(o, machine);
             if let Some(c) = world.state().context(o) {
                 for (_, e) in c.iter() {
                     if let Entity::Object(t) = e {
-                        if !self.placement.contains_key(&t) {
+                        if self.placement.get(t).is_none() {
                             stack.push(t);
                         }
                     }
@@ -93,12 +154,12 @@ impl NameService {
 
     /// The machine authoritative for an object, if placed.
     pub fn machine_of_object(&self, obj: ObjectId) -> Option<MachineId> {
-        self.placement.get(&obj).copied()
+        self.placement.get(obj)
     }
 
     /// Number of placed objects.
     pub fn placed_count(&self) -> usize {
-        self.placement.len()
+        self.placement.placed
     }
 
     /// Replicates the zone (context object) `zone` onto `secondary`: a
@@ -121,7 +182,7 @@ impl NameService {
         secondary: MachineId,
     ) -> ObjectId {
         assert!(
-            self.placement.contains_key(&zone),
+            self.placement.get(zone).is_some(),
             "zone must be placed before replication"
         );
         let ctx = world
@@ -145,6 +206,7 @@ impl NameService {
             .or_default()
             .insert(secondary, copy);
         assert!(prev.is_none(), "zone already replicated on that machine");
+        self.zone_of_copy.insert(copy, zone);
         copy
     }
 
@@ -169,23 +231,25 @@ impl NameService {
     /// The copy of `zone` served on `machine`, if any (the zone itself
     /// when `machine` is the primary).
     pub fn zone_copy_on(&self, zone: ObjectId, machine: MachineId) -> Option<ObjectId> {
-        if self.placement.get(&zone) == Some(&machine) {
-            return Some(zone);
-        }
-        self.replicas.get(&zone)?.get(&machine).copied()
+        self.zone_group(zone)
+            .find(|&(m, _)| m == machine)
+            .map(|(_, copy)| copy)
+    }
+
+    /// Every server of `zone` paired with the context object it serves:
+    /// the primary (if placed) first, then secondaries in machine order.
+    fn zone_group(&self, zone: ObjectId) -> impl Iterator<Item = (MachineId, ObjectId)> + '_ {
+        let primary = self.placement.get(zone).map(|m| (m, zone));
+        let secondaries = self.replicas.get(&zone).into_iter().flatten();
+        primary
+            .into_iter()
+            .chain(secondaries.map(|(&m, &copy)| (m, copy)))
     }
 
     /// The machines serving `zone` (primary first, then secondaries in
     /// machine order).
     pub fn zone_servers(&self, zone: ObjectId) -> Vec<MachineId> {
-        let mut out = Vec::new();
-        if let Some(&primary) = self.placement.get(&zone) {
-            out.push(primary);
-        }
-        if let Some(secs) = self.replicas.get(&zone) {
-            out.extend(secs.keys().copied());
-        }
-        out
+        self.zone_group(zone).map(|(m, _)| m).collect()
     }
 
     /// The servers able to answer for `ctx`, primary first: when `ctx`
@@ -194,26 +258,8 @@ impl NameService {
     /// `ctx`'s own placement. This is the failover order the retry layer
     /// walks when a request's deadline expires.
     pub fn failover_targets(&self, ctx: ObjectId) -> Vec<(MachineId, ObjectId)> {
-        let zone = if self.replicas.contains_key(&ctx) {
-            Some(ctx)
-        } else {
-            self.replicas
-                .iter()
-                .find(|(_, secs)| secs.values().any(|&c| c == ctx))
-                .map(|(&z, _)| z)
-        };
-        match zone {
-            Some(z) => self
-                .zone_servers(z)
-                .into_iter()
-                .filter_map(|m| self.zone_copy_on(z, m).map(|c| (m, c)))
-                .collect(),
-            None => self
-                .machine_of_object(ctx)
-                .map(|m| (m, ctx))
-                .into_iter()
-                .collect(),
-        }
+        let zone = self.zone_of_copy.get(&ctx).copied().unwrap_or(ctx);
+        self.zone_group(zone).collect()
     }
 
     /// The primary zone objects of every replica group `machine`
@@ -223,7 +269,7 @@ impl NameService {
         self.replicas
             .iter()
             .filter(|(z, secs)| {
-                self.placement.get(*z) == Some(&machine) || secs.contains_key(&machine)
+                self.placement.get(**z) == Some(machine) || secs.contains_key(&machine)
             })
             .map(|(&z, _)| z)
             .collect()
@@ -233,12 +279,15 @@ impl NameService {
     /// after [`NameService::install`]). Returns the existing server if one
     /// is already there.
     pub fn add_server(&mut self, world: &mut World, machine: MachineId) -> ActivityId {
-        if let Some(&pid) = self.servers.get(&machine) {
+        if let Some(pid) = self.server_if_on(machine) {
             return pid;
+        }
+        if self.servers.len() <= machine.0 {
+            self.servers.resize(machine.0 + 1, None);
         }
         let label = format!("named@{}", world.topology().machine_name(machine));
         let pid = world.spawn(machine, label, None);
-        self.servers.insert(machine, pid);
+        self.servers[machine.0] = Some(pid);
         pid
     }
 
@@ -333,13 +382,10 @@ impl NameService {
             }
             match e {
                 Entity::Object(o) if world.state().is_context_object(o) => {
-                    // A replica of the next zone on THIS machine lets the
-                    // walk continue locally.
-                    if let Some(local_copy) = self.zone_copy_on(o, machine) {
-                        cur = local_copy;
-                        continue;
-                    }
                     match self.nearest_server_for(world, machine, o) {
+                        // The zone (or a replica of it) on THIS machine
+                        // lets the walk continue locally.
+                        Some((m, local_copy)) if m == machine => cur = local_copy,
                         Some((m, ctx)) => {
                             let remaining = CompoundName::new(comps[i + 1..].iter().copied())
                                 .expect("at least one component remains");
@@ -388,16 +434,18 @@ impl NameService {
         let mut naive = 0u32;
 
         /// Walk state at a trie node: still resolving locally, already
-        /// past a referral boundary (accumulating the remaining path),
-        /// past a dead binding (everything below is `NotFound`), or past
-        /// an unplaced context (everything below is `Unreachable` — the
-        /// bindings may exist but nobody can be asked).
+        /// past a referral boundary (`depth` components of the remaining
+        /// path lie between the boundary and this node), past a dead
+        /// binding (everything below is `NotFound`), or past an unplaced
+        /// context (everything below is `Unreachable` — the bindings may
+        /// exist but nobody can be asked).
+        #[derive(Clone, Copy)]
         enum St {
             Live(ObjectId),
             Referred {
                 m: MachineId,
                 ctx: ObjectId,
-                path: Vec<naming_core::name::Name>,
+                depth: usize,
             },
             Dead,
             Unreachable,
@@ -409,108 +457,61 @@ impl NameService {
             .rev()
             .map(|&r| (r, St::Live(start)))
             .collect();
+        // The remaining path of the referred node being visited. The walk
+        // is depth-first, so one buffer serves every branch: a node at
+        // `depth` finds its ancestors' components still in `path[..depth]`.
+        let mut path = Vec::new();
         while let Some((ni, st)) = stack.pop() {
             let node = &trie.nodes[ni as usize];
-            match st {
-                // The default outcome is already NotFound.
-                St::Dead => {
-                    for &c in node.children.iter().rev() {
-                        stack.push((c, St::Dead));
-                    }
-                }
-                St::Unreachable => {
-                    if let Some(q) = node.query {
-                        if let Some(slot) = outcomes.get_mut(q as usize) {
-                            *slot = Outcome::Unreachable { attempts: 0 };
-                        }
-                    }
-                    for &c in node.children.iter().rev() {
-                        stack.push((c, St::Unreachable));
-                    }
-                }
-                St::Referred { m, ctx, path } => {
-                    let mut p = path;
-                    p.push(node.component);
-                    if let Some(q) = node.query {
-                        if let (Some(slot), Ok(remaining)) = (
-                            outcomes.get_mut(q as usize),
-                            CompoundName::new(p.iter().copied()),
-                        ) {
-                            *slot = Outcome::Referral {
-                                next_machine: m,
-                                next_ctx: ctx,
-                                remaining,
-                            };
-                        }
-                    }
-                    for &c in node.children.iter().rev() {
-                        stack.push((
-                            c,
-                            St::Referred {
-                                m,
-                                ctx,
-                                path: p.clone(),
-                            },
-                        ));
-                    }
+            // This node's verdict (`None` leaves the default `NotFound`)
+            // and the state its children start from.
+            let (outcome, below) = match st {
+                St::Dead => (None, St::Dead),
+                St::Unreachable => (Some(Outcome::Unreachable { attempts: 0 }), st),
+                St::Referred { m, ctx, depth } => {
+                    path.truncate(depth);
+                    path.push(node.component);
+                    let referral = node
+                        .query
+                        .and_then(|_| CompoundName::new(path.iter().copied()).ok())
+                        .map(|remaining| Outcome::Referral {
+                            next_machine: m,
+                            next_ctx: ctx,
+                            remaining,
+                        });
+                    let depth = depth + 1;
+                    (referral, St::Referred { m, ctx, depth })
                 }
                 St::Live(cur) => {
                     lookups += 1;
                     naive += sub[ni as usize];
                     let e = world.state().lookup(cur, node.component);
-                    if !e.is_defined() {
-                        for &c in node.children.iter().rev() {
-                            stack.push((c, St::Dead));
-                        }
-                        continue;
-                    }
-                    if let Some(q) = node.query {
-                        if let Some(slot) = outcomes.get_mut(q as usize) {
-                            *slot = Outcome::Resolved(e);
-                        }
-                    }
-                    if node.children.is_empty() {
-                        continue;
-                    }
                     // Descend exactly as the single-name walk would: a
                     // local replica keeps the walk live, a remote zone
                     // starts a referral, an unplaced zone is unreachable,
                     // anything else is dead.
-                    enum Next {
-                        Live(ObjectId),
-                        Ref(MachineId, ObjectId),
-                        Dead,
-                        Unreachable,
-                    }
-                    let next = match e {
-                        Entity::Object(o) if world.state().is_context_object(o) => {
-                            if let Some(copy) = self.zone_copy_on(o, machine) {
-                                Next::Live(copy)
-                            } else {
-                                match self.nearest_server_for(world, machine, o) {
-                                    Some((m, ctx)) => Next::Ref(m, ctx),
-                                    None => Next::Unreachable,
-                                }
+                    let below = match e {
+                        Entity::Object(o)
+                            if !node.children.is_empty() && world.state().is_context_object(o) =>
+                        {
+                            match self.nearest_server_for(world, machine, o) {
+                                Some((m, copy)) if m == machine => St::Live(copy),
+                                Some((m, ctx)) => St::Referred { m, ctx, depth: 0 },
+                                None => St::Unreachable,
                             }
                         }
-                        _ => Next::Dead,
+                        _ => St::Dead,
                     };
-                    for &c in node.children.iter().rev() {
-                        stack.push((
-                            c,
-                            match next {
-                                Next::Live(copy) => St::Live(copy),
-                                Next::Ref(m, ctx) => St::Referred {
-                                    m,
-                                    ctx,
-                                    path: Vec::new(),
-                                },
-                                Next::Dead => St::Dead,
-                                Next::Unreachable => St::Unreachable,
-                            },
-                        ));
-                    }
+                    (e.is_defined().then_some(Outcome::Resolved(e)), below)
                 }
+            };
+            if let (Some(outcome), Some(q)) = (outcome, node.query) {
+                if let Some(slot) = outcomes.get_mut(q as usize) {
+                    *slot = outcome;
+                }
+            }
+            for &c in node.children.iter().rev() {
+                stack.push((c, below));
             }
         }
         let saved = naive.saturating_sub(lookups);
@@ -523,35 +524,21 @@ impl NameService {
         (outcomes, saved)
     }
 
-    /// Picks the server for zone `o` nearest to `from`: same network
-    /// beats cross-network; the primary wins ties. Returns the machine and
-    /// the context object (copy or primary) it serves.
+    /// Picks the server for zone `o` nearest to `from`: `from` itself
+    /// when it serves the zone, else same network beats cross-network; the
+    /// primary wins ties (`zone_group` lists it first and `min_by_key`
+    /// keeps the first minimum). Returns the machine and the context
+    /// object (copy or primary) it serves. One placement probe, nothing
+    /// allocated.
     fn nearest_server_for(
         &self,
         world: &World,
         from: MachineId,
         o: ObjectId,
     ) -> Option<(MachineId, ObjectId)> {
-        let candidates = self.zone_servers(o);
-        if candidates.is_empty() {
-            return None;
-        }
         let from_net = world.topology().machine_network(from);
-        let best = candidates
-            .iter()
-            .copied()
-            .min_by_key(|&m| {
-                let same_net = world.topology().machine_network(m) == from_net;
-                // Rank: same-network replicas first; primary order breaks
-                // ties because `candidates` lists the primary first and
-                // min_by_key is stable on equal keys.
-                u8::from(!same_net)
-            })
-            .expect("nonempty");
-        Some((
-            best,
-            self.zone_copy_on(o, best).expect("candidate serves zone"),
-        ))
+        self.zone_group(o)
+            .min_by_key(|&(m, _)| (m != from, world.topology().machine_network(m) != from_net))
     }
 }
 
@@ -723,6 +710,12 @@ mod tests {
             "/usr/missing",
             "/usr/motd", // duplicate
             "/usr",
+            // Branching below a referral boundary: every branch must come
+            // back with its own remaining path.
+            "/usr/remote/a/b/c",
+            "/usr/remote/a/x",
+            "/usr/remote/a/b/d",
+            "/usr/remote/a",
         ]
         .iter()
         .map(|p| CompoundName::parse_path(p).unwrap())
@@ -737,7 +730,7 @@ mod tests {
                 "batch and single walks disagree on {n}"
             );
         }
-        // The six names share "/" and "/usr" prefixes; the batch walk
+        // The names share "/" and "/usr" prefixes; the batch walk
         // must have skipped repeated lookups.
         assert!(saved > 0, "shared prefixes should save lookups");
     }

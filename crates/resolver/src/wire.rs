@@ -301,6 +301,44 @@ impl ZoneDelta {
     }
 }
 
+/// Any protocol frame, decoded once by its tag byte — what a receiver
+/// that cannot know the frame type in advance (a server mailbox, a client
+/// awaiting either reply format) uses instead of trial-decoding each type.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// A scalar resolution request.
+    Request(Request),
+    /// A scalar resolution reply.
+    Reply(Reply),
+    /// A replica zone push.
+    ZoneUpdate(ZoneUpdate),
+    /// A batched resolution request.
+    BatchRequest(BatchRequest),
+    /// A batched resolution reply.
+    BatchReply(BatchReply),
+    /// An anti-entropy pull.
+    ZoneDeltaRequest(ZoneDeltaRequest),
+    /// An anti-entropy answer.
+    ZoneDelta(ZoneDelta),
+}
+
+impl Frame {
+    /// Decodes whichever frame `buf` holds; `None` for an unknown tag or a
+    /// malformed body.
+    pub fn decode(buf: Bytes) -> Option<Frame> {
+        match *buf.first()? {
+            TAG_REQUEST => Request::decode(buf).map(Frame::Request),
+            TAG_REPLY => Reply::decode(buf).map(Frame::Reply),
+            TAG_ZONE_UPDATE => ZoneUpdate::decode(buf).map(Frame::ZoneUpdate),
+            TAG_BATCH_REQUEST => BatchRequest::decode(buf).map(Frame::BatchRequest),
+            TAG_BATCH_REPLY => BatchReply::decode(buf).map(Frame::BatchReply),
+            TAG_ZONE_DELTA_REQUEST => ZoneDeltaRequest::decode(buf).map(Frame::ZoneDeltaRequest),
+            TAG_ZONE_DELTA => ZoneDelta::decode(buf).map(Frame::ZoneDelta),
+            _ => None,
+        }
+    }
+}
+
 const TAG_REQUEST: u8 = 1;
 const TAG_REPLY: u8 = 2;
 const TAG_ZONE_UPDATE: u8 = 3;
@@ -1035,6 +1073,13 @@ mod tests {
             mode: Mode::Iterative,
         };
         assert!(Reply::decode(req.encode()).is_none());
+        // The tag picks the decoder; unknown tags and empty frames are none.
+        assert_eq!(
+            Frame::decode(req.encode()),
+            Some(Frame::Request(req.clone()))
+        );
+        assert!(Frame::decode(Bytes::from_static(&[])).is_none());
+        assert!(Frame::decode(Bytes::from_static(&[9, 0, 0])).is_none());
         // Truncated compound name.
         let mut good = BytesMut::from(&req.encode()[..]);
         good.truncate(good.len() - 1);

@@ -60,8 +60,32 @@ pub enum TraceEvent {
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     events: Vec<(VirtualTime, TraceEvent)>,
+    /// The per-message counters, one fixed slot each (see [`HOT_KEYS`]).
+    hot: [u64; HOT_KEYS.len()],
+    /// Every other counter, by name.
     counters: BTreeMap<&'static str, u64>,
     record_events: bool,
+}
+
+/// The counters every simulated message pays for. They live in fixed
+/// slots (and, with `telemetry`, behind cached registry handles) so a
+/// bump is an add, not a map probe. Sorted, like the map they front.
+const HOT_KEYS: [&str; 5] = ["delivered", "lost", "sent", "wake", "wire_bytes"];
+
+#[inline]
+fn hot_slot(key: &str) -> Option<usize> {
+    HOT_KEYS.iter().position(|k| *k == key)
+}
+
+/// The global-registry counter mirroring a hot slot, looked up on the
+/// slot's first bump and cached.
+#[cfg(feature = "telemetry")]
+fn hot_mirror(slot: usize) -> &'static naming_telemetry::metrics::Counter {
+    use std::sync::{Arc, OnceLock};
+    static MIRRORS: [OnceLock<Arc<naming_telemetry::metrics::Counter>>; HOT_KEYS.len()] =
+        [const { OnceLock::new() }; HOT_KEYS.len()];
+    MIRRORS[slot]
+        .get_or_init(|| naming_telemetry::metrics::global().counter(mirror_name(HOT_KEYS[slot])))
 }
 
 impl TraceLog {
@@ -100,18 +124,22 @@ impl TraceLog {
     /// `sim.`-prefixed name for the standard event counters), so metric
     /// snapshots aggregate across worlds. [`TraceLog::clear`] does not
     /// rewind the mirror: registry counters are monotone.
+    #[inline]
     pub fn bump(&mut self, key: &'static str) {
-        *self.counters.entry(key).or_insert(0) += 1;
-        #[cfg(feature = "telemetry")]
-        naming_telemetry::metrics::global()
-            .counter(mirror_name(key))
-            .bump();
+        self.add(key, 1);
     }
 
     /// Adds `n` to a named counter in one step — for quantities that
     /// arrive in lumps, like a frame's bytes on the wire. Mirrored into
     /// the telemetry registry exactly like [`TraceLog::bump`].
+    #[inline]
     pub fn add(&mut self, key: &'static str, n: u64) {
+        if let Some(slot) = hot_slot(key) {
+            self.hot[slot] += n;
+            #[cfg(feature = "telemetry")]
+            hot_mirror(slot).add(n);
+            return;
+        }
         *self.counters.entry(key).or_insert(0) += n;
         #[cfg(feature = "telemetry")]
         naming_telemetry::metrics::global()
@@ -120,8 +148,12 @@ impl TraceLog {
     }
 
     /// A counter's current value (0 if never bumped).
+    #[inline]
     pub fn counter(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        match hot_slot(key) {
+            Some(slot) => self.hot[slot],
+            None => self.counters.get(key).copied().unwrap_or(0),
+        }
     }
 
     /// The recorded events in order.
@@ -142,6 +174,7 @@ impl TraceLog {
     /// Clears recorded events and counters.
     pub fn clear(&mut self) {
         self.events.clear();
+        self.hot = Default::default();
         self.counters.clear();
     }
 }
@@ -166,8 +199,18 @@ fn mirror_name(key: &'static str) -> &'static str {
 impl fmt::Display for TraceLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "trace[")?;
+        // One sorted view: the hot slots that were ever bumped, merged with
+        // the named counters.
+        let mut all = self.counters.clone();
+        all.extend(
+            HOT_KEYS
+                .iter()
+                .zip(self.hot)
+                .filter(|&(_, v)| v > 0)
+                .map(|(k, v)| (*k, v)),
+        );
         let mut first = true;
-        for (k, v) in &self.counters {
+        for (k, v) in &all {
             if !first {
                 write!(f, ", ")?;
             }
@@ -216,6 +259,25 @@ mod tests {
         );
         assert!(log.is_empty());
         assert_eq!(log.counter("renumbered"), 1);
+    }
+
+    #[test]
+    fn hot_and_named_counters_read_and_print_as_one_sorted_map() {
+        let mut log = TraceLog::counters_only();
+        log.bump("unroutable");
+        log.bump("sent");
+        log.add("wire_bytes", 40);
+        log.bump("dropped");
+        assert_eq!(log.counter("sent"), 1);
+        assert_eq!(log.counter("wire_bytes"), 40);
+        assert_eq!(log.counter("lost"), 0);
+        assert_eq!(
+            log.to_string(),
+            "trace[dropped=1, sent=1, unroutable=1, wire_bytes=40]"
+        );
+        log.clear();
+        assert_eq!(log.counter("sent"), 0);
+        assert_eq!(log.to_string(), "trace[]");
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! world — build directory trees, assign per-process contexts — and
 //! experiments drive it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use naming_core::closure::{ContextRegistry, MetaContext, NameSource, ResolutionRule};
 use naming_core::context::Context;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
+use naming_core::hash::FxHashMap;
 use naming_core::name::{CompoundName, Name};
 use naming_core::replica::ReplicaRegistry;
 use naming_core::resolve::Resolver;
@@ -60,11 +61,23 @@ struct MachineState {
 enum SimEvent {
     Deliver(Message),
     /// A deadline timer: at its scheduled time, `token` lands in `pid`'s
-    /// wake queue (unless cancelled first).
+    /// wake queue — if `arming` is still the token's live arming.
     Wake {
         pid: ActivityId,
         token: u64,
+        arming: u64,
     },
+}
+
+/// What one [`World::step_event`] did, so a driver can handle exactly the
+/// process the event touched instead of polling every mailbox.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stepped {
+    /// A message reached this process: it is in the mailbox now, unless
+    /// the process is dead (then it was dropped and counted).
+    Delivered(ActivityId),
+    /// A deadline timer fired: its token is in this process's wake queue.
+    Woke(ActivityId),
 }
 
 /// Fault-injection configuration: lossy delivery and severed links.
@@ -110,17 +123,24 @@ pub struct World {
     replicas: ReplicaRegistry,
     topology: Topology,
     machines: Vec<MachineState>,
-    processes: BTreeMap<ActivityId, ProcessInfo>,
+    /// Indexed by `ActivityId::index()` (ids are dense, handed out by
+    /// [`SystemState::add_activity`]); `None` for an activity that was
+    /// never spawned as a process here.
+    processes: Vec<Option<ProcessInfo>>,
     clock: VirtualTime,
     queue: EventQueue<SimEvent>,
     rng: SimRng,
     trace: TraceLog,
     faults: FaultPlan,
-    /// Tokens of scheduled wakes that were cancelled before firing. A
-    /// cancelled wake is skipped *silently* when its event is reached —
-    /// no clock advance, no step — so timers that never fire leave the
-    /// timeline byte-identical to a world that never scheduled them.
-    cancelled_wakes: std::collections::BTreeSet<u64>,
+    /// Live timers: token → the arming (a per-world sequence number) whose
+    /// queued event may still fire. Cancelling removes the entry, firing
+    /// removes it, re-arming replaces it — so the set holds exactly the
+    /// timers that are pending and nothing accumulates. A popped wake that
+    /// is no longer live is skipped *silently* — no clock advance, no
+    /// step — so timers that never fire leave the timeline byte-identical
+    /// to a world that never scheduled them.
+    live_timers: FxHashMap<u64, u64>,
+    next_arming: u64,
 }
 
 impl World {
@@ -146,14 +166,35 @@ impl World {
             replicas: ReplicaRegistry::new(),
             topology: Topology::new(),
             machines: Vec::new(),
-            processes: BTreeMap::new(),
+            processes: Vec::new(),
             clock: VirtualTime::ZERO,
             queue: EventQueue::new(),
             rng: SimRng::seeded(seed),
             trace: TraceLog::counters_only(),
             faults: FaultPlan::default(),
-            cancelled_wakes: std::collections::BTreeSet::new(),
+            live_timers: FxHashMap::default(),
+            next_arming: 0,
         }
+    }
+
+    fn process(&self, pid: ActivityId) -> Option<&ProcessInfo> {
+        self.processes.get(pid.index())?.as_ref()
+    }
+
+    fn process_mut(&mut self, pid: ActivityId) -> Option<&mut ProcessInfo> {
+        self.processes.get_mut(pid.index())?.as_mut()
+    }
+
+    fn spawned(&self, pid: ActivityId) -> &ProcessInfo {
+        self.process(pid).expect("pid was spawned in this world")
+    }
+
+    /// The spawned processes with their ids, in pid order.
+    fn process_table(&self) -> impl Iterator<Item = (ActivityId, &ProcessInfo)> {
+        self.processes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| Some((ActivityId::from_index(i as u32), p.as_ref()?)))
     }
 
     // --- telemetry ---------------------------------------------------------
@@ -169,8 +210,8 @@ impl World {
     /// delivered message.
     #[cfg(feature = "telemetry")]
     fn observe_delivery(&self, msg: &Message) {
-        let fm = self.processes[&msg.from].machine;
-        let tm = self.processes[&msg.to].machine;
+        let fm = self.spawned(msg.from).machine;
+        let tm = self.spawned(msg.to).machine;
         naming_telemetry::recorder::span(
             "message",
             format!(
@@ -398,7 +439,7 @@ impl World {
         let pid = self.state.add_activity(label);
         let ctx_contents: Context = match parent {
             Some(p) => {
-                let pctx = self.processes[&p].ctx;
+                let pctx = self.spawned(p).ctx;
                 self.state
                     .context(pctx)
                     .expect("parent context object")
@@ -420,18 +461,18 @@ impl World {
         let m = &mut self.machines[machine.0];
         m.next_local_addr += 1;
         let local_addr = LocalAddr(m.next_local_addr);
-        self.processes.insert(
-            pid,
-            ProcessInfo {
-                machine,
-                parent,
-                ctx,
-                local_addr,
-                mailbox: VecDeque::new(),
-                wakes: VecDeque::new(),
-                alive: true,
-            },
-        );
+        if self.processes.len() <= pid.index() {
+            self.processes.resize_with(pid.index() + 1, || None);
+        }
+        self.processes[pid.index()] = Some(ProcessInfo {
+            machine,
+            parent,
+            ctx,
+            local_addr,
+            mailbox: VecDeque::new(),
+            wakes: VecDeque::new(),
+            alive: true,
+        });
         self.state.activity_state_mut(pid).tag = machine.0 as u64;
         self.trace
             .record(self.clock, TraceEvent::Spawned { pid, parent });
@@ -452,7 +493,7 @@ impl World {
 
     /// Terminates a process (it keeps its ids but stops receiving).
     pub fn kill(&mut self, pid: ActivityId) {
-        if let Some(p) = self.processes.get_mut(&pid) {
+        if let Some(p) = self.process_mut(pid) {
             p.alive = false;
         }
         self.state.activity_state_mut(pid).alive = false;
@@ -464,7 +505,7 @@ impl World {
     /// ids, context, and local address. Reviving a live process is a
     /// no-op.
     pub fn revive(&mut self, pid: ActivityId) {
-        if let Some(p) = self.processes.get_mut(&pid) {
+        if let Some(p) = self.process_mut(pid) {
             if !p.alive {
                 p.alive = true;
                 p.mailbox.clear();
@@ -477,7 +518,7 @@ impl World {
 
     /// True if the process is alive.
     pub fn is_alive(&self, pid: ActivityId) -> bool {
-        self.processes.get(&pid).map(|p| p.alive).unwrap_or(false)
+        self.process(pid).map(|p| p.alive).unwrap_or(false)
     }
 
     /// The machine hosting a process.
@@ -486,43 +527,41 @@ impl World {
     ///
     /// Panics if `pid` was not spawned in this world.
     pub fn machine_of(&self, pid: ActivityId) -> MachineId {
-        self.processes[&pid].machine
+        self.spawned(pid).machine
     }
 
     /// The parent of a process, if any.
     pub fn parent_of(&self, pid: ActivityId) -> Option<ActivityId> {
-        self.processes[&pid].parent
+        self.spawned(pid).parent
     }
 
     /// The process's per-activity context object (`R(pid)`).
     pub fn context_of(&self, pid: ActivityId) -> ObjectId {
-        self.processes[&pid].ctx
+        self.spawned(pid).ctx
     }
 
     /// The process's stable machine-local address.
     pub fn local_addr(&self, pid: ActivityId) -> LocalAddr {
-        self.processes[&pid].local_addr
+        self.spawned(pid).local_addr
     }
 
     /// Finds the live process with the given local address on a machine.
     pub fn find_process(&self, machine: MachineId, addr: LocalAddr) -> Option<ActivityId> {
-        self.processes
-            .iter()
+        self.process_table()
             .find(|(_, p)| p.machine == machine && p.local_addr == addr && p.alive)
-            .map(|(pid, _)| *pid)
+            .map(|(pid, _)| pid)
     }
 
     /// All processes ever spawned, in pid order.
     pub fn processes(&self) -> impl Iterator<Item = ActivityId> + '_ {
-        self.processes.keys().copied()
+        self.process_table().map(|(pid, _)| pid)
     }
 
     /// The live processes on a machine, in pid order.
     pub fn processes_on(&self, machine: MachineId) -> Vec<ActivityId> {
-        self.processes
-            .iter()
+        self.process_table()
             .filter(|(_, p)| p.machine == machine && p.alive)
-            .map(|(pid, _)| *pid)
+            .map(|(pid, _)| pid)
             .collect()
     }
 
@@ -532,7 +571,7 @@ impl World {
     ///
     /// Panics if `pid` was not spawned in this world.
     pub fn bind_for(&mut self, pid: ActivityId, name: Name, entity: impl Into<Entity>) {
-        let ctx = self.processes[&pid].ctx;
+        let ctx = self.spawned(pid).ctx;
         self.state
             .bind(ctx, name, entity)
             .expect("process context is a context object");
@@ -540,7 +579,7 @@ impl World {
 
     /// Looks `name` up in a process's per-activity context (single step).
     pub fn binding_of(&self, pid: ActivityId, name: Name) -> Entity {
-        self.state.lookup(self.processes[&pid].ctx, name)
+        self.state.lookup(self.spawned(pid).ctx, name)
     }
 
     // --- resolution --------------------------------------------------------
@@ -579,7 +618,7 @@ impl World {
     /// Resolves a name directly in a process's own context (the ubiquitous
     /// `R(activity)` special case), without rule indirection.
     pub fn resolve_in_own_context(&self, pid: ActivityId, name: &CompoundName) -> Entity {
-        Resolver::new().resolve_entity(&self.state, self.processes[&pid].ctx, name)
+        Resolver::new().resolve_entity(&self.state, self.spawned(pid).ctx, name)
     }
 
     // --- messaging ---------------------------------------------------------
@@ -593,7 +632,7 @@ impl World {
     pub fn send(&mut self, from: ActivityId, to: ActivityId, parts: Vec<Payload>) {
         let mut msg = Message::new(from, to, parts);
         msg.sent_at = self.clock;
-        let (fm, tm) = (self.processes[&from].machine, self.processes[&to].machine);
+        let (fm, tm) = (self.spawned(from).machine, self.spawned(to).machine);
         self.trace.record(
             self.clock,
             TraceEvent::MessageSent {
@@ -636,23 +675,31 @@ impl World {
     /// Schedules a deadline timer: after `after` elapses, `token` becomes
     /// available from [`World::take_wake`] for `pid`. Cancelled or
     /// dead-process wakes are skipped silently (no clock advance), so a
-    /// timer that never fires costs nothing on the timeline.
+    /// timer that never fires costs nothing on the timeline. Scheduling a
+    /// token that is already pending re-arms it: only the latest deadline
+    /// fires.
     pub fn schedule_wake(&mut self, pid: ActivityId, after: crate::time::Duration, token: u64) {
-        self.cancelled_wakes.remove(&token);
+        let arming = self.next_arming;
+        self.next_arming += 1;
+        self.live_timers.insert(token, arming);
         self.queue
-            .schedule(self.clock + after, SimEvent::Wake { pid, token });
+            .schedule(self.clock + after, SimEvent::Wake { pid, token, arming });
     }
 
     /// Cancels a scheduled wake by token. Idempotent; cancelling a token
-    /// that was never scheduled (or already fired) only pins the token as
-    /// cancelled for any still-queued event.
+    /// that was never scheduled (or already fired) does nothing.
     pub fn cancel_wake(&mut self, token: u64) {
-        self.cancelled_wakes.insert(token);
+        self.live_timers.remove(&token);
+    }
+
+    /// Number of timers scheduled and neither fired nor cancelled yet.
+    pub fn pending_timers(&self) -> usize {
+        self.live_timers.len()
     }
 
     /// Takes the next fired-but-unconsumed wake token for a process.
     pub fn take_wake(&mut self, pid: ActivityId) -> Option<u64> {
-        self.processes.get_mut(&pid)?.wakes.pop_front()
+        self.process_mut(pid)?.wakes.pop_front()
     }
 
     /// Takes *every* fired-but-unconsumed wake token for a process, in
@@ -660,59 +707,63 @@ impl World {
     /// one process needs all deadline firings delivered so far, not just
     /// the front one — popping them one at a time interleaved with other
     /// bookkeeping risks missing tokens queued behind the first.
-    pub fn drain_wakes(&mut self, pid: ActivityId) -> Vec<u64> {
-        self.processes
-            .get_mut(&pid)
-            .map(|p| p.wakes.drain(..).collect())
+    pub fn drain_wakes(&mut self, pid: ActivityId) -> VecDeque<u64> {
+        self.process_mut(pid)
+            .map(|p| std::mem::take(&mut p.wakes))
             .unwrap_or_default()
     }
 
     /// Runs the next pending event, advancing the clock. Returns `false`
-    /// when the queue is empty. Cancelled wake timers are skipped without
-    /// advancing the clock or counting as a step, so a lossless run with
-    /// timers (all cancelled by on-time replies) is byte-identical to one
-    /// without them.
+    /// when the queue is empty. See [`World::step_event`].
     pub fn step(&mut self) -> bool {
+        self.step_event().is_some()
+    }
+
+    /// Runs the next pending event, advancing the clock, and reports which
+    /// process it touched; `None` when the queue is empty. Cancelled wake
+    /// timers are skipped without advancing the clock or counting as a
+    /// step, so a lossless run with timers (all cancelled by on-time
+    /// replies) is byte-identical to one without them.
+    pub fn step_event(&mut self) -> Option<Stepped> {
         loop {
-            match self.queue.pop() {
-                None => return false,
-                Some((time, SimEvent::Deliver(msg))) => {
+            match self.queue.pop()? {
+                (time, SimEvent::Deliver(msg)) => {
                     self.clock = time;
                     let (from, to) = (msg.from, msg.to);
                     #[cfg(feature = "telemetry")]
                     if naming_telemetry::recorder::is_active() {
                         self.sync_clock();
-                        if self.processes.get(&to).map(|p| p.alive) == Some(true) {
+                        if self.process(to).is_some_and(|p| p.alive) {
                             self.observe_delivery(&msg);
                         }
                     }
-                    if let Some(p) = self.processes.get_mut(&to) {
-                        if p.alive {
+                    match self.process_mut(to) {
+                        Some(p) if p.alive => {
                             p.mailbox.push_back(msg);
                             self.trace
                                 .record(self.clock, TraceEvent::MessageDelivered { from, to });
-                        } else {
+                        }
+                        Some(_) => {
                             self.trace.bump("dropped");
                             #[cfg(feature = "telemetry")]
                             self.observe_undelivered("dropped", from, to);
                         }
+                        None => {}
                     }
-                    return true;
+                    return Some(Stepped::Delivered(to));
                 }
-                Some((time, SimEvent::Wake { pid, token })) => {
-                    if self.cancelled_wakes.remove(&token) {
-                        continue;
+                (time, SimEvent::Wake { pid, token, arming }) => {
+                    if self.live_timers.get(&token) != Some(&arming) {
+                        continue; // cancelled, or superseded by a re-arming
                     }
-                    let Some(p) = self.processes.get_mut(&pid) else {
+                    self.live_timers.remove(&token);
+                    let Some(p) = self.process_mut(pid).filter(|p| p.alive) else {
                         continue;
                     };
-                    if !p.alive {
-                        continue;
-                    }
-                    self.clock = time;
                     p.wakes.push_back(token);
+                    self.clock = time;
                     self.trace.bump("wake");
-                    return true;
+                    return Some(Stepped::Woke(pid));
                 }
             }
         }
@@ -725,15 +776,12 @@ impl World {
 
     /// Takes the next delivered message from a process's mailbox.
     pub fn receive(&mut self, pid: ActivityId) -> Option<Message> {
-        self.processes.get_mut(&pid)?.mailbox.pop_front()
+        self.process_mut(pid)?.mailbox.pop_front()
     }
 
     /// Number of messages waiting in a process's mailbox.
     pub fn mailbox_len(&self, pid: ActivityId) -> usize {
-        self.processes
-            .get(&pid)
-            .map(|p| p.mailbox.len())
-            .unwrap_or(0)
+        self.process(pid).map(|p| p.mailbox.len()).unwrap_or(0)
     }
 }
 
@@ -1056,31 +1104,68 @@ mod tests {
 
     #[test]
     fn cancelled_wake_is_invisible_on_the_timeline() {
-        // A lossless run that schedules timers and cancels them all must be
-        // byte-identical to a run that never scheduled them: same clock,
-        // same step count, same trace counters.
-        let (mut w, m1, _) = two_machine_world();
+        // A lossless run that arms a timer per message and cancels it when
+        // the message lands must be step-for-step identical to a run that
+        // never armed one: same events, same clock at every step, same
+        // trace counters — and no timer state left behind.
+        let (mut w, m1, m2) = two_machine_world();
         let a = w.spawn(m1, "x", None);
-        let b = w.spawn(m1, "y", None);
+        let b = w.spawn(m2, "y", None);
         let mut plain = w.clone();
 
-        w.send(a, b, vec![]);
-        w.schedule_wake(a, crate::time::Duration::from_ticks(5000), 42);
-        w.cancel_wake(42);
-        let mut steps = 0;
-        while w.step() {
-            steps += 1;
+        for token in 0..4 {
+            w.send(a, b, vec![]);
+            w.schedule_wake(a, crate::time::Duration::from_ticks(5000), token);
+            plain.send(a, b, vec![]);
         }
-
-        plain.send(a, b, vec![]);
-        let mut plain_steps = 0;
-        while plain.step() {
-            plain_steps += 1;
+        assert_eq!(w.pending_timers(), 4);
+        for token in 0..4 {
+            let ev = w.step_event();
+            assert_eq!(ev, Some(Stepped::Delivered(b)));
+            assert_eq!(ev, plain.step_event());
+            assert_eq!(w.now(), plain.now());
+            w.cancel_wake(token);
         }
-
-        assert_eq!(steps, plain_steps);
+        assert_eq!(w.step_event(), None);
+        assert_eq!(plain.step_event(), None);
         assert_eq!(w.now(), plain.now());
-        assert_eq!(w.trace().counter("wake"), 0);
+        assert_eq!(w.trace().to_string(), plain.trace().to_string());
+        assert_eq!(w.pending_timers(), 0);
+    }
+
+    #[test]
+    fn cancelling_leaves_no_residue() {
+        let (mut w, m1, _) = two_machine_world();
+        let a = w.spawn(m1, "x", None);
+        let ticks = crate::time::Duration::from_ticks;
+        // A token that was never scheduled.
+        w.cancel_wake(7);
+        assert_eq!(w.pending_timers(), 0);
+        // A token that already fired.
+        w.schedule_wake(a, ticks(10), 8);
+        assert_eq!(w.step_event(), Some(Stepped::Woke(a)));
+        assert_eq!(w.pending_timers(), 0);
+        w.cancel_wake(8);
+        assert_eq!(w.pending_timers(), 0);
+        assert_eq!(w.drain_wakes(a), vec![8]);
+        // Cancel, then reschedule the same token while the cancelled event
+        // is still queued: only the new deadline fires, once.
+        w.schedule_wake(a, ticks(10), 9);
+        w.cancel_wake(9);
+        w.schedule_wake(a, ticks(30), 9);
+        assert_eq!(w.pending_timers(), 1);
+        assert!(w.step());
+        assert_eq!(w.now(), VirtualTime::from_ticks(40));
+        assert_eq!(w.drain_wakes(a), vec![9]);
+        assert!(!w.step());
+        assert_eq!(w.pending_timers(), 0);
+        // Re-arming without a cancel replaces the deadline too.
+        w.schedule_wake(a, ticks(50), 9);
+        w.schedule_wake(a, ticks(20), 9);
+        w.run();
+        assert_eq!(w.now(), VirtualTime::from_ticks(60));
+        assert_eq!(w.drain_wakes(a), vec![9]);
+        assert_eq!(w.pending_timers(), 0);
     }
 
     #[test]
@@ -1091,6 +1176,7 @@ mod tests {
         w.kill(a);
         assert!(!w.step());
         assert_eq!(w.now(), VirtualTime::ZERO);
+        assert_eq!(w.pending_timers(), 0);
     }
 
     #[test]
