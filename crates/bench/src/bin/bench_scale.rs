@@ -35,7 +35,9 @@
 //! * **allocs/op** — heap allocations per serial resolve, from the counting
 //!   global allocator this binary installs on `telemetry` builds (null
 //!   without the feature). Inline contexts make the steady-state quotient
-//!   ~0: the walk itself allocates nothing.
+//!   ~0: the walk itself allocates nothing. The pool phase reports the same
+//!   quotient from submit through drain, over every thread, and the run
+//!   fails if it passes 2.0 — per-frame costs only, nothing per name.
 //!
 //! `--json` prints a small fixed op stream's resolved *labels* (ids differ
 //! between shard layouts by construction, labels do not), so CI can `cmp`
@@ -242,11 +244,7 @@ struct TierResult {
     serial_ops_per_sec: f64,
     serial_ns_per_op: f64,
     resolve_allocs_per_op: Option<f64>,
-    pool_ops_per_sec: Option<f64>,
-    publish_mean_us: Option<f64>,
-    publish_max_us: Option<f64>,
-    publish_shards_shared_min: Option<usize>,
-    noop_publishes: Option<u64>,
+    pool: PoolPhase,
 }
 
 fn run_tier(
@@ -299,8 +297,16 @@ fn run_tier(
         None
     };
 
-    let (pool_ops_per_sec, publish_mean_us, publish_max_us, publish_shards_shared_min, noops) =
-        pool_phase(&grid, &names, publishes, workers);
+    let pool = pool_phase(&grid, &names, publishes, workers);
+    // One frame's worth of fixed costs (the cloned trie's two tables, the
+    // walk's scratch, the answer) spread over its names: a per-name or
+    // per-node allocation anywhere between submit and drain lands far
+    // above this.
+    assert!(
+        pool.allocs_per_op.is_none_or(|a| a <= 2.0),
+        "pool allocates {:?} times per name",
+        pool.allocs_per_op
+    );
 
     TierResult {
         label: tier.label,
@@ -314,24 +320,21 @@ fn run_tier(
         serial_ops_per_sec,
         serial_ns_per_op,
         resolve_allocs_per_op,
-        pool_ops_per_sec,
-        publish_mean_us,
-        publish_max_us,
-        publish_shards_shared_min,
-        noop_publishes: noops,
+        pool,
     }
 }
 
-/// Pool-phase results: `(ops/sec, publish mean µs, publish max µs,
-/// min shards shared per publish, no-op publishes)` — all null without
-/// the `parallel` feature.
-type PoolPhase = (
-    Option<f64>,
-    Option<f64>,
-    Option<f64>,
-    Option<usize>,
-    Option<u64>,
-);
+/// Pool-phase results — all null without the `parallel` feature, and
+/// `allocs_per_op` (submit through drain, every thread) without `telemetry`.
+#[derive(Default)]
+struct PoolPhase {
+    ops_per_sec: Option<f64>,
+    allocs_per_op: Option<f64>,
+    publish_mean_us: Option<f64>,
+    publish_max_us: Option<f64>,
+    publish_shards_shared_min: Option<usize>,
+    noop_publishes: Option<u64>,
+}
 
 /// Serves the op stream on a real worker pool, then measures
 /// write-then-publish cycles against single zones. Every publish must share
@@ -353,12 +356,14 @@ fn pool_phase(grid: &Grid, names: &[CompoundName], publishes: usize, workers: us
     let queries: usize = reqs.iter().map(|r| r.trie.names().len()).sum();
 
     let mut svc = ConcurrentService::new(grid.state.clone(), workers);
+    let allocs_before = allocation_count();
     let t = Instant::now();
     for req in &reqs {
         svc.submit(req.clone());
     }
     let answers = svc.drain();
     let pool_secs = t.elapsed().as_secs_f64();
+    let pool_allocs = allocation_count() - allocs_before;
     assert_eq!(
         answers.iter().map(|a| a.entities.len()).sum::<usize>(),
         queries
@@ -399,13 +404,14 @@ fn pool_phase(grid: &Grid, names: &[CompoundName], publishes: usize, workers: us
 
     let mean = lat_ns.iter().sum::<u64>() as f64 / lat_ns.len() as f64 / 1e3;
     let max = *lat_ns.iter().max().unwrap() as f64 / 1e3;
-    (
-        Some(queries as f64 / pool_secs),
-        Some(mean),
-        Some(max),
-        Some(shared_min),
-        Some(noops),
-    )
+    PoolPhase {
+        ops_per_sec: Some(queries as f64 / pool_secs),
+        allocs_per_op: cfg!(feature = "telemetry").then(|| pool_allocs as f64 / queries as f64),
+        publish_mean_us: Some(mean),
+        publish_max_us: Some(max),
+        publish_shards_shared_min: Some(shared_min),
+        noop_publishes: Some(noops),
+    }
 }
 
 #[cfg(not(feature = "parallel"))]
@@ -415,7 +421,7 @@ fn pool_phase(
     _publishes: usize,
     _workers: usize,
 ) -> PoolPhase {
-    (None, None, None, None, None)
+    PoolPhase::default()
 }
 
 fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
@@ -441,7 +447,7 @@ fn render(results: &[TierResult], ops: usize, publishes: usize, workers: usize) 
                  \"shards\": {}, \"build_ms\": {:.1}, \"build_rss_kb\": {}, \
                  \"peak_rss_kb\": {}, \"serial_ops_per_sec\": {:.0}, \
                  \"serial_ns_per_op\": {:.1}, \"resolve_allocs_per_op\": {}, \
-                 \"pool_ops_per_sec\": {}, \
+                 \"pool_ops_per_sec\": {}, \"pool_allocs_per_op\": {}, \
                  \"publish_mean_us\": {}, \"publish_max_us\": {}, \
                  \"publish_shards_shared_min\": {}, \"noop_publishes\": {}}}",
                 json_string(r.label),
@@ -455,11 +461,12 @@ fn render(results: &[TierResult], ops: usize, publishes: usize, workers: usize) 
                 r.serial_ops_per_sec,
                 r.serial_ns_per_op,
                 opt_f(r.resolve_allocs_per_op, 4),
-                opt_f(r.pool_ops_per_sec, 0),
-                opt_f(r.publish_mean_us, 2),
-                opt_f(r.publish_max_us, 2),
-                opt(r.publish_shards_shared_min),
-                opt(r.noop_publishes),
+                opt_f(r.pool.ops_per_sec, 0),
+                opt_f(r.pool.allocs_per_op, 4),
+                opt_f(r.pool.publish_mean_us, 2),
+                opt_f(r.pool.publish_max_us, 2),
+                opt(r.pool.publish_shards_shared_min),
+                opt(r.pool.noop_publishes),
             )
         })
         .collect();
@@ -624,7 +631,7 @@ fn main() {
             let r = run_tier(t, ops, publishes, workers, shards);
             eprintln!(
                 "tier {:>3}: {:>7} contexts / {:>4} shards, build {:>7.1} ms, \
-                 serial {:>9.0} ops/s ({:>6.1} ns/op), pool {:>9} ops/s, \
+                 serial {:>9.0} ops/s ({:>6.1} ns/op), pool {:>9} ops/s ({} allocs/op), \
                  publish mean {:>8} us (max {:>8}), shared >= {}",
                 r.label,
                 r.contexts,
@@ -632,10 +639,11 @@ fn main() {
                 r.build_ms,
                 r.serial_ops_per_sec,
                 r.serial_ns_per_op,
-                opt_f(r.pool_ops_per_sec, 0),
-                opt_f(r.publish_mean_us, 2),
-                opt_f(r.publish_max_us, 2),
-                opt(r.publish_shards_shared_min),
+                opt_f(r.pool.ops_per_sec, 0),
+                opt_f(r.pool.allocs_per_op, 2),
+                opt_f(r.pool.publish_mean_us, 2),
+                opt_f(r.pool.publish_max_us, 2),
+                opt(r.pool.publish_shards_shared_min),
             );
             #[cfg(feature = "telemetry")]
             watch.tick(r.label);

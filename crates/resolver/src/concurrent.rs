@@ -6,28 +6,26 @@
 //!
 //! * **Readers** — a fixed pool of worker threads consuming
 //!   [`BatchRequest`] frames from an MPMC channel (`crossbeam::channel`).
-//!   Each worker resolves against an immutable [`StateSnapshot`] carried by
-//!   the job and keeps a private [`SnapshotMemo`] shard — no locks, no
-//!   atomics, no validation on the read path.
+//!   Each worker walks the frame's shared-prefix trie once against the
+//!   immutable [`StateSnapshot`] carried by the job — one context lookup per
+//!   distinct prefix, no locks, no atomics, no state kept between jobs.
 //! * **The writer** — mutations apply to a private *staging* state
 //!   ([`ConcurrentService::update`]); nothing a worker can observe changes
 //!   until [`ConcurrentService::publish`] clones the staging state into a
-//!   fresh `Arc`-shared snapshot and swaps it in (copy-on-publish). The
-//!   generation stamp on the new snapshot makes every worker's memo shard
-//!   self-invalidate on first contact.
+//!   fresh `Arc`-shared snapshot and swaps it in (copy-on-publish).
 //!
 //! Answers are collected by submission order, so a drain is deterministic
 //! regardless of worker count or scheduling — the property the CI
 //! determinism leg and `bench_concurrent` assert byte-for-byte.
 
-use std::collections::BTreeMap;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, Sender};
 use naming_core::entity::Entity;
+use naming_core::name::CompoundName;
 use naming_core::resolve::Resolver;
-use naming_core::snapshot::{SnapshotMemo, SnapshotMemoStats, StateSnapshot};
+use naming_core::snapshot::{SnapshotMemoStats, StateSnapshot};
 use naming_core::state::SystemState;
 use naming_telemetry::metrics::MetricsRegistry;
 // Re-exported so downstream crates can consume [`ServiceReport`] fields
@@ -92,11 +90,6 @@ impl BatchAnswer {
     }
 }
 
-struct Done {
-    seq: u64,
-    answer: BatchAnswer,
-}
-
 /// What one worker did over its lifetime.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerReport {
@@ -104,7 +97,13 @@ pub struct WorkerReport {
     pub batches: u64,
     /// Individual queries answered.
     pub queries: u64,
-    /// The worker's private memo-shard counters.
+    /// Context lookups performed: one per trie node the walk reached
+    /// alive. A pure function of the frames and snapshots served.
+    pub lookups: u64,
+    /// Lookups shared prefixes spared against one walk per query, as
+    /// [`crate::service::NameService::local_resolve_batch`] counts them.
+    pub lookups_saved: u64,
+    /// Always zero: workers keep no memo. Retained for report readers.
     pub memo: SnapshotMemoStats,
     /// Wall-clock nanoseconds each batch waited in the queue before this
     /// worker dequeued it. Observational (wall clock, not VirtualTime):
@@ -176,7 +175,7 @@ pub struct ConcurrentService {
     staging: SystemState,
     current: StateSnapshot,
     jobs: Option<Sender<Job>>,
-    results: Receiver<Done>,
+    results: Receiver<(u64, BatchAnswer)>,
     workers: Vec<JoinHandle<WorkerReport>>,
     /// Per-worker flight recorders (worker-index order), shared with the
     /// pool; empty when the service was built without sampling.
@@ -219,7 +218,7 @@ impl ConcurrentService {
     ) -> ConcurrentService {
         assert!(workers > 0, "worker pool must be nonempty");
         let (jobs_tx, jobs_rx) = channel::unbounded::<Job>();
-        let (results_tx, results_rx) = channel::unbounded::<Done>();
+        let (results_tx, results_rx) = channel::unbounded::<(u64, BatchAnswer)>();
         let flights: Vec<SharedFlightRecorder> = if sample_every == 0 {
             Vec::new()
         } else {
@@ -329,26 +328,27 @@ impl ConcurrentService {
     /// Decodes and queues an encoded [`BatchRequest`] frame. Returns
     /// `false` (submitting nothing) on a malformed frame.
     pub fn submit_frame(&mut self, frame: bytes::Bytes) -> bool {
-        match BatchRequest::decode(frame) {
-            Some(req) => {
-                self.submit(req);
-                true
-            }
-            None => false,
-        }
+        BatchRequest::decode(frame)
+            .map(|req| self.submit(req))
+            .is_some()
     }
 
     /// Blocks until every submitted batch has been answered and returns
     /// the answers **in submission order** — deterministic for any worker
     /// count.
     pub fn drain(&mut self) -> Vec<BatchAnswer> {
-        let mut by_seq: BTreeMap<u64, BatchAnswer> = BTreeMap::new();
+        // Pending jobs hold the last `pending` sequence numbers, densely.
+        let first = self.next_seq - self.pending;
+        let mut by_seq: Vec<Option<BatchAnswer>> = vec![None; self.pending as usize];
         while self.pending > 0 {
-            let done = self.results.recv().expect("workers alive while draining");
-            by_seq.insert(done.seq, done.answer);
+            let (seq, answer) = self.results.recv().expect("workers alive while draining");
+            by_seq[(seq - first) as usize] = Some(answer);
             self.pending -= 1;
         }
-        by_seq.into_values().collect()
+        by_seq
+            .into_iter()
+            .map(|a| a.expect("one answer per pending job"))
+            .collect()
     }
 
     /// The merged flight log so far: every worker's sampled entries,
@@ -395,16 +395,16 @@ impl Drop for ConcurrentService {
     }
 }
 
-/// The worker body: resolve every query of every received batch against
-/// the job's snapshot, memoizing in a private shard.
+/// The worker body: walk every received frame's trie once against the
+/// job's snapshot — one lookup per distinct prefix, answers written where
+/// names end — by the entity rule of [`Resolver::resolve_entity`].
 fn worker_loop(
     idx: usize,
     jobs: Receiver<Job>,
-    results: Sender<Done>,
+    results: Sender<(u64, BatchAnswer)>,
     flight: Option<SharedFlightRecorder>,
 ) -> WorkerReport {
-    let resolver = Resolver::new();
-    let mut memo = SnapshotMemo::new();
+    let depth_limit = Resolver::new().depth_limit();
     let mut report = WorkerReport::default();
     // Worker-private latency histograms (wall clock, observational only).
     // `Histogram` is only constructible through a registry, so keep a
@@ -426,47 +426,60 @@ fn worker_loop(
     for job in jobs.iter() {
         let started = Instant::now();
         queue_wait.record(started.duration_since(job.submitted).as_nanos() as u64);
-        let names = job.req.trie.names();
-        let mut entities = Vec::with_capacity(names.len());
-        for (query, name) in names.iter().enumerate() {
-            let entity =
-                resolver.resolve_entity_snapshot_memo(&job.snap, job.req.start, name, &mut memo);
-            if let Some(flight) = &flight {
-                // Admission hashes (request id, name) — deterministic, so
-                // the merged log is the same for any worker count. The
-                // outcome string renders only for admitted entries.
-                flight
-                    .lock()
-                    .observe(job.req.id, query as u32, &name.to_string(), job.seq, || {
-                        format!("{entity}")
-                    });
+        let (state, trie) = (job.snap.state(), &job.req.trie);
+        let sub = trie.subtree_query_counts();
+        let mut entities = vec![Entity::Undefined; trie.query_count() as usize];
+        let (mut lookups, mut naive) = (0u64, 0u64);
+        // The state below a node is the context its component denoted;
+        // `None` once the path has died (⊥, an activity, a non-context
+        // object) or outgrown the depth limit — every name below is ⊥.
+        trie.walk(Some(job.req.start), |ni, node, path, ctx| {
+            let ctx = state.context(ctx.filter(|_| path.len() <= depth_limit)?)?;
+            lookups += 1;
+            naive += u64::from(sub[ni]);
+            let entity = ctx.lookup(node.component);
+            if let Some(query) = node.query {
+                entities[query as usize] = entity;
+                if let Some(flight) = &flight {
+                    // Admission hashes (request id, name), so the merged log
+                    // is the same for any worker count; the outcome string
+                    // renders only for admitted entries.
+                    let name = CompoundName::new(path.iter().copied())
+                        .expect("a trie path is non-empty")
+                        .to_string();
+                    flight
+                        .lock()
+                        .observe(job.req.id, query, &name, job.seq, || format!("{entity}"));
+                }
             }
-            entities.push(entity);
-        }
+            entity.as_object()
+        });
         service_time.record(started.elapsed().as_nanos() as u64);
+        let queries = entities.len() as u64;
         report.batches += 1;
-        report.queries += names.len() as u64;
+        report.queries += queries;
+        let saved = naive.saturating_sub(lookups);
+        report.lookups += lookups;
+        report.lookups_saved += saved;
         #[cfg(feature = "telemetry")]
         {
             worker_batches.bump();
-            worker_queries.add(names.len() as u64);
+            worker_queries.add(queries);
             naming_telemetry::counter!("service.concurrent.batches").bump();
-            naming_telemetry::counter!("service.concurrent.queries").add(names.len() as u64);
+            naming_telemetry::counter!("service.concurrent.queries").add(queries);
+            naming_telemetry::counter!("service.concurrent.lookups").add(lookups);
+            naming_telemetry::counter!("service.concurrent.lookups_saved").add(saved);
         }
-        let done = Done {
-            seq: job.seq,
-            answer: BatchAnswer {
-                id: job.req.id,
-                entities,
-                worker: idx,
-            },
+        let answer = BatchAnswer {
+            id: job.req.id,
+            entities,
+            worker: idx,
         };
-        if results.send(done).is_err() {
+        if results.send((job.seq, answer)).is_err() {
             // Service dropped mid-flight; nothing left to report to.
             break;
         }
     }
-    report.memo = memo.stats();
     report.queue_wait = queue_wait.snapshot();
     report.service_time = service_time.snapshot();
     report
@@ -614,30 +627,6 @@ mod tests {
         assert_eq!(answers[0].id, 9);
         assert!(answers[0].entities[0].is_defined());
         svc.shutdown();
-    }
-
-    #[test]
-    fn worker_memo_shards_reset_across_publishes() {
-        let (s, root) = tree();
-        let mut svc = ConcurrentService::new(s, 1);
-        for round in 0..3u64 {
-            let (req, _) = batch(round, root, &["/etc/passwd", "/etc/passwd"]);
-            svc.submit(req);
-            svc.drain();
-            svc.update(|sys| {
-                // Any naming change: rebind root's self-binding.
-                sys.bind(root, Name::root(), root).unwrap();
-            });
-            svc.publish();
-        }
-        let report = svc.shutdown();
-        // Each publish carried a new stamp, so the single worker's shard
-        // reset between rounds.
-        assert!(
-            report.workers[0].memo.resets >= 2,
-            "{:?}",
-            report.workers[0]
-        );
     }
 
     #[test]

@@ -420,7 +420,7 @@ impl NameService {
         start: ObjectId,
         trie: &NameTrie,
     ) -> (Vec<Outcome>, u32) {
-        let n = trie.query_count as usize;
+        let n = trie.query_count() as usize;
         if self.machine_of_object(start) != Some(machine) {
             #[cfg(feature = "telemetry")]
             naming_telemetry::counter!("service.wrong_server").add(n as u64);
@@ -434,57 +434,44 @@ impl NameService {
         let mut naive = 0u32;
 
         /// Walk state at a trie node: still resolving locally, already
-        /// past a referral boundary (`depth` components of the remaining
-        /// path lie between the boundary and this node), past a dead
-        /// binding (everything below is `NotFound`), or past an unplaced
-        /// context (everything below is `Unreachable` — the bindings may
-        /// exist but nobody can be asked).
+        /// past a referral boundary (the remaining path is the node's path
+        /// from component `from` on), past a dead binding (everything
+        /// below is `NotFound`), or past an unplaced context (everything
+        /// below is `Unreachable` — the bindings may exist but nobody can
+        /// be asked).
         #[derive(Clone, Copy)]
         enum St {
             Live(ObjectId),
             Referred {
                 m: MachineId,
                 ctx: ObjectId,
-                depth: usize,
+                from: usize,
             },
             Dead,
             Unreachable,
         }
 
-        let mut stack: Vec<(u32, St)> = trie
-            .roots
-            .iter()
-            .rev()
-            .map(|&r| (r, St::Live(start)))
-            .collect();
-        // The remaining path of the referred node being visited. The walk
-        // is depth-first, so one buffer serves every branch: a node at
-        // `depth` finds its ancestors' components still in `path[..depth]`.
-        let mut path = Vec::new();
-        while let Some((ni, st)) = stack.pop() {
-            let node = &trie.nodes[ni as usize];
+        trie.walk(St::Live(start), |ni, node, path, st| {
             // This node's verdict (`None` leaves the default `NotFound`)
             // and the state its children start from.
             let (outcome, below) = match st {
-                St::Dead => (None, St::Dead),
+                St::Dead => (None, st),
                 St::Unreachable => (Some(Outcome::Unreachable { attempts: 0 }), st),
-                St::Referred { m, ctx, depth } => {
-                    path.truncate(depth);
-                    path.push(node.component);
+                St::Referred { m, ctx, from } => {
                     let referral = node
                         .query
-                        .and_then(|_| CompoundName::new(path.iter().copied()).ok())
+                        .and_then(|_| CompoundName::new(path[from..].iter().copied()).ok())
                         .map(|remaining| Outcome::Referral {
                             next_machine: m,
                             next_ctx: ctx,
                             remaining,
                         });
-                    let depth = depth + 1;
-                    (referral, St::Referred { m, ctx, depth })
+                    (referral, st)
                 }
                 St::Live(cur) => {
                     lookups += 1;
-                    naive += sub[ni as usize];
+                    naive += sub[ni];
+                    let from = path.len();
                     let e = world.state().lookup(cur, node.component);
                     // Descend exactly as the single-name walk would: a
                     // local replica keeps the walk live, a remote zone
@@ -492,11 +479,11 @@ impl NameService {
                     // anything else is dead.
                     let below = match e {
                         Entity::Object(o)
-                            if !node.children.is_empty() && world.state().is_context_object(o) =>
+                            if !node.is_leaf() && world.state().is_context_object(o) =>
                         {
                             match self.nearest_server_for(world, machine, o) {
                                 Some((m, copy)) if m == machine => St::Live(copy),
-                                Some((m, ctx)) => St::Referred { m, ctx, depth: 0 },
+                                Some((m, ctx)) => St::Referred { m, ctx, from },
                                 None => St::Unreachable,
                             }
                         }
@@ -506,14 +493,10 @@ impl NameService {
                 }
             };
             if let (Some(outcome), Some(q)) = (outcome, node.query) {
-                if let Some(slot) = outcomes.get_mut(q as usize) {
-                    *slot = outcome;
-                }
+                outcomes[q as usize] = outcome;
             }
-            for &c in node.children.iter().rev() {
-                stack.push((c, below));
-            }
-        }
+            below
+        });
         let saved = naive.saturating_sub(lookups);
         #[cfg(feature = "telemetry")]
         {
@@ -722,7 +705,7 @@ mod tests {
         .collect();
         let (trie, mapping) = NameTrie::build(&names);
         let (outcomes, saved) = svc.local_resolve_batch(&w, m1, root1, &trie);
-        assert_eq!(outcomes.len(), trie.query_count as usize);
+        assert_eq!(outcomes.len(), trie.query_count() as usize);
         for (i, n) in names.iter().enumerate() {
             let single = svc.local_resolve(&w, m1, root1, n);
             assert_eq!(

@@ -455,14 +455,7 @@ fn outcome_wire_len(o: &Outcome) -> usize {
     match o {
         Outcome::Resolved(Entity::Undefined) => 1 + 1,
         Outcome::Resolved(_) => 1 + 5,
-        Outcome::Referral { remaining, .. } => {
-            let name_bytes: usize = remaining
-                .components()
-                .iter()
-                .map(|c| 2 + c.as_str().len())
-                .sum();
-            1 + 4 + 4 + 2 + name_bytes
-        }
+        Outcome::Referral { remaining, .. } => 1 + 4 + 4 + compound_wire_len(remaining),
         Outcome::NotFound | Outcome::WrongServer => 1,
         Outcome::Unreachable { .. } => 1 + 4,
     }
@@ -527,19 +520,23 @@ fn get_outcome(buf: &mut Bytes) -> Option<Outcome> {
 }
 
 /// One node of a [`NameTrie`]: a name component, an optional query id
-/// (set when some batched name *ends* here), and child node indices.
-///
-/// Invariant (maintained by [`NameTrie::build`] and enforced by
-/// [`BatchRequest::decode`]): every child index is strictly greater than
-/// the node's own index, so any walk strictly descends and terminates.
+/// (set when some batched name *ends* here), and its children as a range
+/// of the trie's shared child table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrieNode {
     /// The name component this edge carries.
     pub component: Name,
     /// `Some(q)` when batched query `q`'s name ends at this node.
     pub query: Option<u32>,
-    /// Indices of child nodes (all `> ` this node's index).
-    pub children: Vec<u32>,
+    /// `kids[lo..hi]` of the owning trie.
+    kids: (u32, u32),
+}
+
+impl TrieNode {
+    /// Whether no batched name continues below this node.
+    pub fn is_leaf(&self) -> bool {
+        self.kids.0 == self.kids.1
+    }
 }
 
 /// A set of compound names, shared-prefix compressed: each distinct
@@ -549,14 +546,20 @@ pub struct TrieNode {
 /// Duplicate names coalesce to the same query id (single-flight within
 /// the batch); [`NameTrie::build`] returns the input-position → query-id
 /// mapping so callers can fan results back out.
+///
+/// Invariants (maintained by [`NameTrie::build`], enforced by
+/// [`BatchRequest::decode`], relied on by [`NameTrie::walk`]): the nodes
+/// form a forest — each is a root or the child of exactly one node of
+/// strictly smaller index, so `kids` lists every node exactly once — and
+/// the query ids `0..query_count` each end at exactly one node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NameTrie {
-    /// Trie nodes; roots and children refer into this vector.
-    pub nodes: Vec<TrieNode>,
-    /// Top-level nodes (first components), in first-seen order.
-    pub roots: Vec<u32>,
-    /// Number of distinct queries (terminal nodes with a query id).
-    pub query_count: u32,
+    nodes: Vec<TrieNode>,
+    /// Every node's children, concatenated in node order, then the
+    /// top-level nodes from `kids[roots_at]` on; lists are first-seen order.
+    kids: Vec<u32>,
+    roots_at: u32,
+    query_count: u32,
 }
 
 impl NameTrie {
@@ -564,85 +567,116 @@ impl NameTrie {
     /// trie and, for each input position, the query id its answer will
     /// be filed under.
     pub fn build(names: &[CompoundName]) -> (NameTrie, Vec<u32>) {
+        const NIL: u32 = u32::MAX;
         // Worst case (no shared prefixes): one node per component.
         let total_components: usize = names.iter().map(CompoundName::len).sum();
         let mut nodes: Vec<TrieNode> = Vec::with_capacity(total_components);
-        let mut roots: Vec<u32> = Vec::with_capacity(names.len());
+        // While they still grow, child lists are linked in first-seen
+        // order: cell 0 heads the root list, cells `1 + 2k` and `2 + 2k`
+        // hold node `k`'s first child and next sibling.
+        let mut cells: Vec<u32> = Vec::with_capacity(1 + 2 * total_components);
+        cells.push(NIL);
         let mut mapping = Vec::with_capacity(names.len());
         let mut query_count = 0u32;
         for name in names {
-            let mut cur: Option<u32> = None;
+            let (mut cur, mut slot) = (NIL, 0);
             for &c in name.components() {
-                let found = match cur {
-                    None => roots
-                        .iter()
-                        .copied()
-                        .find(|&k| nodes[k as usize].component == c),
-                    Some(i) => nodes[i as usize]
-                        .children
-                        .iter()
-                        .copied()
-                        .find(|&k| nodes[k as usize].component == c),
-                };
-                let next = match found {
-                    Some(k) => k,
-                    None => {
-                        let k = u32::try_from(nodes.len()).expect("batch too large for wire");
-                        nodes.push(TrieNode {
-                            component: c,
-                            query: None,
-                            children: Vec::new(),
-                        });
-                        match cur {
-                            None => roots.push(k),
-                            Some(i) => nodes[i as usize].children.push(k),
-                        }
-                        k
-                    }
-                };
-                cur = Some(next);
+                // Follow the list to `c`, or to the empty cell at its end
+                // that a new node for `c` is linked into.
+                while cells[slot] != NIL && nodes[cells[slot] as usize].component != c {
+                    slot = 2 + 2 * cells[slot] as usize;
+                }
+                if cells[slot] == NIL {
+                    cells[slot] = u32::try_from(nodes.len()).expect("batch too large for wire");
+                    nodes.push(TrieNode {
+                        component: c,
+                        query: None,
+                        kids: (0, 0),
+                    });
+                    cells.extend([NIL, NIL]);
+                }
+                cur = cells[slot];
+                slot = 1 + 2 * cur as usize;
             }
-            let terminal = cur.expect("compound names are non-empty") as usize;
-            let q = *nodes[terminal].query.get_or_insert_with(|| {
-                let q = query_count;
+            // Compound names are non-empty, so `cur` is a node by now.
+            let q = *nodes[cur as usize].query.get_or_insert_with(|| {
                 query_count += 1;
-                q
+                query_count - 1
             });
             mapping.push(q);
         }
-        (
-            NameTrie {
-                nodes,
-                roots,
-                query_count,
-            },
-            mapping,
-        )
+        // Lay the finished lists out as ranges of one table.
+        let mut kids = Vec::with_capacity(nodes.len());
+        let mut list = |head: usize| {
+            let (lo, mut k) = (kids.len() as u32, cells[head]);
+            while k != NIL {
+                kids.push(k);
+                k = cells[2 + 2 * k as usize];
+            }
+            (lo, kids.len() as u32)
+        };
+        for (k, node) in nodes.iter_mut().enumerate() {
+            node.kids = list(1 + 2 * k);
+        }
+        let (roots_at, _) = list(0);
+        let trie = NameTrie {
+            nodes,
+            kids,
+            roots_at,
+            query_count,
+        };
+        (trie, mapping)
+    }
+
+    /// Number of distinct queries (terminal nodes with a query id).
+    pub fn query_count(&self) -> u32 {
+        self.query_count
+    }
+
+    fn kids_of(&self, node: &TrieNode) -> &[u32] {
+        &self.kids[node.kids.0 as usize..node.kids.1 as usize]
+    }
+
+    fn roots(&self) -> &[u32] {
+        &self.kids[self.roots_at as usize..]
+    }
+
+    /// The one depth-first walk over the trie: `visit` sees every node
+    /// once, parents before children and siblings in stored order, as
+    /// `(index, node, path, state)` — the path runs from a root down to the
+    /// node's own component in one shared buffer, and the state is what its
+    /// parent's visit returned (`start` at the roots). Everything that
+    /// resolves or renders a trie is a visitor of this function.
+    pub fn walk<S: Copy>(
+        &self,
+        start: S,
+        mut visit: impl FnMut(usize, &TrieNode, &[Name], S) -> S,
+    ) {
+        // A forest's pending set never exceeds its node count.
+        let mut stack: Vec<(u32, u32, S)> = Vec::with_capacity(self.nodes.len());
+        stack.extend(self.roots().iter().rev().map(|&r| (r, 0, start)));
+        let mut path: Vec<Name> = Vec::with_capacity(8);
+        while let Some((ni, depth, state)) = stack.pop() {
+            let node = &self.nodes[ni as usize];
+            path.truncate(depth as usize);
+            path.push(node.component);
+            let below = visit(ni as usize, node, &path, state);
+            let kids = self.kids_of(node).iter().rev();
+            stack.extend(kids.map(|&c| (c, depth + 1, below)));
+        }
     }
 
     /// Reconstructs the name of every query, indexed by query id.
     pub fn names(&self) -> Vec<CompoundName> {
         let mut out: Vec<Option<CompoundName>> = vec![None; self.query_count as usize];
-        let mut stack: Vec<(u32, Vec<Name>)> = Vec::with_capacity(self.roots.len());
-        stack.extend(self.roots.iter().rev().map(|&r| (r, Vec::with_capacity(4))));
-        while let Some((n, prefix)) = stack.pop() {
-            let node = &self.nodes[n as usize];
-            let mut path = prefix;
-            path.push(node.component);
+        self.walk((), |_, node, path, ()| {
             if let Some(q) = node.query {
-                if let Some(slot) = out.get_mut(q as usize) {
-                    *slot = CompoundName::new(path.clone()).ok();
-                }
+                out[q as usize] = CompoundName::new(path.iter().copied()).ok();
             }
-            for &c in node.children.iter().rev() {
-                // Clone with headroom: the child's own component plus a
-                // typical few more levels, so descent rarely reallocates.
-                let mut p = Vec::with_capacity(path.len() + 4);
-                p.extend_from_slice(&path);
-                stack.push((c, p));
-            }
-        }
-        out.into_iter().flatten().collect()
+        });
+        out.into_iter()
+            .map(|n| n.expect("every query id ends at exactly one node"))
+            .collect()
     }
 
     /// Exact encoded size of this trie under [`put_trie`]'s layout, so
@@ -651,15 +685,9 @@ impl NameTrie {
         let node_bytes: usize = self
             .nodes
             .iter()
-            .map(|n| {
-                2 + n.component.as_str().len()
-                    + 1
-                    + if n.query.is_some() { 4 } else { 0 }
-                    + 2
-                    + 4 * n.children.len()
-            })
+            .map(|n| 2 + n.component.as_str().len() + 1 + 4 * usize::from(n.query.is_some()) + 2)
             .sum();
-        4 + 4 + node_bytes + 4 + 4 * self.roots.len()
+        4 + 4 + node_bytes + 4 + 4 * self.kids.len()
     }
 
     /// Per-node count of queries in the subtree rooted there — the number
@@ -668,12 +696,9 @@ impl NameTrie {
     /// reverse pass suffices.
     pub fn subtree_query_counts(&self) -> Vec<u32> {
         let mut sub = vec![0u32; self.nodes.len()];
-        for i in (0..self.nodes.len()).rev() {
-            let mut n = u32::from(self.nodes[i].query.is_some());
-            for &c in &self.nodes[i].children {
-                n += sub[c as usize];
-            }
-            sub[i] = n;
+        for (i, node) in self.nodes.iter().enumerate().rev() {
+            let below: u32 = self.kids_of(node).iter().map(|&c| sub[c as usize]).sum();
+            sub[i] = u32::from(node.query.is_some()) + below;
         }
         sub
     }
@@ -691,13 +716,14 @@ fn put_trie(buf: &mut BytesMut, trie: &NameTrie) {
             }
             None => buf.put_u8(0),
         }
-        buf.put_u16(u16::try_from(node.children.len()).expect("trie node too wide for wire"));
-        for &c in &node.children {
+        let kids = trie.kids_of(node);
+        buf.put_u16(u16::try_from(kids.len()).expect("trie node too wide for wire"));
+        for &c in kids {
             buf.put_u32(c);
         }
     }
-    buf.put_u32(u32::try_from(trie.roots.len()).expect("batch too large for wire"));
-    for &r in &trie.roots {
+    buf.put_u32(trie.roots().len() as u32);
+    for &r in trie.roots() {
         buf.put_u32(r);
     }
 }
@@ -708,69 +734,82 @@ fn get_trie(buf: &mut Bytes) -> Option<NameTrie> {
     }
     let query_count = buf.get_u32();
     let node_count = buf.get_u32() as usize;
-    let mut nodes = Vec::with_capacity(node_count.min(1024));
+    // Both counts size allocations here and in every server that walks the
+    // trie, so bound them by what the frame can hold: a node takes at least
+    // five bytes (two lengths and a flag) and ends at most one query.
+    if node_count > buf.remaining() / 5 || query_count as usize > node_count {
+        return None;
+    }
+    let mut nodes = Vec::with_capacity(node_count);
+    let mut kids = Vec::with_capacity(node_count);
+    // One bit per node ("has a parent or is a root"), then one per query id.
+    let mut seen = vec![0u64; (node_count + query_count as usize).div_ceil(64)];
+    let mut first_sight = |bit: usize| {
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        let fresh = seen[word] & mask == 0;
+        seen[word] |= mask;
+        fresh
+    };
+    let mut queries = 0u32;
     for i in 0..node_count {
         let component = get_name(buf)?;
-        if buf.remaining() < 1 {
+        // The query flag and the child count, with a query id between.
+        if buf.remaining() < 1 + 2 {
             return None;
         }
         let query = match buf.get_u8() {
             0 => None,
-            1 => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
+            1 if buf.remaining() >= 4 + 2 => {
                 let q = buf.get_u32();
-                if q >= query_count {
+                if q >= query_count || !first_sight(node_count + q as usize) {
                     return None;
                 }
+                queries += 1;
                 Some(q)
             }
             _ => return None,
         };
-        if buf.remaining() < 2 {
+        let kid_count = buf.get_u16() as usize;
+        if buf.remaining() < 4 * kid_count {
             return None;
         }
-        let kid_count = buf.get_u16() as usize;
-        let mut children = Vec::with_capacity(kid_count.min(1024));
+        let lo = kids.len() as u32;
         for _ in 0..kid_count {
-            if buf.remaining() < 4 {
+            let c = buf.get_u32() as usize;
+            // Strict descent and a single parent: a malicious frame can
+            // send the server neither into a cycle nor down one subtree
+            // once per path that reaches it.
+            if c <= i || c >= node_count || !first_sight(c) {
                 return None;
             }
-            let c = buf.get_u32();
-            // Strict descent: a child's index must exceed its parent's,
-            // so a malicious frame cannot send the server into a cycle.
-            if c as usize <= i || c as usize >= node_count {
-                return None;
-            }
-            children.push(c);
+            kids.push(c as u32);
         }
         nodes.push(TrieNode {
             component,
             query,
-            children,
+            kids: (lo, kids.len() as u32),
         });
     }
-    if buf.remaining() < 4 {
+    // Distinct ids below `query_count`, `query_count` of them: none missing.
+    if queries != query_count || buf.remaining() < 4 {
         return None;
     }
-    let root_count = buf.get_u32() as usize;
-    let mut roots = Vec::with_capacity(root_count.min(1024));
-    let mut prev: Option<u32> = None;
+    // Every node that is nobody's child must be a root, and only those.
+    let (roots_at, root_count) = (kids.len() as u32, buf.get_u32() as usize);
+    if root_count != node_count - kids.len() || buf.remaining() < 4 * root_count {
+        return None;
+    }
     for _ in 0..root_count {
-        if buf.remaining() < 4 {
-            return None;
-        }
         let r = buf.get_u32();
-        if r as usize >= node_count || prev.is_some_and(|p| r <= p) {
+        if r as usize >= node_count || !first_sight(r as usize) {
             return None;
         }
-        roots.push(r);
-        prev = Some(r);
+        kids.push(r);
     }
     Some(NameTrie {
         nodes,
-        roots,
+        kids,
+        roots_at,
         query_count,
     })
 }
@@ -797,6 +836,7 @@ impl BatchRequest {
         buf.put_u64(self.id);
         buf.put_u32(self.start.index() as u32);
         put_trie(&mut buf, &self.trie);
+        debug_assert_eq!(buf.len(), 1 + 8 + 4 + self.trie.wire_len());
         buf.freeze()
     }
 
@@ -1109,30 +1149,14 @@ mod tests {
         }
         // Naive per-name resolution of the four distinct queries would
         // spend 4+4+4+2 = 14 lookups; the trie needs one per node (8).
+        let mut naive = 0;
+        trie.walk((), |_, n, path, ()| {
+            naive += n.query.map_or(0, |_| path.len())
+        });
         let sub = trie.subtree_query_counts();
-        let naive: u32 = trie
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.query.is_some())
-            .map(|(i, _)| {
-                let mut depth = 0u32;
-                // depth = number of ancestors + 1; recompute by scanning
-                // parents (test-only, O(n^2) is fine).
-                let mut cur = i as u32;
-                loop {
-                    depth += 1;
-                    match trie.nodes.iter().position(|n| n.children.contains(&cur)) {
-                        Some(p) => cur = p as u32,
-                        None => break,
-                    }
-                }
-                depth
-            })
-            .sum();
         assert_eq!(naive, 14); // cc:4 + ld:4 + libc:4 + tmp:2
         assert_eq!(sub[0], 4, "the root subtree holds all four queries");
-        assert_eq!(trie.nodes.len() as u32 + 6, naive);
+        assert_eq!(sub.iter().sum::<u32>(), 14, "fan-in sums to the same count");
     }
 
     #[test]
@@ -1171,41 +1195,31 @@ mod tests {
 
     #[test]
     fn trie_decode_rejects_cycles_and_bad_indices() {
-        // A hand-built frame whose node 0 claims node 0 as a child
-        // (cycle) must not decode.
-        let (trie, _) = NameTrie::build(&[name("/a/b")]);
-        let mut evil = trie.clone();
-        evil.nodes[1].children = vec![1];
-        let req = BatchRequest {
-            id: 1,
-            start: ObjectId::from_index(0),
-            trie: evil,
+        let decodes = |trie: &NameTrie| {
+            let (id, start, trie) = (1, ObjectId::from_index(0), trie.clone());
+            BatchRequest::decode(BatchRequest { id, start, trie }.encode()).is_some()
         };
-        assert!(BatchRequest::decode(req.encode()).is_none());
-        // Out-of-range child index.
-        let mut oob = trie.clone();
-        oob.nodes[0].children = vec![99];
-        assert!(BatchRequest::decode(
-            BatchRequest {
-                id: 1,
-                start: ObjectId::from_index(0),
-                trie: oob,
-            }
-            .encode()
-        )
-        .is_none());
-        // Query id beyond query_count.
-        let mut badq = trie;
-        badq.nodes[1].query = Some(42);
-        assert!(BatchRequest::decode(
-            BatchRequest {
-                id: 1,
-                start: ObjectId::from_index(0),
-                trie: badq,
-            }
-            .encode()
-        )
-        .is_none());
+        // "/", "a" and under it "b" (query 0) and "c" (query 1).
+        let (trie, _) = NameTrie::build(&[name("/a/b"), name("/a/c")]);
+        assert_eq!((&trie.kids[..3], trie.roots()), (&[1, 2, 3][..], &[0][..]));
+        assert!(decodes(&trie));
+        type Edit = fn(&mut NameTrie);
+        let edits: [(&str, Edit); 9] = [
+            ("node 1 its own child (cycle)", |t| t.kids[1] = 1),
+            ("child index out of range", |t| t.kids[0] = 99),
+            ("one node under two parents", |t| t.kids[2] = 2),
+            ("a child listed as a root too", |t| t.kids.push(3)),
+            ("a node nobody reaches", |t| t.kids.truncate(3)),
+            ("query id out of range", |t| t.nodes[2].query = Some(9)),
+            ("query id assigned twice", |t| t.nodes[3].query = Some(0)),
+            ("query id never assigned", |t| t.nodes[3].query = None),
+            ("more queries than nodes", |t| t.query_count = 5),
+        ];
+        for (what, edit) in edits {
+            let mut evil = trie.clone();
+            edit(&mut evil);
+            assert!(!decodes(&evil), "{what}");
+        }
     }
 
     mod fuzz {
@@ -1295,6 +1309,7 @@ mod tests {
                     proptest::collection::vec("[a-z]{1,4}", 1..5),
                     1..12,
                 ),
+                lie in 0u32..64,
             ) {
                 let names: Vec<CompoundName> = raw
                     .iter()
@@ -1313,6 +1328,13 @@ mod tests {
                 let full = req.encode();
                 let cut = full.len() / 2;
                 prop_assert!(BatchRequest::decode(full.slice(..cut)).is_none());
+                // A valid frame whose query or node count was overwritten
+                // (u32::MAX included) no longer describes its own body.
+                for (at, lie) in [(13, u32::MAX), (13, lie), (17, u32::MAX), (17, lie)] {
+                    let mut bad = full.to_vec();
+                    bad[at..at + 4].copy_from_slice(&lie.to_be_bytes());
+                    prop_assert!(bad == full[..] || BatchRequest::decode(bad.into()).is_none());
+                }
             }
 
             /// Batch replies round-trip for arbitrary outcome vectors.

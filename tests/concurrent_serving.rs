@@ -3,7 +3,7 @@
 //! across publishes, and under churn between rounds.
 
 use naming_core::prelude::*;
-use naming_resolver::concurrent::ConcurrentService;
+use naming_resolver::concurrent::{ConcurrentService, WorkerReport};
 use naming_resolver::wire::{BatchRequest, NameTrie};
 
 /// A two-level tree with some depth and deliberate dead ends.
@@ -174,4 +174,40 @@ fn unpublished_staging_never_leaks_into_answers() {
         )]
     );
     assert_eq!(answers[0].entities, vec![Entity::Undefined]);
+}
+
+#[test]
+fn in_flight_batches_answer_from_their_own_snapshot_across_a_publish() {
+    let (s, root) = build();
+    let mut svc = ConcurrentService::new(s, 2);
+    let names: Vec<CompoundName> = (0..4)
+        .map(|k| CompoundName::parse_path(&format!("/dir0/v{k}")).unwrap())
+        .collect();
+    // Nothing is drained until every publish has happened: batch `r` was
+    // paired with the snapshot holding exactly the first `r` new files.
+    for round in 0..4u64 {
+        let (trie, _) = NameTrie::build(&names);
+        svc.submit(BatchRequest {
+            id: round,
+            start: root,
+            trie,
+        });
+        svc.update(|sys| {
+            let dir = sys.lookup(root, Name::new("dir0")).as_object().unwrap();
+            let v = sys.add_data_object("v", vec![]);
+            sys.bind(dir, Name::new(&format!("v{round}")), v).unwrap();
+        });
+        svc.publish();
+    }
+    for (round, answer) in svc.drain().iter().enumerate() {
+        let bound: Vec<bool> = answer.entities.iter().map(|e| e.is_defined()).collect();
+        assert_eq!(bound, (0..4).map(|k| k < round).collect::<Vec<_>>());
+    }
+    // The walk's work is a function of the frames alone: per batch "/" and
+    // "dir0" once plus four leaves, where four lone names cost 12 — and a
+    // worker keeps no memo for a publish to reset.
+    let report = svc.shutdown();
+    let total = |f: fn(&WorkerReport) -> u64| report.workers.iter().map(f).sum::<u64>();
+    assert_eq!((total(|w| w.lookups), total(|w| w.lookups_saved)), (24, 24));
+    assert_eq!(total(|w| w.memo.hits + w.memo.misses + w.memo.resets), 0);
 }
