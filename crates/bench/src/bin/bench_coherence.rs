@@ -290,6 +290,13 @@ fn run_combo(
             }
         }
     }
+    // The sweep prices coherence, not capacity: its numbers are comparable
+    // across eviction policies only while neither replica evicts.
+    assert_eq!(
+        (lease.r.stats().evictions, exact.r.stats().evictions),
+        (0, 0),
+        "the working set outgrew a cache"
+    );
     out.lease_hits = lease.r.stats().hits;
     out.exact_hits = exact.r.stats().hits;
     out.lease_messages = lease.w.trace().counter("sent") - lease_sent0;
@@ -393,6 +400,11 @@ fn render_cmp(zones: usize, leaves: usize, rounds: usize, seed: u64, lease_mode:
             rep.r.heal(&rep.w);
         }
     }
+    assert_eq!(
+        rep.r.stats().evictions,
+        0,
+        "the working set outgrew the cache"
+    );
     format!(
         "{{\n  \"bench\": {},\n  \"seed\": {},\n  \"answers\": [\n{}\n  ]\n}}\n",
         json_string("coherence-cmp"),

@@ -90,13 +90,16 @@ impl fmt::Display for ObjectId {
 /// assert_eq!(e.as_object(), Some(ObjectId::from_index(3)));
 /// assert!(!Entity::Undefined.is_defined());
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,
+)]
 pub enum Entity {
     /// An active entity.
     Activity(ActivityId),
     /// A passive entity.
     Object(ObjectId),
     /// The undefined entity `⊥E`: the result of resolving an unbound name.
+    #[default]
     Undefined,
 }
 

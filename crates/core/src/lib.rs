@@ -64,6 +64,7 @@
 //! | [`resolve`] | §2 | compound-name resolution |
 //! | [`memo`] | §5 | generation-versioned resolution memoization |
 //! | [`lease`] | §5 | zone serials and TTL leases for bounded staleness |
+//! | [`slab_lru`] | — | the bounded hashed slab-LRU store under every `(start, suffix)` cache |
 //! | [`snapshot`] | §5 | immutable copy-on-publish snapshots of σ |
 //! | [`hash`] | — | deterministic hashing for internal indexes |
 //! | [`closure`] | §3 | meta-context, resolution rules R(a), R(sender), R(object) |
@@ -94,6 +95,7 @@ mod obs;
 pub mod replica;
 pub mod report;
 pub mod resolve;
+pub mod slab_lru;
 pub mod snapshot;
 pub mod state;
 

@@ -36,28 +36,23 @@
 //! resolutions of *different* names can reuse.
 //!
 //! The memo is bounded: inserts beyond capacity evict the least recently
-//! used entry (an intrusive doubly linked list through a slab, so
-//! probes, inserts and evictions are all O(1)).
+//! used entry. Index, slab and recency list are [`crate::slab_lru::SlabLru`],
+//! the store every `(start, suffix)` cache shares; this module adds only
+//! the generation-validation rule and its counters.
 //!
 //! A memo is tied to the one [`SystemState`] it was populated against;
 //! probing it with a different state is not meaningful (entries record
 //! object ids and counters of the original).
 
-use std::borrow::Borrow;
-use std::hash::{Hash, Hasher};
-
 use serde::{Deserialize, Serialize};
 
 use crate::entity::{Entity, ObjectId};
-use crate::hash::FxHashMap;
 use crate::name::Name;
+use crate::slab_lru::{SlabLru, SlotId, Upsert};
 use crate::state::SystemState;
 
 /// Default bound on the number of memoized suffixes.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 16;
-
-/// Sentinel for "no slot" in the intrusive LRU list.
-const NIL: u32 = u32::MAX;
 
 /// Counters describing how a [`ResolutionMemo`] has behaved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,57 +110,9 @@ fn shard_footprint(state: &SystemState, deps: &[Dep]) -> Box<[(u32, u64)]> {
         .collect()
 }
 
-/// Owned index key: start context plus name suffix.
-type Key = (ObjectId, Box<[Name]>);
-
-/// Borrowed view of a [`Key`], so the hot probe path can look up
-/// `(ObjectId, &[Name])` without boxing the suffix. The standard
-/// `Borrow<dyn Trait>` technique: both the owned key and the borrowed
-/// pair present themselves through this trait, with `Hash`/`Eq` defined
-/// once on the trait object so the map's contract (`k.borrow()` hashes
-/// and compares like `k`) holds by construction.
-trait KeyRef {
-    fn parts(&self) -> (ObjectId, &[Name]);
-}
-
-impl KeyRef for Key {
-    fn parts(&self) -> (ObjectId, &[Name]) {
-        (self.0, &self.1)
-    }
-}
-
-impl KeyRef for (ObjectId, &[Name]) {
-    fn parts(&self) -> (ObjectId, &[Name]) {
-        (self.0, self.1)
-    }
-}
-
-impl Hash for dyn KeyRef + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let (start, suffix) = self.parts();
-        start.hash(state);
-        suffix.hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyRef + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn KeyRef + '_ {}
-
-impl<'a> Borrow<dyn KeyRef + 'a> for Key {
-    fn borrow(&self) -> &(dyn KeyRef + 'a) {
-        self
-    }
-}
-
-#[derive(Clone, Debug)]
-struct Slot {
-    start: ObjectId,
-    suffix: Box<[Name]>,
+/// What the memo keeps per `(start, suffix)` key in its [`SlabLru`].
+#[derive(Clone, Debug, Default)]
+struct Entry {
     entity: Entity,
     /// `(context, generation)` for every context the resolution read.
     deps: Box<[Dep]>,
@@ -179,8 +126,6 @@ struct Slot {
     /// current; equality with the state's counter short-circuits
     /// validation entirely.
     validated_at: u64,
-    prev: u32,
-    next: u32,
 }
 
 /// A bounded, generation-validated cache of resolution results.
@@ -225,14 +170,7 @@ struct Slot {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ResolutionMemo {
-    index: FxHashMap<Key, u32>,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    /// Most recently used slot, or NIL.
-    head: u32,
-    /// Least recently used slot, or NIL.
-    tail: u32,
-    capacity: usize,
+    store: SlabLru<Entry>,
     stats: MemoStats,
     /// The prefix of `stats` already pushed to the global metrics
     /// registry (see `mirror_stats`). Note that cloning a memo clones any
@@ -270,14 +208,8 @@ impl ResolutionMemo {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> ResolutionMemo {
-        assert!(capacity > 0, "memo capacity must be positive");
         ResolutionMemo {
-            index: FxHashMap::default(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
+            store: SlabLru::with_capacity(capacity),
             stats: MemoStats::default(),
             #[cfg(feature = "telemetry")]
             mirrored: MemoStats::default(),
@@ -286,17 +218,17 @@ impl ResolutionMemo {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.store.len()
     }
 
     /// True if no entries are cached.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.store.is_empty()
     }
 
     /// The capacity bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.store.capacity()
     }
 
     /// Behavior counters so far.
@@ -348,11 +280,7 @@ impl ResolutionMemo {
 
     /// Drops every entry (counters are kept).
     pub fn clear(&mut self) {
-        self.index.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
+        self.store.clear();
     }
 
     /// Looks up `(start, suffix)` and validates the entry against
@@ -365,23 +293,8 @@ impl ResolutionMemo {
         start: ObjectId,
         suffix: &[Name],
     ) -> Option<Entity> {
-        let Some(slot) = self.lookup(start, suffix) else {
-            self.stats.misses += 1;
-            self.maybe_mirror();
-            return None;
-        };
-        let out = if self.validate(state, slot) {
-            self.stats.hits += 1;
-            self.touch(slot);
-            Some(self.slots[slot as usize].entity)
-        } else {
-            self.stats.invalidations += 1;
-            self.stats.misses += 1;
-            self.remove_slot(slot);
-            None
-        };
-        self.maybe_mirror();
-        out
+        let slot = self.probe_slot(state, start, suffix)?;
+        Some(self.store.value(slot).entity)
     }
 
     /// Validating probe that also returns the entry's recorded dependency
@@ -393,21 +306,37 @@ impl ResolutionMemo {
         start: ObjectId,
         suffix: &[Name],
     ) -> Option<(Entity, Box<[Dep]>)> {
-        let Some(slot) = self.lookup(start, suffix) else {
-            self.stats.misses += 1;
-            self.maybe_mirror();
-            return None;
-        };
-        let out = if self.validate(state, slot) {
-            self.stats.hits += 1;
-            self.touch(slot);
-            let s = &self.slots[slot as usize];
-            Some((s.entity, s.deps.clone()))
-        } else {
-            self.stats.invalidations += 1;
-            self.stats.misses += 1;
-            self.remove_slot(slot);
-            None
+        let slot = self.probe_slot(state, start, suffix)?;
+        let e = self.store.value(slot);
+        Some((e.entity, e.deps.clone()))
+    }
+
+    /// The validating probe proper: counts exactly one of `hits`/`misses`,
+    /// makes a validated entry the most recently used, drops an
+    /// invalidated one.
+    fn probe_slot(
+        &mut self,
+        state: &SystemState,
+        start: ObjectId,
+        suffix: &[Name],
+    ) -> Option<SlotId> {
+        let found = self.store.find(start, suffix);
+        let out = match found {
+            Some(slot) if validate(state, self.store.value_mut(slot)) => {
+                self.stats.hits += 1;
+                self.store.touch(slot);
+                Some(slot)
+            }
+            Some(slot) => {
+                self.stats.invalidations += 1;
+                self.stats.misses += 1;
+                self.store.remove(slot);
+                None
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
         };
         self.maybe_mirror();
         out
@@ -424,15 +353,15 @@ impl ResolutionMemo {
     /// exactly one of `hits`/`misses` (absent → miss, present → hit),
     /// so [`MemoStats::hit_rate`] is comparable across probe variants.
     pub fn probe_stale(&mut self, start: ObjectId, suffix: &[Name]) -> Option<Entity> {
-        let Some(slot) = self.lookup(start, suffix) else {
+        let Some(slot) = self.store.find(start, suffix) else {
             self.stats.misses += 1;
             self.maybe_mirror();
             return None;
         };
         self.stats.hits += 1;
         self.maybe_mirror();
-        self.touch(slot);
-        Some(self.slots[slot as usize].entity)
+        self.store.touch(slot);
+        Some(self.store.value(slot).entity)
     }
 
     /// True if the entry for `(start, suffix)` exists but no longer
@@ -440,16 +369,17 @@ impl ResolutionMemo {
     /// entry is absent or still valid. Read-only: does not touch LRU
     /// order, counters, or the entry itself.
     pub fn is_stale(&self, state: &SystemState, start: ObjectId, suffix: &[Name]) -> bool {
-        match self.lookup(start, suffix) {
-            Some(slot) => !self.entry_current(state, &self.slots[slot as usize]),
+        match self.store.find(start, suffix) {
+            Some(slot) => !entry_current(state, self.store.value(slot)),
             None => false,
         }
     }
 
     /// Records a resolution result with its dependency generations.
     /// `deps` lists every context the resolution read, with the version
-    /// counter observed. Evicts the least recently used entry if the
-    /// memo is full.
+    /// counter observed. Refreshes the entry in place if the key is held
+    /// (the previous entry may be stale); otherwise evicts the least
+    /// recently used entry if the memo is full.
     pub fn record(
         &mut self,
         state: &SystemState,
@@ -458,67 +388,27 @@ impl ResolutionMemo {
         entity: Entity,
         deps: &[Dep],
     ) {
-        if let Some(slot) = self.lookup(start, suffix) {
-            // Refresh in place (the previous entry may be stale).
-            let shard_deps = shard_footprint(state, deps);
-            let s = &mut self.slots[slot as usize];
-            s.entity = entity;
-            s.deps = Box::from(deps);
-            s.shard_deps = shard_deps;
-            s.epoch = state.epoch();
-            s.validated_at = state.naming_version();
-            self.touch(slot);
-            return;
-        }
-        if self.index.len() >= self.capacity {
-            let lru = self.tail;
-            debug_assert_ne!(lru, NIL, "capacity > 0 and memo full");
-            self.stats.evictions += 1;
-            self.remove_slot(lru);
-        }
-        let slot = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("memo slot overflow");
-                self.slots.push(Slot {
-                    start,
-                    suffix: Box::from(suffix),
-                    entity: Entity::Undefined,
-                    deps: Box::from(deps),
-                    shard_deps: Box::from([]),
-                    epoch: 0,
-                    validated_at: 0,
-                    prev: NIL,
-                    next: NIL,
-                });
-                i
-            }
+        let (how, e) = self.store.upsert(start, suffix);
+        *e = Entry {
+            entity,
+            deps: Box::from(deps),
+            shard_deps: shard_footprint(state, deps),
+            epoch: state.epoch(),
+            validated_at: state.naming_version(),
         };
-        {
-            let shard_deps = shard_footprint(state, deps);
-            let s = &mut self.slots[slot as usize];
-            s.start = start;
-            s.suffix = Box::from(suffix);
-            s.entity = entity;
-            s.deps = Box::from(deps);
-            s.shard_deps = shard_deps;
-            s.epoch = state.epoch();
-            s.validated_at = state.naming_version();
-            s.prev = NIL;
-            s.next = NIL;
+        if let Upsert::Inserted { evicted } = how {
+            self.stats.evictions += u64::from(evicted);
+            self.stats.inserts += 1;
         }
-        self.index.insert((start, Box::from(suffix)), slot);
-        self.push_front(slot);
-        self.stats.inserts += 1;
     }
 
     /// Removes the entry for `(start, suffix)` regardless of validity,
     /// counting it as an invalidation. Returns whether an entry existed.
     pub fn remove(&mut self, start: ObjectId, suffix: &[Name]) -> bool {
-        match self.lookup(start, suffix) {
+        match self.store.find(start, suffix) {
             Some(slot) => {
                 self.stats.invalidations += 1;
-                self.remove_slot(slot);
+                self.store.remove(slot);
                 true
             }
             None => false,
@@ -528,7 +418,7 @@ impl ResolutionMemo {
     /// Drops every entry, counting each as an invalidation (compare
     /// [`ResolutionMemo::clear`], which does not touch the counters).
     pub fn invalidate_all(&mut self) {
-        self.stats.invalidations += self.index.len() as u64;
+        self.stats.invalidations += self.store.len() as u64;
         self.clear();
     }
 
@@ -536,12 +426,13 @@ impl ResolutionMemo {
     /// lexicographic `(start, suffix)` order (deterministic regardless of
     /// insertion history).
     pub fn entries(&self) -> impl Iterator<Item = (ObjectId, &[Name], Entity)> + '_ {
-        let mut keys: Vec<&Key> = self.index.keys().collect();
-        keys.sort_unstable();
-        keys.into_iter().map(|k| {
-            let slot = self.index[k];
-            (k.0, &*k.1, self.slots[slot as usize].entity)
-        })
+        let mut entries: Vec<_> = self
+            .store
+            .iter()
+            .map(|(start, suffix, e)| (start, suffix, e.entity))
+            .collect();
+        entries.sort_unstable();
+        entries.into_iter()
     }
 
     /// Sweeps the memo, removing every entry invalidated by writes since
@@ -549,122 +440,49 @@ impl ResolutionMemo {
     /// the "heal" operation of a caching resolver that has been serving
     /// stale entries.
     pub fn invalidate_stale(&mut self, state: &SystemState) -> usize {
-        let stale: Vec<u32> = self
-            .index
-            .values()
-            .copied()
-            .filter(|&slot| !self.entry_current(state, &self.slots[slot as usize]))
-            .collect();
-        let dropped = stale.len();
-        for slot in stale {
-            self.remove_slot(slot);
-        }
+        let dropped = self.store.retain(|e| entry_current(state, e));
         self.stats.invalidations += dropped as u64;
         dropped
     }
+}
 
-    // --- internals --------------------------------------------------------
-
-    /// Allocation-free index lookup through the borrowed key view.
-    #[inline]
-    fn lookup(&self, start: ObjectId, suffix: &[Name]) -> Option<u32> {
-        self.index.get(&(start, suffix) as &dyn KeyRef).copied()
+/// Validates an entry against the state, refreshing its fast-path stamp
+/// on success. Three tiers: the O(1) naming-version stamp, the per-shard
+/// generation footprint, then the exact per-context deps.
+fn validate(state: &SystemState, e: &mut Entry) -> bool {
+    let nv = state.naming_version();
+    if e.validated_at == nv {
+        return true;
     }
-
-    /// Validates `slot` against the state, refreshing its fast-path stamp
-    /// on success. Three tiers: the O(1) naming-version stamp, the
-    /// per-shard generation footprint, then the exact per-context deps.
-    fn validate(&mut self, state: &SystemState, slot: u32) -> bool {
-        let nv = state.naming_version();
-        if self.slots[slot as usize].validated_at == nv {
-            return true;
-        }
-        if self.slots[slot as usize].epoch != state.epoch() {
+    if e.epoch != state.epoch() {
+        return false;
+    }
+    // Shard tier: with the epoch unchanged, a dep context can only have
+    // moved via bind/unbind, which bumps its shard's generation. All
+    // touched shards unwritten ⇒ every dep unchanged.
+    let unwritten = (e.shard_deps.iter()).all(|&(sh, v)| state.shard_version(sh as usize) == v);
+    if !unwritten {
+        if !entry_current(state, e) {
             return false;
         }
-        // Shard tier: with the epoch unchanged, a dep context can only
-        // have moved via bind/unbind, which bumps its shard's generation.
-        // All touched shards unwritten ⇒ every dep unchanged.
-        if self.slots[slot as usize]
-            .shard_deps
+        for d in e.shard_deps.iter_mut() {
+            d.1 = state.shard_version(d.0 as usize);
+        }
+    }
+    e.validated_at = nv;
+    true
+}
+
+/// The full generation check: same epoch, and every traversed context
+/// still shows the recorded generation.
+fn entry_current(state: &SystemState, e: &Entry) -> bool {
+    e.epoch == state.epoch()
+        && e.deps
             .iter()
-            .all(|&(sh, v)| state.shard_version(sh as usize) == v)
-        {
-            self.slots[slot as usize].validated_at = nv;
-            return true;
-        }
-        if self.entry_current(state, &self.slots[slot as usize]) {
-            let s = &mut self.slots[slot as usize];
-            s.validated_at = nv;
-            for d in s.shard_deps.iter_mut() {
-                d.1 = state.shard_version(d.0 as usize);
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The full generation check: same epoch, and every traversed context
-    /// still shows the recorded generation.
-    fn entry_current(&self, state: &SystemState, s: &Slot) -> bool {
-        s.epoch == state.epoch()
-            && s.deps
-                .iter()
-                .all(|&(o, generation)| match state.context(o) {
-                    Some(c) => c.version() == generation,
-                    None => false,
-                })
-    }
-
-    fn detach(&mut self, slot: u32) {
-        let (prev, next) = {
-            let s = &self.slots[slot as usize];
-            (s.prev, s.next)
-        };
-        if prev != NIL {
-            self.slots[prev as usize].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next as usize].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        let s = &mut self.slots[slot as usize];
-        s.prev = NIL;
-        s.next = NIL;
-    }
-
-    fn push_front(&mut self, slot: u32) {
-        self.slots[slot as usize].next = self.head;
-        self.slots[slot as usize].prev = NIL;
-        if self.head != NIL {
-            self.slots[self.head as usize].prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NIL {
-            self.tail = slot;
-        }
-    }
-
-    /// Marks `slot` most recently used.
-    fn touch(&mut self, slot: u32) {
-        if self.head == slot {
-            return;
-        }
-        self.detach(slot);
-        self.push_front(slot);
-    }
-
-    fn remove_slot(&mut self, slot: u32) {
-        self.detach(slot);
-        let s = &self.slots[slot as usize];
-        let removed = self.index.remove(&(s.start, &*s.suffix) as &dyn KeyRef);
-        debug_assert_eq!(removed, Some(slot));
-        self.free.push(slot);
-    }
+            .all(|&(o, generation)| match state.context(o) {
+                Some(c) => c.version() == generation,
+                None => false,
+            })
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //! re-resolving every name.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::memo::ResolutionMemo;
@@ -404,7 +405,7 @@ impl CachingResolver {
         let mut zones: Vec<usize> = vec![SystemState::shard_of_id(start)];
         let (stats, hops, offset): (ResolveStats, Vec<ReferralHop>, usize) = match jump {
             Some((plen, ctx, _machine, inherited)) => {
-                zones.extend(inherited);
+                zones.extend_from_slice(inherited);
                 zones.push(SystemState::shard_of_id(ctx));
                 let remaining = CompoundName::new(name.components()[plen..].to_vec())
                     .expect("proper prefix leaves a nonempty suffix");
@@ -483,16 +484,14 @@ impl CachingResolver {
         // Misses grouped by the context the batch will start from:
         // group ctx → (prefix components consumed to get there, slot).
         let mut groups: BTreeMap<ObjectId, Vec<(usize, usize)>> = BTreeMap::new();
+        let mut hits = 0u64;
         for (slot, name) in names.iter().enumerate() {
             if let Some(e) = self.memo.probe_stale(start, name.components()) {
-                #[cfg(feature = "telemetry")]
-                naming_telemetry::counter!("cache.hits").bump();
+                hits += 1;
                 entities[slot] = e;
                 from_cache[slot] = true;
                 continue;
             }
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("cache.misses").bump();
             if self.negatives.probe(world, start, name) {
                 from_cache[slot] = true;
                 continue;
@@ -508,6 +507,7 @@ impl CachingResolver {
                 None => groups.entry(start).or_default().push((0, slot)),
             }
         }
+        mirror_probe_counts(hits, names.len() as u64 - hits);
         let mut messages = 0u64;
         let mut latency = Duration::ZERO;
         let mut seen_referrals: BTreeSet<(CompoundName, ObjectId)> = BTreeSet::new();
@@ -586,25 +586,28 @@ impl CachingResolver {
         let now = world.now().ticks();
         let mut entities = vec![Entity::Undefined; names.len()];
         let mut from_cache = vec![false; names.len()];
-        let mut slot_zones: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        let mut groups: BTreeMap<ObjectId, Vec<(usize, usize)>> = BTreeMap::new();
+        // Every miss's footprint up to where its batch starts — the start
+        // context's shard, what a cached-referral jump inherited, the jump
+        // target's shard — back to back; a group member holds its range.
+        let mut jump_zones: Vec<usize> = Vec::new();
+        let mut groups: BTreeMap<ObjectId, Vec<(usize, usize, Range<usize>)>> = BTreeMap::new();
+        let mut hits = 0u64;
         for (slot, name) in names.iter().enumerate() {
             if let LeaseProbe::Hit(e) =
                 self.positives
                     .probe(now, &self.table, start, name.components())
             {
-                #[cfg(feature = "telemetry")]
-                naming_telemetry::counter!("cache.hits").bump();
+                hits += 1;
                 entities[slot] = e;
                 from_cache[slot] = true;
                 continue;
             }
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("cache.misses").bump();
             if self.negatives.probe_leased(now, &self.table, start, name) {
                 from_cache[slot] = true;
                 continue;
             }
+            let lo = jump_zones.len();
+            jump_zones.push(SystemState::shard_of_id(start));
             let jump = self.referrals.lookup_deepest_leased(
                 now,
                 &self.table,
@@ -612,25 +615,27 @@ impl CachingResolver {
                 start,
                 name.components(),
             );
-            slot_zones[slot].push(SystemState::shard_of_id(start));
-            match jump {
+            let (gctx, plen) = match jump {
                 Some((plen, ctx, _machine, inherited)) => {
-                    slot_zones[slot].extend(inherited);
-                    slot_zones[slot].push(SystemState::shard_of_id(ctx));
-                    groups.entry(ctx).or_default().push((plen, slot));
+                    jump_zones.extend_from_slice(inherited);
+                    jump_zones.push(SystemState::shard_of_id(ctx));
+                    (ctx, plen)
                 }
-                None => {
-                    groups.entry(start).or_default().push((0, slot));
-                }
-            }
+                None => (start, 0),
+            };
+            let member = (plen, slot, lo..jump_zones.len());
+            groups.entry(gctx).or_default().push(member);
         }
+        mirror_probe_counts(hits, names.len() as u64 - hits);
         let mut messages = 0u64;
         let mut latency = Duration::ZERO;
         let mut seen_referrals: BTreeSet<(CompoundName, ObjectId)> = BTreeSet::new();
+        // The member at hand's whole footprint, rebuilt in place.
+        let mut zones: Vec<usize> = Vec::new();
         for (gctx, members) in groups {
             let remaining: Vec<CompoundName> = members
                 .iter()
-                .map(|&(plen, slot)| {
+                .map(|&(plen, slot, _)| {
                     CompoundName::new(names[slot].components()[plen..].to_vec())
                         .expect("proper prefix leaves a nonempty suffix")
                 })
@@ -638,12 +643,14 @@ impl CachingResolver {
             let batch = self.engine.resolve_batch(world, client, gctx, &remaining);
             messages += batch.messages;
             latency = latency + batch.latency;
-            for (i, &(plen, slot)) in members.iter().enumerate() {
+            for (i, (plen, slot, jumped)) in members.into_iter().enumerate() {
                 entities[slot] = batch.entities[i];
+                zones.clear();
+                zones.extend_from_slice(&jump_zones[jumped]);
                 for (ref_prefix, _machine, ctx) in &batch.referrals {
                     let rel = ref_prefix.components();
                     if names[slot].components()[plen..].starts_with(rel) {
-                        slot_zones[slot].push(SystemState::shard_of_id(*ctx));
+                        zones.push(SystemState::shard_of_id(*ctx));
                         let full = plen + rel.len();
                         if full >= 1 && full < names[slot].len() {
                             let prefix =
@@ -656,7 +663,7 @@ impl CachingResolver {
                                     start,
                                     &prefix,
                                     *ctx,
-                                    slot_zones[slot].iter().copied(),
+                                    zones.iter().copied(),
                                 );
                             }
                         }
@@ -664,7 +671,7 @@ impl CachingResolver {
                 }
                 let name = &names[slot];
                 if let Entity::Object(o) = entities[slot] {
-                    slot_zones[slot].push(SystemState::shard_of_id(o));
+                    zones.push(SystemState::shard_of_id(o));
                 }
                 if entities[slot].is_defined() {
                     self.positives.record(
@@ -673,7 +680,7 @@ impl CachingResolver {
                         start,
                         name.components(),
                         entities[slot],
-                        slot_zones[slot].iter().copied(),
+                        zones.iter().copied(),
                         &self.table,
                     );
                 } else if batch.unreachable[i] {
@@ -685,7 +692,7 @@ impl CachingResolver {
                         &self.table,
                         start,
                         name,
-                        slot_zones[slot].iter().copied(),
+                        zones.iter().copied(),
                         false,
                     );
                 }
@@ -828,6 +835,25 @@ impl CachingResolver {
         }
         self.stale_entries(world).len() as f64 / self.memo.len() as f64
     }
+}
+
+/// Mirrors one batch's positive-cache probe verdicts into the `cache.*`
+/// registry counters: one add per batch instead of one per name (a counter
+/// bump is a shard lookup plus a locked add — a quarter of a warm batch's
+/// time when paid per name). Registry totals after the call are the same.
+fn mirror_probe_counts(hits: u64, misses: u64) {
+    // A counter that never moved stays unregistered, as before.
+    #[cfg(feature = "telemetry")]
+    {
+        if hits > 0 {
+            naming_telemetry::counter!("cache.hits").add(hits);
+        }
+        if misses > 0 {
+            naming_telemetry::counter!("cache.misses").add(misses);
+        }
+    }
+    #[cfg(not(feature = "telemetry"))]
+    let _ = (hits, misses);
 }
 
 /// Keeps exactly the entries whose cached entity disagrees with a fresh

@@ -34,6 +34,8 @@ use std::collections::{BTreeMap, VecDeque};
 use naming_core::entity::{Entity, ObjectId};
 use naming_core::lease::{Lease, ZoneSerial};
 use naming_core::name::Name;
+use naming_core::slab_lru::{SlabLru, Upsert};
+use naming_core::state::MAX_SHARDS;
 
 use crate::wire::{ShardDelta, ZoneChange};
 
@@ -94,7 +96,9 @@ pub enum SerialObservation {
 /// shard, strictly via anti-entropy — never read from σ.
 #[derive(Clone, Debug, Default)]
 pub struct SerialTable {
-    heard: BTreeMap<usize, ZoneSerial>,
+    /// Indexed by shard, grown on demand; a shard past the end — like one
+    /// explicitly at [`ZoneSerial::ZERO`] — was never heard from.
+    heard: Vec<ZoneSerial>,
 }
 
 impl SerialTable {
@@ -106,20 +110,28 @@ impl SerialTable {
 
     /// The newest serial heard for `shard`
     /// ([`ZoneSerial::ZERO`] when the zone was never heard from).
+    #[inline]
     pub fn known(&self, shard: usize) -> ZoneSerial {
-        self.heard.get(&shard).copied().unwrap_or(ZoneSerial::ZERO)
+        self.heard.get(shard).copied().unwrap_or(ZoneSerial::ZERO)
     }
 
     /// Folds an authoritative serial into the table, reporting how it
     /// relates to what was known. The authority's value is adopted even
     /// on regression — it *is* the authority; the observation return lets
     /// the caller quarantine entries stamped under the lost history.
+    ///
+    /// An object id has no room for a shard index of [`MAX_SHARDS`] or
+    /// more, so no entry can depend on such a zone: a frame naming one is
+    /// ignored instead of sizing the table by it.
     pub fn observe(&mut self, shard: usize, serial: ZoneSerial) -> SerialObservation {
         let known = self.known(shard);
-        if serial == known {
+        if serial == known || shard >= MAX_SHARDS {
             return SerialObservation::Unchanged;
         }
-        self.heard.insert(shard, serial);
+        if shard >= self.heard.len() {
+            self.heard.resize(shard + 1, ZoneSerial::ZERO);
+        }
+        self.heard[shard] = serial;
         if serial.is_newer_than(known) {
             SerialObservation::Advanced
         } else {
@@ -130,7 +142,8 @@ impl SerialTable {
     /// `(shard, serial)` pairs heard so far, for building a
     /// [`ZoneDeltaRequest`](crate::wire::ZoneDeltaRequest).
     pub fn snapshot(&self) -> Vec<(usize, ZoneSerial)> {
-        self.heard.iter().map(|(&s, &v)| (s, v)).collect()
+        let heard = self.heard.iter().copied().enumerate();
+        heard.filter(|&(_, v)| v != ZoneSerial::ZERO).collect()
     }
 
     /// One `(shard, serial)` pair for *every* shard in `0..shards`,
@@ -189,30 +202,36 @@ impl LeaseCacheStats {
 
 /// One leased binding: the entity plus the replica-local facts that
 /// justify serving it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 struct LeasedEntry {
     entity: Entity,
     /// First tick at which the entry may no longer be served
     /// (half-open validity, see [`Lease`]).
     expires_at: u64,
-    /// Tick the entry was recorded (for staleness-window reporting).
-    recorded_at: u64,
-    /// Every zone the resolution depended on, stamped with the serial
-    /// heard at record time.
-    zones: Vec<(usize, ZoneSerial)>,
+    /// Every zone the resolution depended on, sorted and distinct.
+    zones: Vec<usize>,
+    /// Per zone in `zones`, the serial heard at record time.
+    stamps: Vec<ZoneSerial>,
+}
+
+impl LeasedEntry {
+    fn stamped(&self) -> impl Iterator<Item = (usize, ZoneSerial)> + '_ {
+        self.zones.iter().copied().zip(self.stamps.iter().copied())
+    }
 }
 
 /// A bounded cache of leased bindings, validated by the two
 /// replica-local checks only: lease expiry and heard-serial movement.
 /// No method takes σ, a `World`, or a `SystemState` — staleness beyond
 /// the checks is *possible by design* and bounded by the TTL.
+///
+/// The entries live in the [`SlabLru`] the exact-mode memo uses: a probe
+/// is one hash and one slot read, a full cache evicts its least recently
+/// *served or recorded* entry, and a slot freed by expiry, serial
+/// movement or eviction is refilled in place by the next record.
 #[derive(Clone, Debug)]
 pub struct LeasedCache {
-    entries: BTreeMap<(ObjectId, Vec<Name>), LeasedEntry>,
-    /// FIFO insertion order for the capacity bound; keys may be stale
-    /// (entries removed out-of-band are skipped when evicting).
-    order: VecDeque<(ObjectId, Vec<Name>)>,
-    capacity: usize,
+    store: SlabLru<LeasedEntry>,
     stats: LeaseCacheStats,
 }
 
@@ -223,11 +242,8 @@ impl LeasedCache {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> LeasedCache {
-        assert!(capacity > 0, "a zero-capacity cache cannot hold entries");
         LeasedCache {
-            entries: BTreeMap::new(),
-            order: VecDeque::new(),
-            capacity,
+            store: SlabLru::with_capacity(capacity),
             stats: LeaseCacheStats::default(),
         }
     }
@@ -239,12 +255,18 @@ impl LeasedCache {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.store.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.store.is_empty()
+    }
+
+    /// Slots the backing slab has ever allocated (live plus reusable);
+    /// bounded by the capacity however often entries lapse and return.
+    pub fn slots(&self) -> usize {
+        self.store.slots()
     }
 
     /// Records `entity` for `(start, suffix)` under a lease granted at
@@ -265,40 +287,17 @@ impl LeasedCache {
         if ttl == Some(0) {
             return;
         }
-        let mut deps: Vec<(usize, ZoneSerial)> =
-            zones.into_iter().map(|z| (z, table.known(z))).collect();
-        deps.sort_unstable_by_key(|&(z, _)| z);
-        deps.dedup_by_key(|&mut (z, _)| z);
-        let lease = Lease::grant(
-            now,
-            ttl,
-            deps.first().map(|&(_, s)| s).unwrap_or(ZoneSerial::ZERO),
-        );
-        let key = (start, suffix.to_vec());
-        if self
-            .entries
-            .insert(
-                key.clone(),
-                LeasedEntry {
-                    entity,
-                    expires_at: lease.expires_at,
-                    recorded_at: now,
-                    zones: deps,
-                },
-            )
-            .is_none()
-        {
-            self.order.push_back(key);
-        }
+        let (how, e) = self.store.upsert(start, suffix);
+        e.entity = entity;
+        e.expires_at = Lease::grant(now, ttl, ZoneSerial::ZERO).expires_at;
+        e.zones.clear();
+        e.zones.extend(zones);
+        e.zones.sort_unstable();
+        e.zones.dedup();
+        e.stamps.clear();
+        e.stamps.extend(e.zones.iter().map(|&z| table.known(z)));
         self.stats.recorded += 1;
-        while self.entries.len() > self.capacity {
-            let Some(old) = self.order.pop_front() else {
-                break;
-            };
-            if self.entries.remove(&old).is_some() {
-                self.stats.evictions += 1;
-            }
-        }
+        self.stats.evictions += u64::from(how == Upsert::Inserted { evicted: true });
     }
 
     /// Probes `(start, suffix)` at `now`, validating with the two
@@ -311,68 +310,54 @@ impl LeasedCache {
         start: ObjectId,
         suffix: &[Name],
     ) -> LeaseProbe {
-        let key = (start, suffix.to_vec());
-        let Some(entry) = self.entries.get(&key) else {
+        let Some(slot) = self.store.find(start, suffix) else {
             self.stats.misses += 1;
             return LeaseProbe::Miss;
         };
-        if now >= entry.expires_at {
-            self.entries.remove(&key);
+        let entry = self.store.value(slot);
+        let verdict = if now >= entry.expires_at {
             self.stats.expired += 1;
-            self.stats.misses += 1;
-            return LeaseProbe::Expired;
-        }
-        if entry.zones.iter().any(|&(z, s)| table.known(z) != s) {
+            LeaseProbe::Expired
+        } else if entry.stamped().any(|(z, s)| table.known(z) != s) {
             // Any movement — forward or regressed — past the stamped
             // serial invalidates: the entry was justified under history
             // the zone no longer stands behind.
-            self.entries.remove(&key);
             self.stats.serial_dropped += 1;
-            self.stats.misses += 1;
-            return LeaseProbe::Stale;
-        }
-        self.stats.hits += 1;
-        LeaseProbe::Hit(entry.entity)
+            LeaseProbe::Stale
+        } else {
+            self.stats.hits += 1;
+            let hit = LeaseProbe::Hit(entry.entity);
+            self.store.touch(slot);
+            return hit;
+        };
+        self.store.remove(slot);
+        self.stats.misses += 1;
+        verdict
     }
 
     /// The shards the held entry for `(start, suffix)` depends on (empty
     /// when nothing is held). Lets a caller that jumped through a cached
     /// referral compose the jumped-over footprint into entries it records
     /// downstream — without ever consulting σ.
-    pub fn zone_deps(&self, start: ObjectId, suffix: &[Name]) -> Vec<usize> {
-        self.entries
-            .get(&(start, suffix.to_vec()))
-            .map(|e| e.zones.iter().map(|&(z, _)| z).collect())
-            .unwrap_or_default()
-    }
-
-    /// Age in ticks of the entry for `(start, suffix)`, if one is held
-    /// (valid or not): `now - recorded_at`. For staleness-window reports.
-    pub fn entry_age(&self, now: u64, start: ObjectId, suffix: &[Name]) -> Option<u64> {
-        self.entries
-            .get(&(start, suffix.to_vec()))
-            .map(|e| now.saturating_sub(e.recorded_at))
+    pub fn zone_deps(&self, start: ObjectId, suffix: &[Name]) -> &[usize] {
+        match self.store.find(start, suffix) {
+            Some(slot) => &self.store.value(slot).zones,
+            None => &[],
+        }
     }
 
     /// Removes one entry (no invalidation counted — caller's policy).
     pub fn remove(&mut self, start: ObjectId, suffix: &[Name]) -> bool {
-        self.entries.remove(&(start, suffix.to_vec())).is_some()
+        let found = self.store.find(start, suffix);
+        found.map(|slot| self.store.remove(slot)).is_some()
     }
 
     /// Drops every entry that depends on `shard` with a stamp other than
     /// `serial` — called when an anti-entropy pull observes movement.
     /// Returns how many entries were dropped.
     pub fn invalidate_zone(&mut self, shard: usize, serial: ZoneSerial) -> usize {
-        let doomed: Vec<(ObjectId, Vec<Name>)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.zones.iter().any(|&(z, s)| z == shard && s != serial))
-            .map(|(k, _)| k.clone())
-            .collect();
-        let n = doomed.len();
-        for k in doomed {
-            self.entries.remove(&k);
-        }
+        let moved = |e: &LeasedEntry| e.stamped().any(|(z, s)| z == shard && s != serial);
+        let n = self.store.retain(|e| !moved(e));
         self.stats.serial_dropped += n as u64;
         n
     }
@@ -381,24 +366,14 @@ impl LeasedCache {
     /// many were dropped. (Probes do this lazily; sweeping reclaims the
     /// space eagerly.)
     pub fn sweep_expired(&mut self, now: u64) -> usize {
-        let doomed: Vec<(ObjectId, Vec<Name>)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| now >= e.expires_at)
-            .map(|(k, _)| k.clone())
-            .collect();
-        let n = doomed.len();
-        for k in doomed {
-            self.entries.remove(&k);
-        }
+        let n = self.store.retain(|e| now < e.expires_at);
         self.stats.expired += n as u64;
         n
     }
 
     /// Drops everything (not counted as invalidations).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.store.clear();
     }
 }
 
@@ -775,6 +750,103 @@ mod tests {
             c.probe(1, &table, oid(1), &[Name::new("n3")]),
             LeaseProbe::Hit(Entity::Object(oid(3)))
         );
+    }
+
+    /// Records `(oid(1), [label])` under an infinite lease (or `ttl`).
+    fn put(c: &mut LeasedCache, table: &SerialTable, now: u64, ttl: Option<u64>, label: &str) {
+        let e = Entity::Object(oid(7));
+        c.record(now, ttl, oid(1), &[Name::new(label)], e, [0], table);
+    }
+
+    #[test]
+    fn re_recorded_entry_is_the_newest_not_the_next_victim() {
+        // The FIFO this store replaced kept the key of a lapsed entry in
+        // its eviction queue; re-recording the entry queued the key again,
+        // and at capacity the stale front copy evicted the live, newest
+        // entry in place of the oldest.
+        let table = SerialTable::new();
+        let mut c = LeasedCache::with_capacity(4);
+        put(&mut c, &table, 0, Some(10), "a");
+        assert_eq!(
+            c.probe(10, &table, oid(1), &[Name::new("a")]),
+            LeaseProbe::Expired
+        );
+        for label in ["b", "c", "d"] {
+            put(&mut c, &table, 11, None, label);
+        }
+        put(&mut c, &table, 12, None, "a");
+        assert_eq!((c.len(), c.stats().evictions), (4, 0));
+        // Capacity + 1: exactly one entry goes, and it is the oldest.
+        put(&mut c, &table, 13, None, "e");
+        assert_eq!((c.len(), c.stats().evictions), (4, 1));
+        let probe = |c: &mut LeasedCache, label| c.probe(14, &table, oid(1), &[Name::new(label)]);
+        assert_eq!(probe(&mut c, "b"), LeaseProbe::Miss);
+        for label in ["a", "c", "d", "e"] {
+            assert_eq!(
+                probe(&mut c, label),
+                LeaseProbe::Hit(Entity::Object(oid(7)))
+            );
+        }
+    }
+
+    #[test]
+    fn lapse_and_return_cycles_leave_nothing_behind() {
+        // 10⁵ record → expire cycles over 8 keys: the live set never passes
+        // 8, so neither may the slab (the FIFO's queue grew by a key per
+        // cycle, for good).
+        let table = SerialTable::new();
+        let mut c = LeasedCache::with_capacity(16);
+        let labels: Vec<String> = (0..8).map(|i| format!("k{i}")).collect();
+        for cycle in 0..100_000u64 {
+            let (label, now) = (&labels[(cycle % 8) as usize], cycle * 10);
+            put(&mut c, &table, now, Some(5), label);
+            if cycle % 3 == 0 {
+                assert_eq!(c.sweep_expired(now + 5), 1);
+            } else {
+                assert_eq!(
+                    c.probe(now + 5, &table, oid(1), &[Name::new(label)]),
+                    LeaseProbe::Expired
+                );
+            }
+            assert!(c.len() <= 16 && c.slots() <= 16);
+        }
+        assert_eq!((c.len(), c.slots(), c.stats().evictions), (0, 1, 0));
+        assert_eq!(c.stats().expired, 100_000);
+    }
+
+    #[test]
+    fn a_hit_refreshes_recency() {
+        let table = SerialTable::new();
+        let mut c = LeasedCache::with_capacity(2);
+        put(&mut c, &table, 0, None, "old");
+        put(&mut c, &table, 0, None, "new");
+        assert!(matches!(
+            c.probe(1, &table, oid(1), &[Name::new("old")]),
+            LeaseProbe::Hit(_)
+        ));
+        put(&mut c, &table, 2, None, "newer");
+        assert_eq!(
+            c.probe(3, &table, oid(1), &[Name::new("new")]),
+            LeaseProbe::Miss
+        );
+        assert!(matches!(
+            c.probe(3, &table, oid(1), &[Name::new("old")]),
+            LeaseProbe::Hit(_)
+        ));
+    }
+
+    #[test]
+    fn serial_table_ignores_shards_no_object_id_can_name() {
+        let mut t = SerialTable::new();
+        let serial = ZoneSerial::new(9);
+        assert_eq!(t.observe(MAX_SHARDS, serial), SerialObservation::Unchanged);
+        assert_eq!(t.observe(usize::MAX, serial), SerialObservation::Unchanged);
+        assert_eq!(t.known(usize::MAX), ZoneSerial::ZERO);
+        assert_eq!(
+            t.observe(MAX_SHARDS - 1, serial),
+            SerialObservation::Advanced
+        );
+        assert_eq!(t.snapshot(), vec![(MAX_SHARDS - 1, serial)]);
     }
 
     #[test]

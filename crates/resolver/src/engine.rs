@@ -168,6 +168,9 @@ pub struct ProtocolEngine {
     retry: Option<RetryPolicy>,
     /// Request ids whose deadline expired before an answer arrived. A
     /// reply bearing one of these ids is a *late* reply: counted, dropped.
+    /// Emptied whenever a driver finds no message in flight (see
+    /// `forget_unanswerable`), so ids whose late reply was itself lost do
+    /// not pile up.
     superseded: BTreeSet<u64>,
     counters: RetryCounters,
     /// Authority-side delta log: every write routed through
@@ -250,6 +253,25 @@ impl ProtocolEngine {
     /// reply bearing this id is late, not an answer.
     pub(crate) fn supersede(&mut self, id: u64) {
         self.superseded.insert(id);
+    }
+
+    /// Forgets every superseded attempt when no message is in flight (so
+    /// in particular whenever the event queue has run dry): no request is
+    /// still on its way to a server and no reply on its way back, so none
+    /// of them can be answered any more. Most attempts are superseded
+    /// because their request or reply was *lost*; their ids would otherwise
+    /// stay for good. Drivers call this right after polling the mailboxes
+    /// of the clients they serve, so no late reply waits there uncounted.
+    pub(crate) fn forget_unanswerable(&mut self, world: &World) {
+        if world.messages_in_flight() == 0 {
+            self.superseded.clear();
+        }
+    }
+
+    /// Superseded attempts a late reply could still arrive for.
+    #[cfg(test)]
+    pub(crate) fn superseded_pending(&self) -> usize {
+        self.superseded.len()
     }
 
     /// Counts a deadline-driven retransmission.
@@ -936,6 +958,7 @@ impl ProtocolEngine {
             n += 1;
             self.serve(world, ev);
         }
+        self.forget_unanswerable(world);
         n
     }
 
@@ -947,6 +970,7 @@ impl ProtocolEngine {
             return false;
         }
         let Some(ev) = world.step_event() else {
+            self.forget_unanswerable(world);
             return false;
         };
         *steps += 1;

@@ -18,6 +18,7 @@
 //! probes, O(1) LRU bounding, and epoch/generation validation.
 
 use naming_core::entity::{Entity, ObjectId};
+use naming_core::lease::ZoneSerial;
 use naming_core::memo::ResolutionMemo;
 use naming_core::name::{CompoundName, Name};
 use naming_core::resolve::Resolver;
@@ -252,7 +253,7 @@ impl ReferralCache {
         service: &NameService,
         start: ObjectId,
         comps: &[Name],
-    ) -> Option<(usize, ObjectId, MachineId, Vec<usize>)> {
+    ) -> Option<(usize, ObjectId, MachineId, &[usize])> {
         debug_assert!(
             self.mode.is_lease(),
             "lookup_deepest_leased validates leases; exact mode must use lookup_deepest"
@@ -292,7 +293,7 @@ impl ReferralCache {
 
     /// Drops every leased entry depending on `shard` with a stamp other
     /// than `serial` (anti-entropy observed movement). Returns how many.
-    pub fn observe_zone(&mut self, shard: usize, serial: naming_core::lease::ZoneSerial) -> usize {
+    pub fn observe_zone(&mut self, shard: usize, serial: ZoneSerial) -> usize {
         let n = self.leased.invalidate_zone(shard, serial);
         self.stats.invalidated += n as u64;
         #[cfg(feature = "telemetry")]
@@ -574,7 +575,7 @@ impl NegativeCache {
     /// Drops every leased verdict depending on `shard` with a stamp
     /// other than `serial` (anti-entropy observed movement). Returns how
     /// many.
-    pub fn observe_zone(&mut self, shard: usize, serial: naming_core::lease::ZoneSerial) -> usize {
+    pub fn observe_zone(&mut self, shard: usize, serial: ZoneSerial) -> usize {
         let n = self.leased.invalidate_zone(shard, serial);
         self.stats.invalidated += n as u64;
         n

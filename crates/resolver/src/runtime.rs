@@ -334,6 +334,9 @@ impl PipelinedService {
             self.admit(world);
             self.dispatch(world, &touched);
             touched.clear();
+            // Every client's mail so far has been routed: a late reply
+            // can now only come from a message still travelling.
+            self.engine.forget_unanswerable(world);
             if self.inflight.is_empty() && self.backlog.is_empty() {
                 return;
             }
@@ -718,7 +721,7 @@ impl Continuation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RetryPolicy;
+    use crate::engine::{RetryCounters, RetryPolicy};
     use crate::service::NameService;
     use naming_sim::store;
 
@@ -872,6 +875,45 @@ mod tests {
             assert_eq!(a.unreachable, vec![false, false]);
         }
         assert!(svc.engine().retry_counters().retransmissions > 0);
+    }
+
+    /// Superseded attempts are forgotten once nothing is in flight: ids
+    /// whose request or late reply was lost used to stay in the engine for
+    /// good. Forgetting must not change what is counted — the totals are
+    /// the ones this seed produced before the set was ever emptied.
+    #[test]
+    fn superseded_ids_do_not_outlive_the_messages_that_could_answer_them() {
+        let (mut w, svc, machines, root, leaf) = chain_world(71);
+        w.set_message_drop_rate(0.3);
+        let client = w.spawn(machines[0], "client", None);
+        let mut engine = ProtocolEngine::new(svc);
+        // Deadlines below the chain's round trip: many fire early (late
+        // replies, some of them lost), the rest because a message was lost.
+        engine.set_retry_policy(Some(RetryPolicy {
+            base_timeout_ticks: 12,
+            max_attempts: 64,
+            backoff_cap: 6,
+        }));
+        let mut svc = PipelinedService::new(engine, 2);
+        for _wave in 0..8 {
+            for _ in 0..4 {
+                svc.submit(&mut w, client, root, &names(&["/hop1/hop2/leaf", "/hop1"]));
+            }
+            for a in svc.drain(&mut w) {
+                assert_eq!(a.entities[0], leaf);
+                assert_eq!(a.unreachable, vec![false, false]);
+            }
+        }
+        // Let the stragglers land, then nothing is left to wait for.
+        svc.engine_mut().pump_idle(&mut w);
+        assert_eq!(w.messages_in_flight(), 0);
+        assert_eq!(svc.engine().superseded_pending(), 0);
+        let counted = RetryCounters {
+            retransmissions: 178,
+            late_replies: 35,
+            ..RetryCounters::default()
+        };
+        assert_eq!(svc.engine().retry_counters(), counted);
     }
 
     /// Total loss: every slot gets a transport verdict (unreachable),

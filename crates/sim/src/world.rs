@@ -141,6 +141,8 @@ pub struct World {
     /// to a world that never scheduled them.
     live_timers: FxHashMap<u64, u64>,
     next_arming: u64,
+    /// Messages scheduled for delivery and not yet delivered.
+    in_flight: usize,
 }
 
 impl World {
@@ -174,6 +176,7 @@ impl World {
             faults: FaultPlan::default(),
             live_timers: FxHashMap::default(),
             next_arming: 0,
+            in_flight: 0,
         }
     }
 
@@ -668,8 +671,17 @@ impl World {
             return;
         }
         let latency = self.topology.latency(fm, tm);
+        self.in_flight += 1;
         self.queue
             .schedule(self.clock + latency, SimEvent::Deliver(msg));
+    }
+
+    /// Messages sent and still travelling: not lost, not yet delivered to
+    /// (or dropped at) their destination. While this is zero nothing can
+    /// reach any mailbox until somebody sends again — timers only wake
+    /// their owners.
+    pub fn messages_in_flight(&self) -> usize {
+        self.in_flight
     }
 
     /// Schedules a deadline timer: after `after` elapses, `token` becomes
@@ -729,6 +741,7 @@ impl World {
             match self.queue.pop()? {
                 (time, SimEvent::Deliver(msg)) => {
                     self.clock = time;
+                    self.in_flight -= 1;
                     let (from, to) = (msg.from, msg.to);
                     #[cfg(feature = "telemetry")]
                     if naming_telemetry::recorder::is_active() {
@@ -1050,6 +1063,30 @@ mod tests {
         w.run();
         assert_eq!(w.mailbox_len(b), 5);
         assert!(!w.step());
+    }
+
+    #[test]
+    fn messages_in_flight_counts_what_can_still_be_delivered() {
+        let (mut w, m1, m2) = two_machine_world();
+        let a = w.spawn(m1, "x", None);
+        let b = w.spawn(m2, "y", None);
+        w.send(a, b, vec![]);
+        w.send(b, a, vec![]);
+        // A pending timer is not a message.
+        w.schedule_wake(a, crate::time::Duration::from_ticks(1_000), 1);
+        assert_eq!(w.messages_in_flight(), 2);
+        // Neither is one the link or the fault plan ate.
+        w.set_message_drop_rate(1.0);
+        w.send(a, b, vec![]);
+        w.set_message_drop_rate(0.0);
+        w.set_link_up(m1, m2, false);
+        w.send(a, b, vec![]);
+        assert_eq!(w.messages_in_flight(), 2);
+        // Delivery to a dead process still ends the journey.
+        w.kill(b);
+        assert!(w.step() && w.step());
+        assert_eq!((w.messages_in_flight(), w.pending_timers()), (0, 1));
+        assert_eq!((w.mailbox_len(a), w.mailbox_len(b)), (1, 0));
     }
 
     #[test]
