@@ -6,6 +6,7 @@
 //! the server logic, pumping the event queue and handling each delivered
 //! frame. All scheduling remains deterministic.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
@@ -18,10 +19,11 @@ use naming_sim::topology::MachineId;
 use naming_sim::world::{Stepped, World};
 
 use crate::coherence::ZoneJournal;
+use crate::continuation::{Continuation, Dense, Route};
 use crate::service::NameService;
 use crate::wire::{
-    BatchReply, BatchRequest, Frame, Mode, NameTrie, Outcome, Reply, Request, ShardDelta,
-    ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
+    BatchReply, BatchRequest, Frame, Mode, Outcome, Reply, Request, ShardDelta, ZoneChange,
+    ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
 };
 
 /// What a completed resolution cost.
@@ -122,7 +124,7 @@ pub struct ReferralHop {
 }
 
 /// What a completed *batch* resolution cost.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchResolveStats {
     /// One entity per input name, in input order (possibly `⊥`).
     pub entities: Vec<Entity>,
@@ -155,14 +157,22 @@ struct ServerState {
     pending: BTreeMap<u64, (ActivityId, u32)>,
 }
 
+/// Safety bound on the events a driver pumps per in-flight batch.
+pub(crate) const MAX_STEPS_PER_BATCH: usize = 100_000;
+
+/// The key the blocking driver files its one continuation under. No
+/// pipelined submission ticket reaches it.
+const BLOCKING: u64 = u64::MAX;
+
 /// Drives the resolution protocol over a [`World`].
 #[derive(Debug)]
 pub struct ProtocolEngine {
     service: NameService,
     server_state: BTreeMap<ActivityId, ServerState>,
     next_id: u64,
-    /// Safety bound on pump iterations per resolve.
-    max_steps: usize,
+    /// Request id → the exchange awaiting its reply, for every driver on
+    /// this engine. An id leaves when answered, superseded or given up.
+    pub(crate) routes: Dense<Route>,
     /// Deadline/retransmission schedule; `None` (the default) keeps the
     /// fire-and-wait behavior where a lost message ends the walk.
     retry: Option<RetryPolicy>,
@@ -190,7 +200,7 @@ impl ProtocolEngine {
             service,
             server_state: BTreeMap::new(),
             next_id: 1,
-            max_steps: 100_000,
+            routes: Dense::new(),
             retry: None,
             superseded: BTreeSet::new(),
             counters: RetryCounters::default(),
@@ -333,6 +343,9 @@ impl ProtocolEngine {
     /// the walk followed — what a client-side referral cache records.
     /// Referrals are only observed by the client in iterative mode; a
     /// recursive resolve returns an empty hop list.
+    ///
+    /// An iterative resolve is a batch of one: same frames, same
+    /// exchanges as [`ProtocolEngine::resolve_batch`].
     pub fn resolve_traced(
         &mut self,
         world: &mut World,
@@ -341,7 +354,20 @@ impl ProtocolEngine {
         name: &CompoundName,
         mode: Mode,
     ) -> (ResolveStats, Vec<ReferralHop>) {
-        let (stats, hops) = self.resolve_impl(world, client, start, name, mode);
+        let batch = self.run_to_completion(world, client, start, std::slice::from_ref(name), mode);
+        let stats = ResolveStats {
+            entity: batch.entities[0],
+            messages: batch.messages,
+            servers_touched: batch.servers_touched,
+            latency: batch.latency,
+            unreachable: batch.unreachable[0],
+        };
+        let hop = |(prefix, machine, ctx): (CompoundName, _, _)| ReferralHop {
+            consumed: prefix.len(),
+            machine,
+            ctx,
+        };
+        let hops = batch.referrals.into_iter().map(hop).collect();
         #[cfg(feature = "telemetry")]
         {
             naming_telemetry::counter!("protocol.resolves").bump();
@@ -368,206 +394,11 @@ impl ProtocolEngine {
         (stats, hops)
     }
 
-    /// The protocol walk itself, free of observation hooks.
-    fn resolve_impl(
-        &mut self,
-        world: &mut World,
-        client: ActivityId,
-        start: ObjectId,
-        name: &CompoundName,
-        mode: Mode,
-    ) -> (ResolveStats, Vec<ReferralHop>) {
-        let t0 = world.now();
-        let sent0 = world.trace().counter("sent");
-        let mut servers_touched = 0u32;
-        let mut hops = Vec::new();
-        let mut target_machine = match self.service.machine_of_object(start) {
-            Some(m) => m,
-            None => {
-                // Nobody can even be addressed: a transport verdict, not ⊥.
-                return (
-                    ResolveStats {
-                        entity: Entity::Undefined,
-                        messages: 0,
-                        servers_touched: 0,
-                        latency: Duration::ZERO,
-                        unreachable: true,
-                    },
-                    hops,
-                );
-            }
-        };
-        let mut current_start = start;
-        let mut current_name = name.clone();
-        self.drain_servers(world);
-
-        loop {
-            // Failover order for this hop: the addressed authority first,
-            // then every other replica of the context's group. Only
-            // consulted once a deadline expires, so a lossless walk never
-            // deviates from the primary route.
-            let mut candidates: Vec<(MachineId, ObjectId)> = vec![(target_machine, current_start)];
-            if self.retry.is_some() {
-                for (m, ctx) in self.service.failover_targets(current_start) {
-                    if !candidates.iter().any(|&(cm, _)| cm == m) {
-                        candidates.push((m, ctx));
-                    }
-                }
-            }
-
-            let mut attempt = 0u32;
-            let (outcome, touched) = 'hop: loop {
-                let (machine, req_start) = candidates[attempt as usize % candidates.len()];
-                if attempt > 0 && machine != candidates[0].0 {
-                    self.note_failover();
-                }
-                let id = self.alloc_id();
-                let server = self.service.server_on(machine);
-                // With the `batch-wire` feature, iterative single resolves
-                // ride the batch frames as a batch of one — same exchanges,
-                // same answers, one wire format. Recursive mode keeps the
-                // scalar frames (servers forward those on the client's
-                // behalf).
-                #[cfg(feature = "batch-wire")]
-                let frame = if mode == Mode::Iterative {
-                    let (trie, _) = NameTrie::build(std::slice::from_ref(&current_name));
-                    BatchRequest {
-                        id,
-                        start: req_start,
-                        trie,
-                    }
-                    .encode()
-                } else {
-                    Request {
-                        id,
-                        start: req_start,
-                        name: current_name.clone(),
-                        mode,
-                    }
-                    .encode()
-                };
-                #[cfg(not(feature = "batch-wire"))]
-                let frame = Request {
-                    id,
-                    start: req_start,
-                    name: current_name.clone(),
-                    mode,
-                }
-                .encode();
-                world.send(client, server, vec![Payload::Bytes(frame)]);
-                if let Some(pol) = self.retry {
-                    let after = Duration::from_ticks(pol.timeout_ticks(id, attempt));
-                    world.schedule_wake(client, after, id);
-                }
-
-                // Pump until the client hears back about this id, or its
-                // deadline fires.
-                let mut steps = 0usize;
-                loop {
-                    if let Some(r) = self.take_client_answer(world, client, id) {
-                        world.cancel_wake(id);
-                        #[cfg(feature = "telemetry")]
-                        if self.retry.is_some() {
-                            naming_telemetry::histogram!("retry.attempts")
-                                .record(u64::from(attempt) + 1);
-                        }
-                        break 'hop r;
-                    }
-                    if let Some(pol) = self.retry {
-                        let mut fired = false;
-                        while let Some(token) = world.take_wake(client) {
-                            fired |= token == id;
-                        }
-                        if fired {
-                            // Deadline expired: the outstanding attempt is
-                            // superseded — its reply, if it ever lands, is a
-                            // late reply, not an answer.
-                            self.supersede(id);
-                            attempt += 1;
-                            if attempt >= pol.max_attempts {
-                                self.note_exhausted();
-                                break 'hop (Outcome::Unreachable { attempts: attempt }, 0);
-                            }
-                            self.note_retransmission();
-                            continue 'hop;
-                        }
-                    }
-                    if !self.pump_one(world, &mut steps) {
-                        // Dead protocol (e.g. all messages lost, no
-                        // deadline scheduled to force a retry).
-                        break 'hop (
-                            Outcome::Unreachable {
-                                attempts: attempt + 1,
-                            },
-                            0,
-                        );
-                    }
-                }
-            };
-
-            servers_touched += touched;
-            match outcome {
-                Outcome::Resolved(e) => {
-                    break (
-                        ResolveStats {
-                            entity: e,
-                            messages: world.trace().counter("sent") - sent0,
-                            servers_touched,
-                            latency: world.now() - t0,
-                            unreachable: false,
-                        },
-                        hops,
-                    );
-                }
-                Outcome::Referral {
-                    next_machine,
-                    next_ctx,
-                    remaining,
-                } => {
-                    // Iterative mode: the client chases the referral.
-                    hops.push(ReferralHop {
-                        consumed: name.len().saturating_sub(remaining.len()),
-                        machine: next_machine,
-                        ctx: next_ctx,
-                    });
-                    target_machine = next_machine;
-                    current_start = next_ctx;
-                    current_name = remaining;
-                }
-                Outcome::NotFound | Outcome::WrongServer => {
-                    break (
-                        ResolveStats {
-                            entity: Entity::Undefined,
-                            messages: world.trace().counter("sent") - sent0,
-                            servers_touched,
-                            latency: world.now() - t0,
-                            unreachable: false,
-                        },
-                        hops,
-                    );
-                }
-                Outcome::Unreachable { .. } => {
-                    break (
-                        ResolveStats {
-                            entity: Entity::Undefined,
-                            messages: world.trace().counter("sent") - sent0,
-                            servers_touched,
-                            latency: world.now() - t0,
-                            unreachable: true,
-                        },
-                        hops,
-                    );
-                }
-            }
-        }
-    }
-
     /// Resolves many names from one start context in coalesced, batched
     /// wire exchanges: per protocol round, all names still in flight that
     /// continue from the same context object share a single
     /// [`BatchRequest`] (shared-prefix compressed), and duplicate
-    /// `(context, suffix)` pairs ride one exchange. Answers match
-    /// [`ProtocolEngine::resolve`] in iterative mode, name by name.
+    /// `(context, suffix)` pairs ride one exchange.
     pub fn resolve_batch(
         &mut self,
         world: &mut World,
@@ -575,7 +406,7 @@ impl ProtocolEngine {
         start: ObjectId,
         names: &[CompoundName],
     ) -> BatchResolveStats {
-        let stats = self.resolve_batch_impl(world, client, start, names);
+        let stats = self.run_to_completion(world, client, start, names, Mode::Iterative);
         #[cfg(feature = "telemetry")]
         {
             naming_telemetry::counter!("protocol.batch_resolves").bump();
@@ -587,258 +418,76 @@ impl ProtocolEngine {
         stats
     }
 
-    fn resolve_batch_impl(
+    /// The blocking driver: one [`Continuation`], run to completion on
+    /// `client`'s mailbox. `messages` and `latency` are what went over the
+    /// wire and how much virtual time passed meanwhile — everything on
+    /// the timeline, not only this batch's own traffic.
+    fn run_to_completion(
         &mut self,
         world: &mut World,
         client: ActivityId,
         start: ObjectId,
         names: &[CompoundName],
+        mode: Mode,
     ) -> BatchResolveStats {
         let t0 = world.now();
         let sent0 = world.trace().counter("sent");
-        let mut entities = vec![Entity::Undefined; names.len()];
-        let mut unreachable = vec![false; names.len()];
-        let mut referrals = Vec::new();
-        let mut servers_touched = 0u32;
-        let mut hops_saved = 0u64;
-        let mut coalesced = 0u64;
-        let mut rounds = 0u32;
-
-        // In-flight work, grouped two levels deep: context to continue
-        // from → remaining suffix → the input slots riding that suffix
-        // (slot index, components of the slot's original name already
-        // consumed). The suffix level is what single-flight coalescing
-        // collapses; the context level is what shares a wire exchange.
-        type Slots = Vec<(usize, usize)>;
-        let mut pending: BTreeMap<ObjectId, BTreeMap<CompoundName, Slots>> = BTreeMap::new();
-        for (i, n) in names.iter().enumerate() {
-            pending
-                .entry(start)
-                .or_default()
-                .entry(n.clone())
-                .or_default()
-                .push((i, 0));
-        }
-        // Every referral consumes at least one component, so the round
-        // count is bounded by the deepest name (+1 slack for the final
-        // answer round).
-        let max_rounds = names.iter().map(|n| n.len() as u32).max().unwrap_or(0) + 1;
+        let mut cont = Continuation::new(BLOCKING, client, start, Cow::Borrowed(names), mode);
         self.drain_servers(world);
-
-        while !pending.is_empty() && rounds < max_rounds {
-            rounds += 1;
-            let round = std::mem::take(&mut pending);
-            // One BatchRequest per continue-from context; all requests of
-            // the round go out before any reply is awaited.
-            struct Awaiting {
-                entries: Vec<(CompoundName, Vec<(usize, usize)>)>,
-                mapping: Vec<u32>,
-                /// Failover order: addressed authority first, then the
-                /// other replicas of the context's group.
-                candidates: Vec<(MachineId, ObjectId)>,
-                /// Send attempts made so far (0-based next index into the
-                /// candidate rotation).
-                attempt: u32,
-            }
-            let mut awaiting: BTreeMap<u64, Awaiting> = BTreeMap::new();
-            for (ctx, group) in round {
-                let Some(machine) = self.service.machine_of_object(ctx) else {
-                    // Nobody can be addressed: a transport verdict, not ⊥.
-                    for (_, slots) in group {
-                        for (slot, _) in slots {
-                            unreachable[slot] = true;
-                        }
+        let mut steps = 0usize;
+        while !cont.advance(self, world) {
+            while cont.suspended() {
+                self.poll_client(world, client, |engine, world, (owner, k), reply| {
+                    if owner == BLOCKING {
+                        cont.heard(engine, world, k, reply);
                     }
-                    continue;
-                };
-                let entries: Vec<(CompoundName, Slots)> = group.into_iter().collect();
-                for (_, slots) in &entries {
-                    coalesced += slots.len() as u64 - 1;
-                }
-                let group_names: Vec<CompoundName> =
-                    entries.iter().map(|(n, _)| n.clone()).collect();
-                let (trie, mapping) = NameTrie::build(&group_names);
-                let mut candidates: Vec<(MachineId, ObjectId)> = vec![(machine, ctx)];
-                if self.retry.is_some() {
-                    for (m, fctx) in self.service.failover_targets(ctx) {
-                        if !candidates.iter().any(|&(cm, _)| cm == m) {
-                            candidates.push((m, fctx));
-                        }
-                    }
-                }
-                let id = self.alloc_id();
-                let req = BatchRequest {
-                    id,
-                    start: ctx,
-                    trie,
-                };
-                let server = self.service.server_on(machine);
-                world.send(client, server, vec![Payload::Bytes(req.encode())]);
-                if let Some(pol) = self.retry {
-                    let after = Duration::from_ticks(pol.timeout_ticks(id, 0));
-                    world.schedule_wake(client, after, id);
-                }
-                awaiting.insert(
-                    id,
-                    Awaiting {
-                        entries,
-                        mapping,
-                        candidates,
-                        attempt: 0,
-                    },
-                );
-            }
-
-            // Pump until every request of the round is answered (or the
-            // protocol is dead). Retransmissions happen *inside* this
-            // pump: they repeat a round's exchange and must not consume a
-            // referral-progress round, or deep names would time out
-            // spuriously under loss (`rounds` is bounded by name depth).
-            let mut got: BTreeMap<u64, BatchReply> = BTreeMap::new();
-            let mut steps = 0usize;
-            loop {
-                while let Some(msg) = world.receive(client) {
-                    for part in msg.parts {
-                        let Payload::Bytes(b) = part else { continue };
-                        if let Some(rep) = BatchReply::decode(b) {
-                            if awaiting.contains_key(&rep.id) {
-                                world.cancel_wake(rep.id);
-                                got.insert(rep.id, rep);
-                            } else {
-                                self.note_stale_reply(rep.id);
-                            }
-                        }
-                    }
-                }
-                if got.len() == awaiting.len() {
-                    break;
-                }
-                if let Some(pol) = self.retry {
-                    let mut fired = Vec::new();
-                    while let Some(token) = world.take_wake(client) {
-                        fired.push(token);
-                    }
-                    for token in fired {
-                        if got.contains_key(&token) {
-                            continue; // answered on the same step it expired
-                        }
-                        let Some(mut aw) = awaiting.remove(&token) else {
-                            continue;
-                        };
-                        self.supersede(token);
-                        aw.attempt += 1;
-                        if aw.attempt >= pol.max_attempts {
-                            self.note_exhausted();
-                            for (_, slots) in &aw.entries {
-                                for &(slot, _) in slots {
-                                    unreachable[slot] = true;
-                                }
-                            }
-                            continue; // give the request up; round completes without it
-                        }
-                        self.note_retransmission();
-                        let (machine, ctx) =
-                            aw.candidates[aw.attempt as usize % aw.candidates.len()];
-                        if machine != aw.candidates[0].0 {
-                            self.note_failover();
-                        }
-                        let group_names: Vec<CompoundName> =
-                            aw.entries.iter().map(|(n, _)| n.clone()).collect();
-                        let (trie, mapping) = NameTrie::build(&group_names);
-                        aw.mapping = mapping;
-                        let id = self.alloc_id();
-                        let req = BatchRequest {
-                            id,
-                            start: ctx,
-                            trie,
-                        };
-                        let server = self.service.server_on(machine);
-                        world.send(client, server, vec![Payload::Bytes(req.encode())]);
-                        let after = Duration::from_ticks(pol.timeout_ticks(id, aw.attempt));
-                        world.schedule_wake(client, after, id);
-                        awaiting.insert(id, aw);
-                    }
-                    if got.len() == awaiting.len() {
-                        break; // every surviving request answered
-                    }
-                }
-                if !self.pump_one(world, &mut steps) {
-                    // Dead protocol: unanswered slots are unreachable, not ⊥.
-                    for (id, aw) in &awaiting {
-                        if !got.contains_key(id) {
-                            for (_, slots) in &aw.entries {
-                                for &(slot, _) in slots {
-                                    unreachable[slot] = true;
-                                }
-                            }
-                        }
-                    }
-                    break;
-                }
-            }
-
-            for (id, aw) in awaiting {
-                let Awaiting {
-                    entries, mapping, ..
-                } = aw;
-                let Some(rep) = got.remove(&id) else { continue };
-                servers_touched += rep.servers_touched;
-                hops_saved += u64::from(rep.lookups_saved);
-                for (k, (sent_name, slots)) in entries.into_iter().enumerate() {
-                    let outcome = mapping.get(k).and_then(|&q| rep.outcomes.get(q as usize));
-                    match outcome {
-                        Some(Outcome::Resolved(e)) => {
-                            for (slot, _) in slots {
-                                entities[slot] = *e;
-                            }
-                        }
-                        Some(Outcome::Referral {
-                            next_machine,
-                            next_ctx,
-                            remaining,
-                        }) => {
-                            let step = sent_name.len().saturating_sub(remaining.len());
-                            let next = pending.entry(*next_ctx).or_default();
-                            let riders = next.entry(remaining.clone()).or_default();
-                            for (slot, consumed) in slots {
-                                let consumed = (consumed + step).min(names[slot].len());
-                                if consumed > 0 {
-                                    if let Ok(prefix) = CompoundName::new(
-                                        names[slot].components()[..consumed].iter().copied(),
-                                    ) {
-                                        referrals.push((prefix, *next_machine, *next_ctx));
-                                    }
-                                }
-                                riders.push((slot, consumed));
-                            }
-                        }
-                        Some(Outcome::Unreachable { .. }) => {
-                            // The server could not hand resolution onward
-                            // (e.g. the next authority is unplaced): a
-                            // transport verdict for these slots.
-                            for (slot, _) in slots {
-                                unreachable[slot] = true;
-                            }
-                        }
-                        // NotFound / WrongServer / malformed reply: ⊥.
-                        _ => {}
-                    }
+                });
+                if cont.suspended() && !self.pump_one(world, &mut steps) {
+                    cont.fail_unanswered(self);
                 }
             }
         }
-
-        referrals.sort();
-        referrals.dedup();
         BatchResolveStats {
-            entities,
             messages: world.trace().counter("sent") - sent0,
             latency: world.now() - t0,
-            rounds,
-            servers_touched,
-            coalesced,
-            hops_saved,
-            referrals,
-            unreachable,
+            ..cont.stats
+        }
+    }
+
+    /// Hands `deliver` what `client` has heard since it was last polled,
+    /// each with the route to the exchange it is about: first the replies
+    /// waiting in its mailbox, then (`None`) the deadlines that fired. A
+    /// reply nothing awaits is late (counted) or stray; a deadline nothing
+    /// awaits was answered on the step it expired, or already superseded.
+    pub(crate) fn poll_client(
+        &mut self,
+        world: &mut World,
+        client: ActivityId,
+        mut deliver: impl FnMut(&mut ProtocolEngine, &mut World, Route, Option<BatchReply>),
+    ) {
+        while let Some(msg) = world.receive(client) {
+            for part in msg.parts {
+                let Payload::Bytes(bytes) = part else {
+                    continue;
+                };
+                let reply = match Frame::decode(bytes) {
+                    Some(Frame::BatchReply(r)) => r,
+                    Some(Frame::Reply(r)) => r.into(),
+                    _ => continue,
+                };
+                match self.routes.get_mut(reply.id) {
+                    Some(&mut route) => deliver(self, world, route, Some(reply)),
+                    None => self.note_stale_reply(reply.id),
+                }
+            }
+        }
+        if self.retry.is_none() {
+            return;
+        }
+        while let Some(token) = world.take_wake(client) {
+            if let Some(&mut route) = self.routes.get_mut(token) {
+                deliver(self, world, route, None);
+            }
         }
     }
 
@@ -966,7 +615,7 @@ impl ProtocolEngine {
     /// reached handle its mail. False when the budget is spent or the
     /// event queue is dry.
     fn pump_one(&mut self, world: &mut World, steps: &mut usize) -> bool {
-        if *steps >= self.max_steps {
+        if *steps >= MAX_STEPS_PER_BATCH {
             return false;
         }
         let Some(ev) = world.step_event() else {
@@ -976,46 +625,6 @@ impl ProtocolEngine {
         *steps += 1;
         self.serve(world, ev);
         true
-    }
-
-    /// Pops the client's answer for `id`, if one is waiting — a scalar
-    /// [`Reply`] or a batch-of-one [`BatchReply`], whichever frame the
-    /// server answered with.
-    fn take_client_answer(
-        &mut self,
-        world: &mut World,
-        client: ActivityId,
-        id: u64,
-    ) -> Option<(Outcome, u32)> {
-        // Handle every waiting message; replies for other ids are either
-        // late answers to superseded attempts (counted) or stray frames
-        // (dropped — single-outstanding-request client).
-        while let Some(msg) = world.receive(client) {
-            for part in msg.parts {
-                let Payload::Bytes(b) = part else { continue };
-                let (rid, outcome, touched) = match Frame::decode(b) {
-                    Some(Frame::Reply(r)) => (r.id, r.outcome, r.servers_touched),
-                    // An empty outcome list means the transport delivered
-                    // a frame carrying no verdict. That says nothing about
-                    // the binding, so it must never surface as ⊥
-                    // (`NotFound`).
-                    Some(Frame::BatchReply(r)) => (
-                        r.id,
-                        r.outcomes
-                            .into_iter()
-                            .next()
-                            .unwrap_or(Outcome::Unreachable { attempts: 1 }),
-                        r.servers_touched,
-                    ),
-                    _ => continue,
-                };
-                if rid == id {
-                    return Some((outcome, touched));
-                }
-                self.note_stale_reply(rid);
-            }
-        }
-        None
     }
 
     /// Records a reply that arrived after its attempt was superseded by a
@@ -1513,23 +1122,25 @@ mod tests {
 
     #[test]
     fn empty_batch_reply_is_unreachable_not_bottom() {
-        // The regression at the heart of this PR: a BatchReply frame with
-        // an empty outcome list used to surface as NotFound (⊥).
+        // A BatchReply frame with an empty outcome list carries no
+        // verdict; it used to surface as NotFound (⊥).
         let (mut w, svc, machines, root, _) = chain_world();
         let client = w.spawn(machines[0], "client", None);
         let server = svc.server_on(machines[0]);
         let mut engine = ProtocolEngine::new(svc);
         let empty = BatchReply {
-            id: 1,
+            id: engine.next_id,
             outcomes: Vec::new(),
             servers_touched: 1,
             lookups_saved: 0,
         };
+        // On its way before the request it answers is sent, so it lands
+        // ahead of the server's real answer.
         w.send(server, client, vec![Payload::Bytes(empty.encode())]);
-        w.run();
-        let got = engine.take_client_answer(&mut w, client, 1);
-        assert_eq!(got, Some((Outcome::Unreachable { attempts: 1 }, 1)));
-        let _ = root;
+        let name = CompoundName::parse_path("/hop1").unwrap();
+        let stats = engine.resolve(&mut w, client, root, &name, Mode::Iterative);
+        assert_eq!(stats.entity, Entity::Undefined);
+        assert!(stats.unreachable, "no verdict is not ⊥");
     }
 
     #[test]
@@ -1572,6 +1183,24 @@ mod tests {
             engine.retry_counters().retransmissions > 0,
             "p=0.3 over many exchanges must have lost something"
         );
+    }
+
+    /// `retry.attempts` hears about every answered exchange of a batch —
+    /// it used to be fed by single resolves only.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn batch_exchanges_record_their_attempts() {
+        let attempts = naming_telemetry::metrics::global().histogram("retry.attempts");
+        let (mut w, svc, machines, root, leaf) = chain_world();
+        let client = w.spawn(machines[0], "client", None);
+        let mut engine = ProtocolEngine::new(svc);
+        engine.set_retry_policy(Some(RetryPolicy::default()));
+        let before = attempts.count();
+        let name = CompoundName::parse_path("/hop1/hop2/leaf").unwrap();
+        let batch = engine.resolve_batch(&mut w, client, root, &[name]);
+        assert_eq!(batch.entities, vec![leaf]);
+        // Other tests share the registry: at least this batch's exchanges.
+        assert!(attempts.count() >= before + u64::from(batch.rounds));
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod cache;
 pub mod coherence;
 #[cfg(feature = "parallel")]
 pub mod concurrent;
+pub(crate) mod continuation;
 pub mod engine;
 pub mod observatory;
 pub mod referral;

@@ -1,96 +1,59 @@
 //! The event-driven pipelined service runtime: a reactor that multiplexes
-//! many in-flight batch resolutions as explicit state-machine
-//! continuations.
+//! many in-flight batch resolutions on one simulated timeline.
 //!
-//! [`ProtocolEngine::resolve_batch`] drives one batch at a time: its
-//! round loop blocks (in virtual time) until every request of the round
-//! is answered, so a batch stalled on a deep referral chain or a retry
-//! backoff holds up everything queued behind it — head-of-line blocking,
-//! one blocked "thread" per batch. The round structure it already has,
-//! though, is exactly a suspended coroutine: what the blocking loop keeps
-//! on its stack (pending referral work, outstanding request ids, retry
-//! deadlines, accumulated answers) is a [`Continuation`] here, and the
-//! [`PipelinedService`] reactor advances *every* admitted continuation as
-//! its replies and deadline wakes arrive, interleaved on the same
-//! simulated timeline.
+//! [`ProtocolEngine::resolve_batch`] drives one continuation (the
+//! crate's `continuation` module: the client side of the protocol) at a
+//! time: it pumps the event queue until that batch is done, so a batch
+//! stalled on a deep referral chain or a retry backoff holds up
+//! everything queued behind it — head-of-line blocking, one blocked
+//! "thread" per batch. The [`PipelinedService`] reactor drives many at
+//! once: it admits them, hands each reply and deadline wake to the one
+//! that awaits it, and advances every continuation whose round completed,
+//! interleaved on the same timeline. Rounds, retries and verdicts are the
+//! continuation's; nothing of the protocol is repeated here.
 //!
 //! # Determinism
 //!
-//! Workers are *logical*: a continuation is assigned `seq % workers`
-//! purely for metric attribution, and admission, sends, and completions
-//! happen in submission order regardless of the worker count. Wake-ups
-//! ride the existing [`World::schedule_wake`] axis. A run is therefore
+//! Workers are *logical*: a batch is assigned `seq % workers` purely for
+//! metric attribution, and admission, sends, and completions happen in
+//! submission order regardless of the worker count. Wake-ups ride the
+//! existing [`World::schedule_wake`] axis. A run is therefore
 //! byte-identical at any worker count — the CI leg diffs the bench output
-//! across counts — and, for a single submitted batch, the reactor
-//! reproduces the blocking driver's answers exactly (the equivalence
-//! suite pins this over every workload, including chaos sweeps).
+//! across counts — and interleaving changes nothing a batch can observe
+//! but its timing (the equivalence suite pins this over every workload,
+//! including chaos sweeps).
 //!
 //! # Admission and backpressure
 //!
-//! At most `workers × per_worker_limit` continuations are in flight;
+//! At most `workers × per_worker_limit` batches are in flight;
 //! submissions beyond the limit queue in FIFO order and are admitted as
 //! completions free slots, at the virtual instant of the completion.
 //! Queue wait (admission minus submission tick) is reported per batch.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::CompoundName;
-use naming_sim::message::Payload;
 use naming_sim::time::{Duration, VirtualTime};
 use naming_sim::topology::MachineId;
 use naming_sim::world::{Stepped, World};
 
-use crate::engine::ProtocolEngine;
-use crate::wire::{BatchReply, BatchRequest, NameTrie, Outcome};
+use crate::continuation::{Continuation, Dense};
+use crate::engine::{ProtocolEngine, MAX_STEPS_PER_BATCH};
+use crate::wire::Mode;
 
-/// Default per-worker bound on in-flight continuations. The reactor holds
+/// Default per-worker bound on in-flight batches. The reactor holds
 /// thousands of suspended resolutions per worker; this is the admission
 /// limit, not a preallocation.
 pub const DEFAULT_PER_WORKER_LIMIT: usize = 2048;
 
-/// Input slots riding one `(context, suffix)` exchange: `(slot index,
-/// components of the slot's original name already consumed)`.
-type Slots = Vec<(usize, usize)>;
-
-/// One outstanding request of a continuation's current round.
+/// A submitted batch: its continuation and when it queued and started.
 #[derive(Debug)]
-struct AwaitingRequest {
-    entries: Vec<(CompoundName, Slots)>,
-    mapping: Vec<u32>,
-    /// Failover order: addressed authority first, then the other replicas
-    /// of the context's group.
-    candidates: Vec<(MachineId, ObjectId)>,
-    /// Send attempts made so far (0-based next index into the rotation).
-    attempt: u32,
-}
-
-/// A suspended batch resolution: everything the blocking round loop keeps
-/// on its stack, made explicit so the reactor can park and resume it.
-#[derive(Debug)]
-struct Continuation {
-    seq: u64,
-    client: ActivityId,
-    names: Vec<CompoundName>,
-    entities: Vec<Entity>,
-    unreachable: Vec<bool>,
-    referrals: Vec<(CompoundName, MachineId, ObjectId)>,
-    /// Next round's work: context to continue from → remaining suffix →
-    /// riding slots. Referral answers feed this; a round start drains it.
-    pending: BTreeMap<ObjectId, BTreeMap<CompoundName, Slots>>,
-    /// The current round's outstanding requests, by correlation id.
-    awaiting: BTreeMap<u64, AwaitingRequest>,
-    /// Replies received for the current round, by correlation id.
-    got: BTreeMap<u64, BatchReply>,
-    rounds: u32,
-    max_rounds: u32,
-    messages: u64,
-    servers_touched: u32,
-    coalesced: u64,
-    hops_saved: u64,
+struct Batch {
+    cont: Continuation<'static>,
     submitted_at: VirtualTime,
     admitted_at: VirtualTime,
-    worker: usize,
 }
 
 /// A completed pipelined batch resolution.
@@ -147,16 +110,16 @@ impl PipelinedAnswer {
 pub struct PipelineReport {
     /// Logical worker count.
     pub workers: usize,
-    /// Admission limit (continuations in flight at once).
+    /// Admission limit (batches in flight at once).
     pub max_in_flight: usize,
     /// Batches submitted so far.
     pub submitted: u64,
     /// Batches completed so far.
     pub completed: u64,
-    /// High-water mark of concurrently in-flight continuations.
+    /// High-water mark of concurrently in-flight batches.
     pub in_flight_hwm: usize,
     /// High-water mark of concurrently in-flight *name resolutions*
-    /// (slots of in-flight continuations).
+    /// (slots of in-flight batches).
     pub in_flight_queries_hwm: usize,
     /// High-water mark of the admission backlog.
     pub backlog_hwm: usize,
@@ -167,25 +130,17 @@ pub struct PipelineReport {
 #[derive(Debug)]
 pub struct PipelinedService {
     engine: ProtocolEngine,
-    workers: usize,
-    max_in_flight: usize,
-    backlog: VecDeque<Continuation>,
-    inflight: BTreeMap<u64, Continuation>,
-    /// Correlation id → owning continuation seq, for reply and wake
-    /// routing. An id leaves the table when answered, superseded, or
-    /// exhausted.
-    routes: BTreeMap<u64, u64>,
-    /// Continuations whose current round has every reply in, awaiting a
-    /// state-machine step.
-    ready: BTreeSet<u64>,
+    backlog: VecDeque<Batch>,
+    /// Admitted, unfinished batches by submission ticket; the engine's
+    /// routes name them as owners.
+    inflight: Dense<Batch>,
+    /// Batches whose round completed since they last advanced.
+    ready: Vec<u64>,
     /// Every client process that ever submitted; polled for replies.
     clients: BTreeSet<ActivityId>,
     done: BTreeMap<u64, PipelinedAnswer>,
-    next_seq: u64,
     in_flight_queries: usize,
     report: PipelineReport,
-    /// Safety bound on pump iterations per in-flight batch.
-    max_steps: usize,
 }
 
 impl PipelinedService {
@@ -210,22 +165,17 @@ impl PipelinedService {
         let max_in_flight = workers * per_worker_limit;
         PipelinedService {
             engine,
-            workers,
-            max_in_flight,
             backlog: VecDeque::new(),
-            inflight: BTreeMap::new(),
-            routes: BTreeMap::new(),
-            ready: BTreeSet::new(),
+            inflight: Dense::new(),
+            ready: Vec::new(),
             clients: BTreeSet::new(),
             done: BTreeMap::new(),
-            next_seq: 0,
             in_flight_queries: 0,
             report: PipelineReport {
                 workers,
                 max_in_flight,
                 ..PipelineReport::default()
             },
-            max_steps: 100_000,
         }
     }
 
@@ -249,9 +199,9 @@ impl PipelinedService {
         self.report
     }
 
-    /// Continuations currently in flight.
+    /// Batches currently in flight: submitted, neither queued nor done.
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        (self.report.submitted - self.report.completed) as usize - self.backlog.len()
     }
 
     /// Submits a batch: resolve `names` for `client` starting at the
@@ -265,40 +215,15 @@ impl PipelinedService {
         start: ObjectId,
         names: &[CompoundName],
     ) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.report.submitted;
         self.report.submitted += 1;
         self.clients.insert(client);
-        let mut pending: BTreeMap<ObjectId, BTreeMap<CompoundName, Slots>> = BTreeMap::new();
-        for (i, n) in names.iter().enumerate() {
-            pending
-                .entry(start)
-                .or_default()
-                .entry(n.clone())
-                .or_default()
-                .push((i, 0));
-        }
-        let max_rounds = names.iter().map(|n| n.len() as u32).max().unwrap_or(0) + 1;
+        let names = Cow::Owned(names.to_vec());
         let now = world.now();
-        self.backlog.push_back(Continuation {
-            seq,
-            client,
-            names: names.to_vec(),
-            entities: vec![Entity::Undefined; names.len()],
-            unreachable: vec![false; names.len()],
-            referrals: Vec::new(),
-            pending,
-            awaiting: BTreeMap::new(),
-            got: BTreeMap::new(),
-            rounds: 0,
-            max_rounds,
-            messages: 0,
-            servers_touched: 0,
-            coalesced: 0,
-            hops_saved: 0,
+        self.backlog.push_back(Batch {
+            cont: Continuation::new(seq, client, start, names, Mode::Iterative),
             submitted_at: now,
             admitted_at: now,
-            worker: (seq % self.workers as u64) as usize,
         });
         self.admit(world);
         self.report.backlog_hwm = self.report.backlog_hwm.max(self.backlog.len());
@@ -309,7 +234,7 @@ impl PipelinedService {
     /// returns all completed answers in submission order.
     pub fn drain(&mut self, world: &mut World) -> Vec<PipelinedAnswer> {
         self.run(world);
-        std::mem::take(&mut self.done).into_values().collect()
+        self.take_completed()
     }
 
     /// Completed answers collected so far, in submission order, without
@@ -321,9 +246,7 @@ impl PipelinedService {
     /// Pumps the event queue until every in-flight and queued batch has
     /// completed.
     pub fn run(&mut self, world: &mut World) {
-        let budget = self
-            .max_steps
-            .saturating_mul(self.inflight.len() + self.backlog.len() + 1);
+        let budget = MAX_STEPS_PER_BATCH.saturating_mul(self.in_flight() + self.backlog.len() + 1);
         let mut steps = 0usize;
         // One sweep of every server and client for mail that a caller's
         // own stepping delivered while the reactor was not pumping; after
@@ -337,7 +260,7 @@ impl PipelinedService {
             // Every client's mail so far has been routed: a late reply
             // can now only come from a message still travelling.
             self.engine.forget_unanswerable(world);
-            if self.inflight.is_empty() && self.backlog.is_empty() {
+            if self.report.submitted == self.report.completed {
                 return;
             }
             let stepped = if steps < budget {
@@ -350,13 +273,16 @@ impl PipelinedService {
                 // outstanding requests. Their slots get transport
                 // verdicts; finishing those rounds may start new ones
                 // (referrals already in hand), which re-arms the queue.
-                self.fail_stalled();
+                for batch in self.inflight.values_mut() {
+                    batch.cont.fail_unanswered(&mut self.engine);
+                    self.ready.push(batch.cont.seq);
+                }
                 if steps >= budget {
                     // Out of budget: also drop queued work as unreachable.
-                    while let Some(mut cont) = self.backlog.pop_front() {
-                        cont.unreachable.iter_mut().for_each(|u| *u = true);
-                        cont.admitted_at = world.now();
-                        self.complete(world.now(), cont);
+                    while let Some(mut batch) = self.backlog.pop_front() {
+                        batch.cont.stats.unreachable.fill(true);
+                        batch.admitted_at = world.now();
+                        self.complete(world.now(), batch);
                     }
                 }
                 continue;
@@ -372,349 +298,113 @@ impl PipelinedService {
 
     /// Admits queued batches while slots are free, in submission order.
     fn admit(&mut self, world: &mut World) {
-        while self.inflight.len() < self.max_in_flight {
-            let Some(mut cont) = self.backlog.pop_front() else {
+        while self.in_flight() < self.report.max_in_flight {
+            let Some(mut batch) = self.backlog.pop_front() else {
                 return;
             };
-            cont.admitted_at = world.now();
-            self.in_flight_queries += cont.names.len();
+            batch.admitted_at = world.now();
+            self.in_flight_queries += batch.cont.stats.entities.len();
             self.report.in_flight_queries_hwm = self
                 .report
                 .in_flight_queries_hwm
                 .max(self.in_flight_queries);
             #[cfg(feature = "telemetry")]
             {
-                naming_telemetry::gauge!("pipeline.in_flight").set(self.inflight.len() as i64 + 1);
+                naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
                 naming_telemetry::gauge!("pipeline.in_flight_queries")
                     .set(self.in_flight_queries as i64);
                 naming_telemetry::histogram!("pipeline.queue_wait_ticks")
-                    .record(cont.queue_wait_ticks());
+                    .record((batch.admitted_at - batch.submitted_at).ticks());
             }
-            if self.step_continuation(world, &mut cont) {
-                self.in_flight_queries -= cont.names.len();
-                self.complete(world.now(), cont);
+            if batch.cont.advance(&mut self.engine, world) {
+                self.in_flight_queries -= batch.cont.stats.entities.len();
+                self.complete(world.now(), batch);
             } else {
-                self.report.in_flight_hwm = self.report.in_flight_hwm.max(self.inflight.len() + 1);
-                self.inflight.insert(cont.seq, cont);
+                self.report.in_flight_hwm = self.report.in_flight_hwm.max(self.in_flight());
+                self.inflight.insert(batch.cont.seq, batch);
             }
         }
     }
 
-    /// Routes the replies delivered to, and the deadline wakes fired for,
-    /// `clients` to their continuations, then advances every continuation
-    /// whose round completed.
+    /// Hands the replies delivered to, and the deadline wakes fired for,
+    /// `clients` to the continuations that await them, then advances
+    /// every batch whose round completed.
     fn dispatch(&mut self, world: &mut World, clients: &[ActivityId]) {
+        let PipelinedService {
+            engine,
+            inflight,
+            ready,
+            ..
+        } = self;
         for &client in clients {
-            while let Some(msg) = world.receive(client) {
-                for part in msg.parts {
-                    let Payload::Bytes(b) = part else { continue };
-                    let Some(rep) = BatchReply::decode(b) else {
-                        continue;
-                    };
-                    self.route_reply(world, rep);
+            engine.poll_client(world, client, |engine, world, (owner, k), reply| {
+                let Some(batch) = inflight.get_mut(owner) else {
+                    return;
+                };
+                batch.cont.heard(engine, world, k, reply);
+                if !batch.cont.suspended() {
+                    ready.push(owner);
                 }
-            }
-            for token in world.drain_wakes(client) {
-                self.handle_wake(world, token);
-            }
+            });
         }
-        self.advance(world);
-    }
-
-    /// Files a reply with its continuation; unroutable ids — no route, or
-    /// a route to a continuation that is gone — are stale (superseded
-    /// attempts) or stray.
-    fn route_reply(&mut self, world: &mut World, rep: BatchReply) {
-        let Some(seq) = self.routes.remove(&rep.id) else {
-            self.engine.note_stale_reply(rep.id);
-            return;
-        };
-        world.cancel_wake(rep.id);
-        let Some(cont) = self.inflight.get_mut(&seq) else {
-            self.engine.note_stale_reply(rep.id);
-            return;
-        };
-        cont.messages += 1;
-        cont.got.insert(rep.id, rep);
-        if cont.got.len() == cont.awaiting.len() {
-            self.ready.insert(seq);
-        }
-    }
-
-    /// A deadline fired: supersede the outstanding attempt and retransmit
-    /// (rotating through failover candidates), or exhaust the hop.
-    fn handle_wake(&mut self, world: &mut World, token: u64) {
-        let Some(pol) = self.engine.retry_policy() else {
-            return;
-        };
-        // Answered on the same step it expired (route removed), or a
-        // stale token for an already-superseded attempt or a continuation
-        // that is gone: ignore.
-        let Some(&seq) = self.routes.get(&token) else {
-            return;
-        };
-        let Some(cont) = self.inflight.get_mut(&seq) else {
-            self.routes.remove(&token);
-            return;
-        };
-        let Some(mut aw) = cont.awaiting.remove(&token) else {
-            return;
-        };
-        self.routes.remove(&token);
-        self.engine.supersede(token);
-        aw.attempt += 1;
-        if aw.attempt >= pol.max_attempts {
-            self.engine.note_exhausted();
-            for (_, slots) in &aw.entries {
-                for &(slot, _) in slots {
-                    cont.unreachable[slot] = true;
-                }
-            }
-            // The request is given up; the round completes without it.
-            if cont.got.len() == cont.awaiting.len() {
-                self.ready.insert(seq);
-            }
-            return;
-        }
-        self.engine.note_retransmission();
-        let (machine, ctx) = aw.candidates[aw.attempt as usize % aw.candidates.len()];
-        if machine != aw.candidates[0].0 {
-            self.engine.note_failover();
-        }
-        let group_names: Vec<CompoundName> = aw.entries.iter().map(|(n, _)| n.clone()).collect();
-        let (trie, mapping) = NameTrie::build(&group_names);
-        aw.mapping = mapping;
-        let id = self.engine.alloc_id();
-        let req = BatchRequest {
-            id,
-            start: ctx,
-            trie,
-        };
-        let server = self.engine.service().server_on(machine);
-        world.send(cont.client, server, vec![Payload::Bytes(req.encode())]);
-        cont.messages += 1;
-        let after = Duration::from_ticks(pol.timeout_ticks(id, aw.attempt));
-        world.schedule_wake(cont.client, after, id);
-        cont.awaiting.insert(id, aw);
-        self.routes.insert(id, seq);
-    }
-
-    /// Advances every round-complete continuation; completions free
-    /// admission slots immediately (same virtual instant).
-    fn advance(&mut self, world: &mut World) {
-        while let Some(seq) = self.ready.pop_first() {
-            let Some(mut cont) = self.inflight.remove(&seq) else {
+        // Completions free admission slots at once (same virtual instant).
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.sort_unstable();
+        ready.dedup();
+        for seq in ready.drain(..) {
+            let Some(batch) = self.inflight.get_mut(seq) else {
                 continue;
             };
-            if self.step_continuation(world, &mut cont) {
-                self.in_flight_queries -= cont.names.len();
-                self.complete(world.now(), cont);
+            if !batch.cont.advance(&mut self.engine, world) {
+                continue;
+            }
+            if let Some(batch) = self.inflight.remove(seq) {
+                self.in_flight_queries -= batch.cont.stats.entities.len();
+                self.complete(world.now(), batch);
                 self.admit(world);
-            } else {
-                self.inflight.insert(seq, cont);
             }
         }
+        self.ready = ready;
     }
 
-    /// Runs a continuation's state machine as far as it can go without
-    /// new input: finish the completed round, start the next, repeat
-    /// while rounds resolve instantly (unplaced authorities). Returns
-    /// true when the batch is complete.
-    fn step_continuation(&mut self, world: &mut World, cont: &mut Continuation) -> bool {
-        loop {
-            if cont.got.len() < cont.awaiting.len() {
-                return false; // suspended: outstanding requests remain
-            }
-            self.finish_round(cont);
-            if cont.pending.is_empty() || cont.rounds >= cont.max_rounds {
-                return true;
-            }
-            self.start_round(world, cont);
-        }
-    }
-
-    /// Folds the completed round's replies into the continuation:
-    /// resolved entities fill their slots, referrals feed the next
-    /// round's pending work, transport verdicts flag their slots.
-    fn finish_round(&mut self, cont: &mut Continuation) {
-        for (id, aw) in std::mem::take(&mut cont.awaiting) {
-            let Some(rep) = cont.got.remove(&id) else {
-                continue;
-            };
-            cont.servers_touched += rep.servers_touched;
-            cont.hops_saved += u64::from(rep.lookups_saved);
-            for (k, (sent_name, slots)) in aw.entries.into_iter().enumerate() {
-                let outcome = aw
-                    .mapping
-                    .get(k)
-                    .and_then(|&q| rep.outcomes.get(q as usize));
-                match outcome {
-                    Some(Outcome::Resolved(e)) => {
-                        for (slot, _) in slots {
-                            cont.entities[slot] = *e;
-                        }
-                    }
-                    Some(Outcome::Referral {
-                        next_machine,
-                        next_ctx,
-                        remaining,
-                    }) => {
-                        let step = sent_name.len().saturating_sub(remaining.len());
-                        let next = cont.pending.entry(*next_ctx).or_default();
-                        let riders = next.entry(remaining.clone()).or_default();
-                        for (slot, consumed) in slots {
-                            let consumed = (consumed + step).min(cont.names[slot].len());
-                            if consumed > 0 {
-                                if let Ok(prefix) = CompoundName::new(
-                                    cont.names[slot].components()[..consumed].iter().copied(),
-                                ) {
-                                    cont.referrals.push((prefix, *next_machine, *next_ctx));
-                                }
-                            }
-                            riders.push((slot, consumed));
-                        }
-                    }
-                    Some(Outcome::Unreachable { .. }) => {
-                        for (slot, _) in slots {
-                            cont.unreachable[slot] = true;
-                        }
-                    }
-                    // NotFound / WrongServer / malformed reply: ⊥.
-                    _ => {}
-                }
-            }
-        }
-        cont.got.clear();
-    }
-
-    /// Starts the next round: one [`BatchRequest`] per continue-from
-    /// context, all sent before any reply is awaited — the same send
-    /// order the blocking driver uses.
-    fn start_round(&mut self, world: &mut World, cont: &mut Continuation) {
-        cont.rounds += 1;
-        let round = std::mem::take(&mut cont.pending);
-        for (ctx, group) in round {
-            let Some(machine) = self.engine.service().machine_of_object(ctx) else {
-                // Nobody can be addressed: a transport verdict, not ⊥.
-                for (_, slots) in group {
-                    for (slot, _) in slots {
-                        cont.unreachable[slot] = true;
-                    }
-                }
-                continue;
-            };
-            let entries: Vec<(CompoundName, Slots)> = group.into_iter().collect();
-            for (_, slots) in &entries {
-                cont.coalesced += slots.len() as u64 - 1;
-            }
-            let group_names: Vec<CompoundName> = entries.iter().map(|(n, _)| n.clone()).collect();
-            let (trie, mapping) = NameTrie::build(&group_names);
-            let mut candidates: Vec<(MachineId, ObjectId)> = vec![(machine, ctx)];
-            if self.engine.retry_policy().is_some() {
-                for (m, fctx) in self.engine.service().failover_targets(ctx) {
-                    if !candidates.iter().any(|&(cm, _)| cm == m) {
-                        candidates.push((m, fctx));
-                    }
-                }
-            }
-            let id = self.engine.alloc_id();
-            let req = BatchRequest {
-                id,
-                start: ctx,
-                trie,
-            };
-            let server = self.engine.service().server_on(machine);
-            world.send(cont.client, server, vec![Payload::Bytes(req.encode())]);
-            cont.messages += 1;
-            if let Some(pol) = self.engine.retry_policy() {
-                let after = Duration::from_ticks(pol.timeout_ticks(id, 0));
-                world.schedule_wake(cont.client, after, id);
-            }
-            cont.awaiting.insert(
-                id,
-                AwaitingRequest {
-                    entries,
-                    mapping,
-                    candidates,
-                    attempt: 0,
-                },
-            );
-            self.routes.insert(id, cont.seq);
-        }
-    }
-
-    /// The event queue went dry with requests outstanding: every
-    /// unanswered request's slots get transport verdicts and its round
-    /// completes without it.
-    fn fail_stalled(&mut self) {
-        let seqs: Vec<u64> = self.inflight.keys().copied().collect();
-        for seq in seqs {
-            let cont = self.inflight.get_mut(&seq).expect("seq just listed");
-            let unanswered: Vec<u64> = cont
-                .awaiting
-                .keys()
-                .copied()
-                .filter(|id| !cont.got.contains_key(id))
-                .collect();
-            for id in unanswered {
-                let aw = cont.awaiting.remove(&id).expect("id just listed");
-                for (_, slots) in &aw.entries {
-                    for &(slot, _) in slots {
-                        cont.unreachable[slot] = true;
-                    }
-                }
-                self.routes.remove(&id);
-            }
-            self.ready.insert(seq);
-        }
-    }
-
-    /// Retires a finished continuation into the completed set.
-    fn complete(&mut self, now: VirtualTime, cont: Continuation) {
+    /// Retires a finished batch into the completed set.
+    fn complete(&mut self, now: VirtualTime, batch: Batch) {
+        let Batch { cont, .. } = batch;
         self.report.completed += 1;
+        let worker = (cont.seq % self.report.workers as u64) as usize;
         #[cfg(feature = "telemetry")]
         {
-            naming_telemetry::gauge!("pipeline.in_flight").set(self.inflight.len() as i64);
+            naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
             naming_telemetry::gauge!("pipeline.in_flight_queries")
                 .set(self.in_flight_queries as i64);
             naming_telemetry::histogram!("pipeline.continuation_depth")
-                .record(u64::from(cont.rounds));
+                .record(u64::from(cont.stats.rounds));
             let (batches, queries) = crate::worker_metrics::batch_query_names(
                 crate::worker_metrics::Family::Pipeline,
-                cont.worker,
+                worker,
             );
             let reg = naming_telemetry::metrics::global();
             reg.counter(batches).bump();
-            reg.counter(queries).add(cont.names.len() as u64);
+            reg.counter(queries).add(cont.stats.entities.len() as u64);
         }
-        let mut referrals = cont.referrals;
-        referrals.sort();
-        referrals.dedup();
         self.done.insert(
             cont.seq,
             PipelinedAnswer {
                 seq: cont.seq,
-                entities: cont.entities,
-                unreachable: cont.unreachable,
-                rounds: cont.rounds,
-                messages: cont.messages,
-                servers_touched: cont.servers_touched,
-                coalesced: cont.coalesced,
-                hops_saved: cont.hops_saved,
-                referrals,
-                submitted_at: cont.submitted_at,
-                admitted_at: cont.admitted_at,
+                entities: cont.stats.entities,
+                unreachable: cont.stats.unreachable,
+                rounds: cont.stats.rounds,
+                messages: cont.stats.messages,
+                servers_touched: cont.stats.servers_touched,
+                coalesced: cont.stats.coalesced,
+                hops_saved: cont.stats.hops_saved,
+                referrals: cont.stats.referrals,
+                submitted_at: batch.submitted_at,
+                admitted_at: batch.admitted_at,
                 completed_at: now,
-                worker: cont.worker,
+                worker,
             },
         );
-    }
-}
-
-impl Continuation {
-    #[cfg(feature = "telemetry")]
-    fn queue_wait_ticks(&self) -> u64 {
-        (self.admitted_at - self.submitted_at).ticks()
     }
 }
 
@@ -754,40 +444,6 @@ mod tests {
             .iter()
             .map(|p| CompoundName::parse_path(p).unwrap())
             .collect()
-    }
-
-    /// A single submitted batch must reproduce the blocking driver's
-    /// answers and accounting exactly, field for field.
-    #[test]
-    fn single_batch_matches_blocking_driver() {
-        let batch = names(&["/hop1/hop2/leaf", "/hop1", "/hop1/hop2/missing", "/hop1"]);
-
-        let (mut wa, svc_a, machines_a, root_a, _) = chain_world(71);
-        let client_a = wa.spawn(machines_a[0], "client", None);
-        let mut blocking = ProtocolEngine::new(svc_a);
-        let want = blocking.resolve_batch(&mut wa, client_a, root_a, &batch);
-
-        let (mut wb, svc_b, machines_b, root_b, _) = chain_world(71);
-        let client_b = wb.spawn(machines_b[0], "client", None);
-        let mut svc = PipelinedService::new(ProtocolEngine::new(svc_b), 4);
-        svc.submit(&mut wb, client_b, root_b, &batch);
-        let got = svc.drain(&mut wb);
-
-        assert_eq!(got.len(), 1);
-        let got = &got[0];
-        assert_eq!(got.entities, want.entities);
-        assert_eq!(got.unreachable, want.unreachable);
-        assert_eq!(got.rounds, want.rounds);
-        assert_eq!(got.referrals, want.referrals);
-        assert_eq!(got.servers_touched, want.servers_touched);
-        assert_eq!(got.coalesced, want.coalesced);
-        assert_eq!(got.hops_saved, want.hops_saved);
-        // Lossless: per-batch attribution (sends + replies) equals the
-        // blocking driver's global sent delta, and the service time
-        // equals the blocking latency.
-        assert_eq!(got.messages, want.messages);
-        assert_eq!(got.service_time(), want.latency);
-        assert_eq!(got.queue_wait().ticks(), 0);
     }
 
     /// Many batches multiplex on one timeline and all resolve; answers

@@ -567,9 +567,19 @@ impl NameTrie {
     /// trie and, for each input position, the query id its answer will
     /// be filed under.
     pub fn build(names: &[CompoundName]) -> (NameTrie, Vec<u32>) {
+        NameTrie::build_from(names.iter().map(CompoundName::components))
+    }
+
+    /// [`NameTrie::build`] over borrowed component runs, for callers whose
+    /// names are suffixes of names they already hold. Every run must be
+    /// nonempty.
+    pub fn build_from<'a, I>(names: I) -> (NameTrie, Vec<u32>)
+    where
+        I: ExactSizeIterator<Item = &'a [Name]> + Clone,
+    {
         const NIL: u32 = u32::MAX;
         // Worst case (no shared prefixes): one node per component.
-        let total_components: usize = names.iter().map(CompoundName::len).sum();
+        let total_components: usize = names.clone().map(<[Name]>::len).sum();
         let mut nodes: Vec<TrieNode> = Vec::with_capacity(total_components);
         // While they still grow, child lists are linked in first-seen
         // order: cell 0 heads the root list, cells `1 + 2k` and `2 + 2k`
@@ -580,7 +590,7 @@ impl NameTrie {
         let mut query_count = 0u32;
         for name in names {
             let (mut cur, mut slot) = (NIL, 0);
-            for &c in name.components() {
+            for &c in name {
                 // Follow the list to `c`, or to the empty cell at its end
                 // that a new node for `c` is linked into.
                 while cells[slot] != NIL && nodes[cells[slot] as usize].component != c {
@@ -598,7 +608,7 @@ impl NameTrie {
                 cur = cells[slot];
                 slot = 1 + 2 * cur as usize;
             }
-            // Compound names are non-empty, so `cur` is a node by now.
+            // The run is nonempty, so `cur` is a node by now.
             let q = *nodes[cur as usize].query.get_or_insert_with(|| {
                 query_count += 1;
                 query_count - 1
@@ -945,6 +955,18 @@ impl Request {
             name,
             mode,
         })
+    }
+}
+
+/// A scalar reply is a batch reply of one outcome.
+impl From<Reply> for BatchReply {
+    fn from(reply: Reply) -> BatchReply {
+        BatchReply {
+            id: reply.id,
+            outcomes: vec![reply.outcome],
+            servers_touched: reply.servers_touched,
+            lookups_saved: 0,
+        }
     }
 }
 

@@ -1,25 +1,34 @@
-//! Equivalence suite: the event-driven pipelined runtime
-//! (`PipelinedService`) against the blocking batch driver
-//! (`ProtocolEngine::resolve_batch`), over the existing protocol
-//! workloads.
+//! One continuation, two drivers: the event-driven pipelined runtime
+//! (`PipelinedService`) and the blocking batch driver
+//! (`ProtocolEngine::resolve_batch`) run the same state machine, so
+//! whether batches interleave or run one after another must change
+//! nothing but their timing.
 //!
-//! * **Lossless runs are equal field for field** — entities, ⊥ verdicts,
-//!   `Unreachable` flags, rounds, referral records, server/message
-//!   accounting, and (for a lone batch) the virtual latency itself.
+//! * **Lossless runs are equal field for field, batch by batch** —
+//!   entities, ⊥ verdicts, `Unreachable` flags, rounds, referral records
+//!   and server/message accounting, at 1, 3 and 8 workers.
 //! * **Drop sweeps converge to the same answers** — with a generous
-//!   retry budget both models resolve every bound name at 10/30/50%
+//!   retry budget both drivers resolve every bound name at 10/30/50%
 //!   loss and agree on every verdict; at 100% loss both report
 //!   `Unreachable` everywhere, never a false ⊥.
 //! * **Head-of-line blocking is gone** — a batch stalled on a severed
 //!   referral no longer delays an independent warm batch's virtual
 //!   completion tick (the regression the reactor exists to fix).
+//! * **A reply that says nothing is a transport verdict** — a short
+//!   outcome list, or a referral to something that was never asked, ends
+//!   `Unreachable` through every entry point: never ⊥, never cached,
+//!   never a referral prefix the client did not send.
 
 use naming_bench::scenarios::chaos_zones;
-use naming_core::entity::ObjectId;
+use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::CompoundName;
+use naming_resolver::cache::CachingResolver;
+use naming_resolver::coherence::CoherenceMode;
 use naming_resolver::engine::{BatchResolveStats, ProtocolEngine, RetryPolicy};
 use naming_resolver::runtime::{PipelinedAnswer, PipelinedService};
 use naming_resolver::service::NameService;
+use naming_resolver::wire::{BatchReply, Mode, Outcome};
+use naming_sim::message::Payload;
 use naming_sim::store;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
@@ -51,24 +60,6 @@ fn assert_batch_eq(got: &PipelinedAnswer, want: &BatchResolveStats, label: &str)
     assert_eq!(got.coalesced, want.coalesced, "{label}: coalesced");
     assert_eq!(got.hops_saved, want.hops_saved, "{label}: hops saved");
     assert_eq!(got.messages, want.messages, "{label}: messages");
-}
-
-/// One batch, lossless: the reactor must reproduce the blocking driver
-/// exactly, including the virtual latency.
-#[test]
-fn lone_batch_is_identical_including_latency() {
-    let (mut wa, svc_a, _m, client_a, start_a, names, _s, _z) = chaos_zones(HOPS, LEAVES, SEED);
-    let mut blocking = ProtocolEngine::new(svc_a);
-    let want = blocking.resolve_batch(&mut wa, client_a, start_a, &names);
-
-    let (mut wb, svc_b, _m, client_b, start_b, names_b, _s, _z) = chaos_zones(HOPS, LEAVES, SEED);
-    assert_eq!(names, names_b);
-    let mut svc = PipelinedService::new(ProtocolEngine::new(svc_b), 4);
-    svc.submit(&mut wb, client_b, start_b, &names);
-    let got = svc.drain(&mut wb);
-    assert_eq!(got.len(), 1);
-    assert_batch_eq(&got[0], &want, "lone batch");
-    assert_eq!(got[0].service_time(), want.latency, "lone batch: latency");
 }
 
 /// Many batches, lossless: submitting them all up front and letting the
@@ -266,4 +257,105 @@ fn stalled_referral_no_longer_delays_independent_batch() {
         answers[1].completed_at.ticks(),
         blocking_warm_tick
     );
+}
+
+/// A fresh chaos world in which the answer to the first request a fresh
+/// engine sends (it numbers requests from 1) is `outcomes`: the forged
+/// reply is on its way before the request goes out, so it lands ahead of
+/// the server's own answer, which then finds nothing waiting for it.
+fn world_answering_first_request_with(
+    outcomes: Vec<Outcome>,
+) -> (
+    World,
+    ProtocolEngine,
+    ActivityId,
+    ObjectId,
+    Vec<CompoundName>,
+) {
+    let (mut w, svc, machines, client, start, names, _s, _z) = chaos_zones(HOPS, LEAVES, SEED);
+    let forged = BatchReply {
+        id: 1,
+        outcomes,
+        servers_touched: 1,
+        lookups_saved: 0,
+    };
+    let server = svc.server_on(machines[0]);
+    w.send(server, client, vec![Payload::Bytes(forged.encode())]);
+    (w, ProtocolEngine::new(svc), client, start, names)
+}
+
+/// A reply with fewer outcomes than queries leaves the unanswered slots
+/// with a transport verdict in both drivers, and a lease-mode cache on top
+/// records nothing for them — the next resolve asks again and is answered.
+#[test]
+fn short_reply_is_a_transport_verdict_in_every_driver() {
+    let two = |names: &[CompoundName]| names[..2].to_vec();
+
+    let (mut w, mut engine, client, start, names) = world_answering_first_request_with(vec![]);
+    let got = engine.resolve_batch(&mut w, client, start, &two(&names));
+    assert_eq!(got.entities, vec![Entity::Undefined; 2]);
+    assert_eq!(got.unreachable, vec![true, true], "blocking driver");
+
+    let (mut w, engine, client, start, names) = world_answering_first_request_with(vec![]);
+    let mut svc = PipelinedService::new(engine, 2);
+    svc.submit(&mut w, client, start, &two(&names));
+    let got = svc.drain(&mut w).remove(0);
+    assert_eq!(got.entities, vec![Entity::Undefined; 2]);
+    assert_eq!(got.unreachable, vec![true, true], "pipelined driver");
+
+    let (mut w, engine, client, start, names) = world_answering_first_request_with(vec![]);
+    let lease = CoherenceMode::Lease { ttl: None };
+    let mut cache = CachingResolver::with_mode(engine, 64, lease);
+    let got = cache.resolve_batch(&mut w, client, start, &two(&names));
+    assert_eq!(got.entities, vec![Entity::Undefined; 2]);
+    assert_eq!(cache.negative_stats().recorded, 0, "cached a false ⊥");
+    let again = cache.resolve_batch(&mut w, client, start, &two(&names));
+    assert_eq!(again.from_cache, vec![false, false]);
+    assert!(again.entities.iter().all(|e| e.is_defined()));
+}
+
+/// A referral whose remainder is longer than the name that was sent, or
+/// as long as a proper remainder but not a suffix of it, is followed by no
+/// driver: the slot ends `Unreachable` within the round bound, nothing
+/// panics, and no referral prefix is reported at all.
+#[test]
+fn hostile_referrals_are_never_followed() {
+    let (_w, _svc, machines, _c, _start, names, _s, zones) = chaos_zones(HOPS, LEAVES, SEED);
+    let name = names[0].clone();
+    let longer = CompoundName::parse_path("/zone/hop1/hop2/hop3/f0/and/then/some").unwrap();
+    let elsewhere = CompoundName::parse_path("hop9/f0").unwrap();
+    assert!(longer.len() > name.len() && elsewhere.len() < name.len());
+    for remaining in [longer, elsewhere] {
+        let hostile = || {
+            world_answering_first_request_with(vec![Outcome::Referral {
+                next_machine: machines[1],
+                next_ctx: zones[1],
+                remaining: remaining.clone(),
+            }])
+        };
+        let bound = name.len() as u32 + 1;
+
+        let (mut w, mut engine, client, start, _) = hostile();
+        let got = engine.resolve_batch(&mut w, client, start, std::slice::from_ref(&name));
+        assert_eq!(
+            (got.entities[0], got.unreachable[0]),
+            (Entity::Undefined, true)
+        );
+        assert!(got.rounds <= bound && got.referrals.is_empty());
+
+        let (mut w, engine, client, start, _) = hostile();
+        let mut svc = PipelinedService::new(engine, 1);
+        svc.submit(&mut w, client, start, std::slice::from_ref(&name));
+        let got = svc.drain(&mut w).remove(0);
+        assert_eq!(
+            (got.entities[0], got.unreachable[0]),
+            (Entity::Undefined, true)
+        );
+        assert!(got.rounds <= bound && got.referrals.is_empty());
+
+        let (mut w, mut engine, client, start, _) = hostile();
+        let (got, hops) = engine.resolve_traced(&mut w, client, start, &name, Mode::Iterative);
+        assert_eq!((got.entity, got.unreachable), (Entity::Undefined, true));
+        assert!(hops.is_empty());
+    }
 }
