@@ -437,8 +437,9 @@ impl Resolver {
         entity
     }
 
-    /// Resolves `name` with the total-function semantics and reports the
-    /// generation footprint of the walk — `(context, version)` for every
+    /// Resolves the components `comps` (a name or a prefix of one, borrowed
+    /// as the caches key it) with the total-function semantics and reports
+    /// the generation footprint of the walk — `(context, version)` for every
     /// context consulted — *including when the result is `⊥`*.
     ///
     /// [`Resolver::resolve_entity_memo`] records this footprint for
@@ -456,9 +457,8 @@ impl Resolver {
         &self,
         state: &SystemState,
         start: ObjectId,
-        name: &CompoundName,
+        comps: &[Name],
     ) -> (Entity, Vec<(ObjectId, u64)>) {
-        let comps = name.components();
         let mut deps: Vec<(ObjectId, u64)> = Vec::with_capacity(comps.len());
         if comps.len() > self.depth_limit {
             return (Entity::Undefined, deps);
@@ -482,7 +482,8 @@ impl Resolver {
                 _ => return (Entity::Undefined, deps),
             }
         }
-        unreachable!("compound names are nonempty")
+        // An empty name consults nothing and denotes nothing.
+        (Entity::Undefined, deps)
     }
 
     /// Resolves a whole batch of names in the same starting context.
@@ -677,7 +678,7 @@ mod tests {
         let r = Resolver::new();
         for path in ["/etc/passwd", "/etc", "/nope", "/etc/passwd/x", "/etc/nope"] {
             let n = CompoundName::parse_path(path).unwrap();
-            let (e, deps) = r.resolve_entity_with_deps(&s, root, &n);
+            let (e, deps) = r.resolve_entity_with_deps(&s, root, n.components());
             assert_eq!(e, r.resolve_entity(&s, root, &n), "disagrees on {path}");
             // Every recorded generation is the context's current one.
             for (o, gen) in &deps {
@@ -687,12 +688,12 @@ mod tests {
         // A failed lookup still reports the contexts it consulted, so a
         // later bind there is a detectable invalidation.
         let n = CompoundName::parse_path("/etc/nope").unwrap();
-        let (e, deps) = r.resolve_entity_with_deps(&s, root, &n);
+        let (e, deps) = r.resolve_entity_with_deps(&s, root, n.components());
         assert_eq!(e, Entity::Undefined);
         assert!(deps.iter().any(|(o, _)| *o == etc), "footprint reaches etc");
         let before = deps.clone();
         s.bind(etc, Name::new("nope"), passwd).unwrap();
-        let (e2, after) = r.resolve_entity_with_deps(&s, root, &n);
+        let (e2, after) = r.resolve_entity_with_deps(&s, root, n.components());
         assert_eq!(e2, Entity::Object(passwd));
         assert_ne!(before, after, "etc's generation moved");
     }

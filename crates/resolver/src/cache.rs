@@ -7,35 +7,43 @@
 //! authority give the *same name different meanings*. [`CachingResolver`]
 //! measures that staleness instead of hiding it.
 //!
-//! The store behind the cache is naming-core's generation-versioned
-//! [`ResolutionMemo`]: every entry carries the generations of the contexts
-//! its resolution traversed, and the cache is bounded with LRU eviction.
-//! Lookups deliberately serve entries *without* re-validating them — that
-//! is what a distributed client cache does, and what makes its staleness
+//! Each of the resolver's three caches is one bounded store under a
+//! [`Validity`] policy, and the path through them — probe, negative probe,
+//! referral jump, fetch, record — is written once, generic over the policy.
+//! Under the oracle policy (exact mode) the positive store is naming-core's
+//! generation-versioned [`ResolutionMemo`]: every entry carries the
+//! generations of the contexts an authoritative walk traverses. Lookups
+//! deliberately serve entries *without* re-validating them — that is what
+//! a distributed client cache does, and what makes its staleness
 //! measurable — but the recorded generations make healing cheap:
 //! [`CachingResolver::heal`] drops exactly the entries whose underlying
 //! contexts have changed, by comparing version counters instead of
-//! re-resolving every name.
+//! re-resolving every name. Under the lease policy every store validates
+//! by lease expiry and heard zone serials alone.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
+use naming_core::lease::ZoneSerial;
 use naming_core::memo::ResolutionMemo;
-use naming_core::name::CompoundName;
+use naming_core::name::{CompoundName, Name};
 use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 use naming_core::state::SystemState;
 use naming_sim::time::Duration;
+use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use naming_sim::topology::MachineId;
-
 use crate::coherence::{
-    CoherenceMode, LeaseCacheStats, LeaseProbe, LeasedCache, SerialObservation, SerialTable,
+    CoherenceMode, Heard, LeaseCacheStats, LeasedCache, SerialObservation, SerialTable, Validity,
 };
-use crate::engine::{ProtocolEngine, ReferralHop, ResolveStats};
-use crate::referral::{NegativeCache, ReferralCache, ValidatedCacheStats};
+use crate::engine::ProtocolEngine;
+use crate::referral::{
+    NegativeCache, ReferralCache, ValidatedCacheStats, DEFAULT_REFERRAL_CAPACITY,
+};
+use crate::service::NameService;
 use crate::wire::Mode;
 
 /// Default bound on the number of cached resolutions.
@@ -98,34 +106,280 @@ pub struct CachedBatchOutcome {
     pub latency: Duration,
 }
 
-/// A resolution client with a bounded positive cache keyed on
-/// `(start, name)`, backed by a generation-versioned [`ResolutionMemo`] —
-/// plus two *validated* side caches that speed resolution up without ever
-/// changing an answer:
+/// One plane of three stores under one [`Validity`] policy: the positive
+/// cache and the two validated side caches that speed resolution up
+/// without changing what the policy would answer —
 ///
 /// * a [`ReferralCache`] of resolved zone prefixes, so repeat lookups
 ///   jump to the deepest known server instead of walking from the root;
 /// * a [`NegativeCache`] of `⊥` verdicts, so repeated misses stop
 ///   costing network round-trips until a `bind` revives the name.
+#[derive(Debug)]
+struct Plane<P: Validity> {
+    positives: P,
+    referrals: ReferralCache<P>,
+    negatives: NegativeCache<P>,
+    /// Draws the policy's evidence at one moment of a resolution. The
+    /// oracle reads the world as it stands then, so it judges an answer
+    /// against the state its exchange left; a replica's [`Heard`] was fixed
+    /// when the resolution started.
+    evidence: Draw<P>,
+    /// Scratch, kept between calls so a miss allocates no footprint: every
+    /// miss's footprint up to where its exchange starts — the start
+    /// context's shard, what a cached-referral jump inherited, the jump
+    /// target's shard — back to back; a miss holds its range.
+    jump_zones: Vec<usize>,
+    /// Scratch: the whole footprint of the name at hand, rebuilt in place.
+    zones: Vec<usize>,
+}
+
+type Draw<P> = for<'a> fn(&'a World, Heard<'a>) -> <P as Validity>::Evidence<'a>;
+
+/// The plane chosen once in [`CachingResolver::with_mode`].
+#[derive(Debug)]
+enum Planes {
+    Oracle(Plane<ResolutionMemo>),
+    Lease(Plane<LeasedCache>),
+}
+
+/// Runs `$body` on whichever plane is in use.
+macro_rules! on_plane {
+    ($planes:expr, $p:ident => $body:expr) => {
+        match $planes {
+            Planes::Oracle($p) => $body,
+            Planes::Lease($p) => $body,
+        }
+    };
+}
+
+impl<P: Validity> Plane<P> {
+    fn new(capacity: usize, evidence: Draw<P>) -> Plane<P> {
+        Plane {
+            evidence,
+            positives: P::with_capacity(capacity),
+            referrals: ReferralCache::with_capacity(DEFAULT_REFERRAL_CAPACITY),
+            negatives: NegativeCache::with_capacity(DEFAULT_REFERRAL_CAPACITY),
+            jump_zones: Vec::new(),
+            zones: Vec::new(),
+        }
+    }
+
+    /// One name through the caches; see [`CachingResolver::resolve`].
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_one(
+        &mut self,
+        engine: &mut ProtocolEngine,
+        world: &mut World,
+        heard: Heard<'_>,
+        client: ActivityId,
+        start: ObjectId,
+        name: &CompoundName,
+        mode: Mode,
+    ) -> (Entity, bool) {
+        let (by, comps) = ((self.evidence)(world, heard), name.components());
+        if let Some(e) = self.positives.serve(by, start, comps) {
+            mirror_probe_counts(1, 0);
+            return (e, true);
+        }
+        mirror_probe_counts(0, 1);
+        if self.negatives.probe(by, start, comps) {
+            return (Entity::Undefined, true);
+        }
+        self.jump_zones.clear();
+        // Referrals are only followed — and seen — by an iterative client.
+        let service = (mode == Mode::Iterative).then(|| engine.service());
+        let (from, offset, jumped) = self.miss(by, service, start, comps);
+        let (stats, hops) =
+            engine.resolve_traced(world, client, from, &remaining(name, offset), mode);
+        let hops = hops.iter().map(|hop| (hop.consumed, hop.ctx));
+        let (key, at, seen) = ((start, comps), (offset, jumped), &mut BTreeSet::new());
+        let by = (self.evidence)(world, heard);
+        self.file(by, key, at, hops, seen, (stats.entity, stats.unreachable));
+        (stats.entity, false)
+    }
+
+    /// Many names through the caches; see [`CachingResolver::resolve_batch`].
+    fn resolve_many(
+        &mut self,
+        engine: &mut ProtocolEngine,
+        world: &mut World,
+        heard: Heard<'_>,
+        client: ActivityId,
+        start: ObjectId,
+        names: &[CompoundName],
+    ) -> CachedBatchOutcome {
+        let by = (self.evidence)(world, heard);
+        let mut out = CachedBatchOutcome {
+            entities: vec![Entity::Undefined; names.len()],
+            from_cache: vec![false; names.len()],
+            messages: 0,
+            latency: Duration::ZERO,
+        };
+        // Misses grouped by the context their exchange will start from:
+        // group ctx → (prefix components consumed to get there, slot,
+        // footprint so far).
+        let mut groups: BTreeMap<ObjectId, Vec<(usize, usize, Range<usize>)>> = BTreeMap::new();
+        self.jump_zones.clear();
+        let mut hits = 0u64;
+        for (slot, name) in names.iter().enumerate() {
+            let comps = name.components();
+            if let Some(e) = self.positives.serve(by, start, comps) {
+                hits += 1;
+                out.entities[slot] = e;
+                out.from_cache[slot] = true;
+            } else if self.negatives.probe(by, start, comps) {
+                out.from_cache[slot] = true;
+            } else {
+                let (gctx, plen, jumped) = self.miss(by, Some(engine.service()), start, comps);
+                groups.entry(gctx).or_default().push((plen, slot, jumped));
+            }
+        }
+        mirror_probe_counts(hits, names.len() as u64 - hits);
+        let mut seen: BTreeSet<(&[Name], ObjectId)> = BTreeSet::new();
+        for (gctx, members) in groups {
+            let rest: Vec<CompoundName> = members
+                .iter()
+                .map(|&(plen, slot, _)| remaining(&names[slot], plen).into_owned())
+                .collect();
+            let batch = engine.resolve_batch(world, client, gctx, &rest);
+            let by = (self.evidence)(world, heard);
+            out.messages += batch.messages;
+            out.latency = out.latency + batch.latency;
+            for (i, (plen, slot, jumped)) in members.into_iter().enumerate() {
+                let comps = names[slot].components();
+                out.entities[slot] = batch.entities[i];
+                // Referrals are reported relative to the group's start;
+                // re-key them by every original name they prefix.
+                let hops = batch.referrals.iter().filter_map(|(rel, _machine, ctx)| {
+                    (comps[plen..].starts_with(rel.components())).then_some((rel.len(), *ctx))
+                });
+                let answer = (batch.entities[i], batch.unreachable[i]);
+                self.file(by, (start, comps), (plen, jumped), hops, &mut seen, answer);
+            }
+        }
+        out
+    }
+
+    /// Where the exchange for a missed name starts — the deepest cached,
+    /// still-valid referral for a prefix of `comps` (when `service` is
+    /// given to place it), else `start` — as `(context, components
+    /// consumed to get there, range of `jump_zones` holding the footprint
+    /// so far)`. Jumping changes message counts only.
+    fn miss(
+        &mut self,
+        by: P::Evidence<'_>,
+        service: Option<&NameService>,
+        start: ObjectId,
+        comps: &[Name],
+    ) -> (ObjectId, usize, Range<usize>) {
+        let lo = self.jump_zones.len();
+        self.jump_zones.push(SystemState::shard_of_id(start));
+        let jump = service.and_then(|s| self.referrals.lookup_deepest(by, s, start, comps));
+        let (from, plen) = match jump {
+            Some((plen, ctx, _machine, inherited)) => {
+                self.jump_zones.extend_from_slice(inherited);
+                self.jump_zones.push(SystemState::shard_of_id(ctx));
+                (ctx, plen)
+            }
+            None => (start, 0),
+        };
+        (from, plen, lo..self.jump_zones.len())
+    }
+
+    /// Files what an exchange that started `offset` components into
+    /// `comps` brought back. The referrals it followed (`hops`: components
+    /// consumed past `offset`, context handed to) are remembered keyed by
+    /// the ORIGINAL name, each under the cumulative footprint of the zones
+    /// crossed to reach it, once per `seen`. Then the answer: a binding
+    /// enters the positive cache, a `⊥` the negative cache — whose recorder
+    /// refuses it when the network alone failed us.
+    fn file<'n>(
+        &mut self,
+        by: P::Evidence<'_>,
+        (start, comps): (ObjectId, &'n [Name]),
+        (offset, jumped): (usize, Range<usize>),
+        hops: impl Iterator<Item = (usize, ObjectId)>,
+        seen: &mut BTreeSet<(&'n [Name], ObjectId)>,
+        (entity, unreachable): (Entity, bool),
+    ) {
+        self.zones.clear();
+        self.zones.extend_from_slice(&self.jump_zones[jumped]);
+        for (consumed, ctx) in hops {
+            self.zones.push(SystemState::shard_of_id(ctx));
+            let plen = offset + consumed;
+            if (1..comps.len()).contains(&plen) && seen.insert((&comps[..plen], ctx)) {
+                self.referrals
+                    .record(by, start, &comps[..plen], ctx, &self.zones);
+            }
+        }
+        if let Entity::Object(o) = entity {
+            self.zones.push(SystemState::shard_of_id(o));
+        }
+        if entity.is_defined() {
+            self.positives
+                .record(by, start, comps, entity, &self.zones, true);
+        } else {
+            self.negatives
+                .record(by, start, comps, &self.zones, unreachable);
+        }
+    }
+
+    /// Drops what the evidence already refutes; returns how many entries
+    /// of the positive, referral and negative store went.
+    fn sweep(&mut self, by: P::Evidence<'_>) -> [usize; 3] {
+        let (referrals, negatives) = (self.referrals.sweep(by), self.negatives.sweep(by));
+        [self.positives.sweep(by), referrals, negatives]
+    }
+
+    fn zone_moved(&mut self, shard: usize, serial: ZoneSerial) -> usize {
+        self.positives.zone_moved(shard, serial)
+            + self.referrals.zone_moved(shard, serial)
+            + self.negatives.zone_moved(shard, serial)
+    }
+
+    fn clear(&mut self) {
+        self.positives.clear();
+        self.referrals.clear();
+        self.negatives.clear();
+    }
+}
+
+/// `name` past its first `offset` components — what is left to resolve
+/// after a referral jump (a proper prefix leaves a nonempty suffix).
+fn remaining(name: &CompoundName, offset: usize) -> Cow<'_, CompoundName> {
+    match offset {
+        0 => Cow::Borrowed(name),
+        _ => Cow::Owned(
+            CompoundName::new(name.components()[offset..].to_vec())
+                .expect("proper prefix leaves a nonempty suffix"),
+        ),
+    }
+}
+
+/// A resolution client with a bounded positive cache keyed on
+/// `(start, name)` plus a referral and a negative cache, all three under
+/// the [`Validity`] policy its [`CoherenceMode`] names.
 ///
-/// Only the positive cache is deliberately incoherent (served without
-/// validation — that staleness is what this type measures); the side
-/// caches validate generation footprints on every probe.
+/// In exact mode only the positive cache is deliberately incoherent
+/// (served without validation — that staleness is what this type
+/// measures); the side caches validate generation footprints on every
+/// probe. In lease mode all three validate with replica-local facts only
+/// — virtual-time lease expiry and the zone serials in
+/// [`CachingResolver::serial_table`] — and entries are stamped with a
+/// *protocol-visible* zone footprint: the start context's shard, every
+/// referral target's shard (including the footprint inherited from a
+/// cached-referral jump), and the answer object's shard. Contexts a
+/// server walks silently between referrals are covered by the TTL bound
+/// alone, exactly as a DNS resolver's cached record is unaffected by a
+/// parent-zone edit.
 #[derive(Debug)]
 pub struct CachingResolver {
     engine: ProtocolEngine,
-    memo: ResolutionMemo,
-    referrals: ReferralCache,
-    negatives: NegativeCache,
-    /// The validation regime: exact (oracle generation checks) or leases
-    /// (TTL + replica-local zone serials, never authoritative state).
+    plane: Planes,
     mode: CoherenceMode,
     /// Zone serials this replica has heard through anti-entropy pulls —
-    /// the *only* authority the lease path ever validates against.
+    /// the *only* authority the lease plane ever validates against.
     table: SerialTable,
-    /// Lease-mode positive cache; unused (and empty) in exact mode, where
-    /// `memo` carries positives instead.
-    positives: LeasedCache,
 }
 
 /// What one anti-entropy pull ([`CachingResolver::sync`]) accomplished.
@@ -166,8 +420,8 @@ impl CachingResolver {
     /// Wraps a protocol engine with an explicit cache bound under the
     /// given coherence regime. Exact mode behaves identically to
     /// [`CachingResolver::with_capacity`]; lease mode serves every cache
-    /// through TTL + zone-serial validation and never consults
-    /// authoritative state on the resolution path.
+    /// through TTL + zone-serial validation and cannot consult
+    /// authoritative state on the resolution path: [`Heard`] has no σ in it.
     ///
     /// # Panics
     ///
@@ -179,12 +433,14 @@ impl CachingResolver {
     ) -> CachingResolver {
         CachingResolver {
             engine,
-            memo: ResolutionMemo::with_capacity(capacity),
-            referrals: ReferralCache::with_mode(crate::referral::DEFAULT_REFERRAL_CAPACITY, mode),
-            negatives: NegativeCache::with_mode(crate::referral::DEFAULT_REFERRAL_CAPACITY, mode),
+            plane: match mode {
+                CoherenceMode::Exact => Planes::Oracle(Plane::new(capacity, |world, _| world)),
+                CoherenceMode::Lease { .. } => {
+                    Planes::Lease(Plane::new(capacity, |_, heard| heard))
+                }
+            },
             mode,
             table: SerialTable::new(),
-            positives: LeasedCache::with_capacity(capacity),
         }
     }
 
@@ -206,11 +462,6 @@ impl CachingResolver {
         &mut self.table
     }
 
-    /// Lease-mode positive-cache counters (all zero in exact mode).
-    pub fn lease_stats(&self) -> LeaseCacheStats {
-        self.positives.stats()
-    }
-
     /// The underlying engine.
     pub fn engine(&self) -> &ProtocolEngine {
         &self.engine
@@ -221,43 +472,53 @@ impl CachingResolver {
         &mut self.engine
     }
 
-    /// Cache statistics so far — positive-cache counters under whichever
-    /// store the mode uses (the generation memo in exact mode, the leased
-    /// cache in lease mode).
+    /// Cache statistics so far: the positive store's counters, whichever
+    /// policy keeps them.
     pub fn stats(&self) -> CacheStats {
-        match self.mode {
-            CoherenceMode::Exact => {
-                let m = self.memo.stats();
-                CacheStats {
-                    hits: m.hits,
-                    misses: m.misses,
-                    invalidations: m.invalidations,
-                    evictions: m.evictions,
-                }
+        let (hits, misses, invalidations, evictions) = match &self.plane {
+            Planes::Oracle(p) => {
+                let m = p.positives.stats();
+                (m.hits, m.misses, m.invalidations, m.evictions)
             }
-            CoherenceMode::Lease { .. } => {
-                let l = self.positives.stats();
-                CacheStats {
-                    hits: l.hits,
-                    misses: l.misses,
-                    invalidations: l.invalidated(),
-                    evictions: l.evictions,
-                }
+            Planes::Lease(p) => {
+                let l = p.positives.stats();
+                (l.hits, l.misses, l.invalidated(), l.evictions)
             }
+        };
+        CacheStats {
+            hits,
+            misses,
+            invalidations,
+            evictions,
         }
+    }
+
+    /// The positive store's lease counters (all zero in exact mode).
+    pub fn lease_stats(&self) -> LeaseCacheStats {
+        match &self.plane {
+            Planes::Oracle(_) => LeaseCacheStats::default(),
+            Planes::Lease(p) => p.positives.stats(),
+        }
+    }
+
+    /// Referral-cache statistics so far.
+    pub fn referral_stats(&self) -> ValidatedCacheStats {
+        on_plane!(&self.plane, p => p.referrals.stats())
+    }
+
+    /// Negative-cache statistics so far.
+    pub fn negative_stats(&self) -> ValidatedCacheStats {
+        on_plane!(&self.plane, p => p.negatives.stats())
     }
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        match self.mode {
-            CoherenceMode::Exact => self.memo.len(),
-            CoherenceMode::Lease { .. } => self.positives.len(),
-        }
+        on_plane!(&self.plane, p => p.positives.len())
     }
 
     /// The cache bound.
     pub fn capacity(&self) -> usize {
-        self.memo.capacity()
+        on_plane!(&self.plane, p => p.positives.capacity())
     }
 
     /// True if the cache is empty.
@@ -265,24 +526,28 @@ impl CachingResolver {
         self.len() == 0
     }
 
-    /// Referral-cache statistics so far.
-    pub fn referral_stats(&self) -> ValidatedCacheStats {
-        self.referrals.stats()
-    }
-
-    /// Negative-cache statistics so far.
-    pub fn negative_stats(&self) -> ValidatedCacheStats {
-        self.negatives.stats()
+    /// What the lease plane knows at virtual time `now`.
+    fn heard(mode: CoherenceMode, table: &SerialTable, now: u64) -> Heard<'_> {
+        Heard {
+            now,
+            ttl: mode.lease_ttl(),
+            table,
+        }
     }
 
     /// Resolves through the cache: a hit answers instantly (zero virtual
-    /// latency, zero messages); a miss goes to the network and populates
-    /// the cache on success.
+    /// latency, zero messages); a miss goes to the network — resuming from
+    /// the deepest cached referral in iterative mode — and populates the
+    /// caches, except that a transport-failure `⊥` is cached nowhere and
+    /// retried next time.
     ///
-    /// Hits are served *without* validation — a client cache has no
-    /// authoritative state to validate against, which is precisely the §5
-    /// incoherence this type exists to measure. Use
+    /// In exact mode hits are served *without* validation — a client
+    /// cache has no authoritative state to validate against, which is
+    /// precisely the §5 incoherence this type exists to measure; use
     /// [`CachingResolver::heal`] to apply generation-based invalidation.
+    /// In lease mode a hit is an entry whose lease, granted from the tick
+    /// its resolution started, holds and whose zones' heard serials have
+    /// not moved.
     pub fn resolve(
         &mut self,
         world: &mut World,
@@ -291,174 +556,9 @@ impl CachingResolver {
         name: &CompoundName,
         mode: Mode,
     ) -> (Entity, bool) {
-        if self.mode.is_lease() {
-            return self.resolve_leased(world, client, start, name, mode);
-        }
-        if let Some(e) = self.memo.probe_stale(start, name.components()) {
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("cache.hits").bump();
-            return (e, true);
-        }
-        #[cfg(feature = "telemetry")]
-        naming_telemetry::counter!("cache.misses").bump();
-        // A still-valid negative verdict is also a hit: this name denotes
-        // nothing, and the generations that made it so haven't moved.
-        if self.negatives.probe(world, start, name) {
-            return (Entity::Undefined, true);
-        }
-        // Referral jump: resume from the deepest cached, still-valid
-        // prefix instead of the root. Validation guarantees the jump is
-        // answer-equivalent to the full walk; only messages are saved.
-        let jump = match mode {
-            Mode::Iterative => self.referrals.lookup_deepest(
-                world,
-                self.engine.service(),
-                start,
-                name.components(),
-            ),
-            Mode::Recursive => None,
-        };
-        let (stats, hops, offset): (ResolveStats, Vec<ReferralHop>, usize) = match jump {
-            Some((plen, ctx, _machine)) => {
-                let remaining = CompoundName::new(name.components()[plen..].to_vec())
-                    .expect("proper prefix leaves a nonempty suffix");
-                let (s, h) = self
-                    .engine
-                    .resolve_traced(world, client, ctx, &remaining, mode);
-                (s, h, plen)
-            }
-            None => {
-                let (s, h) = self.engine.resolve_traced(world, client, start, name, mode);
-                (s, h, 0)
-            }
-        };
-        // Remember the referrals the walk followed, keyed by the ORIGINAL
-        // name (the hop offsets are relative to where we jumped in).
-        for hop in &hops {
-            let plen = offset + hop.consumed;
-            if plen >= 1 && plen < name.len() {
-                let prefix =
-                    CompoundName::new(name.components()[..plen].to_vec()).expect("nonempty prefix");
-                self.referrals.record(world, start, &prefix, hop.ctx);
-            }
-        }
-        if stats.entity.is_defined() {
-            let deps = path_deps(world.state(), start, name);
-            self.memo
-                .record(world.state(), start, name.components(), stats.entity, &deps);
-        } else if stats.unreachable {
-            // A transport-failure ⊥ says nothing about the binding; caching
-            // it would poison the negative cache with lies the oracle check
-            // only catches by luck. Cache nothing, retry next time.
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("cache.unreachable_uncached").bump();
-        } else {
-            // ⊥ is cached only when the authoritative state agrees —
-            // never when the network alone failed us.
-            self.negatives
-                .record_protocol_verdict(world, start, name, stats.unreachable);
-        }
-        (stats.entity, false)
-    }
-
-    /// The lease-mode resolution path. Every cache probe validates with
-    /// replica-local facts only — virtual-time lease expiry and the zone
-    /// serials in [`CachingResolver::serial_table`] — and recorded entries
-    /// are stamped with a *protocol-visible* zone footprint: the start
-    /// context's shard, every referral target's shard (including the
-    /// footprint inherited from a cached-referral jump), and the answer
-    /// object's shard. Contexts a server walks silently between referrals
-    /// are covered by the TTL bound alone, exactly as a DNS resolver's
-    /// cached record is unaffected by a parent-zone edit.
-    fn resolve_leased(
-        &mut self,
-        world: &mut World,
-        client: ActivityId,
-        start: ObjectId,
-        name: &CompoundName,
-        mode: Mode,
-    ) -> (Entity, bool) {
-        let now = world.now().ticks();
-        if let LeaseProbe::Hit(e) = self
-            .positives
-            .probe(now, &self.table, start, name.components())
-        {
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("cache.hits").bump();
-            return (e, true);
-        }
-        #[cfg(feature = "telemetry")]
-        naming_telemetry::counter!("cache.misses").bump();
-        if self.negatives.probe_leased(now, &self.table, start, name) {
-            return (Entity::Undefined, true);
-        }
-        let jump = match mode {
-            Mode::Iterative => self.referrals.lookup_deepest_leased(
-                now,
-                &self.table,
-                self.engine.service(),
-                start,
-                name.components(),
-            ),
-            Mode::Recursive => None,
-        };
-        let mut zones: Vec<usize> = vec![SystemState::shard_of_id(start)];
-        let (stats, hops, offset): (ResolveStats, Vec<ReferralHop>, usize) = match jump {
-            Some((plen, ctx, _machine, inherited)) => {
-                zones.extend_from_slice(inherited);
-                zones.push(SystemState::shard_of_id(ctx));
-                let remaining = CompoundName::new(name.components()[plen..].to_vec())
-                    .expect("proper prefix leaves a nonempty suffix");
-                let (s, h) = self
-                    .engine
-                    .resolve_traced(world, client, ctx, &remaining, mode);
-                (s, h, plen)
-            }
-            None => {
-                let (s, h) = self.engine.resolve_traced(world, client, start, name, mode);
-                (s, h, 0)
-            }
-        };
-        // Record the walk's referrals with cumulative footprints: each
-        // deeper prefix depends on every zone crossed to reach it.
-        for hop in &hops {
-            let plen = offset + hop.consumed;
-            zones.push(SystemState::shard_of_id(hop.ctx));
-            if plen >= 1 && plen < name.len() {
-                let prefix =
-                    CompoundName::new(name.components()[..plen].to_vec()).expect("nonempty prefix");
-                self.referrals.record_leased(
-                    now,
-                    &self.table,
-                    start,
-                    &prefix,
-                    hop.ctx,
-                    zones.iter().copied(),
-                );
-            }
-        }
-        if let Entity::Object(o) = stats.entity {
-            zones.push(SystemState::shard_of_id(o));
-        }
-        if stats.entity.is_defined() {
-            self.positives.record(
-                now,
-                self.mode.lease_ttl(),
-                start,
-                name.components(),
-                stats.entity,
-                zones,
-                &self.table,
-            );
-        } else if stats.unreachable {
-            // Transport verdict: cached in neither mode.
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("cache.unreachable_uncached").bump();
-        } else {
-            self.negatives
-                .record_verdict_leased(now, &self.table, start, name, zones, false);
-        }
-        (stats.entity, false)
+        let heard = Self::heard(self.mode, &self.table, world.now().ticks());
+        let engine = &mut self.engine;
+        on_plane!(&mut self.plane, p => p.resolve_one(engine, world, heard, client, start, name, mode))
     }
 
     /// Resolves many names through the cache in one shot: cache (and
@@ -476,252 +576,21 @@ impl CachingResolver {
         start: ObjectId,
         names: &[CompoundName],
     ) -> CachedBatchOutcome {
-        if self.mode.is_lease() {
-            return self.resolve_batch_leased(world, client, start, names);
-        }
-        let mut entities = vec![Entity::Undefined; names.len()];
-        let mut from_cache = vec![false; names.len()];
-        // Misses grouped by the context the batch will start from:
-        // group ctx → (prefix components consumed to get there, slot).
-        let mut groups: BTreeMap<ObjectId, Vec<(usize, usize)>> = BTreeMap::new();
-        let mut hits = 0u64;
-        for (slot, name) in names.iter().enumerate() {
-            if let Some(e) = self.memo.probe_stale(start, name.components()) {
-                hits += 1;
-                entities[slot] = e;
-                from_cache[slot] = true;
-                continue;
-            }
-            if self.negatives.probe(world, start, name) {
-                from_cache[slot] = true;
-                continue;
-            }
-            let jump = self.referrals.lookup_deepest(
-                world,
-                self.engine.service(),
-                start,
-                name.components(),
-            );
-            match jump {
-                Some((plen, ctx, _machine)) => groups.entry(ctx).or_default().push((plen, slot)),
-                None => groups.entry(start).or_default().push((0, slot)),
-            }
-        }
-        mirror_probe_counts(hits, names.len() as u64 - hits);
-        let mut messages = 0u64;
-        let mut latency = Duration::ZERO;
-        let mut seen_referrals: BTreeSet<(CompoundName, ObjectId)> = BTreeSet::new();
-        for (gctx, members) in groups {
-            let remaining: Vec<CompoundName> = members
-                .iter()
-                .map(|&(plen, slot)| {
-                    CompoundName::new(names[slot].components()[plen..].to_vec())
-                        .expect("proper prefix leaves a nonempty suffix")
-                })
-                .collect();
-            let batch = self.engine.resolve_batch(world, client, gctx, &remaining);
-            messages += batch.messages;
-            latency = latency + batch.latency;
-            for (i, &(plen, slot)) in members.iter().enumerate() {
-                entities[slot] = batch.entities[i];
-                // Referrals are reported relative to the group's start;
-                // re-key them by every original name they prefix.
-                for (ref_prefix, _machine, ctx) in &batch.referrals {
-                    let rel = ref_prefix.components();
-                    if names[slot].components()[plen..].starts_with(rel) {
-                        let full = plen + rel.len();
-                        if full >= 1 && full < names[slot].len() {
-                            let prefix =
-                                CompoundName::new(names[slot].components()[..full].to_vec())
-                                    .expect("nonempty prefix");
-                            if seen_referrals.insert((prefix.clone(), *ctx)) {
-                                self.referrals.record(world, start, &prefix, *ctx);
-                            }
-                        }
-                    }
-                }
-                let name = &names[slot];
-                if entities[slot].is_defined() {
-                    let deps = path_deps(world.state(), start, name);
-                    self.memo.record(
-                        world.state(),
-                        start,
-                        name.components(),
-                        entities[slot],
-                        &deps,
-                    );
-                } else if batch.unreachable[i] {
-                    // Transport verdict: never a negative-cache entry.
-                    #[cfg(feature = "telemetry")]
-                    naming_telemetry::counter!("cache.unreachable_uncached").bump();
-                } else {
-                    self.negatives.record_protocol_verdict(
-                        world,
-                        start,
-                        name,
-                        batch.unreachable[i],
-                    );
-                }
-            }
-        }
-        CachedBatchOutcome {
-            entities,
-            from_cache,
-            messages,
-            latency,
-        }
-    }
-
-    /// Lease-mode batch resolution: same grouping as the exact path, but
-    /// every probe, jump, and record goes through the lease stores with
-    /// the protocol-visible zone footprints of
-    /// [`CachingResolver::resolve_leased`].
-    fn resolve_batch_leased(
-        &mut self,
-        world: &mut World,
-        client: ActivityId,
-        start: ObjectId,
-        names: &[CompoundName],
-    ) -> CachedBatchOutcome {
-        let now = world.now().ticks();
-        let mut entities = vec![Entity::Undefined; names.len()];
-        let mut from_cache = vec![false; names.len()];
-        // Every miss's footprint up to where its batch starts — the start
-        // context's shard, what a cached-referral jump inherited, the jump
-        // target's shard — back to back; a group member holds its range.
-        let mut jump_zones: Vec<usize> = Vec::new();
-        let mut groups: BTreeMap<ObjectId, Vec<(usize, usize, Range<usize>)>> = BTreeMap::new();
-        let mut hits = 0u64;
-        for (slot, name) in names.iter().enumerate() {
-            if let LeaseProbe::Hit(e) =
-                self.positives
-                    .probe(now, &self.table, start, name.components())
-            {
-                hits += 1;
-                entities[slot] = e;
-                from_cache[slot] = true;
-                continue;
-            }
-            if self.negatives.probe_leased(now, &self.table, start, name) {
-                from_cache[slot] = true;
-                continue;
-            }
-            let lo = jump_zones.len();
-            jump_zones.push(SystemState::shard_of_id(start));
-            let jump = self.referrals.lookup_deepest_leased(
-                now,
-                &self.table,
-                self.engine.service(),
-                start,
-                name.components(),
-            );
-            let (gctx, plen) = match jump {
-                Some((plen, ctx, _machine, inherited)) => {
-                    jump_zones.extend_from_slice(inherited);
-                    jump_zones.push(SystemState::shard_of_id(ctx));
-                    (ctx, plen)
-                }
-                None => (start, 0),
-            };
-            let member = (plen, slot, lo..jump_zones.len());
-            groups.entry(gctx).or_default().push(member);
-        }
-        mirror_probe_counts(hits, names.len() as u64 - hits);
-        let mut messages = 0u64;
-        let mut latency = Duration::ZERO;
-        let mut seen_referrals: BTreeSet<(CompoundName, ObjectId)> = BTreeSet::new();
-        // The member at hand's whole footprint, rebuilt in place.
-        let mut zones: Vec<usize> = Vec::new();
-        for (gctx, members) in groups {
-            let remaining: Vec<CompoundName> = members
-                .iter()
-                .map(|&(plen, slot, _)| {
-                    CompoundName::new(names[slot].components()[plen..].to_vec())
-                        .expect("proper prefix leaves a nonempty suffix")
-                })
-                .collect();
-            let batch = self.engine.resolve_batch(world, client, gctx, &remaining);
-            messages += batch.messages;
-            latency = latency + batch.latency;
-            for (i, (plen, slot, jumped)) in members.into_iter().enumerate() {
-                entities[slot] = batch.entities[i];
-                zones.clear();
-                zones.extend_from_slice(&jump_zones[jumped]);
-                for (ref_prefix, _machine, ctx) in &batch.referrals {
-                    let rel = ref_prefix.components();
-                    if names[slot].components()[plen..].starts_with(rel) {
-                        zones.push(SystemState::shard_of_id(*ctx));
-                        let full = plen + rel.len();
-                        if full >= 1 && full < names[slot].len() {
-                            let prefix =
-                                CompoundName::new(names[slot].components()[..full].to_vec())
-                                    .expect("nonempty prefix");
-                            if seen_referrals.insert((prefix.clone(), *ctx)) {
-                                self.referrals.record_leased(
-                                    now,
-                                    &self.table,
-                                    start,
-                                    &prefix,
-                                    *ctx,
-                                    zones.iter().copied(),
-                                );
-                            }
-                        }
-                    }
-                }
-                let name = &names[slot];
-                if let Entity::Object(o) = entities[slot] {
-                    zones.push(SystemState::shard_of_id(o));
-                }
-                if entities[slot].is_defined() {
-                    self.positives.record(
-                        now,
-                        self.mode.lease_ttl(),
-                        start,
-                        name.components(),
-                        entities[slot],
-                        zones.iter().copied(),
-                        &self.table,
-                    );
-                } else if batch.unreachable[i] {
-                    #[cfg(feature = "telemetry")]
-                    naming_telemetry::counter!("cache.unreachable_uncached").bump();
-                } else {
-                    self.negatives.record_verdict_leased(
-                        now,
-                        &self.table,
-                        start,
-                        name,
-                        zones.iter().copied(),
-                        false,
-                    );
-                }
-            }
-        }
-        CachedBatchOutcome {
-            entities,
-            from_cache,
-            messages,
-            latency,
-        }
+        let heard = Self::heard(self.mode, &self.table, world.now().ticks());
+        let engine = &mut self.engine;
+        on_plane!(&mut self.plane, p => p.resolve_many(engine, world, heard, client, start, names))
     }
 
     /// Drops one cache entry.
     pub fn invalidate(&mut self, start: ObjectId, name: &CompoundName) -> bool {
-        match self.mode {
-            CoherenceMode::Exact => self.memo.remove(start, name.components()),
-            CoherenceMode::Lease { .. } => self.positives.remove(start, name.components()),
-        }
+        on_plane!(&mut self.plane, p => p.positives.remove(start, name.components()))
     }
 
     /// Drops the whole cache — positive, referral, and negative alike.
     /// The serial table is kept: forgetting heard serials is a *restart*
     /// (see [`CachingResolver::restart_replica`]), not a cache flush.
     pub fn invalidate_all(&mut self) {
-        self.memo.invalidate_all();
-        self.positives.clear();
-        self.referrals.invalidate_all();
-        self.negatives.invalidate_all();
+        on_plane!(&mut self.plane, p => p.clear())
     }
 
     /// Simulates a replica restart: every cache *and* the heard-serial
@@ -739,17 +608,13 @@ impl CachingResolver {
     /// entries were dropped; the referral and negative caches are swept
     /// too (their probes validate lazily anyway, this reclaims space).
     ///
-    /// Exact-mode only: healing reads authoritative generations, which is
-    /// precisely what the lease path must never do.
+    /// A no-op returning 0 in lease mode: there is no oracle store to
+    /// heal; a lease plane learns of writes through [`CachingResolver::sync`].
     pub fn heal(&mut self, world: &World) -> usize {
-        debug_assert!(
-            self.mode.is_exact(),
-            "heal() consults authoritative generations; lease mode syncs serials instead"
-        );
-        let n = self.memo.invalidate_stale(world.state());
-        self.referrals.heal(world);
-        self.negatives.heal(world);
-        n
+        match &mut self.plane {
+            Planes::Oracle(p) => p.sweep(world)[0],
+            Planes::Lease(_) => 0,
+        }
     }
 
     /// Drops every leased entry (positive, referral, negative) whose
@@ -757,9 +622,13 @@ impl CachingResolver {
     /// in exact mode. Probes drop lapsed entries on sight anyway; this
     /// reclaims space for entries that are never probed again.
     pub fn sweep_leases(&mut self, now: u64) -> usize {
-        self.positives.sweep_expired(now)
-            + self.referrals.sweep_expired(now)
-            + self.negatives.sweep_expired(now)
+        match &mut self.plane {
+            Planes::Oracle(_) => 0,
+            Planes::Lease(p) => {
+                let swept = p.sweep(Self::heard(self.mode, &self.table, now));
+                swept.iter().sum()
+            }
+        }
     }
 
     /// Anti-entropy pull: asks the authority on `machine` for zone deltas
@@ -768,7 +637,7 @@ impl CachingResolver {
     /// zone has moved past. Returns `None` when the exchange was lost
     /// (the next periodic pull catches up).
     ///
-    /// This is the lease path's *only* source of invalidation evidence —
+    /// This is the lease plane's *only* source of invalidation evidence —
     /// it reads authoritative state exclusively through the wire.
     pub fn sync(
         &mut self,
@@ -799,17 +668,16 @@ impl CachingResolver {
             // The zone's serial moved: entries stamped under the old
             // serial were justified by history the zone no longer stands
             // behind. Drop them eagerly; probes would drop them lazily.
-            let dropped = self.positives.invalidate_zone(slice.shard, slice.serial) as u64
-                + self.referrals.observe_zone(slice.shard, slice.serial) as u64
-                + self.negatives.observe_zone(slice.shard, slice.serial) as u64;
-            report.entries_dropped += dropped;
+            let dropped = on_plane!(&mut self.plane, p => p.zone_moved(slice.shard, slice.serial));
+            report.entries_dropped += dropped as u64;
         }
         Some(report)
     }
 
     /// Audits the cache against the authoritative naming state: returns
     /// the entries whose cached entity no longer matches what the
-    /// authority would answer — the *incoherent* (stale) entries.
+    /// authority would answer — the *incoherent* (stale) entries. The
+    /// audit is the observer: it reads σ even where the policy may not.
     ///
     /// The authoritative walks run through a scratch [`ResolutionMemo`],
     /// so entries sharing path prefixes (the common case — a cache fills
@@ -817,23 +685,20 @@ impl CachingResolver {
     /// with the `parallel` feature large audits shard across threads.
     /// Output is identical either way: same entries, same order.
     pub fn stale_entries(&self, world: &World) -> Vec<(ObjectId, CompoundName, Entity)> {
-        let entries: Vec<(ObjectId, CompoundName, Entity)> = self
-            .memo
-            .entries()
-            .map(|(start, suffix, cached)| {
-                let name = CompoundName::new(suffix.to_vec()).expect("cached names are nonempty");
-                (start, name, cached)
-            })
-            .collect();
+        let named = |(start, suffix, cached): (ObjectId, &[Name], Entity)| {
+            let name = CompoundName::new(suffix.to_vec()).expect("cached names are nonempty");
+            (start, name, cached)
+        };
+        let entries = on_plane!(&self.plane, p => p.positives.entries().map(named).collect());
         audit_against_authority(world.state(), entries)
     }
 
     /// Staleness rate: stale entries / cached entries (0 when empty).
     pub fn staleness(&self, world: &World) -> f64 {
-        if self.memo.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.stale_entries(world).len() as f64 / self.memo.len() as f64
+        self.stale_entries(world).len() as f64 / self.len() as f64
     }
 }
 
@@ -899,20 +764,6 @@ fn audit_against_authority(
     audit_chunk(&entries)
 }
 
-/// The `(context, generation)` pairs an authoritative resolution of `name`
-/// reads, recorded into cache entries so healing can be a pure version
-/// comparison.
-fn path_deps(state: &SystemState, start: ObjectId, name: &CompoundName) -> Vec<(ObjectId, u64)> {
-    match Resolver::new().resolve(state, start, name) {
-        Ok(res) => res
-            .steps
-            .iter()
-            .filter_map(|s| state.context(s.context).map(|c| (s.context, c.version())))
-            .collect(),
-        Err(_) => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,7 +772,9 @@ mod tests {
     use naming_sim::store;
     use naming_sim::topology::MachineId;
 
-    fn setup() -> (World, CachingResolver, ActivityId, ObjectId) {
+    fn setup_mode(
+        mode: CoherenceMode,
+    ) -> (World, CachingResolver, ActivityId, ObjectId, MachineId) {
         let mut w = World::new(81);
         let net = w.add_network("n");
         let m1 = w.add_machine("m1", net);
@@ -935,8 +788,18 @@ mod tests {
         svc.place_subtree(&w, w.machine_root(m2), m2);
         svc.place_subtree(&w, root, m1);
         let client = w.spawn(m1, "client", None);
-        let resolver = CachingResolver::new(ProtocolEngine::new(svc));
+        let resolver =
+            CachingResolver::with_mode(ProtocolEngine::new(svc), DEFAULT_CACHE_CAPACITY, mode);
+        (w, resolver, client, root, m1)
+    }
+
+    fn setup() -> (World, CachingResolver, ActivityId, ObjectId) {
+        let (w, resolver, client, root, _m1) = setup_mode(CoherenceMode::Exact);
         (w, resolver, client, root)
+    }
+
+    fn setup_lease(ttl: Option<u64>) -> (World, CachingResolver, ActivityId, ObjectId, MachineId) {
+        setup_mode(CoherenceMode::Lease { ttl })
     }
 
     fn mid(_m: MachineId) {}
@@ -1160,8 +1023,10 @@ mod tests {
         w.state_mut().bind(sub, Name::new("data"), fresh).unwrap();
         let naive: Vec<(ObjectId, CompoundName, Entity)> = {
             let resolver = Resolver::new();
-            r.memo
-                .entries()
+            let Planes::Oracle(plane) = &r.plane else {
+                panic!("setup() builds an exact-mode resolver");
+            };
+            ResolutionMemo::entries(&plane.positives)
                 .filter_map(|(start, suffix, cached)| {
                     let name = CompoundName::new(suffix.to_vec()).unwrap();
                     (resolver.resolve_entity(w.state(), start, &name) != cached)
@@ -1272,28 +1137,6 @@ mod tests {
         assert!(!r.invalidate(root, &name));
     }
 
-    fn setup_leased(ttl: Option<u64>) -> (World, CachingResolver, ActivityId, ObjectId, MachineId) {
-        let mut w = World::new(81);
-        let net = w.add_network("n");
-        let m1 = w.add_machine("m1", net);
-        let m2 = w.add_machine("m2", net);
-        let root = w.machine_root(m1);
-        let root2 = w.machine_root(m2);
-        let sub = store::ensure_dir(w.state_mut(), root2, "export");
-        store::create_file(w.state_mut(), sub, "data", vec![]);
-        store::attach(w.state_mut(), root, "remote", sub, false);
-        let mut svc = NameService::install(&mut w, &[m1, m2]);
-        svc.place_subtree(&w, w.machine_root(m2), m2);
-        svc.place_subtree(&w, root, m1);
-        let client = w.spawn(m1, "client", None);
-        let resolver = CachingResolver::with_mode(
-            ProtocolEngine::new(svc),
-            DEFAULT_CACHE_CAPACITY,
-            CoherenceMode::Lease { ttl },
-        );
-        (w, resolver, client, root, m1)
-    }
-
     /// Pushes virtual time forward by `ticks` without any naming traffic.
     fn advance(w: &mut World, client: ActivityId, ticks: u64) {
         w.schedule_wake(client, Duration::from_ticks(ticks), u64::MAX);
@@ -1303,7 +1146,7 @@ mod tests {
 
     #[test]
     fn leased_hits_are_free_and_expire_on_schedule() {
-        let (mut w, mut r, client, root, _m) = setup_leased(Some(50));
+        let (mut w, mut r, client, root, _m) = setup_lease(Some(50));
         let name = CompoundName::parse_path("/remote/data").unwrap();
         let (e1, from_cache1) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
         assert!(e1.is_defined());
@@ -1328,7 +1171,7 @@ mod tests {
         // at the authority WITHOUT telling the replica, and the lease
         // keeps serving the old answer until it expires or a sync lands —
         // exact mode's validated caches would have noticed immediately.
-        let (mut w, mut r, client, root, m1) = setup_leased(None);
+        let (mut w, mut r, client, root, m1) = setup_lease(None);
         let name = CompoundName::parse_path("/remote/data").unwrap();
         let (old, _) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
         let sub = match store::resolve_path(w.state(), root, "/remote") {
@@ -1342,6 +1185,9 @@ mod tests {
         let (served, from_cache) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
         assert!(from_cache);
         assert_eq!(served, old, "unsynced replica still serves the lease");
+        // The audit is the observer: it may compare the lease store with σ.
+        assert_eq!(r.stale_entries(&w), vec![(root, name.clone(), old)]);
+        assert_eq!(r.staleness(&w), 1.0);
         // An anti-entropy pull brings the serial movement home; the entry
         // drops and the next lookup fetches the new binding.
         let report = r.sync(&mut w, client, m1).expect("sync completes");
@@ -1349,14 +1195,16 @@ mod tests {
             report.entries_dropped >= 1,
             "serial movement drops the entry"
         );
+        assert_eq!(r.staleness(&w), 0.0, "nothing stale is left to serve");
         let (now_fresh, from_cache) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
         assert!(!from_cache);
         assert_eq!(now_fresh, Entity::Object(fresh));
+        assert!(r.stale_entries(&w).is_empty());
     }
 
     #[test]
     fn first_sync_is_full_then_incremental() {
-        let (mut w, mut r, client, root, m1) = setup_leased(None);
+        let (mut w, mut r, client, root, m1) = setup_lease(None);
         // Never heard any shard: every populated shard answers full.
         let first = r.sync(&mut w, client, m1).expect("sync completes");
         assert!(first.shards_full >= 1, "cold replica gets full transfers");
@@ -1382,7 +1230,7 @@ mod tests {
 
     #[test]
     fn replica_restart_forces_full_transfers() {
-        let (mut w, mut r, client, _root, m1) = setup_leased(None);
+        let (mut w, mut r, client, _root, m1) = setup_lease(None);
         r.sync(&mut w, client, m1).expect("warm-up sync");
         r.restart_replica();
         assert!(r.is_empty());
@@ -1396,13 +1244,13 @@ mod tests {
 
     #[test]
     fn leased_batch_matches_singles() {
-        let (mut w, mut r, client, root, _m) = setup_leased(None);
+        let (mut w, mut r, client, root, _m) = setup_lease(None);
         let names: Vec<CompoundName> = ["/remote/data", "/remote", "/remote/nope", "/remote/data"]
             .iter()
             .map(|p| CompoundName::parse_path(p).unwrap())
             .collect();
         let batch = r.resolve_batch(&mut w, client, root, &names);
-        let (mut w2, mut r2, client2, root2, _m2) = setup_leased(None);
+        let (mut w2, mut r2, client2, root2, _m2) = setup_lease(None);
         for (i, name) in names.iter().enumerate() {
             let (e, _) = r2.resolve(&mut w2, client2, root2, name, Mode::Iterative);
             assert_eq!(batch.entities[i], e, "leased batch disagrees on {name}");
@@ -1416,7 +1264,7 @@ mod tests {
 
     #[test]
     fn zero_ttl_leases_are_never_served() {
-        let (mut w, mut r, client, root, _m) = setup_leased(Some(0));
+        let (mut w, mut r, client, root, _m) = setup_lease(Some(0));
         let name = CompoundName::parse_path("/remote/data").unwrap();
         let (e1, _) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
         assert!(e1.is_defined());
@@ -1429,26 +1277,81 @@ mod tests {
     fn dropped_replies_never_seed_the_negative_cache() {
         // A bound name resolved while the network eats everything comes
         // back ⊥-with-unreachable; were that cached negatively, the name
-        // would keep denying after the network heals.
-        let (mut w, mut r, client, root) = setup();
+        // would keep denying after the network heals. Under either policy.
+        for mode in [CoherenceMode::Exact, CoherenceMode::Lease { ttl: None }] {
+            let (mut w, mut r, client, root, _m1) = setup_mode(mode);
+            let name = CompoundName::parse_path("/remote/data").unwrap();
+            w.set_message_drop_rate(1.0);
+            let (e, from_cache) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
+            assert!(!e.is_defined());
+            assert!(!from_cache);
+            assert_eq!(
+                r.negative_stats().recorded,
+                0,
+                "transport ⊥ must not be cached"
+            );
+            // Batch path under total loss: same invariant.
+            let names = vec![name.clone()];
+            let out = r.resolve_batch(&mut w, client, root, &names);
+            assert!(!out.entities[0].is_defined());
+            assert_eq!(r.negative_stats().recorded, 0);
+            // Network heals: the same resolver answers correctly.
+            w.set_message_drop_rate(0.0);
+            let (healed, _) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
+            assert!(healed.is_defined(), "no poisoned ⊥ survives the outage");
+        }
+    }
+
+    #[test]
+    fn a_lagging_replicas_answer_heals_on_the_next_write_to_its_zone() {
+        // The zone is replicated onto the client's machine, the primary
+        // unbinds, and the copy — not yet republished — still answers. The
+        // authoritative walk fails, but its footprint is not empty: the
+        // entry must not outlive the zone's next write.
+        for batch in [false, true] {
+            let (mut w, mut r, client, root, m1) = setup_mode(CoherenceMode::Exact);
+            let name = CompoundName::parse_path("/remote/data").unwrap();
+            let Entity::Object(sub) = store::resolve_path(w.state(), root, "/remote") else {
+                panic!("remote missing");
+            };
+            r.engine_mut().service_mut().replicate_zone(&mut w, sub, m1);
+            w.state_mut().unbind(sub, Name::new("data")).unwrap();
+            let answered = if batch {
+                r.resolve_batch(&mut w, client, root, std::slice::from_ref(&name))
+                    .entities[0]
+            } else {
+                r.resolve(&mut w, client, root, &name, Mode::Iterative).0
+            };
+            assert!(answered.is_defined(), "the lagging copy answered");
+            assert_eq!(r.stale_entries(&w).len(), 1);
+            let other = w.state_mut().add_data_object("other", vec![]);
+            w.state_mut().bind(sub, Name::new("other"), other).unwrap();
+            assert_eq!(r.heal(&w), 1, "batch: {batch}");
+            assert_eq!(r.staleness(&w), 0.0);
+        }
+    }
+
+    #[test]
+    fn healing_and_lease_sweeping_are_no_ops_on_the_other_plane() {
         let name = CompoundName::parse_path("/remote/data").unwrap();
-        w.set_message_drop_rate(1.0);
-        let (e, from_cache) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
-        assert!(!e.is_defined());
-        assert!(!from_cache);
+        let (mut w, mut exact, client, root, _m1) = setup_mode(CoherenceMode::Exact);
+        exact.resolve(&mut w, client, root, &name, Mode::Iterative);
+        assert_eq!(exact.sweep_leases(u64::MAX), 0);
+        assert_eq!(exact.len(), 1);
+        let (mut w, mut leased, client, root, _m1) = setup_lease(Some(50));
+        leased.resolve(&mut w, client, root, &name, Mode::Iterative);
+        let Entity::Object(sub) = store::resolve_path(w.state(), root, "/remote") else {
+            panic!("remote missing");
+        };
+        let fresh = w.state_mut().add_data_object("data-v2", vec![]);
+        w.state_mut().bind(sub, Name::new("data"), fresh).unwrap();
+        assert_eq!(leased.heal(&w), 0, "a lease plane has no oracle store");
+        assert_eq!(leased.len(), 1);
         assert_eq!(
-            r.negative_stats().recorded,
-            0,
-            "transport ⊥ must not be cached"
+            leased.sweep_leases(u64::MAX),
+            2,
+            "the binding and its referral"
         );
-        // Batch path under total loss: same invariant.
-        let names = vec![name.clone()];
-        let out = r.resolve_batch(&mut w, client, root, &names);
-        assert!(!out.entities[0].is_defined());
-        assert_eq!(r.negative_stats().recorded, 0);
-        // Network heals: the same resolver answers correctly.
-        w.set_message_drop_rate(0.0);
-        let (healed, _) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
-        assert!(healed.is_defined(), "no poisoned ⊥ survives the outage");
+        assert!(leased.is_empty());
     }
 }

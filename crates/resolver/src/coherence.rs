@@ -1,10 +1,13 @@
 //! Lease coherence: the replica-local validation regime of §5, with
 //! SOA-serial zones and IXFR-style incremental anti-entropy.
 //!
-//! The exact caches in [`referral`](crate::referral) validate entries
-//! against authoritative per-context generations read straight out of
-//! `world.state()` — an oracle no planet-scale deployment has. This
-//! module supplies the deployable alternative, modeled on DNS:
+//! A cached binding is a name resolved in an *earlier* context; the only
+//! question a client cache ever answers is under what rule that binding
+//! may still stand. [`Validity`] is that rule as a type. The oracle policy
+//! (in [`referral`](crate::referral)) validates against authoritative
+//! per-context generations read straight out of `world.state()` — which no
+//! planet-scale deployment has. This module supplies the trait and the
+//! deployable policy, [`LeasedCache`], modeled on DNS:
 //!
 //! * every zone (object-table shard) carries a [`ZoneSerial`] advanced on
 //!   each committed naming write (`SystemState` bumps it in lockstep with
@@ -57,16 +60,6 @@ pub enum CoherenceMode {
 }
 
 impl CoherenceMode {
-    /// True for [`CoherenceMode::Exact`].
-    pub const fn is_exact(self) -> bool {
-        matches!(self, CoherenceMode::Exact)
-    }
-
-    /// True for [`CoherenceMode::Lease`].
-    pub const fn is_lease(self) -> bool {
-        matches!(self, CoherenceMode::Lease { .. })
-    }
-
     /// The lease TTL (`None` = ∞). Meaningful only in lease mode; exact
     /// mode answers `None` (it never grants leases at all).
     pub const fn lease_ttl(self) -> Option<u64> {
@@ -161,18 +154,114 @@ impl SerialTable {
     }
 }
 
-/// Why a [`LeasedCache::probe`] did or did not answer.
+/// Why a [`Validity::probe`] did or did not answer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LeaseProbe {
-    /// A valid leased entry answered.
+pub enum Probe {
+    /// A valid entry answered.
     Hit(Entity),
     /// An entry existed but its lease had lapsed; it was dropped.
     Expired,
-    /// An entry existed but a zone it depends on has a newer heard
-    /// serial; it was dropped.
+    /// An entry existed but a zone serial or context generation it was
+    /// recorded under has moved; it was dropped.
     Stale,
     /// No entry.
     Miss,
+}
+
+impl Probe {
+    /// True when the probe found an entry and dropped it.
+    pub fn dropped(self) -> bool {
+        matches!(self, Probe::Expired | Probe::Stale)
+    }
+}
+
+/// The rule under which a cached binding may still stand, and the bounded
+/// `(start, suffix)` store that keeps bindings under it. Every client
+/// cache is one such store; the code above it is generic over the policy.
+///
+/// The two policies differ in what the holder may *know* when it decides
+/// ([`Validity::Evidence`]): the oracle reads the authority's generations,
+/// so its answers are coherent (§4); a lease holder knows only its clock
+/// and the zone serials it has heard, so its answers are weakly coherent,
+/// stale for at most a TTL plus a propagation delay (§5).
+pub trait Validity: Sized {
+    /// What a holder consults to validate, record and sweep.
+    type Evidence<'a>: Copy;
+
+    /// An empty store holding at most `capacity` entries (least recently
+    /// used evicted first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    fn with_capacity(capacity: usize) -> Self;
+
+    /// Number of live entries.
+    fn len(&self) -> usize;
+
+    /// True when nothing is cached.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Looks `(start, suffix)` up and validates what it finds: only
+    /// [`Probe::Hit`] carries an answer; a refuted entry is dropped on sight.
+    fn probe(&mut self, by: Self::Evidence<'_>, start: ObjectId, suffix: &[Name]) -> Probe;
+
+    /// The positive cache's lookup. A policy serves what it validates —
+    /// unless, like the oracle, it measures the incoherence of not doing so.
+    fn serve(
+        &mut self,
+        by: Self::Evidence<'_>,
+        start: ObjectId,
+        suffix: &[Name],
+    ) -> Option<Entity> {
+        match self.probe(by, start, suffix) {
+            Probe::Hit(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    /// Records that `suffix` from `start` denotes `entity`; returns whether
+    /// the entry was kept. `zones` is the protocol-visible footprint of the
+    /// resolution: the shards of the start context, of every referral
+    /// target and of the answer. A validated cache keeps only what the
+    /// policy can justify; the positive cache records `on_trust` — the
+    /// protocol's answer as given, the counterpart of [`Validity::serve`].
+    fn record(
+        &mut self,
+        by: Self::Evidence<'_>,
+        start: ObjectId,
+        suffix: &[Name],
+        entity: Entity,
+        zones: &[usize],
+        on_trust: bool,
+    ) -> bool;
+
+    /// The zones the held entry for `(start, suffix)` depends on (empty
+    /// when nothing is held), which a caller that jumped through a cached
+    /// referral composes into the entries it records downstream. A policy
+    /// that keeps no zone stamps has nothing to compose —
+    fn footprint(&self, _start: ObjectId, _suffix: &[Name]) -> &[usize] {
+        &[]
+    }
+
+    /// — and nothing to drop when an anti-entropy pull hears `shard` move
+    /// to `serial`; one that does drops every entry stamped under another
+    /// serial of that zone. Returns how many.
+    fn zone_moved(&mut self, _shard: usize, _serial: ZoneSerial) -> usize {
+        0
+    }
+
+    /// Removes one entry; returns whether it existed.
+    fn remove(&mut self, start: ObjectId, suffix: &[Name]) -> bool;
+
+    /// Drops every entry.
+    fn clear(&mut self);
+
+    /// Drops every entry the evidence already refutes; returns how many.
+    /// (Probes do this lazily; sweeping reclaims the space eagerly.)
+    fn sweep(&mut self, by: Self::Evidence<'_>) -> usize;
 }
 
 /// Counters for a leased cache.
@@ -200,6 +289,18 @@ impl LeaseCacheStats {
     }
 }
 
+/// The lease policy's evidence: what a replica knows without asking the
+/// authority. There is no σ in it, so nothing done under it can read σ.
+#[derive(Clone, Copy, Debug)]
+pub struct Heard<'a> {
+    /// The replica's clock, in virtual ticks.
+    pub now: u64,
+    /// Duration of the leases granted now (`None` = ∞).
+    pub ttl: Option<u64>,
+    /// The zone serials heard through anti-entropy pulls.
+    pub table: &'a SerialTable,
+}
+
 /// One leased binding: the entity plus the replica-local facts that
 /// justify serving it.
 #[derive(Clone, Debug, Default)]
@@ -221,13 +322,13 @@ impl LeasedEntry {
 }
 
 /// A bounded cache of leased bindings, validated by the two
-/// replica-local checks only: lease expiry and heard-serial movement.
-/// No method takes σ, a `World`, or a `SystemState` — staleness beyond
-/// the checks is *possible by design* and bounded by the TTL.
+/// replica-local checks only: lease expiry and heard-serial movement
+/// ([`Heard`]). Staleness beyond the checks is *possible by design* and
+/// bounded by the TTL.
 ///
-/// The entries live in the [`SlabLru`] the exact-mode memo uses: a probe
-/// is one hash and one slot read, a full cache evicts its least recently
-/// *served or recorded* entry, and a slot freed by expiry, serial
+/// The entries live in the [`SlabLru`] the oracle policy's memo uses: a
+/// probe is one hash and one slot read, a full cache evicts its least
+/// recently *served or recorded* entry, and a slot freed by expiry, serial
 /// movement or eviction is refilled in place by the next record.
 #[derive(Clone, Debug)]
 pub struct LeasedCache {
@@ -236,31 +337,14 @@ pub struct LeasedCache {
 }
 
 impl LeasedCache {
-    /// An empty cache holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> LeasedCache {
-        LeasedCache {
-            store: SlabLru::with_capacity(capacity),
-            stats: LeaseCacheStats::default(),
-        }
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> LeaseCacheStats {
         self.stats
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+    /// The capacity bound.
+    pub fn capacity(&self) -> usize {
+        self.store.capacity()
     }
 
     /// Slots the backing slab has ever allocated (live plus reusable);
@@ -269,64 +353,53 @@ impl LeasedCache {
         self.store.slots()
     }
 
-    /// Records `entity` for `(start, suffix)` under a lease granted at
-    /// `now` for `ttl` ticks (`None` = ∞), depending on `zones` — each
-    /// stamped with the serial currently heard in `table`. A `ttl` of 0
-    /// grants a lease that is never valid, so nothing is recorded.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        now: u64,
-        ttl: Option<u64>,
-        start: ObjectId,
-        suffix: &[Name],
-        entity: Entity,
-        zones: impl IntoIterator<Item = usize>,
-        table: &SerialTable,
-    ) {
-        if ttl == Some(0) {
-            return;
+    /// The cached entries as `(start, suffix, entity)`, in lexicographic
+    /// order like the memo's — for audits, which observe the cache from
+    /// outside and may compare it with σ where the policy may not.
+    pub fn entries(&self) -> impl Iterator<Item = (ObjectId, &[Name], Entity)> + '_ {
+        let entries = self
+            .store
+            .iter()
+            .map(|(start, suffix, e)| (start, suffix, e.entity));
+        let mut entries: Vec<_> = entries.collect();
+        entries.sort_unstable();
+        entries.into_iter()
+    }
+}
+
+impl Validity for LeasedCache {
+    type Evidence<'a> = Heard<'a>;
+
+    fn with_capacity(capacity: usize) -> LeasedCache {
+        LeasedCache {
+            store: SlabLru::with_capacity(capacity),
+            stats: LeaseCacheStats::default(),
         }
-        let (how, e) = self.store.upsert(start, suffix);
-        e.entity = entity;
-        e.expires_at = Lease::grant(now, ttl, ZoneSerial::ZERO).expires_at;
-        e.zones.clear();
-        e.zones.extend(zones);
-        e.zones.sort_unstable();
-        e.zones.dedup();
-        e.stamps.clear();
-        e.stamps.extend(e.zones.iter().map(|&z| table.known(z)));
-        self.stats.recorded += 1;
-        self.stats.evictions += u64::from(how == Upsert::Inserted { evicted: true });
     }
 
-    /// Probes `(start, suffix)` at `now`, validating with the two
-    /// replica-local checks. Invalid entries are dropped on sight and the
-    /// probe reports why; only [`LeaseProbe::Hit`] carries an answer.
-    pub fn probe(
-        &mut self,
-        now: u64,
-        table: &SerialTable,
-        start: ObjectId,
-        suffix: &[Name],
-    ) -> LeaseProbe {
+    fn len(&self) -> usize {
+        self.store.len()
+    }
+
+    /// Validates with the two replica-local checks.
+    fn probe(&mut self, by: Heard<'_>, start: ObjectId, suffix: &[Name]) -> Probe {
         let Some(slot) = self.store.find(start, suffix) else {
             self.stats.misses += 1;
-            return LeaseProbe::Miss;
+            return Probe::Miss;
         };
         let entry = self.store.value(slot);
-        let verdict = if now >= entry.expires_at {
+        let verdict = if by.now >= entry.expires_at {
             self.stats.expired += 1;
-            LeaseProbe::Expired
-        } else if entry.stamped().any(|(z, s)| table.known(z) != s) {
+            Probe::Expired
+        } else if entry.stamped().any(|(z, s)| by.table.known(z) != s) {
             // Any movement — forward or regressed — past the stamped
             // serial invalidates: the entry was justified under history
             // the zone no longer stands behind.
             self.stats.serial_dropped += 1;
-            LeaseProbe::Stale
+            Probe::Stale
         } else {
             self.stats.hits += 1;
-            let hit = LeaseProbe::Hit(entry.entity);
+            let hit = Probe::Hit(entry.entity);
             self.store.touch(slot);
             return hit;
         };
@@ -335,45 +408,68 @@ impl LeasedCache {
         verdict
     }
 
-    /// The shards the held entry for `(start, suffix)` depends on (empty
-    /// when nothing is held). Lets a caller that jumped through a cached
-    /// referral compose the jumped-over footprint into entries it records
-    /// downstream — without ever consulting σ.
-    pub fn zone_deps(&self, start: ObjectId, suffix: &[Name]) -> &[usize] {
+    /// Grants a lease at `by.now` for `by.ttl` ticks, stamping each of
+    /// `zones` with the serial currently heard. Justified by the protocol's
+    /// answer alone, trusted or not: a lagging authority *may* plant a stale
+    /// entry, and the lease bounds how long it misleads. A `ttl` of 0 is
+    /// never valid, so records nothing.
+    fn record(
+        &mut self,
+        by: Heard<'_>,
+        start: ObjectId,
+        suffix: &[Name],
+        entity: Entity,
+        zones: &[usize],
+        _on_trust: bool,
+    ) -> bool {
+        if by.ttl == Some(0) {
+            return false;
+        }
+        let (how, e) = self.store.upsert(start, suffix);
+        e.entity = entity;
+        e.expires_at = Lease::grant(by.now, by.ttl, ZoneSerial::ZERO).expires_at;
+        e.zones.clear();
+        e.zones.extend_from_slice(zones);
+        e.zones.sort_unstable();
+        e.zones.dedup();
+        e.stamps.clear();
+        e.stamps.extend(e.zones.iter().map(|&z| by.table.known(z)));
+        self.stats.recorded += 1;
+        self.stats.evictions += u64::from(how == Upsert::Inserted { evicted: true });
+        true
+    }
+
+    fn footprint(&self, start: ObjectId, suffix: &[Name]) -> &[usize] {
         match self.store.find(start, suffix) {
             Some(slot) => &self.store.value(slot).zones,
             None => &[],
         }
     }
 
-    /// Removes one entry (no invalidation counted — caller's policy).
-    pub fn remove(&mut self, start: ObjectId, suffix: &[Name]) -> bool {
+    /// No invalidation is counted — that is the caller's policy.
+    fn remove(&mut self, start: ObjectId, suffix: &[Name]) -> bool {
         let found = self.store.find(start, suffix);
         found.map(|slot| self.store.remove(slot)).is_some()
     }
 
-    /// Drops every entry that depends on `shard` with a stamp other than
-    /// `serial` — called when an anti-entropy pull observes movement.
-    /// Returns how many entries were dropped.
-    pub fn invalidate_zone(&mut self, shard: usize, serial: ZoneSerial) -> usize {
-        let moved = |e: &LeasedEntry| e.stamped().any(|(z, s)| z == shard && s != serial);
-        let n = self.store.retain(|e| !moved(e));
-        self.stats.serial_dropped += n as u64;
-        n
+    /// Not counted as invalidations.
+    fn clear(&mut self) {
+        self.store.clear();
     }
 
-    /// Drops every entry whose lease has lapsed at `now`. Returns how
-    /// many were dropped. (Probes do this lazily; sweeping reclaims the
-    /// space eagerly.)
-    pub fn sweep_expired(&mut self, now: u64) -> usize {
-        let n = self.store.retain(|e| now < e.expires_at);
+    /// Drops every entry whose lease has lapsed at `by.now`. (Serial
+    /// movement is swept when it is heard: [`Validity::zone_moved`].)
+    fn sweep(&mut self, by: Heard<'_>) -> usize {
+        let n = self.store.retain(|e| by.now < e.expires_at);
         self.stats.expired += n as u64;
         n
     }
 
-    /// Drops everything (not counted as invalidations).
-    pub fn clear(&mut self) {
-        self.store.clear();
+    fn zone_moved(&mut self, shard: usize, serial: ZoneSerial) -> usize {
+        let moved = |e: &LeasedEntry| e.stamped().any(|(z, s)| z == shard && s != serial);
+        let n = self.store.retain(|e| !moved(e));
+        self.stats.serial_dropped += n as u64;
+        n
     }
 }
 
@@ -608,6 +704,10 @@ mod tests {
         ObjectId::from_index(raw)
     }
 
+    fn at(now: u64, ttl: Option<u64>, table: &SerialTable) -> Heard<'_> {
+        Heard { now, ttl, table }
+    }
+
     fn change(ctx: u32, name: &str, bound: Option<u32>) -> ZoneChange {
         ZoneChange {
             ctx: oid(ctx),
@@ -652,42 +752,45 @@ mod tests {
         let mut c = LeasedCache::with_capacity(8);
         let suffix = [Name::new("a"), Name::new("b")];
         c.record(
-            100,
-            Some(20),
+            at(100, Some(20), &table),
             oid(1),
             &suffix,
             Entity::Object(oid(9)),
-            [0],
-            &table,
+            &[0],
+            false,
         );
         assert_eq!(
-            c.probe(119, &table, oid(1), &suffix),
-            LeaseProbe::Hit(Entity::Object(oid(9)))
+            c.probe(at(119, None, &table), oid(1), &suffix),
+            Probe::Hit(Entity::Object(oid(9)))
         );
         // Expiry exactly at the tick: the half-open interval closes.
         c.record(
-            100,
-            Some(20),
+            at(100, Some(20), &table),
             oid(1),
             &suffix,
             Entity::Object(oid(9)),
-            [0],
-            &table,
+            &[0],
+            false,
         );
-        assert_eq!(c.probe(120, &table, oid(1), &suffix), LeaseProbe::Expired);
-        assert_eq!(c.probe(120, &table, oid(1), &suffix), LeaseProbe::Miss);
+        assert_eq!(
+            c.probe(at(120, None, &table), oid(1), &suffix),
+            Probe::Expired
+        );
+        assert_eq!(c.probe(at(120, None, &table), oid(1), &suffix), Probe::Miss);
         // Serial movement kills an unexpired entry.
         c.record(
-            100,
-            Some(1000),
+            at(100, Some(1000), &table),
             oid(1),
             &suffix,
             Entity::Object(oid(9)),
-            [0],
-            &table,
+            &[0],
+            false,
         );
         table.observe(0, ZoneSerial::new(5));
-        assert_eq!(c.probe(101, &table, oid(1), &suffix), LeaseProbe::Stale);
+        assert_eq!(
+            c.probe(at(101, None, &table), oid(1), &suffix),
+            Probe::Stale
+        );
         assert_eq!(c.stats().expired, 1);
         assert_eq!(c.stats().serial_dropped, 1);
         assert_eq!(c.stats().hits, 1);
@@ -699,27 +802,25 @@ mod tests {
         let mut c = LeasedCache::with_capacity(8);
         let suffix = [Name::new("x")];
         c.record(
-            7,
-            Some(0),
+            at(7, Some(0), &table),
             oid(1),
             &suffix,
             Entity::Object(oid(2)),
-            [0],
-            &table,
+            &[0],
+            false,
         );
         assert!(c.is_empty(), "ttl 0 is never servable; do not store it");
         c.record(
-            7,
-            None,
+            at(7, None, &table),
             oid(1),
             &suffix,
             Entity::Object(oid(2)),
-            [0],
-            &table,
+            &[0],
+            false,
         );
         assert_eq!(
-            c.probe(u64::MAX - 1, &table, oid(1), &suffix),
-            LeaseProbe::Hit(Entity::Object(oid(2)))
+            c.probe(at(u64::MAX - 1, None, &table), oid(1), &suffix),
+            Probe::Hit(Entity::Object(oid(2)))
         );
     }
 
@@ -730,32 +831,38 @@ mod tests {
         for i in 0..4u32 {
             let suffix = [Name::new(&format!("n{i}"))];
             c.record(
-                0,
-                None,
+                at(0, None, &table),
                 oid(1),
                 &suffix,
                 Entity::Object(oid(i)),
-                [0],
-                &table,
+                &[0],
+                false,
             );
         }
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 2);
         // The oldest two are gone, the newest two serve.
         assert_eq!(
-            c.probe(1, &table, oid(1), &[Name::new("n0")]),
-            LeaseProbe::Miss
+            c.probe(at(1, None, &table), oid(1), &[Name::new("n0")]),
+            Probe::Miss
         );
         assert_eq!(
-            c.probe(1, &table, oid(1), &[Name::new("n3")]),
-            LeaseProbe::Hit(Entity::Object(oid(3)))
+            c.probe(at(1, None, &table), oid(1), &[Name::new("n3")]),
+            Probe::Hit(Entity::Object(oid(3)))
         );
     }
 
     /// Records `(oid(1), [label])` under an infinite lease (or `ttl`).
     fn put(c: &mut LeasedCache, table: &SerialTable, now: u64, ttl: Option<u64>, label: &str) {
         let e = Entity::Object(oid(7));
-        c.record(now, ttl, oid(1), &[Name::new(label)], e, [0], table);
+        c.record(
+            at(now, ttl, table),
+            oid(1),
+            &[Name::new(label)],
+            e,
+            &[0],
+            false,
+        );
     }
 
     #[test]
@@ -768,8 +875,8 @@ mod tests {
         let mut c = LeasedCache::with_capacity(4);
         put(&mut c, &table, 0, Some(10), "a");
         assert_eq!(
-            c.probe(10, &table, oid(1), &[Name::new("a")]),
-            LeaseProbe::Expired
+            c.probe(at(10, None, &table), oid(1), &[Name::new("a")]),
+            Probe::Expired
         );
         for label in ["b", "c", "d"] {
             put(&mut c, &table, 11, None, label);
@@ -779,13 +886,11 @@ mod tests {
         // Capacity + 1: exactly one entry goes, and it is the oldest.
         put(&mut c, &table, 13, None, "e");
         assert_eq!((c.len(), c.stats().evictions), (4, 1));
-        let probe = |c: &mut LeasedCache, label| c.probe(14, &table, oid(1), &[Name::new(label)]);
-        assert_eq!(probe(&mut c, "b"), LeaseProbe::Miss);
+        let probe =
+            |c: &mut LeasedCache, label| c.probe(at(14, None, &table), oid(1), &[Name::new(label)]);
+        assert_eq!(probe(&mut c, "b"), Probe::Miss);
         for label in ["a", "c", "d", "e"] {
-            assert_eq!(
-                probe(&mut c, label),
-                LeaseProbe::Hit(Entity::Object(oid(7)))
-            );
+            assert_eq!(probe(&mut c, label), Probe::Hit(Entity::Object(oid(7))));
         }
     }
 
@@ -801,11 +906,11 @@ mod tests {
             let (label, now) = (&labels[(cycle % 8) as usize], cycle * 10);
             put(&mut c, &table, now, Some(5), label);
             if cycle % 3 == 0 {
-                assert_eq!(c.sweep_expired(now + 5), 1);
+                assert_eq!(c.sweep(at(now + 5, None, &table)), 1);
             } else {
                 assert_eq!(
-                    c.probe(now + 5, &table, oid(1), &[Name::new(label)]),
-                    LeaseProbe::Expired
+                    c.probe(at(now + 5, None, &table), oid(1), &[Name::new(label)]),
+                    Probe::Expired
                 );
             }
             assert!(c.len() <= 16 && c.slots() <= 16);
@@ -821,17 +926,17 @@ mod tests {
         put(&mut c, &table, 0, None, "old");
         put(&mut c, &table, 0, None, "new");
         assert!(matches!(
-            c.probe(1, &table, oid(1), &[Name::new("old")]),
-            LeaseProbe::Hit(_)
+            c.probe(at(1, None, &table), oid(1), &[Name::new("old")]),
+            Probe::Hit(_)
         ));
         put(&mut c, &table, 2, None, "newer");
         assert_eq!(
-            c.probe(3, &table, oid(1), &[Name::new("new")]),
-            LeaseProbe::Miss
+            c.probe(at(3, None, &table), oid(1), &[Name::new("new")]),
+            Probe::Miss
         );
         assert!(matches!(
-            c.probe(3, &table, oid(1), &[Name::new("old")]),
-            LeaseProbe::Hit(_)
+            c.probe(at(3, None, &table), oid(1), &[Name::new("old")]),
+            Probe::Hit(_)
         ));
     }
 
@@ -856,37 +961,34 @@ mod tests {
         table.observe(1, ZoneSerial::new(1));
         let mut c = LeasedCache::with_capacity(8);
         c.record(
-            0,
-            None,
+            at(0, None, &table),
             oid(1),
             &[Name::new("a")],
             Entity::Object(oid(5)),
-            [0],
-            &table,
+            &[0],
+            false,
         );
         c.record(
-            0,
-            None,
+            at(0, None, &table),
             oid(2),
             &[Name::new("b")],
             Entity::Object(oid(6)),
-            [1],
-            &table,
+            &[1],
+            false,
         );
         c.record(
-            0,
-            None,
+            at(0, None, &table),
             oid(3),
             &[Name::new("c")],
             Entity::Object(oid(7)),
-            [0, 1],
-            &table,
+            &[0, 1],
+            false,
         );
-        assert_eq!(c.invalidate_zone(0, ZoneSerial::new(2)), 2);
+        assert_eq!(c.zone_moved(0, ZoneSerial::new(2)), 2);
         assert_eq!(c.len(), 1);
         assert_eq!(
-            c.probe(1, &table, oid(2), &[Name::new("b")]),
-            LeaseProbe::Hit(Entity::Object(oid(6)))
+            c.probe(at(1, None, &table), oid(2), &[Name::new("b")]),
+            Probe::Hit(Entity::Object(oid(6)))
         );
     }
 
@@ -895,24 +997,22 @@ mod tests {
         let table = SerialTable::new();
         let mut c = LeasedCache::with_capacity(8);
         c.record(
-            0,
-            Some(10),
+            at(0, Some(10), &table),
             oid(1),
             &[Name::new("a")],
             Entity::Object(oid(5)),
-            [0],
-            &table,
+            &[0],
+            false,
         );
         c.record(
-            0,
-            Some(30),
+            at(0, Some(30), &table),
             oid(2),
             &[Name::new("b")],
             Entity::Object(oid(6)),
-            [0],
-            &table,
+            &[0],
+            false,
         );
-        assert_eq!(c.sweep_expired(10), 1);
+        assert_eq!(c.sweep(at(10, None, &table)), 1);
         assert_eq!(c.len(), 1);
         assert_eq!(c.stats().expired, 1);
     }

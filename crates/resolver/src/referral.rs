@@ -1,35 +1,113 @@
 //! Referral and negative caches: routing knowledge and `⊥` verdicts a
-//! client may keep — *with* generation validation, so neither ever
-//! returns a stale answer.
+//! client may keep — *validated* on every probe, so neither serves what
+//! its policy's evidence refutes.
 //!
 //! DNS resolvers cache referrals (NS records) so repeat lookups skip the
 //! root; SDSI's linked local namespaces make the same observation about
 //! name-by-name delegation. The paper's §5 warning applies to both: a
 //! cached referral is a claim about the bindings along a prefix, and the
-//! contexts are free to falsify it. These caches therefore record the
-//! full generation footprint of the prefix (PR-1 counters) and validate
-//! it on every probe: a wrong-generation entry is dropped on sight and
-//! the client falls back toward the root. That makes them *coherent*
-//! caches — unlike [`CachingResolver`](crate::cache::CachingResolver)'s
-//! deliberately incoherent positive cache, whose staleness is the point.
+//! contexts are free to falsify it. A refuted entry is therefore dropped
+//! on sight and the client falls back toward the root — unlike
+//! [`CachingResolver`](crate::cache::CachingResolver)'s positive cache,
+//! which under the oracle policy serves unvalidated because its staleness
+//! is the point.
 //!
-//! Both caches are thin policies over naming-core's
-//! [`ResolutionMemo`], which already owns the hard parts: borrowed-key
-//! probes, O(1) LRU bounding, and epoch/generation validation.
+//! Both caches are thin layers over **one** store under a [`Validity`]
+//! policy, which owns the hard parts: borrowed-key probes, O(1) LRU
+//! bounding, and the validation rule. The oracle policy itself lives here
+//! too — naming-core's [`ResolutionMemo`] validated against the authority's
+//! σ; the lease policy, which may not read σ, in [`coherence`](crate::coherence).
 
 use naming_core::entity::{Entity, ObjectId};
 use naming_core::lease::ZoneSerial;
 use naming_core::memo::ResolutionMemo;
-use naming_core::name::{CompoundName, Name};
+use naming_core::name::Name;
 use naming_core::resolve::Resolver;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::coherence::{CoherenceMode, LeaseProbe, LeasedCache, SerialTable};
+use crate::coherence::{Probe, Validity};
 use crate::service::NameService;
 
 /// Default bound on cached referrals / negative entries.
 pub const DEFAULT_REFERRAL_CAPACITY: usize = 1 << 10;
+
+/// The oracle policy: entries carry the `(context, generation)` footprint
+/// of an authoritative walk and are validated against σ itself — exact
+/// coherence, affordable only where the authority's state is in reach (a
+/// simulation).
+impl Validity for ResolutionMemo {
+    type Evidence<'a> = &'a World;
+
+    fn with_capacity(capacity: usize) -> ResolutionMemo {
+        ResolutionMemo::with_capacity(capacity)
+    }
+
+    fn len(&self) -> usize {
+        ResolutionMemo::len(self)
+    }
+
+    fn probe(&mut self, world: &World, start: ObjectId, suffix: &[Name]) -> Probe {
+        let held = ResolutionMemo::len(self);
+        match ResolutionMemo::probe(self, world.state(), start, suffix) {
+            Some(e) => Probe::Hit(e),
+            // The memo drops a generation-invalid entry on sight.
+            None if ResolutionMemo::len(self) < held => Probe::Stale,
+            None => Probe::Miss,
+        }
+    }
+
+    /// Served *without* validation: a client cache has no authoritative
+    /// state to validate against — the §5 incoherence this cache measures.
+    fn serve(&mut self, _: &World, start: ObjectId, suffix: &[Name]) -> Option<Entity> {
+        self.probe_stale(start, suffix)
+    }
+
+    /// Re-walks `suffix` at the authority and records under the walk's
+    /// generation footprint — non-empty even when the walk fails, so a
+    /// later write along it lets `sweep` drop the entry. Unless `on_trust`,
+    /// the entry is kept only if the walk agrees with `entity` modulo
+    /// replica group: the network can answer for reasons that are not
+    /// naming state — every message lost, a lagging replica, a binding
+    /// changed in flight — and a cache that can't justify an entry must not
+    /// keep it. An empty footprint (a depth verdict) would validate forever
+    /// and is refused too.
+    fn record(
+        &mut self,
+        world: &World,
+        start: ObjectId,
+        suffix: &[Name],
+        entity: Entity,
+        _zones: &[usize],
+        on_trust: bool,
+    ) -> bool {
+        let (oracle, deps) = Resolver::new().resolve_entity_with_deps(world.state(), start, suffix);
+        let agreed = match (oracle, entity) {
+            (Entity::Object(o), Entity::Object(e)) => o == e || world.replicas().are_replicas(o, e),
+            (o, e) => o == e,
+        };
+        if !on_trust && (!agreed || deps.is_empty()) {
+            return false;
+        }
+        ResolutionMemo::record(self, world.state(), start, suffix, entity, &deps);
+        true
+    }
+
+    fn remove(&mut self, start: ObjectId, suffix: &[Name]) -> bool {
+        ResolutionMemo::remove(self, start, suffix)
+    }
+
+    /// Each dropped entry counts as an invalidation.
+    fn clear(&mut self) {
+        self.invalidate_all();
+    }
+
+    /// Generation-based healing: a version comparison per entry, no
+    /// re-resolution.
+    fn sweep(&mut self, world: &World) -> usize {
+        self.invalidate_stale(world.state())
+    }
+}
 
 /// Counters for a validated cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,66 +116,59 @@ pub struct ValidatedCacheStats {
     pub hits: u64,
     /// Probes that found nothing valid.
     pub misses: u64,
-    /// Entries dropped because their generation footprint no longer
-    /// matched the authoritative state.
+    /// Entries dropped because the policy's evidence refuted them (a
+    /// generation or heard serial moved, a lease lapsed) or nobody serves
+    /// their context any more.
     pub invalidated: u64,
     /// Entries recorded.
     pub recorded: u64,
+}
+
+/// A validated side cache: one store under the policy `P` and one counter
+/// set. What is cached — referrals or `⊥` verdicts — decides only which
+/// lookups exist ([`ReferralCache`], [`NegativeCache`]) and which registry
+/// counters mirror the set.
+#[derive(Debug)]
+pub struct Validated<P, const NEGATIVE: bool> {
+    store: P,
+    stats: ValidatedCacheStats,
 }
 
 /// Maps resolved zone prefixes to the context object (and server) that
 /// became authoritative there, so a repeat lookup skips straight to the
 /// deepest known server instead of walking from the root.
 ///
-/// Every entry carries the `(context, generation)` footprint of its
-/// prefix; [`ReferralCache::lookup_deepest`] re-validates on each probe
-/// and falls back to the next-shallower prefix (ultimately the root)
-/// when a generation moved. A jump is therefore always equivalent to
-/// resolving the prefix afresh — referral caching changes message
-/// counts, never answers.
-#[derive(Debug)]
-pub struct ReferralCache {
-    memo: ResolutionMemo,
-    leased: LeasedCache,
-    mode: CoherenceMode,
-    stats: ValidatedCacheStats,
-}
+/// [`ReferralCache::lookup_deepest`] re-validates on each probe and falls
+/// back to the next-shallower prefix (ultimately the root) when an entry
+/// is refuted. Under the oracle policy a jump is therefore always
+/// equivalent to resolving the prefix afresh — referral caching changes
+/// message counts, never answers; under leases it is equivalent within
+/// the TTL bound.
+pub type ReferralCache<P> = Validated<P, false>;
 
-impl ReferralCache {
-    /// An empty cache with the default bound, in exact mode.
-    pub fn new() -> ReferralCache {
-        ReferralCache::with_capacity(DEFAULT_REFERRAL_CAPACITY)
-    }
+/// Caches `⊥` outcomes — "this name denotes nothing" — with the footprint
+/// of the failed walk, so repeated misses stop hitting the network while
+/// a `bind` along the consulted path invalidates the verdict: exactly
+/// under the oracle policy, within the TTL bound under leases (a bind the
+/// replica hasn't heard about yet leaves a false-⊥ window by design; the
+/// bench measures it).
+///
+/// Under every policy negative entries are validated before being served:
+/// serving a refuted "does not exist" would invent incoherence the
+/// authoritative system never exhibited.
+pub type NegativeCache<P> = Validated<P, true>;
 
-    /// An empty exact-mode cache holding at most `capacity` referrals
-    /// (LRU-bounded).
+impl<P: Validity, const NEGATIVE: bool> Validated<P, NEGATIVE> {
+    /// An empty cache holding at most `capacity` entries (LRU-bounded).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> ReferralCache {
-        ReferralCache::with_mode(capacity, CoherenceMode::Exact)
-    }
-
-    /// An empty cache holding at most `capacity` referrals, validating
-    /// per `mode`: exact entries live in the generation-versioned memo,
-    /// leased entries in a [`LeasedCache`] that never reads σ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_mode(capacity: usize, mode: CoherenceMode) -> ReferralCache {
-        ReferralCache {
-            memo: ResolutionMemo::with_capacity(capacity),
-            leased: LeasedCache::with_capacity(capacity),
-            mode,
+    pub fn with_capacity(capacity: usize) -> Self {
+        Validated {
+            store: P::with_capacity(capacity),
             stats: ValidatedCacheStats::default(),
         }
-    }
-
-    /// The validation regime this cache runs under.
-    pub fn mode(&self) -> CoherenceMode {
-        self.mode
     }
 
     /// Counters so far.
@@ -105,521 +176,186 @@ impl ReferralCache {
         self.stats
     }
 
-    /// Number of cached referrals.
+    /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.memo.len() + self.leased.len()
+        self.store.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.memo.is_empty() && self.leased.is_empty()
+        self.store.is_empty()
     }
 
-    /// Records that resolving `prefix` from `start` handed authority to
-    /// the context object `ctx`.
-    ///
-    /// The entry's validity footprint is the generation of every context
-    /// the prefix traverses *now*; if the oracle walk disagrees with the
-    /// protocol's referral (a lagging replica answered, or the binding
-    /// changed while the referral was in flight), nothing is recorded —
-    /// a cache that can't justify an entry must not keep it.
-    pub fn record(&mut self, world: &World, start: ObjectId, prefix: &CompoundName, ctx: ObjectId) {
-        debug_assert!(
-            self.mode.is_exact(),
-            "ReferralCache::record reads authoritative state; lease mode must use record_leased"
-        );
-        let (oracle, deps) = Resolver::new().resolve_entity_with_deps(world.state(), start, prefix);
-        let justified = match oracle {
-            Entity::Object(o) => o == ctx || world.replicas().are_replicas(o, ctx),
-            _ => false,
-        };
-        if !justified || deps.is_empty() {
-            return;
+    /// Drops every entry the evidence already refutes
+    /// ([`Validity::sweep`]); returns how many.
+    pub fn sweep(&mut self, by: P::Evidence<'_>) -> usize {
+        let n = self.store.sweep(by);
+        self.dropped(n)
+    }
+
+    /// Drops every entry stamped under another serial of `shard` than
+    /// `serial` ([`Validity::zone_moved`]); returns how many.
+    pub fn zone_moved(&mut self, shard: usize, serial: ZoneSerial) -> usize {
+        let n = self.store.zone_moved(shard, serial);
+        self.dropped(n)
+    }
+
+    /// Drops every entry (not counted as invalidations).
+    pub fn clear(&mut self) {
+        self.store.clear();
+    }
+
+    /// The one place `hits` and `misses` move, struct and registry together.
+    fn looked_up(&mut self, hit: bool) -> bool {
+        self.stats.hits += u64::from(hit);
+        self.stats.misses += u64::from(!hit);
+        #[cfg(feature = "telemetry")]
+        match (NEGATIVE, hit) {
+            (false, true) => naming_telemetry::counter!("referral.hits").bump(),
+            (false, false) => naming_telemetry::counter!("referral.misses").bump(),
+            (true, true) => naming_telemetry::counter!("negcache.hits").bump(),
+            (true, false) => naming_telemetry::counter!("negcache.misses").bump(),
         }
-        self.memo.record(
-            world.state(),
-            start,
-            prefix.components(),
-            Entity::Object(ctx),
-            &deps,
-        );
-        self.stats.recorded += 1;
+        hit
+    }
+
+    /// The one place `invalidated` moves, likewise.
+    fn dropped(&mut self, n: usize) -> usize {
+        self.stats.invalidated += n as u64;
+        #[cfg(feature = "telemetry")]
+        if n > 0 && NEGATIVE {
+            naming_telemetry::counter!("negcache.invalidated").add(n as u64);
+        } else if n > 0 {
+            naming_telemetry::counter!("referral.invalidated").add(n as u64);
+        }
+        n
+    }
+}
+
+impl<P: Validity> ReferralCache<P> {
+    /// Records that resolving `prefix` from `start` handed authority to
+    /// the context object `ctx`, having crossed `zones` — if the policy
+    /// can justify the entry ([`Validity::record`]). Returns whether it
+    /// was kept.
+    pub fn record(
+        &mut self,
+        by: P::Evidence<'_>,
+        start: ObjectId,
+        prefix: &[Name],
+        ctx: ObjectId,
+        zones: &[usize],
+    ) -> bool {
+        let kept = self
+            .store
+            .record(by, start, prefix, Entity::Object(ctx), zones, false);
+        self.stats.recorded += u64::from(kept);
+        kept
     }
 
     /// Finds the deepest cached, still-valid referral for a proper prefix
-    /// of `comps` from `start`. Returns `(prefix length, context,
-    /// machine)`; generation-invalid entries encountered on the way are
-    /// dropped (counted in
+    /// of `comps` from `start`. Returns `(prefix length, context, machine,
+    /// zones the entry depended on)`, the last so the caller can compose
+    /// the jumped-over footprint into entries it records downstream.
+    /// Refuted entries encountered on the way are dropped (counted in
     /// [`invalidated`](ValidatedCacheStats::invalidated)) and the search
     /// falls back toward the root.
     pub fn lookup_deepest(
         &mut self,
-        world: &World,
-        service: &NameService,
-        start: ObjectId,
-        comps: &[Name],
-    ) -> Option<(usize, ObjectId, MachineId)> {
-        debug_assert!(
-            self.mode.is_exact(),
-            "ReferralCache::lookup_deepest validates against authoritative state; \
-             lease mode must use lookup_deepest_leased"
-        );
-        // Every entry this walk drops — generation-invalid probes and
-        // unplaced-machine removals alike — bumps the memo's own
-        // invalidation counter exactly once, so one delta over the whole
-        // walk is the single source of truth for `stats.invalidated`.
-        // (Mixing the delta with direct bumps is how entries get counted
-        // twice or zero times.)
-        let invalidations0 = self.memo.stats().invalidations;
-        let mut found = None;
-        for len in (1..comps.len()).rev() {
-            let probed = self.memo.probe(world.state(), start, &comps[..len]);
-            let Some(Entity::Object(ctx)) = probed else {
-                continue;
-            };
-            // A referral is only useful if somebody still serves the
-            // context; placement is consulted live, never cached.
-            match service.machine_of_object(ctx) {
-                Some(m) => {
-                    found = Some((len, ctx, m));
-                    break;
-                }
-                None => {
-                    self.memo.remove(start, &comps[..len]);
-                }
-            }
-        }
-        let dropped = self.memo.stats().invalidations - invalidations0;
-        self.stats.invalidated += dropped;
-        #[cfg(feature = "telemetry")]
-        naming_telemetry::counter!("referral.invalidated").add(dropped);
-        match found {
-            Some(hit) => {
-                self.stats.hits += 1;
-                #[cfg(feature = "telemetry")]
-                naming_telemetry::counter!("referral.hits").bump();
-                Some(hit)
-            }
-            None => {
-                self.stats.misses += 1;
-                #[cfg(feature = "telemetry")]
-                naming_telemetry::counter!("referral.misses").bump();
-                None
-            }
-        }
-    }
-
-    /// Lease-mode [`ReferralCache::record`]: remembers that resolving
-    /// `prefix` from `start` handed authority to `ctx`, justified by
-    /// nothing but the protocol's own referral — stamped with a lease and
-    /// the serials (from `table`) of `zones`, the shards the walk
-    /// traversed. No oracle check: a lagging authority *may* plant a
-    /// stale referral here, and the lease bounds how long it can mislead.
-    pub fn record_leased(
-        &mut self,
-        now: u64,
-        table: &SerialTable,
-        start: ObjectId,
-        prefix: &CompoundName,
-        ctx: ObjectId,
-        zones: impl IntoIterator<Item = usize>,
-    ) {
-        debug_assert!(
-            self.mode.is_lease(),
-            "record_leased grants leases; exact mode must use record"
-        );
-        self.leased.record(
-            now,
-            self.mode.lease_ttl(),
-            start,
-            prefix.components(),
-            Entity::Object(ctx),
-            zones,
-            table,
-        );
-        self.stats.recorded += 1;
-    }
-
-    /// Lease-mode [`ReferralCache::lookup_deepest`]: finds the deepest
-    /// cached referral whose lease holds at `now` and whose zone stamps
-    /// match the serials heard in `table` — two replica-local checks,
-    /// never a read of σ. Returns `(prefix length, context, machine,
-    /// zones the entry depended on)` so the caller can compose the
-    /// jumped-over footprint into entries it records downstream.
-    pub fn lookup_deepest_leased(
-        &mut self,
-        now: u64,
-        table: &SerialTable,
+        by: P::Evidence<'_>,
         service: &NameService,
         start: ObjectId,
         comps: &[Name],
     ) -> Option<(usize, ObjectId, MachineId, &[usize])> {
-        debug_assert!(
-            self.mode.is_lease(),
-            "lookup_deepest_leased validates leases; exact mode must use lookup_deepest"
-        );
+        let mut found = None;
         for len in (1..comps.len()).rev() {
-            let probed = self.leased.probe(now, table, start, &comps[..len]);
-            let LeaseProbe::Hit(Entity::Object(ctx)) = probed else {
-                if matches!(probed, LeaseProbe::Expired | LeaseProbe::Stale) {
-                    self.stats.invalidated += 1;
-                    #[cfg(feature = "telemetry")]
-                    naming_telemetry::counter!("referral.invalidated").bump();
-                }
+            let probed = self.store.probe(by, start, &comps[..len]);
+            let Probe::Hit(Entity::Object(ctx)) = probed else {
+                self.dropped(usize::from(probed.dropped()));
                 continue;
             };
-            // Placement is service configuration, consulted live in both
-            // modes — it is not naming state.
-            match service.machine_of_object(ctx) {
-                Some(m) => {
-                    self.stats.hits += 1;
-                    #[cfg(feature = "telemetry")]
-                    naming_telemetry::counter!("referral.hits").bump();
-                    return Some((len, ctx, m, self.leased.zone_deps(start, &comps[..len])));
-                }
-                None => {
-                    self.leased.remove(start, &comps[..len]);
-                    self.stats.invalidated += 1;
-                    #[cfg(feature = "telemetry")]
-                    naming_telemetry::counter!("referral.invalidated").bump();
-                }
+            // A referral is only useful if somebody still serves the
+            // context; placement is service configuration, consulted live
+            // under every policy — it is not naming state.
+            if let Some(m) = service.machine_of_object(ctx) {
+                found = Some((len, ctx, m));
+                break;
             }
+            self.store.remove(start, &comps[..len]);
+            self.dropped(1);
         }
-        self.stats.misses += 1;
-        #[cfg(feature = "telemetry")]
-        naming_telemetry::counter!("referral.misses").bump();
-        None
-    }
-
-    /// Drops every leased entry depending on `shard` with a stamp other
-    /// than `serial` (anti-entropy observed movement). Returns how many.
-    pub fn observe_zone(&mut self, shard: usize, serial: ZoneSerial) -> usize {
-        let n = self.leased.invalidate_zone(shard, serial);
-        self.stats.invalidated += n as u64;
-        #[cfg(feature = "telemetry")]
-        naming_telemetry::counter!("referral.invalidated").add(n as u64);
-        n
-    }
-
-    /// Drops every leased entry whose lease lapsed at `now`; returns how
-    /// many. Exact entries are untouched (they have no leases).
-    pub fn sweep_expired(&mut self, now: u64) -> usize {
-        let n = self.leased.sweep_expired(now);
-        self.stats.invalidated += n as u64;
-        n
-    }
-
-    /// Drops every entry (exact and leased alike).
-    pub fn invalidate_all(&mut self) {
-        self.memo.invalidate_all();
-        self.leased.clear();
-    }
-
-    /// Drops exactly the entries whose generation footprint is stale.
-    /// Returns how many were dropped. (Probes do this lazily anyway;
-    /// sweeping just reclaims the space eagerly.)
-    pub fn heal(&mut self, world: &World) -> usize {
-        debug_assert!(
-            self.mode.is_exact(),
-            "ReferralCache::heal compares authoritative generations; \
-             lease mode heals via observe_zone / sweep_expired"
-        );
-        let n = self.memo.invalidate_stale(world.state());
-        self.stats.invalidated += n as u64;
-        #[cfg(feature = "telemetry")]
-        naming_telemetry::counter!("referral.invalidated").add(n as u64);
-        n
+        self.looked_up(found.is_some());
+        found.map(|(len, ctx, m)| (len, ctx, m, self.store.footprint(start, &comps[..len])))
     }
 }
 
-impl Default for ReferralCache {
-    fn default() -> ReferralCache {
-        ReferralCache::new()
-    }
-}
-
-/// Caches `⊥` outcomes — "this name denotes nothing" — with the
-/// generation footprint of the failed walk, so repeated misses stop
-/// hitting the network while a `bind` anywhere along the consulted path
-/// invalidates the verdict exactly.
-///
-/// Unlike the positive cache, negative entries are *always* validated
-/// before being served: serving a stale "does not exist" would invent
-/// incoherence the authoritative system never exhibited.
-#[derive(Debug)]
-pub struct NegativeCache {
-    memo: ResolutionMemo,
-    leased: LeasedCache,
-    mode: CoherenceMode,
-    stats: ValidatedCacheStats,
-}
-
-impl NegativeCache {
-    /// An empty cache with the default bound, in exact mode.
-    pub fn new() -> NegativeCache {
-        NegativeCache::with_capacity(DEFAULT_REFERRAL_CAPACITY)
-    }
-
-    /// An empty exact-mode cache holding at most `capacity` verdicts
-    /// (LRU-bounded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> NegativeCache {
-        NegativeCache::with_mode(capacity, CoherenceMode::Exact)
-    }
-
-    /// An empty cache holding at most `capacity` verdicts, validating
-    /// per `mode`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_mode(capacity: usize, mode: CoherenceMode) -> NegativeCache {
-        NegativeCache {
-            memo: ResolutionMemo::with_capacity(capacity),
-            leased: LeasedCache::with_capacity(capacity),
-            mode,
-            stats: ValidatedCacheStats::default(),
-        }
-    }
-
-    /// The validation regime this cache runs under.
-    pub fn mode(&self) -> CoherenceMode {
-        self.mode
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> ValidatedCacheStats {
-        self.stats
-    }
-
-    /// Number of cached verdicts.
-    pub fn len(&self) -> usize {
-        self.memo.len() + self.leased.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty() && self.leased.is_empty()
-    }
-
+impl<P: Validity> NegativeCache<P> {
     /// True when `name` from `start` is a cached, still-valid `⊥`.
-    pub fn probe(&mut self, world: &World, start: ObjectId, name: &CompoundName) -> bool {
-        debug_assert!(
-            self.mode.is_exact(),
-            "NegativeCache::probe validates against authoritative state; \
-             lease mode must use probe_leased"
-        );
-        let invalidations0 = self.memo.stats().invalidations;
-        let hit = matches!(
-            self.memo.probe(world.state(), start, name.components()),
-            Some(Entity::Undefined)
-        );
-        self.stats.invalidated += self.memo.stats().invalidations - invalidations0;
-        if hit {
-            self.stats.hits += 1;
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("negcache.hits").bump();
-        } else {
-            self.stats.misses += 1;
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("negcache.misses").bump();
-        }
-        hit
+    pub fn probe(&mut self, by: P::Evidence<'_>, start: ObjectId, name: &[Name]) -> bool {
+        let probed = self.store.probe(by, start, name);
+        self.dropped(usize::from(probed.dropped()));
+        self.looked_up(matches!(probed, Probe::Hit(Entity::Undefined)))
     }
 
-    /// Records a `⊥` verdict the *authoritative state* agrees with.
+    /// Records the protocol's `⊥` verdict for `name` from `start`, the
+    /// failed walk having crossed `zones` — if the policy can justify it
+    /// ([`Validity::record`]). Returns whether an entry was recorded.
     ///
-    /// The network can answer `⊥` for reasons that are not naming state
-    /// at all — every message lost, an unplaced zone — and caching those
-    /// would keep denying a name that exists. So the verdict is only
-    /// recorded when the oracle walk also fails, and its generation
-    /// footprint (from
-    /// [`Resolver::resolve_entity_with_deps`]) is non-empty. Returns
-    /// whether an entry was recorded.
-    pub fn record(&mut self, world: &World, start: ObjectId, name: &CompoundName) -> bool {
-        debug_assert!(
-            self.mode.is_exact(),
-            "NegativeCache::record consults the oracle; lease mode must use record_verdict_leased"
-        );
-        let (oracle, deps) = Resolver::new().resolve_entity_with_deps(world.state(), start, name);
-        if oracle.is_defined() || deps.is_empty() {
-            return false;
-        }
-        self.memo.record(
-            world.state(),
-            start,
-            name.components(),
-            Entity::Undefined,
-            &deps,
-        );
-        self.stats.recorded += 1;
-        #[cfg(feature = "telemetry")]
-        naming_telemetry::counter!("negcache.recorded").bump();
-        true
-    }
-
-    /// Like [`NegativeCache::record`], but carries the protocol's own
-    /// classification of the ⊥: `unreachable` means the verdict came from
-    /// transport failure (lost messages, exhausted deadlines, unplaced
-    /// authorities), which must never become a negative entry — the
-    /// binding may exist. Callers are expected to filter those out before
-    /// getting here; the debug assertion keeps the invariant loud if a
-    /// future call site forgets, and release builds still refuse to
-    /// record.
-    pub fn record_protocol_verdict(
+    /// `unreachable` is the protocol's own classification of the ⊥: the
+    /// verdict came from transport failure (lost messages, exhausted
+    /// deadlines, unplaced authorities). That says nothing about the
+    /// binding — the name may exist — so under every policy it is refused
+    /// here, once, and the next lookup retries.
+    pub fn record(
         &mut self,
-        world: &World,
+        by: P::Evidence<'_>,
         start: ObjectId,
-        name: &CompoundName,
+        name: &[Name],
+        zones: &[usize],
         unreachable: bool,
     ) -> bool {
-        // Mode-gated assertion: under Exact coherence the caller had an
-        // oracle to consult, so an Unreachable verdict reaching this
-        // point is a caller bug. Under leases the authority may
-        // legitimately be unreachable when the verdict is recorded — the
-        // invariant that transport ⊥ is never cached still holds (the
-        // early return below), it just isn't a programming error.
-        debug_assert!(
-            self.mode.is_lease() || !unreachable,
-            "an Unreachable verdict for {name} must not reach the exact negative cache"
-        );
         if unreachable {
+            #[cfg(feature = "telemetry")]
+            naming_telemetry::counter!("cache.unreachable_uncached").bump();
             return false;
         }
-        match self.mode {
-            CoherenceMode::Exact => self.record(world, start, name),
-            // Lease verdicts carry serial stamps the `World` cannot
-            // provide; they are recorded through record_verdict_leased.
-            CoherenceMode::Lease { .. } => false,
-        }
-    }
-
-    /// Lease-mode `⊥` probe: true when a cached verdict's lease holds at
-    /// `now` and its zone stamps match the serials heard in `table`. A
-    /// false-⊥ window is possible by design — a bind the replica hasn't
-    /// heard about yet — and bounded by the TTL; the bench measures it.
-    pub fn probe_leased(
-        &mut self,
-        now: u64,
-        table: &SerialTable,
-        start: ObjectId,
-        name: &CompoundName,
-    ) -> bool {
-        debug_assert!(
-            self.mode.is_lease(),
-            "probe_leased validates leases; exact mode must use probe"
-        );
-        let probed = self.leased.probe(now, table, start, name.components());
-        if matches!(probed, LeaseProbe::Expired | LeaseProbe::Stale) {
-            self.stats.invalidated += 1;
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("negcache.invalidated").bump();
-        }
-        let hit = matches!(probed, LeaseProbe::Hit(Entity::Undefined));
-        if hit {
-            self.stats.hits += 1;
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("negcache.hits").bump();
-        } else {
-            self.stats.misses += 1;
-            #[cfg(feature = "telemetry")]
-            naming_telemetry::counter!("negcache.misses").bump();
-        }
-        hit
-    }
-
-    /// Lease-mode verdict recording: stores a `⊥` under a lease stamped
-    /// with the serials (from `table`) of `zones`, the shards the failed
-    /// walk traversed — no oracle agreement required or possible. An
-    /// `unreachable` (transport) verdict is still refused in both modes:
-    /// it says nothing about the binding. Returns whether an entry was
-    /// recorded.
-    pub fn record_verdict_leased(
-        &mut self,
-        now: u64,
-        table: &SerialTable,
-        start: ObjectId,
-        name: &CompoundName,
-        zones: impl IntoIterator<Item = usize>,
-        unreachable: bool,
-    ) -> bool {
-        debug_assert!(
-            self.mode.is_lease(),
-            "record_verdict_leased grants leases; exact mode must use record_protocol_verdict"
-        );
-        if unreachable {
-            return false;
-        }
-        let before = self.leased.stats().recorded;
-        self.leased.record(
-            now,
-            self.mode.lease_ttl(),
-            start,
-            name.components(),
-            Entity::Undefined,
-            zones,
-            table,
-        );
-        let recorded = self.leased.stats().recorded > before;
-        if recorded {
+        let kept = self
+            .store
+            .record(by, start, name, Entity::Undefined, zones, false);
+        if kept {
             self.stats.recorded += 1;
             #[cfg(feature = "telemetry")]
             naming_telemetry::counter!("negcache.recorded").bump();
         }
-        recorded
-    }
-
-    /// Drops every leased verdict depending on `shard` with a stamp
-    /// other than `serial` (anti-entropy observed movement). Returns how
-    /// many.
-    pub fn observe_zone(&mut self, shard: usize, serial: ZoneSerial) -> usize {
-        let n = self.leased.invalidate_zone(shard, serial);
-        self.stats.invalidated += n as u64;
-        n
-    }
-
-    /// Drops every leased verdict whose lease lapsed at `now`; returns
-    /// how many.
-    pub fn sweep_expired(&mut self, now: u64) -> usize {
-        let n = self.leased.sweep_expired(now);
-        self.stats.invalidated += n as u64;
-        n
-    }
-
-    /// Drops every entry (exact and leased alike).
-    pub fn invalidate_all(&mut self) {
-        self.memo.invalidate_all();
-        self.leased.clear();
-    }
-
-    /// Drops exactly the stale entries; returns how many.
-    pub fn heal(&mut self, world: &World) -> usize {
-        debug_assert!(
-            self.mode.is_exact(),
-            "NegativeCache::heal compares authoritative generations; \
-             lease mode heals via observe_zone / sweep_expired"
-        );
-        let n = self.memo.invalidate_stale(world.state());
-        self.stats.invalidated += n as u64;
-        n
-    }
-}
-
-impl Default for NegativeCache {
-    fn default() -> NegativeCache {
-        NegativeCache::new()
+        kept
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use naming_core::name::Name;
+    use crate::coherence::{Heard, LeasedCache, SerialTable};
+    use naming_core::name::CompoundName;
     use naming_sim::store;
-    use naming_sim::topology::MachineId;
+
+    type Referrals = ReferralCache<ResolutionMemo>;
+    type Negatives = NegativeCache<ResolutionMemo>;
+
+    fn referrals() -> Referrals {
+        ReferralCache::with_capacity(DEFAULT_REFERRAL_CAPACITY)
+    }
+
+    fn negatives() -> Negatives {
+        NegativeCache::with_capacity(DEFAULT_REFERRAL_CAPACITY)
+    }
+
+    fn heard(now: u64, ttl: Option<u64>, table: &SerialTable) -> Heard<'_> {
+        Heard { now, ttl, table }
+    }
+
+    /// The components of an absolute path.
+    fn path(p: &str) -> Vec<Name> {
+        CompoundName::parse_path(p).unwrap().components().to_vec()
+    }
 
     /// m1 hosts the root tree, m2 hosts /usr/remote.
     fn setup() -> (World, NameService, MachineId, MachineId, ObjectId, ObjectId) {
@@ -642,52 +378,42 @@ mod tests {
     #[test]
     fn referral_round_trips_and_jumps_deepest() {
         let (w, svc, _m1, m2, root, rem) = setup();
-        let mut cache = ReferralCache::new();
-        let full = CompoundName::parse_path("/usr/remote/data").unwrap();
-        let prefix = CompoundName::parse_path("/usr/remote").unwrap();
-        cache.record(&w, root, &prefix, rem);
+        let mut cache = referrals();
+        let full = path("/usr/remote/data");
+        let prefix = path("/usr/remote");
+        cache.record(&w, root, &prefix, rem, &[]);
         assert_eq!(cache.len(), 1);
-        let hit = cache.lookup_deepest(&w, &svc, root, full.components());
-        assert_eq!(hit, Some((3, rem, m2)));
+        let hit = cache.lookup_deepest(&w, &svc, root, &full);
+        assert_eq!(hit, Some((3, rem, m2, &[][..])));
         assert_eq!(cache.stats().hits, 1);
         // A name that IS the prefix has no proper-prefix referral to use.
-        assert_eq!(
-            cache.lookup_deepest(&w, &svc, root, prefix.components()),
-            None
-        );
+        assert_eq!(cache.lookup_deepest(&w, &svc, root, &prefix), None);
     }
 
     #[test]
     fn wrong_generation_referral_falls_back_toward_root() {
         let (mut w, svc, _m1, m2, root, rem) = setup();
-        let mut cache = ReferralCache::new();
-        let full = CompoundName::parse_path("/usr/remote/data").unwrap();
-        cache.record(
-            &w,
-            root,
-            &CompoundName::parse_path("/usr/remote").unwrap(),
-            rem,
-        );
-        cache.record(&w, root, &CompoundName::parse_path("/usr").unwrap(), {
-            let usr = match store::resolve_path(w.state(), root, "/usr") {
-                Entity::Object(o) => o,
-                other => panic!("usr missing: {other}"),
-            };
-            usr
-        });
-        // Rebind "remote" inside /usr: the deep referral's footprint
-        // includes usr's generation, so it must die; the shallow "/usr"
-        // referral only depends on the root and survives.
+        let mut cache = referrals();
+        let full = path("/usr/remote/data");
         let usr = match store::resolve_path(w.state(), root, "/usr") {
             Entity::Object(o) => o,
             other => panic!("usr missing: {other}"),
         };
+        cache.record(&w, root, &path("/usr/remote"), rem, &[]);
+        cache.record(&w, root, &path("/usr"), usr, &[]);
+        // Rebind "remote" inside /usr: the deep referral's footprint
+        // includes usr's generation, so it must die; the shallow "/usr"
+        // referral only depends on the root and survives.
         let elsewhere = w.state_mut().add_context_object("elsewhere");
         w.state_mut()
             .bind(usr, Name::new("remote"), elsewhere)
             .unwrap();
-        let hit = cache.lookup_deepest(&w, &svc, root, full.components());
-        assert_eq!(hit, Some((2, usr, _m1)), "fell back to the /usr prefix");
+        let hit = cache.lookup_deepest(&w, &svc, root, &full);
+        assert_eq!(
+            hit,
+            Some((2, usr, _m1, &[][..])),
+            "fell back to the /usr prefix"
+        );
         assert!(cache.stats().invalidated >= 1);
         let _ = m2;
     }
@@ -695,12 +421,12 @@ mod tests {
     #[test]
     fn unjustified_referrals_are_not_recorded() {
         let (w, _svc, _m1, _m2, root, rem) = setup();
-        let mut cache = ReferralCache::new();
+        let mut cache = referrals();
         // /usr does not resolve to `rem`; the record must be refused.
-        cache.record(&w, root, &CompoundName::parse_path("/usr").unwrap(), rem);
+        cache.record(&w, root, &path("/usr"), rem, &[]);
         assert!(cache.is_empty());
         // A prefix that doesn't resolve at all is refused too.
-        cache.record(&w, root, &CompoundName::parse_path("/nope").unwrap(), rem);
+        cache.record(&w, root, &path("/nope"), rem, &[]);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().recorded, 0);
     }
@@ -709,30 +435,23 @@ mod tests {
     fn replica_referral_is_justified() {
         let (mut w, mut svc, m1, _m2, root, rem) = setup();
         let copy = svc.replicate_zone(&mut w, rem, m1);
-        let mut cache = ReferralCache::new();
-        let prefix = CompoundName::parse_path("/usr/remote").unwrap();
+        let mut cache = referrals();
+        let prefix = path("/usr/remote");
         // The protocol may refer to the replica copy; the oracle resolves
         // the primary — the replica registry justifies the entry.
-        cache.record(&w, root, &prefix, copy);
+        cache.record(&w, root, &prefix, copy, &[]);
         assert_eq!(cache.len(), 1);
-        let hit = cache.lookup_deepest(
-            &w,
-            &svc,
-            root,
-            CompoundName::parse_path("/usr/remote/data")
-                .unwrap()
-                .components(),
-        );
-        assert_eq!(hit, Some((3, copy, m1)));
+        let hit = cache.lookup_deepest(&w, &svc, root, &path("/usr/remote/data"));
+        assert_eq!(hit, Some((3, copy, m1, &[][..])));
     }
 
     #[test]
     fn negative_cache_serves_then_invalidates_on_bind() {
         let (mut w, _svc, _m1, _m2, root, rem) = setup();
-        let mut neg = NegativeCache::new();
-        let name = CompoundName::parse_path("/usr/remote/nope").unwrap();
+        let mut neg = negatives();
+        let name = path("/usr/remote/nope");
         assert!(!neg.probe(&w, root, &name), "cold cache misses");
-        assert!(neg.record(&w, root, &name));
+        assert!(neg.record(&w, root, &name, &[], false));
         assert!(neg.probe(&w, root, &name), "⊥ now served from cache");
         assert_eq!(neg.stats().hits, 1);
         // Binding the name bumps `rem`'s generation: the verdict dies.
@@ -768,13 +487,13 @@ mod tests {
 
         // Zone-A entries: a referral for /usr/sub and a ⊥ for /usr/nope.
         // Both footprints consult only shard-0 contexts.
-        let mut cache = ReferralCache::new();
-        let mut neg = NegativeCache::new();
-        let prefix = CompoundName::parse_path("/usr/sub").unwrap();
-        cache.record(&w, root, &prefix, sub);
+        let mut cache = referrals();
+        let mut neg = negatives();
+        let prefix = path("/usr/sub");
+        cache.record(&w, root, &prefix, sub, &[]);
         assert_eq!(cache.len(), 1);
-        let miss = CompoundName::parse_path("/usr/nope").unwrap();
-        assert!(neg.record(&w, root, &miss));
+        let miss = path("/usr/nope");
+        assert!(neg.record(&w, root, &miss, &[], false));
 
         // Churn entirely inside shard 1 (zone B).
         let va = w.state().shard_version(0);
@@ -791,9 +510,9 @@ mod tests {
         );
 
         // Both zone-A entries still serve, with zero invalidations.
-        let full = CompoundName::parse_path("/usr/sub/data").unwrap();
-        let hit = cache.lookup_deepest(&w, &svc, root, full.components());
-        assert_eq!(hit, Some((3, sub, m1)));
+        let full = path("/usr/sub/data");
+        let hit = cache.lookup_deepest(&w, &svc, root, &full);
+        assert_eq!(hit, Some((3, sub, m1, &[][..])));
         assert_eq!(cache.stats().invalidated, 0);
         assert!(neg.probe(&w, root, &miss));
         assert_eq!(neg.stats().invalidated, 0);
@@ -808,9 +527,9 @@ mod tests {
     #[test]
     fn negative_cache_survives_renumber_but_dies_on_rename() {
         let (mut w, _svc, m1, _m2, root, rem) = setup();
-        let mut neg = NegativeCache::new();
-        let name = CompoundName::parse_path("/usr/remote/nope").unwrap();
-        assert!(neg.record(&w, root, &name));
+        let mut neg = negatives();
+        let name = path("/usr/remote/nope");
+        assert!(neg.record(&w, root, &name, &[], false));
 
         // Renumbering a machine churns topology addresses only — σ is
         // untouched, so the verdict's generation footprint still matches
@@ -838,7 +557,10 @@ mod tests {
         // (still present, never dropped on sight) must not be served.
         w.state_mut().unbind(usr, Name::new("remote2")).unwrap();
         w.state_mut().bind(usr, Name::new("remote"), rem).unwrap();
-        assert!(neg.record(&w, root, &name), "fresh verdict re-records");
+        assert!(
+            neg.record(&w, root, &name, &[], false),
+            "fresh verdict re-records"
+        );
         let len_before = neg.len();
         w.state_mut().unbind(usr, Name::new("remote")).unwrap();
         w.state_mut().bind(usr, Name::new("remote2"), rem).unwrap();
@@ -869,22 +591,17 @@ mod tests {
         let orphan = store::ensure_dir(w.state_mut(), usr, "orph");
         assert_eq!(svc.machine_of_object(orphan), None);
 
-        let mut cache = ReferralCache::new();
-        let full = CompoundName::parse_path("/usr/orph/data").unwrap();
-        cache.record(
-            &w,
-            root,
-            &CompoundName::parse_path("/usr/orph").unwrap(),
-            orphan,
-        );
-        cache.record(&w, root, &CompoundName::parse_path("/usr").unwrap(), usr);
+        let mut cache = referrals();
+        let full = path("/usr/orph/data");
+        cache.record(&w, root, &path("/usr/orph"), orphan, &[]);
+        cache.record(&w, root, &path("/usr"), usr, &[]);
         assert_eq!(cache.len(), 2);
 
         // Path 1: the deep referral probes valid but nobody serves its
         // context — the walk removes it and falls back to /usr.
         let before = cache.stats().invalidated;
-        let hit = cache.lookup_deepest(&w, &svc, root, full.components());
-        assert_eq!(hit.map(|(len, _, _)| len), Some(2), "fell back to /usr");
+        let hit = cache.lookup_deepest(&w, &svc, root, &full);
+        assert_eq!(hit.map(|(len, ..)| len), Some(2), "fell back to /usr");
         let dropped = 2 - cache.len() as u64;
         assert_eq!(
             cache.stats().invalidated - before,
@@ -895,12 +612,7 @@ mod tests {
 
         // Path 2: generation churn — re-record the deep entry, then move
         // "orph" inside /usr so the probe itself drops it.
-        cache.record(
-            &w,
-            root,
-            &CompoundName::parse_path("/usr/orph").unwrap(),
-            orphan,
-        );
+        cache.record(&w, root, &path("/usr/orph"), orphan, &[]);
         assert_eq!(cache.len(), 2);
         let elsewhere = w.state_mut().add_context_object("elsewhere");
         w.state_mut()
@@ -908,8 +620,8 @@ mod tests {
             .unwrap();
         let before = cache.stats().invalidated;
         let len_before = cache.len();
-        let hit = cache.lookup_deepest(&w, &svc, root, full.components());
-        assert_eq!(hit.map(|(len, _, _)| len), Some(2), "fell back to /usr");
+        let hit = cache.lookup_deepest(&w, &svc, root, &full);
+        assert_eq!(hit.map(|(len, ..)| len), Some(2), "fell back to /usr");
         assert_eq!(
             cache.stats().invalidated - before,
             (len_before - cache.len()) as u64,
@@ -922,16 +634,15 @@ mod tests {
 
     #[test]
     fn leased_referral_round_trip_without_any_state_access() {
-        use crate::coherence::{CoherenceMode, SerialTable};
         let (_w, svc, _m1, m2, root, rem) = setup();
-        let mut cache = ReferralCache::with_mode(16, CoherenceMode::Lease { ttl: Some(50) });
+        let mut cache: ReferralCache<LeasedCache> = ReferralCache::with_capacity(16);
         let mut table = SerialTable::new();
-        let full = CompoundName::parse_path("/usr/remote/data").unwrap();
-        let prefix = CompoundName::parse_path("/usr/remote").unwrap();
+        let full = path("/usr/remote/data");
+        let prefix = path("/usr/remote");
         let shard = naming_core::state::SystemState::shard_of_id(root);
-        cache.record_leased(10, &table, root, &prefix, rem, [shard]);
+        cache.record(heard(10, Some(50), &table), root, &prefix, rem, &[shard]);
         // Valid while the lease holds and serials stand still.
-        let hit = cache.lookup_deepest_leased(40, &table, &svc, root, full.components());
+        let hit = cache.lookup_deepest(heard(40, Some(50), &table), &svc, root, &full);
         assert_eq!(
             hit.as_ref().map(|&(len, ctx, m, _)| (len, ctx, m)),
             Some((3, rem, m2))
@@ -939,15 +650,15 @@ mod tests {
         assert_eq!(hit.unwrap().3, vec![shard], "zone deps surface on a hit");
         // Expiry exactly at the boundary tick: gone.
         assert_eq!(
-            cache.lookup_deepest_leased(60, &table, &svc, root, full.components()),
+            cache.lookup_deepest(heard(60, Some(50), &table), &svc, root, &full),
             None
         );
         assert_eq!(cache.stats().invalidated, 1);
         // Re-record; a heard serial advance kills it before expiry.
-        cache.record_leased(100, &table, root, &prefix, rem, [shard]);
+        cache.record(heard(100, Some(50), &table), root, &prefix, rem, &[shard]);
         table.observe(shard, naming_core::lease::ZoneSerial::new(1));
         assert_eq!(
-            cache.lookup_deepest_leased(101, &table, &svc, root, full.components()),
+            cache.lookup_deepest(heard(101, Some(50), &table), &svc, root, &full),
             None
         );
         assert_eq!(cache.stats().invalidated, 2);
@@ -955,38 +666,39 @@ mod tests {
 
     #[test]
     fn leased_negative_verdicts_respect_ttl_and_refuse_unreachable() {
-        use crate::coherence::{CoherenceMode, SerialTable};
         let (w, _svc, _m1, _m2, root, _rem) = setup();
-        let mode = CoherenceMode::Lease { ttl: Some(30) };
-        let mut neg = NegativeCache::with_mode(16, mode);
+        let mut neg: NegativeCache<LeasedCache> = NegativeCache::with_capacity(16);
         let mut table = SerialTable::new();
-        let name = CompoundName::parse_path("/usr/remote/nope").unwrap();
+        let name = path("/usr/remote/nope");
         let shard = naming_core::state::SystemState::shard_of_id(root);
-        // The satellite fix: an unreachable verdict in lease mode is
-        // refused but NOT a debug_assert violation (the authority may
-        // legitimately be unreachable under leases).
-        assert!(!neg.record_protocol_verdict(&w, root, &name, true));
-        assert!(!neg.record_verdict_leased(5, &table, root, &name, [shard], true));
+        // An unreachable verdict is refused under either policy: the
+        // authority may legitimately be out of reach, and that says
+        // nothing about the binding.
+        assert!(!negatives().record(&w, root, &name, &[], true));
+        assert!(!neg.record(heard(5, Some(30), &table), root, &name, &[shard], true));
         assert!(neg.is_empty());
         // A genuine ⊥ verdict is recorded and served within its lease.
-        assert!(neg.record_verdict_leased(5, &table, root, &name, [shard], false));
-        assert!(neg.probe_leased(34, &table, root, &name));
-        assert!(!neg.probe_leased(35, &table, root, &name), "lease lapsed");
+        assert!(neg.record(heard(5, Some(30), &table), root, &name, &[shard], false));
+        assert!(neg.probe(heard(34, Some(30), &table), root, &name));
+        assert!(
+            !neg.probe(heard(35, Some(30), &table), root, &name),
+            "lease lapsed"
+        );
         // Serial movement also kills a live verdict.
-        assert!(neg.record_verdict_leased(40, &table, root, &name, [shard], false));
+        assert!(neg.record(heard(40, Some(30), &table), root, &name, &[shard], false));
         table.observe(shard, naming_core::lease::ZoneSerial::new(3));
-        assert!(!neg.probe_leased(41, &table, root, &name));
+        assert!(!neg.probe(heard(41, Some(30), &table), root, &name));
         assert!(neg.stats().invalidated >= 2);
     }
 
     #[test]
     fn negative_cache_refuses_protocol_only_failures() {
         let (w, _svc, _m1, _m2, root, _rem) = setup();
-        let mut neg = NegativeCache::new();
+        let mut neg = negatives();
         // The oracle CAN resolve this — a network-layer ⊥ (lost messages)
         // must not be cached.
-        let name = CompoundName::parse_path("/usr/remote/data").unwrap();
-        assert!(!neg.record(&w, root, &name));
+        let name = path("/usr/remote/data");
+        assert!(!neg.record(&w, root, &name, &[], false));
         assert!(neg.is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! The lease plane's steady state allocates nothing.
 //!
 //! A lease probe is one hash and one slot read in the store the
-//! exact-mode memo uses; a referral jump is a few such probes plus a
+//! oracle policy's memo uses; a referral jump is a few such probes plus a
 //! borrowed slice of zones; an entry that lapses and comes back refills
 //! the slot — key, zones and stamps — it left behind. This binary counts
 //! heap allocations with its own global allocator (per thread, so the
@@ -15,7 +15,7 @@ use naming_core::entity::{Entity, ObjectId};
 use naming_core::lease::ZoneSerial;
 use naming_core::name::{CompoundName, Name};
 use naming_core::state::SystemState;
-use naming_resolver::coherence::{CoherenceMode, LeaseProbe, LeasedCache, SerialTable};
+use naming_resolver::coherence::{Heard, LeasedCache, Probe, SerialTable, Validity};
 use naming_resolver::referral::ReferralCache;
 use naming_resolver::service::NameService;
 use naming_sim::store;
@@ -63,6 +63,10 @@ fn oid(raw: u32) -> ObjectId {
     ObjectId::from_index(raw)
 }
 
+fn heard(now: u64, ttl: Option<u64>, table: &SerialTable) -> Heard<'_> {
+    Heard { now, ttl, table }
+}
+
 /// 64 keys of one to three components under two start contexts.
 fn keys() -> Vec<(ObjectId, Vec<Name>)> {
     (0..64u32)
@@ -84,18 +88,19 @@ fn lease_hit_probes_allocate_nothing() {
     let keys = keys();
     for (i, (start, suffix)) in keys.iter().enumerate() {
         let e = Entity::Object(oid(i as u32));
-        cache.record(0, Some(1_000_000), *start, suffix, e, [0, 2, 0], &table);
+        let lease = heard(0, Some(1_000_000), &table);
+        cache.record(lease, *start, suffix, e, &[0, 2, 0], false);
     }
     let mut hits = 0u32;
     let allocated = allocations_in(|| {
         for i in 0..10_000usize {
             let (start, suffix) = &keys[(i * 7) % keys.len()];
-            let probed = cache.probe(i as u64, &table, *start, suffix);
-            hits += u32::from(matches!(probed, LeaseProbe::Hit(_)));
+            let probed = cache.probe(heard(i as u64, None, &table), *start, suffix);
+            hits += u32::from(matches!(probed, Probe::Hit(_)));
             // The misses beside them are as cheap.
-            let absent = cache.probe(i as u64, &table, oid(9), suffix);
-            assert_eq!(absent, LeaseProbe::Miss);
-            assert_eq!(cache.zone_deps(*start, suffix), [0, 2]);
+            let absent = cache.probe(heard(i as u64, None, &table), oid(9), suffix);
+            assert_eq!(absent, Probe::Miss);
+            assert_eq!(cache.footprint(*start, suffix), [0, 2]);
         }
     });
     assert_eq!(hits, 10_000);
@@ -119,19 +124,26 @@ fn leased_referral_jumps_allocate_nothing() {
     svc.place_subtree(&w, root, m1);
 
     let table = SerialTable::new();
-    let mut cache = ReferralCache::with_mode(16, CoherenceMode::Lease { ttl: None });
+    let mut cache: ReferralCache<LeasedCache> = ReferralCache::with_capacity(16);
     let full = CompoundName::parse_path("/usr/remote/data/deeper").unwrap();
     let prefix = CompoundName::parse_path("/usr/remote").unwrap();
     let shard = SystemState::shard_of_id(root);
-    cache.record_leased(0, &table, root, &prefix, rem, [shard]);
+    cache.record(
+        heard(0, None, &table),
+        root,
+        prefix.components(),
+        rem,
+        &[shard],
+    );
     // The first jump registers the telemetry counters it bumps (when that
     // feature is compiled in); the steady state starts after it.
-    let jump = cache.lookup_deepest_leased(1, &table, &svc, root, full.components());
+    let jump = cache.lookup_deepest(heard(1, None, &table), &svc, root, full.components());
     assert_eq!(jump, Some((3, rem, m2, &[shard][..])));
     let allocated = allocations_in(|| {
         for now in 0..10_000u64 {
             // Probes the two deeper prefixes (misses), then jumps.
-            let jump = cache.lookup_deepest_leased(now, &table, &svc, root, full.components());
+            let jump =
+                cache.lookup_deepest(heard(now, None, &table), &svc, root, full.components());
             assert!(matches!(jump, Some((3, _, _, [_]))));
         }
     });
@@ -152,28 +164,21 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
     let mut turn = |cache: &mut LeasedCache, table: &mut SerialTable, round: u64| {
         let window = &keys[(round as usize * 8) % 56..][..8];
         for (start, suffix) in window {
-            cache.record(
-                now,
-                Some(10),
-                *start,
-                suffix,
-                Entity::Undefined,
-                [1, 0],
-                table,
-            );
+            let lease = heard(now, Some(10), table);
+            cache.record(lease, *start, suffix, Entity::Undefined, &[1, 0], false);
         }
         match round % 3 {
             0 => {
                 for (start, suffix) in window {
-                    let probed = cache.probe(now + 10, table, *start, suffix);
-                    assert_eq!(probed, LeaseProbe::Expired);
+                    let probed = cache.probe(heard(now + 10, None, table), *start, suffix);
+                    assert_eq!(probed, Probe::Expired);
                 }
             }
-            1 => assert_eq!(cache.sweep_expired(now + 10), 8),
+            1 => assert_eq!(cache.sweep(heard(now + 10, None, table)), 8),
             _ => {
                 let moved = ZoneSerial::new(round);
                 table.observe(1, moved);
-                assert_eq!(cache.invalidate_zone(1, moved), 8);
+                assert_eq!(cache.zone_moved(1, moved), 8);
             }
         }
         assert!(cache.is_empty());

@@ -9,9 +9,11 @@ use naming_core::closure::{ContextRegistry, MetaContext, NameSource, StandardRul
 use naming_core::entity::Entity;
 use naming_core::monitor::{CoherenceMonitor, TraceHandle};
 use naming_core::name::CompoundName;
+use naming_core::name::Name;
 use naming_core::state::SystemState;
 use naming_port::exec::ExecService;
-use naming_resolver::cache::CachingResolver;
+use naming_resolver::cache::{CachingResolver, DEFAULT_CACHE_CAPACITY};
+use naming_resolver::coherence::CoherenceMode;
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::service::NameService;
 use naming_resolver::wire::Mode;
@@ -79,8 +81,13 @@ fn run_scenario() -> Vec<String> {
     digest
 }
 
+/// The metrics registry is one per process: the tests that read the
+/// client caches' counters out of it take turns.
+static CACHE_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn traced_and_untraced_runs_agree() {
+    let _turn = CACHE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let untraced = run_scenario();
     naming_telemetry::recorder::install();
     naming_telemetry::recorder::set_track_name(1, "telemetry integration test");
@@ -121,6 +128,93 @@ fn traced_and_untraced_runs_agree() {
     naming_telemetry::json::check(&snapshot.to_json()).expect("metrics snapshot is valid JSON");
     assert!(snapshot.counter("sim.sent") > 0);
     assert!(snapshot.counter("protocol.resolves") > 0);
+}
+
+/// Drives one resolver through every way a side-cache counter can move —
+/// lookups that hit, miss and drop on sight, records, and the eager sweeps
+/// of its mode — and returns its referral and negative counter sets.
+fn churn_side_caches(mode: CoherenceMode) -> [naming_resolver::referral::ValidatedCacheStats; 2] {
+    let mut w = World::new(81);
+    let net = w.add_network("n");
+    let m1 = w.add_machine("m1", net);
+    let m2 = w.add_machine("m2", net);
+    let root = w.machine_root(m1);
+    let root2 = w.machine_root(m2);
+    let sub = store::ensure_dir(w.state_mut(), root2, "export");
+    store::create_file(w.state_mut(), sub, "data", vec![]);
+    store::attach(w.state_mut(), root, "remote", sub, false);
+    let mut svc = NameService::install(&mut w, &[m1, m2]);
+    svc.place_subtree(&w, root2, m2);
+    svc.place_subtree(&w, root, m1);
+    let client = w.spawn(m1, "client", None);
+    let mut r = CachingResolver::with_mode(ProtocolEngine::new(svc), DEFAULT_CACHE_CAPACITY, mode);
+    let names: Vec<CompoundName> = ["/remote/data", "/remote/nope", "/remote/gone", "/remote"]
+        .iter()
+        .map(|p| CompoundName::parse_path(p).unwrap())
+        .collect();
+    let round = |w: &mut World, r: &mut CachingResolver| {
+        for name in &names {
+            r.resolve(w, client, root, name, Mode::Iterative);
+        }
+        r.invalidate(root, &names[0]);
+        r.resolve_batch(w, client, root, &names);
+    };
+    round(&mut w, &mut r);
+    // Writes along both paths: probes drop what they refute on sight …
+    let nope = w.state_mut().add_data_object("nope", vec![]);
+    for (ctx, label) in [(sub, "nope"), (root, "beside")] {
+        r.engine_mut()
+            .publish_binding(&mut w, ctx, Name::new(label), Some(Entity::Object(nope)))
+            .expect("publish commits");
+    }
+    if mode == CoherenceMode::Exact {
+        round(&mut w, &mut r);
+    }
+    // … and the eager sweeps drop the rest: a pull that hears the zone
+    // move and a lease sweep on one plane, healing on the other.
+    r.sync(&mut w, client, m1).expect("sync completes");
+    round(&mut w, &mut r);
+    let gone = w.state_mut().add_data_object("gone", vec![]);
+    w.state_mut().bind(sub, Name::new("gone"), gone).unwrap();
+    r.heal(&w);
+    r.sweep_leases(u64::MAX);
+    [r.referral_stats(), r.negative_stats()]
+}
+
+#[test]
+fn side_cache_registry_counters_equal_the_struct_counters() {
+    let _turn = CACHE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let before = naming_telemetry::metrics::global().snapshot();
+    let [ref_exact, neg_exact] = churn_side_caches(CoherenceMode::Exact);
+    let [ref_lease, neg_lease] = churn_side_caches(CoherenceMode::Lease { ttl: Some(1 << 20) });
+    let moved = naming_telemetry::metrics::global().snapshot().diff(&before);
+    for (name, exact, lease) in [
+        ("referral.hits", ref_exact.hits, ref_lease.hits),
+        ("referral.misses", ref_exact.misses, ref_lease.misses),
+        (
+            "referral.invalidated",
+            ref_exact.invalidated,
+            ref_lease.invalidated,
+        ),
+        ("negcache.hits", neg_exact.hits, neg_lease.hits),
+        ("negcache.misses", neg_exact.misses, neg_lease.misses),
+        (
+            "negcache.invalidated",
+            neg_exact.invalidated,
+            neg_lease.invalidated,
+        ),
+        ("negcache.recorded", neg_exact.recorded, neg_lease.recorded),
+    ] {
+        assert!(
+            exact > 0 && lease > 0,
+            "{name} never moved: {exact} exact, {lease} lease"
+        );
+        assert_eq!(
+            moved.counter(name),
+            exact + lease,
+            "{name} drifted from the struct"
+        );
+    }
 }
 
 #[test]
