@@ -17,7 +17,11 @@ fn bench_wire(c: &mut Criterion) {
     let req = Request {
         id: 77,
         start: ObjectId::from_index(3),
-        name: CompoundName::parse_path("/org/dept/group/host/service/instance").unwrap(),
+        name: CompoundName::parse_path("/org/dept/group/host/service/instance")
+            .unwrap()
+            .iter()
+            .map(|&c| Some(c))
+            .collect(),
         mode: Mode::Recursive,
     };
     group.bench_function("encode", |b| b.iter(|| black_box(req.encode())));

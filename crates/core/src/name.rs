@@ -111,9 +111,20 @@ impl SymbolTable {
             interner();
             chunk = self.chunks[chunk_idx].load(Ordering::Acquire);
         }
+        // SAFETY: chunks are leaked boxes, never freed, and a slot holds
+        // null or a leaked `&'static str` cell; every symbol handed out was
+        // published first, the pre-interned ones by the time `interner()`
+        // returns.
         unsafe {
-            let cell = (*chunk)[slot].load(Ordering::Acquire);
-            debug_assert!(!cell.is_null(), "unpublished symbol {sym}");
+            let mut cell = (*chunk)[slot].load(Ordering::Acquire);
+            if cell.is_null() {
+                // A pre-interned name read while another thread is still
+                // inside the interner's initialisation, which has made the
+                // chunk but not yet this slot: wait for it to finish.
+                interner();
+                cell = (*chunk)[slot].load(Ordering::Acquire);
+                assert!(!cell.is_null(), "unpublished symbol {sym}");
+            }
             *cell
         }
     }
@@ -183,6 +194,15 @@ impl Name {
         guard.len = sym.checked_add(1).expect("interner overflow");
         guard.index.insert(leaked, sym);
         Name(sym)
+    }
+
+    /// The atom `s` was interned as, if it ever was: an index probe under
+    /// the read lock that never inserts. A label no [`Name::new`] call has
+    /// seen cannot be bound in any context, so a server reading labels
+    /// from a peer looks them up here instead of letting the peer grow
+    /// the interner.
+    pub fn lookup(s: &str) -> Option<Name> {
+        interner().read().index.get(s).map(|&sym| Name(sym))
     }
 
     /// Returns the string this name was interned from. Lock-free: resolves
@@ -526,6 +546,19 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.as_str(), "alpha");
+    }
+
+    #[test]
+    fn lookup_finds_interned_labels_and_never_interns() {
+        assert_eq!(Name::lookup("lookup-never-interned"), None);
+        assert_eq!(
+            Name::lookup("lookup-never-interned"),
+            None,
+            "probing interned it"
+        );
+        let n = Name::new("lookup-interned");
+        assert_eq!(Name::lookup("lookup-interned"), Some(n));
+        assert_eq!(Name::lookup(ROOT), Some(Name::root()));
     }
 
     #[test]

@@ -245,14 +245,14 @@ impl<P: Validity> Plane<P> {
             let by = (self.evidence)(world, heard);
             out.messages += batch.messages;
             out.latency = out.latency + batch.latency;
+            // Referrals come back by slot, in slot order.
+            let mut hops = &batch.referrals[..];
             for (i, (plen, slot, jumped)) in members.into_iter().enumerate() {
                 let comps = names[slot].components();
                 out.entities[slot] = batch.entities[i];
-                // Referrals are reported relative to the group's start;
-                // re-key them by every original name they prefix.
-                let hops = batch.referrals.iter().filter_map(|(rel, _machine, ctx)| {
-                    (comps[plen..].starts_with(rel.components())).then_some((rel.len(), *ctx))
-                });
+                let own;
+                (own, hops) = hops.split_at(hops.partition_point(|hop| hop.slot == i));
+                let hops = own.iter().map(|hop| (hop.consumed, hop.ctx));
                 let answer = (batch.entities[i], batch.unreachable[i]);
                 self.file(by, (start, comps), (plen, jumped), hops, &mut seen, answer);
             }

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, Sender};
 use naming_core::entity::Entity;
-use naming_core::name::CompoundName;
+use naming_core::name::{CompoundName, Name};
 use naming_core::resolve::Resolver;
 use naming_core::snapshot::{SnapshotMemoStats, StateSnapshot};
 use naming_core::state::SystemState;
@@ -33,7 +33,7 @@ use naming_telemetry::metrics::MetricsRegistry;
 pub use naming_telemetry::flight::{FlightLog, FlightRecorder, SharedFlightRecorder};
 pub use naming_telemetry::metrics::HistogramSnapshot;
 
-use crate::wire::{BatchReply, BatchRequest, Outcome};
+use crate::wire::{BatchReply, BatchRequest, Outcome, WalkScratch};
 
 /// A unit of work: one batch frame plus the snapshot it resolves against.
 struct Job {
@@ -423,28 +423,31 @@ fn worker_loop(
         let reg = naming_telemetry::metrics::global();
         (reg.counter(batches), reg.counter(queries))
     };
+    let (mut walk, mut sub) = (WalkScratch::default(), Vec::new());
     for job in jobs.iter() {
         let started = Instant::now();
         queue_wait.record(started.duration_since(job.submitted).as_nanos() as u64);
         let (state, trie) = (job.snap.state(), &job.req.trie);
-        let sub = trie.subtree_query_counts();
+        trie.subtree_query_counts(&mut sub);
         let mut entities = vec![Entity::Undefined; trie.query_count() as usize];
         let (mut lookups, mut naive) = (0u64, 0u64);
         // The state below a node is the context its component denoted;
         // `None` once the path has died (⊥, an activity, a non-context
         // object) or outgrown the depth limit — every name below is ⊥.
-        trie.walk(Some(job.req.start), |ni, node, path, ctx| {
+        trie.walk(&mut walk, Some(job.req.start), |ni, node, path, ctx| {
             let ctx = state.context(ctx.filter(|_| path.len() <= depth_limit)?)?;
             lookups += 1;
             naive += u64::from(sub[ni]);
-            let entity = ctx.lookup(node.component);
+            // A label this process never interned is bound nowhere.
+            let entity = (node.component).map_or(Entity::Undefined, |c| ctx.lookup(c));
             if let Some(query) = node.query {
                 entities[query as usize] = entity;
                 if let Some(flight) = &flight {
                     // Admission hashes (request id, name), so the merged log
                     // is the same for any worker count; the outcome string
                     // renders only for admitted entries.
-                    let name = CompoundName::new(path.iter().copied())
+                    let shown = path.iter().map(|c| c.unwrap_or_else(|| Name::new("?")));
+                    let name = CompoundName::new(shown)
                         .expect("a trie path is non-empty")
                         .to_string();
                     flight

@@ -1,18 +1,22 @@
 //! The client side of the resolution protocol, written once.
 //!
 //! The paper's compound-name rule `c(n1 n2…nk) = σ(c(n1))(n2…nk)` (§2) is
-//! one piece of state per name: the context to continue from and the
-//! suffix still to resolve. A [`Continuation`] holds that state for a
+//! one piece of state per name: the context to continue from and how many
+//! components are consumed. A [`Continuation`] holds that state for a
 //! batch of names and owns every step that changes it. It never pumps the
 //! event queue: a driver does, and hands it what the client heard. There
 //! are two — [`ProtocolEngine::resolve_batch`] runs one continuation to
 //! completion, [`PipelinedService`](crate::runtime::PipelinedService)
 //! interleaves many.
+//!
+//! An exchange allocates the frame and the part list the simulator must
+//! own, nothing else: vectors are reused ([`ProtocolEngine::idle`]),
+//! requests built in the engine's scratch, replies folded where they lie.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
 
+use bytes::Bytes;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::{CompoundName, Name};
 use naming_sim::message::Payload;
@@ -20,8 +24,8 @@ use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::engine::{BatchResolveStats, ProtocolEngine};
-use crate::wire::{BatchReply, BatchRequest, Mode, NameTrie, Outcome, Request};
+use crate::engine::{BatchResolveStats, ProtocolEngine, ReferralHop};
+use crate::wire::{self, Mode, Outcome, Request};
 
 /// A table keyed by numbers handed out in increasing order (request ids,
 /// submission tickets): slot `key − first`, with leading empty slots
@@ -77,8 +81,7 @@ impl<T> Dense<T> {
 pub(crate) type Route = (u64, usize);
 
 /// One name's unresolved rest: continue from `ctx` with the components of
-/// input name `slot` from `consumed` on. A referral's remainder is always
-/// a suffix of the name that was asked, so the suffix is never copied.
+/// input name `slot` from `consumed` on — always a suffix of the name held.
 #[derive(Clone, Copy, Debug)]
 struct Work {
     ctx: ObjectId,
@@ -87,8 +90,9 @@ struct Work {
 }
 
 impl Work {
-    fn suffix<'a>(&self, names: &'a [CompoundName]) -> &'a [Name] {
-        &names[self.slot].components()[self.consumed..]
+    /// The rest: name `slot` is `labels[ends[slot]..ends[slot + 1]]`.
+    fn suffix<'a>(&self, labels: &'a [Name], ends: &[usize]) -> &'a [Name] {
+        &labels[ends[self.slot] + self.consumed..ends[self.slot + 1]]
     }
 }
 
@@ -96,70 +100,96 @@ impl Work {
 /// continues from the same context shares it.
 #[derive(Debug)]
 struct Exchange {
-    /// As last sent; its id is the live attempt's.
-    request: BatchRequest,
+    /// The live attempt's request id.
+    id: u64,
     /// The authority addressed first, and the context it hosts.
     primary: (MachineId, ObjectId),
     /// Deadlines expired so far.
     attempt: u32,
-    /// A range of the continuation's sorted round, and the query id each
-    /// rider's answer is filed under.
+    /// A range of the continuation's sorted round (and of `mapping`).
     riders: Range<usize>,
-    mapping: Vec<u32>,
-    /// Still `None` when the round ends: given up, riders' slots flagged.
-    reply: Option<BatchReply>,
+    /// Neither answered nor given up.
+    open: bool,
 }
 
 /// A batch resolution between events: the names, what is known of each so
 /// far, and the round in progress.
 #[derive(Debug)]
-pub(crate) struct Continuation<'n> {
+pub(crate) struct Continuation {
     /// The key its driver files it under; its routes carry it as `owner`.
     pub(crate) seq: u64,
     client: ActivityId,
     mode: Mode,
-    names: Cow<'n, [CompoundName]>,
+    /// The names, flat, and where each starts (one more entry than names).
+    labels: Vec<Name>,
+    ends: Vec<usize>,
     /// The answer so far. `messages` counts this batch's own requests and
-    /// filed replies; `referrals` is sorted and deduplicated on completion.
+    /// filed replies; `referrals` is sorted on completion.
     pub(crate) stats: BatchResolveStats,
     /// The next round's work; referral answers feed it.
     pending: Vec<Work>,
-    /// The current round's work, sorted by context, then suffix, then slot.
+    /// The current round's work, sorted by context, then suffix, then
+    /// slot; beside each rider, the query id its answer comes under.
     round: Vec<Work>,
+    mapping: Vec<u32>,
     exchanges: Vec<Exchange>,
     /// Exchanges of the round neither answered nor given up.
     outstanding: usize,
 }
 
-impl<'n> Continuation<'n> {
+impl Continuation {
+    /// A continuation for `names` from `start`, on a finished one's vectors
+    /// when the engine has any idle.
     pub(crate) fn new(
+        engine: &mut ProtocolEngine,
         seq: u64,
         client: ActivityId,
         start: ObjectId,
-        names: Cow<'n, [CompoundName]>,
+        names: &[CompoundName],
         mode: Mode,
-    ) -> Continuation<'n> {
-        let work = |slot| Work {
-            ctx: start,
-            slot,
-            consumed: 0,
-        };
-        let stats = BatchResolveStats {
-            entities: vec![Entity::Undefined; names.len()],
-            unreachable: vec![false; names.len()],
-            ..BatchResolveStats::default()
-        };
-        Continuation {
+    ) -> Continuation {
+        let mut cont = engine.idle.pop().unwrap_or_else(|| Continuation {
             seq,
             client,
             mode,
-            stats,
-            pending: (0..names.len()).map(work).collect(),
+            labels: Vec::new(),
+            ends: Vec::new(),
+            stats: BatchResolveStats::default(),
+            pending: Vec::new(),
             round: Vec::new(),
+            mapping: Vec::new(),
             exchanges: Vec::new(),
             outstanding: 0,
-            names,
+        });
+        (cont.seq, cont.client, cont.mode) = (seq, client, mode);
+        cont.labels.clear();
+        cont.ends.clear();
+        cont.ends.push(0);
+        for name in names {
+            cont.labels.extend_from_slice(name.components());
+            cont.ends.push(cont.labels.len());
         }
+        cont.stats = BatchResolveStats {
+            entities: vec![Entity::Undefined; names.len()],
+            unreachable: vec![false; names.len()],
+            // Each hop consumes a component and the last is never handed on.
+            referrals: Vec::with_capacity(cont.labels.len() - names.len()),
+            ..BatchResolveStats::default()
+        };
+        cont.pending.clear();
+        cont.pending.extend((0..names.len()).map(|slot| Work {
+            ctx: start,
+            slot,
+            consumed: 0,
+        }));
+        cont
+    }
+
+    /// The answer of a completed batch; the vectors go back to the engine.
+    pub(crate) fn finish(mut self, engine: &mut ProtocolEngine) -> BatchResolveStats {
+        let stats = std::mem::take(&mut self.stats);
+        engine.idle.push(self);
+        stats
     }
 
     /// Whether the round in progress still waits for an answer.
@@ -167,9 +197,9 @@ impl<'n> Continuation<'n> {
         self.outstanding > 0
     }
 
-    /// Runs the state machine as far as it goes without new input: fold
-    /// the finished round, start the next, again while rounds finish on
-    /// the spot (unplaced authorities). True when the batch is complete.
+    /// Runs the state machine as far as it goes without new input: start
+    /// the next round, again while rounds finish on the spot (unplaced
+    /// authorities). True when the batch is complete.
     /// Every accepted referral consumes at least one component, so the
     /// deepest name bounds the rounds.
     pub(crate) fn advance(&mut self, engine: &mut ProtocolEngine, world: &mut World) -> bool {
@@ -177,10 +207,12 @@ impl<'n> Continuation<'n> {
             if self.suspended() {
                 return false;
             }
-            self.finish_round();
+            self.round.clear();
+            self.mapping.clear();
+            self.exchanges.clear();
             if self.pending.is_empty() {
-                self.stats.referrals.sort();
-                self.stats.referrals.dedup();
+                // Folded in arrival order, reported in slot order.
+                self.stats.referrals.sort_unstable();
                 return true;
             }
             self.start_round(engine, world);
@@ -193,9 +225,9 @@ impl<'n> Continuation<'n> {
     fn start_round(&mut self, engine: &mut ProtocolEngine, world: &mut World) {
         self.stats.rounds += 1;
         std::mem::swap(&mut self.round, &mut self.pending);
-        let names = &*self.names;
+        let (labels, ends) = (&self.labels[..], &self.ends[..]);
         self.round.sort_unstable_by(|a, b| {
-            (a.ctx, a.suffix(names), a.slot).cmp(&(b.ctx, b.suffix(names), b.slot))
+            (a.ctx, a.suffix(labels, ends), a.slot).cmp(&(b.ctx, b.suffix(labels, ends), b.slot))
         });
         let mut lo = 0;
         while let Some(&Work { ctx, .. }) = self.round.get(lo) {
@@ -203,122 +235,173 @@ impl<'n> Continuation<'n> {
             lo = riders.end;
             let Some(machine) = engine.service().machine_of_object(ctx) else {
                 // Nobody can be addressed: a transport verdict, not ⊥.
+                self.mapping.resize(riders.end, 0);
                 self.give_up(riders);
                 continue;
             };
-            let asked = self.round[riders.clone()].iter();
-            let (trie, mapping) = NameTrie::build_from(asked.map(|w| w.suffix(&self.names)));
-            self.stats.coalesced += (riders.len() - trie.query_count() as usize) as u64;
-            let request = BatchRequest {
-                id: engine.alloc_id(),
-                start: ctx,
-                trie,
-            };
+            let asked = riders.len();
             self.exchanges.push(Exchange {
-                request,
+                id: engine.alloc_id(),
                 primary: (machine, ctx),
                 attempt: 0,
                 riders,
-                mapping,
-                reply: None,
+                open: true,
             });
             self.outstanding += 1;
-            self.transmit(engine, world, self.exchanges.len() - 1, machine);
+            self.transmit(engine, world, self.exchanges.len() - 1, (machine, ctx));
+            self.mapping.extend_from_slice(&engine.scratch.remap);
+            let queries = engine.scratch.trie.query_count() as usize;
+            self.stats.coalesced += (asked - queries) as u64;
         }
     }
 
-    /// Puts exchange `k`'s request on the wire to `machine`, arms its
-    /// deadline when a retry policy is set, and routes its id back here.
-    /// Batch frames carry every iterative resolve, a batch of one
-    /// included; the scalar frame survives for [`Mode::Recursive`], which
-    /// servers forward on the client's behalf.
+    /// Builds exchange `k`'s request in the engine's scratch (again for a
+    /// retransmission: frames kept would make what a continuation holds
+    /// depend on the traffic it has seen) and sends it to `machine`, to
+    /// resolve from `start`; arms its deadline under a retry policy, and
+    /// routes its id back here.
     fn transmit(
         &mut self,
         engine: &mut ProtocolEngine,
         world: &mut World,
         k: usize,
-        machine: MachineId,
+        (machine, start): (MachineId, ObjectId),
     ) {
         let ex = &self.exchanges[k];
-        let BatchRequest { id, start, .. } = ex.request;
-        let frame = match self.mode {
-            Mode::Iterative => ex.request.encode(),
-            Mode::Recursive => {
-                let name = self.round[ex.riders.start].suffix(&self.names).to_vec();
-                let name = CompoundName::new(name).expect("an unresolved rest is nonempty");
-                let mode = Mode::Recursive;
-                let request = Request {
-                    id,
-                    start,
-                    name,
-                    mode,
-                };
-                request.encode()
+        let asked = self.round[ex.riders.clone()].iter();
+        let mut asked = asked.map(|w| w.suffix(&self.labels, &self.ends));
+        let s = &mut engine.scratch;
+        s.remap.clear();
+        s.trie.rebuild(asked.clone(), &mut s.cells, &mut s.remap);
+        // Batch frames carry every iterative resolve; the scalar frame
+        // survives for recursion, which servers forward for the client.
+        let frame = match (self.mode, asked.next()) {
+            (Mode::Recursive, Some(name)) => Request {
+                id: ex.id,
+                start,
+                name: name.iter().map(|&c| Some(c)).collect(),
+                mode: Mode::Recursive,
+            }
+            .encode(),
+            _ => {
+                s.frame.clear();
+                wire::put_batch_request(&mut s.frame, ex.id, start, &s.trie);
+                // The simulator owns a message in flight: this frame and
+                // the part list are an exchange's two allocations.
+                Bytes::copy_from_slice(&s.frame)
             }
         };
         let server = engine.service().server_on(machine);
         world.send(self.client, server, vec![Payload::Bytes(frame)]);
         self.stats.messages += 1;
         if let Some(policy) = engine.retry_policy() {
-            let after = Duration::from_ticks(policy.timeout_ticks(id, ex.attempt));
-            world.schedule_wake(self.client, after, id);
+            let after = Duration::from_ticks(policy.timeout_ticks(ex.id, ex.attempt));
+            world.schedule_wake(self.client, after, ex.id);
         }
-        engine.routes.insert(id, (self.seq, k));
+        engine.routes.insert(ex.id, (self.seq, k));
     }
 
-    /// What the client heard about exchange `k`: its answer, or (`None`)
-    /// that its deadline fired first. An answer is filed. On a deadline
-    /// the outstanding attempt is superseded — its reply, if it ever
-    /// lands, is a late reply, not an answer — and the request goes out
-    /// again under a fresh id, rotating through the failover order (the
-    /// authority addressed first, then every other replica of the
-    /// context's group), until `max_attempts` deadlines have expired; then
-    /// the exchange is given up. A retransmission repeats a round's
-    /// exchange and never consumes a referral-progress round.
+    /// What the client heard about exchange `k`: its answer (servers
+    /// touched, lookups saved, the outcomes in the engine's scratch), or
+    /// (`None`) that its deadline fired first. An answer is folded into the
+    /// batch's on the spot — entities by slot, referrals into the next
+    /// round's work, sums: nothing shows which exchange was heard first. On a
+    /// deadline the outstanding attempt is superseded — its reply, if it
+    /// ever lands, is a late reply, not an answer — and the request goes
+    /// out again under a fresh id, to the next server in the failover
+    /// order, until `max_attempts` deadlines have expired; then the
+    /// exchange is given up. A retransmission repeats a round's exchange
+    /// and never consumes a referral-progress round.
     pub(crate) fn heard(
         &mut self,
         engine: &mut ProtocolEngine,
         world: &mut World,
         k: usize,
-        reply: Option<BatchReply>,
+        reply: Option<(u32, u32)>,
     ) {
         let policy = engine.retry_policy();
         let ex = &mut self.exchanges[k];
-        if let Some(reply) = reply {
-            engine.routes.remove(reply.id);
-            world.cancel_wake(reply.id);
+        if let Some((servers_touched, lookups_saved)) = reply {
+            engine.routes.remove(ex.id);
+            world.cancel_wake(ex.id);
             #[cfg(feature = "telemetry")]
             if policy.is_some() {
                 naming_telemetry::histogram!("retry.attempts").record(u64::from(ex.attempt) + 1);
             }
-            self.stats.messages += 1;
-            ex.reply = Some(reply);
+            ex.open = false;
             self.outstanding -= 1;
+            self.stats.messages += 1;
+            self.stats.servers_touched += servers_touched;
+            self.stats.hops_saved += u64::from(lookups_saved);
+            for i in ex.riders.clone() {
+                let outcome = engine.scratch.outcomes.get(self.mapping[i] as usize);
+                self.file(self.round[i], outcome.copied());
+            }
             return;
         }
         let Some(policy) = policy else { return };
-        engine.routes.remove(ex.request.id);
-        engine.supersede(ex.request.id);
+        engine.routes.remove(ex.id);
+        engine.supersede(ex.id);
         ex.attempt += 1;
         if ex.attempt >= policy.max_attempts {
             engine.note_exhausted();
+            ex.open = false;
             let riders = ex.riders.clone();
             self.give_up(riders);
             self.outstanding -= 1;
             return;
         }
         engine.note_retransmission();
+        // The authority addressed first, then its group's other servers.
         let (first, ctx) = ex.primary;
-        let others = engine.service().failover_targets(ctx).into_iter();
-        let order: Vec<_> = std::iter::once(ex.primary)
-            .chain(others.filter(|&(m, _)| m != first))
-            .collect();
-        let (machine, start) = order[ex.attempt as usize % order.len()];
-        if machine != first {
+        let others = || {
+            engine
+                .service()
+                .failover_group(ctx)
+                .filter(|&(m, _)| m != first)
+        };
+        let turn = ex.attempt as usize % (1 + others().count());
+        let target = turn.checked_sub(1).and_then(|i| others().nth(i));
+        let target = target.unwrap_or(ex.primary);
+        if target.0 != first {
             engine.note_failover();
         }
-        (ex.request.id, ex.request.start) = (engine.alloc_id(), start);
-        self.transmit(engine, world, k, machine);
+        ex.id = engine.alloc_id();
+        self.transmit(engine, world, k, target);
+    }
+
+    /// One rider's outcome into the answer. A referral is followed when it
+    /// leaves a nonempty proper rest of what was asked: any other count
+    /// names something the client never sent. That, a server that could
+    /// not hand resolution onward and a reply with no outcome for the
+    /// query flag the slot unreachable: none says anything of the binding.
+    fn file(&mut self, work: Work, outcome: Option<Outcome>) {
+        let Work { slot, consumed, .. } = work;
+        let asked = self.ends[slot + 1] - self.ends[slot] - consumed;
+        match outcome {
+            Some(Outcome::Resolved(e)) => self.stats.entities[slot] = e,
+            Some(Outcome::Referral {
+                next_machine: machine,
+                next_ctx: ctx,
+                remaining,
+            }) if (1..asked).contains(&usize::from(remaining)) => {
+                let consumed = consumed + asked - usize::from(remaining);
+                let hop = ReferralHop {
+                    slot,
+                    consumed,
+                    machine,
+                    ctx,
+                };
+                self.stats.referrals.push(hop);
+                self.pending.push(Work {
+                    ctx,
+                    slot,
+                    consumed,
+                });
+            }
+            Some(Outcome::NotFound | Outcome::WrongServer) => {}
+            _ => self.stats.unreachable[slot] = true,
+        }
     }
 
     /// No event will ever arrive for what is still outstanding (dead
@@ -326,8 +409,8 @@ impl<'n> Continuation<'n> {
     /// slots get transport verdicts and the round completes without it.
     pub(crate) fn fail_unanswered(&mut self, engine: &mut ProtocolEngine) {
         for k in 0..self.exchanges.len() {
-            if self.exchanges[k].reply.is_none() {
-                engine.routes.remove(self.exchanges[k].request.id);
+            if std::mem::take(&mut self.exchanges[k].open) {
+                engine.routes.remove(self.exchanges[k].id);
                 self.give_up(self.exchanges[k].riders.clone());
             }
         }
@@ -340,52 +423,5 @@ impl<'n> Continuation<'n> {
         for work in &self.round[riders] {
             self.stats.unreachable[work.slot] = true;
         }
-    }
-
-    /// Folds the finished round into the answer: resolved entities fill
-    /// their slots, referrals feed the next round, and whatever is not an
-    /// authoritative verdict flags its slot unreachable.
-    fn finish_round(&mut self) {
-        let mut exchanges = std::mem::take(&mut self.exchanges);
-        for ex in exchanges.drain(..) {
-            let Some(reply) = ex.reply else { continue };
-            self.stats.servers_touched += reply.servers_touched;
-            self.stats.hops_saved += u64::from(reply.lookups_saved);
-            for (work, &q) in self.round[ex.riders].iter().zip(&ex.mapping) {
-                let name: &[Name] = self.names[work.slot].components();
-                match reply.outcomes.get(q as usize) {
-                    Some(Outcome::Resolved(e)) => self.stats.entities[work.slot] = *e,
-                    // A referral must hand back a proper suffix of what
-                    // was sent; then the prefix is one the client asked
-                    // about and `consumed` stays inside the name.
-                    Some(Outcome::Referral {
-                        next_machine,
-                        next_ctx,
-                        remaining,
-                    }) if remaining.len() < name.len() - work.consumed
-                        && name.ends_with(remaining.components()) =>
-                    {
-                        let consumed = name.len() - remaining.len();
-                        if let Ok(prefix) = CompoundName::new(name[..consumed].iter().copied()) {
-                            let hop = (prefix, *next_machine, *next_ctx);
-                            self.stats.referrals.push(hop);
-                        }
-                        self.pending.push(Work {
-                            ctx: *next_ctx,
-                            slot: work.slot,
-                            consumed,
-                        });
-                    }
-                    Some(Outcome::NotFound | Outcome::WrongServer) => {}
-                    // The server could not hand resolution onward, the
-                    // reply carries no outcome for this query, or its
-                    // referral names something that was never asked: none
-                    // of these says anything about the binding.
-                    _ => self.stats.unreachable[work.slot] = true,
-                }
-            }
-        }
-        self.exchanges = exchanges;
-        self.round.clear();
     }
 }

@@ -6,9 +6,9 @@
 //! the server logic, pumping the event queue and handling each delivered
 //! frame. All scheduling remains deterministic.
 
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 
+use bytes::{Bytes, BytesMut};
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::lease::ZoneSerial;
 use naming_core::name::{CompoundName, Name};
@@ -20,10 +20,10 @@ use naming_sim::world::{Stepped, World};
 
 use crate::coherence::ZoneJournal;
 use crate::continuation::{Continuation, Dense, Route};
-use crate::service::NameService;
+use crate::service::{BatchScratch, NameService};
 use crate::wire::{
-    BatchReply, BatchRequest, Frame, Mode, Outcome, Reply, Request, ShardDelta, ZoneChange,
-    ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
+    self, Frame, Mode, NameTrie, Outcome, Reply, Request, ShardDelta, ZoneChange, ZoneDelta,
+    ZoneDeltaRequest, ZoneUpdate,
 };
 
 /// What a completed resolution cost.
@@ -110,11 +110,13 @@ pub struct RetryCounters {
 }
 
 /// One referral a resolution followed, relative to the name the client
-/// asked for: after `consumed` components, authority passed to `ctx` on
-/// `machine`. This is exactly what a referral cache can store and later
-/// validate against `ctx`'s generation counter.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// asked for: after `consumed` components of input name `slot`, authority
+/// passed to `ctx` on `machine`. This is exactly what a referral cache can
+/// store and later validate against `ctx`'s generation counter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ReferralHop {
+    /// The input name that was referred (0 for a single resolve).
+    pub slot: usize,
     /// Components of the original name consumed before the handoff.
     pub consumed: usize,
     /// The machine that became authoritative.
@@ -141,9 +143,9 @@ pub struct BatchResolveStats {
     pub coalesced: u64,
     /// Server lookups avoided by shared-prefix compression.
     pub hops_saved: u64,
-    /// Every referral any of the names followed, as `(consumed prefix of
-    /// the original name, machine, context)` — deduplicated and sorted.
-    pub referrals: Vec<(CompoundName, naming_sim::topology::MachineId, ObjectId)>,
+    /// Every referral any of the names followed, sorted by slot, then by
+    /// components consumed.
+    pub referrals: Vec<ReferralHop>,
     /// Per input slot: true when the slot's ⊥ is a transport verdict
     /// (lost exchange, exhausted deadlines, unplaced authority) rather
     /// than an authoritative "unbound". Always false for defined entities.
@@ -155,6 +157,22 @@ struct ServerState {
     /// Recursive requests forwarded on behalf of someone: id → (original
     /// requester, work units accumulated before forwarding).
     pending: BTreeMap<u64, (ActivityId, u32)>,
+}
+
+/// The buffers exchanges are built and read in, one after another: a
+/// client building a request and a server answering one never overlap.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The request: its trie (as built, or as decoded), the builder's
+    /// cells, its riders' query ids, the decoder's forest check.
+    pub(crate) trie: NameTrie,
+    pub(crate) cells: Vec<u32>,
+    pub(crate) remap: Vec<u32>,
+    seen: Vec<u64>,
+    batch: BatchScratch,
+    /// The frame being encoded, request or reply; the reply being read.
+    pub(crate) frame: BytesMut,
+    pub(crate) outcomes: Vec<Outcome>,
 }
 
 /// Safety bound on the events a driver pumps per in-flight batch.
@@ -181,12 +199,15 @@ pub struct ProtocolEngine {
     /// Emptied whenever a driver finds no message in flight (see
     /// `forget_unanswerable`), so ids whose late reply was itself lost do
     /// not pile up.
-    superseded: BTreeSet<u64>,
+    superseded: HashSet<u64, naming_core::hash::DeterministicState>,
     counters: RetryCounters,
     /// Authority-side delta log: every write routed through
     /// [`ProtocolEngine::publish_binding`] is journaled at its zone
     /// serial, so anti-entropy pulls can be answered incrementally.
     journal: ZoneJournal,
+    pub(crate) scratch: Scratch,
+    /// Finished continuations, kept for their vectors: the most ever live.
+    pub(crate) idle: Vec<Continuation>,
     /// Test reference: sweep every server mailbox after every event, as
     /// the engine did before events named their process.
     #[cfg(test)]
@@ -202,9 +223,11 @@ impl ProtocolEngine {
             next_id: 1,
             routes: Dense::new(),
             retry: None,
-            superseded: BTreeSet::new(),
+            superseded: HashSet::default(),
             counters: RetryCounters::default(),
             journal: ZoneJournal::default(),
+            scratch: Scratch::default(),
+            idle: Vec::new(),
             #[cfg(test)]
             sweep_every_event: false,
         }
@@ -362,12 +385,7 @@ impl ProtocolEngine {
             latency: batch.latency,
             unreachable: batch.unreachable[0],
         };
-        let hop = |(prefix, machine, ctx): (CompoundName, _, _)| ReferralHop {
-            consumed: prefix.len(),
-            machine,
-            ctx,
-        };
-        let hops = batch.referrals.into_iter().map(hop).collect();
+        let hops = batch.referrals;
         #[cfg(feature = "telemetry")]
         {
             naming_telemetry::counter!("protocol.resolves").bump();
@@ -432,7 +450,7 @@ impl ProtocolEngine {
     ) -> BatchResolveStats {
         let t0 = world.now();
         let sent0 = world.trace().counter("sent");
-        let mut cont = Continuation::new(BLOCKING, client, start, Cow::Borrowed(names), mode);
+        let mut cont = Continuation::new(self, BLOCKING, client, start, names, mode);
         self.drain_servers(world);
         let mut steps = 0usize;
         while !cont.advance(self, world) {
@@ -450,34 +468,34 @@ impl ProtocolEngine {
         BatchResolveStats {
             messages: world.trace().counter("sent") - sent0,
             latency: world.now() - t0,
-            ..cont.stats
+            ..cont.finish(self)
         }
     }
 
     /// Hands `deliver` what `client` has heard since it was last polled,
     /// each with the route to the exchange it is about: first the replies
-    /// waiting in its mailbox, then (`None`) the deadlines that fired. A
+    /// waiting in its mailbox — servers touched and lookups saved, the
+    /// outcomes in `scratch.outcomes` — then (`None`) the deadlines. A
     /// reply nothing awaits is late (counted) or stray; a deadline nothing
     /// awaits was answered on the step it expired, or already superseded.
     pub(crate) fn poll_client(
         &mut self,
         world: &mut World,
         client: ActivityId,
-        mut deliver: impl FnMut(&mut ProtocolEngine, &mut World, Route, Option<BatchReply>),
+        mut deliver: impl FnMut(&mut ProtocolEngine, &mut World, Route, Option<(u32, u32)>),
     ) {
         while let Some(msg) = world.receive(client) {
-            for part in msg.parts {
+            for part in &msg.parts {
                 let Payload::Bytes(bytes) = part else {
                     continue;
                 };
-                let reply = match Frame::decode(bytes) {
-                    Some(Frame::BatchReply(r)) => r,
-                    Some(Frame::Reply(r)) => r.into(),
-                    _ => continue,
+                let read = wire::read_reply(bytes, &mut self.scratch.outcomes);
+                let Some((id, touched, saved)) = read else {
+                    continue;
                 };
-                match self.routes.get_mut(reply.id) {
-                    Some(&mut route) => deliver(self, world, route, Some(reply)),
-                    None => self.note_stale_reply(reply.id),
+                match self.routes.get_mut(id) {
+                    Some(&mut route) => deliver(self, world, route, Some((touched, saved))),
+                    None => self.note_stale_reply(id),
                 }
             }
         }
@@ -677,12 +695,14 @@ impl ProtocolEngine {
             let from = msg.from;
             for part in msg.parts {
                 let Payload::Bytes(b) = part else { continue };
+                // Every miss sends this frame: read into the scratch trie.
+                if b.first() == Some(&wire::TAG_BATCH_REQUEST) {
+                    self.handle_batch_request(world, machine, server, from, &b);
+                    continue;
+                }
                 match Frame::decode(b) {
                     Some(Frame::Request(req)) => {
                         self.handle_request(world, machine, server, from, req)
-                    }
-                    Some(Frame::BatchRequest(req)) => {
-                        self.handle_batch_request(world, machine, server, from, req)
                     }
                     Some(Frame::Reply(rep)) => self.handle_forwarded_reply(world, server, rep),
                     Some(Frame::ZoneUpdate(update)) => {
@@ -693,7 +713,8 @@ impl ProtocolEngine {
                     }
                     // Replies to clients have no business here; dropped
                     // like any undecodable frame.
-                    Some(Frame::BatchReply(_) | Frame::ZoneDelta(_)) | None => {}
+                    Some(Frame::BatchRequest(_) | Frame::BatchReply(_) | Frame::ZoneDelta(_))
+                    | None => {}
                 }
             }
         }
@@ -709,8 +730,8 @@ impl ProtocolEngine {
     ) {
         let outcome = self
             .service
-            .local_resolve(world, machine, req.start, &req.name);
-        match (&outcome, req.mode) {
+            .local_resolve_labels(world, machine, req.start, &req.name);
+        match (outcome, req.mode) {
             (
                 Outcome::Referral {
                     next_machine,
@@ -719,12 +740,13 @@ impl ProtocolEngine {
                 },
                 Mode::Recursive,
             ) => {
-                // Chase the referral on the requester's behalf.
-                let next_server = self.service.server_on(*next_machine);
+                // Chase the referral on the requester's behalf: the rest
+                // of the name it sent, from the next context.
+                let next_server = self.service.server_on(next_machine);
                 let fwd = Request {
                     id: req.id,
-                    start: *next_ctx,
-                    name: remaining.clone(),
+                    start: next_ctx,
+                    name: req.name[req.name.len() - usize::from(remaining)..].to_vec(),
                     mode: Mode::Recursive,
                 };
                 self.server_state
@@ -745,27 +767,27 @@ impl ProtocolEngine {
         }
     }
 
-    /// Answers a [`BatchRequest`]: one trie walk, one [`BatchReply`].
-    /// Batches are always client-driven; there is no recursive variant to
-    /// forward.
+    /// Answers a batch-request frame: decoded into the scratch trie, one
+    /// walk, one batch reply encoded from the walk's outcomes. A malformed
+    /// frame is dropped. Batches are always client-driven; there is no
+    /// recursive variant to forward.
     fn handle_batch_request(
         &mut self,
         world: &mut World,
         machine: naming_sim::topology::MachineId,
         server: ActivityId,
         requester: ActivityId,
-        req: BatchRequest,
+        frame: &[u8],
     ) {
-        let (outcomes, lookups_saved) = self
-            .service
-            .local_resolve_batch(world, machine, req.start, &req.trie);
-        let reply = BatchReply {
-            id: req.id,
-            outcomes,
-            servers_touched: 1,
-            lookups_saved,
+        let (service, s) = (&self.service, &mut self.scratch);
+        let Some((id, start)) = wire::read_batch_request(frame, &mut s.trie, &mut s.seen) else {
+            return;
         };
-        world.send(server, requester, vec![Payload::Bytes(reply.encode())]);
+        let saved = service.local_resolve_batch_in(world, machine, start, &s.trie, &mut s.batch);
+        s.frame.clear();
+        wire::put_batch_reply(&mut s.frame, id, 1, saved, &s.batch.outcomes);
+        let reply = Bytes::copy_from_slice(&s.frame);
+        world.send(server, requester, vec![Payload::Bytes(reply)]);
     }
 
     fn handle_zone_update(
@@ -865,6 +887,7 @@ impl ProtocolEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::BatchReply;
     use naming_sim::store;
     use naming_sim::topology::MachineId;
 
@@ -1412,11 +1435,12 @@ mod tests {
         assert_eq!(batch.coalesced, 3);
         assert!(batch.hops_saved > 0, "shared prefixes saved server work");
         // The deepest referral the batch followed is recordable: the
-        // prefix "/hop1/hop2" handed authority to machine 2.
+        // prefix "/hop1/hop2" of the first name handed authority to
+        // machine 2.
         assert!(batch
             .referrals
             .iter()
-            .any(|(p, m, _)| p.to_string() == "/hop1/hop2" && *m == machines[2]));
+            .any(|hop| (hop.slot, hop.consumed, hop.machine) == (0, 3, machines[2])));
     }
 
     #[test]

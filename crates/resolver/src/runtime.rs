@@ -30,17 +30,15 @@
 //! completions free slots, at the virtual instant of the completion.
 //! Queue wait (admission minus submission tick) is reported per batch.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::CompoundName;
 use naming_sim::time::{Duration, VirtualTime};
-use naming_sim::topology::MachineId;
 use naming_sim::world::{Stepped, World};
 
 use crate::continuation::{Continuation, Dense};
-use crate::engine::{ProtocolEngine, MAX_STEPS_PER_BATCH};
+use crate::engine::{ProtocolEngine, ReferralHop, MAX_STEPS_PER_BATCH};
 use crate::wire::Mode;
 
 /// Default per-worker bound on in-flight batches. The reactor holds
@@ -51,7 +49,7 @@ pub const DEFAULT_PER_WORKER_LIMIT: usize = 2048;
 /// A submitted batch: its continuation and when it queued and started.
 #[derive(Debug)]
 struct Batch {
-    cont: Continuation<'static>,
+    cont: Continuation,
     submitted_at: VirtualTime,
     admitted_at: VirtualTime,
 }
@@ -79,8 +77,9 @@ pub struct PipelinedAnswer {
     pub coalesced: u64,
     /// Server lookups avoided by shared-prefix compression.
     pub hops_saved: u64,
-    /// Every referral any of the names followed, deduplicated and sorted.
-    pub referrals: Vec<(CompoundName, MachineId, ObjectId)>,
+    /// Every referral any of the names followed, sorted by slot, then by
+    /// components consumed.
+    pub referrals: Vec<ReferralHop>,
     /// When the batch was submitted.
     pub submitted_at: VirtualTime,
     /// When the batch was admitted (first requests sent). Admission minus
@@ -218,10 +217,10 @@ impl PipelinedService {
         let seq = self.report.submitted;
         self.report.submitted += 1;
         self.clients.insert(client);
-        let names = Cow::Owned(names.to_vec());
         let now = world.now();
+        let engine = &mut self.engine;
         self.backlog.push_back(Batch {
-            cont: Continuation::new(seq, client, start, names, Mode::Iterative),
+            cont: Continuation::new(engine, seq, client, start, names, Mode::Iterative),
             submitted_at: now,
             admitted_at: now,
         });
@@ -369,36 +368,37 @@ impl PipelinedService {
 
     /// Retires a finished batch into the completed set.
     fn complete(&mut self, now: VirtualTime, batch: Batch) {
-        let Batch { cont, .. } = batch;
+        let seq = batch.cont.seq;
+        let stats = batch.cont.finish(&mut self.engine);
         self.report.completed += 1;
-        let worker = (cont.seq % self.report.workers as u64) as usize;
+        let worker = (seq % self.report.workers as u64) as usize;
         #[cfg(feature = "telemetry")]
         {
             naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
             naming_telemetry::gauge!("pipeline.in_flight_queries")
                 .set(self.in_flight_queries as i64);
             naming_telemetry::histogram!("pipeline.continuation_depth")
-                .record(u64::from(cont.stats.rounds));
+                .record(u64::from(stats.rounds));
             let (batches, queries) = crate::worker_metrics::batch_query_names(
                 crate::worker_metrics::Family::Pipeline,
                 worker,
             );
             let reg = naming_telemetry::metrics::global();
             reg.counter(batches).bump();
-            reg.counter(queries).add(cont.stats.entities.len() as u64);
+            reg.counter(queries).add(stats.entities.len() as u64);
         }
         self.done.insert(
-            cont.seq,
+            seq,
             PipelinedAnswer {
-                seq: cont.seq,
-                entities: cont.stats.entities,
-                unreachable: cont.stats.unreachable,
-                rounds: cont.stats.rounds,
-                messages: cont.stats.messages,
-                servers_touched: cont.stats.servers_touched,
-                coalesced: cont.stats.coalesced,
-                hops_saved: cont.stats.hops_saved,
-                referrals: cont.stats.referrals,
+                seq,
+                entities: stats.entities,
+                unreachable: stats.unreachable,
+                rounds: stats.rounds,
+                messages: stats.messages,
+                servers_touched: stats.servers_touched,
+                coalesced: stats.coalesced,
+                hops_saved: stats.hops_saved,
+                referrals: stats.referrals,
                 submitted_at: batch.submitted_at,
                 admitted_at: batch.admitted_at,
                 completed_at: now,
@@ -414,6 +414,7 @@ mod tests {
     use crate::engine::{RetryCounters, RetryPolicy};
     use crate::service::NameService;
     use naming_sim::store;
+    use naming_sim::topology::MachineId;
 
     /// Same shape as the engine tests' chain world: three machines, m0
     /// hosting the root, each hop's subtree on the next machine.

@@ -17,7 +17,7 @@ use naming_core::state::{LOCAL_BITS, MAX_SHARD_OBJECTS};
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::wire::{NameTrie, Outcome};
+use crate::wire::{Label, NameTrie, Outcome, WalkScratch};
 
 /// Which machine is authoritative for each object: one flat table per
 /// state shard, indexed by the object's shard-local index. Object ids are
@@ -59,6 +59,45 @@ impl Placement {
         self.placed += usize::from(table[local] == 0);
         table[local] = u32::try_from(machine.0 + 1).expect("machine ids fit in 32 bits");
     }
+}
+
+/// Walk state at a trie node: still resolving locally, already past a
+/// referral boundary (`from` components of the node's path were consumed
+/// before it), past a dead binding (everything below is `NotFound`), or
+/// past an unplaced context (everything below is `Unreachable` — the
+/// bindings may exist but nobody can be asked).
+#[derive(Clone, Copy, Debug)]
+enum St {
+    Live(ObjectId),
+    Referred {
+        m: MachineId,
+        ctx: ObjectId,
+        from: usize,
+    },
+    Dead,
+    Unreachable,
+}
+
+/// The buffers of [`NameService::local_resolve_batch`], reusable from one
+/// request to the next; `outcomes` holds the last trie's, by query id.
+#[derive(Debug, Default)]
+pub(crate) struct BatchScratch {
+    walk: WalkScratch<St>,
+    sub: Vec<u32>,
+    pub(crate) outcomes: Vec<Outcome>,
+}
+
+/// A referral for the last `remaining` components of what was asked. One
+/// too deep for the wire's 16-bit count cannot be handed on: a transport
+/// verdict.
+fn referral(next_machine: MachineId, next_ctx: ObjectId, remaining: usize) -> Outcome {
+    u16::try_from(remaining).map_or(Outcome::Unreachable { attempts: 0 }, |remaining| {
+        Outcome::Referral {
+            next_machine,
+            next_ctx,
+            remaining,
+        }
+    })
 }
 
 /// Per-machine name servers plus the authoritative placement map.
@@ -258,8 +297,16 @@ impl NameService {
     /// `ctx`'s own placement. This is the failover order the retry layer
     /// walks when a request's deadline expires.
     pub fn failover_targets(&self, ctx: ObjectId) -> Vec<(MachineId, ObjectId)> {
+        self.failover_group(ctx).collect()
+    }
+
+    /// [`NameService::failover_targets`], uncollected.
+    pub(crate) fn failover_group(
+        &self,
+        ctx: ObjectId,
+    ) -> impl Iterator<Item = (MachineId, ObjectId)> + '_ {
         let zone = self.zone_of_copy.get(&ctx).copied().unwrap_or(ctx);
-        self.zone_group(zone).collect()
+        self.zone_group(zone)
     }
 
     /// The primary zone objects of every replica group `machine`
@@ -330,6 +377,18 @@ impl NameService {
         start: ObjectId,
         name: &CompoundName,
     ) -> Outcome {
+        self.local_resolve_labels(world, machine, start, name.components())
+    }
+
+    /// [`NameService::local_resolve`] over a name as it came off the wire
+    /// (`&[Label]`) or as a client holds it (`&[Name]`); nonempty.
+    pub(crate) fn local_resolve_labels<L: Copy + Into<Label>>(
+        &self,
+        world: &World,
+        machine: MachineId,
+        start: ObjectId,
+        name: &[L],
+    ) -> Outcome {
         let out = self.local_resolve_impl(world, machine, start, name);
         #[cfg(feature = "telemetry")]
         {
@@ -338,6 +397,11 @@ impl NameService {
                 Outcome::Referral { next_machine, .. } => {
                     naming_telemetry::counter!("service.referrals").bump();
                     if naming_telemetry::recorder::is_active() {
+                        let shown = name.iter().map(|&l| {
+                            l.into()
+                                .unwrap_or_else(|| naming_core::name::Name::new("?"))
+                        });
+                        let name = CompoundName::new(shown).expect("a request names something");
                         naming_telemetry::recorder::instant(
                             "protocol",
                             format!(
@@ -360,20 +424,20 @@ impl NameService {
     }
 
     /// The authoritative walk itself, free of observation hooks.
-    fn local_resolve_impl(
+    fn local_resolve_impl<L: Copy + Into<Label>>(
         &self,
         world: &World,
         machine: MachineId,
         start: ObjectId,
-        name: &CompoundName,
+        comps: &[L],
     ) -> Outcome {
         if self.machine_of_object(start) != Some(machine) {
             return Outcome::WrongServer;
         }
-        let comps = name.components();
         let mut cur = start;
         for (i, &comp) in comps.iter().enumerate() {
-            let e = world.state().lookup(cur, comp);
+            // A label never interned is bound nowhere.
+            let e = (comp.into()).map_or(Entity::Undefined, |c| world.state().lookup(cur, c));
             if !e.is_defined() {
                 return Outcome::NotFound;
             }
@@ -386,15 +450,7 @@ impl NameService {
                         // The zone (or a replica of it) on THIS machine
                         // lets the walk continue locally.
                         Some((m, local_copy)) if m == machine => cur = local_copy,
-                        Some((m, ctx)) => {
-                            let remaining = CompoundName::new(comps[i + 1..].iter().copied())
-                                .expect("at least one component remains");
-                            return Outcome::Referral {
-                                next_machine: m,
-                                next_ctx: ctx,
-                                remaining,
-                            };
-                        }
+                        Some((m, ctx)) => return referral(m, ctx, comps.len() - (i + 1)),
                         // Unplaced context object: nobody is authoritative,
                         // so nothing can be said about the binding — a
                         // transport verdict, never ⊥.
@@ -404,7 +460,7 @@ impl NameService {
                 _ => return Outcome::NotFound,
             }
         }
-        unreachable!("compound names are nonempty")
+        unreachable!("a request names at least one component")
     }
 
     /// Authoritative *batch* resolution step on `machine`: walks a
@@ -420,59 +476,54 @@ impl NameService {
         start: ObjectId,
         trie: &NameTrie,
     ) -> (Vec<Outcome>, u32) {
+        let mut scratch = BatchScratch::default();
+        let saved = self.local_resolve_batch_in(world, machine, start, trie, &mut scratch);
+        (scratch.outcomes, saved)
+    }
+
+    /// [`NameService::local_resolve_batch`] in the caller's buffers: returns
+    /// the lookups saved.
+    pub(crate) fn local_resolve_batch_in(
+        &self,
+        world: &World,
+        machine: MachineId,
+        start: ObjectId,
+        trie: &NameTrie,
+        scratch: &mut BatchScratch,
+    ) -> u32 {
+        let BatchScratch {
+            walk,
+            sub,
+            outcomes,
+        } = scratch;
         let n = trie.query_count() as usize;
+        outcomes.clear();
         if self.machine_of_object(start) != Some(machine) {
             #[cfg(feature = "telemetry")]
             naming_telemetry::counter!("service.wrong_server").add(n as u64);
-            return (vec![Outcome::WrongServer; n], 0);
+            outcomes.resize(n, Outcome::WrongServer);
+            return 0;
         }
         // What each query would cost if resolved alone: every query in a
         // node's subtree would have looked that node's component up.
-        let sub = trie.subtree_query_counts();
-        let mut outcomes = vec![Outcome::NotFound; n];
+        trie.subtree_query_counts(sub);
+        outcomes.resize(n, Outcome::NotFound);
         let mut lookups = 0u32;
         let mut naive = 0u32;
 
-        /// Walk state at a trie node: still resolving locally, already
-        /// past a referral boundary (the remaining path is the node's path
-        /// from component `from` on), past a dead binding (everything
-        /// below is `NotFound`), or past an unplaced context (everything
-        /// below is `Unreachable` — the bindings may exist but nobody can
-        /// be asked).
-        #[derive(Clone, Copy)]
-        enum St {
-            Live(ObjectId),
-            Referred {
-                m: MachineId,
-                ctx: ObjectId,
-                from: usize,
-            },
-            Dead,
-            Unreachable,
-        }
-
-        trie.walk(St::Live(start), |ni, node, path, st| {
+        trie.walk(walk, St::Live(start), |ni, node, path, st| {
             // This node's verdict (`None` leaves the default `NotFound`)
             // and the state its children start from.
             let (outcome, below) = match st {
                 St::Dead => (None, st),
                 St::Unreachable => (Some(Outcome::Unreachable { attempts: 0 }), st),
-                St::Referred { m, ctx, from } => {
-                    let referral = node
-                        .query
-                        .and_then(|_| CompoundName::new(path[from..].iter().copied()).ok())
-                        .map(|remaining| Outcome::Referral {
-                            next_machine: m,
-                            next_ctx: ctx,
-                            remaining,
-                        });
-                    (referral, st)
-                }
+                St::Referred { m, ctx, from } => (Some(referral(m, ctx, path.len() - from)), st),
                 St::Live(cur) => {
                     lookups += 1;
                     naive += sub[ni];
                     let from = path.len();
-                    let e = world.state().lookup(cur, node.component);
+                    let e = (node.component)
+                        .map_or(Entity::Undefined, |c| world.state().lookup(cur, c));
                     // Descend exactly as the single-name walk would: a
                     // local replica keeps the walk live, a remote zone
                     // starts a referral, an unplaced zone is unreachable,
@@ -504,7 +555,7 @@ impl NameService {
             naming_telemetry::counter!("service.batch_lookups").add(u64::from(lookups));
             naming_telemetry::counter!("service.batch_lookups_saved").add(u64::from(saved));
         }
-        (outcomes, saved)
+        saved
     }
 
     /// Picks the server for zone `o` nearest to `from`: `from` itself
@@ -585,7 +636,7 @@ mod tests {
             } => {
                 assert_eq!(next_machine, m2);
                 assert_eq!(next_ctx, rem);
-                assert_eq!(remaining.to_string(), "data");
+                assert_eq!(remaining, 1, "`data` is left");
             }
             other => panic!("expected Referral, got {other:?}"),
         }

@@ -330,7 +330,7 @@ fn replica_routing_order_survives_the_placement_rewrite() {
         let (trie, _) = NameTrie::build(std::slice::from_ref(&name));
         let single = svc.local_resolve(&w, from, w.machine_root(from), &name);
         let (batch, _) = svc.local_resolve_batch(&w, from, w.machine_root(from), &trie);
-        assert_eq!(batch, vec![single.clone()], "batch and single walks agree");
+        assert_eq!(batch, vec![single], "batch and single walks agree");
         match single {
             Outcome::Referral {
                 next_machine,

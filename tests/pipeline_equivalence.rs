@@ -15,9 +15,9 @@
 //!   referral no longer delays an independent warm batch's virtual
 //!   completion tick (the regression the reactor exists to fix).
 //! * **A reply that says nothing is a transport verdict** — a short
-//!   outcome list, or a referral to something that was never asked, ends
-//!   `Unreachable` through every entry point: never ⊥, never cached,
-//!   never a referral prefix the client did not send.
+//!   outcome list, or a referral whose count leaves no proper rest of what
+//!   was asked, ends `Unreachable` through every entry point: never ⊥,
+//!   never cached, never a referral hop the client did not ask for.
 
 use naming_bench::scenarios::chaos_zones;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
@@ -27,7 +27,7 @@ use naming_resolver::coherence::CoherenceMode;
 use naming_resolver::engine::{BatchResolveStats, ProtocolEngine, RetryPolicy};
 use naming_resolver::runtime::{PipelinedAnswer, PipelinedService};
 use naming_resolver::service::NameService;
-use naming_resolver::wire::{BatchReply, Mode, Outcome};
+use naming_resolver::wire::{BatchReply, Mode, NameTrie, Outcome};
 use naming_sim::message::Payload;
 use naming_sim::store;
 use naming_sim::topology::MachineId;
@@ -314,25 +314,31 @@ fn short_reply_is_a_transport_verdict_in_every_driver() {
     assert!(again.entities.iter().all(|e| e.is_defined()));
 }
 
-/// A referral whose remainder is longer than the name that was sent, or
-/// as long as a proper remainder but not a suffix of it, is followed by no
-/// driver: the slot ends `Unreachable` within the round bound, nothing
-/// panics, and no referral prefix is reported at all.
+/// A referral may only leave a nonempty proper rest of the name that was
+/// sent. One that leaves nothing (`remaining == 0`), everything or more
+/// (`remaining ≥ asked`) names something the client never asked, and is
+/// followed by no driver, like a reply with no outcome at all: the slot
+/// ends `Unreachable` within the round bound, nothing panics, no referral
+/// hop is reported, and a lease-mode cache on top records no ⊥.
 #[test]
 fn hostile_referrals_are_never_followed() {
     let (_w, _svc, machines, _c, _start, names, _s, zones) = chaos_zones(HOPS, LEAVES, SEED);
     let name = names[0].clone();
-    let longer = CompoundName::parse_path("/zone/hop1/hop2/hop3/f0/and/then/some").unwrap();
-    let elsewhere = CompoundName::parse_path("hop9/f0").unwrap();
-    assert!(longer.len() > name.len() && elsewhere.len() < name.len());
-    for remaining in [longer, elsewhere] {
-        let hostile = || {
-            world_answering_first_request_with(vec![Outcome::Referral {
-                next_machine: machines[1],
-                next_ctx: zones[1],
-                remaining: remaining.clone(),
-            }])
-        };
+    let asked = u16::try_from(name.len()).unwrap();
+    let referral = |remaining| Outcome::Referral {
+        next_machine: machines[1],
+        next_ctx: zones[1],
+        remaining,
+    };
+    let replies = [
+        vec![referral(0)],
+        vec![referral(asked)],
+        vec![referral(asked + 1)],
+        vec![referral(u16::MAX)],
+        vec![],
+    ];
+    for outcomes in replies {
+        let hostile = || world_answering_first_request_with(outcomes.clone());
         let bound = name.len() as u32 + 1;
 
         let (mut w, mut engine, client, start, _) = hostile();
@@ -357,5 +363,135 @@ fn hostile_referrals_are_never_followed() {
         let (got, hops) = engine.resolve_traced(&mut w, client, start, &name, Mode::Iterative);
         assert_eq!((got.entity, got.unreachable), (Entity::Undefined, true));
         assert!(hops.is_empty());
+
+        let (mut w, engine, client, start, _) = hostile();
+        let lease = CoherenceMode::Lease { ttl: None };
+        let mut cache = CachingResolver::with_mode(engine, 64, lease);
+        let (got, cached) = cache.resolve(&mut w, client, start, &name, Mode::Iterative);
+        assert_eq!((got, cached), (Entity::Undefined, false));
+        assert_eq!(cache.negative_stats().recorded, 0, "cached a false ⊥");
+        assert_eq!(
+            cache.referral_stats().recorded,
+            0,
+            "remembered a hostile hop"
+        );
+        let (again, cached) = cache.resolve(&mut w, client, start, &name, Mode::Iterative);
+        assert!(again.is_defined() && !cached, "the next resolve asks again");
     }
+}
+
+/// Structure-aware mutation of a valid reply: the hub's own answer to a
+/// batch holding a resolved name, an unbound one, referred ones and a
+/// duplicate, with every byte overwritten four ways and the frame cut at
+/// every length, forged as the first reply the client hears. A frame that
+/// no longer decodes, or no longer bears the request's id, changes
+/// nothing. Otherwise every slot is exactly what the frame's own outcome
+/// for its query says — that entity, that ⊥ — or, where the frame has no
+/// outcome for it or a referral that leaves no proper rest of the name,
+/// `Unreachable`: never a ⊥ the frame did not state, never a hop outside
+/// the name, in either driver, and nothing panics.
+#[test]
+fn mutated_replies_fold_into_stated_answers_or_unreachable() {
+    let (w, svc, machines, _c, start, leaves, _s, _z) = chaos_zones(HOPS, LEAVES, SEED);
+    let path = |p: &str| CompoundName::parse_path(p).unwrap();
+    let names = vec![
+        leaves[0].clone(),
+        path("/zone"),
+        path("/zone/no-such-leaf"),
+        leaves[1].clone(),
+        leaves[0].clone(),
+    ];
+    // The request as the continuation builds it: riders in suffix order.
+    let mut order: Vec<usize> = (0..names.len()).collect();
+    order.sort_by_key(|&slot| (names[slot].clone(), slot));
+    let sorted: Vec<CompoundName> = order.iter().map(|&slot| names[slot].clone()).collect();
+    let (trie, ids) = NameTrie::build(&sorted);
+    let mut query = vec![0; names.len()];
+    for (&slot, &q) in order.iter().zip(&ids) {
+        query[slot] = q as usize;
+    }
+    let (outcomes, lookups_saved) = svc.local_resolve_batch(&w, machines[0], start, &trie);
+    let kinds = |o: &Outcome| std::mem::discriminant(o);
+    assert!(outcomes.iter().any(|o| matches!(o, Outcome::Resolved(_))));
+    assert!(outcomes
+        .iter()
+        .any(|o| matches!(o, Outcome::Referral { .. })));
+    assert!(outcomes
+        .iter()
+        .any(|o| kinds(o) == kinds(&Outcome::NotFound)));
+    let honest = BatchReply {
+        id: 1,
+        outcomes,
+        servers_touched: 1,
+        lookups_saved,
+    }
+    .encode();
+
+    let run = |frame: Option<&[u8]>, pipelined: bool| {
+        let (mut w, svc, machines, client, start, ..) = chaos_zones(HOPS, LEAVES, SEED);
+        if let Some(frame) = frame {
+            let server = svc.server_on(machines[0]);
+            w.send(server, client, vec![Payload::bytes(frame)]);
+        }
+        let engine = ProtocolEngine::new(svc);
+        if pipelined {
+            let mut svc = PipelinedService::new(engine, 1);
+            svc.submit(&mut w, client, start, &names);
+            let got = svc.drain(&mut w).remove(0);
+            (got.entities, got.unreachable, got.referrals, got.rounds)
+        } else {
+            let mut engine = engine;
+            let got = engine.resolve_batch(&mut w, client, start, &names);
+            (got.entities, got.unreachable, got.referrals, got.rounds)
+        }
+    };
+    let clean = run(None, false);
+    assert_eq!(clean, run(None, true));
+    assert_eq!(clean, run(Some(&honest), false), "the honest frame");
+
+    let mut frames: Vec<Vec<u8>> = (0..honest.len())
+        .map(|cut| honest[..cut].to_vec())
+        .collect();
+    for at in 0..honest.len() {
+        for byte in [honest[at] ^ 1, honest[at] ^ 0x80, 0, 0xff] {
+            let mut frame = honest.to_vec();
+            frame[at] = byte;
+            frames.push(frame);
+        }
+    }
+    let (mut refused, mut folded) = (0, 0);
+    for frame in &frames {
+        let stated = BatchReply::decode(frame[..].into()).filter(|reply| reply.id == 1);
+        for pipelined in [false, true] {
+            let got = run(Some(frame), pipelined);
+            let Some(stated) = &stated else {
+                assert_eq!(got, clean, "an unreadable frame changed an answer");
+                refused += 1;
+                continue;
+            };
+            folded += 1;
+            let (entities, unreachable, hops, rounds) = got;
+            assert!(rounds <= names.iter().map(CompoundName::len).max().unwrap() as u32 + 1);
+            for (slot, name) in names.iter().enumerate() {
+                let answer = (entities[slot], unreachable[slot]);
+                match stated.outcomes.get(query[slot]) {
+                    Some(Outcome::Resolved(e)) => assert_eq!(answer, (*e, false)),
+                    Some(Outcome::NotFound | Outcome::WrongServer) => {
+                        assert_eq!(answer, (Entity::Undefined, false))
+                    }
+                    // Followed: what the next servers say is theirs to say.
+                    Some(Outcome::Referral { remaining, .. })
+                        if (1..name.len()).contains(&usize::from(*remaining)) => {}
+                    _ => assert_eq!(answer, (Entity::Undefined, true), "slot {slot}"),
+                }
+            }
+            for hop in &hops {
+                assert!((1..names[hop.slot].len()).contains(&hop.consumed));
+            }
+        }
+    }
+    assert!(
+        refused > 100 && folded > 100,
+        "{refused} refused, {folded} folded"
+    );
 }

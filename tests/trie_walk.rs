@@ -12,7 +12,9 @@
 //! * the flat trie encodes to the bytes the per-node-`Vec` trie did;
 //! * a frame that lies about its counts is refused at every door — the
 //!   decoder, `ConcurrentService::submit_frame`, a name server's mailbox —
-//!   before anything sizes a vector by what it claims.
+//!   before anything sizes a vector by what it claims;
+//! * labels that name nothing are answered `⊥` at the same doors and are
+//!   never interned.
 
 use bytes::Bytes;
 use naming_core::prelude::*;
@@ -328,4 +330,134 @@ fn a_frame_that_lies_about_its_counts_is_refused_at_every_door() {
     engine.pump_idle(&mut w);
     assert_eq!(w.mailbox_len(server), 0, "the server read its mail");
     assert!(w.receive(stranger).is_none(), "and answered none of it");
+}
+
+/// A batch request as raw bytes, none of its labels ever passed to
+/// `Name::new`: under `/`, one node per label of `garbage` (queries
+/// `0..n`, the odd ones ending a level further down, at a known label
+/// `usr`), then `usr` itself (query `n`).
+fn garbage_frame(id: u64, start: ObjectId, garbage: &[String]) -> Bytes {
+    let n = garbage.len() as u32;
+    let put_label = |f: &mut Vec<u8>, s: &str| {
+        f.extend((s.len() as u16).to_be_bytes());
+        f.extend(s.as_bytes());
+    };
+    let mut f = vec![4u8];
+    f.extend(id.to_be_bytes());
+    f.extend((start.index() as u32).to_be_bytes());
+    let deep = n / 2;
+    f.extend((n + 1).to_be_bytes());
+    f.extend((1 + n + 1 + deep).to_be_bytes());
+    // Node 0: `/`, whose kids are the garbage nodes 1..=n and `usr` (n + 1).
+    put_label(&mut f, "/");
+    f.push(0);
+    f.extend((n as u16 + 1).to_be_bytes());
+    (1..=n + 1).for_each(|c| f.extend(c.to_be_bytes()));
+    for (i, label) in garbage.iter().enumerate() {
+        let i = i as u32;
+        put_label(&mut f, label);
+        if i % 2 == 1 {
+            // No query here: the name goes on to node `n + 2 + i / 2`.
+            f.push(0);
+            f.extend(1u16.to_be_bytes());
+            f.extend((n + 2 + i / 2).to_be_bytes());
+        } else {
+            f.push(1);
+            f.extend(i.to_be_bytes());
+            f.extend(0u16.to_be_bytes());
+        }
+    }
+    put_label(&mut f, "usr");
+    f.push(1);
+    f.extend(n.to_be_bytes());
+    f.extend(0u16.to_be_bytes());
+    for k in 0..deep {
+        put_label(&mut f, "usr");
+        f.push(1);
+        f.extend((2 * k + 1).to_be_bytes());
+        f.extend(0u16.to_be_bytes());
+    }
+    f.extend(1u32.to_be_bytes());
+    f.extend(0u32.to_be_bytes());
+    Bytes::from(f)
+}
+
+/// A request frame must not grow the authority's interner: 10⁵ labels no
+/// context binds, sent to a name server's mailbox (batch and scalar frames)
+/// and to the worker pool, are answered `⊥` — the known name beside them
+/// resolved — and none of them has been interned afterwards.
+#[test]
+fn labels_that_name_nothing_are_answered_bottom_and_never_interned() {
+    const FRAMES: usize = 1000;
+    const PER_FRAME: usize = 100;
+    let label = |door: &str, f: usize, i: usize| format!("never-bound-{door}-{f}-{i}");
+    let labels = |door: &str, f: usize| -> Vec<String> {
+        (0..PER_FRAME).map(|i| label(door, f, i)).collect()
+    };
+
+    // A name server's mailbox, batch frames.
+    let (mut w, svc, m1, root1) = referral_world();
+    let server = svc.server_on(m1);
+    let stranger = w.spawn(m1, "stranger", None);
+    let mut engine = ProtocolEngine::new(svc);
+    for f in 0..FRAMES {
+        let frame = garbage_frame(f as u64, root1, &labels("mailbox", f));
+        w.send(stranger, server, vec![Payload::Bytes(frame)]);
+        // And a scalar request for `/<garbage>/usr`.
+        let mut scalar = vec![1u8];
+        scalar.extend((FRAMES as u64 + f as u64).to_be_bytes());
+        scalar.extend((root1.index() as u32).to_be_bytes());
+        scalar.push(0);
+        scalar.extend(3u16.to_be_bytes());
+        for s in ["/", &label("scalar", f, 0), "usr"] {
+            scalar.extend((s.len() as u16).to_be_bytes());
+            scalar.extend(s.as_bytes());
+        }
+        w.send(stranger, server, vec![Payload::Bytes(Bytes::from(scalar))]);
+    }
+    engine.pump_idle(&mut w);
+    let (mut batch_replies, mut scalar_replies) = (0, 0);
+    while let Some(msg) = w.receive(stranger) {
+        let Payload::Bytes(b) = &msg.parts[0] else {
+            panic!("a reply carries a frame");
+        };
+        match Frame::decode(b.clone()).expect("a reply frame") {
+            Frame::BatchReply(reply) => {
+                batch_replies += 1;
+                let (last, garbage) = reply.outcomes.split_last().unwrap();
+                assert_eq!(garbage.len(), PER_FRAME);
+                assert!(garbage.iter().all(|o| *o == Outcome::NotFound));
+                assert!(matches!(last, Outcome::Resolved(e) if e.is_defined()));
+            }
+            Frame::Reply(reply) => {
+                scalar_replies += 1;
+                assert_eq!(reply.outcome, Outcome::NotFound);
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert_eq!((batch_replies, scalar_replies), (FRAMES, FRAMES));
+
+    // The worker pool.
+    let mut pool = ConcurrentService::new(w.state().clone(), 2);
+    for f in 0..FRAMES {
+        assert!(pool.submit_frame(garbage_frame(f as u64, root1, &labels("pool", f))));
+    }
+    for answer in pool.drain() {
+        let (last, garbage) = answer.entities.split_last().unwrap();
+        assert_eq!(garbage.len(), PER_FRAME);
+        assert!(garbage.iter().all(|e| !e.is_defined()));
+        assert!(last.is_defined());
+    }
+    pool.shutdown();
+
+    for f in 0..FRAMES {
+        assert_eq!(Name::lookup(&label("scalar", f, 0)), None);
+        for door in ["mailbox", "pool"] {
+            for l in labels(door, f) {
+                assert_eq!(Name::lookup(&l), None, "{l} was interned");
+            }
+        }
+    }
+    assert!(Name::lookup("usr").is_some());
 }
