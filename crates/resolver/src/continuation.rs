@@ -9,14 +9,14 @@
 //! completion, [`PipelinedService`](crate::runtime::PipelinedService)
 //! interleaves many.
 //!
-//! An exchange allocates the frame and the part list the simulator must
-//! own, nothing else: vectors are reused ([`ProtocolEngine::idle`]),
-//! requests built in the engine's scratch, replies folded where they lie.
+//! An exchange allocates nothing: the frame the simulator must own in
+//! flight is a buffer recycled through the engine's scratch, vectors are
+//! reused ([`ProtocolEngine::idle`]), requests built in the scratch,
+//! replies folded where they lie.
 
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use bytes::Bytes;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::{CompoundName, Name};
 use naming_sim::message::Payload;
@@ -284,15 +284,15 @@ impl Continuation {
             }
             .encode(),
             _ => {
-                s.frame.clear();
-                wire::put_batch_request(&mut s.frame, ex.id, start, &s.trie);
-                // The simulator owns a message in flight: this frame and
-                // the part list are an exchange's two allocations.
-                Bytes::copy_from_slice(&s.frame)
+                // The simulator owns a message in flight: the buffer comes
+                // back when the server has read it.
+                let mut frame = s.spare();
+                wire::put_batch_request(&mut frame, ex.id, start, &s.trie);
+                frame.freeze()
             }
         };
         let server = engine.service().server_on(machine);
-        world.send(self.client, server, vec![Payload::Bytes(frame)]);
+        world.send(self.client, server, Payload::Bytes(frame));
         self.stats.messages += 1;
         if let Some(policy) = engine.retry_policy() {
             let after = Duration::from_ticks(policy.timeout_ticks(ex.id, ex.attempt));

@@ -170,9 +170,33 @@ pub(crate) struct Scratch {
     pub(crate) remap: Vec<u32>,
     seen: Vec<u64>,
     batch: BatchScratch,
-    /// The frame being encoded, request or reply; the reply being read.
-    pub(crate) frame: BytesMut,
+    /// The reply being read.
     pub(crate) outcomes: Vec<Outcome>,
+    /// Frame buffers between flights — a sender encodes into one, whoever
+    /// reads the frame hands it back — so never more than flew at once.
+    spares: Vec<BytesMut>,
+}
+
+/// What every spare holds (a 64-name request is some 400 bytes). One that
+/// a frame outgrew is not kept: the spares never grow with the traffic seen.
+const FRAME_CAPACITY: usize = 512;
+
+impl Scratch {
+    /// An empty buffer to encode the next frame into.
+    pub(crate) fn spare(&mut self) -> BytesMut {
+        let fresh = || BytesMut::with_capacity(FRAME_CAPACITY);
+        self.spares.pop().unwrap_or_else(fresh)
+    }
+
+    /// Takes back the buffer of a frame that has been read, unless another
+    /// view still holds it or it is no spare (encoded to size, or grown).
+    fn recycle(&mut self, frame: Bytes) {
+        let spare = frame.try_into_mut().ok();
+        if let Some(mut buf) = spare.filter(|b| b.capacity() == FRAME_CAPACITY) {
+            buf.clear();
+            self.spares.push(buf);
+        }
+    }
 }
 
 /// Safety bound on the events a driver pumps per in-flight batch.
@@ -485,11 +509,12 @@ impl ProtocolEngine {
         mut deliver: impl FnMut(&mut ProtocolEngine, &mut World, Route, Option<(u32, u32)>),
     ) {
         while let Some(msg) = world.receive(client) {
-            for part in &msg.parts {
+            for part in msg.parts {
                 let Payload::Bytes(bytes) = part else {
                     continue;
                 };
-                let read = wire::read_reply(bytes, &mut self.scratch.outcomes);
+                let read = wire::read_reply(&bytes, &mut self.scratch.outcomes);
+                self.scratch.recycle(bytes);
                 let Some((id, touched, saved)) = read else {
                     continue;
                 };
@@ -531,7 +556,7 @@ impl ProtocolEngine {
         let mut sent = 0;
         for &m in secondaries {
             let to = self.service.server_on(m);
-            world.send(from, to, vec![Payload::Bytes(update.encode())]);
+            world.send(from, to, Payload::Bytes(update.encode()));
             sent += 1;
         }
         sent
@@ -594,7 +619,7 @@ impl ProtocolEngine {
         let req_bytes = req.wire_len() as u64;
         let server = self.service.server_on(machine);
         self.drain_servers(world);
-        world.send(client, server, vec![Payload::Bytes(req.encode())]);
+        world.send(client, server, Payload::Bytes(req.encode()));
         let mut steps = 0usize;
         loop {
             while let Some(msg) = world.receive(client) {
@@ -697,7 +722,7 @@ impl ProtocolEngine {
                 let Payload::Bytes(b) = part else { continue };
                 // Every miss sends this frame: read into the scratch trie.
                 if b.first() == Some(&wire::TAG_BATCH_REQUEST) {
-                    self.handle_batch_request(world, machine, server, from, &b);
+                    self.handle_batch_request(world, machine, server, from, b);
                     continue;
                 }
                 match Frame::decode(b) {
@@ -754,7 +779,7 @@ impl ProtocolEngine {
                     .or_default()
                     .pending
                     .insert(req.id, (requester, 1));
-                world.send(server, next_server, vec![Payload::Bytes(fwd.encode())]);
+                world.send(server, next_server, Payload::Bytes(fwd.encode()));
             }
             _ => {
                 let reply = Reply {
@@ -762,7 +787,7 @@ impl ProtocolEngine {
                     outcome,
                     servers_touched: 1,
                 };
-                world.send(server, requester, vec![Payload::Bytes(reply.encode())]);
+                world.send(server, requester, Payload::Bytes(reply.encode()));
             }
         }
     }
@@ -777,17 +802,18 @@ impl ProtocolEngine {
         machine: naming_sim::topology::MachineId,
         server: ActivityId,
         requester: ActivityId,
-        frame: &[u8],
+        frame: Bytes,
     ) {
         let (service, s) = (&self.service, &mut self.scratch);
-        let Some((id, start)) = wire::read_batch_request(frame, &mut s.trie, &mut s.seen) else {
+        let read = wire::read_batch_request(&frame, &mut s.trie, &mut s.seen);
+        s.recycle(frame);
+        let Some((id, start)) = read else {
             return;
         };
         let saved = service.local_resolve_batch_in(world, machine, start, &s.trie, &mut s.batch);
-        s.frame.clear();
-        wire::put_batch_reply(&mut s.frame, id, 1, saved, &s.batch.outcomes);
-        let reply = Bytes::copy_from_slice(&s.frame);
-        world.send(server, requester, vec![Payload::Bytes(reply)]);
+        let mut reply = s.spare();
+        wire::put_batch_reply(&mut reply, id, 1, saved, &s.batch.outcomes);
+        world.send(server, requester, Payload::Bytes(reply.freeze()));
     }
 
     fn handle_zone_update(
@@ -865,7 +891,7 @@ impl ProtocolEngine {
             shards.push(slice);
         }
         let reply = ZoneDelta { id: req.id, shards };
-        world.send(server, requester, vec![Payload::Bytes(reply.encode())]);
+        world.send(server, requester, Payload::Bytes(reply.encode()));
     }
 
     fn handle_forwarded_reply(&mut self, world: &mut World, server: ActivityId, rep: Reply) {
@@ -880,7 +906,7 @@ impl ProtocolEngine {
             outcome: rep.outcome,
             servers_touched: rep.servers_touched + own_work,
         };
-        world.send(server, requester, vec![Payload::Bytes(forwarded.encode())]);
+        world.send(server, requester, Payload::Bytes(forwarded.encode()));
     }
 }
 
@@ -1159,7 +1185,7 @@ mod tests {
         };
         // On its way before the request it answers is sent, so it lands
         // ahead of the server's real answer.
-        w.send(server, client, vec![Payload::Bytes(empty.encode())]);
+        w.send(server, client, Payload::Bytes(empty.encode()));
         let name = CompoundName::parse_path("/hop1").unwrap();
         let stats = engine.resolve(&mut w, client, root, &name, Mode::Iterative);
         assert_eq!(stats.entity, Entity::Undefined);

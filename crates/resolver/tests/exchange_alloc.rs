@@ -1,15 +1,17 @@
-//! An exchange costs the two allocations the simulator must own.
+//! A message in flight allocates nothing.
 //!
-//! A message in flight belongs to the simulator: its frame and its part
-//! list are allocated when it is sent and freed when it has been read.
-//! Nothing else on the resolution path may grow with the names in a batch —
-//! a continuation's vectors are reused, requests are built and encoded in
-//! the engine's scratch, the server decodes, walks and answers in it, the
-//! client folds a reply from it — so a batch costs two allocations a
-//! message plus the three vectors of its answer, whatever its size. This
-//! binary counts with its own global allocator (per thread, so the
-//! harness's other threads cannot leak into a measurement), on a
-//! three-level star: the hub refers to a region, the region to a zone.
+//! A message in flight belongs to the simulator, but its one part is held
+//! inline and its frame is a buffer that goes back to the sender's engine
+//! when it has been read. Nothing else on the resolution path may grow with
+//! the names in a batch — a continuation's vectors are reused, requests are
+//! built in the engine's scratch, the server decodes, walks and answers in
+//! it, the client folds a reply from it — so once the buffers circulate a
+//! batch costs the three vectors of its answer, whatever its size and
+//! however many messages it took. Only a frame the network loses takes its
+//! buffer with it, and one too large for the buffers that circulate has,
+//! as every frame used to, a buffer of its own. This binary counts with its own global allocator (per
+//! thread, so the harness's other threads cannot leak into a measurement),
+//! on a three-level star: the hub refers to a region, the region to a zone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -171,30 +173,36 @@ fn blocking(engine: &mut ProtocolEngine, s: &mut Star, names: &[CompoundName]) -
     (allocations, sent(&s.w) - sent0, held)
 }
 
+/// A batch whose every frame fits the buffers that circulate (the hub's
+/// reply is the largest: some twenty-five bytes a name).
+const FITS: usize = 16;
+
 #[test]
-fn a_blocking_batch_allocates_two_per_message_whatever_its_size() {
+fn a_blocking_batch_allocates_its_answer_whatever_its_messages() {
     let (mut s, svc) = star(7);
     let mut engine = ProtocolEngine::new(svc);
     // The warm-up sizes the scratch and the recycled continuation for the
-    // largest batch; telemetry counters register on first use.
+    // largest batch and leaves as many frame buffers as were in flight at
+    // once; telemetry counters register on first use.
     blocking(&mut engine, &mut s, &batch(0, 64));
-    for n in [8, 64] {
+    for n in [8, FITS, 64] {
         for b in 1..20 {
             let (allocations, messages, held) = blocking(&mut engine, &mut s, &batch(b, n));
             // Three rounds: the hub, up to four regions, up to sixteen zones.
             assert!(messages >= 6 && messages % 2 == 0);
             assert_eq!(held, 0, "a batch left memory behind");
-            assert_eq!(
-                allocations,
-                2 * messages + PER_BATCH,
-                "{n} names, {messages} messages"
-            );
+            if n <= FITS {
+                assert_eq!(allocations, PER_BATCH, "{n} names, {messages} messages");
+            } else {
+                // The hub's request and reply outgrow their buffers.
+                assert!((PER_BATCH + 2..2 * messages).contains(&allocations));
+            }
         }
     }
 }
 
 #[test]
-fn a_pipelined_wave_allocates_two_per_message_whatever_its_size() {
+fn a_pipelined_wave_allocates_its_answers_whatever_its_messages() {
     const WAVE: usize = 32;
     let (mut s, svc) = star(11);
     let mut svc = PipelinedService::with_limit(ProtocolEngine::new(svc), 2, WAVE / 4);
@@ -212,11 +220,12 @@ fn a_pipelined_wave_allocates_two_per_message_whatever_its_size() {
         (allocations, sent(&s.w) - sent0)
     };
     wave(&mut s, 0, 64);
-    for n in [8, 64] {
+    for n in [8, FITS] {
         let (allocations, messages) = wave(&mut s, 100, n);
+        assert!(messages >= 6 * WAVE as u64);
         // Besides each answer's vectors: the completed map's nodes and the
         // vector the answers are returned in, a few allocations a wave.
-        let per_batch = (allocations - 2 * messages) as f64 / WAVE as f64;
+        let per_batch = allocations as f64 / WAVE as f64;
         assert!(
             (PER_BATCH as f64..PER_BATCH as f64 + 1.0).contains(&per_batch),
             "{n} names: {allocations} allocations, {messages} messages"
@@ -231,7 +240,7 @@ fn ten_thousand_batches_leave_every_pool_and_scratch_where_it_was() {
     for b in 0..64 {
         blocking(&mut engine, &mut s, &batch(b, 64));
     }
-    let names: Vec<Vec<CompoundName>> = (0..50).map(|b| batch(b, 1 + b % 64)).collect();
+    let names: Vec<Vec<CompoundName>> = (0..50).map(|b| batch(b, 1 + b % FITS)).collect();
     let (mut allocations, mut messages) = (0, 0);
     let (_, _, held) = allocations_in(|| {
         for i in 0..5_000 {
@@ -240,7 +249,8 @@ fn ten_thousand_batches_leave_every_pool_and_scratch_where_it_was() {
         }
     });
     assert_eq!(held, 0, "the blocking driver's scratch grew");
-    assert_eq!(allocations, 2 * messages + PER_BATCH * 5_000);
+    assert!(messages > 6 * 5_000);
+    assert_eq!(allocations, PER_BATCH * 5_000);
 
     // The reactor over the same engine: waves of 16 batches, 8 in flight.
     let mut svc = PipelinedService::with_limit(engine, 2, 4);
@@ -265,7 +275,7 @@ fn ten_thousand_batches_leave_every_pool_and_scratch_where_it_was() {
 }
 
 #[test]
-fn loss_retransmission_and_failover_stay_within_two_per_message() {
+fn loss_retransmission_and_failover_cost_only_the_frames_lost() {
     let (mut s, mut svc) = star(17);
     // Zone 0 of region 0 is replicated on a standby and its primary killed:
     // every name through it costs a deadline and a failover.
@@ -284,7 +294,10 @@ fn loss_retransmission_and_failover_stay_within_two_per_message() {
     let mut svc = PipelinedService::with_limit(engine, 2, 4);
     let wave = |svc: &mut PipelinedService, s: &mut Star, first: usize| {
         let batches: Vec<Vec<CompoundName>> = (first..first + 16).map(|b| batch(b, 16)).collect();
-        let sent0 = sent(&s.w);
+        // A frame the network loses, or a dead server never reads, does
+        // not come back.
+        let unread = |w: &World| w.trace().counter("lost") + w.trace().counter("dropped");
+        let unread0 = unread(&s.w);
         let (allocations, _, _) = allocations_in(|| {
             for names in &batches {
                 svc.submit(&mut s.w, s.client, s.hub, names);
@@ -292,23 +305,24 @@ fn loss_retransmission_and_failover_stay_within_two_per_message() {
             let answers = svc.drain(&mut s.w);
             assert!(answers.iter().all(|a| a.unreachable.iter().all(|&u| !u)));
         });
-        (allocations, sent(&s.w) - sent0)
+        (allocations, unread(&s.w) - unread0)
     };
     for w in 0..4 {
         wave(&mut svc, &mut s, w * 16);
     }
     let before = svc.engine().retry_counters();
-    let (mut allocations, mut messages) = (0, 0);
+    let (mut allocations, mut unread) = (0, 0);
     for w in 4..24 {
-        let (a, m) = wave(&mut svc, &mut s, w * 16);
-        (allocations, messages) = (allocations + a, messages + m);
+        let (a, u) = wave(&mut svc, &mut s, w * 16);
+        (allocations, unread) = (allocations + a, unread + u);
     }
     let after = svc.engine().retry_counters();
     assert!(after.retransmissions > before.retransmissions + 100);
     assert!(after.failovers > before.failovers + 20);
+    // Its replacement is a buffer and the shared box it travels in.
     assert!(
-        allocations <= 2 * messages + (PER_BATCH + 1) * 20 * 16,
-        "{allocations} allocations, {messages} messages"
+        allocations <= 2 * unread + (PER_BATCH + 1) * 20 * 16,
+        "{allocations} allocations, {unread} frames unread"
     );
 }
 

@@ -16,6 +16,9 @@ struct Scheduled<E> {
     event: E,
 }
 
+// What the delivery heap holds: every sift moves one.
+const _: () = assert!(std::mem::size_of::<Scheduled<crate::message::Message>>() <= 64);
+
 // BinaryHeap is a max-heap; reverse the ordering for earliest-first.
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
@@ -49,18 +52,10 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(e, "sooner");
 /// assert_eq!(t.ticks(), 1);
 /// ```
+#[derive(Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
-}
-
-impl<E: Clone> Clone for EventQueue<E> {
-    fn clone(&self) -> Self {
-        EventQueue {
-            heap: self.heap.clone(),
-            next_seq: self.next_seq,
-        }
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -82,17 +77,29 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: VirtualTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.schedule_seq(time, seq, event);
+    }
+
+    /// Schedules `event` at `time` under a sequence number the caller
+    /// draws from one counter for several queues, which then merge into
+    /// one `(time, seq)` order by [`EventQueue::peek_key`].
+    pub fn schedule_seq(&mut self, time: VirtualTime, seq: u64, event: E) {
         self.heap.push(Scheduled { time, seq, event });
+    }
+
+    /// The `(time, seq)` of the earliest pending event.
+    pub fn peek_key(&self) -> Option<(VirtualTime, u64)> {
+        self.heap.peek().map(|s| (s.time, s.seq))
+    }
+
+    /// Drops every pending event `keep(seq, event)` is false for.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, &E) -> bool) {
+        self.heap.retain(|s| keep(s.seq, &s.event));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(VirtualTime, E)> {
         self.heap.pop().map(|s| (s.time, s.event))
-    }
-
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<VirtualTime> {
-        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of pending events.
@@ -151,10 +158,15 @@ mod tests {
     #[test]
     fn peek_time() {
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.schedule(t(3), ());
-        q.schedule(t(2), ());
-        assert_eq!(q.peek_time(), Some(t(2)));
+        assert_eq!(q.peek_key(), None);
+        q.schedule_seq(t(3), 7, ());
+        q.schedule_seq(t(2), 9, ());
+        assert_eq!(q.peek_key(), Some((t(2), 9)));
+        // Ties at one instant go by the caller's number.
+        q.schedule_seq(t(2), 8, ());
+        assert_eq!(q.peek_key(), Some((t(2), 8)));
+        q.retain(|seq, ()| seq != 8);
+        assert_eq!((q.peek_key(), q.len()), (Some((t(2), 9)), 2));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use naming_core::resolve::Resolver;
 use naming_core::state::{ObjectState, SystemState};
 
 use crate::event::EventQueue;
-use crate::message::{Message, Payload};
+use crate::message::{Message, Parts, Payload};
 use crate::rng::SimRng;
 use crate::time::VirtualTime;
 use crate::topology::{MachineId, NetworkId, Topology};
@@ -57,16 +57,12 @@ struct MachineState {
     next_local_addr: u32,
 }
 
-#[derive(Clone, Debug)]
-enum SimEvent {
-    Deliver(Message),
-    /// A deadline timer: at its scheduled time, `token` lands in `pid`'s
-    /// wake queue — if `arming` is still the token's live arming.
-    Wake {
-        pid: ActivityId,
-        token: u64,
-        arming: u64,
-    },
+/// A deadline timer: at its scheduled time, `token` lands in `pid`'s wake
+/// queue — if its sequence number is still the token's live arming.
+#[derive(Clone, Copy, Debug)]
+struct Timer {
+    pid: ActivityId,
+    token: u64,
 }
 
 /// What one [`World::step_event`] did, so a driver can handle exactly the
@@ -128,19 +124,24 @@ pub struct World {
     /// never spawned as a process here.
     processes: Vec<Option<ProcessInfo>>,
     clock: VirtualTime,
-    queue: EventQueue<SimEvent>,
+    /// Messages in flight and, apart, the deadline timers — most die young,
+    /// and the message heap would carry each to its deadline. One counter
+    /// numbers both: [`World::step_event`] merges them by `(time, seq)`.
+    queue: EventQueue<Message>,
+    timers: EventQueue<Timer>,
+    next_seq: u64,
     rng: SimRng,
     trace: TraceLog,
     faults: FaultPlan,
-    /// Live timers: token → the arming (a per-world sequence number) whose
+    /// Live timers: token → the arming (its event's sequence number) whose
     /// queued event may still fire. Cancelling removes the entry, firing
     /// removes it, re-arming replaces it — so the set holds exactly the
-    /// timers that are pending and nothing accumulates. A popped wake that
-    /// is no longer live is skipped *silently* — no clock advance, no
+    /// timers that are pending and nothing accumulates. A queued timer
+    /// that is no longer live is dead: dropped once the dead outnumber the
+    /// live, or skipped *silently* when popped — no clock advance, no
     /// step — so timers that never fire leave the timeline byte-identical
     /// to a world that never scheduled them.
     live_timers: FxHashMap<u64, u64>,
-    next_arming: u64,
     /// Messages scheduled for delivery and not yet delivered.
     in_flight: usize,
 }
@@ -171,11 +172,12 @@ impl World {
             processes: Vec::new(),
             clock: VirtualTime::ZERO,
             queue: EventQueue::new(),
+            timers: EventQueue::new(),
+            next_seq: 0,
             rng: SimRng::seeded(seed),
             trace: TraceLog::counters_only(),
             faults: FaultPlan::default(),
             live_timers: FxHashMap::default(),
-            next_arming: 0,
             in_flight: 0,
         }
     }
@@ -508,14 +510,13 @@ impl World {
     /// ids, context, and local address. Reviving a live process is a
     /// no-op.
     pub fn revive(&mut self, pid: ActivityId) {
-        if let Some(p) = self.process_mut(pid) {
-            if !p.alive {
-                p.alive = true;
-                p.mailbox.clear();
-                p.wakes.clear();
-                self.state.activity_state_mut(pid).alive = true;
-                self.trace.bump("revived");
-            }
+        if let Some(p) = self.process_mut(pid).filter(|p| !p.alive) {
+            p.alive = true;
+            p.mailbox.clear();
+            p.wakes.clear();
+            self.shed_timers(Some(pid));
+            self.state.activity_state_mut(pid).alive = true;
+            self.trace.bump("revived");
         }
     }
 
@@ -632,7 +633,7 @@ impl World {
     /// # Panics
     ///
     /// Panics if either endpoint was not spawned in this world.
-    pub fn send(&mut self, from: ActivityId, to: ActivityId, parts: Vec<Payload>) {
+    pub fn send(&mut self, from: ActivityId, to: ActivityId, parts: impl Into<Parts>) {
         let mut msg = Message::new(from, to, parts);
         msg.sent_at = self.clock;
         let (fm, tm) = (self.spawned(from).machine, self.spawned(to).machine);
@@ -673,7 +674,8 @@ impl World {
         let latency = self.topology.latency(fm, tm);
         self.in_flight += 1;
         self.queue
-            .schedule(self.clock + latency, SimEvent::Deliver(msg));
+            .schedule_seq(self.clock + latency, self.next_seq, msg);
+        self.next_seq += 1;
     }
 
     /// Messages sent and still travelling: not lost, not yet delivered to
@@ -691,17 +693,35 @@ impl World {
     /// token that is already pending re-arms it: only the latest deadline
     /// fires.
     pub fn schedule_wake(&mut self, pid: ActivityId, after: crate::time::Duration, token: u64) {
-        let arming = self.next_arming;
-        self.next_arming += 1;
-        self.live_timers.insert(token, arming);
-        self.queue
-            .schedule(self.clock + after, SimEvent::Wake { pid, token, arming });
+        self.live_timers.insert(token, self.next_seq);
+        self.timers
+            .schedule_seq(self.clock + after, self.next_seq, Timer { pid, token });
+        self.next_seq += 1;
+        self.shed_timers(None);
     }
 
     /// Cancels a scheduled wake by token. Idempotent; cancelling a token
     /// that was never scheduled (or already fired) does nothing.
     pub fn cancel_wake(&mut self, token: u64) {
         self.live_timers.remove(&token);
+        self.shed_timers(None);
+    }
+
+    /// Drops the dead timers once they outnumber the live (a run whose replies
+    /// come in time sifts none to the top), or at once with all of `crashed`'s.
+    fn shed_timers(&mut self, crashed: Option<ActivityId>) {
+        if crashed.is_none() && self.timers.len() <= 2 * self.live_timers.len() {
+            return;
+        }
+        let live = &mut self.live_timers;
+        self.timers.retain(|seq, t| {
+            let lost = Some(t.pid) == crashed;
+            let alive = live.get(&t.token) == Some(&seq);
+            if alive && lost {
+                live.remove(&t.token);
+            }
+            alive && !lost
+        });
     }
 
     /// Number of timers scheduled and neither fired nor cancelled yet.
@@ -738,48 +758,48 @@ impl World {
     /// replies) is byte-identical to one without them.
     pub fn step_event(&mut self) -> Option<Stepped> {
         loop {
-            match self.queue.pop()? {
-                (time, SimEvent::Deliver(msg)) => {
-                    self.clock = time;
-                    self.in_flight -= 1;
-                    let (from, to) = (msg.from, msg.to);
-                    #[cfg(feature = "telemetry")]
-                    if naming_telemetry::recorder::is_active() {
-                        self.sync_clock();
-                        if self.process(to).is_some_and(|p| p.alive) {
-                            self.observe_delivery(&msg);
-                        }
-                    }
-                    match self.process_mut(to) {
-                        Some(p) if p.alive => {
-                            p.mailbox.push_back(msg);
-                            self.trace
-                                .record(self.clock, TraceEvent::MessageDelivered { from, to });
-                        }
-                        Some(_) => {
-                            self.trace.bump("dropped");
-                            #[cfg(feature = "telemetry")]
-                            self.observe_undelivered("dropped", from, to);
-                        }
-                        None => {}
-                    }
-                    return Some(Stepped::Delivered(to));
-                }
-                (time, SimEvent::Wake { pid, token, arming }) => {
-                    if self.live_timers.get(&token) != Some(&arming) {
-                        continue; // cancelled, or superseded by a re-arming
-                    }
-                    self.live_timers.remove(&token);
-                    let Some(p) = self.process_mut(pid).filter(|p| p.alive) else {
-                        continue;
-                    };
-                    p.wakes.push_back(token);
-                    self.clock = time;
-                    self.trace.bump("wake");
-                    return Some(Stepped::Woke(pid));
-                }
+            let (time, seq) = match (self.timers.peek_key(), self.queue.peek_key()) {
+                (Some(timer), delivery) if delivery.is_none_or(|d| timer < d) => timer,
+                _ => break,
+            };
+            let (_, Timer { pid, token }) = self.timers.pop().expect("just peeked");
+            if self.live_timers.get(&token) != Some(&seq) {
+                continue; // cancelled, or superseded by a re-arming
+            }
+            self.live_timers.remove(&token);
+            let Some(p) = self.process_mut(pid).filter(|p| p.alive) else {
+                continue;
+            };
+            p.wakes.push_back(token);
+            self.clock = time;
+            self.trace.bump("wake");
+            return Some(Stepped::Woke(pid));
+        }
+        let (time, msg) = self.queue.pop()?;
+        self.clock = time;
+        self.in_flight -= 1;
+        let (from, to) = (msg.from, msg.to);
+        #[cfg(feature = "telemetry")]
+        if naming_telemetry::recorder::is_active() {
+            self.sync_clock();
+            if self.process(to).is_some_and(|p| p.alive) {
+                self.observe_delivery(&msg);
             }
         }
+        match self.process_mut(to) {
+            Some(p) if p.alive => {
+                p.mailbox.push_back(msg);
+                self.trace
+                    .record(self.clock, TraceEvent::MessageDelivered { from, to });
+            }
+            Some(_) => {
+                self.trace.bump("dropped");
+                #[cfg(feature = "telemetry")]
+                self.observe_undelivered("dropped", from, to);
+            }
+            None => {}
+        }
+        Some(Stepped::Delivered(to))
     }
 
     /// Runs until the event queue is drained.
@@ -1214,6 +1234,31 @@ mod tests {
         assert!(!w.step());
         assert_eq!(w.now(), VirtualTime::ZERO);
         assert_eq!(w.pending_timers(), 0);
+    }
+
+    #[test]
+    fn a_crash_loses_the_timers_armed_before_it() {
+        let (mut w, m1, _) = two_machine_world();
+        let a = w.spawn(m1, "x", None);
+        let b = w.spawn(m1, "y", None);
+        let ticks = crate::time::Duration::from_ticks;
+        w.schedule_wake(a, ticks(10), 1);
+        w.schedule_wake(a, ticks(20), 2);
+        w.cancel_wake(2);
+        w.schedule_wake(b, ticks(30), 3);
+        w.kill(a);
+        w.revive(a);
+        // The restarted process has nothing pending; its neighbour's timer
+        // is untouched.
+        assert_eq!(w.pending_timers(), 1);
+        assert_eq!(w.step_event(), Some(Stepped::Woke(b)));
+        assert_eq!(w.now(), VirtualTime::from_ticks(30));
+        assert_eq!(w.step_event(), None);
+        assert_eq!(w.take_wake(a), None);
+        // Its tokens are free to arm again.
+        w.schedule_wake(a, ticks(5), 1);
+        assert_eq!(w.step_event(), Some(Stepped::Woke(a)));
+        assert_eq!((w.take_wake(a), w.pending_timers()), (Some(1), 0));
     }
 
     #[test]
