@@ -286,7 +286,7 @@ impl Continuation {
             _ => {
                 // The simulator owns a message in flight: the buffer comes
                 // back when the server has read it.
-                let mut frame = s.spare();
+                let mut frame = s.spare(s.trie.request_len());
                 wire::put_batch_request(&mut frame, ex.id, start, &s.trie);
                 frame.freeze()
             }

@@ -177,22 +177,24 @@ pub(crate) struct Scratch {
     spares: Vec<BytesMut>,
 }
 
-/// What every spare holds (a 64-name request is some 400 bytes). One that
-/// a frame outgrew is not kept: the spares never grow with the traffic seen.
+/// What a spare holds: the yardstick's largest regular frame is some 400
+/// bytes. A larger frame has, as every frame used to, a buffer of its own.
 const FRAME_CAPACITY: usize = 512;
 
 impl Scratch {
-    /// An empty buffer to encode the next frame into.
-    pub(crate) fn spare(&mut self) -> BytesMut {
-        let fresh = || BytesMut::with_capacity(FRAME_CAPACITY);
-        self.spares.pop().unwrap_or_else(fresh)
+    /// An empty buffer for a frame of exactly `len` bytes.
+    pub(crate) fn spare(&mut self, len: usize) -> BytesMut {
+        let spare = (len <= FRAME_CAPACITY).then(|| self.spares.pop()).flatten();
+        spare.unwrap_or_else(|| BytesMut::with_capacity(len.max(FRAME_CAPACITY)))
     }
 
     /// Takes back the buffer of a frame that has been read, unless another
-    /// view still holds it or it is no spare (encoded to size, or grown).
+    /// view still holds it or it is no spare: the spares are as many as flew
+    /// at once and as large as they were made, whatever the traffic seen.
     fn recycle(&mut self, frame: Bytes) {
+        let fits = frame.len() <= FRAME_CAPACITY;
         let spare = frame.try_into_mut().ok();
-        if let Some(mut buf) = spare.filter(|b| b.capacity() == FRAME_CAPACITY) {
+        if let Some(mut buf) = spare.filter(|b| fits && b.capacity() >= FRAME_CAPACITY) {
             buf.clear();
             self.spares.push(buf);
         }
@@ -811,7 +813,7 @@ impl ProtocolEngine {
             return;
         };
         let saved = service.local_resolve_batch_in(world, machine, start, &s.trie, &mut s.batch);
-        let mut reply = s.spare();
+        let mut reply = s.spare(wire::batch_reply_len(&s.batch.outcomes));
         wire::put_batch_reply(&mut reply, id, 1, saved, &s.batch.outcomes);
         world.send(server, requester, Payload::Bytes(reply.freeze()));
     }

@@ -700,16 +700,16 @@ impl NameTrie {
             .collect()
     }
 
-    /// Exact encoded size of this trie under [`put_trie`]'s layout, so
-    /// frame encoders can allocate once.
-    fn wire_len(&self) -> usize {
+    /// Exact size of the frame [`put_batch_request`] makes of this trie, so
+    /// that encoders allocate once.
+    pub(crate) fn request_len(&self) -> usize {
         let label = |n: &TrieNode| n.component.map_or(0, |c| c.as_str().len());
         let node_bytes: usize = self
             .nodes
             .iter()
             .map(|n| 2 + label(n) + 1 + 4 * usize::from(n.query.is_some()) + 2)
             .sum();
-        4 + 4 + node_bytes + 4 + 4 * self.kids.len()
+        REQUEST_HEADER + 4 + 4 + node_bytes + 4 + 4 * self.kids.len()
     }
 
     /// Per-node count of queries in the subtree rooted there — the number
@@ -879,9 +879,9 @@ pub(crate) fn read_batch_request(
 impl BatchRequest {
     /// Encodes the batch request into a wire frame.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(REQUEST_HEADER + self.trie.wire_len());
+        let mut buf = BytesMut::with_capacity(self.trie.request_len());
         put_batch_request(&mut buf, self.id, self.start, &self.trie);
-        debug_assert_eq!(buf.len(), REQUEST_HEADER + self.trie.wire_len());
+        debug_assert_eq!(buf.len(), self.trie.request_len());
         buf.freeze()
     }
 
@@ -906,6 +906,11 @@ pub struct BatchReply {
     /// Lookups the server *didn't* do thanks to shared-prefix
     /// compression (naive per-name lookups minus actual trie lookups).
     pub lookups_saved: u32,
+}
+
+/// Exact size of the frame [`put_batch_reply`] appends.
+pub(crate) fn batch_reply_len(outcomes: &[Outcome]) -> usize {
+    1 + 8 + 4 + 4 + 4 + outcomes.iter().map(outcome_wire_len).sum::<usize>()
 }
 
 /// Appends a batch-reply frame to `buf`.
@@ -951,8 +956,7 @@ pub(crate) fn read_reply(mut frame: &[u8], outcomes: &mut Vec<Outcome>) -> Optio
 impl BatchReply {
     /// Encodes the batch reply into a wire frame.
     pub fn encode(&self) -> Bytes {
-        let outcomes: usize = self.outcomes.iter().map(outcome_wire_len).sum();
-        let mut buf = BytesMut::with_capacity(1 + 8 + 4 + 4 + 4 + outcomes);
+        let mut buf = BytesMut::with_capacity(batch_reply_len(&self.outcomes));
         let (touched, saved) = (self.servers_touched, self.lookups_saved);
         put_batch_reply(&mut buf, self.id, touched, saved, &self.outcomes);
         buf.freeze()
@@ -1112,7 +1116,7 @@ mod tests {
             start: ObjectId::from_index(0),
             trie: trie.clone(),
         };
-        assert_eq!(req.encode().len(), 1 + 8 + 4 + trie.wire_len());
+        assert_eq!(req.encode().len(), trie.request_len());
 
         let reply = BatchReply {
             id: 1,
@@ -1131,7 +1135,11 @@ mod tests {
             lookups_saved: 5,
         };
         let outcomes: usize = reply.outcomes.iter().map(outcome_wire_len).sum();
-        assert_eq!(reply.encode().len(), 1 + 8 + 4 + 4 + 4 + outcomes);
+        assert_eq!(reply.encode().len(), batch_reply_len(&reply.outcomes));
+        assert_eq!(
+            batch_reply_len(&reply.outcomes),
+            1 + 8 + 4 + 4 + 4 + outcomes
+        );
     }
 
     #[test]

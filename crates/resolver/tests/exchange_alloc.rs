@@ -8,10 +8,12 @@
 //! it, the client folds a reply from it — so once the buffers circulate a
 //! batch costs the three vectors of its answer, whatever its size and
 //! however many messages it took. Only a frame the network loses takes its
-//! buffer with it, and one too large for the buffers that circulate has,
-//! as every frame used to, a buffer of its own. This binary counts with its own global allocator (per
-//! thread, so the harness's other threads cannot leak into a measurement),
-//! on a three-level star: the hub refers to a region, the region to a zone.
+//! buffer with it, and one too large for the buffers that circulate has, as
+//! every frame used to, a buffer of its own, made to measure: two
+//! allocations, and the buffers that circulate are none the fewer. This
+//! binary counts with its own global allocator (per thread, so the harness's
+//! other threads cannot leak into a measurement), on a three-level star: the
+//! hub refers to a region, the region to a zone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -177,6 +179,20 @@ fn blocking(engine: &mut ProtocolEngine, s: &mut Star, names: &[CompoundName]) -
 /// reply is the largest: some twenty-five bytes a name).
 const FITS: usize = 16;
 
+/// What a frame too large for them costs: its own buffer, made to measure,
+/// and the shared box it travels in.
+const PER_LARGE_FRAME: u64 = 2;
+
+/// The frames of an `n`-name batch that are too large: at 64 names the
+/// hub's request (some 700 bytes) and its reply (some 1 200).
+fn large_frames(n: usize) -> u64 {
+    match n {
+        0..=FITS => 0,
+        64 => 2,
+        _ => unreachable!("unmeasured"),
+    }
+}
+
 #[test]
 fn a_blocking_batch_allocates_its_answer_whatever_its_messages() {
     let (mut s, svc) = star(7);
@@ -191,12 +207,11 @@ fn a_blocking_batch_allocates_its_answer_whatever_its_messages() {
             // Three rounds: the hub, up to four regions, up to sixteen zones.
             assert!(messages >= 6 && messages % 2 == 0);
             assert_eq!(held, 0, "a batch left memory behind");
-            if n <= FITS {
-                assert_eq!(allocations, PER_BATCH, "{n} names, {messages} messages");
-            } else {
-                // The hub's request and reply outgrow their buffers.
-                assert!((PER_BATCH + 2..2 * messages).contains(&allocations));
-            }
+            assert_eq!(
+                allocations,
+                PER_BATCH + PER_LARGE_FRAME * large_frames(n),
+                "{n} names, {messages} messages"
+            );
         }
     }
 }
@@ -220,12 +235,13 @@ fn a_pipelined_wave_allocates_its_answers_whatever_its_messages() {
         (allocations, sent(&s.w) - sent0)
     };
     wave(&mut s, 0, 64);
-    for n in [8, FITS] {
+    for n in [8, FITS, 64] {
         let (allocations, messages) = wave(&mut s, 100, n);
         assert!(messages >= 6 * WAVE as u64);
+        let large = PER_LARGE_FRAME * large_frames(n) * WAVE as u64;
         // Besides each answer's vectors: the completed map's nodes and the
         // vector the answers are returned in, a few allocations a wave.
-        let per_batch = allocations as f64 / WAVE as f64;
+        let per_batch = (allocations - large) as f64 / WAVE as f64;
         assert!(
             (PER_BATCH as f64..PER_BATCH as f64 + 1.0).contains(&per_batch),
             "{n} names: {allocations} allocations, {messages} messages"
@@ -240,17 +256,34 @@ fn ten_thousand_batches_leave_every_pool_and_scratch_where_it_was() {
     for b in 0..64 {
         blocking(&mut engine, &mut s, &batch(b, 64));
     }
-    let names: Vec<Vec<CompoundName>> = (0..50).map(|b| batch(b, 1 + b % FITS)).collect();
-    let (mut allocations, mut messages) = (0, 0);
+    let names: Vec<Vec<CompoundName>> = (0..64).map(|b| batch(b, 1 + b % 64)).collect();
+    // The large frames of each batch, counted once: none while every frame
+    // fits, the hub's two at 64 names, never more.
+    let mut large = Vec::new();
+    for names in &names {
+        let (a, _, held) = blocking(&mut engine, &mut s, names);
+        let own = a - PER_BATCH;
+        assert_eq!((held, own % PER_LARGE_FRAME), (0, 0), "{}", names.len());
+        let most = if names.len() <= FITS {
+            0
+        } else {
+            large_frames(64)
+        };
+        assert!(own <= PER_LARGE_FRAME * most, "{} names", names.len());
+        large.push(own / PER_LARGE_FRAME);
+    }
+    assert_eq!(large[63], large_frames(64));
+    let (mut allocations, mut messages, mut expected) = (0, 0, 0);
     let (_, _, held) = allocations_in(|| {
         for i in 0..5_000 {
             let (a, m, _) = blocking(&mut engine, &mut s, &names[i % names.len()]);
             (allocations, messages) = (allocations + a, messages + m);
+            expected += PER_BATCH + PER_LARGE_FRAME * large[i % names.len()];
         }
     });
     assert_eq!(held, 0, "the blocking driver's scratch grew");
     assert!(messages > 6 * 5_000);
-    assert_eq!(allocations, PER_BATCH * 5_000);
+    assert_eq!(allocations, expected);
 
     // The reactor over the same engine: waves of 16 batches, 8 in flight.
     let mut svc = PipelinedService::with_limit(engine, 2, 4);

@@ -46,8 +46,8 @@ impl<E> Ord for Scheduled<E> {
 /// use naming_sim::time::VirtualTime;
 ///
 /// let mut q: EventQueue<&str> = EventQueue::new();
-/// q.schedule(VirtualTime::from_ticks(5), "later");
-/// q.schedule(VirtualTime::from_ticks(1), "sooner");
+/// q.schedule_seq(VirtualTime::from_ticks(5), 0, "later");
+/// q.schedule_seq(VirtualTime::from_ticks(1), 1, "sooner");
 /// let (t, e) = q.pop().unwrap();
 /// assert_eq!(e, "sooner");
 /// assert_eq!(t.ticks(), 1);
@@ -55,14 +55,12 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
         }
     }
 }
@@ -73,16 +71,10 @@ impl<E> EventQueue<E> {
         EventQueue::default()
     }
 
-    /// Schedules `event` to fire at `time`.
-    pub fn schedule(&mut self, time: VirtualTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.schedule_seq(time, seq, event);
-    }
-
-    /// Schedules `event` at `time` under a sequence number the caller
-    /// draws from one counter for several queues, which then merge into
-    /// one `(time, seq)` order by [`EventQueue::peek_key`].
+    /// Schedules `event` to fire at `time`, after every event at that time
+    /// with a smaller `seq`. The caller numbers what it schedules from one
+    /// counter, on however many queues: they merge into one `(time, seq)`
+    /// order by [`EventQueue::peek_key`].
     pub fn schedule_seq(&mut self, time: VirtualTime, seq: u64, event: E) {
         self.heap.push(Scheduled { time, seq, event });
     }
@@ -117,7 +109,6 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.heap.len())
-            .field("next_seq", &self.next_seq)
             .finish()
     }
 }
@@ -133,9 +124,9 @@ mod tests {
     #[test]
     fn earliest_first() {
         let mut q = EventQueue::new();
-        q.schedule(t(10), "c");
-        q.schedule(t(1), "a");
-        q.schedule(t(5), "b");
+        q.schedule_seq(t(10), 0, "c");
+        q.schedule_seq(t(1), 1, "a");
+        q.schedule_seq(t(5), 2, "b");
         assert_eq!(q.len(), 3);
         assert_eq!(q.pop().unwrap().1, "a");
         assert_eq!(q.pop().unwrap().1, "b");
@@ -148,7 +139,7 @@ mod tests {
     fn ties_fire_in_schedule_order() {
         let mut q = EventQueue::new();
         for i in 0..100 {
-            q.schedule(t(7), i);
+            q.schedule_seq(t(7), i as u64, i);
         }
         let drained: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         let expected: Vec<i32> = (0..100).collect();
@@ -172,10 +163,10 @@ mod tests {
     #[test]
     fn interleaved_schedule_and_pop() {
         let mut q = EventQueue::new();
-        q.schedule(t(1), "x");
+        q.schedule_seq(t(1), 0, "x");
         assert_eq!(q.pop().unwrap().1, "x");
-        q.schedule(t(1), "y"); // same time as a popped event, later seq
-        q.schedule(t(0), "z");
+        q.schedule_seq(t(1), 1, "y"); // same time as a popped event, later seq
+        q.schedule_seq(t(0), 2, "z");
         assert_eq!(q.pop().unwrap().1, "z");
         assert_eq!(q.pop().unwrap().1, "y");
     }

@@ -141,7 +141,7 @@ proptest! {
     fn event_queue_is_stable_priority_queue(times in proptest::collection::vec(0u64..20, 0..60)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(VirtualTime::from_ticks(t), (t, i));
+            q.schedule_seq(VirtualTime::from_ticks(t), i as u64, (t, i));
         }
         let mut drained = Vec::new();
         while let Some((vt, (t, i))) = q.pop() {
