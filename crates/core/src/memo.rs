@@ -95,19 +95,17 @@ const MIRROR_BATCH: u64 = 1024;
 /// version counter showed during the memoized resolution.
 type Dep = (ObjectId, u64);
 
-/// The distinct shards holding the dep contexts, each with the shard
-/// naming version currently observed. Sorted by shard for determinism.
-fn shard_footprint(state: &SystemState, deps: &[Dep]) -> Box<[(u32, u64)]> {
-    let mut shards: Vec<u32> = deps
-        .iter()
-        .map(|&(o, _)| state.shard_of(o) as u32)
-        .collect();
-    shards.sort_unstable();
-    shards.dedup();
-    shards
-        .into_iter()
-        .map(|s| (s, state.shard_version(s as usize)))
-        .collect()
+/// Refills `out` with the distinct shards holding the dep contexts, each
+/// with the shard naming version currently observed. Sorted by shard for
+/// determinism.
+fn shard_footprint(state: &SystemState, deps: &[Dep], out: &mut Vec<(u32, u64)>) {
+    out.clear();
+    out.extend(deps.iter().map(|&(o, _)| (state.shard_of(o) as u32, 0)));
+    out.sort_unstable();
+    out.dedup();
+    for (shard, version) in out.iter_mut() {
+        *version = state.shard_version(*shard as usize);
+    }
 }
 
 /// What the memo keeps per `(start, suffix)` key in its [`SlabLru`].
@@ -115,11 +113,11 @@ fn shard_footprint(state: &SystemState, deps: &[Dep]) -> Box<[(u32, u64)]> {
 struct Entry {
     entity: Entity,
     /// `(context, generation)` for every context the resolution read.
-    deps: Box<[Dep]>,
+    deps: Vec<Dep>,
     /// `(shard, shard naming version)` for every distinct shard holding a
     /// dep context — the coarse footprint checked before the per-context
     /// deps. Refreshed whenever the entry revalidates.
-    shard_deps: Box<[(u32, u64)]>,
+    shard_deps: Vec<(u32, u64)>,
     /// Epoch of the state when the entry was recorded.
     epoch: u64,
     /// Naming version at which the deps were last compared and found
@@ -172,6 +170,8 @@ struct Entry {
 pub struct ResolutionMemo {
     store: SlabLru<Entry>,
     stats: MemoStats,
+    /// Scratch for [`ResolutionMemo::record_walk`]'s footprint.
+    deps: Vec<Dep>,
     /// The prefix of `stats` already pushed to the global metrics
     /// registry (see `mirror_stats`). Note that cloning a memo clones any
     /// not-yet-mirrored remainder with it, so both copies will eventually
@@ -211,6 +211,7 @@ impl ResolutionMemo {
         ResolutionMemo {
             store: SlabLru::with_capacity(capacity),
             stats: MemoStats::default(),
+            deps: Vec::new(),
             #[cfg(feature = "telemetry")]
             mirrored: MemoStats::default(),
         }
@@ -308,7 +309,7 @@ impl ResolutionMemo {
     ) -> Option<(Entity, Box<[Dep]>)> {
         let slot = self.probe_slot(state, start, suffix)?;
         let e = self.store.value(slot);
-        Some((e.entity, e.deps.clone()))
+        Some((e.entity, Box::from(&e.deps[..])))
     }
 
     /// The validating probe proper: counts exactly one of `hits`/`misses`,
@@ -379,7 +380,7 @@ impl ResolutionMemo {
     /// `deps` lists every context the resolution read, with the version
     /// counter observed. Refreshes the entry in place if the key is held
     /// (the previous entry may be stale); otherwise evicts the least
-    /// recently used entry if the memo is full.
+    /// recently used entry if the memo is full. A slot is refilled in place.
     pub fn record(
         &mut self,
         state: &SystemState,
@@ -389,17 +390,30 @@ impl ResolutionMemo {
         deps: &[Dep],
     ) {
         let (how, e) = self.store.upsert(start, suffix);
-        *e = Entry {
-            entity,
-            deps: Box::from(deps),
-            shard_deps: shard_footprint(state, deps),
-            epoch: state.epoch(),
-            validated_at: state.naming_version(),
-        };
+        e.entity = entity;
+        e.deps.clear();
+        e.deps.extend_from_slice(deps);
+        shard_footprint(state, deps, &mut e.shard_deps);
+        (e.epoch, e.validated_at) = (state.epoch(), state.naming_version());
         if let Upsert::Inserted { evicted } = how {
             self.stats.evictions += u64::from(evicted);
             self.stats.inserts += 1;
         }
+    }
+
+    /// Records what `walk` settles on (nothing for `None`) under the footprint
+    /// it walked into the memo's own buffer; returns whether it recorded.
+    pub fn record_walk(
+        &mut self,
+        state: &SystemState,
+        start: ObjectId,
+        suffix: &[Name],
+        walk: impl FnOnce(&mut Vec<Dep>) -> Option<Entity>,
+    ) -> bool {
+        let mut deps = std::mem::take(&mut self.deps);
+        let recorded = walk(&mut deps).map(|e| self.record(state, start, suffix, e, &deps));
+        self.deps = deps;
+        recorded.is_some()
     }
 
     /// Removes the entry for `(start, suffix)` regardless of validity,

@@ -459,31 +459,42 @@ impl Resolver {
         start: ObjectId,
         comps: &[Name],
     ) -> (Entity, Vec<(ObjectId, u64)>) {
-        let mut deps: Vec<(ObjectId, u64)> = Vec::with_capacity(comps.len());
+        let mut deps = Vec::with_capacity(comps.len());
+        let entity = self.resolve_entity_deps_into(state, start, comps, &mut deps);
+        (entity, deps)
+    }
+
+    /// [`Resolver::resolve_entity_with_deps`] into a buffer the caller
+    /// keeps: `deps` is cleared, then holds the walk's footprint.
+    pub fn resolve_entity_deps_into(
+        &self,
+        state: &SystemState,
+        start: ObjectId,
+        comps: &[Name],
+        deps: &mut Vec<(ObjectId, u64)>,
+    ) -> Entity {
+        deps.clear();
         if comps.len() > self.depth_limit {
-            return (Entity::Undefined, deps);
+            return Entity::Undefined;
         }
         let mut ctx = start;
         for (i, &comp) in comps.iter().enumerate() {
             let Some(c) = state.context(ctx) else {
-                return (Entity::Undefined, deps);
+                return Entity::Undefined;
             };
             deps.push((ctx, c.version()));
             let result = c.lookup(comp);
-            if result == Entity::Undefined {
-                return (Entity::Undefined, deps);
-            }
-            if i + 1 == comps.len() {
-                return (result, deps);
+            if result == Entity::Undefined || i + 1 == comps.len() {
+                return result;
             }
             match result {
                 Entity::Object(o) => ctx = o,
                 // Activities are not contexts; traversal dies here.
-                _ => return (Entity::Undefined, deps),
+                _ => return Entity::Undefined,
             }
         }
         // An empty name consults nothing and denotes nothing.
-        (Entity::Undefined, deps)
+        Entity::Undefined
     }
 
     /// Resolves a whole batch of names in the same starting context.

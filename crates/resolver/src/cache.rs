@@ -21,8 +21,6 @@
 //! re-resolving every name. Under the lease policy every store validates
 //! by lease expiry and heard zone serials alone.
 
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
@@ -39,7 +37,7 @@ use naming_sim::world::World;
 use crate::coherence::{
     CoherenceMode, Heard, LeaseCacheStats, LeasedCache, SerialObservation, SerialTable, Validity,
 };
-use crate::engine::ProtocolEngine;
+use crate::engine::{ProtocolEngine, ReferralHop};
 use crate::referral::{
     NegativeCache, ReferralCache, ValidatedCacheStats, DEFAULT_REFERRAL_CAPACITY,
 };
@@ -102,7 +100,8 @@ pub struct CachedBatchOutcome {
     pub from_cache: Vec<bool>,
     /// Wire messages exchanged for the cache misses.
     pub messages: u64,
-    /// Virtual time the network exchanges took.
+    /// Virtual time the misses' exchanges took, overlapped: they all go
+    /// out together, so this is the batch's rounds of round trips.
     pub latency: Duration,
 }
 
@@ -124,13 +123,18 @@ struct Plane<P: Validity> {
     /// against the state its exchange left; a replica's [`Heard`] was fixed
     /// when the resolution started.
     evidence: Draw<P>,
-    /// Scratch, kept between calls so a miss allocates no footprint: every
-    /// miss's footprint up to where its exchange starts — the start
-    /// context's shard, what a cached-referral jump inherited, the jump
-    /// target's shard — back to back; a miss holds its range.
+    /// Scratch, kept between calls so a miss allocates nothing: per miss of
+    /// the batch at hand, its slot, where its exchange starts (context,
+    /// components consumed) and its range of `jump_zones`, which holds each
+    /// miss's footprint up to there back to back — the start context's
+    /// shard, what a cached-referral jump inherited, the target's shard.
+    misses: Vec<(usize, ObjectId, usize, Range<usize>)>,
     jump_zones: Vec<usize>,
     /// Scratch: the whole footprint of the name at hand, rebuilt in place.
     zones: Vec<usize>,
+    /// Scratch: the referrals the batch at hand has filed, as `(context,
+    /// slot, prefix length)` — a prefix is recorded once a batch.
+    filed: Vec<(ObjectId, usize, usize)>,
 }
 
 type Draw<P> = for<'a> fn(&'a World, Heard<'a>) -> <P as Validity>::Evidence<'a>;
@@ -159,8 +163,10 @@ impl<P: Validity> Plane<P> {
             positives: P::with_capacity(capacity),
             referrals: ReferralCache::with_capacity(DEFAULT_REFERRAL_CAPACITY),
             negatives: NegativeCache::with_capacity(DEFAULT_REFERRAL_CAPACITY),
+            misses: Vec::new(),
             jump_zones: Vec::new(),
             zones: Vec::new(),
+            filed: Vec::new(),
         }
     }
 
@@ -189,12 +195,11 @@ impl<P: Validity> Plane<P> {
         // Referrals are only followed — and seen — by an iterative client.
         let service = (mode == Mode::Iterative).then(|| engine.service());
         let (from, offset, jumped) = self.miss(by, service, start, comps);
-        let (stats, hops) =
-            engine.resolve_traced(world, client, from, &remaining(name, offset), mode);
-        let hops = hops.iter().map(|hop| (hop.consumed, hop.ctx));
-        let (key, at, seen) = ((start, comps), (offset, jumped), &mut BTreeSet::new());
+        let (stats, hops) = engine.resolve_traced_from(world, client, (from, offset, comps), mode);
+        self.filed.clear();
         let by = (self.evidence)(world, heard);
-        self.file(by, key, at, hops, seen, (stats.entity, stats.unreachable));
+        let key = (start, std::slice::from_ref(name), 0);
+        self.file(by, key, jumped, &hops, (stats.entity, stats.unreachable));
         (stats.entity, false)
     }
 
@@ -215,10 +220,7 @@ impl<P: Validity> Plane<P> {
             messages: 0,
             latency: Duration::ZERO,
         };
-        // Misses grouped by the context their exchange will start from:
-        // group ctx → (prefix components consumed to get there, slot,
-        // footprint so far).
-        let mut groups: BTreeMap<ObjectId, Vec<(usize, usize, Range<usize>)>> = BTreeMap::new();
+        let mut misses = std::mem::take(&mut self.misses);
         self.jump_zones.clear();
         let mut hits = 0u64;
         for (slot, name) in names.iter().enumerate() {
@@ -230,33 +232,29 @@ impl<P: Validity> Plane<P> {
             } else if self.negatives.probe(by, start, comps) {
                 out.from_cache[slot] = true;
             } else {
-                let (gctx, plen, jumped) = self.miss(by, Some(engine.service()), start, comps);
-                groups.entry(gctx).or_default().push((plen, slot, jumped));
+                let (from, plen, jumped) = self.miss(by, Some(engine.service()), start, comps);
+                misses.push((slot, from, plen, jumped));
             }
         }
         mirror_probe_counts(hits, names.len() as u64 - hits);
-        let mut seen: BTreeSet<(&[Name], ObjectId)> = BTreeSet::new();
-        for (gctx, members) in groups {
-            let rest: Vec<CompoundName> = members
-                .iter()
-                .map(|&(plen, slot, _)| remaining(&names[slot], plen).into_owned())
-                .collect();
-            let batch = engine.resolve_batch(world, client, gctx, &rest);
+        if !misses.is_empty() {
+            let asked = misses.iter();
+            let asked = asked.map(|&(slot, from, plen, _)| (from, plen, names[slot].components()));
+            let batch = engine.resolve_from(world, client, asked);
             let by = (self.evidence)(world, heard);
-            out.messages += batch.messages;
-            out.latency = out.latency + batch.latency;
-            // Referrals come back by slot, in slot order.
+            (out.messages, out.latency) = (batch.messages, batch.latency);
+            self.filed.clear();
+            // Referrals come back by miss, in miss order.
             let mut hops = &batch.referrals[..];
-            for (i, (plen, slot, jumped)) in members.into_iter().enumerate() {
-                let comps = names[slot].components();
+            for (i, (slot, _, _, jumped)) in misses.drain(..).enumerate() {
                 out.entities[slot] = batch.entities[i];
                 let own;
                 (own, hops) = hops.split_at(hops.partition_point(|hop| hop.slot == i));
-                let hops = own.iter().map(|hop| (hop.consumed, hop.ctx));
                 let answer = (batch.entities[i], batch.unreachable[i]);
-                self.file(by, (start, comps), (plen, jumped), hops, &mut seen, answer);
+                self.file(by, (start, names, slot), jumped, own, answer);
             }
         }
+        self.misses = misses;
         out
     }
 
@@ -286,30 +284,34 @@ impl<P: Validity> Plane<P> {
         (from, plen, lo..self.jump_zones.len())
     }
 
-    /// Files what an exchange that started `offset` components into
-    /// `comps` brought back. The referrals it followed (`hops`: components
-    /// consumed past `offset`, context handed to) are remembered keyed by
-    /// the ORIGINAL name, each under the cumulative footprint of the zones
-    /// crossed to reach it, once per `seen`. Then the answer: a binding
-    /// enters the positive cache, a `⊥` the negative cache — whose recorder
-    /// refuses it when the network alone failed us.
-    fn file<'n>(
+    /// Files what the exchanges for `names[slot]` brought back, its
+    /// footprint so far being `jumped`. The referrals it followed (`hops`,
+    /// each after a prefix of the whole name) are remembered under the
+    /// cumulative footprint of the zones crossed to reach them, each
+    /// prefix once in `filed`. Then the answer: a binding enters the
+    /// positive cache, a `⊥` the negative cache — whose recorder refuses it
+    /// when the network alone failed us.
+    fn file(
         &mut self,
         by: P::Evidence<'_>,
-        (start, comps): (ObjectId, &'n [Name]),
-        (offset, jumped): (usize, Range<usize>),
-        hops: impl Iterator<Item = (usize, ObjectId)>,
-        seen: &mut BTreeSet<(&'n [Name], ObjectId)>,
+        (start, names, slot): (ObjectId, &[CompoundName], usize),
+        jumped: Range<usize>,
+        hops: &[ReferralHop],
         (entity, unreachable): (Entity, bool),
     ) {
+        let comps = names[slot].components();
         self.zones.clear();
         self.zones.extend_from_slice(&self.jump_zones[jumped]);
-        for (consumed, ctx) in hops {
+        // A hop consumed a proper prefix: the continuation follows no other.
+        for &ReferralHop { consumed, ctx, .. } in hops {
             self.zones.push(SystemState::shard_of_id(ctx));
-            let plen = offset + consumed;
-            if (1..comps.len()).contains(&plen) && seen.insert((&comps[..plen], ctx)) {
-                self.referrals
-                    .record(by, start, &comps[..plen], ctx, &self.zones);
+            let prefix = &comps[..consumed];
+            let same = |&(c, s, len): &(ObjectId, usize, usize)| {
+                (c, len) == (ctx, consumed) && names[s].components()[..len] == *prefix
+            };
+            if !self.filed.iter().any(same) {
+                self.filed.push((ctx, slot, consumed));
+                self.referrals.record(by, start, prefix, ctx, &self.zones);
             }
         }
         if let Entity::Object(o) = entity {
@@ -341,18 +343,6 @@ impl<P: Validity> Plane<P> {
         self.positives.clear();
         self.referrals.clear();
         self.negatives.clear();
-    }
-}
-
-/// `name` past its first `offset` components — what is left to resolve
-/// after a referral jump (a proper prefix leaves a nonempty suffix).
-fn remaining(name: &CompoundName, offset: usize) -> Cow<'_, CompoundName> {
-    match offset {
-        0 => Cow::Borrowed(name),
-        _ => Cow::Owned(
-            CompoundName::new(name.components()[offset..].to_vec())
-                .expect("proper prefix leaves a nonempty suffix"),
-        ),
     }
 }
 
@@ -563,8 +553,10 @@ impl CachingResolver {
 
     /// Resolves many names through the cache in one shot: cache (and
     /// negative-cache) hits answer locally, and the misses ride the
-    /// batched wire protocol — grouped by the deepest valid cached
-    /// referral so each group starts as close to its answer as possible.
+    /// batched wire protocol in one exchange set — each from the deepest
+    /// valid cached referral for it, so every miss starts as close to its
+    /// answer as possible, and misses that start from the same context
+    /// share a round's exchange.
     ///
     /// Answers are identical to resolving each name via
     /// [`CachingResolver::resolve`] in iterative mode; batching and
@@ -954,6 +946,139 @@ mod tests {
         let hits = r.referral_stats().hits;
         r.resolve_batch(&mut w, client, root, &sibling);
         assert_eq!(r.referral_stats().hits, hits + 1);
+    }
+
+    /// A chain under `mode`: `/local` is answered on the client's machine,
+    /// `/a` is referred to a second machine (`g`, `h`), `/a/b` from there
+    /// to a third (`x`, `y`, `z`). Returns the contexts of `/a` and `/a/b`.
+    fn chain(mode: CoherenceMode) -> (World, CachingResolver, ActivityId, ObjectId, [ObjectId; 2]) {
+        let mut w = World::new(83);
+        let net = w.add_network("n");
+        let ms: Vec<MachineId> = (0..3)
+            .map(|i| w.add_machine(format!("m{i}"), net))
+            .collect();
+        let roots: Vec<ObjectId> = ms.iter().map(|&m| w.machine_root(m)).collect();
+        store::create_file(w.state_mut(), roots[0], "local", vec![]);
+        let a = store::ensure_dir(w.state_mut(), roots[1], "export");
+        let b = store::ensure_dir(w.state_mut(), roots[2], "export");
+        for (dir, files) in [(a, ["g", "h"].as_slice()), (b, &["x", "y", "z"])] {
+            for f in files {
+                store::create_file(w.state_mut(), dir, f, vec![]);
+            }
+        }
+        store::attach(w.state_mut(), a, "b", b, false);
+        store::attach(w.state_mut(), roots[0], "a", a, false);
+        let mut svc = NameService::install(&mut w, &ms);
+        for (&m, &root) in ms.iter().zip(&roots).rev() {
+            svc.place_subtree(&w, root, m);
+        }
+        let client = w.spawn(ms[0], "client", None);
+        let r = CachingResolver::with_mode(ProtocolEngine::new(svc), DEFAULT_CACHE_CAPACITY, mode);
+        (w, r, client, roots[0], [a, b])
+    }
+
+    /// The deepest cached, valid referral for `name` from `start`, as
+    /// `(prefix length, context)`.
+    fn deepest(
+        r: &mut CachingResolver,
+        w: &World,
+        start: ObjectId,
+        name: &str,
+    ) -> Option<(usize, ObjectId)> {
+        let name = CompoundName::parse_path(name).unwrap();
+        let heard = CachingResolver::heard(r.mode, &r.table, w.now().ticks());
+        let service = r.engine.service();
+        on_plane!(&mut r.plane, p => {
+            let by = (p.evidence)(w, heard);
+            let found = p.referrals.lookup_deepest(by, service, start, name.components());
+            found.map(|(plen, ctx, ..)| (plen, ctx))
+        })
+    }
+
+    #[test]
+    fn one_exchange_set_files_referrals_at_prefixes_of_the_whole_name() {
+        let paths = |ps: &[&str]| -> Vec<CompoundName> {
+            ps.iter()
+                .map(|p| CompoundName::parse_path(p).unwrap())
+                .collect()
+        };
+        let warm = paths(&["/a/g"]);
+        // A miss from the root, one answered where its jump lands, two
+        // referred further from there (by one referral), a ⊥ past a jump.
+        let batch = paths(&["/local", "/a/b/x", "/a/h", "/a/b/y", "/a/nope"]);
+        for mode in [CoherenceMode::Exact, CoherenceMode::Lease { ttl: None }] {
+            let (mut w, mut r, client, root, [a, b]) = chain(mode);
+            let (mut w2, mut r2, client2, root2, _) = chain(mode);
+            r.resolve_batch(&mut w, client, root, &warm);
+            r2.resolve(&mut w2, client2, root2, &warm[0], Mode::Iterative);
+            assert_eq!(deepest(&mut r, &w, root, "/a/b/x"), Some((2, a)));
+            let out = r.resolve_batch(&mut w, client, root, &batch);
+            let singles: Vec<Entity> = (batch.iter())
+                .map(|name| r2.resolve(&mut w2, client2, root2, name, Mode::Iterative).0)
+                .collect();
+            assert_eq!(out.entities, singles, "{mode:?}");
+            assert_eq!(out.from_cache, vec![false; batch.len()]);
+            assert!(out.entities[..4].iter().all(|e| e.is_defined()));
+            assert_eq!(r.referral_stats().recorded, r2.referral_stats().recorded);
+            assert_eq!(r.referral_stats().recorded, 2, "`/a`, then `/a/b` once");
+            assert_eq!(r.negative_stats().recorded, 1);
+            // The referral from `/a` on is keyed by the whole name's
+            // prefix: the jump's two components are counted once.
+            assert_eq!(deepest(&mut r, &w, root, "/a/b/z"), Some((3, b)));
+            assert_eq!(deepest(&mut r, &w, root, "/a/g/z"), Some((2, a)));
+            // A later sibling jumps as deep as one resolved on its own.
+            let sibling = paths(&["/a/b/z"]);
+            let (sent, sent2) = (w.trace().counter("sent"), w2.trace().counter("sent"));
+            let out = r.resolve_batch(&mut w, client, root, &sibling);
+            r2.resolve(&mut w2, client2, root2, &sibling[0], Mode::Iterative);
+            assert!(out.entities[0].is_defined());
+            assert_eq!(w.trace().counter("sent") - sent, 2, "straight to `/a/b`");
+            assert_eq!(w2.trace().counter("sent") - sent2, 2);
+        }
+    }
+
+    #[test]
+    fn misses_across_many_zones_take_their_rounds_not_a_round_trip_each() {
+        const ZONES: usize = 16;
+        let mut w = World::new(85);
+        let net = w.add_network("n");
+        let hub = w.add_machine("hub", net);
+        let root = w.machine_root(hub);
+        let mut machines = vec![hub];
+        for z in 0..ZONES {
+            let m = w.add_machine(format!("z{z}"), net);
+            let export = w.machine_root(m);
+            let zone = store::ensure_dir(w.state_mut(), export, "export");
+            for f in 0..5 {
+                store::create_file(w.state_mut(), zone, &format!("f{f}"), vec![]);
+            }
+            store::attach(w.state_mut(), root, &format!("z{z}"), zone, false);
+            machines.push(m);
+        }
+        let mut svc = NameService::install(&mut w, &machines);
+        for &m in machines.iter().rev() {
+            let export = w.machine_root(m);
+            svc.place_subtree(&w, export, m);
+        }
+        let client = w.spawn(hub, "client", None);
+        let mut r = CachingResolver::new(ProtocolEngine::new(svc));
+        let name = |z: usize, f: usize| CompoundName::parse_path(&format!("/z{z}/f{f}")).unwrap();
+        // Every zone but the last is referred to once: its misses jump.
+        let warm: Vec<CompoundName> = (0..ZONES - 1).map(|z| name(z, 0)).collect();
+        r.resolve_batch(&mut w, client, root, &warm);
+        let misses: Vec<CompoundName> = (0..64).map(|k| name(k % ZONES, 1 + k / ZONES)).collect();
+        let out = r.resolve_batch(&mut w, client, root, &misses);
+        assert!(out.entities.iter().all(|e| e.is_defined()));
+        assert_eq!(out.from_cache, vec![false; misses.len()]);
+        // Round one asks fifteen zones and, for the last zone's misses, the
+        // root; round two asks the last zone.
+        assert_eq!(out.messages, 2 * (ZONES as u64 - 1 + 1 + 1));
+        let round_trip = 2 * w.topology().latency_model().same_network;
+        assert_eq!(
+            out.latency.ticks(),
+            2 * round_trip,
+            "not one round trip a zone"
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
-use naming_core::name::{CompoundName, Name};
+use naming_core::name::Name;
 use naming_sim::message::Payload;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
@@ -80,6 +80,10 @@ impl<T> Dense<T> {
 /// round of the continuation its driver knows as `owner`.
 pub(crate) type Route = (u64, usize);
 
+/// A name and where its resolution starts: `(context, components of the
+/// name consumed to get there — a proper prefix —, the whole name)`.
+pub(crate) type Start<'n> = (ObjectId, usize, &'n [Name]);
+
 /// One name's unresolved rest: continue from `ctx` with the components of
 /// input name `slot` from `consumed` on — always a suffix of the name held.
 #[derive(Clone, Copy, Debug)]
@@ -138,14 +142,13 @@ pub(crate) struct Continuation {
 }
 
 impl Continuation {
-    /// A continuation for `names` from `start`, on a finished one's vectors
-    /// when the engine has any idle.
-    pub(crate) fn new(
+    /// A continuation for `names`, each from its own start, on a finished
+    /// one's vectors when the engine has any idle.
+    pub(crate) fn new<'n>(
         engine: &mut ProtocolEngine,
         seq: u64,
         client: ActivityId,
-        start: ObjectId,
-        names: &[CompoundName],
+        names: impl ExactSizeIterator<Item = Start<'n>>,
         mode: Mode,
     ) -> Continuation {
         let mut cont = engine.idle.pop().unwrap_or_else(|| Continuation {
@@ -162,26 +165,27 @@ impl Continuation {
             outstanding: 0,
         });
         (cont.seq, cont.client, cont.mode) = (seq, client, mode);
+        let n = names.len();
         cont.labels.clear();
         cont.ends.clear();
         cont.ends.push(0);
-        for name in names {
-            cont.labels.extend_from_slice(name.components());
+        cont.pending.clear();
+        for (slot, (ctx, consumed, name)) in names.enumerate() {
+            cont.labels.extend_from_slice(name);
             cont.ends.push(cont.labels.len());
+            cont.pending.push(Work {
+                ctx,
+                slot,
+                consumed,
+            });
         }
         cont.stats = BatchResolveStats {
-            entities: vec![Entity::Undefined; names.len()],
-            unreachable: vec![false; names.len()],
+            entities: vec![Entity::Undefined; n],
+            unreachable: vec![false; n],
             // Each hop consumes a component and the last is never handed on.
-            referrals: Vec::with_capacity(cont.labels.len() - names.len()),
+            referrals: Vec::with_capacity(cont.labels.len() - n),
             ..BatchResolveStats::default()
         };
-        cont.pending.clear();
-        cont.pending.extend((0..names.len()).map(|slot| Work {
-            ctx: start,
-            slot,
-            consumed: 0,
-        }));
         cont
     }
 

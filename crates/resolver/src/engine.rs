@@ -19,7 +19,7 @@ use naming_sim::topology::MachineId;
 use naming_sim::world::{Stepped, World};
 
 use crate::coherence::ZoneJournal;
-use crate::continuation::{Continuation, Dense, Route};
+use crate::continuation::{Continuation, Dense, Route, Start};
 use crate::service::{BatchScratch, NameService};
 use crate::wire::{
     self, Frame, Mode, NameTrie, Outcome, Reply, Request, ShardDelta, ZoneChange, ZoneDelta,
@@ -117,7 +117,7 @@ pub struct RetryCounters {
 pub struct ReferralHop {
     /// The input name that was referred (0 for a single resolve).
     pub slot: usize,
-    /// Components of the original name consumed before the handoff.
+    /// Components of the whole name consumed before the handoff, jumps too.
     pub consumed: usize,
     /// The machine that became authoritative.
     pub machine: naming_sim::topology::MachineId,
@@ -403,7 +403,19 @@ impl ProtocolEngine {
         name: &CompoundName,
         mode: Mode,
     ) -> (ResolveStats, Vec<ReferralHop>) {
-        let batch = self.run_to_completion(world, client, start, std::slice::from_ref(name), mode);
+        self.resolve_traced_from(world, client, (start, 0, name.components()), mode)
+    }
+
+    /// [`ProtocolEngine::resolve_traced`] for a name whose resolution
+    /// starts past a prefix of it.
+    pub(crate) fn resolve_traced_from(
+        &mut self,
+        world: &mut World,
+        client: ActivityId,
+        from: Start<'_>,
+        mode: Mode,
+    ) -> (ResolveStats, Vec<ReferralHop>) {
+        let batch = self.run_to_completion(world, client, std::iter::once(from), mode);
         let stats = ResolveStats {
             entity: batch.entities[0],
             messages: batch.messages,
@@ -418,9 +430,10 @@ impl ProtocolEngine {
             naming_telemetry::histogram!("protocol.latency_ticks").record(stats.latency.ticks());
             naming_telemetry::histogram!("protocol.messages").record(stats.messages);
             if naming_telemetry::recorder::is_active() {
+                let asked = CompoundName::new(from.2[from.1..].to_vec()).expect("a rest is asked");
                 naming_telemetry::recorder::span(
                     "protocol",
-                    format!("{mode:?} {name}"),
+                    format!("{mode:?} {asked}"),
                     world.now().ticks() - stats.latency.ticks(),
                     world.now().ticks(),
                     vec![
@@ -450,13 +463,25 @@ impl ProtocolEngine {
         start: ObjectId,
         names: &[CompoundName],
     ) -> BatchResolveStats {
-        let stats = self.run_to_completion(world, client, start, names, Mode::Iterative);
+        let names = names.iter().map(|name| (start, 0, name.components()));
+        self.resolve_from(world, client, names)
+    }
+
+    /// [`ProtocolEngine::resolve_batch`] for names that each start where
+    /// they say: all of them in one exchange set, whatever their contexts.
+    pub(crate) fn resolve_from<'n>(
+        &mut self,
+        world: &mut World,
+        client: ActivityId,
+        names: impl ExactSizeIterator<Item = Start<'n>>,
+    ) -> BatchResolveStats {
+        let stats = self.run_to_completion(world, client, names, Mode::Iterative);
         #[cfg(feature = "telemetry")]
         {
             naming_telemetry::counter!("protocol.batch_resolves").bump();
             naming_telemetry::counter!("protocol.hops_saved").add(stats.hops_saved);
             naming_telemetry::counter!("protocol.coalesced").add(stats.coalesced);
-            naming_telemetry::histogram!("protocol.batch_size").record(names.len() as u64);
+            naming_telemetry::histogram!("protocol.batch_size").record(stats.entities.len() as u64);
             naming_telemetry::histogram!("protocol.batch_messages").record(stats.messages);
         }
         stats
@@ -466,17 +491,16 @@ impl ProtocolEngine {
     /// `client`'s mailbox. `messages` and `latency` are what went over the
     /// wire and how much virtual time passed meanwhile — everything on
     /// the timeline, not only this batch's own traffic.
-    fn run_to_completion(
+    fn run_to_completion<'n>(
         &mut self,
         world: &mut World,
         client: ActivityId,
-        start: ObjectId,
-        names: &[CompoundName],
+        names: impl ExactSizeIterator<Item = Start<'n>>,
         mode: Mode,
     ) -> BatchResolveStats {
         let t0 = world.now();
         let sent0 = world.trace().counter("sent");
-        let mut cont = Continuation::new(self, BLOCKING, client, start, names, mode);
+        let mut cont = Continuation::new(self, BLOCKING, client, names, mode);
         self.drain_servers(world);
         let mut steps = 0usize;
         while !cont.advance(self, world) {

@@ -71,7 +71,7 @@ impl Validity for ResolutionMemo {
     /// naming state — every message lost, a lagging replica, a binding
     /// changed in flight — and a cache that can't justify an entry must not
     /// keep it. An empty footprint (a depth verdict) would validate forever
-    /// and is refused too.
+    /// and is refused too. The walk goes into the memo's own buffer.
     fn record(
         &mut self,
         world: &World,
@@ -81,16 +81,17 @@ impl Validity for ResolutionMemo {
         _zones: &[usize],
         on_trust: bool,
     ) -> bool {
-        let (oracle, deps) = Resolver::new().resolve_entity_with_deps(world.state(), start, suffix);
-        let agreed = match (oracle, entity) {
-            (Entity::Object(o), Entity::Object(e)) => o == e || world.replicas().are_replicas(o, e),
-            (o, e) => o == e,
-        };
-        if !on_trust && (!agreed || deps.is_empty()) {
-            return false;
-        }
-        ResolutionMemo::record(self, world.state(), start, suffix, entity, &deps);
-        true
+        let state = world.state();
+        self.record_walk(state, start, suffix, |deps| {
+            let oracle = Resolver::new().resolve_entity_deps_into(state, start, suffix, deps);
+            let agreed = match (oracle, entity) {
+                (Entity::Object(o), Entity::Object(e)) => {
+                    o == e || world.replicas().are_replicas(o, e)
+                }
+                (o, e) => o == e,
+            };
+            (on_trust || (agreed && !deps.is_empty())).then_some(entity)
+        })
     }
 
     fn remove(&mut self, start: ObjectId, suffix: &[Name]) -> bool {

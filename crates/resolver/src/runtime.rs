@@ -218,9 +218,9 @@ impl PipelinedService {
         self.report.submitted += 1;
         self.clients.insert(client);
         let now = world.now();
-        let engine = &mut self.engine;
+        let names = names.iter().map(|name| (start, 0, name.components()));
         self.backlog.push_back(Batch {
-            cont: Continuation::new(engine, seq, client, start, names, Mode::Iterative),
+            cont: Continuation::new(&mut self.engine, seq, client, names, Mode::Iterative),
             submitted_at: now,
             admitted_at: now,
         });

@@ -10,10 +10,13 @@
 //! however many messages it took. Only a frame the network loses takes its
 //! buffer with it, and one too large for the buffers that circulate has, as
 //! every frame used to, a buffer of its own, made to measure: two
-//! allocations, and the buffers that circulate are none the fewer. This
-//! binary counts with its own global allocator (per thread, so the harness's
-//! other threads cannot leak into a measurement), on a three-level star: the
-//! hub refers to a region, the region to a zone.
+//! allocations, and the buffers that circulate are none the fewer. A client
+//! cache's misses are one such batch, each name from its own jump, and its
+//! stores refill the slots they recycle, so a batch of misses costs its
+//! answer and its outcome. This binary counts with its own global allocator
+//! (per thread, so the harness's other threads cannot leak into a
+//! measurement), on a three-level star: the hub refers to a region, the
+//! region to a zone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,6 +24,8 @@ use std::cell::Cell;
 use bytes::Bytes;
 use naming_core::entity::{ActivityId, ObjectId};
 use naming_core::name::CompoundName;
+use naming_resolver::cache::CachingResolver;
+use naming_resolver::coherence::CoherenceMode;
 use naming_resolver::engine::{ProtocolEngine, RetryPolicy};
 use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
@@ -102,13 +107,17 @@ struct Star {
 /// `/r{r}/z{z}/f{f}`: the hub's root grafts one export per region machine,
 /// each of which grafts one export per zone machine, which holds the files.
 fn star(seed: u64) -> (Star, NameService) {
+    star_of(seed, REGIONS)
+}
+
+fn star_of(seed: u64, regions: usize) -> (Star, NameService) {
     let mut w = World::new(seed);
     let net = w.add_network("n");
     let hub_machine = w.add_machine("hub", net);
     let hub = w.machine_root(hub_machine);
     let mut machines = vec![hub_machine];
     let mut zones = Vec::new();
-    for r in 0..REGIONS {
+    for r in 0..regions {
         let rm = w.add_machine(format!("r{r}"), net);
         let rroot = w.machine_root(rm);
         let region = store::ensure_dir(w.state_mut(), rroot, "export");
@@ -305,6 +314,71 @@ fn ten_thousand_batches_leave_every_pool_and_scratch_where_it_was() {
         }
     });
     assert_eq!(held, 0, "the reactor's pools grew");
+}
+
+/// A cached batch of misses: its answer's three vectors and the two of the
+/// outcome the cache hands back.
+const PER_CACHED_BATCH: u64 = PER_BATCH + 2;
+
+/// Cached batch `b` over `zones` zones, 64 names: two files of every zone,
+/// except that every fourth batch asks for the second half's zones
+/// themselves, one component shorter. Consecutive batches share no name,
+/// so each misses a store that holds the batch before it.
+fn cached_batch(b: usize, zones: usize) -> Vec<CompoundName> {
+    (0..64)
+        .map(|k| {
+            let zone = k % zones;
+            let dir = format!("/r{}/z{}", zone / ZONES, zone % ZONES);
+            let second = k >= zones;
+            if second && b % 4 == 3 {
+                CompoundName::parse_path(&dir).unwrap()
+            } else {
+                let f = (2 * b + usize::from(second)) % FILES;
+                CompoundName::parse_path(&format!("{dir}/f{f}")).unwrap()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn a_cached_batch_of_misses_allocates_its_answer_and_its_outcome() {
+    for mode in [CoherenceMode::Exact, CoherenceMode::Lease { ttl: None }] {
+        let (mut s, svc) = star_of(19, 2 * REGIONS);
+        let zones = s.zones.len();
+        let batches: Vec<Vec<CompoundName>> = (0..4).map(|b| cached_batch(b, zones)).collect();
+        // A positive store as large as a batch: full from the first one on.
+        let mut cache = CachingResolver::with_mode(ProtocolEngine::new(svc), 64, mode);
+        let mut run = |s: &mut Star, b: usize| {
+            let sent0 = sent(&s.w);
+            let (allocations, _, held) = allocations_in(|| {
+                let out = cache.resolve_batch(&mut s.w, s.client, s.hub, &batches[b % 4]);
+                assert!(out.entities.iter().all(|e| e.is_defined()));
+                assert!(out.from_cache.iter().all(|&c| !c), "every name misses");
+            });
+            (allocations, sent(&s.w) - sent0, held)
+        };
+        // The first batch walks from the root and leaves a referral to
+        // every zone; the warm-up fills every slot of the store with the
+        // longest footprint, circulates the spares and registers every
+        // counter the stores mirror once per 1 024 probes.
+        for b in 0..32 {
+            run(&mut s, b);
+        }
+        // Every name jumps to its zone: one exchange per zone, one round.
+        let (allocations, messages, held) = run(&mut s, 32);
+        assert!(zones >= 32);
+        assert_eq!(messages, 2 * zones as u64, "{mode:?}");
+        assert_eq!((allocations, held), (PER_CACHED_BATCH, 0), "{mode:?}");
+        // Shorter names refill slots that held longer ones: nothing grows.
+        let mut allocations = 0;
+        let (_, _, held) = allocations_in(|| {
+            for b in 33..33 + 5_000 {
+                allocations += run(&mut s, b).0;
+            }
+        });
+        assert_eq!(held, 0, "{mode:?}: a store or a scratch grew");
+        assert_eq!(allocations, 5_000 * PER_CACHED_BATCH, "{mode:?}");
+    }
 }
 
 #[test]
