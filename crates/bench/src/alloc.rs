@@ -1,5 +1,4 @@
-//! Opt-in heap-allocation counting for the perf-snapshot binaries
-//! (`telemetry` feature only).
+//! Opt-in heap-allocation counting for the perf-snapshot binaries.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
 //! allocation (including `realloc` growths and zeroed allocations) in a

@@ -38,13 +38,10 @@ use naming_core::name::{CompoundName, Name};
 use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 use naming_core::state::SystemState;
+use naming_resolver::concurrent::{ConcurrentService, HistogramSnapshot};
 use naming_resolver::wire::{BatchRequest, NameTrie};
 use naming_sim::pool::VirtualPool;
 use naming_sim::time::Duration;
-
-#[cfg(feature = "parallel")]
-use naming_resolver::concurrent::ConcurrentService;
-#[cfg(feature = "parallel")]
 use std::time::Instant;
 
 const BATCHES: usize = 64;
@@ -151,17 +148,22 @@ struct ScalePoint {
     per_ktick: f64,
     speedup: f64,
     utilization: f64,
-    wall_ops_per_sec: Option<f64>,
-    /// Queue-depth high-water mark of the last wall-clock run. All
-    /// batches are submitted before the drain, so this is exactly the
-    /// batch count — deterministic, asserted, and reported in the JSON.
-    queue_depth_hwm: Option<u64>,
-    /// Aggregated per-worker wall-latency quantiles from the last run
+    wall: WallRun,
+}
+
+/// What the real pool measured at one worker count.
+struct WallRun {
+    ops_per_sec: f64,
+    /// Queue-depth high-water mark of the last round. All batches are
+    /// submitted before the drain, so this is exactly the batch count —
+    /// deterministic, asserted, and reported in the JSON.
+    queue_depth_hwm: u64,
+    /// Aggregated per-worker wall-latency quantiles from the last round
     /// (nanoseconds; observational — stderr only, never in the JSON).
-    queue_wait_p50_ns: Option<u64>,
-    queue_wait_p99_ns: Option<u64>,
-    service_p50_ns: Option<u64>,
-    service_p99_ns: Option<u64>,
+    queue_wait_p50_ns: u64,
+    queue_wait_p99_ns: u64,
+    service_p50_ns: u64,
+    service_p99_ns: u64,
 }
 
 fn measure(iters: u32) -> (usize, Vec<ScalePoint>) {
@@ -186,21 +188,14 @@ fn measure(iters: u32) -> (usize, Vec<ScalePoint>) {
                 pool.assign(c);
             }
             let makespan = pool.makespan().ticks();
-            let mut point = ScalePoint {
+            ScalePoint {
                 workers,
                 makespan_ticks: makespan,
                 per_ktick: queries as f64 * 1000.0 / makespan as f64,
                 speedup: serial_span as f64 / makespan as f64,
                 utilization: pool.utilization(),
-                wall_ops_per_sec: None,
-                queue_depth_hwm: None,
-                queue_wait_p50_ns: None,
-                queue_wait_p99_ns: None,
-                service_p50_ns: None,
-                service_p99_ns: None,
-            };
-            wall_run(&mut point, &w, &reqs, &answers, workers, queries, iters);
-            point
+                wall: wall_run(&w, &reqs, &answers, workers, queries, iters),
+            }
         })
         .collect();
     (queries, points)
@@ -208,11 +203,8 @@ fn measure(iters: u32) -> (usize, Vec<ScalePoint>) {
 
 /// Sums per-worker histogram snapshots bucket-by-bucket (all workers share
 /// the power-of-two bucket layout, so upper bounds line up exactly).
-#[cfg(feature = "parallel")]
-fn merge_histograms<'a>(
-    parts: impl Iterator<Item = &'a naming_resolver::concurrent::HistogramSnapshot>,
-) -> naming_resolver::concurrent::HistogramSnapshot {
-    let mut merged = naming_resolver::concurrent::HistogramSnapshot::default();
+fn merge_histograms<'a>(parts: impl Iterator<Item = &'a HistogramSnapshot>) -> HistogramSnapshot {
+    let mut merged = HistogramSnapshot::default();
     let mut buckets = std::collections::BTreeMap::new();
     for part in parts {
         merged.count += part.count;
@@ -226,19 +218,17 @@ fn merge_histograms<'a>(
 }
 
 /// Serves every frame on a real pool `iters` times, asserting the answers
-/// against the serial key each round, and fills the wall-clock fields of
-/// `point`: ops/sec, queue-depth HWM, and the merged per-worker latency
-/// quantiles from the last round. No-op without the `parallel` feature.
-#[cfg(feature = "parallel")]
+/// against the serial key each round, and measures ops/sec, the
+/// queue-depth HWM, and the merged per-worker latency quantiles of the
+/// last round.
 fn wall_run(
-    point: &mut ScalePoint,
     w: &Workload,
     reqs: &[BatchRequest],
     answers: &[Vec<Entity>],
     workers: usize,
     queries: usize,
     iters: u32,
-) {
+) -> WallRun {
     let mut last_report = None;
     let t = Instant::now();
     for _ in 0..iters {
@@ -253,52 +243,40 @@ fn wall_run(
         }
         last_report = Some(report);
     }
-    point.wall_ops_per_sec = Some(f64::from(iters) * queries as f64 / t.elapsed().as_secs_f64());
+    let ops_per_sec = f64::from(iters) * queries as f64 / t.elapsed().as_secs_f64();
     let report = last_report.expect("iters > 0 is enforced at argument parsing");
     assert_eq!(
         report.queue_depth_hwm, BATCHES as u64,
         "all batches are submitted before the drain, so the HWM is the batch count"
     );
-    point.queue_depth_hwm = Some(report.queue_depth_hwm);
     let wait = merge_histograms(report.workers.iter().map(|r| &r.queue_wait));
     let served = merge_histograms(report.workers.iter().map(|r| &r.service_time));
-    point.queue_wait_p50_ns = Some(wait.quantile(0.50));
-    point.queue_wait_p99_ns = Some(wait.quantile(0.99));
-    point.service_p50_ns = Some(served.quantile(0.50));
-    point.service_p99_ns = Some(served.quantile(0.99));
-}
-
-#[cfg(not(feature = "parallel"))]
-#[allow(clippy::too_many_arguments)]
-fn wall_run(
-    _point: &mut ScalePoint,
-    _w: &Workload,
-    _reqs: &[BatchRequest],
-    _answers: &[Vec<Entity>],
-    _workers: usize,
-    _queries: usize,
-    _iters: u32,
-) {
+    WallRun {
+        ops_per_sec,
+        queue_depth_hwm: report.queue_depth_hwm,
+        queue_wait_p50_ns: wait.quantile(0.50),
+        queue_wait_p99_ns: wait.quantile(0.99),
+        service_p50_ns: served.quantile(0.50),
+        service_p99_ns: served.quantile(0.99),
+    }
 }
 
 fn render(iters: u32, queries: usize, points: &[ScalePoint]) -> String {
     let rows: Vec<String> = points
         .iter()
         .map(|p| {
-            let wall = match p.wall_ops_per_sec {
-                Some(v) => format!("{v:.0}"),
-                None => "null".to_string(),
-            };
-            let hwm = match p.queue_depth_hwm {
-                Some(v) => v.to_string(),
-                None => "null".to_string(),
-            };
             format!(
                 "    {{\"workers\": {}, \"virtual_makespan_ticks\": {}, \
                  \"throughput_per_ktick\": {:.1}, \"speedup_vs_1_worker\": {:.2}, \
                  \"utilization\": {:.3}, \"queue_depth_hwm\": {}, \
-                 \"wall_ops_per_sec\": {}}}",
-                p.workers, p.makespan_ticks, p.per_ktick, p.speedup, p.utilization, hwm, wall
+                 \"wall_ops_per_sec\": {:.0}}}",
+                p.workers,
+                p.makespan_ticks,
+                p.per_ktick,
+                p.speedup,
+                p.utilization,
+                p.wall.queue_depth_hwm,
+                p.wall.ops_per_sec
             )
         })
         .collect();
@@ -345,21 +323,13 @@ fn answers_via_workers(workers: usize) -> Vec<Vec<Entity>> {
     if workers == 0 {
         return serial_answers(&w, &reqs);
     }
-    #[cfg(feature = "parallel")]
-    {
-        let mut svc = ConcurrentService::new(w.state.clone(), workers);
-        for req in &reqs {
-            svc.submit(req.clone());
-        }
-        let got = svc.drain();
-        svc.shutdown();
-        got.into_iter().map(|a| a.entities).collect()
+    let mut svc = ConcurrentService::new(w.state.clone(), workers);
+    for req in &reqs {
+        svc.submit(req.clone());
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        eprintln!("--workers requires the `parallel` feature");
-        std::process::exit(2);
-    }
+    let got = svc.drain();
+    svc.shutdown();
+    got.into_iter().map(|a| a.entities).collect()
 }
 
 fn main() {
@@ -438,23 +408,25 @@ fn main() {
             std::process::exit(1);
         });
         for p in &points {
-            let wall = match p.wall_ops_per_sec {
-                Some(v) => format!("{v:>10.0} ops/s"),
-                None => "   (serial)".to_string(),
-            };
+            let wall = &p.wall;
             eprintln!(
-                "{:2} workers: makespan {:>7} ticks, {:>8.1}/ktick, speedup {:>5.2}x, util {:.3}, {}",
-                p.workers, p.makespan_ticks, p.per_ktick, p.speedup, p.utilization, wall
+                "{:2} workers: makespan {:>7} ticks, {:>8.1}/ktick, speedup {:>5.2}x, util {:.3}, \
+                 {:>10.0} ops/s",
+                p.workers,
+                p.makespan_ticks,
+                p.per_ktick,
+                p.speedup,
+                p.utilization,
+                wall.ops_per_sec
             );
-            if let Some(hwm) = p.queue_depth_hwm {
-                eprintln!(
-                    "           queue hwm {hwm}, wait p50/p99 {}/{} us, service p50/p99 {}/{} us",
-                    p.queue_wait_p50_ns.unwrap_or(0) / 1_000,
-                    p.queue_wait_p99_ns.unwrap_or(0) / 1_000,
-                    p.service_p50_ns.unwrap_or(0) / 1_000,
-                    p.service_p99_ns.unwrap_or(0) / 1_000,
-                );
-            }
+            eprintln!(
+                "           queue hwm {}, wait p50/p99 {}/{} us, service p50/p99 {}/{} us",
+                wall.queue_depth_hwm,
+                wall.queue_wait_p50_ns / 1_000,
+                wall.queue_wait_p99_ns / 1_000,
+                wall.service_p50_ns / 1_000,
+                wall.service_p99_ns / 1_000,
+            );
         }
         eprintln!("wrote {out}");
     }

@@ -9,10 +9,9 @@
 //!              [--watch N] [--metrics-out PATH]
 //! ```
 //!
-//! `--watch N` (feature `telemetry`) rewrites the Prometheus-style metrics
-//! exposition every `N` sweep rates; `--metrics-out PATH` says where (a
-//! final snapshot is always flushed there at exit). Neither touches
-//! stdout or the JSON artifact.
+//! `--watch N` rewrites the Prometheus-style metrics exposition every `N`
+//! sweep rates; `--metrics-out PATH` says where (a final snapshot is always
+//! flushed there at exit). Neither touches stdout or the JSON artifact.
 //!
 //! Two modes:
 //!
@@ -323,20 +322,10 @@ fn main() {
         i += 1;
     }
 
-    #[cfg(not(feature = "telemetry"))]
-    if watch_every > 0 || metrics_out.is_some() {
-        eprintln!(
-            "--watch/--metrics-out require the `telemetry` feature (on by default; \
-             this binary was built without it)"
-        );
-        std::process::exit(2);
-    }
-    #[cfg(feature = "telemetry")]
     let mut watch = naming_bench::watch::MetricsWatch::new(watch_every, metrics_out);
 
     if json_single {
         print!("{}", render_single(hops, leaves, seed, drop_rate, retry));
-        #[cfg(feature = "telemetry")]
         watch.finish();
         return;
     }
@@ -345,7 +334,6 @@ fn main() {
         .iter()
         .map(|&p| {
             let r = run_rate(hops, leaves, seed, p);
-            #[cfg(feature = "telemetry")]
             watch.tick(&format!("drop {p:.1}"));
             r
         })
@@ -363,11 +351,8 @@ fn main() {
         );
     }
     let crash = run_crash(hops, leaves, seed);
-    #[cfg(feature = "telemetry")]
-    {
-        watch.tick("crash");
-        watch.finish();
-    }
+    watch.tick("crash");
+    watch.finish();
     assert_eq!(crash.resolved_during_outage, leaves);
     assert_eq!(crash.resolved_after_restart, leaves);
     assert!(crash.failovers_during_outage > 0);

@@ -13,15 +13,14 @@
 //! * **slo** — deterministic: the phase ledger and SLO grade of the E20
 //!   campaign (staleness windows, false-⊥ / Unreachable rates,
 //!   publish-latency quantiles, breach counts), all in virtual time.
-//!   Identical on every machine and across feature sets; `--json` prints
-//!   only this section so the CI leg can diff instrumented vs plain
-//!   builds byte-for-byte.
+//!   Identical on every machine and every run; `--json` prints only this
+//!   section so it can be diffed byte-for-byte.
 //! * **overhead** — hardware-bound: the same resolution loop run bare and
 //!   then with the observatory's batch-grain instrumentation (one clock
 //!   read, one [`WindowedHistogram`] record, and one metrics-registry
 //!   record per 64-name batch — what the concurrent service pays per
 //!   job), reported as the median paired slowdown against the documented
-//!   ≤2% budget. `null` when built without `telemetry`.
+//!   ≤2% budget.
 //!
 //! [`WindowedHistogram`]: naming_telemetry::window::WindowedHistogram
 
@@ -118,7 +117,6 @@ fn slo_json(seed: u64, r: &E20Result) -> String {
 /// Returns (ops per pass, bare Mops, instrumented Mops, overhead %).
 ///
 /// [`WindowedHistogram`]: naming_telemetry::window::WindowedHistogram
-#[cfg(feature = "telemetry")]
 fn overhead_probe(samples: u32) -> (usize, f64, f64, f64) {
     use naming_bench::scenarios::wide_tree;
     use naming_core::resolve::Resolver;
@@ -195,35 +193,20 @@ fn overhead_probe(samples: u32) -> (usize, f64, f64, f64) {
 }
 
 fn overhead_json(samples: u32) -> String {
-    #[cfg(feature = "telemetry")]
-    {
-        let (per_pass, bare, instr, pct) = overhead_probe(samples);
-        format!(
-            "  \"overhead\": {{\"workload\": {}, \"resolves_per_pass\": {}, \
-             \"bare_mops\": {:.2}, \"instrumented_mops\": {:.2}, \
-             \"overhead_pct\": {:.2}, \"budget_pct\": {:.1}, \
-             \"within_budget\": {}}}",
-            json_string("wide_tree_2000_batch64"),
-            per_pass,
-            bare,
-            instr,
-            pct,
-            BUDGET_PCT,
-            pct <= BUDGET_PCT
-        )
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = samples;
-        format!(
-            "  \"overhead\": {{\"workload\": {}, \"resolves_per_pass\": null, \
-             \"bare_mops\": null, \"instrumented_mops\": null, \
-             \"overhead_pct\": null, \"budget_pct\": {:.1}, \
-             \"within_budget\": null}}",
-            json_string("wide_tree_2000_batch64"),
-            BUDGET_PCT
-        )
-    }
+    let (per_pass, bare, instr, pct) = overhead_probe(samples);
+    format!(
+        "  \"overhead\": {{\"workload\": {}, \"resolves_per_pass\": {}, \
+         \"bare_mops\": {:.2}, \"instrumented_mops\": {:.2}, \
+         \"overhead_pct\": {:.2}, \"budget_pct\": {:.1}, \
+         \"within_budget\": {}}}",
+        json_string("wide_tree_2000_batch64"),
+        per_pass,
+        bare,
+        instr,
+        pct,
+        BUDGET_PCT,
+        pct <= BUDGET_PCT
+    )
 }
 
 fn main() {
@@ -290,8 +273,7 @@ fn main() {
     let result = run(seed);
     let slo = slo_json(seed, &result);
     if json_only {
-        // Deterministic section only: the CI leg diffs this across
-        // feature sets byte-for-byte.
+        // Deterministic section only, diffable byte-for-byte.
         print!("{{\n{slo}\n}}\n");
         return;
     }

@@ -19,11 +19,10 @@
 //! tier, so the payoff of the two-tier representation is tracked
 //! directly.
 //!
-//! `--trace PATH` (requires the `telemetry` feature) runs a short traced
-//! pass *after* the timing loops — the recorder is never installed while
-//! the clock is running — and writes the spans as a Chrome `trace_event`
-//! file. `--metrics` prints the global metrics-registry snapshot as JSON
-//! on stderr.
+//! `--trace PATH` runs a short traced pass *after* the timing loops — the
+//! recorder is never installed while the clock is running — and writes
+//! the spans as a Chrome `trace_event` file. `--metrics` prints the global
+//! metrics-registry snapshot as JSON on stderr.
 
 use std::time::Instant;
 
@@ -161,7 +160,6 @@ fn render(iters: u32, results: &[DepthResult], ctx: &CtxLookupResult) -> String 
 /// A short traced pass over the same scenarios: 100 plain + 100 memoized
 /// resolutions per depth, one recorder track per depth, written as a
 /// Chrome trace. Runs after the timing loops so tracing never skews them.
-#[cfg(feature = "telemetry")]
 fn traced_pass(path: &str) {
     use naming_telemetry::recorder;
     recorder::install();
@@ -250,15 +248,6 @@ fn main() {
         i += 1;
     }
 
-    #[cfg(not(feature = "telemetry"))]
-    if trace_path.is_some() || metrics {
-        eprintln!(
-            "--trace/--metrics require the `telemetry` feature \
-             (this binary was built without it)"
-        );
-        std::process::exit(2);
-    }
-
     let results: Vec<DepthResult> = DEPTHS.iter().map(|&d| measure(d, iters)).collect();
     let ctx = measure_context_lookup(SMALL_CTX_BINDINGS, iters);
     let json = render(iters, &results, &ctx);
@@ -289,16 +278,13 @@ fn main() {
         eprintln!("wrote {out}");
     }
 
-    #[cfg(feature = "telemetry")]
-    {
-        if let Some(path) = &trace_path {
-            traced_pass(path);
-        }
-        if metrics {
-            eprintln!(
-                "{}",
-                naming_telemetry::metrics::global().snapshot().to_json()
-            );
-        }
+    if let Some(path) = &trace_path {
+        traced_pass(path);
+    }
+    if metrics {
+        eprintln!(
+            "{}",
+            naming_telemetry::metrics::global().snapshot().to_json()
+        );
     }
 }

@@ -7,10 +7,9 @@
 //! bench_scale --json [--shards N]
 //! ```
 //!
-//! `--watch N` (feature `telemetry`) rewrites the Prometheus-style metrics
-//! exposition every `N` scale tiers; `--metrics-out PATH` says where (a
-//! final snapshot is always flushed there at exit). Neither touches
-//! stdout or the JSON artifact.
+//! `--watch N` rewrites the Prometheus-style metrics exposition every `N`
+//! scale tiers; `--metrics-out PATH` says where (a final snapshot is always
+//! flushed there at exit). Neither touches stdout or the JSON artifact.
 //!
 //! The **zipf-grid workload**: each tier stands up `zones × (dirs + 1)`
 //! contexts — a per-zone root grafted under the global root plus `dirs`
@@ -22,8 +21,8 @@
 //!
 //! * **resolve ops/sec** — serial full-path walks from the global root, and
 //!   the same op stream served as batches by an 8-worker
-//!   `ConcurrentService` (null without the `parallel` feature). Per-op cost
-//!   should stay roughly flat from 10⁴ to 10⁶ contexts.
+//!   `ConcurrentService`. Per-op cost should stay roughly flat from 10⁴ to
+//!   10⁶ contexts.
 //! * **publish latency** — write-then-publish cycles against one zone. The
 //!   copy-on-publish snapshot clones only the written shard, so the latency
 //!   depends on that shard's size, not the total context count; the run
@@ -33,9 +32,8 @@
 //!   (`malloc_trim`) before each tier's pre-build snapshot so the delta is
 //!   not paid out of pages a previous tier freed.
 //! * **allocs/op** — heap allocations per serial resolve, from the counting
-//!   global allocator this binary installs on `telemetry` builds (null
-//!   without the feature). Inline contexts make the steady-state quotient
-//!   ~0: the walk itself allocates nothing. The pool phase reports the same
+//!   global allocator this binary installs. Inline contexts make the
+//!   steady-state quotient ~0: the walk itself allocates nothing. The pool phase reports the same
 //!   quotient from submit through drain, over every thread, and the run
 //!   fails if it passes 2.0 — per-frame costs only, nothing per name.
 //!
@@ -48,32 +46,17 @@ use naming_core::name::{CompoundName, Name};
 use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 use naming_core::state::{SystemState, MAX_SHARDS};
-
-#[cfg(feature = "parallel")]
 use naming_resolver::concurrent::ConcurrentService;
-#[cfg(feature = "parallel")]
 use naming_resolver::wire::{BatchRequest, NameTrie};
 
+use naming_bench::alloc::allocation_count;
 use std::time::Instant;
 
-/// Count every heap allocation this binary makes (`telemetry` builds
-/// only): the arena claim — resolves over inline contexts allocate
-/// nothing — is reported as a measured allocs/op, not inferred from RSS.
-#[cfg(feature = "telemetry")]
+/// Count every heap allocation this binary makes: the arena claim —
+/// resolves over inline contexts allocate nothing — is reported as a
+/// measured allocs/op, not inferred from RSS.
 #[global_allocator]
 static ALLOC: naming_bench::alloc::CountingAlloc = naming_bench::alloc::CountingAlloc;
-
-/// Allocations since process start; 0 forever without `telemetry`.
-fn allocation_count() -> u64 {
-    #[cfg(feature = "telemetry")]
-    {
-        naming_bench::alloc::allocation_count()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        0
-    }
-}
 
 #[cfg(all(target_os = "linux", target_env = "gnu"))]
 extern "C" {
@@ -126,7 +109,6 @@ const DEFAULT_PUBLISHES: usize = 64;
 const DEFAULT_WORKERS: usize = 8;
 const SMOKE_OPS: usize = 2_000;
 const SMOKE_PUBLISHES: usize = 8;
-#[cfg(feature = "parallel")]
 const BATCH_SIZE: usize = 64;
 
 /// Deterministic 64-bit LCG (same constants as the other bench binaries).
@@ -243,7 +225,7 @@ struct TierResult {
     peak_rss_kb: Option<u64>,
     serial_ops_per_sec: f64,
     serial_ns_per_op: f64,
-    resolve_allocs_per_op: Option<f64>,
+    resolve_allocs_per_op: f64,
     pool: PoolPhase,
 }
 
@@ -291,11 +273,7 @@ fn run_tier(
     );
     let serial_ops_per_sec = ops as f64 / secs;
     let serial_ns_per_op = secs * 1e9 / ops as f64;
-    let resolve_allocs_per_op = if cfg!(feature = "telemetry") {
-        Some(resolve_allocs as f64 / ops as f64)
-    } else {
-        None
-    };
+    let resolve_allocs_per_op = resolve_allocs as f64 / ops as f64;
 
     let pool = pool_phase(&grid, &names, publishes, workers);
     // One frame's worth of fixed costs (the cloned trie's two tables, the
@@ -303,8 +281,8 @@ fn run_tier(
     // per-node allocation anywhere between submit and drain lands far
     // above this.
     assert!(
-        pool.allocs_per_op.is_none_or(|a| a <= 2.0),
-        "pool allocates {:?} times per name",
+        pool.allocs_per_op <= 2.0,
+        "pool allocates {} times per name",
         pool.allocs_per_op
     );
 
@@ -324,22 +302,20 @@ fn run_tier(
     }
 }
 
-/// Pool-phase results — all null without the `parallel` feature, and
-/// `allocs_per_op` (submit through drain, every thread) without `telemetry`.
-#[derive(Default)]
+/// Pool-phase results; `allocs_per_op` counts submit through drain, over
+/// every thread.
 struct PoolPhase {
-    ops_per_sec: Option<f64>,
-    allocs_per_op: Option<f64>,
-    publish_mean_us: Option<f64>,
-    publish_max_us: Option<f64>,
-    publish_shards_shared_min: Option<usize>,
-    noop_publishes: Option<u64>,
+    ops_per_sec: f64,
+    allocs_per_op: f64,
+    publish_mean_us: f64,
+    publish_max_us: f64,
+    publish_shards_shared_min: usize,
+    noop_publishes: u64,
 }
 
 /// Serves the op stream on a real worker pool, then measures
 /// write-then-publish cycles against single zones. Every publish must share
 /// every shard it did not write.
-#[cfg(feature = "parallel")]
 fn pool_phase(grid: &Grid, names: &[CompoundName], publishes: usize, workers: usize) -> PoolPhase {
     let reqs: Vec<BatchRequest> = names
         .chunks(BATCH_SIZE)
@@ -405,35 +381,18 @@ fn pool_phase(grid: &Grid, names: &[CompoundName], publishes: usize, workers: us
     let mean = lat_ns.iter().sum::<u64>() as f64 / lat_ns.len() as f64 / 1e3;
     let max = *lat_ns.iter().max().unwrap() as f64 / 1e3;
     PoolPhase {
-        ops_per_sec: Some(queries as f64 / pool_secs),
-        allocs_per_op: cfg!(feature = "telemetry").then(|| pool_allocs as f64 / queries as f64),
-        publish_mean_us: Some(mean),
-        publish_max_us: Some(max),
-        publish_shards_shared_min: Some(shared_min),
-        noop_publishes: Some(noops),
+        ops_per_sec: queries as f64 / pool_secs,
+        allocs_per_op: pool_allocs as f64 / queries as f64,
+        publish_mean_us: mean,
+        publish_max_us: max,
+        publish_shards_shared_min: shared_min,
+        noop_publishes: noops,
     }
-}
-
-#[cfg(not(feature = "parallel"))]
-fn pool_phase(
-    _grid: &Grid,
-    _names: &[CompoundName],
-    _publishes: usize,
-    _workers: usize,
-) -> PoolPhase {
-    PoolPhase::default()
 }
 
 fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
     match v {
         Some(x) => x.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-fn opt_f(v: Option<f64>, digits: usize) -> String {
-    match v {
-        Some(x) => format!("{x:.digits$}"),
         None => "null".to_string(),
     }
 }
@@ -446,9 +405,9 @@ fn render(results: &[TierResult], ops: usize, publishes: usize, workers: usize) 
                 "    {{\"tier\": {}, \"contexts\": {}, \"zones\": {}, \"dirs_per_zone\": {}, \
                  \"shards\": {}, \"build_ms\": {:.1}, \"build_rss_kb\": {}, \
                  \"peak_rss_kb\": {}, \"serial_ops_per_sec\": {:.0}, \
-                 \"serial_ns_per_op\": {:.1}, \"resolve_allocs_per_op\": {}, \
-                 \"pool_ops_per_sec\": {}, \"pool_allocs_per_op\": {}, \
-                 \"publish_mean_us\": {}, \"publish_max_us\": {}, \
+                 \"serial_ns_per_op\": {:.1}, \"resolve_allocs_per_op\": {:.4}, \
+                 \"pool_ops_per_sec\": {:.0}, \"pool_allocs_per_op\": {:.4}, \
+                 \"publish_mean_us\": {:.2}, \"publish_max_us\": {:.2}, \
                  \"publish_shards_shared_min\": {}, \"noop_publishes\": {}}}",
                 json_string(r.label),
                 r.contexts,
@@ -460,13 +419,13 @@ fn render(results: &[TierResult], ops: usize, publishes: usize, workers: usize) 
                 opt(r.peak_rss_kb),
                 r.serial_ops_per_sec,
                 r.serial_ns_per_op,
-                opt_f(r.resolve_allocs_per_op, 4),
-                opt_f(r.pool.ops_per_sec, 0),
-                opt_f(r.pool.allocs_per_op, 4),
-                opt_f(r.pool.publish_mean_us, 2),
-                opt_f(r.pool.publish_max_us, 2),
-                opt(r.pool.publish_shards_shared_min),
-                opt(r.pool.noop_publishes),
+                r.resolve_allocs_per_op,
+                r.pool.ops_per_sec,
+                r.pool.allocs_per_op,
+                r.pool.publish_mean_us,
+                r.pool.publish_max_us,
+                r.pool.publish_shards_shared_min,
+                r.pool.noop_publishes,
             )
         })
         .collect();
@@ -596,20 +555,10 @@ fn main() {
         i += 1;
     }
 
-    #[cfg(not(feature = "telemetry"))]
-    if watch_every > 0 || metrics_out.is_some() {
-        eprintln!(
-            "--watch/--metrics-out require the `telemetry` feature (on by default; \
-             this binary was built without it)"
-        );
-        std::process::exit(2);
-    }
-    #[cfg(feature = "telemetry")]
     let mut watch = naming_bench::watch::MetricsWatch::new(watch_every, metrics_out);
 
     if json_answers {
         print!("{}", render_answers(shards));
-        #[cfg(feature = "telemetry")]
         watch.finish();
         return;
     }
@@ -631,26 +580,24 @@ fn main() {
             let r = run_tier(t, ops, publishes, workers, shards);
             eprintln!(
                 "tier {:>3}: {:>7} contexts / {:>4} shards, build {:>7.1} ms, \
-                 serial {:>9.0} ops/s ({:>6.1} ns/op), pool {:>9} ops/s ({} allocs/op), \
-                 publish mean {:>8} us (max {:>8}), shared >= {}",
+                 serial {:>9.0} ops/s ({:>6.1} ns/op), pool {:>9.0} ops/s ({:.2} allocs/op), \
+                 publish mean {:>8.2} us (max {:>8.2}), shared >= {}",
                 r.label,
                 r.contexts,
                 r.shards,
                 r.build_ms,
                 r.serial_ops_per_sec,
                 r.serial_ns_per_op,
-                opt_f(r.pool.ops_per_sec, 0),
-                opt_f(r.pool.allocs_per_op, 2),
-                opt_f(r.pool.publish_mean_us, 2),
-                opt_f(r.pool.publish_max_us, 2),
-                opt(r.pool.publish_shards_shared_min),
+                r.pool.ops_per_sec,
+                r.pool.allocs_per_op,
+                r.pool.publish_mean_us,
+                r.pool.publish_max_us,
+                r.pool.publish_shards_shared_min,
             );
-            #[cfg(feature = "telemetry")]
             watch.tick(r.label);
             r
         })
         .collect();
-    #[cfg(feature = "telemetry")]
     watch.finish();
     let json = render(&results, ops, publishes, workers);
     if to_stdout {

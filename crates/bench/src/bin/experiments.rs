@@ -11,12 +11,11 @@
 //! (`{"title", "headers", "rows", "notes"}`), for tracking results across
 //! PRs.
 //!
-//! `--trace PATH` (requires the default `telemetry` feature) records every
-//! resolution, message, and coherence event into a Chrome `trace_event`
-//! file loadable in Perfetto / `about:tracing`, one track per experiment.
-//! With the `parallel` feature the traced suite still runs one worker
-//! thread per experiment: each worker installs its own recorder and the
-//! traces are absorbed in catalog order, so ids and output are
+//! `--trace PATH` records every resolution, message, and coherence event
+//! into a Chrome `trace_event` file loadable in Perfetto /
+//! `about:tracing`, one track per experiment. The traced suite still runs
+//! one worker thread per experiment: each worker installs its own recorder
+//! and the traces are absorbed in catalog order, so ids and output are
 //! byte-for-byte identical to a serial traced run. `--metrics` prints the
 //! global metrics-registry snapshot as JSON on stderr after the run;
 //! `--metrics-out PATH` writes the Prometheus-style text exposition to
@@ -28,14 +27,15 @@
 
 use naming_bench::experiments::{run_all, run_experiment, CATALOG};
 use naming_core::report::Table;
+use naming_core::sweep::map_chunks;
+use naming_telemetry::recorder;
 
 /// Runs one experiment, assigning it a named recorder track when tracing.
 fn run_one(id: &str, seed: u64) -> Option<Vec<Table>> {
-    #[cfg(feature = "telemetry")]
-    if naming_telemetry::recorder::is_active() {
+    if recorder::is_active() {
         if let Some(pos) = CATALOG.iter().position(|info| info.id == id) {
             let track = pos as u64 + 1;
-            naming_telemetry::recorder::set_track_name(
+            recorder::set_track_name(
                 track,
                 format!("{} {}", CATALOG[pos].id, CATALOG[pos].artifact),
             );
@@ -44,54 +44,34 @@ fn run_one(id: &str, seed: u64) -> Option<Vec<Table>> {
     run_experiment(id, seed)
 }
 
-/// Runs the whole suite. When a recorder is installed and the `parallel`
-/// feature is on, each experiment still gets its own worker thread: the
-/// worker installs a private recorder (inheriting the main clock), names
-/// its catalog track, and hands its trace back; the main thread absorbs
-/// the traces in catalog order, so the merged timeline — ids included —
-/// is byte-for-byte what the serial traced run produces.
+/// Runs the whole suite. When a recorder is installed each experiment
+/// still gets its own worker thread: the worker installs a private
+/// recorder (inheriting the main clock), names its catalog track, and
+/// hands its trace back; the main thread absorbs the traces in catalog
+/// order, so the merged timeline — ids included — is byte-for-byte what a
+/// serial traced run produces.
 fn run_suite(seed: u64) -> Vec<Table> {
-    #[cfg(all(feature = "telemetry", feature = "parallel"))]
-    if naming_telemetry::recorder::is_active() {
-        let clock = naming_telemetry::recorder::clock();
-        let mut tables: Vec<Table> = Vec::new();
-        let mut traces = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = CATALOG
-                .iter()
-                .enumerate()
-                .map(|(pos, info)| {
-                    scope.spawn(move || {
-                        naming_telemetry::recorder::install();
-                        naming_telemetry::recorder::set_clock(clock);
-                        naming_telemetry::recorder::set_track_name(
-                            pos as u64 + 1,
-                            format!("{} {}", info.id, info.artifact),
-                        );
-                        let tables = run_experiment(info.id, seed).expect("catalog ids are valid");
-                        (tables, naming_telemetry::recorder::take())
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (t, data) = h.join().expect("experiment worker panicked");
-                tables.extend(t);
-                traces.push(data);
-            }
-        });
-        for data in traces.into_iter().flatten() {
-            naming_telemetry::recorder::absorb(data);
-        }
-        return tables;
+    if !recorder::is_active() {
+        return run_all(seed);
     }
-    #[cfg(all(feature = "telemetry", not(feature = "parallel")))]
-    if naming_telemetry::recorder::is_active() {
-        return CATALOG
+    let clock = recorder::clock();
+    let chunks = map_chunks(CATALOG, CATALOG.len(), |infos| {
+        recorder::install();
+        recorder::set_clock(clock);
+        let tables: Vec<Table> = infos
             .iter()
             .flat_map(|info| run_one(info.id, seed).expect("catalog ids are valid"))
             .collect();
+        (tables, recorder::take())
+    });
+    let mut tables = Vec::new();
+    for (chunk_tables, data) in chunks {
+        tables.extend(chunk_tables);
+        if let Some(data) = data {
+            recorder::absorb(data);
+        }
     }
-    run_all(seed)
+    tables
 }
 
 fn main() {
@@ -185,22 +165,9 @@ fn main() {
         eprintln!("--csv and --json are mutually exclusive");
         std::process::exit(2);
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = watch_every;
-        if trace_path.is_some() || metrics || metrics_out.is_some() || watch_every > 0 {
-            eprintln!(
-                "--trace/--metrics/--metrics-out/--watch require the `telemetry` feature \
-                 (on by default; this binary was built without it)"
-            );
-            std::process::exit(2);
-        }
-    }
-    #[cfg(feature = "telemetry")]
     if trace_path.is_some() {
-        naming_telemetry::recorder::install();
+        recorder::install();
     }
-    #[cfg(feature = "telemetry")]
     let mut watch = naming_bench::watch::MetricsWatch::new(watch_every, metrics_out.clone());
     let emit = |tables: Vec<naming_core::report::Table>| {
         if json {
@@ -227,7 +194,6 @@ fn main() {
     match exp {
         Some(id) => match run_one(&id, seed) {
             Some(tables) => {
-                #[cfg(feature = "telemetry")]
                 watch.tick(&id);
                 emit(tables);
             }
@@ -236,50 +202,41 @@ fn main() {
                 std::process::exit(2);
             }
         },
-        None => {
-            #[cfg(feature = "telemetry")]
-            if watch.watching() {
-                // A periodic dump needs a between-experiments boundary, so
-                // run the catalog serially, ticking after each experiment.
-                // Table output is identical to the parallel run.
-                let mut tables = Vec::new();
-                for info in CATALOG {
-                    tables.extend(run_one(info.id, seed).expect("catalog ids are valid"));
-                    watch.tick(info.id);
-                }
-                emit(tables);
-            } else {
-                emit(run_suite(seed));
+        None if watch.watching() => {
+            // A periodic dump needs a between-experiments boundary, so run
+            // the catalog serially, ticking after each experiment. Table
+            // output is identical to the parallel run.
+            let mut tables = Vec::new();
+            for info in CATALOG {
+                tables.extend(run_one(info.id, seed).expect("catalog ids are valid"));
+                watch.tick(info.id);
             }
-            #[cfg(not(feature = "telemetry"))]
-            emit(run_suite(seed));
+            emit(tables);
         }
+        None => emit(run_suite(seed)),
     }
 
-    #[cfg(feature = "telemetry")]
-    {
-        watch.finish();
-        if let Some(path) = &trace_path {
-            if let Some(data) = naming_telemetry::recorder::take() {
-                naming_telemetry::chrome::write(&data, std::path::Path::new(path)).unwrap_or_else(
-                    |e| {
-                        eprintln!("cannot write {path}: {e}");
-                        std::process::exit(1);
-                    },
-                );
-                eprintln!(
-                    "wrote Chrome trace to {path} ({} resolutions, {} events, {} dropped)",
-                    data.resolutions.len(),
-                    data.events.len(),
-                    data.dropped
-                );
-            }
-        }
-        if metrics {
+    watch.finish();
+    if let Some(path) = &trace_path {
+        if let Some(data) = recorder::take() {
+            naming_telemetry::chrome::write(&data, std::path::Path::new(path)).unwrap_or_else(
+                |e| {
+                    eprintln!("cannot write {path}: {e}");
+                    std::process::exit(1);
+                },
+            );
             eprintln!(
-                "{}",
-                naming_telemetry::metrics::global().snapshot().to_json()
+                "wrote Chrome trace to {path} ({} resolutions, {} events, {} dropped)",
+                data.resolutions.len(),
+                data.events.len(),
+                data.dropped
             );
         }
+    }
+    if metrics {
+        eprintln!(
+            "{}",
+            naming_telemetry::metrics::global().snapshot().to_json()
+        );
     }
 }

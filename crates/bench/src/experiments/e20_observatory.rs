@@ -10,9 +10,9 @@
 //! [`StalenessObservatory`](naming_resolver::observatory::StalenessObservatory)
 //! watches every resolution, publish, and staleness window and grades
 //! them against declared [`SloThresholds`]. Everything is measured on the
-//! VirtualTime axis, so the tables are byte-identical across runs and
-//! feature sets; the `telemetry` feature only adds `slo.*` metrics and
-//! breach instants on the side.
+//! VirtualTime axis, so the tables are byte-identical across runs, traced
+//! or not; telemetry only adds `slo.*` metrics and breach instants on the
+//! side.
 //!
 //! The campaign is built to demonstrate both verdicts: the false-⊥
 //! objective holds everywhere (a lost message never surfaces as ⊥ —

@@ -93,36 +93,20 @@ pub fn run_experiment(id: &str, seed: u64) -> Option<Vec<Table>> {
 
 /// Runs the whole suite.
 ///
-/// With the `parallel` feature, every experiment runs on its own thread;
-/// each is seeded independently and owns its state, and the tables are
-/// stitched back in catalog order, so the output is byte-for-byte identical
-/// to the serial run.
+/// Every experiment runs on its own thread; each is seeded independently
+/// and owns its state, and the tables are stitched back in catalog order,
+/// so the output is byte-for-byte the catalog-order concatenation of
+/// [`run_experiment`].
 pub fn run_all(seed: u64) -> Vec<Table> {
-    #[cfg(feature = "parallel")]
-    {
-        let mut tables: Vec<Table> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = CATALOG
-                .iter()
-                .map(|info| {
-                    scope.spawn(move || {
-                        run_experiment(info.id, seed).expect("catalog ids are valid")
-                    })
-                })
-                .collect();
-            for h in handles {
-                tables.extend(h.join().expect("experiment worker panicked"));
-            }
-        });
-        tables
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        CATALOG
+    naming_core::sweep::map_chunks(CATALOG, CATALOG.len(), |infos| {
+        infos
             .iter()
             .flat_map(|info| run_experiment(info.id, seed).expect("catalog ids are valid"))
-            .collect()
-    }
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]

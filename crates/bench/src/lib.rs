@@ -16,9 +16,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-#[cfg(feature = "telemetry")]
 pub mod alloc;
 pub mod experiments;
 pub mod scenarios;
-#[cfg(feature = "telemetry")]
 pub mod watch;

@@ -1,5 +1,4 @@
-//! The `--watch` / `--metrics-out` plumbing shared by the bench binaries
-//! (feature `telemetry`).
+//! The `--watch` / `--metrics-out` plumbing shared by the bench binaries.
 //!
 //! A [`MetricsWatch`] periodically renders the global metrics registry as
 //! Prometheus-style text exposition
@@ -11,7 +10,7 @@
 //! still produces a diffable, checked-in-able snapshot file.
 //!
 //! Nothing here touches stdout: the CI byte-identity legs compare stdout
-//! across feature sets, and watching must never perturb that.
+//! with and without watching, and watching must never perturb that.
 
 use std::path::PathBuf;
 

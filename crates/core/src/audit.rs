@@ -14,15 +14,14 @@
 //!   namespaces where exhaustive checking is too slow. The ablation bench
 //!   `audit` compares the two.
 //!
-//! Audits over many names are embarrassingly parallel; with the `parallel`
-//! feature, `run` shards names across `crossbeam` scoped threads when
-//! `threads > 1`. Reports are byte-for-byte identical either way: workers
-//! produce chunks that are stitched back in name order. With the
-//! `telemetry` feature, a sharded audit run while the calling thread is
-//! tracing installs a private recorder on every worker (inheriting the
-//! parent's clock and track) and absorbs the captured traces in
-//! worker-index order after the join — parallel audits are fully traced,
-//! and the merged trace is deterministic for a fixed thread count.
+//! Audits over many names are embarrassingly parallel; `run` shards names
+//! across scoped threads ([`crate::sweep::map_chunks`]) when `threads > 1`.
+//! Reports are byte-for-byte identical either way: workers produce chunks
+//! that are stitched back in name order. A sharded audit run while the
+//! calling thread is tracing installs a private recorder on every worker
+//! (inheriting the parent's clock and track) and absorbs the captured
+//! traces in chunk order after the join — parallel audits are fully
+//! traced, and the merged trace is deterministic for a fixed thread count.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -34,6 +33,7 @@ use crate::coherence::{check_coherence, CoherenceStats, CoherenceVerdict};
 use crate::name::CompoundName;
 use crate::replica::ReplicaRegistry;
 use crate::state::SystemState;
+use crate::sweep::map_chunks;
 
 /// How much of the (name × participant) space the audit covers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -106,10 +106,7 @@ impl AuditSpec {
             AuditMode::Sampled { samples, .. } => samples.min(self.names.len()),
         };
         let work = names.saturating_mul(self.participants.len());
-        let max = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.threads = (work / RESOLUTIONS_PER_THREAD).clamp(1, max);
+        self.threads = (work / RESOLUTIONS_PER_THREAD).clamp(1, crate::sweep::available_threads());
         self
     }
 }
@@ -180,16 +177,11 @@ pub fn run(
         }
     };
 
-    #[cfg(feature = "parallel")]
     let verdicts: Vec<NameVerdict> = if spec.threads <= 1 || names.len() < 2 {
         names.iter().map(audit_one).collect()
     } else {
         run_sharded(&names, spec.threads, &audit_one)
     };
-    // Without the `parallel` feature, `threads` is honored as a request but
-    // everything runs on the calling thread — same verdicts, same order.
-    #[cfg(not(feature = "parallel"))]
-    let verdicts: Vec<NameVerdict> = names.iter().map(audit_one).collect();
 
     let mut stats = CoherenceStats::new();
     for v in &verdicts {
@@ -200,67 +192,35 @@ pub fn run(
 
 /// Shards `names` across scoped worker threads and stitches the verdict
 /// chunks back in name order.
-#[cfg(feature = "parallel")]
+///
+/// Under an active recorder every worker installs a private recorder
+/// inheriting the calling thread's clock and track, and the captured
+/// traces are absorbed in chunk order after the join — so the merged
+/// trace stream does not depend on scheduling.
 fn run_sharded(
     names: &[CompoundName],
     threads: usize,
     audit_one: &(dyn Fn(&CompoundName) -> NameVerdict + Sync),
 ) -> Vec<NameVerdict> {
-    let threads = threads.min(names.len());
-    let chunk = names.len().div_ceil(threads);
-    #[cfg(feature = "telemetry")]
-    if naming_telemetry::recorder::is_active() {
-        return run_sharded_traced(names, chunk, audit_one);
-    }
-    let mut out: Vec<Vec<NameVerdict>> = Vec::with_capacity(threads);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = names
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move |_| slice.iter().map(audit_one).collect::<Vec<_>>()))
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("audit worker panicked"));
-        }
-    })
-    .expect("audit scope");
-    out.into_iter().flatten().collect()
-}
-
-/// The sharded sweep under an active recorder: every worker installs a
-/// private recorder inheriting the calling thread's clock and track, and
-/// the captured traces are absorbed in worker-index order after the join
-/// — so the merged trace stream does not depend on scheduling.
-#[cfg(all(feature = "parallel", feature = "telemetry"))]
-fn run_sharded_traced(
-    names: &[CompoundName],
-    chunk: usize,
-    audit_one: &(dyn Fn(&CompoundName) -> NameVerdict + Sync),
-) -> Vec<NameVerdict> {
     use naming_telemetry::recorder;
 
+    let audit_chunk = |slice: &[CompoundName]| slice.iter().map(audit_one).collect::<Vec<_>>();
+    if !recorder::is_active() {
+        return map_chunks(names, threads, audit_chunk)
+            .into_iter()
+            .flatten()
+            .collect();
+    }
     let clock = recorder::clock();
     let track = recorder::track();
-    let mut out: Vec<(Vec<NameVerdict>, Option<naming_telemetry::TraceData>)> = Vec::new();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = names
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move |_| {
-                    recorder::install();
-                    recorder::set_clock(clock);
-                    recorder::set_track(track);
-                    let verdicts = slice.iter().map(audit_one).collect::<Vec<_>>();
-                    (verdicts, recorder::take())
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("audit worker panicked"));
-        }
-    })
-    .expect("audit scope");
+    let chunks = map_chunks(names, threads, |slice| {
+        recorder::install();
+        recorder::set_clock(clock);
+        recorder::set_track(track);
+        (audit_chunk(slice), recorder::take())
+    });
     let mut verdicts = Vec::with_capacity(names.len());
-    for (chunk_verdicts, data) in out {
+    for (chunk_verdicts, data) in chunks {
         verdicts.extend(chunk_verdicts);
         if let Some(data) = data {
             recorder::absorb(data);
@@ -359,7 +319,6 @@ mod tests {
         assert_eq!(r1.verdicts, r2.verdicts);
     }
 
-    #[cfg(all(feature = "parallel", feature = "telemetry"))]
     #[test]
     fn parallel_audit_is_traced_and_deterministic() {
         use naming_telemetry::recorder;

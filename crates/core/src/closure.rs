@@ -316,12 +316,10 @@ pub fn resolve_with_rule(
     m: &MetaContext,
     name: &CompoundName,
 ) -> Entity {
-    #[cfg(feature = "telemetry")]
     crate::obs::note_meta(rule.rule_name(), m.resolver, m.source.kind());
     match rule.select_context(m, registry) {
         Some(ctx) => Resolver::new().resolve_entity(state, ctx, name),
         None => {
-            #[cfg(feature = "telemetry")]
             crate::obs::no_context_selected(name);
             Entity::Undefined
         }
@@ -344,12 +342,10 @@ pub fn resolve_with_rule_memo(
     name: &CompoundName,
     memo: &mut crate::memo::ResolutionMemo,
 ) -> Entity {
-    #[cfg(feature = "telemetry")]
     crate::obs::note_meta(rule.rule_name(), m.resolver, m.source.kind());
     match rule.select_context(m, registry) {
         Some(ctx) => Resolver::new().resolve_entity_memo(state, ctx, name, memo),
         None => {
-            #[cfg(feature = "telemetry")]
             crate::obs::no_context_selected(name);
             Entity::Undefined
         }

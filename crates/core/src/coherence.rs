@@ -122,61 +122,56 @@ pub fn check_coherence(
 ) -> CoherenceVerdict {
     let resolutions = sweep_participants(state, registry, rule, participants, name);
     let verdict = classify(&resolutions, replicas);
-    #[cfg(feature = "telemetry")]
-    {
-        naming_telemetry::counter!("coherence.checks").bump();
-        match &verdict {
-            CoherenceVerdict::Incoherent { resolutions } => {
-                naming_telemetry::counter!("coherence.incoherent").bump();
-                if naming_telemetry::recorder::is_active() {
-                    let distinct: std::collections::BTreeSet<String> =
-                        resolutions.iter().map(|(_, e)| e.to_string()).collect();
-                    naming_telemetry::recorder::instant(
-                        "coherence",
-                        format!("incoherent {name}"),
-                        vec![
-                            ("rule".to_string(), rule.rule_name().to_string()),
-                            ("participants".to_string(), resolutions.len().to_string()),
-                            (
-                                "entities".to_string(),
-                                distinct.into_iter().collect::<Vec<_>>().join(", "),
-                            ),
-                        ],
-                    );
-                }
+    naming_telemetry::counter!("coherence.checks").bump();
+    match &verdict {
+        CoherenceVerdict::Incoherent { resolutions } => {
+            naming_telemetry::counter!("coherence.incoherent").bump();
+            if naming_telemetry::recorder::is_active() {
+                let distinct: std::collections::BTreeSet<String> =
+                    resolutions.iter().map(|(_, e)| e.to_string()).collect();
+                naming_telemetry::recorder::instant(
+                    "coherence",
+                    format!("incoherent {name}"),
+                    vec![
+                        ("rule".to_string(), rule.rule_name().to_string()),
+                        ("participants".to_string(), resolutions.len().to_string()),
+                        (
+                            "entities".to_string(),
+                            distinct.into_iter().collect::<Vec<_>>().join(", "),
+                        ),
+                    ],
+                );
             }
-            CoherenceVerdict::WeaklyCoherent(group) => {
-                naming_telemetry::counter!("coherence.weak").bump();
-                if naming_telemetry::recorder::is_active() {
-                    naming_telemetry::recorder::instant(
-                        "coherence",
-                        format!("weakly-coherent {name}"),
-                        vec![
-                            ("rule".to_string(), rule.rule_name().to_string()),
-                            ("replica_group".to_string(), format!("{group:?}")),
-                        ],
-                    );
-                }
-            }
-            CoherenceVerdict::Coherent(_) | CoherenceVerdict::Vacuous => {}
         }
+        CoherenceVerdict::WeaklyCoherent(group) => {
+            naming_telemetry::counter!("coherence.weak").bump();
+            if naming_telemetry::recorder::is_active() {
+                naming_telemetry::recorder::instant(
+                    "coherence",
+                    format!("weakly-coherent {name}"),
+                    vec![
+                        ("rule".to_string(), rule.rule_name().to_string()),
+                        ("replica_group".to_string(), format!("{group:?}")),
+                    ],
+                );
+            }
+        }
+        CoherenceVerdict::Coherent(_) | CoherenceVerdict::Vacuous => {}
     }
     verdict
 }
 
 /// Participant count above which the sweep in [`check_coherence`] shards
-/// across threads (with the `parallel` feature). One resolution is far too
-/// small a work unit to pay a thread for; below this bound a serial sweep
-/// wins outright.
-#[cfg(feature = "parallel")]
+/// across threads. One resolution is far too small a work unit to pay a
+/// thread for; below this bound a serial sweep wins outright.
 pub const PARALLEL_SWEEP_THRESHOLD: usize = 512;
 
 /// Resolves `name` once per participant, in participant order.
 ///
-/// With the `parallel` feature, sweeps over at least
-/// [`PARALLEL_SWEEP_THRESHOLD`] participants are sharded across scoped
-/// threads; chunks are stitched back in participant order, so the result —
-/// and every verdict derived from it — is identical to the serial sweep.
+/// Sweeps over at least [`PARALLEL_SWEEP_THRESHOLD`] participants are
+/// sharded across scoped threads by [`crate::sweep::map_chunks`], which
+/// returns chunks in participant order, so the result — and every verdict
+/// derived from it — is identical to the serial sweep.
 fn sweep_participants(
     state: &SystemState,
     registry: &ContextRegistry,
@@ -190,31 +185,15 @@ fn sweep_participants(
             resolve_with_rule(state, registry, rule, m, name),
         )
     };
-    #[cfg(feature = "parallel")]
-    if participants.len() >= PARALLEL_SWEEP_THRESHOLD {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(participants.len());
-        if workers > 1 {
-            let chunk = participants.len().div_ceil(workers);
-            let mut out: Vec<(ActivityId, Entity)> = Vec::with_capacity(participants.len());
-            crossbeam::scope(|scope| {
-                let handles: Vec<_> = participants
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move |_| slice.iter().map(resolve_one).collect::<Vec<_>>())
-                    })
-                    .collect();
-                for h in handles {
-                    out.extend(h.join().expect("sweep worker panicked"));
-                }
-            })
-            .expect("sweep scope");
-            return out;
-        }
+    if participants.len() < PARALLEL_SWEEP_THRESHOLD {
+        return participants.iter().map(resolve_one).collect();
     }
-    participants.iter().map(resolve_one).collect()
+    crate::sweep::map_chunks(participants, crate::sweep::available_threads(), |slice| {
+        slice.iter().map(resolve_one).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Classifies a set of per-participant resolutions into a verdict.
@@ -677,7 +656,6 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_sweep_matches_serial_order_and_verdict() {
         // Enough participants to cross PARALLEL_SWEEP_THRESHOLD; half see

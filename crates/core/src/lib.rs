@@ -71,6 +71,7 @@
 //! | [`coherence`] | §4–5 | coherence, weak coherence, degree-of-coherence stats |
 //! | [`replica`] | §5 | replica groups for weak coherence |
 //! | [`audit`] | §5 | parallel coherence auditor |
+//! | [`sweep`] | — | the one ordered scoped-thread sweep under the audits |
 //! | [`builder`] | — | fluent naming-graph construction |
 //! | [`monitor`] | — | coherence time series over churn |
 //! | [`report`] | — | table rendering for experiments |
@@ -90,7 +91,6 @@ pub mod lease;
 pub mod memo;
 pub mod monitor;
 pub mod name;
-#[cfg(feature = "telemetry")]
 mod obs;
 pub mod replica;
 pub mod report;
@@ -98,6 +98,7 @@ pub mod resolve;
 pub mod slab_lru;
 pub mod snapshot;
 pub mod state;
+pub mod sweep;
 
 /// Convenient re-exports of the types used in almost every program built on
 /// this crate.

@@ -88,7 +88,6 @@ impl MemoStats {
 /// relaxed `fetch_add` would be a measurable fraction of that). The
 /// remainder is flushed on [`Drop`], so registry totals are exact once
 /// the memo is gone.
-#[cfg(feature = "telemetry")]
 const MIRROR_BATCH: u64 = 1024;
 
 /// One recorded dependency: a traversed context and the generation its
@@ -177,7 +176,6 @@ pub struct ResolutionMemo {
     /// not-yet-mirrored remainder with it, so both copies will eventually
     /// flush it — registry totals are aggregates, per-memo `stats()` is
     /// the exact record.
-    #[cfg(feature = "telemetry")]
     mirrored: MemoStats,
 }
 
@@ -189,7 +187,6 @@ impl Default for ResolutionMemo {
 
 /// Flushes the not-yet-mirrored counter remainder, so registry totals
 /// are exact once every memo has been dropped.
-#[cfg(feature = "telemetry")]
 impl Drop for ResolutionMemo {
     fn drop(&mut self) {
         self.mirror_stats();
@@ -212,7 +209,6 @@ impl ResolutionMemo {
             store: SlabLru::with_capacity(capacity),
             stats: MemoStats::default(),
             deps: Vec::new(),
-            #[cfg(feature = "telemetry")]
             mirrored: MemoStats::default(),
         }
     }
@@ -239,19 +235,14 @@ impl ResolutionMemo {
 
     /// Resets the counters (entries are kept).
     pub fn reset_stats(&mut self) {
-        #[cfg(feature = "telemetry")]
         self.mirror_stats();
         self.stats = MemoStats::default();
-        #[cfg(feature = "telemetry")]
-        {
-            self.mirrored = MemoStats::default();
-        }
+        self.mirrored = MemoStats::default();
     }
 
     /// Pushes the counter deltas since the last flush into the global
     /// metrics registry (`memo.*`), so memo behavior shows up in
     /// `--metrics` snapshots alongside the other subsystems.
-    #[cfg(feature = "telemetry")]
     fn mirror_stats(&mut self) {
         macro_rules! push {
             ($field:ident, $name:literal) => {
@@ -273,7 +264,6 @@ impl ResolutionMemo {
     /// bumps exactly one of `hits`/`misses`, so their sum counts probes.
     #[inline]
     fn maybe_mirror(&mut self) {
-        #[cfg(feature = "telemetry")]
         if (self.stats.hits + self.stats.misses).is_multiple_of(MIRROR_BATCH) {
             self.mirror_stats();
         }

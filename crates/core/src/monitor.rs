@@ -32,17 +32,14 @@ pub struct Observation {
     /// recorded while producing `stats` — the *explanation* of any drift:
     /// each id names a full per-hop trace of one participant's
     /// resolution. Empty unless the caller passed a [`TraceHandle`] to
-    /// [`CoherenceMonitor::observe`] and a recorder was active (requires
-    /// the `telemetry` feature).
+    /// [`CoherenceMonitor::observe`] and a recorder was active.
     pub trace_ids: Vec<u64>,
 }
 
 /// Opt-in marker asking [`CoherenceMonitor::observe`] to link the
 /// observation to the resolution traces its audit records.
 ///
-/// The type exists without the `telemetry` feature so call sites are
-/// feature-independent; without the feature (or without an installed
-/// recorder) passing it is a no-op and
+/// Without an installed recorder passing it is a no-op and
 /// [`Observation::trace_ids`] stays empty.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceHandle;
@@ -93,17 +90,11 @@ impl CoherenceMonitor {
         replicas: Option<&ReplicaRegistry>,
         trace: Option<&TraceHandle>,
     ) -> &Observation {
-        #[cfg(feature = "telemetry")]
         let mark = trace.map(|_| naming_telemetry::recorder::trace_count());
-        #[cfg(not(feature = "telemetry"))]
-        let _ = trace;
         let report = audit_run(state, registry, rule, &self.spec, replicas);
-        #[cfg(feature = "telemetry")]
         let trace_ids = mark
             .map(naming_telemetry::recorder::trace_ids_since)
             .unwrap_or_default();
-        #[cfg(not(feature = "telemetry"))]
-        let trace_ids = Vec::new();
         self.series.push(Observation {
             label: label.into(),
             ticks,

@@ -1,11 +1,10 @@
 //! Telemetry glue: translates core types into the raw-id records of
 //! `naming-telemetry`.
 //!
-//! Compiled only with the `telemetry` feature. Every helper begins with an
-//! [`recorder::is_active`] check (or is called behind one), so with no
-//! recorder installed on the current thread the hooks are a thread-local
-//! read and allocate nothing — resolution under an inactive recorder costs
-//! one branch per resolution, not per hop.
+//! Every helper begins with an [`recorder::is_active`] check (or is called
+//! behind one), so with no recorder installed on the current thread the
+//! hooks are a thread-local read and allocate nothing — resolution under
+//! an inactive recorder costs one branch per resolution, not per hop.
 //!
 //! The memoized resolver's whole-name hits are recorded with
 //! `Outcome::Resolved("⊥")` when the memoized entity is undefined: the

@@ -185,13 +185,10 @@ impl Resolver {
         name: &CompoundName,
     ) -> Result<Resolution, ResolveError> {
         let out = self.resolve_impl(state, start, name);
-        #[cfg(feature = "telemetry")]
-        {
-            crate::obs::plain_resolution(state, start, name, &out);
-            // The histogram's count doubles as the plain-resolution
-            // counter; no separate counter bump on this hot path.
-            naming_telemetry::histogram!("resolve.depth").record(name.len() as u64);
-        }
+        crate::obs::plain_resolution(state, start, name, &out);
+        // The histogram's count doubles as the plain-resolution
+        // counter; no separate counter bump on this hot path.
+        naming_telemetry::histogram!("resolve.depth").record(name.len() as u64);
         out
     }
 
@@ -261,7 +258,6 @@ impl Resolver {
         start: ObjectId,
         name: &CompoundName,
     ) -> Entity {
-        #[cfg(feature = "telemetry")]
         if crate::obs::active() {
             return match self.resolve(state, start, name) {
                 Ok(r) => r.entity,
@@ -271,7 +267,6 @@ impl Resolver {
         let entity = self.walk_entity(state, start, name);
         // Metrics parity with `resolve`: the depth histogram records every
         // plain resolution whether or not a recorder is tracing.
-        #[cfg(feature = "telemetry")]
         naming_telemetry::histogram!("resolve.depth").record(name.len() as u64);
         entity
     }
@@ -330,19 +325,15 @@ impl Resolver {
         if comps.len() > self.depth_limit {
             return Entity::Undefined;
         }
-        #[cfg(feature = "telemetry")]
         let tracing = crate::obs::begin(start, name);
-        #[cfg(feature = "telemetry")]
         let invalidations_before = memo.stats().invalidations;
         // Hot path: the whole name is memoized and still current.
         if let Some(e) = memo.probe(state, start, comps) {
-            #[cfg(feature = "telemetry")]
             if tracing {
                 crate::obs::finish_memo_hit(e);
             }
             return e;
         }
-        #[cfg(feature = "telemetry")]
         if tracing {
             crate::obs::whole_probe_missed(memo.stats().invalidations > invalidations_before);
         }
@@ -352,29 +343,22 @@ impl Resolver {
         let mut deps: Vec<(ObjectId, u64)> = Vec::with_capacity(comps.len());
         let mut ctx = start;
         let mut i = 0;
-        #[cfg(feature = "telemetry")]
         let mut bottom: Option<crate::obs::BottomCause> = None;
         let (entity, tail): (Entity, Box<[(ObjectId, u64)]>) = loop {
-            #[cfg(feature = "telemetry")]
             let mut hop_memo = crate::obs::MemoEvent::None;
             if i > 0 {
-                #[cfg(feature = "telemetry")]
                 let suffix_invalidations = memo.stats().invalidations;
                 if let Some(hit) = memo.probe_with_deps(state, ctx, &comps[i..]) {
-                    #[cfg(feature = "telemetry")]
                     if tracing {
                         crate::obs::suffix_hit(state, ctx, &comps[i..], hit.0);
                     }
                     break hit;
                 }
-                #[cfg(feature = "telemetry")]
-                {
-                    hop_memo = if memo.stats().invalidations > suffix_invalidations {
-                        crate::obs::MemoEvent::Invalidated
-                    } else {
-                        crate::obs::MemoEvent::Miss
-                    };
-                }
+                hop_memo = if memo.stats().invalidations > suffix_invalidations {
+                    crate::obs::MemoEvent::Invalidated
+                } else {
+                    crate::obs::MemoEvent::Miss
+                };
             }
             positions.push(ctx);
             let Some(c) = state.context(ctx) else {
@@ -382,26 +366,19 @@ impl Resolver {
                 // of the name denotes ⊥. No generation to record — an
                 // object's kind can only change through the epoch-bumping
                 // escape hatches, and the epoch stamp covers that.
-                #[cfg(feature = "telemetry")]
-                {
-                    bottom = Some(crate::obs::BottomCause::NotAContext {
-                        at: i.saturating_sub(1),
-                    });
-                }
+                bottom = Some(crate::obs::BottomCause::NotAContext {
+                    at: i.saturating_sub(1),
+                });
                 break (Entity::Undefined, Box::default());
             };
             deps.push((ctx, c.version()));
             let result = c.lookup(comps[i]);
-            #[cfg(feature = "telemetry")]
             if tracing {
                 crate::obs::hop(state, ctx, comps[i], result, hop_memo);
             }
             i += 1;
             if result == Entity::Undefined {
-                #[cfg(feature = "telemetry")]
-                {
-                    bottom = Some(crate::obs::BottomCause::Unbound { at: i - 1 });
-                }
+                bottom = Some(crate::obs::BottomCause::Unbound { at: i - 1 });
                 break (Entity::Undefined, Box::default());
             }
             if i == comps.len() {
@@ -411,15 +388,11 @@ impl Resolver {
                 Entity::Object(o) => ctx = o,
                 // Activities are not contexts; traversal dies here.
                 _ => {
-                    #[cfg(feature = "telemetry")]
-                    {
-                        bottom = Some(crate::obs::BottomCause::NotAContext { at: i - 1 });
-                    }
+                    bottom = Some(crate::obs::BottomCause::NotAContext { at: i - 1 });
                     break (Entity::Undefined, Box::default());
                 }
             }
         };
-        #[cfg(feature = "telemetry")]
         if tracing {
             crate::obs::finish_walk(entity, bottom);
         }

@@ -429,12 +429,10 @@ pub fn resolve_with_rule_snapshot(
     m: &crate::closure::MetaContext,
     name: &CompoundName,
 ) -> Entity {
-    #[cfg(feature = "telemetry")]
     crate::obs::note_meta(rule.rule_name(), m.resolver, m.source.kind());
     match rule.select_context(m, registry) {
         Some(ctx) => Resolver::new().resolve_entity_snapshot(snap, ctx, name),
         None => {
-            #[cfg(feature = "telemetry")]
             crate::obs::no_context_selected(name);
             Entity::Undefined
         }

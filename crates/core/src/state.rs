@@ -475,13 +475,10 @@ impl SystemState {
     /// Records shard write heat: the `state.shard.writes` histogram takes
     /// the *shard index* as its value, so one histogram exposes the whole
     /// write distribution (a hot shard shows up as a heavy bucket).
-    /// Observational only — compiled out without the `telemetry` feature.
+    /// Observational only.
     #[inline]
     fn note_shard_write(shard: usize) {
-        #[cfg(feature = "telemetry")]
         naming_telemetry::histogram!("state.shard.writes").record(shard as u64);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = shard;
     }
 
     // --- activities -------------------------------------------------------

@@ -125,31 +125,28 @@ impl ExecService {
         args: &[CompoundName],
     ) -> ExecOutcome {
         let out = self.remote_exec_impl(world, parent, target, label, args);
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("exec.requests").bump();
-            if out.child.is_none() {
-                naming_telemetry::counter!("exec.failures").bump();
-            }
-            naming_telemetry::histogram!("exec.latency_ticks").record(out.latency.ticks());
-            naming_telemetry::histogram!("exec.messages").record(out.messages);
-            if naming_telemetry::recorder::is_active() {
-                naming_telemetry::recorder::span(
-                    "exec",
-                    format!("exec {label} @ {}", world.topology().machine_name(target)),
-                    world.now().ticks() - out.latency.ticks(),
-                    world.now().ticks(),
-                    vec![
-                        (
-                            "parent".into(),
-                            world.state().activity_label(parent).to_string(),
-                        ),
-                        ("args".into(), args.len().to_string()),
-                        ("spawned".into(), out.child.is_some().to_string()),
-                        ("messages".into(), out.messages.to_string()),
-                    ],
-                );
-            }
+        naming_telemetry::counter!("exec.requests").bump();
+        if out.child.is_none() {
+            naming_telemetry::counter!("exec.failures").bump();
+        }
+        naming_telemetry::histogram!("exec.latency_ticks").record(out.latency.ticks());
+        naming_telemetry::histogram!("exec.messages").record(out.messages);
+        if naming_telemetry::recorder::is_active() {
+            naming_telemetry::recorder::span(
+                "exec",
+                format!("exec {label} @ {}", world.topology().machine_name(target)),
+                world.now().ticks() - out.latency.ticks(),
+                world.now().ticks(),
+                vec![
+                    (
+                        "parent".into(),
+                        world.state().activity_label(parent).to_string(),
+                    ),
+                    ("args".into(), args.len().to_string()),
+                    ("spawned".into(), out.child.is_some().to_string()),
+                    ("messages".into(), out.messages.to_string()),
+                ],
+            );
         }
         out
     }

@@ -30,6 +30,7 @@ use naming_core::name::{CompoundName, Name};
 use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 use naming_core::state::SystemState;
+use naming_core::sweep;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
@@ -673,9 +674,9 @@ impl CachingResolver {
     ///
     /// The authoritative walks run through a scratch [`ResolutionMemo`],
     /// so entries sharing path prefixes (the common case — a cache fills
-    /// up with siblings) are each walked once instead of once per entry;
-    /// with the `parallel` feature large audits shard across threads.
-    /// Output is identical either way: same entries, same order.
+    /// up with siblings) are each walked once instead of once per entry,
+    /// and audits of 64 entries or more shard across threads. Output is
+    /// identical either way: same entries, same order.
     pub fn stale_entries(&self, world: &World) -> Vec<(ObjectId, CompoundName, Entity)> {
         let named = |(start, suffix, cached): (ObjectId, &[Name], Entity)| {
             let name = CompoundName::new(suffix.to_vec()).expect("cached names are nonempty");
@@ -700,17 +701,12 @@ impl CachingResolver {
 /// time when paid per name). Registry totals after the call are the same.
 fn mirror_probe_counts(hits: u64, misses: u64) {
     // A counter that never moved stays unregistered, as before.
-    #[cfg(feature = "telemetry")]
-    {
-        if hits > 0 {
-            naming_telemetry::counter!("cache.hits").add(hits);
-        }
-        if misses > 0 {
-            naming_telemetry::counter!("cache.misses").add(misses);
-        }
+    if hits > 0 {
+        naming_telemetry::counter!("cache.hits").add(hits);
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (hits, misses);
+    if misses > 0 {
+        naming_telemetry::counter!("cache.misses").add(misses);
+    }
 }
 
 /// Keeps exactly the entries whose cached entity disagrees with a fresh
@@ -731,29 +727,13 @@ fn audit_against_authority(
             .cloned()
             .collect::<Vec<_>>()
     };
-    #[cfg(feature = "parallel")]
-    if entries.len() >= 64 {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(entries.len());
-        if threads > 1 {
-            let chunk = entries.len().div_ceil(threads);
-            let mut out: Vec<Vec<(ObjectId, CompoundName, Entity)>> = Vec::with_capacity(threads);
-            crossbeam::scope(|scope| {
-                let handles: Vec<_> = entries
-                    .chunks(chunk)
-                    .map(|slice| scope.spawn(move |_| audit_chunk(slice)))
-                    .collect();
-                for h in handles {
-                    out.push(h.join().expect("audit worker panicked"));
-                }
-            })
-            .expect("audit scope");
-            return out.into_iter().flatten().collect();
-        }
+    if entries.len() < 64 {
+        return audit_chunk(&entries);
     }
-    audit_chunk(&entries)
+    sweep::map_chunks(&entries, sweep::available_threads(), audit_chunk)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]
@@ -1133,20 +1113,11 @@ mod tests {
 
     #[test]
     fn stale_audit_output_is_stable_under_memoization() {
-        // The memoized (and, with `parallel`, sharded) audit must report
-        // exactly what the naive per-entry walk reported.
-        let (mut w, mut r, client, root) = setup();
-        for p in ["/remote/data", "/remote", "/remote/data"] {
-            let name = CompoundName::parse_path(p).unwrap();
-            r.resolve(&mut w, client, root, &name, Mode::Iterative);
-        }
-        let sub = match store::resolve_path(w.state(), root, "/remote") {
-            naming_core::entity::Entity::Object(o) => o,
-            other => panic!("remote missing: {other}"),
-        };
-        let fresh = w.state_mut().add_data_object("data-v2", vec![]);
-        w.state_mut().bind(sub, Name::new("data"), fresh).unwrap();
-        let naive: Vec<(ObjectId, CompoundName, Entity)> = {
+        // The memoized audit, sharded across threads from 64 entries up,
+        // must report exactly what the naive per-entry walk reports: over
+        // a three-entry cache, and over a 96-entry one whose stale entries
+        // fall in every chunk.
+        fn naive_stale(w: &World, r: &CachingResolver) -> Vec<(ObjectId, CompoundName, Entity)> {
             let resolver = Resolver::new();
             let Planes::Oracle(plane) = &r.plane else {
                 panic!("setup() builds an exact-mode resolver");
@@ -1158,9 +1129,35 @@ mod tests {
                         .then_some((start, name, cached))
                 })
                 .collect()
-        };
-        assert_eq!(r.stale_entries(&w), naive);
-        assert_eq!(naive.len(), 1);
+        }
+        for (files, rebind_every) in [(0, 1), (96, 7)] {
+            let (mut w, mut r, client, root) = setup();
+            let sub = match store::resolve_path(w.state(), root, "/remote") {
+                naming_core::entity::Entity::Object(o) => o,
+                other => panic!("remote missing: {other}"),
+            };
+            let mut leaves = vec!["data".to_string()];
+            for i in 0..files {
+                store::create_file(w.state_mut(), sub, &format!("f{i}"), vec![]);
+                leaves.push(format!("f{i}"));
+            }
+            for p in ["/remote/data", "/remote", "/remote/data"] {
+                let name = CompoundName::parse_path(p).unwrap();
+                r.resolve(&mut w, client, root, &name, Mode::Iterative);
+            }
+            for leaf in &leaves[1..] {
+                let name = CompoundName::parse_path(&format!("/remote/{leaf}")).unwrap();
+                r.resolve(&mut w, client, root, &name, Mode::Iterative);
+            }
+            assert!(files == 0 || r.len() >= 64, "wide enough to shard");
+            for leaf in leaves.iter().step_by(rebind_every) {
+                let fresh = w.state_mut().add_data_object(format!("{leaf}-v2"), vec![]);
+                w.state_mut().bind(sub, Name::new(leaf), fresh).unwrap();
+            }
+            let naive = naive_stale(&w, &r);
+            assert_eq!(r.stale_entries(&w), naive);
+            assert_eq!(naive.len(), leaves.len().div_ceil(rebind_every));
+        }
     }
 
     #[test]

@@ -293,7 +293,6 @@ impl ConcurrentService {
         self.current = StateSnapshot::capture(&self.staging);
         self.published_revision = self.staging.revision();
         self.publishes += 1;
-        #[cfg(feature = "telemetry")]
         naming_telemetry::counter!("service.concurrent.publishes").bump();
         self.current.stamp()
     }
@@ -416,7 +415,6 @@ fn worker_loop(
     // workers; resolve this worker's handles from the registry once. The
     // names come from the interner, so every worker index — not just the
     // first eight — gets its own counters.
-    #[cfg(feature = "telemetry")]
     let (worker_batches, worker_queries) = {
         let (batches, queries) =
             crate::worker_metrics::batch_query_names(crate::worker_metrics::Family::Service, idx);
@@ -464,15 +462,12 @@ fn worker_loop(
         let saved = naive.saturating_sub(lookups);
         report.lookups += lookups;
         report.lookups_saved += saved;
-        #[cfg(feature = "telemetry")]
-        {
-            worker_batches.bump();
-            worker_queries.add(queries);
-            naming_telemetry::counter!("service.concurrent.batches").bump();
-            naming_telemetry::counter!("service.concurrent.queries").add(queries);
-            naming_telemetry::counter!("service.concurrent.lookups").add(lookups);
-            naming_telemetry::counter!("service.concurrent.lookups_saved").add(saved);
-        }
+        worker_batches.bump();
+        worker_queries.add(queries);
+        naming_telemetry::counter!("service.concurrent.batches").bump();
+        naming_telemetry::counter!("service.concurrent.queries").add(queries);
+        naming_telemetry::counter!("service.concurrent.lookups").add(lookups);
+        naming_telemetry::counter!("service.concurrent.lookups_saved").add(saved);
         let answer = BatchAnswer {
             id: job.req.id,
             entities,
@@ -816,7 +811,6 @@ mod tests {
     /// Regression: the old fixed 8-slot name tables aliased every worker
     /// past index 7 onto `service.worker7.*`. A pool wider than eight
     /// workers must register a distinct counter pair per worker.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn wide_pool_registers_distinct_per_worker_counters() {
         let (s, root) = tree();

@@ -328,7 +328,6 @@ impl Continuation {
         if let Some((servers_touched, lookups_saved)) = reply {
             engine.routes.remove(ex.id);
             world.cancel_wake(ex.id);
-            #[cfg(feature = "telemetry")]
             if policy.is_some() {
                 naming_telemetry::histogram!("retry.attempts").record(u64::from(ex.attempt) + 1);
             }

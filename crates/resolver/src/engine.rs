@@ -336,14 +336,12 @@ impl ProtocolEngine {
     /// Counts a deadline-driven retransmission.
     pub(crate) fn note_retransmission(&mut self) {
         self.counters.retransmissions += 1;
-        #[cfg(feature = "telemetry")]
         naming_telemetry::counter!("retry.retransmissions").bump();
     }
 
     /// Counts an attempt redirected to a replica.
     pub(crate) fn note_failover(&mut self) {
         self.counters.failovers += 1;
-        #[cfg(feature = "telemetry")]
         naming_telemetry::counter!("failover.attempts").bump();
     }
 
@@ -424,29 +422,26 @@ impl ProtocolEngine {
             unreachable: batch.unreachable[0],
         };
         let hops = batch.referrals;
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("protocol.resolves").bump();
-            naming_telemetry::histogram!("protocol.latency_ticks").record(stats.latency.ticks());
-            naming_telemetry::histogram!("protocol.messages").record(stats.messages);
-            if naming_telemetry::recorder::is_active() {
-                let asked = CompoundName::new(from.2[from.1..].to_vec()).expect("a rest is asked");
-                naming_telemetry::recorder::span(
-                    "protocol",
-                    format!("{mode:?} {asked}"),
-                    world.now().ticks() - stats.latency.ticks(),
-                    world.now().ticks(),
-                    vec![
-                        (
-                            "client".into(),
-                            world.state().activity_label(client).to_string(),
-                        ),
-                        ("entity".into(), stats.entity.to_string()),
-                        ("messages".into(), stats.messages.to_string()),
-                        ("servers".into(), stats.servers_touched.to_string()),
-                    ],
-                );
-            }
+        naming_telemetry::counter!("protocol.resolves").bump();
+        naming_telemetry::histogram!("protocol.latency_ticks").record(stats.latency.ticks());
+        naming_telemetry::histogram!("protocol.messages").record(stats.messages);
+        if naming_telemetry::recorder::is_active() {
+            let asked = CompoundName::new(from.2[from.1..].to_vec()).expect("a rest is asked");
+            naming_telemetry::recorder::span(
+                "protocol",
+                format!("{mode:?} {asked}"),
+                world.now().ticks() - stats.latency.ticks(),
+                world.now().ticks(),
+                vec![
+                    (
+                        "client".into(),
+                        world.state().activity_label(client).to_string(),
+                    ),
+                    ("entity".into(), stats.entity.to_string()),
+                    ("messages".into(), stats.messages.to_string()),
+                    ("servers".into(), stats.servers_touched.to_string()),
+                ],
+            );
         }
         (stats, hops)
     }
@@ -476,14 +471,11 @@ impl ProtocolEngine {
         names: impl ExactSizeIterator<Item = Start<'n>>,
     ) -> BatchResolveStats {
         let stats = self.run_to_completion(world, client, names, Mode::Iterative);
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("protocol.batch_resolves").bump();
-            naming_telemetry::counter!("protocol.hops_saved").add(stats.hops_saved);
-            naming_telemetry::counter!("protocol.coalesced").add(stats.coalesced);
-            naming_telemetry::histogram!("protocol.batch_size").record(stats.entities.len() as u64);
-            naming_telemetry::histogram!("protocol.batch_messages").record(stats.messages);
-        }
+        naming_telemetry::counter!("protocol.batch_resolves").bump();
+        naming_telemetry::counter!("protocol.hops_saved").add(stats.hops_saved);
+        naming_telemetry::counter!("protocol.coalesced").add(stats.coalesced);
+        naming_telemetry::histogram!("protocol.batch_size").record(stats.entities.len() as u64);
+        naming_telemetry::histogram!("protocol.batch_messages").record(stats.messages);
         stats
     }
 
@@ -702,7 +694,6 @@ impl ProtocolEngine {
     pub(crate) fn note_stale_reply(&mut self, id: u64) {
         if self.superseded.remove(&id) {
             self.counters.late_replies += 1;
-            #[cfg(feature = "telemetry")]
             naming_telemetry::counter!("retry.late_reply").bump();
         }
     }
@@ -1262,7 +1253,6 @@ mod tests {
 
     /// `retry.attempts` hears about every answered exchange of a batch —
     /// it used to be fed by single resolves only.
-    #[cfg(feature = "telemetry")]
     #[test]
     fn batch_exchanges_record_their_attempts() {
         let attempts = naming_telemetry::metrics::global().histogram("retry.attempts");

@@ -19,7 +19,7 @@
 //! * [`cache::CachingResolver`] — client-side caching, with *staleness
 //!   audits*: a cached entry that no longer matches the authority is a
 //!   name with two meanings — the paper's incoherence, in temporal form;
-//! * [`concurrent::ConcurrentService`] (feature `parallel`) — a
+//! * [`concurrent::ConcurrentService`] — a
 //!   multi-worker serving front end over immutable copy-on-publish
 //!   snapshots: readers never block, writes serialize through a publish
 //!   step that swaps the shared `Arc`;
@@ -40,7 +40,6 @@
 
 pub mod cache;
 pub mod coherence;
-#[cfg(feature = "parallel")]
 pub mod concurrent;
 pub(crate) mod continuation;
 pub mod engine;
@@ -49,5 +48,4 @@ pub mod referral;
 pub mod runtime;
 pub mod service;
 pub mod wire;
-#[cfg(feature = "telemetry")]
 pub(crate) mod worker_metrics;

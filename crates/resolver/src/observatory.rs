@@ -22,10 +22,10 @@
 //!
 //! Every measured quantity lives on the VirtualTime axis in windowed
 //! histograms, so the observatory is deterministic: the same workload
-//! produces byte-identical [`SloReport`]s whether or not the `telemetry`
-//! feature is compiled in. The feature only adds side channels — `slo.*`
-//! counters/histograms in the global registry and breach instants on the
-//! trace timeline.
+//! produces byte-identical [`SloReport`]s whether or not anyone watches.
+//! Watching only adds side channels — `slo.*` counters/histograms in the
+//! global registry and breach instants on the trace timeline of an
+//! installed recorder.
 
 use naming_core::monitor::CoherenceMonitor;
 use naming_telemetry::metrics::HistogramSnapshot;
@@ -121,14 +121,10 @@ impl StalenessObservatory {
     pub fn note_resolve(&mut self, now: u64, stats: &ResolveStats, expected_defined: Option<bool>) {
         self.resolves += 1;
         self.resolve_latency.record(now, stats.latency.ticks());
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("slo.resolves").bump();
-            naming_telemetry::histogram!("slo.resolve.latency").record(stats.latency.ticks());
-        }
+        naming_telemetry::counter!("slo.resolves").bump();
+        naming_telemetry::histogram!("slo.resolve.latency").record(stats.latency.ticks());
         if stats.unreachable {
             self.unreachables += 1;
-            #[cfg(feature = "telemetry")]
             naming_telemetry::counter!("slo.unreachable").bump();
             return;
         }
@@ -136,7 +132,6 @@ impl StalenessObservatory {
             self.bottoms += 1;
             if expected_defined == Some(true) {
                 self.false_bottoms += 1;
-                #[cfg(feature = "telemetry")]
                 naming_telemetry::counter!("slo.false_bottom").bump();
                 if self.false_bottom_rate() > self.thresholds.false_bottom_rate {
                     self.breach(
@@ -157,11 +152,8 @@ impl StalenessObservatory {
     pub fn note_publish(&mut self, now: u64, latency_ticks: u64) {
         self.publishes += 1;
         self.publish_latency.record(now, latency_ticks);
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("slo.publishes").bump();
-            naming_telemetry::histogram!("slo.publish.latency").record(latency_ticks);
-        }
+        naming_telemetry::counter!("slo.publishes").bump();
+        naming_telemetry::histogram!("slo.publish.latency").record(latency_ticks);
         let p99 = self.publish_latency.p99();
         if p99 > self.thresholds.publish_p99_ticks {
             self.breach(
@@ -182,11 +174,8 @@ impl StalenessObservatory {
         let span = end.saturating_sub(start);
         self.staleness_windows += 1;
         self.staleness.record(end, span);
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("slo.staleness.windows").bump();
-            naming_telemetry::histogram!("slo.staleness.window").record(span);
-        }
+        naming_telemetry::counter!("slo.staleness.windows").bump();
+        naming_telemetry::histogram!("slo.staleness.window").record(span);
         if span > self.thresholds.staleness_ticks {
             self.breach(
                 end,
@@ -209,15 +198,12 @@ impl StalenessObservatory {
     }
 
     fn breach(&mut self, ticks: u64, objective: &'static str, detail: String) {
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("slo.breaches").bump();
-            naming_telemetry::recorder::instant(
-                "slo",
-                format!("breach:{objective}"),
-                vec![("detail".into(), detail.clone())],
-            );
-        }
+        naming_telemetry::counter!("slo.breaches").bump();
+        naming_telemetry::recorder::instant(
+            "slo",
+            format!("breach:{objective}"),
+            vec![("detail".into(), detail.clone())],
+        );
         self.breaches.push(SloBreach {
             ticks,
             objective,
@@ -276,7 +262,7 @@ fn rate(part: u64, whole: u64) -> f64 {
 
 /// A graded summary of everything the observatory saw. All quantities
 /// derive from VirtualTime and deterministic counters, so reports are
-/// byte-identical across runs and feature sets.
+/// byte-identical across runs, traced or not.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SloReport {
     /// The thresholds the run was graded against.

@@ -210,7 +210,6 @@ impl<P: Validity, const NEGATIVE: bool> Validated<P, NEGATIVE> {
     fn looked_up(&mut self, hit: bool) -> bool {
         self.stats.hits += u64::from(hit);
         self.stats.misses += u64::from(!hit);
-        #[cfg(feature = "telemetry")]
         match (NEGATIVE, hit) {
             (false, true) => naming_telemetry::counter!("referral.hits").bump(),
             (false, false) => naming_telemetry::counter!("referral.misses").bump(),
@@ -223,7 +222,6 @@ impl<P: Validity, const NEGATIVE: bool> Validated<P, NEGATIVE> {
     /// The one place `invalidated` moves, likewise.
     fn dropped(&mut self, n: usize) -> usize {
         self.stats.invalidated += n as u64;
-        #[cfg(feature = "telemetry")]
         if n > 0 && NEGATIVE {
             naming_telemetry::counter!("negcache.invalidated").add(n as u64);
         } else if n > 0 {
@@ -315,7 +313,6 @@ impl<P: Validity> NegativeCache<P> {
         unreachable: bool,
     ) -> bool {
         if unreachable {
-            #[cfg(feature = "telemetry")]
             naming_telemetry::counter!("cache.unreachable_uncached").bump();
             return false;
         }
@@ -324,7 +321,6 @@ impl<P: Validity> NegativeCache<P> {
             .record(by, start, name, Entity::Undefined, zones, false);
         if kept {
             self.stats.recorded += 1;
-            #[cfg(feature = "telemetry")]
             naming_telemetry::counter!("negcache.recorded").bump();
         }
         kept

@@ -307,14 +307,11 @@ impl PipelinedService {
                 .report
                 .in_flight_queries_hwm
                 .max(self.in_flight_queries);
-            #[cfg(feature = "telemetry")]
-            {
-                naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
-                naming_telemetry::gauge!("pipeline.in_flight_queries")
-                    .set(self.in_flight_queries as i64);
-                naming_telemetry::histogram!("pipeline.queue_wait_ticks")
-                    .record((batch.admitted_at - batch.submitted_at).ticks());
-            }
+            naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
+            naming_telemetry::gauge!("pipeline.in_flight_queries")
+                .set(self.in_flight_queries as i64);
+            naming_telemetry::histogram!("pipeline.queue_wait_ticks")
+                .record((batch.admitted_at - batch.submitted_at).ticks());
             if batch.cont.advance(&mut self.engine, world) {
                 self.in_flight_queries -= batch.cont.stats.entities.len();
                 self.complete(world.now(), batch);
@@ -372,21 +369,16 @@ impl PipelinedService {
         let stats = batch.cont.finish(&mut self.engine);
         self.report.completed += 1;
         let worker = (seq % self.report.workers as u64) as usize;
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
-            naming_telemetry::gauge!("pipeline.in_flight_queries")
-                .set(self.in_flight_queries as i64);
-            naming_telemetry::histogram!("pipeline.continuation_depth")
-                .record(u64::from(stats.rounds));
-            let (batches, queries) = crate::worker_metrics::batch_query_names(
-                crate::worker_metrics::Family::Pipeline,
-                worker,
-            );
-            let reg = naming_telemetry::metrics::global();
-            reg.counter(batches).bump();
-            reg.counter(queries).add(stats.entities.len() as u64);
-        }
+        naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
+        naming_telemetry::gauge!("pipeline.in_flight_queries").set(self.in_flight_queries as i64);
+        naming_telemetry::histogram!("pipeline.continuation_depth").record(u64::from(stats.rounds));
+        let (batches, queries) = crate::worker_metrics::batch_query_names(
+            crate::worker_metrics::Family::Pipeline,
+            worker,
+        );
+        let reg = naming_telemetry::metrics::global();
+        reg.counter(batches).bump();
+        reg.counter(queries).add(stats.entities.len() as u64);
         self.done.insert(
             seq,
             PipelinedAnswer {

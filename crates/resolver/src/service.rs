@@ -390,35 +390,30 @@ impl NameService {
         name: &[L],
     ) -> Outcome {
         let out = self.local_resolve_impl(world, machine, start, name);
-        #[cfg(feature = "telemetry")]
-        {
-            match &out {
-                Outcome::Resolved(_) => naming_telemetry::counter!("service.resolved").bump(),
-                Outcome::Referral { next_machine, .. } => {
-                    naming_telemetry::counter!("service.referrals").bump();
-                    if naming_telemetry::recorder::is_active() {
-                        let shown = name.iter().map(|&l| {
-                            l.into()
-                                .unwrap_or_else(|| naming_core::name::Name::new("?"))
-                        });
-                        let name = CompoundName::new(shown).expect("a request names something");
-                        naming_telemetry::recorder::instant(
-                            "protocol",
-                            format!(
-                                "referral {name} {} -> {}",
-                                world.topology().machine_name(machine),
-                                world.topology().machine_name(*next_machine)
-                            ),
-                            Vec::new(),
-                        );
-                    }
-                }
-                Outcome::NotFound => naming_telemetry::counter!("service.not_found").bump(),
-                Outcome::WrongServer => naming_telemetry::counter!("service.wrong_server").bump(),
-                Outcome::Unreachable { .. } => {
-                    naming_telemetry::counter!("service.unreachable").bump()
+        match &out {
+            Outcome::Resolved(_) => naming_telemetry::counter!("service.resolved").bump(),
+            Outcome::Referral { next_machine, .. } => {
+                naming_telemetry::counter!("service.referrals").bump();
+                if naming_telemetry::recorder::is_active() {
+                    let shown = name.iter().map(|&l| {
+                        l.into()
+                            .unwrap_or_else(|| naming_core::name::Name::new("?"))
+                    });
+                    let name = CompoundName::new(shown).expect("a request names something");
+                    naming_telemetry::recorder::instant(
+                        "protocol",
+                        format!(
+                            "referral {name} {} -> {}",
+                            world.topology().machine_name(machine),
+                            world.topology().machine_name(*next_machine)
+                        ),
+                        Vec::new(),
+                    );
                 }
             }
+            Outcome::NotFound => naming_telemetry::counter!("service.not_found").bump(),
+            Outcome::WrongServer => naming_telemetry::counter!("service.wrong_server").bump(),
+            Outcome::Unreachable { .. } => naming_telemetry::counter!("service.unreachable").bump(),
         }
         out
     }
@@ -499,7 +494,6 @@ impl NameService {
         let n = trie.query_count() as usize;
         outcomes.clear();
         if self.machine_of_object(start) != Some(machine) {
-            #[cfg(feature = "telemetry")]
             naming_telemetry::counter!("service.wrong_server").add(n as u64);
             outcomes.resize(n, Outcome::WrongServer);
             return 0;
@@ -549,12 +543,9 @@ impl NameService {
             below
         });
         let saved = naive.saturating_sub(lookups);
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("service.batch_queries").add(n as u64);
-            naming_telemetry::counter!("service.batch_lookups").add(u64::from(lookups));
-            naming_telemetry::counter!("service.batch_lookups_saved").add(u64::from(saved));
-        }
+        naming_telemetry::counter!("service.batch_queries").add(n as u64);
+        naming_telemetry::counter!("service.batch_lookups").add(u64::from(lookups));
+        naming_telemetry::counter!("service.batch_lookups_saved").add(u64::from(saved));
         saved
     }
 

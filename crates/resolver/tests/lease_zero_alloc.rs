@@ -135,8 +135,8 @@ fn leased_referral_jumps_allocate_nothing() {
         rem,
         &[shard],
     );
-    // The first jump registers the telemetry counters it bumps (when that
-    // feature is compiled in); the steady state starts after it.
+    // The first jump registers the telemetry counters it bumps; the steady
+    // state starts after it.
     let jump = cache.lookup_deepest(heard(1, None, &table), &svc, root, full.components());
     assert_eq!(jump, Some((3, rem, m2, &[shard][..])));
     let allocated = allocations_in(|| {

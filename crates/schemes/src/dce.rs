@@ -105,7 +105,6 @@ impl Dce {
     pub fn spawn(&mut self, world: &mut World, machine: MachineId, label: &str) -> ActivityId {
         let pid = world.spawn(machine, label, None);
         self.processes.push(pid);
-        #[cfg(feature = "telemetry")]
         if naming_telemetry::recorder::is_active() {
             naming_telemetry::recorder::instant(
                 "scheme",
@@ -126,16 +125,13 @@ impl Dce {
         let mut comps = vec![Name::root(), Name::new(GLOBAL_POINT), Name::new(&cell.name)];
         comps.extend(rest.components().iter().copied());
         let global = CompoundName::new(comps).ok()?;
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("scheme.dce.globalized").bump();
-            if naming_telemetry::recorder::is_active() {
-                naming_telemetry::recorder::instant(
-                    "scheme",
-                    format!("dce globalize {name} -> {global}"),
-                    Vec::new(),
-                );
-            }
+        naming_telemetry::counter!("scheme.dce.globalized").bump();
+        if naming_telemetry::recorder::is_active() {
+            naming_telemetry::recorder::instant(
+                "scheme",
+                format!("dce globalize {name} -> {global}"),
+                Vec::new(),
+            );
         }
         Some(global)
     }

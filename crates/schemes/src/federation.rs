@@ -126,7 +126,6 @@ impl Federation {
         let to_root = self.systems[to.0].root;
         store::attach(world.state_mut(), from_root, link_name, to_root, false);
         self.links.push((from, to, Name::new(link_name)));
-        #[cfg(feature = "telemetry")]
         if naming_telemetry::recorder::is_active() {
             naming_telemetry::recorder::instant(
                 "scheme",
@@ -169,16 +168,13 @@ impl Federation {
         let mut comps = vec![Name::root(), link];
         comps.extend(name.components()[1..].iter().copied());
         let mapped = CompoundName::new(comps).ok()?;
-        #[cfg(feature = "telemetry")]
-        {
-            naming_telemetry::counter!("scheme.federation.mapped").bump();
-            if naming_telemetry::recorder::is_active() {
-                naming_telemetry::recorder::instant(
-                    "scheme",
-                    format!("federation map {name} -> {mapped}"),
-                    Vec::new(),
-                );
-            }
+        naming_telemetry::counter!("scheme.federation.mapped").bump();
+        if naming_telemetry::recorder::is_active() {
+            naming_telemetry::recorder::instant(
+                "scheme",
+                format!("federation map {name} -> {mapped}"),
+                Vec::new(),
+            );
         }
         Some(mapped)
     }
@@ -246,7 +242,6 @@ impl Federation {
                 None => burden.unreachable += 1,
             }
         }
-        #[cfg(feature = "telemetry")]
         if naming_telemetry::recorder::is_active() {
             naming_telemetry::recorder::instant(
                 "scheme",

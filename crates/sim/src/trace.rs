@@ -68,8 +68,8 @@ pub struct TraceLog {
 }
 
 /// The counters every simulated message pays for. They live in fixed
-/// slots (and, with `telemetry`, behind cached registry handles) so a
-/// bump is an add, not a map probe. Sorted, like the map they front.
+/// slots behind cached registry handles, so a bump is an add, not a map
+/// probe. Sorted, like the map they front.
 const HOT_KEYS: [&str; 5] = ["delivered", "lost", "sent", "wake", "wire_bytes"];
 
 #[inline]
@@ -79,7 +79,6 @@ fn hot_slot(key: &str) -> Option<usize> {
 
 /// The global-registry counter mirroring a hot slot, looked up on the
 /// slot's first bump and cached.
-#[cfg(feature = "telemetry")]
 fn hot_mirror(slot: usize) -> &'static naming_telemetry::metrics::Counter {
     use std::sync::{Arc, OnceLock};
     static MIRRORS: [OnceLock<Arc<naming_telemetry::metrics::Counter>>; HOT_KEYS.len()] =
@@ -119,11 +118,11 @@ impl TraceLog {
 
     /// Increments a named counter.
     ///
-    /// With the `telemetry` feature the increment is mirrored into the
-    /// process-wide [`naming_telemetry::metrics`] registry (under a
-    /// `sim.`-prefixed name for the standard event counters), so metric
-    /// snapshots aggregate across worlds. [`TraceLog::clear`] does not
-    /// rewind the mirror: registry counters are monotone.
+    /// The increment is mirrored into the process-wide
+    /// [`naming_telemetry::metrics`] registry (under a `sim.`-prefixed name
+    /// for the standard event counters), so metric snapshots aggregate
+    /// across worlds. [`TraceLog::clear`] does not rewind the mirror:
+    /// registry counters are monotone.
     #[inline]
     pub fn bump(&mut self, key: &'static str) {
         self.add(key, 1);
@@ -136,12 +135,10 @@ impl TraceLog {
     pub fn add(&mut self, key: &'static str, n: u64) {
         if let Some(slot) = hot_slot(key) {
             self.hot[slot] += n;
-            #[cfg(feature = "telemetry")]
             hot_mirror(slot).add(n);
             return;
         }
         *self.counters.entry(key).or_insert(0) += n;
-        #[cfg(feature = "telemetry")]
         naming_telemetry::metrics::global()
             .counter(mirror_name(key))
             .add(n);
@@ -181,7 +178,6 @@ impl TraceLog {
 
 /// The global-metrics name a trace counter is mirrored under: the standard
 /// event counters gain a `sim.` prefix; ad-hoc caller keys pass through.
-#[cfg(feature = "telemetry")]
 fn mirror_name(key: &'static str) -> &'static str {
     match key {
         "resolved" => "sim.resolved",

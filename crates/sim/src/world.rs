@@ -206,14 +206,12 @@ impl World {
 
     /// Keeps an installed recorder's virtual clock in step with the
     /// world's, so resolutions and simulator events land on one timeline.
-    #[cfg(feature = "telemetry")]
     fn sync_clock(&self) {
         naming_telemetry::recorder::set_clock(self.clock.ticks());
     }
 
     /// Emits a `message` span covering the virtual-time transit of a
     /// delivered message.
-    #[cfg(feature = "telemetry")]
     fn observe_delivery(&self, msg: &Message) {
         let fm = self.spawned(msg.from).machine;
         let tm = self.spawned(msg.to).machine;
@@ -242,7 +240,6 @@ impl World {
 
     /// Emits a `message` instant for a message that never reached its
     /// receiver (`why` is `"lost"`, `"unroutable"`, or `"dropped"`).
-    #[cfg(feature = "telemetry")]
     fn observe_undelivered(&self, why: &str, from: ActivityId, to: ActivityId) {
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
@@ -368,7 +365,6 @@ impl World {
             old,
             fresh
         );
-        #[cfg(feature = "telemetry")]
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
             naming_telemetry::recorder::instant("sim", format!("renumber {what}"), Vec::new());
@@ -389,7 +385,6 @@ impl World {
             old,
             fresh
         );
-        #[cfg(feature = "telemetry")]
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
             naming_telemetry::recorder::instant("sim", format!("renumber {what}"), Vec::new());
@@ -481,7 +476,6 @@ impl World {
         self.state.activity_state_mut(pid).tag = machine.0 as u64;
         self.trace
             .record(self.clock, TraceEvent::Spawned { pid, parent });
-        #[cfg(feature = "telemetry")]
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
             naming_telemetry::recorder::instant(
@@ -603,7 +597,6 @@ impl World {
         };
         // Core traces the resolution itself; keep its timestamps on the
         // simulated timeline.
-        #[cfg(feature = "telemetry")]
         self.sync_clock();
         let entity =
             naming_core::closure::resolve_with_rule(&self.state, &self.registry, rule, &m, name);
@@ -661,13 +654,11 @@ impl World {
         }
         if !self.link_up(fm, tm) {
             self.trace.bump("unroutable");
-            #[cfg(feature = "telemetry")]
             self.observe_undelivered("unroutable", from, to);
             return;
         }
         if self.faults.drop_rate > 0.0 && self.rng.chance(self.faults.drop_rate) {
             self.trace.bump("lost");
-            #[cfg(feature = "telemetry")]
             self.observe_undelivered("lost", from, to);
             return;
         }
@@ -779,7 +770,6 @@ impl World {
         self.clock = time;
         self.in_flight -= 1;
         let (from, to) = (msg.from, msg.to);
-        #[cfg(feature = "telemetry")]
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
             if self.process(to).is_some_and(|p| p.alive) {
@@ -794,7 +784,6 @@ impl World {
             }
             Some(_) => {
                 self.trace.bump("dropped");
-                #[cfg(feature = "telemetry")]
                 self.observe_undelivered("dropped", from, to);
             }
             None => {}

@@ -14,8 +14,6 @@
 //! * [`recorder`] — a thread-local recorder the instrumented crates write
 //!   into. Installation is explicit; when no recorder is installed every
 //!   hook is a branch on a thread-local `Option` and allocates nothing.
-//!   The instrumented crates additionally compile the hooks out entirely
-//!   unless their `telemetry` cargo feature is on.
 //! * [`metrics`] — sharded lock-free counters and fixed-bucket power-of-two
 //!   histograms behind a global registry, with snapshot/diff semantics.
 //! * [`flight`] — per-worker flight recorders: bounded lossy rings of

@@ -509,7 +509,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let c = reg.counter("t.hits");
         // Hammer from scoped threads (the same vendored crossbeam scope the
-        // parallel feature uses).
+        // threaded sweeps use).
         crossbeam::scope(|s| {
             for _ in 0..8 {
                 let c = Arc::clone(&c);

@@ -3,9 +3,7 @@
 //! Instrumented crates call the free functions in this module; when no
 //! recorder is installed (the default) every call is a branch on a
 //! thread-local `Option` and allocates nothing, so the hot resolution
-//! path stays effectively free. Callers additionally gate every call
-//! behind their own `telemetry` cargo feature, so a feature-disabled
-//! build compiles the hooks out entirely.
+//! path stays effectively free.
 //!
 //! The recorder is deliberately thread-local: the simulator and the
 //! resolution engines are single-threaded per world, and a thread-local
