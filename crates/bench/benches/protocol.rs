@@ -6,7 +6,7 @@ use naming_core::entity::ObjectId;
 use naming_core::name::CompoundName;
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::service::NameService;
-use naming_resolver::wire::{Mode, Request};
+use naming_resolver::wire::{BatchRequest, Mode, NameTrie};
 use naming_sim::store;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
@@ -14,20 +14,17 @@ use std::hint::black_box;
 
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol/wire");
-    let req = Request {
+    let name = CompoundName::parse_path("/org/dept/group/host/service/instance").unwrap();
+    let (trie, _) = NameTrie::build(&[name]);
+    let req = BatchRequest {
         id: 77,
         start: ObjectId::from_index(3),
-        name: CompoundName::parse_path("/org/dept/group/host/service/instance")
-            .unwrap()
-            .iter()
-            .map(|&c| Some(c))
-            .collect(),
-        mode: Mode::Recursive,
+        trie,
     };
     group.bench_function("encode", |b| b.iter(|| black_box(req.encode())));
     let frame = req.encode();
     group.bench_function("decode", |b| {
-        b.iter(|| black_box(Request::decode(black_box(frame.clone()))))
+        b.iter(|| black_box(BatchRequest::decode(black_box(frame.clone()))))
     });
     group.finish();
 }

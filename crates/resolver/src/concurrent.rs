@@ -33,7 +33,7 @@ use naming_telemetry::metrics::MetricsRegistry;
 pub use naming_telemetry::flight::{FlightLog, FlightRecorder, SharedFlightRecorder};
 pub use naming_telemetry::metrics::HistogramSnapshot;
 
-use crate::wire::{BatchReply, BatchRequest, Outcome, WalkScratch};
+use crate::wire::{BatchRequest, WalkScratch};
 
 /// A unit of work: one batch frame plus the snapshot it resolves against.
 struct Job {
@@ -57,37 +57,6 @@ pub struct BatchAnswer {
     /// The worker that served the batch (scheduling detail; varies run to
     /// run — everything else in the answer is deterministic).
     pub worker: usize,
-}
-
-impl BatchAnswer {
-    /// The answer as wire outcomes: defined entities are
-    /// [`Outcome::Resolved`], `⊥` is [`Outcome::NotFound`]. A snapshot
-    /// worker resolves in-process against state it already holds — no
-    /// transport is involved, so [`Outcome::Unreachable`] cannot arise
-    /// here and every ⊥ is authoritative for the snapshot's generation.
-    pub fn outcomes(&self) -> Vec<Outcome> {
-        self.entities
-            .iter()
-            .map(|&e| {
-                if e.is_defined() {
-                    Outcome::Resolved(e)
-                } else {
-                    Outcome::NotFound
-                }
-            })
-            .collect()
-    }
-
-    /// Packages the answer as the [`BatchReply`] frame a wire front end
-    /// would send back for the originating [`BatchRequest`].
-    pub fn to_reply(&self) -> BatchReply {
-        BatchReply {
-            id: self.id,
-            outcomes: self.outcomes(),
-            servers_touched: 1,
-            lookups_saved: 0,
-        }
-    }
 }
 
 /// What one worker did over its lifetime.
@@ -781,31 +750,6 @@ mod tests {
             .workers
             .iter()
             .all(|w| w.queue_wait.count == w.batches));
-    }
-
-    #[test]
-    fn answers_convert_to_wire_replies_without_unreachable() {
-        let (s, root) = tree();
-        let mut svc = ConcurrentService::new(s, 2);
-        let (req, _) = batch(9, root, &["/etc/passwd", "/nope"]);
-        svc.submit(req);
-        let answers = svc.drain();
-        assert_eq!(answers.len(), 1);
-        let reply = answers[0].to_reply();
-        assert_eq!(reply.id, 9);
-        assert_eq!(reply.outcomes.len(), 2);
-        // Defined answers resolve; in-process ⊥ is authoritative NotFound,
-        // never a transport verdict.
-        assert!(matches!(reply.outcomes[0], Outcome::Resolved(_)));
-        assert_eq!(reply.outcomes[1], Outcome::NotFound);
-        assert!(!reply
-            .outcomes
-            .iter()
-            .any(|o| matches!(o, Outcome::Unreachable { .. })));
-        // The frame round-trips through the wire codec.
-        let decoded = BatchReply::decode(reply.encode()).unwrap();
-        assert_eq!(decoded, reply);
-        svc.shutdown();
     }
 
     /// Regression: the old fixed 8-slot name tables aliased every worker

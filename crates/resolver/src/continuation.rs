@@ -19,13 +19,14 @@ use std::ops::Range;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::Name;
+use naming_core::resolve::DEFAULT_DEPTH_LIMIT;
 use naming_sim::message::Payload;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
 use crate::engine::{BatchResolveStats, ProtocolEngine, ReferralHop};
-use crate::wire::{self, Mode, Outcome, Request};
+use crate::wire::{self, Mode, Outcome};
 
 /// A table keyed by numbers handed out in increasing order (request ids,
 /// submission tickets): slot `key − first`, with leading empty slots
@@ -143,7 +144,12 @@ pub(crate) struct Continuation {
 
 impl Continuation {
     /// A continuation for `names`, each from its own start, on a finished
-    /// one's vectors when the engine has any idle.
+    /// one's vectors when the engine has any idle. A name longer than
+    /// [`DEFAULT_DEPTH_LIMIT`] is answered `⊥` here, where the whole of it
+    /// is known, as [`Resolver::resolve_entity`] answers it: no request
+    /// goes out for it.
+    ///
+    /// [`Resolver::resolve_entity`]: naming_core::resolve::Resolver::resolve_entity
     pub(crate) fn new<'n>(
         engine: &mut ProtocolEngine,
         seq: u64,
@@ -173,6 +179,9 @@ impl Continuation {
         for (slot, (ctx, consumed, name)) in names.enumerate() {
             cont.labels.extend_from_slice(name);
             cont.ends.push(cont.labels.len());
+            if name.len() > DEFAULT_DEPTH_LIMIT {
+                continue;
+            }
             cont.pending.push(Work {
                 ctx,
                 slot,
@@ -237,8 +246,11 @@ impl Continuation {
         while let Some(&Work { ctx, .. }) = self.round.get(lo) {
             let riders = lo..lo + self.round[lo..].partition_point(|w| w.ctx == ctx);
             lo = riders.end;
-            let Some(machine) = engine.service().machine_of_object(ctx) else {
-                // Nobody can be addressed: a transport verdict, not ⊥.
+            let service = engine.service();
+            let machine = service.machine_of_object(ctx);
+            let Some(machine) = machine.filter(|&m| service.server_if_on(m).is_some()) else {
+                // Nobody can be addressed — the zone is unplaced, or placed
+                // where no name server runs: a transport verdict, not ⊥.
                 self.mapping.resize(riders.end, 0);
                 self.give_up(riders);
                 continue;
@@ -273,30 +285,20 @@ impl Continuation {
     ) {
         let ex = &self.exchanges[k];
         let asked = self.round[ex.riders.clone()].iter();
-        let mut asked = asked.map(|w| w.suffix(&self.labels, &self.ends));
+        let asked = asked.map(|w| w.suffix(&self.labels, &self.ends));
         let s = &mut engine.scratch;
         s.remap.clear();
-        s.trie.rebuild(asked.clone(), &mut s.cells, &mut s.remap);
-        // Batch frames carry every iterative resolve; the scalar frame
-        // survives for recursion, which servers forward for the client.
-        let frame = match (self.mode, asked.next()) {
-            (Mode::Recursive, Some(name)) => Request {
-                id: ex.id,
-                start,
-                name: name.iter().map(|&c| Some(c)).collect(),
-                mode: Mode::Recursive,
-            }
-            .encode(),
-            _ => {
-                // The simulator owns a message in flight: the buffer comes
-                // back when the server has read it.
-                let mut frame = s.spare(s.trie.request_len());
-                wire::put_batch_request(&mut frame, ex.id, start, &s.trie);
-                frame.freeze()
-            }
-        };
+        s.trie.rebuild(asked, &mut s.cells, &mut s.remap);
+        debug_assert!(
+            self.mode == Mode::Iterative || s.trie.query_count() == 1,
+            "a recursive request chases one name"
+        );
+        // The simulator owns a message in flight: the buffer comes back when
+        // the server has read it.
+        let mut frame = s.spare(s.trie.request_len());
+        wire::put_request(&mut frame, self.mode, ex.id, start, &s.trie);
         let server = engine.service().server_on(machine);
-        world.send(self.client, server, Payload::Bytes(frame));
+        world.send(self.client, server, Payload::Bytes(frame.freeze()));
         self.stats.messages += 1;
         if let Some(policy) = engine.retry_policy() {
             let after = Duration::from_ticks(policy.timeout_ticks(ex.id, ex.attempt));

@@ -22,7 +22,7 @@ use crate::coherence::ZoneJournal;
 use crate::continuation::{Continuation, Dense, Route, Start};
 use crate::service::{BatchScratch, NameService};
 use crate::wire::{
-    self, Frame, Mode, NameTrie, Outcome, Reply, Request, ShardDelta, ZoneChange, ZoneDelta,
+    self, Frame, Label, Mode, NameTrie, Outcome, ShardDelta, WalkScratch, ZoneChange, ZoneDelta,
     ZoneDeltaRequest, ZoneUpdate,
 };
 
@@ -152,13 +152,6 @@ pub struct BatchResolveStats {
     pub unreachable: Vec<bool>,
 }
 
-#[derive(Debug, Default)]
-struct ServerState {
-    /// Recursive requests forwarded on behalf of someone: id → (original
-    /// requester, work units accumulated before forwarding).
-    pending: BTreeMap<u64, (ActivityId, u32)>,
-}
-
 /// The buffers exchanges are built and read in, one after another: a
 /// client building a request and a server answering one never overlap.
 #[derive(Debug, Default)]
@@ -212,7 +205,10 @@ const BLOCKING: u64 = u64::MAX;
 #[derive(Debug)]
 pub struct ProtocolEngine {
     service: NameService,
-    server_state: BTreeMap<ActivityId, ServerState>,
+    /// Recursive requests a server forwarded: (server, request id) → whom
+    /// to relay the answer to. Forgotten with the superseded attempts (see
+    /// `forget_unanswerable`) or when the server restarts.
+    forwarding: BTreeMap<(ActivityId, u64), ActivityId>,
     next_id: u64,
     /// Request id → the exchange awaiting its reply, for every driver on
     /// this engine. An id leaves when answered, superseded or given up.
@@ -245,7 +241,7 @@ impl ProtocolEngine {
     pub fn new(service: NameService) -> ProtocolEngine {
         ProtocolEngine {
             service,
-            server_state: BTreeMap::new(),
+            forwarding: BTreeMap::new(),
             next_id: 1,
             routes: Dense::new(),
             retry: None,
@@ -314,16 +310,18 @@ impl ProtocolEngine {
         self.superseded.insert(id);
     }
 
-    /// Forgets every superseded attempt when no message is in flight (so
-    /// in particular whenever the event queue has run dry): no request is
-    /// still on its way to a server and no reply on its way back, so none
-    /// of them can be answered any more. Most attempts are superseded
-    /// because their request or reply was *lost*; their ids would otherwise
-    /// stay for good. Drivers call this right after polling the mailboxes
-    /// of the clients they serve, so no late reply waits there uncounted.
+    /// Forgets every superseded attempt and every forwarded recursive
+    /// request when no message is in flight (so in particular whenever the
+    /// event queue has run dry): no request is still on its way to a server
+    /// and no reply on its way back, so none of them can be answered any
+    /// more. Most are left because a request or reply was *lost*; they
+    /// would otherwise stay for good. Drivers call this right after polling
+    /// the mailboxes of the clients they serve, so no late reply waits
+    /// there uncounted.
     pub(crate) fn forget_unanswerable(&mut self, world: &World) {
         if world.messages_in_flight() == 0 {
             self.superseded.clear();
+            self.forwarding.clear();
         }
     }
 
@@ -359,7 +357,7 @@ impl ProtocolEngine {
     pub fn restart_server(&mut self, world: &mut World, machine: MachineId) -> usize {
         let server = self.service.server_on(machine);
         world.revive(server);
-        self.server_state.remove(&server);
+        self.forwarding.retain(|&(by, _), _| by != server);
         let mut published = 0;
         for zone in self.service.zones_on(machine) {
             published += self.publish_zone(world, zone);
@@ -737,99 +735,97 @@ impl ProtocolEngine {
             let from = msg.from;
             for part in msg.parts {
                 let Payload::Bytes(b) = part else { continue };
-                // Every miss sends this frame: read into the scratch trie.
-                if b.first() == Some(&wire::TAG_BATCH_REQUEST) {
-                    self.handle_batch_request(world, machine, server, from, b);
-                    continue;
-                }
-                match Frame::decode(b) {
-                    Some(Frame::Request(req)) => {
-                        self.handle_request(world, machine, server, from, req)
+                // Resolution frames are read in the scratch.
+                match b.first() {
+                    Some(&(wire::TAG_BATCH_REQUEST | wire::TAG_RECURSIVE)) => {
+                        self.answer_request(world, machine, server, from, b)
                     }
-                    Some(Frame::Reply(rep)) => self.handle_forwarded_reply(world, server, rep),
-                    Some(Frame::ZoneUpdate(update)) => {
-                        self.handle_zone_update(world, machine, update)
-                    }
-                    Some(Frame::ZoneDeltaRequest(req)) => {
-                        self.handle_zone_delta_request(world, server, from, req)
-                    }
-                    // Replies to clients have no business here; dropped
-                    // like any undecodable frame.
-                    Some(Frame::BatchRequest(_) | Frame::BatchReply(_) | Frame::ZoneDelta(_))
-                    | None => {}
+                    Some(&wire::TAG_BATCH_REPLY) => self.relay_reply(world, server, b),
+                    _ => match Frame::decode(b) {
+                        Some(Frame::ZoneUpdate(update)) => {
+                            self.handle_zone_update(world, machine, update)
+                        }
+                        Some(Frame::ZoneDeltaRequest(req)) => {
+                            self.handle_zone_delta_request(world, server, from, req)
+                        }
+                        // Anything else is dropped like any undecodable
+                        // frame.
+                        _ => {}
+                    },
                 }
             }
         }
     }
 
-    fn handle_request(
+    /// Answers a request frame, decoded into the scratch trie, with one
+    /// walk: one reply encoded from the walk's outcomes — unless the request
+    /// is recursive and the walk referred its one name onward. Then the rest
+    /// of that name goes to the next server as a recursive request, from the
+    /// next context under the same id, and its answer is relayed back
+    /// ([`ProtocolEngine::relay_reply`]); if no name server runs there, the
+    /// answer is `Unreachable`. A malformed frame is dropped.
+    fn answer_request(
         &mut self,
         world: &mut World,
-        machine: naming_sim::topology::MachineId,
-        server: ActivityId,
-        requester: ActivityId,
-        req: Request,
-    ) {
-        let outcome = self
-            .service
-            .local_resolve_labels(world, machine, req.start, &req.name);
-        match (outcome, req.mode) {
-            (
-                Outcome::Referral {
-                    next_machine,
-                    next_ctx,
-                    remaining,
-                },
-                Mode::Recursive,
-            ) => {
-                // Chase the referral on the requester's behalf: the rest
-                // of the name it sent, from the next context.
-                let next_server = self.service.server_on(next_machine);
-                let fwd = Request {
-                    id: req.id,
-                    start: next_ctx,
-                    name: req.name[req.name.len() - usize::from(remaining)..].to_vec(),
-                    mode: Mode::Recursive,
-                };
-                self.server_state
-                    .entry(server)
-                    .or_default()
-                    .pending
-                    .insert(req.id, (requester, 1));
-                world.send(server, next_server, Payload::Bytes(fwd.encode()));
-            }
-            _ => {
-                let reply = Reply {
-                    id: req.id,
-                    outcome,
-                    servers_touched: 1,
-                };
-                world.send(server, requester, Payload::Bytes(reply.encode()));
-            }
-        }
-    }
-
-    /// Answers a batch-request frame: decoded into the scratch trie, one
-    /// walk, one batch reply encoded from the walk's outcomes. A malformed
-    /// frame is dropped. Batches are always client-driven; there is no
-    /// recursive variant to forward.
-    fn handle_batch_request(
-        &mut self,
-        world: &mut World,
-        machine: naming_sim::topology::MachineId,
+        machine: MachineId,
         server: ActivityId,
         requester: ActivityId,
         frame: Bytes,
     ) {
         let (service, s) = (&self.service, &mut self.scratch);
-        let read = wire::read_batch_request(&frame, &mut s.trie, &mut s.seen);
+        let read = wire::read_request(&frame, &mut s.trie, &mut s.seen);
         s.recycle(frame);
-        let Some((id, start)) = read else {
+        let Some((mode, id, start)) = read else {
             return;
         };
         let saved = service.local_resolve_batch_in(world, machine, start, &s.trie, &mut s.batch);
+        // A recursive request asks exactly one name.
+        let referred = s.batch.outcomes.first().filter(|_| mode == Mode::Recursive);
+        if let Some(&Outcome::Referral {
+            next_machine,
+            next_ctx,
+            remaining,
+        }) = referred
+        {
+            match service.server_if_on(next_machine) {
+                None => s.batch.outcomes[0] = Outcome::Unreachable { attempts: 0 },
+                Some(next) => {
+                    let (mut walk, mut rest) = (WalkScratch::default(), Vec::<Label>::new());
+                    s.trie.walk(&mut walk, (), |_, node, path, ()| {
+                        if node.query.is_some() {
+                            rest.extend_from_slice(&path[path.len() - usize::from(remaining)..]);
+                        }
+                    });
+                    let (trie, cells, remap) = (&mut s.trie, &mut s.cells, &mut s.remap);
+                    remap.clear();
+                    trie.rebuild(std::iter::once(&rest[..]), cells, remap);
+                    let mut frame = s.spare(s.trie.request_len());
+                    wire::put_request(&mut frame, Mode::Recursive, id, next_ctx, &s.trie);
+                    self.forwarding.insert((server, id), requester);
+                    return world.send(server, next, Payload::Bytes(frame.freeze()));
+                }
+            }
+        }
         let mut reply = s.spare(wire::batch_reply_len(&s.batch.outcomes));
         wire::put_batch_reply(&mut reply, id, 1, saved, &s.batch.outcomes);
+        world.send(server, requester, Payload::Bytes(reply.freeze()));
+    }
+
+    /// Relays the answer to a recursive request `server` forwarded to whom
+    /// it forwarded it for, counting `server` among the servers touched. A
+    /// reply nothing was forwarded for is dropped.
+    fn relay_reply(&mut self, world: &mut World, server: ActivityId, frame: Bytes) {
+        let s = &mut self.scratch;
+        let read = wire::read_reply(&frame, &mut s.outcomes);
+        s.recycle(frame);
+        let Some((id, touched, saved)) = read else {
+            return;
+        };
+        let Some(requester) = self.forwarding.remove(&(server, id)) else {
+            return;
+        };
+        let mut reply = s.spare(wire::batch_reply_len(&s.outcomes));
+        wire::put_batch_reply(&mut reply, id, touched + 1, saved, &s.outcomes);
         world.send(server, requester, Payload::Bytes(reply.freeze()));
     }
 
@@ -909,21 +905,6 @@ impl ProtocolEngine {
         }
         let reply = ZoneDelta { id: req.id, shards };
         world.send(server, requester, Payload::Bytes(reply.encode()));
-    }
-
-    fn handle_forwarded_reply(&mut self, world: &mut World, server: ActivityId, rep: Reply) {
-        let Some(state) = self.server_state.get_mut(&server) else {
-            return;
-        };
-        let Some((requester, own_work)) = state.pending.remove(&rep.id) else {
-            return;
-        };
-        let forwarded = Reply {
-            id: rep.id,
-            outcome: rep.outcome,
-            servers_touched: rep.servers_touched + own_work,
-        };
-        world.send(server, requester, Payload::Bytes(forwarded.encode()));
     }
 }
 
@@ -1377,6 +1358,62 @@ mod tests {
         engine.pump_idle(&mut w);
         let again = engine.resolve(&mut w, client, root, &name, Mode::Iterative);
         assert_eq!(again.entity, leaf);
+    }
+
+    #[test]
+    fn forwarding_entries_are_forgotten_at_quiescence() {
+        let (mut w, svc, machines, root, _) = chain_world();
+        let client = w.spawn(machines[0], "client", None);
+        let mut engine = ProtocolEngine::new(svc);
+        engine.set_retry_policy(Some(RetryPolicy::default()));
+        w.set_message_drop_rate(0.3);
+        let name = CompoundName::parse_path("/hop1/hop2/leaf").unwrap();
+        for _ in 0..200 {
+            engine.resolve(&mut w, client, root, &name, Mode::Recursive);
+        }
+        engine.pump_idle(&mut w);
+        assert_eq!(w.messages_in_flight(), 0);
+        // A forwarded request or its answer was lost for many of them: none
+        // can be relayed any more.
+        assert!(engine.forwarding.is_empty(), "{:?}", engine.forwarding);
+        assert_eq!(engine.superseded_pending(), 0);
+    }
+
+    #[test]
+    fn a_zone_placed_where_no_server_runs_is_unreachable_never_bottom() {
+        let (mut w, mut svc, machines, root, _) = chain_world();
+        let net = w.topology().machine_network(machines[0]);
+        let bare = w.add_machine("bare", net);
+        let hop2 = store::resolve_path(w.state(), root, "/hop1/hop2");
+        let hop2 = hop2.as_object().unwrap();
+        svc.place(hop2, bare);
+        let client = w.spawn(machines[0], "client", None);
+        let mut engine = ProtocolEngine::new(svc);
+        let name = CompoundName::parse_path("/hop1/hop2/leaf").unwrap();
+        // Iterative: the client is referred to `bare` and addresses nobody;
+        // recursive: the server that would forward there answers instead.
+        for mode in [Mode::Iterative, Mode::Recursive] {
+            let stats = engine.resolve(&mut w, client, root, &name, mode);
+            assert_eq!((stats.entity, stats.unreachable), (Entity::Undefined, true));
+        }
+        let leaf = CompoundName::parse_path("leaf").unwrap();
+        let stats = engine.resolve(&mut w, client, hop2, &leaf, Mode::Iterative);
+        assert_eq!((stats.unreachable, stats.messages), (true, 0));
+        // A replica on a machine with no server is no failover target.
+        engine.service_mut().place(hop2, machines[2]);
+        engine.service_mut().replicate_zone(&mut w, hop2, bare);
+        assert_eq!(
+            engine.service().failover_targets(hop2),
+            [(machines[2], hop2)]
+        );
+        engine.set_retry_policy(Some(RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        }));
+        w.kill(engine.service().server_on(machines[2]));
+        let stats = engine.resolve(&mut w, client, root, &name, Mode::Iterative);
+        assert_eq!((stats.entity, stats.unreachable), (Entity::Undefined, true));
+        assert_eq!(engine.retry_counters().failovers, 0);
     }
 
     #[test]

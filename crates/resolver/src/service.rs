@@ -17,7 +17,7 @@ use naming_core::state::{LOCAL_BITS, MAX_SHARD_OBJECTS};
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::wire::{Label, NameTrie, Outcome, WalkScratch};
+use crate::wire::{NameTrie, Outcome, WalkScratch};
 
 /// Which machine is authoritative for each object: one flat table per
 /// state shard, indexed by the object's shard-local index. Object ids are
@@ -294,7 +294,8 @@ impl NameService {
     /// The servers able to answer for `ctx`, primary first: when `ctx`
     /// belongs to a replica group (as primary or copy), every machine of
     /// the group paired with the context object it serves; otherwise just
-    /// `ctx`'s own placement. This is the failover order the retry layer
+    /// `ctx`'s own placement. A machine that runs no name server answers
+    /// nothing and is left out. This is the failover order the retry layer
     /// walks when a request's deadline expires.
     pub fn failover_targets(&self, ctx: ObjectId) -> Vec<(MachineId, ObjectId)> {
         self.failover_group(ctx).collect()
@@ -306,7 +307,8 @@ impl NameService {
         ctx: ObjectId,
     ) -> impl Iterator<Item = (MachineId, ObjectId)> + '_ {
         let zone = self.zone_of_copy.get(&ctx).copied().unwrap_or(ctx);
-        self.zone_group(zone)
+        let served = |&(m, _): &(MachineId, ObjectId)| self.server_if_on(m).is_some();
+        self.zone_group(zone).filter(served)
     }
 
     /// The primary zone objects of every replica group `machine`
@@ -365,11 +367,12 @@ impl NameService {
         out
     }
 
-    /// Authoritative resolution step on `machine`: resolves components of
-    /// `name` starting at `start` while the current context object is
-    /// hosted locally; crossing to a remotely-hosted context yields a
-    /// referral to the *nearest* server of the next zone (a replica on the
-    /// same machine or network wins over the primary).
+    /// Authoritative resolution step on `machine`, one name at a time — the
+    /// per-name rule [`NameService::local_resolve_batch`] batches: resolves
+    /// components of `name` starting at `start` while the current context
+    /// object is hosted locally; crossing to a remotely-hosted context
+    /// yields a referral to the *nearest* server of the next zone (a
+    /// replica on the same machine or network wins over the primary).
     pub fn local_resolve(
         &self,
         world: &World,
@@ -377,62 +380,13 @@ impl NameService {
         start: ObjectId,
         name: &CompoundName,
     ) -> Outcome {
-        self.local_resolve_labels(world, machine, start, name.components())
-    }
-
-    /// [`NameService::local_resolve`] over a name as it came off the wire
-    /// (`&[Label]`) or as a client holds it (`&[Name]`); nonempty.
-    pub(crate) fn local_resolve_labels<L: Copy + Into<Label>>(
-        &self,
-        world: &World,
-        machine: MachineId,
-        start: ObjectId,
-        name: &[L],
-    ) -> Outcome {
-        let out = self.local_resolve_impl(world, machine, start, name);
-        match &out {
-            Outcome::Resolved(_) => naming_telemetry::counter!("service.resolved").bump(),
-            Outcome::Referral { next_machine, .. } => {
-                naming_telemetry::counter!("service.referrals").bump();
-                if naming_telemetry::recorder::is_active() {
-                    let shown = name.iter().map(|&l| {
-                        l.into()
-                            .unwrap_or_else(|| naming_core::name::Name::new("?"))
-                    });
-                    let name = CompoundName::new(shown).expect("a request names something");
-                    naming_telemetry::recorder::instant(
-                        "protocol",
-                        format!(
-                            "referral {name} {} -> {}",
-                            world.topology().machine_name(machine),
-                            world.topology().machine_name(*next_machine)
-                        ),
-                        Vec::new(),
-                    );
-                }
-            }
-            Outcome::NotFound => naming_telemetry::counter!("service.not_found").bump(),
-            Outcome::WrongServer => naming_telemetry::counter!("service.wrong_server").bump(),
-            Outcome::Unreachable { .. } => naming_telemetry::counter!("service.unreachable").bump(),
-        }
-        out
-    }
-
-    /// The authoritative walk itself, free of observation hooks.
-    fn local_resolve_impl<L: Copy + Into<Label>>(
-        &self,
-        world: &World,
-        machine: MachineId,
-        start: ObjectId,
-        comps: &[L],
-    ) -> Outcome {
         if self.machine_of_object(start) != Some(machine) {
             return Outcome::WrongServer;
         }
+        let comps = name.components();
         let mut cur = start;
         for (i, &comp) in comps.iter().enumerate() {
-            // A label never interned is bound nowhere.
-            let e = (comp.into()).map_or(Entity::Undefined, |c| world.state().lookup(cur, c));
+            let e = world.state().lookup(cur, comp);
             if !e.is_defined() {
                 return Outcome::NotFound;
             }
@@ -455,7 +409,7 @@ impl NameService {
                 _ => return Outcome::NotFound,
             }
         }
-        unreachable!("a request names at least one component")
+        unreachable!("a compound name has at least one component")
     }
 
     /// Authoritative *batch* resolution step on `machine`: walks a

@@ -30,20 +30,6 @@ pub enum Mode {
 /// that exist nowhere.
 pub type Label = Option<Name>;
 
-/// A resolution request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Request {
-    /// Correlation id chosen by the requester.
-    pub id: u64,
-    /// The context object to start in (must be hosted by the receiving
-    /// server, or the server answers `WrongServer`).
-    pub start: ObjectId,
-    /// The remaining components to resolve; never empty.
-    pub name: Vec<Label>,
-    /// Iterative or recursive.
-    pub mode: Mode,
-}
-
 /// A resolution outcome. It carries no label: a referral says how far
 /// the walk got in the name the client already holds (§2), so a server
 /// never echoes a client's labels back.
@@ -77,18 +63,6 @@ pub enum Outcome {
         /// even be addressed, e.g. an unplaced start context).
         attempts: u32,
     },
-}
-
-/// A reply, correlated to its request.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Reply {
-    /// Echoes [`Request::id`].
-    pub id: u64,
-    /// The outcome.
-    pub outcome: Outcome,
-    /// Servers that did authoritative work for this answer (for hop
-    /// accounting).
-    pub servers_touched: u32,
 }
 
 /// A zone-update frame: the primary pushes its zone's current bindings to
@@ -324,15 +298,14 @@ impl ZoneDelta {
 /// awaiting either reply format) uses instead of trial-decoding each type.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// A scalar resolution request.
-    Request(Request),
-    /// A scalar resolution reply.
-    Reply(Reply),
+    /// A recursive resolution request: a batch request of exactly one
+    /// name, which the servers chase to its end.
+    Recursive(BatchRequest),
     /// A replica zone push.
     ZoneUpdate(ZoneUpdate),
-    /// A batched resolution request.
+    /// A batched (iterative) resolution request.
     BatchRequest(BatchRequest),
-    /// A batched resolution reply.
+    /// The reply to either request.
     BatchReply(BatchReply),
     /// An anti-entropy pull.
     ZoneDeltaRequest(ZoneDeltaRequest),
@@ -345,8 +318,7 @@ impl Frame {
     /// malformed body.
     pub fn decode(buf: Bytes) -> Option<Frame> {
         match *buf.first()? {
-            TAG_REQUEST => Request::decode(buf).map(Frame::Request),
-            TAG_REPLY => Reply::decode(buf).map(Frame::Reply),
+            TAG_RECURSIVE => decode_request(&buf, Mode::Recursive).map(Frame::Recursive),
             TAG_ZONE_UPDATE => ZoneUpdate::decode(buf).map(Frame::ZoneUpdate),
             TAG_BATCH_REQUEST => BatchRequest::decode(buf).map(Frame::BatchRequest),
             TAG_BATCH_REPLY => BatchReply::decode(buf).map(Frame::BatchReply),
@@ -357,15 +329,15 @@ impl Frame {
     }
 }
 
-const TAG_REQUEST: u8 = 1;
-const TAG_REPLY: u8 = 2;
+// Tag 2, the scalar reply, is retired: both requests are answered by tag 5.
+pub(crate) const TAG_RECURSIVE: u8 = 1;
 const TAG_ZONE_UPDATE: u8 = 3;
 pub(crate) const TAG_BATCH_REQUEST: u8 = 4;
-const TAG_BATCH_REPLY: u8 = 5;
+pub(crate) const TAG_BATCH_REPLY: u8 = 5;
 const TAG_ZONE_DELTA_REQUEST: u8 = 6;
 const TAG_ZONE_DELTA: u8 = 7;
 
-/// Tag, id and start context: the bytes both request frames open with.
+/// Tag, id and start context: the bytes a request frame opens with.
 const REQUEST_HEADER: usize = 1 + 8 + 4;
 
 const OUT_RESOLVED: u8 = 1;
@@ -585,11 +557,12 @@ impl NameTrie {
         (trie, mapping)
     }
 
-    /// Makes `self` the trie of `names`, reusing its storage and `cells`
-    /// (builder scratch), and appends each name's query id to `mapping`.
-    pub(crate) fn rebuild<'a>(
+    /// Makes `self` the trie of `names` — as a client holds them, or as
+    /// they came off the wire —, reusing its storage and `cells` (builder
+    /// scratch), and appends each name's query id to `mapping`.
+    pub(crate) fn rebuild<'a, L: Copy + Into<Label> + 'a>(
         &mut self,
-        names: impl Iterator<Item = &'a [Name]>,
+        names: impl Iterator<Item = &'a [L]>,
         cells: &mut Vec<u32>,
         mapping: &mut Vec<u32>,
     ) {
@@ -606,15 +579,16 @@ impl NameTrie {
         for name in names {
             let (mut cur, mut slot) = (NIL, 0);
             for &c in name {
+                let c = c.into();
                 // Follow the list to `c`, or to the empty cell at its end
                 // that a new node for `c` is linked into.
-                while cells[slot] != NIL && nodes[cells[slot] as usize].component != Some(c) {
+                while cells[slot] != NIL && nodes[cells[slot] as usize].component != c {
                     slot = 2 + 2 * cells[slot] as usize;
                 }
                 if cells[slot] == NIL {
                     cells[slot] = u32::try_from(nodes.len()).expect("batch too large for wire");
                     nodes.push(TrieNode {
-                        component: Some(c),
+                        component: c,
                         query: None,
                         kids: (0, 0),
                     });
@@ -839,10 +813,11 @@ fn get_trie(buf: &mut &[u8], trie: &mut NameTrie, seen: &mut Vec<u64>) -> Option
     Some(())
 }
 
-/// A batched resolution request: many names (as a shared-prefix trie)
-/// resolved from one start context in a single wire exchange. Batches
-/// are always client-driven (iterative); the reply carries one outcome
-/// per query id.
+/// A resolution request: many names (as a shared-prefix trie) resolved
+/// from one start context in a single wire exchange; the reply carries one
+/// outcome per query id. Its own frame is iterative (the client follows
+/// referrals). The same body under the recursive tag ([`Frame::Recursive`])
+/// holds exactly one name, and the server chases its referrals itself.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchRequest {
     /// Correlation id chosen by the requester.
@@ -853,43 +828,65 @@ pub struct BatchRequest {
     pub trie: NameTrie,
 }
 
-/// Appends a batch-request frame to `buf`.
-pub(crate) fn put_batch_request(buf: &mut BytesMut, id: u64, start: ObjectId, trie: &NameTrie) {
-    buf.put_u8(TAG_BATCH_REQUEST);
+/// Appends a request frame to `buf`, under `mode`'s tag.
+pub(crate) fn put_request(
+    buf: &mut BytesMut,
+    mode: Mode,
+    id: u64,
+    start: ObjectId,
+    trie: &NameTrie,
+) {
+    buf.put_u8(match mode {
+        Mode::Iterative => TAG_BATCH_REQUEST,
+        Mode::Recursive => TAG_RECURSIVE,
+    });
     buf.put_u64(id);
     buf.put_u32(start.index() as u32);
     put_trie(buf, trie);
 }
 
-/// Reads a batch-request frame into `trie` (`seen` is scratch): its id and
-/// start context, `None` when malformed.
-pub(crate) fn read_batch_request(
+/// Reads a request frame into `trie` (`seen` is scratch): its mode, id and
+/// start context, `None` when malformed — and a recursive request chases
+/// exactly one name, so one with another number of queries is malformed.
+pub(crate) fn read_request(
     mut frame: &[u8],
     trie: &mut NameTrie,
     seen: &mut Vec<u64>,
-) -> Option<(u64, ObjectId)> {
-    if frame.remaining() < REQUEST_HEADER || frame.get_u8() != TAG_BATCH_REQUEST {
+) -> Option<(Mode, u64, ObjectId)> {
+    if frame.remaining() < REQUEST_HEADER {
         return None;
     }
+    let mode = match frame.get_u8() {
+        TAG_BATCH_REQUEST => Mode::Iterative,
+        TAG_RECURSIVE => Mode::Recursive,
+        _ => return None,
+    };
     let (id, start) = (frame.get_u64(), ObjectId::from_index(frame.get_u32()));
     get_trie(&mut frame, trie, seen)?;
-    Some((id, start))
+    (mode == Mode::Iterative || trie.query_count == 1).then_some((mode, id, start))
+}
+
+/// A request frame of `mode` as a [`BatchRequest`]; `None` when malformed
+/// or of the other mode.
+fn decode_request(buf: &[u8], mode: Mode) -> Option<BatchRequest> {
+    let mut trie = NameTrie::default();
+    let (read, id, start) = read_request(buf, &mut trie, &mut Vec::new())?;
+    (read == mode).then_some(BatchRequest { id, start, trie })
 }
 
 impl BatchRequest {
-    /// Encodes the batch request into a wire frame.
+    /// Encodes the batch request into an iterative wire frame.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.trie.request_len());
-        put_batch_request(&mut buf, self.id, self.start, &self.trie);
+        put_request(&mut buf, Mode::Iterative, self.id, self.start, &self.trie);
         debug_assert_eq!(buf.len(), self.trie.request_len());
         buf.freeze()
     }
 
-    /// Decodes a batch-request frame. Returns `None` on malformed input.
+    /// Decodes an iterative request frame. Returns `None` on malformed
+    /// input.
     pub fn decode(buf: Bytes) -> Option<BatchRequest> {
-        let mut trie = NameTrie::default();
-        let (id, start) = read_batch_request(&buf, &mut trie, &mut Vec::new())?;
-        Some(BatchRequest { id, start, trie })
+        decode_request(&buf, Mode::Iterative)
     }
 }
 
@@ -931,20 +928,16 @@ pub(crate) fn put_batch_reply(
     }
 }
 
-/// Reads either reply frame — a scalar reply is a batch reply of one
-/// outcome: the outcomes by query id into `outcomes`, and the request id,
-/// the servers touched and the lookups saved. `None` on a malformed frame,
-/// whatever `outcomes` then holds: half a reply is no reply.
+/// Reads a reply frame: the outcomes by query id into `outcomes`, and the
+/// request id, the servers touched and the lookups saved. `None` on a
+/// malformed frame, whatever `outcomes` then holds: half a reply is no
+/// reply.
 pub(crate) fn read_reply(mut frame: &[u8], outcomes: &mut Vec<Outcome>) -> Option<(u64, u32, u32)> {
-    if frame.remaining() < 1 + 8 + 4 {
+    if frame.remaining() < 1 + 8 + 4 + 4 + 4 || frame.get_u8() != TAG_BATCH_REPLY {
         return None;
     }
-    let (tag, id, touched) = (frame.get_u8(), frame.get_u64(), frame.get_u32());
-    let (saved, count) = match tag {
-        TAG_REPLY => (0, 1),
-        TAG_BATCH_REPLY if frame.remaining() >= 4 + 4 => (frame.get_u32(), frame.get_u32()),
-        _ => return None,
-    };
+    let (id, touched) = (frame.get_u64(), frame.get_u32());
+    let (saved, count) = (frame.get_u32(), frame.get_u32());
     outcomes.clear();
     outcomes.reserve((count as usize).min(frame.len()));
     for _ in 0..count {
@@ -965,81 +958,12 @@ impl BatchReply {
     /// Decodes a batch-reply frame. Returns `None` on malformed input.
     pub fn decode(buf: Bytes) -> Option<BatchReply> {
         let mut outcomes = Vec::new();
-        let head = read_reply(&buf, &mut outcomes).filter(|_| buf[0] == TAG_BATCH_REPLY)?;
-        let (id, servers_touched, lookups_saved) = head;
+        let (id, servers_touched, lookups_saved) = read_reply(&buf, &mut outcomes)?;
         Some(BatchReply {
             id,
             outcomes,
             servers_touched,
             lookups_saved,
-        })
-    }
-}
-
-impl Request {
-    /// Encodes the request into a wire frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_REQUEST);
-        buf.put_u64(self.id);
-        buf.put_u32(self.start.index() as u32);
-        buf.put_u8(match self.mode {
-            Mode::Iterative => 0,
-            Mode::Recursive => 1,
-        });
-        buf.put_u16(u16::try_from(self.name.len()).expect("name too deep for wire"));
-        for &label in &self.name {
-            put_label(&mut buf, label);
-        }
-        buf.freeze()
-    }
-
-    /// Decodes a request frame. Returns `None` on malformed input.
-    pub fn decode(frame: Bytes) -> Option<Request> {
-        let mut buf = &frame[..];
-        if buf.remaining() < REQUEST_HEADER + 1 + 2 || buf.get_u8() != TAG_REQUEST {
-            return None;
-        }
-        let id = buf.get_u64();
-        let start = ObjectId::from_index(buf.get_u32());
-        let mode = match buf.get_u8() {
-            0 => Mode::Iterative,
-            1 => Mode::Recursive,
-            _ => return None,
-        };
-        let len = buf.get_u16() as usize;
-        let mut name = Vec::with_capacity(len.min(buf.len() / 2));
-        for _ in 0..len {
-            name.push(get_str(&mut buf).map(Name::lookup)?);
-        }
-        (!name.is_empty()).then_some(Request {
-            id,
-            start,
-            name,
-            mode,
-        })
-    }
-}
-
-impl Reply {
-    /// Encodes the reply into an exactly pre-sized wire frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 + 8 + 4 + outcome_wire_len(&self.outcome));
-        buf.put_u8(TAG_REPLY);
-        buf.put_u64(self.id);
-        buf.put_u32(self.servers_touched);
-        put_outcome(&mut buf, &self.outcome);
-        buf.freeze()
-    }
-
-    /// Decodes a reply frame. Returns `None` on malformed input.
-    pub fn decode(buf: Bytes) -> Option<Reply> {
-        let mut outcomes = Vec::new();
-        let head = read_reply(&buf, &mut outcomes).filter(|_| buf[0] == TAG_REPLY)?;
-        Some(Reply {
-            id: head.0,
-            outcome: *outcomes.first()?,
-            servers_touched: head.1,
         })
     }
 }
@@ -1052,26 +976,33 @@ mod tests {
         CompoundName::parse_path(p).unwrap()
     }
 
-    /// A name as a scalar request carries it.
-    fn labels(p: &str) -> Vec<Label> {
-        name(p).iter().map(|&c| Some(c)).collect()
+    /// A request for the one name `n`.
+    fn one(id: u64, start: u32, n: CompoundName) -> BatchRequest {
+        let (trie, _) = NameTrie::build(&[n]);
+        let start = ObjectId::from_index(start);
+        BatchRequest { id, start, trie }
+    }
+
+    /// `req` under the recursive tag.
+    fn recursive(req: &BatchRequest) -> Bytes {
+        let mut buf = BytesMut::new();
+        put_request(&mut buf, Mode::Recursive, req.id, req.start, &req.trie);
+        buf.freeze()
     }
 
     #[test]
     fn request_roundtrip() {
-        let r = Request {
-            id: 42,
-            start: ObjectId::from_index(7),
-            name: labels("/usr/bin/cc"),
-            mode: Mode::Recursive,
-        };
-        let decoded = Request::decode(r.encode()).unwrap();
-        assert_eq!(decoded, r);
-        let r2 = Request {
-            mode: Mode::Iterative,
-            ..r
-        };
-        assert_eq!(Request::decode(r2.encode()).unwrap().mode, Mode::Iterative);
+        let r = one(42, 7, name("/usr/bin/cc"));
+        let (rec, it) = (recursive(&r), r.encode());
+        assert_eq!(
+            Frame::decode(rec.clone()),
+            Some(Frame::Recursive(r.clone()))
+        );
+        assert_eq!(Frame::decode(it.clone()), Some(Frame::BatchRequest(r)));
+        // One body, two tags: the iterative decoder refuses the other one.
+        assert_eq!((rec[0], it[0]), (TAG_RECURSIVE, TAG_BATCH_REQUEST));
+        assert_eq!(rec[1..], it[1..]);
+        assert!(BatchRequest::decode(rec).is_none());
     }
 
     #[test]
@@ -1090,15 +1021,13 @@ mod tests {
             Outcome::Unreachable { attempts: 0 },
             Outcome::Unreachable { attempts: 17 },
         ] {
-            let r = Reply {
+            let r = BatchReply {
                 id: 5,
-                outcome,
+                outcomes: vec![outcome],
                 servers_touched: 3,
+                lookups_saved: 0,
             };
-            let d = Reply::decode(r.encode()).unwrap();
-            assert_eq!(d.outcome, outcome);
-            assert_eq!(d.id, 5);
-            assert_eq!(d.servers_touched, 3);
+            assert_eq!(BatchReply::decode(r.encode()), Some(r));
         }
     }
 
@@ -1160,42 +1089,43 @@ mod tests {
         };
         assert_eq!(ZoneUpdate::decode(empty.encode()), Some(empty));
         // A request frame is not an update.
-        assert!(ZoneUpdate::decode(
-            Request {
-                id: 1,
-                start: ObjectId::from_index(0),
-                name: labels("/x"),
-                mode: Mode::Iterative,
-            }
-            .encode()
-        )
-        .is_none());
+        assert!(ZoneUpdate::decode(one(1, 0, name("/x")).encode()).is_none());
     }
 
     #[test]
     fn malformed_frames_are_rejected() {
-        assert!(Request::decode(Bytes::from_static(&[])).is_none());
-        assert!(Request::decode(Bytes::from_static(&[9, 0, 0])).is_none());
-        assert!(Reply::decode(Bytes::from_static(&[1, 2, 3])).is_none());
+        assert!(BatchRequest::decode(Bytes::from_static(&[])).is_none());
+        assert!(BatchRequest::decode(Bytes::from_static(&[9, 0, 0])).is_none());
+        assert!(BatchReply::decode(Bytes::from_static(&[1, 2, 3])).is_none());
         // A request frame is not a reply.
-        let req = Request {
-            id: 1,
-            start: ObjectId::from_index(0),
-            name: labels("/x"),
-            mode: Mode::Iterative,
-        };
-        assert!(Reply::decode(req.encode()).is_none());
-        // The tag picks the decoder; unknown tags and empty frames are none.
+        let req = one(1, 0, name("/x"));
+        assert!(BatchReply::decode(recursive(&req)).is_none());
+        // The tag picks the decoder; unknown tags, the retired scalar reply
+        // tag and empty frames are none.
         assert_eq!(
-            Frame::decode(req.encode()),
-            Some(Frame::Request(req.clone()))
+            Frame::decode(recursive(&req)),
+            Some(Frame::Recursive(req.clone()))
         );
         assert!(Frame::decode(Bytes::from_static(&[])).is_none());
         assert!(Frame::decode(Bytes::from_static(&[9, 0, 0])).is_none());
+        let scalar_reply = [2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, OUT_NOT_FOUND];
+        assert!(Frame::decode(Bytes::copy_from_slice(&scalar_reply)).is_none());
         // Truncated compound name.
-        let mut good = BytesMut::from(&req.encode()[..]);
+        let mut good = BytesMut::from(&recursive(&req)[..]);
         good.truncate(good.len() - 1);
-        assert!(Request::decode(good.freeze()).is_none());
+        assert!(Frame::decode(good.freeze()).is_none());
+        // A recursive request chases exactly one name: none or two are
+        // refused, where the iterative tag takes any number.
+        for paths in [&[][..], &["/x", "/y"][..]] {
+            let names: Vec<CompoundName> = paths.iter().map(|p| name(p)).collect();
+            let (trie, _) = NameTrie::build(&names);
+            let many = BatchRequest {
+                trie,
+                ..req.clone()
+            };
+            assert!(Frame::decode(recursive(&many)).is_none(), "{paths:?}");
+            assert!(BatchRequest::decode(many.encode()).is_some());
+        }
     }
 
     #[test]
@@ -1307,13 +1237,12 @@ mod tests {
                 let b = Bytes::from(data);
                 // A request's labels are looked up, not interned: one never
                 // interned is re-encoded empty, and that is a fixed point.
-                if let Some(req) = Request::decode(b.clone()) {
-                    let again = Request::decode(req.encode()).unwrap();
-                    prop_assert_eq!(again.encode(), req.encode());
-                }
-                if let Some(rep) = Reply::decode(b.clone()) {
-                    let rt = Reply::decode(rep.encode()).unwrap();
-                    prop_assert_eq!(rt, rep);
+                if let Some(Frame::Recursive(req)) = Frame::decode(b.clone()) {
+                    let again = Frame::decode(recursive(&req));
+                    let Some(Frame::Recursive(again)) = again else {
+                        panic!("a recursive frame re-encodes recursive");
+                    };
+                    prop_assert_eq!(recursive(&again), recursive(&req));
                 }
                 if let Some(breq) = BatchRequest::decode(b.clone()) {
                     let again = BatchRequest::decode(breq.encode()).unwrap();
@@ -1465,41 +1394,37 @@ mod tests {
             /// Truncating a valid frame at any point never panics and never
             /// produces a *different* valid frame of the same kind.
             #[test]
-            fn truncation_is_detected(cut in 0usize..64) {
-                let req = Request {
-                    id: 9,
-                    start: ObjectId::from_index(4),
-                    name: labels("/a/b/c"),
-                    mode: Mode::Recursive,
-                };
-                let full = req.encode();
+            fn truncation_is_detected(cut in 0usize..96) {
+                let req = one(9, 4, name("/a/b/c"));
+                let full = recursive(&req);
                 if cut < full.len() {
                     let truncated = full.slice(..cut);
-                    if let Some(got) = Request::decode(truncated) {
+                    if let Some(got) = Frame::decode(truncated) {
                         // Only acceptable if truncation removed nothing
                         // semantically (never the case here since every
                         // byte matters) — so this must be the full frame.
-                        prop_assert_eq!(got, req);
+                        prop_assert_eq!(got, Frame::Recursive(req));
                     }
                 }
             }
 
-            /// Request round-trip for arbitrary well-formed content.
+            /// One-name requests round-trip under either tag for arbitrary
+            /// well-formed content.
             #[test]
             fn request_roundtrip_general(
                 id in any::<u64>(),
                 start in 0u32..1_000_000,
                 segs in proptest::collection::vec("[a-zA-Z0-9_.-]{1,12}", 1..8),
-                recursive in any::<bool>(),
+                chase in any::<bool>(),
             ) {
-                let name = segs.iter().map(|s| Some(Name::new(s))).collect();
-                let req = Request {
-                    id,
-                    start: ObjectId::from_index(start),
-                    name,
-                    mode: if recursive { Mode::Recursive } else { Mode::Iterative },
+                let n = CompoundName::new(segs.iter().map(|s| Name::new(s))).unwrap();
+                let req = one(id, start, n);
+                let (frame, expected) = if chase {
+                    (recursive(&req), Frame::Recursive(req))
+                } else {
+                    (req.encode(), Frame::BatchRequest(req))
                 };
-                prop_assert_eq!(Request::decode(req.encode()), Some(req));
+                prop_assert_eq!(Frame::decode(frame), Some(expected));
             }
         }
     }
@@ -1574,23 +1499,18 @@ mod tests {
             f[at..at + 16].copy_from_slice(unknown.as_bytes());
             Bytes::from(f)
         };
-        let scalar = Request {
-            id: 1,
-            start: ObjectId::from_index(0),
-            name: vec![Some(Name::root()), Some(known), Some(Name::new("x"))],
-            mode: Mode::Recursive,
+        let labels = |req: &BatchRequest| -> Vec<Label> {
+            req.trie.nodes.iter().map(|n| n.component).collect()
         };
-        let got = Request::decode(patched(scalar.encode())).unwrap();
-        assert_eq!(got.name, [Some(Name::root()), None, Some(Name::new("x"))]);
-        let (trie, _) = NameTrie::build(&[CompoundName::new([Name::root(), known]).unwrap()]);
-        let batch = BatchRequest {
-            id: 2,
-            start: ObjectId::from_index(0),
-            trie,
+        let (root, x) = (Name::root(), Name::new("x"));
+        let chased = one(1, 0, CompoundName::new([root, known, x]).unwrap());
+        let Some(Frame::Recursive(got)) = Frame::decode(patched(recursive(&chased))) else {
+            panic!("the patched frame is still a recursive request");
         };
+        assert_eq!(labels(&got), [Some(root), None, Some(x)]);
+        let batch = one(2, 0, CompoundName::new([Name::root(), known]).unwrap());
         let got = BatchRequest::decode(patched(batch.encode())).unwrap();
-        let labels: Vec<Label> = got.trie.nodes.iter().map(|n| n.component).collect();
-        assert_eq!(labels, [Some(Name::root()), None]);
+        assert_eq!(labels(&got), [Some(Name::root()), None]);
         assert_eq!(Name::lookup(unknown), None, "decoding a request interned");
         // A reply's receiver may learn what it is told: zone frames intern.
         let update = ZoneUpdate {
@@ -1603,12 +1523,8 @@ mod tests {
 
     #[test]
     fn unicode_names_survive_the_wire() {
-        let r = Request {
-            id: 1,
-            start: ObjectId::from_index(0),
-            name: vec![Some(Name::new("café")), Some(Name::new("naïve"))],
-            mode: Mode::Iterative,
-        };
-        assert_eq!(Request::decode(r.encode()).unwrap().name, r.name);
+        let n = CompoundName::new([Name::new("café"), Name::new("naïve")]).unwrap();
+        let r = one(1, 0, n);
+        assert_eq!(Frame::decode(recursive(&r)), Some(Frame::Recursive(r)));
     }
 }

@@ -29,7 +29,9 @@ use naming_resolver::coherence::CoherenceMode;
 use naming_resolver::engine::{ProtocolEngine, RetryPolicy};
 use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
-use naming_resolver::wire::{BatchReply, Frame, Request, ZoneDelta, ZoneDeltaRequest, ZoneUpdate};
+use naming_resolver::wire::{
+    BatchReply, BatchRequest, Frame, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
+};
 use naming_sim::store;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
@@ -445,7 +447,7 @@ fn a_length_field_sizes_no_allocation_beyond_its_frame() {
     };
     let (max32, max16) = (&[0xff; 4][..], &[0xff; 2][..]);
     let mut frames = [
-        lying(1, 1 + 8 + 4 + 1, max16),         // scalar request: components
+        lying(1, 1 + 8 + 4 + 4, max32),         // recursive request: nodes
         lying(3, 1 + 4, max32),                 // zone update: bindings
         lying(5, 1 + 8 + 4 + 4, max32),         // batch reply: outcomes
         lying(6, 1 + 8, max16),                 // zone delta request: shards
@@ -456,7 +458,7 @@ fn a_length_field_sizes_no_allocation_beyond_its_frame() {
     frames[5][1 + 8 + 1] = 1;
     for frame in frames.map(Bytes::from) {
         let (_, bytes, _) = allocations_in(|| {
-            assert!(Request::decode(frame.clone()).is_none());
+            assert!(BatchRequest::decode(frame.clone()).is_none());
             assert!(ZoneUpdate::decode(frame.clone()).is_none());
             assert!(BatchReply::decode(frame.clone()).is_none());
             assert!(ZoneDeltaRequest::decode(frame.clone()).is_none());

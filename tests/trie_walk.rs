@@ -5,24 +5,29 @@
 //!   random tries — duplicates, unbound leaves, paths through a data
 //!   object and through an activity, a name deeper than the depth limit,
 //!   the empty trie — at 1, 2 and 5 workers;
+//! * the protocol — blocking iterative and recursive, `resolve_batch`,
+//!   `PipelinedService` — answers a name past the depth limit `⊥` too;
 //! * `NameService::local_resolve_batch` ≡ `local_resolve`, name by name,
 //!   on a world with a referral, a local replica, an unplaced zone and a
 //!   file in mid-path, saving exactly the lookups it saved before the walk
 //!   moved into the kernel;
 //! * the flat trie encodes to the bytes the per-node-`Vec` trie did;
-//! * a frame that lies about its counts is refused at every door — the
-//!   decoder, `ConcurrentService::submit_frame`, a name server's mailbox —
-//!   before anything sizes a vector by what it claims;
-//! * labels that name nothing are answered `⊥` at the same doors and are
-//!   never interned.
+//! * a frame that lies about its counts — under either request tag, or a
+//!   recursive one asking other than one name — is refused at every door:
+//!   the decoder, `ConcurrentService::submit_frame`, a name server's
+//!   mailbox, before anything sizes a vector by what it claims;
+//! * labels that name nothing are answered `⊥` at the same doors, and past
+//!   a referral a recursive request is forwarded across, and are never
+//!   interned.
 
 use bytes::Bytes;
 use naming_core::prelude::*;
 use naming_core::resolve::DEFAULT_DEPTH_LIMIT;
 use naming_resolver::concurrent::ConcurrentService;
 use naming_resolver::engine::ProtocolEngine;
+use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
-use naming_resolver::wire::{BatchRequest, Frame, NameTrie, Outcome};
+use naming_resolver::wire::{BatchRequest, Frame, Mode, NameTrie, Outcome};
 use naming_sim::message::Payload;
 use naming_sim::store;
 use naming_sim::topology::MachineId;
@@ -116,6 +121,52 @@ fn pool_honours_the_depth_limit_and_the_empty_trie() {
         pool_answers(&state, root, &[at.clone(), over.clone(), deep(3)], workers);
         pool_answers(&state, root, &[], workers);
     }
+}
+
+/// The protocol answers the deep names as the pool does: the longest legal
+/// name resolves, one component more is `⊥` — authoritative, not a lost
+/// exchange — in every driver and both modes, on a one-machine world
+/// whose `loop` is bound to itself.
+#[test]
+fn protocol_honours_the_depth_limit() {
+    let mut w = World::new(7);
+    let net = w.add_network("n");
+    let m = w.add_machine("m", net);
+    let root = w.machine_root(m);
+    let lp = store::ensure_dir(w.state_mut(), root, "loop");
+    store::attach(w.state_mut(), lp, "loop", lp, false);
+    store::create_file(w.state_mut(), lp, "x", vec![]);
+    let mut svc = NameService::install(&mut w, &[m]);
+    svc.place_subtree(&w, root, m);
+    let client = w.spawn(m, "client", None);
+    let mut engine = ProtocolEngine::new(svc);
+
+    let names = [
+        deep(DEFAULT_DEPTH_LIMIT),
+        deep(DEFAULT_DEPTH_LIMIT + 1),
+        deep(3),
+    ];
+    let oracle = Resolver::new();
+    let expected: Vec<Entity> = names
+        .iter()
+        .map(|n| oracle.resolve_entity(w.state(), root, n))
+        .collect();
+    assert!(expected[0].is_defined() && expected[2].is_defined());
+    assert_eq!(expected[1], Entity::Undefined);
+    for mode in [Mode::Iterative, Mode::Recursive] {
+        for (name, &want) in names.iter().zip(&expected) {
+            let got = engine.resolve(&mut w, client, root, name, mode);
+            assert_eq!((got.entity, got.unreachable), (want, false), "{mode:?}");
+        }
+    }
+    let batch = engine.resolve_batch(&mut w, client, root, &names);
+    assert_eq!(batch.entities, expected);
+    assert_eq!(batch.unreachable, [false; 3]);
+    let mut pipelined = PipelinedService::new(engine, 2);
+    pipelined.submit(&mut w, client, root, &names);
+    let answer = pipelined.drain(&mut w).pop().unwrap();
+    assert_eq!(answer.entities, expected);
+    assert_eq!(answer.unreachable, [false; 3]);
 }
 
 proptest! {
@@ -280,24 +331,26 @@ fn lying_frame(query_count: u32, node_count: u32) -> Bytes {
     Bytes::from(frame)
 }
 
+/// `frame` under the recursive request's tag.
+fn recursive(frame: &Bytes) -> Bytes {
+    let mut f = frame.to_vec();
+    f[0] = 1;
+    Bytes::from(f)
+}
+
 #[test]
 fn a_frame_that_lies_about_its_counts_is_refused_at_every_door() {
     // Had any of these been accepted, the next line of the server would
     // have been `vec![_; query_count]` — 100 GB for the first.
-    let hostile = [
+    let mut hostile = vec![
         lying_frame(u32::MAX, 0),
         lying_frame(u32::MAX, u32::MAX),
         lying_frame(1, 0),
         lying_frame(0, u32::MAX),
     ];
+    hostile.extend(hostile.iter().map(recursive).collect::<Vec<_>>());
     assert!(BatchRequest::decode(lying_frame(0, 0)).is_some());
     let (state, root) = pool_state();
-    let mut pool = ConcurrentService::new(state, 2);
-    for frame in &hostile {
-        assert!(BatchRequest::decode(frame.clone()).is_none());
-        assert!(Frame::decode(frame.clone()).is_none());
-        assert!(!pool.submit_frame(frame.clone()));
-    }
     // A hole in the query ids: two names, the second one's id erased, the
     // count left at two. Before, every later answer shifted down by one.
     let (trie, _) = NameTrie::build(&[path("/a"), path("/b")]);
@@ -312,8 +365,16 @@ fn a_frame_that_lies_about_its_counts_is_refused_at_every_door() {
     assert_eq!(holed[flag_of_b..flag_of_b + 5], [1, 0, 0, 0, 1]);
     holed.drain(flag_of_b + 1..flag_of_b + 5);
     holed[flag_of_b] = 0;
-    assert!(BatchRequest::decode(Bytes::from(holed.clone())).is_none());
-    assert!(!pool.submit_frame(Bytes::from(holed.clone())));
+    // And a recursive request chases exactly one name: none, or two, is a
+    // lie too — though the same bodies are honest batches.
+    let [none, two] = [lying_frame(0, 0), good.clone()].map(|f| recursive(&f));
+    hostile.extend([Bytes::from(holed), none, two]);
+    let mut pool = ConcurrentService::new(state, 2);
+    for frame in &hostile {
+        assert!(BatchRequest::decode(frame.clone()).is_none());
+        assert!(Frame::decode(frame.clone()).is_none());
+        assert!(!pool.submit_frame(frame.clone()));
+    }
     assert!(pool.submit_frame(good));
     assert_eq!(pool.drain().len(), 1, "only the honest frame was queued");
     pool.shutdown();
@@ -323,7 +384,7 @@ fn a_frame_that_lies_about_its_counts_is_refused_at_every_door() {
     let (mut w, svc, m1, _) = referral_world();
     let server = svc.server_on(m1);
     let stranger = w.spawn(m1, "stranger", None);
-    for frame in hostile.into_iter().chain([Bytes::from(holed)]) {
+    for frame in hostile {
         w.send(stranger, server, vec![Payload::Bytes(frame)]);
     }
     let mut engine = ProtocolEngine::new(svc);
@@ -382,9 +443,38 @@ fn garbage_frame(id: u64, start: ObjectId, garbage: &[String]) -> Bytes {
     Bytes::from(f)
 }
 
+/// A request for the one name `labels` as raw bytes under `tag`, none of
+/// its labels passed to `Name::new`: a chain of nodes, the last ending
+/// query 0.
+fn chain_frame(tag: u8, id: u64, start: ObjectId, labels: &[&str]) -> Bytes {
+    let n = labels.len() as u32;
+    let mut f = vec![tag];
+    f.extend(id.to_be_bytes());
+    f.extend((start.index() as u32).to_be_bytes());
+    f.extend(1u32.to_be_bytes());
+    f.extend(n.to_be_bytes());
+    for (i, label) in (1..).zip(labels) {
+        f.extend((label.len() as u16).to_be_bytes());
+        f.extend(label.as_bytes());
+        if i == n {
+            f.push(1);
+            f.extend(0u32.to_be_bytes());
+            f.extend(0u16.to_be_bytes());
+        } else {
+            f.push(0);
+            f.extend(1u16.to_be_bytes());
+            f.extend(i.to_be_bytes());
+        }
+    }
+    f.extend(1u32.to_be_bytes());
+    f.extend(0u32.to_be_bytes());
+    Bytes::from(f)
+}
+
 /// A request frame must not grow the authority's interner: 10⁵ labels no
-/// context binds, sent to a name server's mailbox (batch and scalar frames)
-/// and to the worker pool, are answered `⊥` — the known name beside them
+/// context binds, sent to a name server's mailbox (batch frames, and
+/// recursive ones whose label the server forwards past a referral) and to
+/// the worker pool, are answered `⊥` — the known name beside them
 /// resolved — and none of them has been interned afterwards.
 #[test]
 fn labels_that_name_nothing_are_answered_bottom_and_never_interned() {
@@ -403,40 +493,34 @@ fn labels_that_name_nothing_are_answered_bottom_and_never_interned() {
     for f in 0..FRAMES {
         let frame = garbage_frame(f as u64, root1, &labels("mailbox", f));
         w.send(stranger, server, vec![Payload::Bytes(frame)]);
-        // And a scalar request for `/<garbage>/usr`.
-        let mut scalar = vec![1u8];
-        scalar.extend((FRAMES as u64 + f as u64).to_be_bytes());
-        scalar.extend((root1.index() as u32).to_be_bytes());
-        scalar.push(0);
-        scalar.extend(3u16.to_be_bytes());
-        for s in ["/", &label("scalar", f, 0), "usr"] {
-            scalar.extend((s.len() as u16).to_be_bytes());
-            scalar.extend(s.as_bytes());
-        }
-        w.send(stranger, server, vec![Payload::Bytes(Bytes::from(scalar))]);
+        // And a recursive request for `/usr/remote/<garbage>`: `m1` refers
+        // it to `m2` at the garbage label and forwards that label on.
+        let chased = ["/", "usr", "remote", &label("recursive", f, 0)];
+        let frame = chain_frame(1, (FRAMES + f) as u64, root1, &chased);
+        w.send(stranger, server, vec![Payload::Bytes(frame)]);
     }
     engine.pump_idle(&mut w);
-    let (mut batch_replies, mut scalar_replies) = (0, 0);
+    let (mut batch_replies, mut recursive_replies) = (0, 0);
     while let Some(msg) = w.receive(stranger) {
         let Payload::Bytes(b) = &msg.parts[0] else {
             panic!("a reply carries a frame");
         };
-        match Frame::decode(b.clone()).expect("a reply frame") {
-            Frame::BatchReply(reply) => {
-                batch_replies += 1;
-                let (last, garbage) = reply.outcomes.split_last().unwrap();
-                assert_eq!(garbage.len(), PER_FRAME);
-                assert!(garbage.iter().all(|o| *o == Outcome::NotFound));
-                assert!(matches!(last, Outcome::Resolved(e) if e.is_defined()));
-            }
-            Frame::Reply(reply) => {
-                scalar_replies += 1;
-                assert_eq!(reply.outcome, Outcome::NotFound);
-            }
-            other => panic!("unexpected frame {other:?}"),
+        let Some(Frame::BatchReply(reply)) = Frame::decode(b.clone()) else {
+            panic!("a reply frame");
+        };
+        if reply.id < FRAMES as u64 {
+            batch_replies += 1;
+            let (last, garbage) = reply.outcomes.split_last().unwrap();
+            assert_eq!(garbage.len(), PER_FRAME);
+            assert!(garbage.iter().all(|o| *o == Outcome::NotFound));
+            assert!(matches!(last, Outcome::Resolved(e) if e.is_defined()));
+        } else {
+            recursive_replies += 1;
+            assert_eq!(reply.outcomes, [Outcome::NotFound]);
+            assert_eq!(reply.servers_touched, 2, "answered past the referral");
         }
     }
-    assert_eq!((batch_replies, scalar_replies), (FRAMES, FRAMES));
+    assert_eq!((batch_replies, recursive_replies), (FRAMES, FRAMES));
 
     // The worker pool.
     let mut pool = ConcurrentService::new(w.state().clone(), 2);
@@ -452,7 +536,7 @@ fn labels_that_name_nothing_are_answered_bottom_and_never_interned() {
     pool.shutdown();
 
     for f in 0..FRAMES {
-        assert_eq!(Name::lookup(&label("scalar", f, 0)), None);
+        assert_eq!(Name::lookup(&label("recursive", f, 0)), None);
         for door in ["mailbox", "pool"] {
             for l in labels(door, f) {
                 assert_eq!(Name::lookup(&l), None, "{l} was interned");
