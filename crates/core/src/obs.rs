@@ -12,11 +12,12 @@
 //! already tells that story.
 
 use naming_telemetry::recorder;
-pub(crate) use naming_telemetry::trace::{BottomCause, MemoEvent, Outcome};
+pub(crate) use naming_telemetry::trace::MemoEvent;
+use naming_telemetry::trace::{BottomCause, Outcome};
 
 use crate::entity::{Entity, ObjectId};
 use crate::name::{CompoundName, Name};
-use crate::resolve::{Resolution, ResolveError};
+use crate::resolve::{ResolutionStep, ResolveError};
 use crate::state::SystemState;
 
 /// The generation shown for a hop: the context's version counter, or 0
@@ -70,76 +71,48 @@ pub(crate) fn suffix_hit(state: &SystemState, ctx: ObjectId, suffix: &[Name], en
     );
 }
 
-/// Sets the whole-name memo verdict for the open resolution.
-pub(crate) fn whole_probe_missed(invalidated: bool) {
-    recorder::set_memo(if invalidated {
-        MemoEvent::Invalidated
-    } else {
-        MemoEvent::Miss
+/// The memo's verdict at a probe that found `hit`, after discarding a stale
+/// entry if `invalidated`.
+pub(crate) fn verdict(hit: Option<Entity>, invalidated: bool) -> MemoEvent {
+    match (hit, invalidated) {
+        (Some(_), _) => MemoEvent::Hit,
+        (None, true) => MemoEvent::Invalidated,
+        (None, false) => MemoEvent::Miss,
+    }
+}
+
+/// Closes the open resolution with the walk's outcome: the entity it
+/// settled on, or the ⊥-cause of its failure.
+pub(crate) fn finish(out: &Result<Entity, ResolveError>) {
+    recorder::finish_resolution(match out {
+        Ok(entity) => Outcome::Resolved(entity.to_string()),
+        Err(err) => Outcome::Bottom(cause_of(err)),
     });
 }
 
-/// Closes the open resolution with a whole-name memo hit.
-pub(crate) fn finish_memo_hit(entity: Entity) {
-    recorder::set_memo(MemoEvent::Hit);
-    recorder::finish_resolution(Outcome::Resolved(entity.to_string()));
-}
-
-/// Closes the open resolution after a walk: a defined entity resolves, an
-/// undefined one records its ⊥-cause when the walk determined one.
-pub(crate) fn finish_walk(entity: Entity, cause: Option<BottomCause>) {
-    let outcome = if entity == Entity::Undefined {
-        match cause {
-            Some(c) => Outcome::Bottom(c),
-            None => Outcome::Resolved(entity.to_string()),
-        }
-    } else {
-        Outcome::Resolved(entity.to_string())
-    };
-    recorder::finish_resolution(outcome);
-}
-
-/// Records a completed plain (unmemoized) resolution by replaying its
-/// path into the recorder. Called after the walk so the hot path carries
-/// no per-hop bookkeeping; on failure the walked prefix is re-derived
-/// from the (unchanged within this call) state.
+/// Records a completed plain (unmemoized) resolution: the hops its walk
+/// made, succeeded or not, then its outcome. Called after the walk so the
+/// hot path carries no per-hop bookkeeping.
 pub(crate) fn plain_resolution(
     state: &SystemState,
     start: ObjectId,
     name: &CompoundName,
-    out: &Result<Resolution, ResolveError>,
+    steps: &[ResolutionStep],
+    out: &Result<Entity, ResolveError>,
 ) {
     if !begin(start, name) {
         return;
     }
-    match out {
-        Ok(res) => {
-            for step in &res.steps {
-                hop(
-                    state,
-                    step.context,
-                    step.component,
-                    step.result,
-                    MemoEvent::None,
-                );
-            }
-            recorder::finish_resolution(Outcome::Resolved(res.entity.to_string()));
-        }
-        Err(err) => {
-            if let ResolveError::Unbound { at, .. } | ResolveError::NotAContext { at, .. } = err {
-                let mut ctx = start;
-                for &comp in name.components().iter().take(at + 1) {
-                    let result = state.lookup(ctx, comp);
-                    hop(state, ctx, comp, result, MemoEvent::None);
-                    match result {
-                        Entity::Object(o) if state.is_context_object(o) => ctx = o,
-                        _ => break,
-                    }
-                }
-            }
-            recorder::finish_resolution(Outcome::Bottom(cause_of(err)));
-        }
+    for step in steps {
+        hop(
+            state,
+            step.context,
+            step.component,
+            step.result,
+            MemoEvent::None,
+        );
     }
+    finish(out);
 }
 
 /// Records a resolution that produced ⊥ because the closure mechanism

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use crate::entity::{Entity, ObjectId};
 use crate::memo::ResolutionMemo;
 use crate::name::{CompoundName, Name};
+use crate::obs::MemoEvent;
 use crate::state::SystemState;
 
 /// Default bound on resolution path length, preventing unbounded traversals
@@ -184,74 +185,78 @@ impl Resolver {
         start: ObjectId,
         name: &CompoundName,
     ) -> Result<Resolution, ResolveError> {
-        let out = self.resolve_impl(state, start, name);
-        crate::obs::plain_resolution(state, start, name, &out);
+        let mut steps = Vec::with_capacity(name.len());
+        let out = self.walk(state, start, name.components(), &mut steps);
+        crate::obs::plain_resolution(state, start, name, &steps, &out);
         // The histogram's count doubles as the plain-resolution
         // counter; no separate counter bump on this hot path.
         naming_telemetry::histogram!("resolve.depth").record(name.len() as u64);
-        out
+        out.map(|entity| Resolution { entity, steps })
     }
 
-    /// The walk itself, free of observation hooks.
-    fn resolve_impl(
+    /// The one walk of §2's rule: looks `comps` up from `start` one
+    /// component at a time, showing `hook` every position reached and every
+    /// lookup made. A hook that answers for the rest of the name at some
+    /// position ends the walk there with its answer.
+    ///
+    /// A position that is not a context is `⊥`: at the start, the first
+    /// lookup in it yields `⊥` (`Unbound` at 0); mid-path, the component
+    /// that led there denoted a non-context (`NotAContext`). Names longer
+    /// than the depth limit are refused before the hook sees anything. An
+    /// empty run of components consults nothing and denotes nothing.
+    pub(crate) fn walk(
         &self,
         state: &SystemState,
         start: ObjectId,
-        name: &CompoundName,
-    ) -> Result<Resolution, ResolveError> {
-        if name.len() > self.depth_limit {
+        comps: &[Name],
+        hook: &mut impl Hook,
+    ) -> Result<Entity, ResolveError> {
+        if comps.len() > self.depth_limit {
             return Err(ResolveError::DepthExceeded {
                 limit: self.depth_limit,
             });
         }
-        let mut steps = Vec::with_capacity(name.len());
+        // The component at `at` denoted `entity`, which is not a context.
+        let not_a_context = |entity, at: usize| ResolveError::NotAContext {
+            entity,
+            component: comps[at],
+            at,
+        };
         let mut ctx = start;
-        let comps = name.components();
-        for (i, &comp) in comps.iter().enumerate() {
-            let result = state.lookup(ctx, comp);
-            steps.push(ResolutionStep {
-                context: ctx,
-                component: comp,
-                result,
-            });
-            let last = i + 1 == comps.len();
+        for (at, &component) in comps.iter().enumerate() {
+            if let Some(answer) = hook.reach(at, ctx, &comps[at..]) {
+                return Ok(answer);
+            }
+            let c = state.context(ctx);
+            if c.is_none() && at > 0 {
+                return Err(not_a_context(Entity::Object(ctx), at - 1));
+            }
+            let result = c.map_or(Entity::Undefined, |c| c.lookup(component));
+            hook.hop(ctx, c.map(|c| c.version()), component, result);
             match result {
                 Entity::Undefined => {
                     return Err(ResolveError::Unbound {
                         context: ctx,
-                        component: comp,
-                        at: i,
-                    });
+                        component,
+                        at,
+                    })
                 }
-                _ if last => {
-                    return Ok(Resolution {
-                        entity: result,
-                        steps,
-                    });
-                }
-                Entity::Object(o) if state.is_context_object(o) => {
-                    ctx = o;
-                }
-                other => {
-                    return Err(ResolveError::NotAContext {
-                        entity: other,
-                        component: comp,
-                        at: i,
-                    });
-                }
+                _ if at + 1 == comps.len() => return Ok(result),
+                Entity::Object(o) => ctx = o,
+                // Activities are not contexts; traversal dies here.
+                Entity::Activity(_) => return Err(not_a_context(result, at)),
             }
         }
-        unreachable!("compound names are nonempty")
+        Ok(Entity::Undefined)
     }
 
     /// Resolves `name` with the paper's exact total-function semantics:
     /// failures yield [`Entity::Undefined`].
     ///
     /// This is the hot path of the scale harness, so when nothing observes
-    /// the walk it runs a lean loop that allocates nothing — no
-    /// [`ResolutionStep`] vector, no error values. With a trace recorder
-    /// active it routes through [`Resolver::resolve`] so traces are
-    /// identical to the error-reporting path's.
+    /// the walk it allocates nothing — no [`ResolutionStep`] vector. With a
+    /// trace recorder active it routes through [`Resolver::resolve`] so
+    /// traces are identical to the error-reporting path's.
     pub fn resolve_entity(
         &self,
         state: &SystemState,
@@ -264,40 +269,11 @@ impl Resolver {
                 Err(_) => Entity::Undefined,
             };
         }
-        let entity = self.walk_entity(state, start, name);
+        let entity = self.walk(state, start, name.components(), &mut ());
         // Metrics parity with `resolve`: the depth histogram records every
         // plain resolution whether or not a recorder is tracing.
         naming_telemetry::histogram!("resolve.depth").record(name.len() as u64);
-        entity
-    }
-
-    /// The allocation-free walk behind [`Resolver::resolve_entity`]:
-    /// produces exactly `resolve(..).map(|r| r.entity).unwrap_or(⊥)`
-    /// without materializing steps or errors.
-    fn walk_entity(&self, state: &SystemState, start: ObjectId, name: &CompoundName) -> Entity {
-        let comps = name.components();
-        if comps.len() > self.depth_limit {
-            return Entity::Undefined;
-        }
-        let mut ctx = start;
-        let last = comps.len() - 1;
-        for (i, &comp) in comps.iter().enumerate() {
-            let Some(c) = state.context(ctx) else {
-                // σ(ctx) ∉ C: every lookup in it is ⊥ (the traced path
-                // reports Unbound here; the entity view is ⊥ either way).
-                return Entity::Undefined;
-            };
-            let result = c.lookup(comp);
-            if i == last {
-                return result;
-            }
-            match result {
-                Entity::Object(o) => ctx = o,
-                // ⊥ mid-path, or an activity (not a context): dead end.
-                _ => return Entity::Undefined,
-            }
-        }
-        unreachable!("compound names are nonempty")
+        entity.unwrap_or(Entity::Undefined)
     }
 
     /// Resolves `name` with the total-function semantics, consulting and
@@ -322,87 +298,49 @@ impl Resolver {
         memo: &mut ResolutionMemo,
     ) -> Entity {
         let comps = name.components();
-        if comps.len() > self.depth_limit {
-            return Entity::Undefined;
-        }
         let tracing = crate::obs::begin(start, name);
-        let invalidations_before = memo.stats().invalidations;
-        // Hot path: the whole name is memoized and still current.
-        if let Some(e) = memo.probe(state, start, comps) {
+        // Hot path: the whole name is memoized and still current. A name
+        // past the depth limit is not probed — the memo may be shared with
+        // a resolver whose limit admits it — and the walk refuses it.
+        if comps.len() <= self.depth_limit {
+            let invalidations = memo.stats().invalidations;
+            let hit = memo.probe(state, start, comps);
             if tracing {
-                crate::obs::finish_memo_hit(e);
+                let invalidated = memo.stats().invalidations > invalidations;
+                naming_telemetry::recorder::set_memo(crate::obs::verdict(hit, invalidated));
+                hit.inspect(|&e| crate::obs::finish(&Ok(e)));
             }
-            return e;
+            if let Some(e) = hit {
+                return e;
+            }
         }
-        if tracing {
-            crate::obs::whole_probe_missed(memo.stats().invalidations > invalidations_before);
-        }
-        // Walk the path, probing shorter suffixes as we go and recording
-        // the generation of every context we read.
-        let mut positions: Vec<ObjectId> = Vec::with_capacity(comps.len());
-        let mut deps: Vec<(ObjectId, u64)> = Vec::with_capacity(comps.len());
-        let mut ctx = start;
-        let mut i = 0;
-        let mut bottom: Option<crate::obs::BottomCause> = None;
-        let (entity, tail): (Entity, Box<[(ObjectId, u64)]>) = loop {
-            let mut hop_memo = crate::obs::MemoEvent::None;
-            if i > 0 {
-                let suffix_invalidations = memo.stats().invalidations;
-                if let Some(hit) = memo.probe_with_deps(state, ctx, &comps[i..]) {
-                    if tracing {
-                        crate::obs::suffix_hit(state, ctx, &comps[i..], hit.0);
-                    }
-                    break hit;
-                }
-                hop_memo = if memo.stats().invalidations > suffix_invalidations {
-                    crate::obs::MemoEvent::Invalidated
-                } else {
-                    crate::obs::MemoEvent::Miss
-                };
-            }
-            positions.push(ctx);
-            let Some(c) = state.context(ctx) else {
-                // `ctx` is not a context object: `σ(...) ∉ C`, so the rest
-                // of the name denotes ⊥. No generation to record — an
-                // object's kind can only change through the epoch-bumping
-                // escape hatches, and the epoch stamp covers that.
-                bottom = Some(crate::obs::BottomCause::NotAContext {
-                    at: i.saturating_sub(1),
-                });
-                break (Entity::Undefined, Box::default());
-            };
-            deps.push((ctx, c.version()));
-            let result = c.lookup(comps[i]);
-            if tracing {
-                crate::obs::hop(state, ctx, comps[i], result, hop_memo);
-            }
-            i += 1;
-            if result == Entity::Undefined {
-                bottom = Some(crate::obs::BottomCause::Unbound { at: i - 1 });
-                break (Entity::Undefined, Box::default());
-            }
-            if i == comps.len() {
-                break (result, Box::default());
-            }
-            match result {
-                Entity::Object(o) => ctx = o,
-                // Activities are not contexts; traversal dies here.
-                _ => {
-                    bottom = Some(crate::obs::BottomCause::NotAContext { at: i - 1 });
-                    break (Entity::Undefined, Box::default());
-                }
-            }
+        let mut walk = MemoWalk {
+            state,
+            memo,
+            tracing,
+            positions: Vec::with_capacity(comps.len()),
+            deps: Vec::with_capacity(comps.len()),
+            tail: Box::default(),
+            verdict: MemoEvent::None,
         };
-        if tracing {
-            crate::obs::finish_walk(entity, bottom);
+        let out = self.walk(state, start, comps, &mut walk);
+        if walk.tracing {
+            crate::obs::finish(&out);
         }
+        let entity = out.unwrap_or(Entity::Undefined);
         // Resolution is suffix-compositional: every visited position j
         // resolves comps[j..] to the same final entity through the same
         // tail of the path, depending on the contexts from j onward. Every
         // suffix entry's footprint is a suffix of one shared buffer
         // `deps ++ tail`, built once instead of per entry.
-        let walked = deps.len();
-        let mut full = deps;
+        let MemoWalk {
+            memo,
+            positions,
+            deps: mut full,
+            tail,
+            ..
+        } = walk;
+        let walked = full.len();
         full.extend_from_slice(&tail);
         for (j, &at) in positions.iter().enumerate() {
             memo.record(state, at, &comps[j..], entity, &full[j.min(walked)..]);
@@ -447,27 +385,8 @@ impl Resolver {
         deps: &mut Vec<(ObjectId, u64)>,
     ) -> Entity {
         deps.clear();
-        if comps.len() > self.depth_limit {
-            return Entity::Undefined;
-        }
-        let mut ctx = start;
-        for (i, &comp) in comps.iter().enumerate() {
-            let Some(c) = state.context(ctx) else {
-                return Entity::Undefined;
-            };
-            deps.push((ctx, c.version()));
-            let result = c.lookup(comp);
-            if result == Entity::Undefined || i + 1 == comps.len() {
-                return result;
-            }
-            match result {
-                Entity::Object(o) => ctx = o,
-                // Activities are not contexts; traversal dies here.
-                _ => return Entity::Undefined,
-            }
-        }
-        // An empty name consults nothing and denotes nothing.
-        Entity::Undefined
+        self.walk(state, start, comps, deps)
+            .unwrap_or(Entity::Undefined)
     }
 
     /// Resolves a whole batch of names in the same starting context.
@@ -481,6 +400,85 @@ impl Resolver {
             .into_iter()
             .map(|n| self.resolve_entity(state, start, n))
             .collect()
+    }
+}
+
+/// What a caller sees of [`Resolver::walk`]. Both methods default to
+/// seeing nothing.
+pub(crate) trait Hook {
+    /// The walk stands at `ctx`, `at` components in, with `rest` still to
+    /// resolve. Answering `Some(e)` ends the walk: `e` is what `rest`
+    /// denotes from `ctx`.
+    fn reach(&mut self, _at: usize, _ctx: ObjectId, _rest: &[Name]) -> Option<Entity> {
+        None
+    }
+
+    /// Looking `component` up in `ctx` — a context of generation `gen`, or
+    /// `None` for a non-context start — yielded `result`.
+    fn hop(&mut self, _ctx: ObjectId, _gen: Option<u64>, _component: Name, _result: Entity) {}
+}
+
+/// The bare walk.
+impl Hook for () {}
+
+/// The path, as [`Resolution::steps`] and the trace record it.
+impl Hook for Vec<ResolutionStep> {
+    fn hop(&mut self, context: ObjectId, _: Option<u64>, component: Name, result: Entity) {
+        self.push(ResolutionStep {
+            context,
+            component,
+            result,
+        });
+    }
+}
+
+/// The generation footprint: `(context, version)` of every context read.
+impl Hook for Vec<(ObjectId, u64)> {
+    fn hop(&mut self, ctx: ObjectId, gen: Option<u64>, _: Name, _: Entity) {
+        if let Some(g) = gen {
+            self.push((ctx, g));
+        }
+    }
+}
+
+/// [`Resolver::resolve_entity_memo`]'s walk after a whole-name miss: the
+/// memo is probed for each shorter suffix, and the walk notes each position
+/// it goes on from, the generations it reads and, when tracing, each hop
+/// with the memo's verdict at the position it was made from.
+struct MemoWalk<'a> {
+    state: &'a SystemState,
+    memo: &'a mut ResolutionMemo,
+    tracing: bool,
+    positions: Vec<ObjectId>,
+    deps: Vec<(ObjectId, u64)>,
+    /// The footprint of a mid-walk hit.
+    tail: Box<[(ObjectId, u64)]>,
+    verdict: MemoEvent,
+}
+
+impl Hook for MemoWalk<'_> {
+    fn reach(&mut self, at: usize, ctx: ObjectId, rest: &[Name]) -> Option<Entity> {
+        if at > 0 {
+            let invalidations = self.memo.stats().invalidations;
+            if let Some((e, tail)) = self.memo.probe_with_deps(self.state, ctx, rest) {
+                if self.tracing {
+                    crate::obs::suffix_hit(self.state, ctx, rest, e);
+                }
+                self.tail = tail;
+                return Some(e);
+            }
+            let invalidated = self.memo.stats().invalidations > invalidations;
+            self.verdict = crate::obs::verdict(None, invalidated);
+        }
+        self.positions.push(ctx);
+        None
+    }
+
+    fn hop(&mut self, ctx: ObjectId, gen: Option<u64>, component: Name, result: Entity) {
+        self.deps.hop(ctx, gen, component, result);
+        if self.tracing {
+            crate::obs::hop(self.state, ctx, component, result, self.verdict);
+        }
     }
 }
 
@@ -699,5 +697,24 @@ mod tests {
         let r = Resolver::new();
         let n = CompoundName::atom(Name::new("x"));
         assert_eq!(r.resolve_entity(&s, d, &n), Entity::Undefined);
+    }
+
+    #[test]
+    fn a_shared_memo_neither_records_nor_serves_past_the_depth_limit() {
+        let (s, root, _, passwd) = tree();
+        let n = CompoundName::parse_path("/etc/passwd").unwrap(); // length 3
+        let (shallow, deep) = (Resolver::with_depth_limit(2), Resolver::new());
+        let mut memo = ResolutionMemo::new();
+        // (resolver, answer, entries after): the deep walk seeds 3 suffixes.
+        let runs = [
+            (shallow, None, 0),
+            (deep, Some(passwd), 3),
+            (shallow, None, 3),
+        ];
+        for (r, want, entries) in runs {
+            let want = want.map_or(Entity::Undefined, Entity::Object);
+            assert_eq!(r.resolve_entity_memo(&s, root, &n, &mut memo), want);
+            assert_eq!(memo.len(), entries);
+        }
     }
 }

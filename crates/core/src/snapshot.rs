@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::entity::{Entity, ObjectId};
 use crate::hash::FxHashMap;
 use crate::name::{CompoundName, Name};
-use crate::resolve::Resolver;
+use crate::resolve::{Hook, Resolver};
 use crate::state::SystemState;
 
 /// An immutable, cheaply cloneable view of a [`SystemState`], stamped with
@@ -359,43 +359,27 @@ impl Resolver {
         name: &CompoundName,
         memo: &mut SnapshotMemo,
     ) -> Entity {
-        let comps = name.components();
-        if comps.len() > self.depth_limit() {
-            return Entity::Undefined;
+        let (state, comps) = (snap.state(), name.components());
+        if comps.len() <= self.depth_limit() {
+            if let Some(e) = memo.probe(snap, start, comps) {
+                return e;
+            }
         }
-        if let Some(e) = memo.probe(snap, start, comps) {
-            return e;
-        }
-        let state = snap.state();
-        let mut positions: Vec<ObjectId> = Vec::with_capacity(comps.len());
-        let mut tail_shards: Box<[u32]> = Box::from([]);
-        let mut ctx = start;
-        let mut i = 0;
-        let entity = loop {
-            if i > 0 {
-                if let Some((hit, hs)) = memo.probe_entry(snap, ctx, &comps[i..]) {
-                    tail_shards = hs;
-                    break hit;
-                }
-            }
-            positions.push(ctx);
-            let Some(c) = state.context(ctx) else {
-                break Entity::Undefined;
-            };
-            let result = c.lookup(comps[i]);
-            i += 1;
-            if result == Entity::Undefined {
-                break Entity::Undefined;
-            }
-            if i == comps.len() {
-                break result;
-            }
-            match result {
-                Entity::Object(o) => ctx = o,
-                // Activities are not contexts; traversal dies here.
-                _ => break Entity::Undefined,
-            }
+        let mut walk = SnapshotWalk {
+            snap,
+            memo,
+            positions: Vec::with_capacity(comps.len()),
+            tail_shards: Box::default(),
         };
+        let entity = self
+            .walk(state, start, comps, &mut walk)
+            .unwrap_or(Entity::Undefined);
+        let SnapshotWalk {
+            memo,
+            positions,
+            tail_shards,
+            ..
+        } = walk;
         // Seed an entry per walked suffix. The entry at position j depends
         // on the contexts positions[j..] (plus whatever the mid-walk hit
         // already depended on), so accumulate shard footprints from the
@@ -414,6 +398,30 @@ impl Resolver {
             memo.record(snap, positions[j], &comps[j..], entity, &acc);
         }
         entity
+    }
+}
+
+/// [`Resolver::resolve_entity_snapshot_memo`]'s walk after a whole-name
+/// miss: the memo is probed for each shorter suffix, and the walk notes each
+/// position it goes on from.
+struct SnapshotWalk<'a> {
+    snap: &'a StateSnapshot,
+    memo: &'a mut SnapshotMemo,
+    positions: Vec<ObjectId>,
+    /// The shard footprint of a mid-walk hit.
+    tail_shards: Box<[u32]>,
+}
+
+impl Hook for SnapshotWalk<'_> {
+    fn reach(&mut self, at: usize, ctx: ObjectId, rest: &[Name]) -> Option<Entity> {
+        if at > 0 {
+            if let Some((e, shards)) = self.memo.probe_entry(self.snap, ctx, rest) {
+                self.tail_shards = shards;
+                return Some(e);
+            }
+        }
+        self.positions.push(ctx);
+        None
     }
 }
 

@@ -40,7 +40,7 @@ use naming_core::name::Name;
 use naming_core::slab_lru::{SlabLru, Upsert};
 use naming_core::state::MAX_SHARDS;
 
-use crate::wire::{ShardDelta, ZoneChange};
+use crate::wire::ZoneChange;
 
 /// How a cache decides whether an entry may still be served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -593,109 +593,6 @@ impl Default for ZoneJournal {
     }
 }
 
-/// Counters for a [`ZoneMirror`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MirrorStats {
-    /// Slices applied incrementally (IXFR).
-    pub incremental: u64,
-    /// Slices applied as full dumps (AXFR fallback).
-    pub full: u64,
-    /// Individual binding changes applied.
-    pub changes_applied: u64,
-    /// Slices whose serial regressed relative to what was heard before.
-    pub regressions: u64,
-}
-
-/// A replica's materialized copy of zone bindings, maintained purely by
-/// applying [`ShardDelta`] slices — the client end of anti-entropy. Used
-/// to verify convergence (the mirror must equal the authority's zone
-/// contents once serials match) and to exercise the full-transfer
-/// fallback without touching σ.
-#[derive(Clone, Debug, Default)]
-pub struct ZoneMirror {
-    table: SerialTable,
-    bindings: BTreeMap<usize, BTreeMap<(ObjectId, Name), Entity>>,
-    stats: MirrorStats,
-}
-
-impl ZoneMirror {
-    /// An empty mirror that has heard nothing.
-    pub fn new() -> ZoneMirror {
-        ZoneMirror::default()
-    }
-
-    /// The serials heard so far.
-    pub fn table(&self) -> &SerialTable {
-        &self.table
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> MirrorStats {
-        self.stats
-    }
-
-    /// Total bindings materialized across all zones.
-    pub fn len(&self) -> usize {
-        self.bindings.values().map(BTreeMap::len).sum()
-    }
-
-    /// True when no bindings are materialized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Applies one zone slice: a full dump replaces the zone's contents,
-    /// an incremental diff applies change by change (⊥ unbinds). Adopts
-    /// the slice's serial and reports how it related to prior knowledge.
-    pub fn apply(&mut self, slice: &ShardDelta) -> SerialObservation {
-        let obs = self.table.observe(slice.shard, slice.serial);
-        if obs == SerialObservation::Regressed {
-            self.stats.regressions += 1;
-        }
-        let zone = self.bindings.entry(slice.shard).or_default();
-        if slice.full {
-            zone.clear();
-            self.stats.full += 1;
-        } else {
-            self.stats.incremental += 1;
-        }
-        for c in &slice.changes {
-            self.stats.changes_applied += 1;
-            if c.entity.is_defined() {
-                zone.insert((c.ctx, c.name), c.entity);
-            } else {
-                zone.remove(&(c.ctx, c.name));
-            }
-        }
-        obs
-    }
-
-    /// The mirrored binding of `name` in `ctx` (⊥ when not mirrored).
-    pub fn lookup(&self, shard: usize, ctx: ObjectId, name: Name) -> Entity {
-        self.bindings
-            .get(&shard)
-            .and_then(|z| z.get(&(ctx, name)).copied())
-            .unwrap_or(Entity::Undefined)
-    }
-
-    /// The mirrored bindings of one zone, sorted, for convergence checks.
-    pub fn zone_bindings(&self, shard: usize) -> Vec<(ObjectId, Name, Entity)> {
-        self.bindings
-            .get(&shard)
-            .map(|z| z.iter().map(|(&(c, n), &e)| (c, n, e)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Replica restart: warm state is gone. The serial table and the
-    /// materialized bindings are dropped (stats survive — they belong to
-    /// the experimenter, not the replica); the next pull starts from
-    /// [`ZoneSerial::ZERO`] and forces full transfers.
-    pub fn restart(&mut self) {
-        self.table.reset();
-        self.bindings.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1087,51 +984,5 @@ mod tests {
                 .map(|d| d.len()),
             Some(1)
         );
-    }
-
-    #[test]
-    fn mirror_applies_incremental_and_full_and_flags_regression() {
-        let mut m = ZoneMirror::new();
-        // Incremental slice: two binds, then an unbind.
-        let inc = ShardDelta {
-            shard: 0,
-            serial: ZoneSerial::new(3),
-            full: false,
-            changes: vec![
-                change(10, "a", Some(1)),
-                change(10, "b", Some(2)),
-                change(10, "a", None),
-            ],
-        };
-        assert_eq!(m.apply(&inc), SerialObservation::Advanced);
-        assert_eq!(m.lookup(0, oid(10), Name::new("b")), Entity::Object(oid(2)));
-        assert_eq!(m.lookup(0, oid(10), Name::new("a")), Entity::Undefined);
-        assert_eq!(m.len(), 1);
-        // Full slice replaces everything in the zone.
-        let full = ShardDelta {
-            shard: 0,
-            serial: ZoneSerial::new(7),
-            full: true,
-            changes: vec![change(10, "c", Some(3))],
-        };
-        assert_eq!(m.apply(&full), SerialObservation::Advanced);
-        assert_eq!(
-            m.zone_bindings(0),
-            vec![(oid(10), Name::new("c"), Entity::Object(oid(3)))]
-        );
-        // Authority regression is flagged and adopted.
-        let back = ShardDelta {
-            shard: 0,
-            serial: ZoneSerial::new(2),
-            full: true,
-            changes: vec![],
-        };
-        assert_eq!(m.apply(&back), SerialObservation::Regressed);
-        assert_eq!(m.stats().regressions, 1);
-        assert!(m.is_empty());
-        // Restart forgets serials and bindings; the next request starts
-        // from ZERO (forcing a full transfer at the authority).
-        m.restart();
-        assert_eq!(m.table().known(0), ZoneSerial::ZERO);
     }
 }

@@ -6,9 +6,10 @@
 //!
 //! * **Readers** — a fixed pool of worker threads consuming
 //!   [`BatchRequest`] frames from an MPMC channel (`crossbeam::channel`).
-//!   Each worker walks the frame's shared-prefix trie once against the
-//!   immutable [`StateSnapshot`] carried by the job — one context lookup per
-//!   distinct prefix, no locks, no atomics, no state kept between jobs.
+//!   Each worker drives the name server's walk over the frame's
+//!   shared-prefix trie against the immutable [`StateSnapshot`] carried by
+//!   the job, holding the whole namespace — one context lookup per distinct
+//!   prefix, no locks, no atomics, no state kept between jobs.
 //! * **The writer** — mutations apply to a private *staging* state
 //!   ([`ConcurrentService::update`]); nothing a worker can observe changes
 //!   until [`ConcurrentService::publish`] clones the staging state into a
@@ -24,7 +25,6 @@ use std::time::Instant;
 use crossbeam::channel::{self, Receiver, Sender};
 use naming_core::entity::Entity;
 use naming_core::name::{CompoundName, Name};
-use naming_core::resolve::Resolver;
 use naming_core::snapshot::{SnapshotMemoStats, StateSnapshot};
 use naming_core::state::SystemState;
 use naming_telemetry::metrics::MetricsRegistry;
@@ -33,7 +33,8 @@ use naming_telemetry::metrics::MetricsRegistry;
 pub use naming_telemetry::flight::{FlightLog, FlightRecorder, SharedFlightRecorder};
 pub use naming_telemetry::metrics::HistogramSnapshot;
 
-use crate::wire::{BatchRequest, WalkScratch};
+use crate::service::{authority_walk, AuthorityScratch, Onward};
+use crate::wire::{BatchRequest, Outcome};
 
 /// A unit of work: one batch frame plus the snapshot it resolves against.
 struct Job {
@@ -363,16 +364,18 @@ impl Drop for ConcurrentService {
     }
 }
 
-/// The worker body: walk every received frame's trie once against the
-/// job's snapshot — one lookup per distinct prefix, answers written where
-/// names end — by the entity rule of [`Resolver::resolve_entity`].
+/// The worker body: every received frame's trie goes through the name
+/// server's walk, [`authority_walk`], against the job's snapshot — one
+/// lookup per distinct prefix, the whole namespace held here — and each
+/// name's outcome is its entity: `Resolved(e)` is `e`, anything else `⊥`,
+/// as [`Resolver::resolve_entity`](naming_core::resolve::Resolver::resolve_entity)
+/// answers it.
 fn worker_loop(
     idx: usize,
     jobs: Receiver<Job>,
     results: Sender<(u64, BatchAnswer)>,
     flight: Option<SharedFlightRecorder>,
 ) -> WorkerReport {
-    let depth_limit = Resolver::new().depth_limit();
     let mut report = WorkerReport::default();
     // Worker-private latency histograms (wall clock, observational only).
     // `Histogram` is only constructible through a registry, so keep a
@@ -390,24 +393,23 @@ fn worker_loop(
         let reg = naming_telemetry::metrics::global();
         (reg.counter(batches), reg.counter(queries))
     };
-    let (mut walk, mut sub) = (WalkScratch::default(), Vec::new());
+    let mut scratch = AuthorityScratch::default();
     for job in jobs.iter() {
         let started = Instant::now();
         queue_wait.record(started.duration_since(job.submitted).as_nanos() as u64);
-        let (state, trie) = (job.snap.state(), &job.req.trie);
-        trie.subtree_query_counts(&mut sub);
+        let trie = &job.req.trie;
         let mut entities = vec![Entity::Undefined; trie.query_count() as usize];
-        let (mut lookups, mut naive) = (0u64, 0u64);
-        // The state below a node is the context its component denoted;
-        // `None` once the path has died (⊥, an activity, a non-context
-        // object) or outgrown the depth limit — every name below is ⊥.
-        trie.walk(&mut walk, Some(job.req.start), |ni, node, path, ctx| {
-            let ctx = state.context(ctx.filter(|_| path.len() <= depth_limit)?)?;
-            lookups += 1;
-            naive += u64::from(sub[ni]);
-            // A label this process never interned is bound nowhere.
-            let entity = (node.component).map_or(Entity::Undefined, |c| ctx.lookup(c));
-            if let Some(query) = node.query {
+        let (lookups, saved) = authority_walk(
+            job.snap.state(),
+            job.req.start,
+            trie,
+            &mut scratch,
+            Onward::Here,
+            |query, path, outcome| {
+                let entity = match outcome {
+                    Outcome::Resolved(e) => e,
+                    _ => Entity::Undefined,
+                };
                 entities[query as usize] = entity;
                 if let Some(flight) = &flight {
                     // Admission hashes (request id, name), so the merged log
@@ -421,14 +423,13 @@ fn worker_loop(
                         .lock()
                         .observe(job.req.id, query, &name, job.seq, || format!("{entity}"));
                 }
-            }
-            entity.as_object()
-        });
+            },
+        );
         service_time.record(started.elapsed().as_nanos() as u64);
         let queries = entities.len() as u64;
         report.batches += 1;
         report.queries += queries;
-        let saved = naive.saturating_sub(lookups);
+        let (lookups, saved) = (u64::from(lookups), u64::from(saved));
         report.lookups += lookups;
         report.lookups_saved += saved;
         worker_batches.bump();
@@ -451,6 +452,10 @@ fn worker_loop(
     report.service_time = service_time.snapshot();
     report
 }
+
+// The tests hold the pool to the core resolver's answers.
+#[cfg(test)]
+use naming_core::resolve::Resolver;
 
 #[cfg(test)]
 mod tests {

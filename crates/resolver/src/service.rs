@@ -7,17 +7,22 @@
 //! process per machine. A server resolves components while the current
 //! context object is local and answers with a referral as soon as the path
 //! crosses machines — the classic iterative name-server discipline.
+//!
+//! `authority_walk` is that rule, written once over a trie of names: the
+//! servers run it with "go on in the zones held here", the worker pool of
+//! [`crate::concurrent`] with "go on everywhere".
 
 use std::collections::BTreeMap;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::hash::FxHashMap;
 use naming_core::name::CompoundName;
-use naming_core::state::{LOCAL_BITS, MAX_SHARD_OBJECTS};
+use naming_core::resolve::DEFAULT_DEPTH_LIMIT;
+use naming_core::state::{SystemState, LOCAL_BITS, MAX_SHARD_OBJECTS};
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::wire::{NameTrie, Outcome, WalkScratch};
+use crate::wire::{Label, NameTrie, Outcome, WalkScratch};
 
 /// Which machine is authoritative for each object: one flat table per
 /// state shard, indexed by the object's shard-local index. Object ids are
@@ -61,30 +66,102 @@ impl Placement {
     }
 }
 
+/// Where an authority's walk goes on from a context a name reaches: here (at
+/// it or a copy held here), at another machine (at the context it serves),
+/// or nowhere (nobody is placed for it).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Onward {
+    Here(ObjectId),
+    There(MachineId, ObjectId),
+    Nowhere,
+}
+
 /// Walk state at a trie node: still resolving locally, already past a
-/// referral boundary (`from` components of the node's path were consumed
-/// before it), past a dead binding (everything below is `NotFound`), or
-/// past an unplaced context (everything below is `Unreachable` — the
-/// bindings may exist but nobody can be asked).
+/// referral boundary (the last field: components of the node's path
+/// consumed before it), past a dead binding (everything below is
+/// `NotFound`), or past an unplaced context (everything below is
+/// `Unreachable` — the bindings may exist but nobody can be asked).
 #[derive(Clone, Copy, Debug)]
 enum St {
     Live(ObjectId),
-    Referred {
-        m: MachineId,
-        ctx: ObjectId,
-        from: usize,
-    },
+    Referred(MachineId, ObjectId, usize),
     Dead,
     Unreachable,
+}
+
+/// The buffers of [`authority_walk`], reusable from one trie to the next.
+#[derive(Debug, Default)]
+pub(crate) struct AuthorityScratch {
+    walk: WalkScratch<St>,
+    sub: Vec<u32>,
 }
 
 /// The buffers of [`NameService::local_resolve_batch`], reusable from one
 /// request to the next; `outcomes` holds the last trie's, by query id.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
-    walk: WalkScratch<St>,
-    sub: Vec<u32>,
+    walk: AuthorityScratch,
     pub(crate) outcomes: Vec<Outcome>,
+}
+
+/// The authority's walk of §2's rule over a trie of names from `start`,
+/// one lookup in `state` per distinct prefix. `onward` says where the walk
+/// goes on from each context a name reaches. A name longer than
+/// [`DEFAULT_DEPTH_LIMIT`] is `NotFound`. `answer` hears, in walk order,
+/// each query the walk reaches and its outcome; one it does not reach is
+/// `NotFound`. Returns the lookups made and the lookups shared prefixes
+/// saved against one walk per query.
+pub(crate) fn authority_walk(
+    state: &SystemState,
+    start: ObjectId,
+    trie: &NameTrie,
+    AuthorityScratch { walk, sub }: &mut AuthorityScratch,
+    mut onward: impl FnMut(ObjectId) -> Onward,
+    mut answer: impl FnMut(u32, &[Label], Outcome),
+) -> (u32, u32) {
+    // What each query would cost if resolved alone: every query in a
+    // node's subtree would have looked that node's component up.
+    trie.subtree_query_counts(sub);
+    let (mut lookups, mut naive) = (0u32, 0u32);
+    trie.walk(walk, St::Live(start), |ni, node, path, st| {
+        // This node's verdict (`None` leaves `NotFound`) and the state its
+        // children start from.
+        let (outcome, below) = match st {
+            _ if path.len() > DEFAULT_DEPTH_LIMIT => (None, St::Dead),
+            St::Dead => (None, st),
+            St::Unreachable => (Some(Outcome::Unreachable { attempts: 0 }), st),
+            St::Referred(m, ctx, from) => (Some(referral(m, ctx, path.len() - from)), st),
+            St::Live(cur) => {
+                let Some(c) = state.context(cur) else {
+                    return St::Dead;
+                };
+                lookups += 1;
+                naive += sub[ni];
+                // A label this process never interned is bound nowhere.
+                let e = (node.component).map_or(Entity::Undefined, |l| c.lookup(l));
+                let below = match e {
+                    Entity::Object(o) if !node.is_leaf() && state.is_context_object(o) => {
+                        match onward(o) {
+                            Onward::Here(copy) => St::Live(copy),
+                            Onward::There(m, ctx) => St::Referred(m, ctx, path.len()),
+                            Onward::Nowhere => St::Unreachable,
+                        }
+                    }
+                    _ => St::Dead,
+                };
+                let outcome = match e {
+                    Entity::Undefined => Outcome::NotFound,
+                    e => Outcome::Resolved(e),
+                };
+                (Some(outcome), below)
+            }
+        };
+        if let (Some(outcome), Some(q)) = (outcome, node.query) {
+            answer(q, path, outcome);
+        }
+        below
+    });
+    (lookups, naive.saturating_sub(lookups))
 }
 
 /// A referral for the last `remaining` components of what was asked. One
@@ -372,7 +449,8 @@ impl NameService {
     /// components of `name` starting at `start` while the current context
     /// object is hosted locally; crossing to a remotely-hosted context
     /// yields a referral to the *nearest* server of the next zone (a
-    /// replica on the same machine or network wins over the primary).
+    /// replica on the same machine or network wins over the primary). A
+    /// name longer than [`DEFAULT_DEPTH_LIMIT`] is `NotFound`.
     pub fn local_resolve(
         &self,
         world: &World,
@@ -384,6 +462,9 @@ impl NameService {
             return Outcome::WrongServer;
         }
         let comps = name.components();
+        if comps.len() > DEFAULT_DEPTH_LIMIT {
+            return Outcome::NotFound;
+        }
         let mut cur = start;
         for (i, &comp) in comps.iter().enumerate() {
             let e = world.state().lookup(cur, comp);
@@ -395,15 +476,13 @@ impl NameService {
             }
             match e {
                 Entity::Object(o) if world.state().is_context_object(o) => {
-                    match self.nearest_server_for(world, machine, o) {
-                        // The zone (or a replica of it) on THIS machine
-                        // lets the walk continue locally.
-                        Some((m, local_copy)) if m == machine => cur = local_copy,
-                        Some((m, ctx)) => return referral(m, ctx, comps.len() - (i + 1)),
+                    match self.onward(world, machine, o) {
+                        Onward::Here(local_copy) => cur = local_copy,
+                        Onward::There(m, ctx) => return referral(m, ctx, comps.len() - (i + 1)),
                         // Unplaced context object: nobody is authoritative,
                         // so nothing can be said about the binding — a
                         // transport verdict, never ⊥.
-                        None => return Outcome::Unreachable { attempts: 0 },
+                        Onward::Nowhere => return Outcome::Unreachable { attempts: 0 },
                     }
                 }
                 _ => return Outcome::NotFound,
@@ -440,11 +519,7 @@ impl NameService {
         trie: &NameTrie,
         scratch: &mut BatchScratch,
     ) -> u32 {
-        let BatchScratch {
-            walk,
-            sub,
-            outcomes,
-        } = scratch;
+        let BatchScratch { walk, outcomes } = scratch;
         let n = trie.query_count() as usize;
         outcomes.clear();
         if self.machine_of_object(start) != Some(machine) {
@@ -452,72 +527,36 @@ impl NameService {
             outcomes.resize(n, Outcome::WrongServer);
             return 0;
         }
-        // What each query would cost if resolved alone: every query in a
-        // node's subtree would have looked that node's component up.
-        trie.subtree_query_counts(sub);
         outcomes.resize(n, Outcome::NotFound);
-        let mut lookups = 0u32;
-        let mut naive = 0u32;
-
-        trie.walk(walk, St::Live(start), |ni, node, path, st| {
-            // This node's verdict (`None` leaves the default `NotFound`)
-            // and the state its children start from.
-            let (outcome, below) = match st {
-                St::Dead => (None, st),
-                St::Unreachable => (Some(Outcome::Unreachable { attempts: 0 }), st),
-                St::Referred { m, ctx, from } => (Some(referral(m, ctx, path.len() - from)), st),
-                St::Live(cur) => {
-                    lookups += 1;
-                    naive += sub[ni];
-                    let from = path.len();
-                    let e = (node.component)
-                        .map_or(Entity::Undefined, |c| world.state().lookup(cur, c));
-                    // Descend exactly as the single-name walk would: a
-                    // local replica keeps the walk live, a remote zone
-                    // starts a referral, an unplaced zone is unreachable,
-                    // anything else is dead.
-                    let below = match e {
-                        Entity::Object(o)
-                            if !node.is_leaf() && world.state().is_context_object(o) =>
-                        {
-                            match self.nearest_server_for(world, machine, o) {
-                                Some((m, copy)) if m == machine => St::Live(copy),
-                                Some((m, ctx)) => St::Referred { m, ctx, from },
-                                None => St::Unreachable,
-                            }
-                        }
-                        _ => St::Dead,
-                    };
-                    (e.is_defined().then_some(Outcome::Resolved(e)), below)
-                }
-            };
-            if let (Some(outcome), Some(q)) = (outcome, node.query) {
-                outcomes[q as usize] = outcome;
-            }
-            below
-        });
-        let saved = naive.saturating_sub(lookups);
+        let (lookups, saved) = authority_walk(
+            world.state(),
+            start,
+            trie,
+            walk,
+            |o| self.onward(world, machine, o),
+            |q, _, outcome| outcomes[q as usize] = outcome,
+        );
         naming_telemetry::counter!("service.batch_queries").add(n as u64);
         naming_telemetry::counter!("service.batch_lookups").add(u64::from(lookups));
         naming_telemetry::counter!("service.batch_lookups_saved").add(u64::from(saved));
         saved
     }
 
-    /// Picks the server for zone `o` nearest to `from`: `from` itself
-    /// when it serves the zone, else same network beats cross-network; the
-    /// primary wins ties (`zone_group` lists it first and `min_by_key`
-    /// keeps the first minimum). Returns the machine and the context
-    /// object (copy or primary) it serves. One placement probe, nothing
-    /// allocated.
-    fn nearest_server_for(
-        &self,
-        world: &World,
-        from: MachineId,
-        o: ObjectId,
-    ) -> Option<(MachineId, ObjectId)> {
+    /// Where a walk on `from` goes on from zone `o`: to its nearest server —
+    /// `from` itself when it serves the zone, else same network beats
+    /// cross-network; the primary wins ties (`zone_group` lists it first and
+    /// `min_by_key` keeps the first minimum) — at the context object (copy or
+    /// primary) that server holds. One placement probe, nothing allocated.
+    fn onward(&self, world: &World, from: MachineId, o: ObjectId) -> Onward {
         let from_net = world.topology().machine_network(from);
-        self.zone_group(o)
-            .min_by_key(|&(m, _)| (m != from, world.topology().machine_network(m) != from_net))
+        let nearest = self
+            .zone_group(o)
+            .min_by_key(|&(m, _)| (m != from, world.topology().machine_network(m) != from_net));
+        match nearest {
+            Some((m, copy)) if m == from => Onward::Here(copy),
+            Some((m, ctx)) => Onward::There(m, ctx),
+            None => Onward::Nowhere,
+        }
     }
 }
 

@@ -267,3 +267,56 @@ fn monitor_observations_link_to_traces() {
         );
     }
 }
+
+/// One failure, one ⊥-cause: a failing walk records the same hops and cause
+/// with or without a cold memo in front — unbound mid-path, through a data
+/// object or an activity, from a non-context start, past the depth limit.
+#[test]
+fn a_failing_walk_traces_one_cause_memoized_or_not() {
+    use naming_core::memo::ResolutionMemo;
+    use naming_core::resolve::Resolver;
+    use naming_telemetry::recorder;
+    use naming_telemetry::trace::BottomCause::{DepthExceeded, NotAContext, Unbound};
+    use naming_telemetry::trace::{Hop, Outcome};
+
+    let mut s = SystemState::new();
+    let root = s.add_context_object("root");
+    let (a, f) = (s.add_context_object("a"), s.add_data_object("f", vec![]));
+    let p = Entity::Activity(s.add_activity("p"));
+    for (name, to) in [
+        ("/", Entity::Object(root)),
+        ("a", a.into()),
+        ("f", f.into()),
+        ("p", p),
+    ] {
+        s.bind(root, Name::new(name), to).unwrap();
+    }
+    let (r, shallow) = (Resolver::new(), Resolver::with_depth_limit(2));
+    let cases = [
+        (r, root, "/a/nope/x", Unbound { at: 2 }),
+        (r, root, "/f/x", NotAContext { at: 1 }),
+        (r, root, "/p/x", NotAContext { at: 1 }),
+        (r, f, "x", Unbound { at: 0 }),
+        (shallow, root, "/a/nope", DepthExceeded { limit: 2 }),
+    ];
+    // Every hop's (context, component, result), and the outcome.
+    let traced = |resolve: &dyn Fn() -> Entity| {
+        recorder::install();
+        assert_eq!(resolve(), Entity::Undefined);
+        let data = recorder::take().expect("recorder was installed");
+        let [r] = &data.resolutions[..] else {
+            panic!("one resolution recorded: {:?}", data.resolutions);
+        };
+        let hop = |h: &Hop| (h.context, h.component.clone(), h.result.clone());
+        let hops: Vec<_> = r.hops.iter().map(hop).collect();
+        (hops, r.outcome.clone())
+    };
+    for (resolver, start, name, cause) in cases {
+        let name = CompoundName::parse_path(name).unwrap();
+        let plain = traced(&|| resolver.resolve_entity(&s, start, &name));
+        let memo = ResolutionMemo::new;
+        let cold = traced(&|| resolver.resolve_entity_memo(&s, start, &name, &mut memo()));
+        assert_eq!(plain.1, Outcome::Bottom(cause), "{name}");
+        assert_eq!(cold, plain, "{name} from {start}");
+    }
+}

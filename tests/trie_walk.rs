@@ -6,7 +6,8 @@
 //!   object and through an activity, a name deeper than the depth limit,
 //!   the empty trie — at 1, 2 and 5 workers;
 //! * the protocol — blocking iterative and recursive, `resolve_batch`,
-//!   `PipelinedService` — answers a name past the depth limit `⊥` too;
+//!   `PipelinedService` — answers a name past the depth limit `⊥` too, and
+//!   so does a name server sent the request frame directly;
 //! * `NameService::local_resolve_batch` ≡ `local_resolve`, name by name,
 //!   on a world with a referral, a local replica, an unplaced zone and a
 //!   file in mid-path, saving exactly the lookups it saved before the walk
@@ -167,6 +168,52 @@ fn protocol_honours_the_depth_limit() {
     let answer = pipelined.drain(&mut w).pop().unwrap();
     assert_eq!(answer.entities, expected);
     assert_eq!(answer.unreachable, [false; 3]);
+}
+
+/// The limit holds at the server too: sent straight to a name server's
+/// mailbox under either request tag, the name at the limit resolves and the
+/// one a component past it is `NotFound`.
+#[test]
+fn name_servers_honour_the_depth_limit() {
+    let mut w = World::new(7);
+    let net = w.add_network("n");
+    let m = w.add_machine("m", net);
+    let root = w.machine_root(m);
+    let lp = store::ensure_dir(w.state_mut(), root, "loop");
+    store::attach(w.state_mut(), lp, "loop", lp, false);
+    store::create_file(w.state_mut(), lp, "x", vec![]);
+    let mut svc = NameService::install(&mut w, &[m]);
+    svc.place_subtree(&w, root, m);
+    let server = svc.server_on(m);
+    let stranger = w.spawn(m, "stranger", None);
+    let mut engine = ProtocolEngine::new(svc);
+
+    for (id, depth) in [(0, DEFAULT_DEPTH_LIMIT), (1, DEFAULT_DEPTH_LIMIT + 1)] {
+        let labels = [&["loop"].repeat(depth - 1)[..], &["x"]].concat();
+        for tag in [1, 4] {
+            let frame = chain_frame(tag, id, root, &labels);
+            w.send(stranger, server, vec![Payload::Bytes(frame)]);
+        }
+    }
+    engine.pump_idle(&mut w);
+    let mut answers = Vec::new();
+    while let Some(msg) = w.receive(stranger) {
+        let Payload::Bytes(b) = &msg.parts[0] else {
+            panic!("a reply carries a frame");
+        };
+        let Some(Frame::BatchReply(reply)) = Frame::decode(b.clone()) else {
+            panic!("a reply frame");
+        };
+        answers.push((reply.id, reply.outcomes));
+    }
+    answers.sort_by_key(|&(id, _)| id);
+    let [(0, at), (0, at_again), (1, over), (1, over_again)] = &answers[..] else {
+        panic!("one reply per request: {answers:?}");
+    };
+    assert!(matches!(at[..], [Outcome::Resolved(e)] if e.is_defined()));
+    assert_eq!(at, at_again);
+    assert_eq!(over, &[Outcome::NotFound]);
+    assert_eq!(over, over_again);
 }
 
 proptest! {
