@@ -236,12 +236,6 @@ struct Shard {
     naming_version: u64,
     /// Shard-local mirror of [`SystemState::epoch`].
     epoch: u64,
-    /// SOA-style zone serial: advanced (wrapping) on exactly the writes
-    /// that advance `naming_version`. Unlike the generation counters,
-    /// serials are *published* facts — anti-entropy ships them to
-    /// replicas, which validate leased cache entries against their local
-    /// copy instead of against σ. See [`crate::lease`].
-    serial: ZoneSerial,
 }
 
 /// The global state function σ: tables of activities and objects with their
@@ -408,21 +402,24 @@ impl SystemState {
         self.shards[shard].epoch
     }
 
-    /// The SOA-style zone serial of shard `shard`: advanced on exactly
-    /// the naming writes that advance [`SystemState::shard_version`],
-    /// with wrapping ([`ZoneSerial`]) arithmetic. This is the value
-    /// anti-entropy publishes to replicas.
+    /// The SOA-style zone serial of shard `shard`: its naming version
+    /// ([`SystemState::shard_version`]), read as a [`ZoneSerial`]. Unlike
+    /// the generation counters, serials are *published* facts —
+    /// anti-entropy ships them to replicas, which validate leased cache
+    /// entries against their local copy instead of against σ. See
+    /// [`crate::lease`].
     ///
     /// # Panics
     ///
     /// Panics if `shard` is not a shard of this state.
     pub fn shard_serial(&self, shard: usize) -> ZoneSerial {
-        self.shards[shard].serial
+        ZoneSerial::new(self.shards[shard].naming_version)
     }
 
     /// The zone serial of every shard, in shard order.
     pub fn shard_serials(&self) -> Vec<ZoneSerial> {
-        self.shards.iter().map(|s| s.serial).collect()
+        let serial = |s: &Arc<Shard>| ZoneSerial::new(s.naming_version);
+        self.shards.iter().map(serial).collect()
     }
 
     /// `(naming_version, epoch)` of shard `shard`.
@@ -664,7 +661,6 @@ impl SystemState {
         let sh = Arc::make_mut(&mut self.shards[s]);
         sh.naming_version += 1;
         sh.epoch += 1;
-        sh.serial = sh.serial.bump();
         &mut sh.objects[l].state
     }
 
@@ -707,7 +703,6 @@ impl SystemState {
         let sh = Arc::make_mut(&mut self.shards[s]);
         sh.naming_version += 1;
         sh.epoch += 1;
-        sh.serial = sh.serial.bump();
         sh.objects[l].state.as_context_mut()
     }
 
@@ -762,7 +757,6 @@ impl SystemState {
         {
             let sh = Arc::make_mut(&mut self.shards[s]);
             sh.naming_version += 1;
-            sh.serial = sh.serial.bump();
         }
         let c = self.context_mut_internal(ctx).expect("checked above");
         Ok(c.bind(name, entity))
@@ -791,7 +785,6 @@ impl SystemState {
         {
             let sh = Arc::make_mut(&mut self.shards[s]);
             sh.naming_version += 1;
-            sh.serial = sh.serial.bump();
         }
         let c = self.context_mut_internal(ctx).expect("checked above");
         Ok(c.unbind(name))

@@ -19,6 +19,7 @@ use std::collections::BTreeMap;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::{CompoundName, Name};
+use naming_sim::codec;
 use naming_sim::message::Payload;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
@@ -178,7 +179,11 @@ impl ExecService {
         for (m, pid) in servers {
             self.drain_server(world, m, pid);
         }
-        world.send(parent, server, vec![Payload::Bytes(req.encode())]);
+        // A request the wire cannot carry is not sent: the exec fails as if
+        // it had been lost.
+        if let Some(frame) = codec::try_encode(&req) {
+            world.send(parent, server, Payload::Bytes(frame));
+        }
 
         let mut steps = 0usize;
         let reply = loop {
@@ -290,7 +295,9 @@ impl ExecService {
             child: Some(child),
             resolved_args,
         };
-        world.send(server, requester, vec![Payload::Bytes(reply.encode())]);
+        if let Some(frame) = codec::try_encode(&reply) {
+            world.send(server, requester, Payload::Bytes(frame));
+        }
     }
 }
 

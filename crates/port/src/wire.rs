@@ -8,10 +8,15 @@
 //!   (name → object). Shipping the table is what "associate appropriate
 //!   contexts with activities that exchange names" looks like on the wire —
 //!   the child's context is *constructed* to agree with the parent's.
+//!
+//! Both frames are laid out once over the simulator's codec
+//! ([`naming_sim::codec`]), which sizes them, writes them and decides what
+//! the wire can carry.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::{CompoundName, Name};
+use naming_sim::codec::{self, Layout, Reader, Sink, Writer};
 
 const TAG_EXEC_REQUEST: u8 = 11;
 const TAG_EXEC_REPLY: u8 = 12;
@@ -41,140 +46,38 @@ pub struct ExecReply {
     pub resolved_args: Vec<Entity>,
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16(u16::try_from(s.len()).expect("string too long for wire"));
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Option<String> {
-    if buf.remaining() < 2 {
-        return None;
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    // Validate UTF-8 in place over the borrowed slice; the only copy is
-    // the final `String` allocation (no `to_vec` round-trip through an
-    // intermediate buffer).
-    let s = std::str::from_utf8(&buf[..len]).ok()?.to_owned();
-    buf.advance(len);
-    Some(s)
-}
-
-fn put_compound(buf: &mut BytesMut, name: &CompoundName) {
-    buf.put_u16(u16::try_from(name.len()).expect("name too deep"));
-    for c in name.components() {
-        put_str(buf, c.as_str());
-    }
-}
-
-fn get_compound(buf: &mut Bytes) -> Option<CompoundName> {
-    if buf.remaining() < 2 {
-        return None;
-    }
-    let len = buf.get_u16() as usize;
-    let mut comps = Vec::with_capacity(len.min(256));
-    for _ in 0..len {
-        comps.push(Name::new(&get_str(buf)?));
-    }
-    CompoundName::new(comps).ok()
-}
-
-fn put_entity(buf: &mut BytesMut, e: Entity) {
-    match e {
-        Entity::Activity(a) => {
-            buf.put_u8(1);
-            buf.put_u32(a.index() as u32);
-        }
-        Entity::Object(o) => {
-            buf.put_u8(2);
-            buf.put_u32(o.index() as u32);
-        }
-        Entity::Undefined => buf.put_u8(3),
-    }
-}
-
-fn get_entity(buf: &mut Bytes) -> Option<Entity> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    match buf.get_u8() {
-        1 if buf.remaining() >= 4 => Some(Entity::Activity(ActivityId::from_index(buf.get_u32()))),
-        2 if buf.remaining() >= 4 => Some(Entity::Object(ObjectId::from_index(buf.get_u32()))),
-        3 => Some(Entity::Undefined),
-        _ => None,
+impl Layout for ExecRequest {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        w.u8(TAG_EXEC_REQUEST);
+        w.u64(self.id);
+        w.label(&self.label);
+        w.list16(&self.args, |w, a| {
+            w.list16(a.components(), |w, c| w.label(c.as_str()));
+        });
+        w.list16(&self.namespace, |w, &(n, o)| {
+            w.label(n.as_str());
+            w.object(o);
+        });
     }
 }
 
 impl ExecRequest {
-    /// Exact encoded size of the frame, for pre-sizing buffers.
-    pub fn wire_len(&self) -> usize {
-        let args: usize = self
-            .args
-            .iter()
-            .map(|a| {
-                2 + a
-                    .components()
-                    .iter()
-                    .map(|c| 2 + c.as_str().len())
-                    .sum::<usize>()
-            })
-            .sum();
-        let ns: usize = self
-            .namespace
-            .iter()
-            .map(|(n, _)| 2 + n.as_str().len() + 4)
-            .sum();
-        1 + 8 + 2 + self.label.len() + 2 + args + 2 + ns
-    }
-
-    /// Encodes the request into an exactly pre-sized frame.
+    /// Encodes the request into an exactly sized frame. Panics when the
+    /// wire cannot carry it ([`codec::encode`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u8(TAG_EXEC_REQUEST);
-        buf.put_u64(self.id);
-        put_str(&mut buf, &self.label);
-        buf.put_u16(u16::try_from(self.args.len()).expect("too many args"));
-        for a in &self.args {
-            put_compound(&mut buf, a);
-        }
-        buf.put_u16(u16::try_from(self.namespace.len()).expect("namespace too large"));
-        for (n, o) in &self.namespace {
-            put_str(&mut buf, n.as_str());
-            buf.put_u32(o.index() as u32);
-        }
-        debug_assert_eq!(buf.len(), self.wire_len());
-        buf.freeze()
+        codec::encode(self)
     }
 
     /// Decodes a request frame.
-    pub fn decode(mut buf: Bytes) -> Option<ExecRequest> {
-        if buf.remaining() < 1 + 8 || buf.get_u8() != TAG_EXEC_REQUEST {
-            return None;
-        }
-        let id = buf.get_u64();
-        let label = get_str(&mut buf)?;
-        if buf.remaining() < 2 {
-            return None;
-        }
-        let n_args = buf.get_u16() as usize;
-        let mut args = Vec::with_capacity(n_args.min(256));
-        for _ in 0..n_args {
-            args.push(get_compound(&mut buf)?);
-        }
-        if buf.remaining() < 2 {
-            return None;
-        }
-        let n_ns = buf.get_u16() as usize;
-        let mut namespace = Vec::with_capacity(n_ns.min(256));
-        for _ in 0..n_ns {
-            let name = Name::new(&get_str(&mut buf)?);
-            if buf.remaining() < 4 {
-                return None;
-            }
-            namespace.push((name, ObjectId::from_index(buf.get_u32())));
-        }
+    pub fn decode(frame: Bytes) -> Option<ExecRequest> {
+        let mut r = Reader::new(&frame);
+        r.tag(TAG_EXEC_REQUEST)?;
+        let (id, label) = (r.u64()?, r.label()?.to_owned());
+        let args = r.list16(2, |r| {
+            let comps = r.list16(2, |r| r.label().map(Name::new))?;
+            CompoundName::new(comps).ok()
+        })?;
+        let namespace = r.list16(2 + 4, |r| Some((Name::new(r.label()?), r.object()?)))?;
         Some(ExecRequest {
             id,
             label,
@@ -184,59 +87,39 @@ impl ExecRequest {
     }
 }
 
-impl ExecReply {
-    /// Exact encoded size of the frame, for pre-sizing buffers.
-    pub fn wire_len(&self) -> usize {
-        let entities: usize = self
-            .resolved_args
-            .iter()
-            .map(|e| match e {
-                Entity::Undefined => 1,
-                _ => 5,
-            })
-            .sum();
-        1 + 8 + 1 + if self.child.is_some() { 4 } else { 0 } + 2 + entities
-    }
-
-    /// Encodes the reply into an exactly pre-sized frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u8(TAG_EXEC_REPLY);
-        buf.put_u64(self.id);
+impl Layout for ExecReply {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        w.u8(TAG_EXEC_REPLY);
+        w.u64(self.id);
         match self.child {
             Some(c) => {
-                buf.put_u8(1);
-                buf.put_u32(c.index() as u32);
+                w.u8(1);
+                w.activity(c);
             }
-            None => buf.put_u8(0),
+            None => w.u8(0),
         }
-        buf.put_u16(u16::try_from(self.resolved_args.len()).expect("too many args"));
-        for e in &self.resolved_args {
-            put_entity(&mut buf, *e);
-        }
-        debug_assert_eq!(buf.len(), self.wire_len());
-        buf.freeze()
+        w.list16(&self.resolved_args, |w, &e| w.entity(e));
+    }
+}
+
+impl ExecReply {
+    /// Encodes the reply into an exactly sized frame. Panics when the wire
+    /// cannot carry it ([`codec::encode`]).
+    pub fn encode(&self) -> Bytes {
+        codec::encode(self)
     }
 
     /// Decodes a reply frame.
-    pub fn decode(mut buf: Bytes) -> Option<ExecReply> {
-        if buf.remaining() < 1 + 8 + 1 || buf.get_u8() != TAG_EXEC_REPLY {
-            return None;
-        }
-        let id = buf.get_u64();
-        let child = match buf.get_u8() {
-            1 if buf.remaining() >= 4 => Some(ActivityId::from_index(buf.get_u32())),
+    pub fn decode(frame: Bytes) -> Option<ExecReply> {
+        let mut r = Reader::new(&frame);
+        r.tag(TAG_EXEC_REPLY)?;
+        let id = r.u64()?;
+        let child = match r.u8()? {
             0 => None,
+            1 => Some(r.activity()?),
             _ => return None,
         };
-        if buf.remaining() < 2 {
-            return None;
-        }
-        let n = buf.get_u16() as usize;
-        let mut resolved_args = Vec::with_capacity(n.min(256));
-        for _ in 0..n {
-            resolved_args.push(get_entity(&mut buf)?);
-        }
+        let resolved_args = r.list16(1, Reader::entity)?;
         Some(ExecReply {
             id,
             child,
@@ -248,6 +131,7 @@ impl ExecReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     fn req() -> ExecRequest {
         ExecRequest {
@@ -267,7 +151,6 @@ mod tests {
     #[test]
     fn request_roundtrip() {
         let r = req();
-        assert_eq!(r.encode().len(), r.wire_len());
         assert_eq!(ExecRequest::decode(r.encode()), Some(r));
     }
 
@@ -283,7 +166,6 @@ mod tests {
                     Entity::Activity(ActivityId::from_index(2)),
                 ],
             };
-            assert_eq!(r.encode().len(), r.wire_len());
             assert_eq!(ExecReply::decode(r.encode()), Some(r));
         }
     }
@@ -292,6 +174,19 @@ mod tests {
     fn cross_decoding_fails() {
         assert!(ExecReply::decode(req().encode()).is_none());
         assert!(ExecRequest::decode(Bytes::from_static(&[0, 1, 2])).is_none());
+        // Every proper prefix of a valid frame is refused.
+        let reply = ExecReply {
+            id: 9,
+            child: Some(ActivityId::from_index(5)),
+            resolved_args: vec![Entity::Undefined, Entity::Object(ObjectId::from_index(1))],
+        };
+        let (request, reply) = (req().encode(), reply.encode());
+        for cut in 0..request.len() {
+            assert!(ExecRequest::decode(request.slice(..cut)).is_none(), "{cut}");
+        }
+        for cut in 0..reply.len() {
+            assert!(ExecReply::decode(reply.slice(..cut)).is_none(), "{cut}");
+        }
     }
 
     mod fuzz {

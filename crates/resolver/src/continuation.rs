@@ -20,13 +20,14 @@ use std::ops::Range;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::Name;
 use naming_core::resolve::DEFAULT_DEPTH_LIMIT;
+use naming_sim::codec;
 use naming_sim::message::Payload;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
 use crate::engine::{BatchResolveStats, ProtocolEngine, ReferralHop};
-use crate::wire::{self, Mode, Outcome};
+use crate::wire::{Mode, Outcome, RequestFrame};
 
 /// A table keyed by numbers handed out in increasing order (request ids,
 /// submission tickets): slot `key − first`, with leading empty slots
@@ -146,8 +147,10 @@ impl Continuation {
     /// A continuation for `names`, each from its own start, on a finished
     /// one's vectors when the engine has any idle. A name longer than
     /// [`DEFAULT_DEPTH_LIMIT`] is answered `⊥` here, where the whole of it
-    /// is known, as [`Resolver::resolve_entity`] answers it: no request
-    /// goes out for it.
+    /// is known, as [`Resolver::resolve_entity`] answers it; one whose rest
+    /// holds a label the wire cannot carry is unreachable — a transport
+    /// verdict, since an authority may well bind that label. No request
+    /// goes out for either.
     ///
     /// [`Resolver::resolve_entity`]: naming_core::resolve::Resolver::resolve_entity
     pub(crate) fn new<'n>(
@@ -176,10 +179,18 @@ impl Continuation {
         cont.ends.clear();
         cont.ends.push(0);
         cont.pending.clear();
+        let mut unreachable = vec![false; n];
         for (slot, (ctx, consumed, name)) in names.enumerate() {
             cont.labels.extend_from_slice(name);
             cont.ends.push(cont.labels.len());
             if name.len() > DEFAULT_DEPTH_LIMIT {
+                continue;
+            }
+            if !name[consumed..]
+                .iter()
+                .all(|c| codec::carries_label(c.as_str()))
+            {
+                unreachable[slot] = true;
                 continue;
             }
             cont.pending.push(Work {
@@ -190,7 +201,7 @@ impl Continuation {
         }
         cont.stats = BatchResolveStats {
             entities: vec![Entity::Undefined; n],
-            unreachable: vec![false; n],
+            unreachable,
             // Each hop consumes a component and the last is never handed on.
             referrals: Vec::with_capacity(cont.labels.len() - n),
             ..BatchResolveStats::default()
@@ -275,7 +286,8 @@ impl Continuation {
     /// retransmission: frames kept would make what a continuation holds
     /// depend on the traffic it has seen) and sends it to `machine`, to
     /// resolve from `start`; arms its deadline under a retry policy, and
-    /// routes its id back here.
+    /// routes its id back here. If the wire cannot carry the request, the
+    /// exchange gives up its riders instead.
     fn transmit(
         &mut self,
         engine: &mut ProtocolEngine,
@@ -288,17 +300,23 @@ impl Continuation {
         let asked = asked.map(|w| w.suffix(&self.labels, &self.ends));
         let s = &mut engine.scratch;
         s.remap.clear();
-        s.trie.rebuild(asked, &mut s.cells, &mut s.remap);
+        // The round is sorted by suffix within a context.
+        s.trie.rebuild(asked, true, &mut s.cells, &mut s.remap);
         debug_assert!(
             self.mode == Mode::Iterative || s.trie.query_count() == 1,
             "a recursive request chases one name"
         );
         // The simulator owns a message in flight: the buffer comes back when
         // the server has read it.
-        let mut frame = s.spare(s.trie.request_len());
-        wire::put_request(&mut frame, self.mode, ex.id, start, &s.trie);
+        let request = RequestFrame(self.mode, ex.id, start, &s.trie);
+        let frame = codec::encode_with(&request, |len| s.spares.take(len));
+        let Some(frame) = frame else {
+            self.exchanges[k].open = false;
+            self.outstanding -= 1;
+            return self.give_up(self.exchanges[k].riders.clone());
+        };
         let server = engine.service().server_on(machine);
-        world.send(self.client, server, Payload::Bytes(frame.freeze()));
+        world.send(self.client, server, Payload::Bytes(frame));
         self.stats.messages += 1;
         if let Some(policy) = engine.retry_policy() {
             let after = Duration::from_ticks(policy.timeout_ticks(ex.id, ex.attempt));

@@ -13,6 +13,7 @@ use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::lease::ZoneSerial;
 use naming_core::name::{CompoundName, Name};
 use naming_core::state::SystemState;
+use naming_sim::codec;
 use naming_sim::message::Payload;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
@@ -22,8 +23,8 @@ use crate::coherence::ZoneJournal;
 use crate::continuation::{Continuation, Dense, Route, Start};
 use crate::service::{BatchScratch, NameService};
 use crate::wire::{
-    self, Frame, Label, Mode, NameTrie, Outcome, ShardDelta, WalkScratch, ZoneChange, ZoneDelta,
-    ZoneDeltaRequest, ZoneUpdate,
+    self, Frame, Label, Mode, NameTrie, Outcome, ReplyFrame, RequestFrame, ShardDelta, WalkScratch,
+    ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
 };
 
 /// What a completed resolution cost.
@@ -165,19 +166,22 @@ pub(crate) struct Scratch {
     batch: BatchScratch,
     /// The reply being read.
     pub(crate) outcomes: Vec<Outcome>,
-    /// Frame buffers between flights — a sender encodes into one, whoever
-    /// reads the frame hands it back — so never more than flew at once.
-    spares: Vec<BytesMut>,
+    pub(crate) spares: Spares,
 }
+
+/// Frame buffers between flights — a sender encodes into one, whoever reads
+/// the frame hands it back — so never more than flew at once.
+#[derive(Debug, Default)]
+pub(crate) struct Spares(Vec<BytesMut>);
 
 /// What a spare holds: the yardstick's largest regular frame is some 400
 /// bytes. A larger frame has, as every frame used to, a buffer of its own.
 const FRAME_CAPACITY: usize = 512;
 
-impl Scratch {
+impl Spares {
     /// An empty buffer for a frame of exactly `len` bytes.
-    pub(crate) fn spare(&mut self, len: usize) -> BytesMut {
-        let spare = (len <= FRAME_CAPACITY).then(|| self.spares.pop()).flatten();
+    pub(crate) fn take(&mut self, len: usize) -> BytesMut {
+        let spare = (len <= FRAME_CAPACITY).then(|| self.0.pop()).flatten();
         spare.unwrap_or_else(|| BytesMut::with_capacity(len.max(FRAME_CAPACITY)))
     }
 
@@ -189,7 +193,7 @@ impl Scratch {
         let spare = frame.try_into_mut().ok();
         if let Some(mut buf) = spare.filter(|b| fits && b.capacity() >= FRAME_CAPACITY) {
             buf.clear();
-            self.spares.push(buf);
+            self.0.push(buf);
         }
     }
 }
@@ -530,7 +534,7 @@ impl ProtocolEngine {
                     continue;
                 };
                 let read = wire::read_reply(&bytes, &mut self.scratch.outcomes);
-                self.scratch.recycle(bytes);
+                self.scratch.spares.recycle(bytes);
                 let Some((id, touched, saved)) = read else {
                     continue;
                 };
@@ -555,7 +559,8 @@ impl ProtocolEngine {
     /// converge when the frames arrive (after network latency) — drive the
     /// queue with [`ProtocolEngine::pump_idle`] or any `resolve`.
     ///
-    /// Returns the number of updates sent.
+    /// Returns the number of updates sent: none when the wire cannot carry
+    /// the zone.
     pub fn publish_zone(&mut self, world: &mut World, zone: ObjectId) -> usize {
         let servers = self.service.zone_servers(zone);
         let Some((&primary, secondaries)) = servers.split_first() else {
@@ -568,14 +573,15 @@ impl ProtocolEngine {
             zone,
             bindings: ctx.iter().collect(),
         };
+        let Some(frame) = codec::try_encode(&update) else {
+            return 0;
+        };
         let from = self.service.server_on(primary);
-        let mut sent = 0;
         for &m in secondaries {
             let to = self.service.server_on(m);
-            world.send(from, to, Payload::Bytes(update.encode()));
-            sent += 1;
+            world.send(from, to, Payload::Bytes(frame.clone()));
         }
-        sent
+        secondaries.len()
     }
 
     /// Commits one naming write — `Some(entity)` binds, `None` unbinds —
@@ -621,8 +627,8 @@ impl ProtocolEngine {
     /// already holds) and pumps the queue until the matching
     /// [`ZoneDelta`] arrives. Returns the delta plus the wire bytes the
     /// exchange cost (request + reply frames), or `None` when the
-    /// exchange was lost (no retry: anti-entropy is periodic, the next
-    /// pull catches up).
+    /// exchange was lost or the wire cannot carry one of its frames (no
+    /// retry: anti-entropy is periodic, the next pull catches up).
     pub fn pull_zone_deltas(
         &mut self,
         world: &mut World,
@@ -632,19 +638,20 @@ impl ProtocolEngine {
     ) -> Option<(ZoneDelta, u64)> {
         let id = self.alloc_id();
         let req = ZoneDeltaRequest { id, since };
-        let req_bytes = req.wire_len() as u64;
+        let frame = codec::try_encode(&req)?;
+        let req_bytes = frame.len() as u64;
         let server = self.service.server_on(machine);
         self.drain_servers(world);
-        world.send(client, server, Payload::Bytes(req.encode()));
+        world.send(client, server, Payload::Bytes(frame));
         let mut steps = 0usize;
         loop {
             while let Some(msg) = world.receive(client) {
                 for part in msg.parts {
                     let Payload::Bytes(b) = part else { continue };
+                    let rep_bytes = b.len() as u64;
                     if let Some(rep) = ZoneDelta::decode(b) {
                         if rep.id == id {
-                            let bytes = req_bytes + rep.wire_len() as u64;
-                            return Some((rep, bytes));
+                            return Some((rep, req_bytes + rep_bytes));
                         }
                         self.note_stale_reply(rep.id);
                     }
@@ -774,7 +781,7 @@ impl ProtocolEngine {
     ) {
         let (service, s) = (&self.service, &mut self.scratch);
         let read = wire::read_request(&frame, &mut s.trie, &mut s.seen);
-        s.recycle(frame);
+        s.spares.recycle(frame);
         let Some((mode, id, start)) = read else {
             return;
         };
@@ -787,28 +794,31 @@ impl ProtocolEngine {
             remaining,
         }) = referred
         {
-            match service.server_if_on(next_machine) {
-                None => s.batch.outcomes[0] = Outcome::Unreachable { attempts: 0 },
-                Some(next) => {
-                    let (mut walk, mut rest) = (WalkScratch::default(), Vec::<Label>::new());
-                    s.trie.walk(&mut walk, (), |_, node, path, ()| {
-                        if node.query.is_some() {
-                            rest.extend_from_slice(&path[path.len() - usize::from(remaining)..]);
-                        }
-                    });
-                    let (trie, cells, remap) = (&mut s.trie, &mut s.cells, &mut s.remap);
-                    remap.clear();
-                    trie.rebuild(std::iter::once(&rest[..]), cells, remap);
-                    let mut frame = s.spare(s.trie.request_len());
-                    wire::put_request(&mut frame, Mode::Recursive, id, next_ctx, &s.trie);
+            if let Some(next) = service.server_if_on(next_machine) {
+                let (mut walk, mut rest) = (WalkScratch::default(), Vec::<Label>::new());
+                s.trie.walk(&mut walk, (), |_, node, path, ()| {
+                    if node.query.is_some() {
+                        rest.extend_from_slice(&path[path.len() - usize::from(remaining)..]);
+                    }
+                });
+                let (trie, cells, remap) = (&mut s.trie, &mut s.cells, &mut s.remap);
+                remap.clear();
+                trie.rebuild(std::iter::once(&rest[..]), true, cells, remap);
+                let request = RequestFrame(Mode::Recursive, id, next_ctx, &s.trie);
+                let frame = codec::encode_with(&request, |len| s.spares.take(len));
+                if let Some(frame) = frame {
                     self.forwarding.insert((server, id), requester);
-                    return world.send(server, next, Payload::Bytes(frame.freeze()));
+                    return world.send(server, next, Payload::Bytes(frame));
                 }
             }
+            // Nobody runs there, or the wire cannot carry what is left.
+            s.batch.outcomes[0] = Outcome::Unreachable { attempts: 0 };
         }
-        let mut reply = s.spare(wire::batch_reply_len(&s.batch.outcomes));
-        wire::put_batch_reply(&mut reply, id, 1, saved, &s.batch.outcomes);
-        world.send(server, requester, Payload::Bytes(reply.freeze()));
+        let reply = ReplyFrame(id, 1, saved, &s.batch.outcomes);
+        let reply = codec::encode_with(&reply, |len| s.spares.take(len));
+        if let Some(reply) = reply {
+            world.send(server, requester, Payload::Bytes(reply));
+        }
     }
 
     /// Relays the answer to a recursive request `server` forwarded to whom
@@ -817,16 +827,19 @@ impl ProtocolEngine {
     fn relay_reply(&mut self, world: &mut World, server: ActivityId, frame: Bytes) {
         let s = &mut self.scratch;
         let read = wire::read_reply(&frame, &mut s.outcomes);
-        s.recycle(frame);
+        s.spares.recycle(frame);
         let Some((id, touched, saved)) = read else {
             return;
         };
         let Some(requester) = self.forwarding.remove(&(server, id)) else {
             return;
         };
-        let mut reply = s.spare(wire::batch_reply_len(&s.outcomes));
-        wire::put_batch_reply(&mut reply, id, touched + 1, saved, &s.outcomes);
-        world.send(server, requester, Payload::Bytes(reply.freeze()));
+        let touched = touched.saturating_add(1);
+        let reply = ReplyFrame(id, touched, saved, &s.outcomes);
+        let reply = codec::encode_with(&reply, |len| s.spares.take(len));
+        if let Some(reply) = reply {
+            world.send(server, requester, Payload::Bytes(reply));
+        }
     }
 
     fn handle_zone_update(
@@ -904,7 +917,10 @@ impl ProtocolEngine {
             shards.push(slice);
         }
         let reply = ZoneDelta { id: req.id, shards };
-        world.send(server, requester, Payload::Bytes(reply.encode()));
+        // An answer the wire cannot carry is not sent: the pull is lost.
+        if let Some(frame) = codec::try_encode(&reply) {
+            world.send(server, requester, Payload::Bytes(frame));
+        }
     }
 }
 

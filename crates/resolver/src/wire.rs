@@ -1,16 +1,19 @@
 //! Wire encoding of the resolution protocol.
 //!
-//! Hand-rolled binary framing over [`bytes`]: requests and replies travel
-//! as [`naming_sim::message::Payload::Bytes`] parts through the simulator's
+//! Every frame is laid out once, over the simulator's one codec
+//! ([`naming_sim::codec`]): one function writes a frame and, run dry, sizes
+//! it, and one reads it back through bounds-checked reads. Frames travel as
+//! [`naming_sim::message::Payload::Bytes`] parts through the simulator's
 //! message layer, exactly as a real name-service protocol would travel
-//! over UDP/TCP. The resolution path builds and reads its frames in
-//! reused buffers (`put_*`, `read_*`); the frame types' `encode` and
-//! `decode` are the same code over fresh ones.
+//! over UDP/TCP. The resolution path builds and reads its frames in reused
+//! buffers (`put_*`, `read_*`); the frame types' `encode` and `decode` are
+//! the same code over fresh ones.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use naming_core::entity::{ActivityId, Entity, ObjectId};
+use bytes::Bytes;
+use naming_core::entity::{Entity, ObjectId};
 use naming_core::lease::ZoneSerial;
 use naming_core::name::{CompoundName, Name};
+use naming_sim::codec::{self, Layout, Reader, Sink, Writer};
 use naming_sim::topology::MachineId;
 
 /// How the client wants the lookup performed.
@@ -54,10 +57,11 @@ pub enum Outcome {
     /// The start context is not hosted by the queried server.
     WrongServer,
     /// Resolution could not reach an authority: messages were lost, the
-    /// server is down, or nobody is placed for the next zone. This is a
-    /// *transport* verdict, categorically distinct from `NotFound` — a
-    /// lost message says nothing about the binding, so `Unreachable` must
-    /// never be reported (or cached) as `⊥`.
+    /// server is down, nobody is placed for the next zone, or the wire
+    /// cannot carry the request. This is a *transport* verdict,
+    /// categorically distinct from `NotFound` — a lost message says nothing
+    /// about the binding, so `Unreachable` must never be reported (or
+    /// cached) as `⊥`.
     Unreachable {
         /// Send attempts made before giving up (0 when no request could
         /// even be addressed, e.g. an unplaced start context).
@@ -75,47 +79,30 @@ pub struct ZoneUpdate {
     pub bindings: Vec<(Name, Entity)>,
 }
 
-impl ZoneUpdate {
-    /// Exact encoded size of the frame, for pre-sizing buffers.
-    pub fn wire_len(&self) -> usize {
-        let bindings: usize = self
-            .bindings
-            .iter()
-            .map(|(n, e)| 2 + n.as_str().len() + entity_wire_len(*e))
-            .sum();
-        1 + 4 + 4 + bindings
+impl Layout for ZoneUpdate {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        w.u8(TAG_ZONE_UPDATE);
+        w.object(self.zone);
+        w.list32(&self.bindings, |w, &(n, e)| {
+            w.label(n.as_str());
+            w.entity(e);
+        });
     }
+}
 
-    /// Encodes the update into an exactly pre-sized wire frame.
+impl ZoneUpdate {
+    /// Encodes the update into an exactly sized frame. Panics when the
+    /// wire cannot carry it ([`codec::encode`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u8(TAG_ZONE_UPDATE);
-        buf.put_u32(self.zone.index() as u32);
-        buf.put_u32(u32::try_from(self.bindings.len()).expect("zone too large for wire"));
-        for (n, e) in &self.bindings {
-            put_label(&mut buf, Some(*n));
-            put_entity(&mut buf, *e);
-        }
-        debug_assert_eq!(buf.len(), self.wire_len());
-        buf.freeze()
+        codec::encode(self)
     }
 
     /// Decodes an update frame. Returns `None` on malformed input.
     pub fn decode(frame: Bytes) -> Option<ZoneUpdate> {
-        let mut buf = &frame[..];
-        if buf.remaining() < 1 + 4 + 4 || buf.get_u8() != TAG_ZONE_UPDATE {
-            return None;
-        }
-        let zone = ObjectId::from_index(buf.get_u32());
-        let len = buf.get_u32() as usize;
-        // A length field sizes no allocation beyond what the bytes that came
-        // with it can hold, here and in every decoder below.
-        let mut bindings = Vec::with_capacity(len.min(buf.len() / (2 + 1)));
-        for _ in 0..len {
-            let n = get_str(&mut buf).map(Name::new)?;
-            let e = get_entity(&mut buf)?;
-            bindings.push((n, e));
-        }
+        let mut r = Reader::new(&frame);
+        r.tag(TAG_ZONE_UPDATE)?;
+        let zone = r.object()?;
+        let bindings = r.list32(2 + 1, |r| Some((Name::new(r.label()?), r.entity()?)))?;
         Some(ZoneUpdate { zone, bindings })
     }
 }
@@ -133,42 +120,32 @@ pub struct ZoneDeltaRequest {
     pub since: Vec<(usize, ZoneSerial)>,
 }
 
-impl ZoneDeltaRequest {
-    /// Exact encoded size of the frame, for pre-sizing buffers.
-    pub fn wire_len(&self) -> usize {
-        1 + 8 + 2 + self.since.len() * (2 + 8)
+impl Layout for ZoneDeltaRequest {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        w.u8(TAG_ZONE_DELTA_REQUEST);
+        w.u64(self.id);
+        w.list16(&self.since, |w, &(shard, serial)| {
+            w.usize16(shard);
+            w.u64(serial.get());
+        });
     }
+}
 
-    /// Encodes the request into an exactly pre-sized frame.
+impl ZoneDeltaRequest {
+    /// Encodes the request into an exactly sized frame. Panics when the
+    /// wire cannot carry it ([`codec::encode`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u8(TAG_ZONE_DELTA_REQUEST);
-        buf.put_u64(self.id);
-        buf.put_u16(u16::try_from(self.since.len()).expect("too many shards for wire"));
-        for &(shard, serial) in &self.since {
-            buf.put_u16(u16::try_from(shard).expect("shard index exceeds wire width"));
-            buf.put_u64(serial.get());
-        }
-        debug_assert_eq!(buf.len(), self.wire_len());
-        buf.freeze()
+        codec::encode(self)
     }
 
     /// Decodes a request frame. Returns `None` on malformed input.
     pub fn decode(frame: Bytes) -> Option<ZoneDeltaRequest> {
-        let mut buf = &frame[..];
-        if buf.remaining() < 1 + 8 + 2 || buf.get_u8() != TAG_ZONE_DELTA_REQUEST {
-            return None;
-        }
-        let id = buf.get_u64();
-        let count = buf.get_u16() as usize;
-        let mut since = Vec::with_capacity(count.min(buf.len() / (2 + 8)));
-        for _ in 0..count {
-            if buf.remaining() < 2 + 8 {
-                return None;
-            }
-            let shard = buf.get_u16() as usize;
-            since.push((shard, ZoneSerial::new(buf.get_u64())));
-        }
+        let mut r = Reader::new(&frame);
+        r.tag(TAG_ZONE_DELTA_REQUEST)?;
+        let id = r.u64()?;
+        let since = r.list16(2 + 8, |r| {
+            Some((usize::from(r.u16()?), ZoneSerial::new(r.u64()?)))
+        })?;
         Some(ZoneDeltaRequest { id, since })
     }
 }
@@ -211,84 +188,50 @@ pub struct ZoneDelta {
     pub shards: Vec<ShardDelta>,
 }
 
-impl ZoneDelta {
-    /// Exact encoded size of the frame, for pre-sizing buffers.
-    pub fn wire_len(&self) -> usize {
-        let shards: usize = self
-            .shards
-            .iter()
-            .map(|s| {
-                2 + 8
-                    + 1
-                    + 4
-                    + s.changes
-                        .iter()
-                        .map(|c| 4 + 2 + c.name.as_str().len() + entity_wire_len(c.entity))
-                        .sum::<usize>()
-            })
-            .sum();
-        1 + 8 + 2 + shards
+impl Layout for ZoneDelta {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        w.u8(TAG_ZONE_DELTA);
+        w.u64(self.id);
+        w.list16(&self.shards, |w, s| {
+            w.usize16(s.shard);
+            w.u64(s.serial.get());
+            w.u8(u8::from(s.full));
+            w.list32(&s.changes, |w, c| {
+                w.object(c.ctx);
+                w.label(c.name.as_str());
+                w.entity(c.entity);
+            });
+        });
     }
+}
 
-    /// Encodes the reply into an exactly pre-sized frame.
+impl ZoneDelta {
+    /// Encodes the reply into an exactly sized frame. Panics when the wire
+    /// cannot carry it ([`codec::encode`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.wire_len());
-        buf.put_u8(TAG_ZONE_DELTA);
-        buf.put_u64(self.id);
-        buf.put_u16(u16::try_from(self.shards.len()).expect("too many shards for wire"));
-        for s in &self.shards {
-            buf.put_u16(u16::try_from(s.shard).expect("shard index exceeds wire width"));
-            buf.put_u64(s.serial.get());
-            buf.put_u8(u8::from(s.full));
-            buf.put_u32(u32::try_from(s.changes.len()).expect("delta too large for wire"));
-            for c in &s.changes {
-                buf.put_u32(c.ctx.index() as u32);
-                put_label(&mut buf, Some(c.name));
-                put_entity(&mut buf, c.entity);
-            }
-        }
-        debug_assert_eq!(buf.len(), self.wire_len());
-        buf.freeze()
+        codec::encode(self)
     }
 
     /// Decodes a reply frame. Returns `None` on malformed input.
     pub fn decode(frame: Bytes) -> Option<ZoneDelta> {
-        let mut buf = &frame[..];
-        if buf.remaining() < 1 + 8 + 2 || buf.get_u8() != TAG_ZONE_DELTA {
-            return None;
-        }
-        let id = buf.get_u64();
-        let count = buf.get_u16() as usize;
-        let mut shards = Vec::with_capacity(count.min(buf.len() / (2 + 8 + 1 + 4)));
-        for _ in 0..count {
-            if buf.remaining() < 2 + 8 + 1 + 4 {
-                return None;
-            }
-            let shard = buf.get_u16() as usize;
-            let serial = ZoneSerial::new(buf.get_u64());
-            let full = match buf.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
-            let n = buf.get_u32() as usize;
-            let mut changes = Vec::with_capacity(n.min(buf.len() / (4 + 2 + 1)));
-            for _ in 0..n {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let ctx = ObjectId::from_index(buf.get_u32());
-                let name = get_str(&mut buf).map(Name::new)?;
-                let entity = get_entity(&mut buf)?;
-                changes.push(ZoneChange { ctx, name, entity });
-            }
-            shards.push(ShardDelta {
+        let mut r = Reader::new(&frame);
+        r.tag(TAG_ZONE_DELTA)?;
+        let id = r.u64()?;
+        let shards = r.list16(2 + 8 + 1 + 4, |r| {
+            let (shard, serial) = (usize::from(r.u16()?), ZoneSerial::new(r.u64()?));
+            let full = r.flag()?;
+            let changes = r.list32(4 + 2 + 1, |r| {
+                let (ctx, name) = (r.object()?, Name::new(r.label()?));
+                let entity = r.entity()?;
+                Some(ZoneChange { ctx, name, entity })
+            })?;
+            Some(ShardDelta {
                 shard,
                 serial,
                 full,
                 changes,
-            });
-        }
+            })
+        })?;
         Some(ZoneDelta { id, shards })
     }
 }
@@ -337,149 +280,48 @@ pub(crate) const TAG_BATCH_REPLY: u8 = 5;
 const TAG_ZONE_DELTA_REQUEST: u8 = 6;
 const TAG_ZONE_DELTA: u8 = 7;
 
-/// Tag, id and start context: the bytes a request frame opens with.
-const REQUEST_HEADER: usize = 1 + 8 + 4;
-
 const OUT_RESOLVED: u8 = 1;
 const OUT_REFERRAL: u8 = 2;
 const OUT_NOT_FOUND: u8 = 3;
 const OUT_WRONG_SERVER: u8 = 4;
 const OUT_UNREACHABLE: u8 = 5;
 
-const ENT_ACTIVITY: u8 = 1;
-const ENT_OBJECT: u8 = 2;
-const ENT_UNDEFINED: u8 = 3;
-
-/// A label never interned has no text: it goes out empty (only when a
-/// decoded request is re-encoded — replies carry no labels at all).
-fn put_label(buf: &mut BytesMut, label: Label) {
-    let s = label.map_or("", Name::as_str).as_bytes();
-    buf.put_u16(u16::try_from(s.len()).expect("name too long for wire"));
-    buf.put_slice(s);
-}
-
-/// A length-prefixed UTF-8 label, validated in place over the borrowed
-/// frame. What it becomes is the reader's rule: a request's labels are
-/// looked up ([`Name::lookup`], never interned), those of a reply or a zone
-/// transfer — which the receiver may learn — interned ([`Name::new`]).
-fn get_str<'a>(buf: &mut &'a [u8]) -> Option<&'a str> {
-    if buf.remaining() < 2 {
-        return None;
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let (s, rest) = buf.split_at(len);
-    *buf = rest;
-    std::str::from_utf8(s).ok()
-}
-
-fn put_entity(buf: &mut BytesMut, e: Entity) {
-    match e {
-        Entity::Activity(a) => {
-            buf.put_u8(ENT_ACTIVITY);
-            buf.put_u32(a.index() as u32);
-        }
-        Entity::Object(o) => {
-            buf.put_u8(ENT_OBJECT);
-            buf.put_u32(o.index() as u32);
-        }
-        Entity::Undefined => buf.put_u8(ENT_UNDEFINED),
-    }
-}
-
-fn get_entity(buf: &mut &[u8]) -> Option<Entity> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    match buf.get_u8() {
-        ENT_ACTIVITY => {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            Some(Entity::Activity(ActivityId::from_index(buf.get_u32())))
-        }
-        ENT_OBJECT => {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            Some(Entity::Object(ObjectId::from_index(buf.get_u32())))
-        }
-        ENT_UNDEFINED => Some(Entity::Undefined),
-        _ => None,
-    }
-}
-
-/// Exact encoded size of an entity under [`put_entity`]'s layout.
-fn entity_wire_len(e: Entity) -> usize {
-    match e {
-        Entity::Undefined => 1,
-        _ => 5,
-    }
-}
-
-/// Exact encoded size of an outcome under [`put_outcome`]'s layout.
-fn outcome_wire_len(o: &Outcome) -> usize {
-    match o {
-        Outcome::Resolved(e) => 1 + entity_wire_len(*e),
-        Outcome::Referral { .. } => 1 + 4 + 4 + 2,
-        Outcome::NotFound | Outcome::WrongServer => 1,
-        Outcome::Unreachable { .. } => 1 + 4,
-    }
-}
-
-fn put_outcome(buf: &mut BytesMut, o: &Outcome) {
+fn put_outcome<S: Sink>(w: &mut Writer<S>, o: &Outcome) {
     match *o {
         Outcome::Resolved(e) => {
-            buf.put_u8(OUT_RESOLVED);
-            put_entity(buf, e);
+            w.u8(OUT_RESOLVED);
+            w.entity(e);
         }
         Outcome::Referral {
             next_machine,
             next_ctx,
             remaining,
         } => {
-            buf.put_u8(OUT_REFERRAL);
-            buf.put_u32(next_machine.0 as u32);
-            buf.put_u32(next_ctx.index() as u32);
-            buf.put_u16(remaining);
+            w.u8(OUT_REFERRAL);
+            w.usize32(next_machine.0);
+            w.object(next_ctx);
+            w.u16(remaining);
         }
-        Outcome::NotFound => buf.put_u8(OUT_NOT_FOUND),
-        Outcome::WrongServer => buf.put_u8(OUT_WRONG_SERVER),
+        Outcome::NotFound => w.u8(OUT_NOT_FOUND),
+        Outcome::WrongServer => w.u8(OUT_WRONG_SERVER),
         Outcome::Unreachable { attempts } => {
-            buf.put_u8(OUT_UNREACHABLE);
-            buf.put_u32(attempts);
+            w.u8(OUT_UNREACHABLE);
+            w.u32(attempts);
         }
     }
 }
 
-fn get_outcome(buf: &mut &[u8]) -> Option<Outcome> {
-    if buf.remaining() < 1 {
-        return None;
-    }
-    Some(match buf.get_u8() {
-        OUT_RESOLVED => Outcome::Resolved(get_entity(buf)?),
-        OUT_REFERRAL => {
-            if buf.remaining() < 4 + 4 + 2 {
-                return None;
-            }
-            Outcome::Referral {
-                next_machine: MachineId(buf.get_u32() as usize),
-                next_ctx: ObjectId::from_index(buf.get_u32()),
-                remaining: buf.get_u16(),
-            }
-        }
+fn get_outcome(r: &mut Reader<'_>) -> Option<Outcome> {
+    Some(match r.u8()? {
+        OUT_RESOLVED => Outcome::Resolved(r.entity()?),
+        OUT_REFERRAL => Outcome::Referral {
+            next_machine: MachineId(r.u32()? as usize),
+            next_ctx: r.object()?,
+            remaining: r.u16()?,
+        },
         OUT_NOT_FOUND => Outcome::NotFound,
         OUT_WRONG_SERVER => Outcome::WrongServer,
-        OUT_UNREACHABLE => {
-            if buf.remaining() < 4 {
-                return None;
-            }
-            Outcome::Unreachable {
-                attempts: buf.get_u32(),
-            }
-        }
+        OUT_UNREACHABLE => Outcome::Unreachable { attempts: r.u32()? },
         _ => return None,
     })
 }
@@ -536,33 +378,28 @@ impl NameTrie {
     /// trie and, for each input position, the query id its answer will
     /// be filed under.
     pub fn build(names: &[CompoundName]) -> (NameTrie, Vec<u32>) {
-        NameTrie::build_from(names.iter().map(CompoundName::components))
-    }
-
-    /// [`NameTrie::build`] over borrowed component runs, for callers whose
-    /// names are suffixes of names they already hold. Every run must be
-    /// nonempty.
-    pub fn build_from<'a, I>(names: I) -> (NameTrie, Vec<u32>)
-    where
-        I: ExactSizeIterator<Item = &'a [Name]> + Clone,
-    {
         // Worst case (no shared prefixes): one node per component.
-        let total: usize = names.clone().map(<[Name]>::len).sum();
+        let total: usize = names.iter().map(CompoundName::len).sum();
         let mut trie = NameTrie::default();
         trie.nodes.reserve_exact(total);
         trie.kids.reserve_exact(total);
-        let mut cells = Vec::with_capacity(1 + 2 * total);
+        let mut cells = Vec::with_capacity(2 + 3 * total);
         let mut mapping = Vec::with_capacity(names.len());
-        trie.rebuild(names, &mut cells, &mut mapping);
+        let runs = names.iter().map(CompoundName::components);
+        trie.rebuild(runs, false, &mut cells, &mut mapping);
         (trie, mapping)
     }
 
     /// Makes `self` the trie of `names` — as a client holds them, or as
     /// they came off the wire —, reusing its storage and `cells` (builder
-    /// scratch), and appends each name's query id to `mapping`.
+    /// scratch), and appends each name's query id to `mapping`. `sorted`
+    /// promises the names come in order, so that a component is the last
+    /// one seen under its parent or new there: the build is then linear,
+    /// however many children a node has.
     pub(crate) fn rebuild<'a, L: Copy + Into<Label> + 'a>(
         &mut self,
         names: impl Iterator<Item = &'a [L]>,
+        sorted: bool,
         cells: &mut Vec<u32>,
         mapping: &mut Vec<u32>,
     ) {
@@ -571,31 +408,43 @@ impl NameTrie {
         nodes.clear();
         kids.clear();
         // While they still grow, child lists are linked in first-seen
-        // order: cell 0 heads the root list, cells `1 + 2k` and `2 + 2k`
-        // hold node `k`'s first child and next sibling.
+        // order: cells 0 and 1 hold the root list's first and last node,
+        // cells `2 + 3k`, `3 + 3k` and `4 + 3k` node `k`'s first child,
+        // next sibling and last child.
         cells.clear();
-        cells.push(NIL);
+        cells.extend([NIL, NIL]);
         let mut query_count = 0u32;
         for name in names {
-            let (mut cur, mut slot) = (NIL, 0);
+            let (mut cur, mut slot, mut last) = (NIL, 0, 1);
             for &c in name {
                 let c = c.into();
                 // Follow the list to `c`, or to the empty cell at its end
-                // that a new node for `c` is linked into.
+                // that a new node for `c` is linked into — from its last
+                // node when the names are sorted.
+                if sorted && cells[last] != NIL {
+                    let tail = cells[last] as usize;
+                    slot = if nodes[tail].component == c {
+                        last
+                    } else {
+                        3 + 3 * tail
+                    };
+                }
                 while cells[slot] != NIL && nodes[cells[slot] as usize].component != c {
-                    slot = 2 + 2 * cells[slot] as usize;
+                    slot = 3 + 3 * cells[slot] as usize;
                 }
                 if cells[slot] == NIL {
-                    cells[slot] = u32::try_from(nodes.len()).expect("batch too large for wire");
+                    // 2³² nodes would be 96 GiB of them: the allocator fails first.
+                    cells[slot] = u32::try_from(nodes.len()).expect("fewer than 2³² nodes");
+                    cells[last] = cells[slot];
                     nodes.push(TrieNode {
                         component: c,
                         query: None,
                         kids: (0, 0),
                     });
-                    cells.extend([NIL, NIL]);
+                    cells.extend([NIL, NIL, NIL]);
                 }
                 cur = cells[slot];
-                slot = 1 + 2 * cur as usize;
+                (slot, last) = (2 + 3 * cur as usize, 4 + 3 * cur as usize);
             }
             // The run is nonempty, so `cur` is a node by now.
             let q = *nodes[cur as usize].query.get_or_insert_with(|| {
@@ -609,12 +458,12 @@ impl NameTrie {
             let (lo, mut k) = (kids.len() as u32, cells[head]);
             while k != NIL {
                 kids.push(k);
-                k = cells[2 + 2 * k as usize];
+                k = cells[3 + 3 * k as usize];
             }
             (lo, kids.len() as u32)
         };
         for (k, node) in nodes.iter_mut().enumerate() {
-            node.kids = list(1 + 2 * k);
+            node.kids = list(2 + 3 * k);
         }
         (self.roots_at, _) = list(0);
         self.query_count = query_count;
@@ -674,18 +523,6 @@ impl NameTrie {
             .collect()
     }
 
-    /// Exact size of the frame [`put_batch_request`] makes of this trie, so
-    /// that encoders allocate once.
-    pub(crate) fn request_len(&self) -> usize {
-        let label = |n: &TrieNode| n.component.map_or(0, |c| c.as_str().len());
-        let node_bytes: usize = self
-            .nodes
-            .iter()
-            .map(|n| 2 + label(n) + 1 + 4 * usize::from(n.query.is_some()) + 2)
-            .sum();
-        REQUEST_HEADER + 4 + 4 + node_bytes + 4 + 4 * self.kids.len()
-    }
-
     /// Per-node count of queries in the subtree rooted there — the number
     /// of lookups a naive (per-name) resolution would spend on that
     /// node's component — into `sub`. Children have strictly greater
@@ -698,119 +535,104 @@ impl NameTrie {
             sub[i] = u32::from(node.query.is_some()) + below;
         }
     }
-}
 
-fn put_trie(buf: &mut BytesMut, trie: &NameTrie) {
-    buf.put_u32(trie.query_count);
-    buf.put_u32(u32::try_from(trie.nodes.len()).expect("batch too large for wire"));
-    for node in &trie.nodes {
-        put_label(buf, node.component);
-        match node.query {
-            Some(q) => {
-                buf.put_u8(1);
-                buf.put_u32(q);
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        w.u32(self.query_count);
+        w.usize32(self.nodes.len());
+        for node in &self.nodes {
+            // A label never interned has no text: it goes out empty (only
+            // when a decoded request is re-encoded — replies carry no
+            // labels at all).
+            w.label(node.component.map_or("", Name::as_str));
+            match node.query {
+                Some(q) => {
+                    w.u8(1);
+                    w.u32(q);
+                }
+                None => w.u8(0),
             }
-            None => buf.put_u8(0),
+            w.list16(self.kids_of(node), |w, &c| w.u32(c));
         }
-        let kids = trie.kids_of(node);
-        buf.put_u16(u16::try_from(kids.len()).expect("trie node too wide for wire"));
-        for &c in kids {
-            buf.put_u32(c);
-        }
+        w.list32(self.roots(), |w, &r| w.u32(r));
     }
-    buf.put_u32(trie.roots().len() as u32);
-    for &r in trie.roots() {
-        buf.put_u32(r);
-    }
-}
 
-/// Reads a trie into `trie`'s storage (`seen`: scratch for the forest
-/// check). A refused frame leaves nothing to walk there until `trie` is
-/// next built or read.
-fn get_trie(buf: &mut &[u8], trie: &mut NameTrie, seen: &mut Vec<u64>) -> Option<()> {
-    let NameTrie { nodes, kids, .. } = trie;
-    nodes.clear();
-    kids.clear();
-    if buf.remaining() < 8 {
-        return None;
-    }
-    let query_count = buf.get_u32();
-    let node_count = buf.get_u32() as usize;
-    // Both counts size allocations here and in every server that walks the
-    // trie, so bound them by what the frame can hold: a node takes at least
-    // five bytes (two lengths and a flag) and ends at most one query.
-    if node_count > buf.remaining() / 5 || query_count as usize > node_count {
-        return None;
-    }
-    nodes.reserve(node_count);
-    kids.reserve(node_count);
-    // One bit per node ("has a parent or is a root"), then one per query id.
-    seen.clear();
-    seen.resize((node_count + query_count as usize).div_ceil(64), 0);
-    let mut first_sight = |bit: usize| {
-        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
-        let fresh = seen[word] & mask == 0;
-        seen[word] |= mask;
-        fresh
-    };
-    let mut queries = 0u32;
-    for i in 0..node_count {
-        let component = get_str(buf).map(Name::lookup)?;
-        // The query flag and the child count, with a query id between.
-        if buf.remaining() < 1 + 2 {
+    /// Reads a trie into `self`'s storage (`seen`: scratch for the forest
+    /// check). A refused frame leaves nothing to walk here until `self` is
+    /// next built or read.
+    fn read(&mut self, r: &mut Reader<'_>, seen: &mut Vec<u64>) -> Option<()> {
+        let NameTrie { nodes, kids, .. } = self;
+        nodes.clear();
+        kids.clear();
+        let (query_count, node_count) = (r.u32()?, r.u32()? as usize);
+        // Both counts size allocations here and in every server that walks
+        // the trie, so bound them by what the frame can hold: a node takes
+        // at least five bytes (two lengths and a flag) and ends at most one
+        // query.
+        if node_count > r.remaining() / 5 || query_count as usize > node_count {
             return None;
         }
-        let query = match buf.get_u8() {
-            0 => None,
-            1 if buf.remaining() >= 4 + 2 => {
-                let q = buf.get_u32();
-                if q >= query_count || !first_sight(node_count + q as usize) {
+        nodes.reserve(node_count);
+        kids.reserve(node_count);
+        // One bit per node ("has a parent or is a root"), then one per query id.
+        seen.clear();
+        seen.resize((node_count + query_count as usize).div_ceil(64), 0);
+        let mut first_sight = |bit: usize| {
+            let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+            let fresh = seen[word] & mask == 0;
+            seen[word] |= mask;
+            fresh
+        };
+        let mut queries = 0u32;
+        for i in 0..node_count {
+            let component = Name::lookup(r.label()?);
+            let query = match r.u8()? {
+                0 => None,
+                1 => {
+                    let q = r.u32()?;
+                    if q >= query_count || !first_sight(node_count + q as usize) {
+                        return None;
+                    }
+                    queries += 1;
+                    Some(q)
+                }
+                _ => return None,
+            };
+            let lo = kids.len() as u32;
+            for _ in 0..r.u16()? {
+                let c = r.u32()? as usize;
+                // Strict descent and a single parent: a malicious frame can
+                // send the server neither into a cycle nor down one subtree
+                // once per path that reaches it.
+                if c <= i || c >= node_count || !first_sight(c) {
                     return None;
                 }
-                queries += 1;
-                Some(q)
+                kids.push(c as u32);
             }
-            _ => return None,
-        };
-        let kid_count = buf.get_u16() as usize;
-        if buf.remaining() < 4 * kid_count {
+            nodes.push(TrieNode {
+                component,
+                query,
+                kids: (lo, kids.len() as u32),
+            });
+        }
+        // Distinct ids below `query_count`, `query_count` of them: none missing.
+        if queries != query_count {
             return None;
         }
-        let lo = kids.len() as u32;
-        for _ in 0..kid_count {
-            let c = buf.get_u32() as usize;
-            // Strict descent and a single parent: a malicious frame can
-            // send the server neither into a cycle nor down one subtree
-            // once per path that reaches it.
-            if c <= i || c >= node_count || !first_sight(c) {
+        // Every node that is nobody's child must be a root, and only those.
+        let (roots_at, root_count) = (kids.len() as u32, r.u32()? as usize);
+        if root_count != node_count - kids.len() {
+            return None;
+        }
+        for _ in 0..root_count {
+            let root = r.u32()?;
+            if root as usize >= node_count || !first_sight(root as usize) {
                 return None;
             }
-            kids.push(c as u32);
+            kids.push(root);
         }
-        nodes.push(TrieNode {
-            component,
-            query,
-            kids: (lo, kids.len() as u32),
-        });
+        (self.roots_at, self.query_count) = (roots_at, query_count);
+        Some(())
     }
-    // Distinct ids below `query_count`, `query_count` of them: none missing.
-    if queries != query_count || buf.remaining() < 4 {
-        return None;
-    }
-    // Every node that is nobody's child must be a root, and only those.
-    let (roots_at, root_count) = (kids.len() as u32, buf.get_u32() as usize);
-    if root_count != node_count - kids.len() || buf.remaining() < 4 * root_count {
-        return None;
-    }
-    for _ in 0..root_count {
-        let r = buf.get_u32();
-        if r as usize >= node_count || !first_sight(r as usize) {
-            return None;
-        }
-        kids.push(r);
-    }
-    (trie.roots_at, trie.query_count) = (roots_at, query_count);
-    Some(())
 }
 
 /// A resolution request: many names (as a shared-prefix trie) resolved
@@ -828,41 +650,39 @@ pub struct BatchRequest {
     pub trie: NameTrie,
 }
 
-/// Appends a request frame to `buf`, under `mode`'s tag.
-pub(crate) fn put_request(
-    buf: &mut BytesMut,
-    mode: Mode,
-    id: u64,
-    start: ObjectId,
-    trie: &NameTrie,
-) {
-    buf.put_u8(match mode {
-        Mode::Iterative => TAG_BATCH_REQUEST,
-        Mode::Recursive => TAG_RECURSIVE,
-    });
-    buf.put_u64(id);
-    buf.put_u32(start.index() as u32);
-    put_trie(buf, trie);
+/// A request frame as it goes out: under `mode`'s tag, its id, its start
+/// context and its trie.
+pub(crate) struct RequestFrame<'a>(pub Mode, pub u64, pub ObjectId, pub &'a NameTrie);
+
+impl Layout for RequestFrame<'_> {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        let RequestFrame(mode, id, start, trie) = *self;
+        w.u8(match mode {
+            Mode::Iterative => TAG_BATCH_REQUEST,
+            Mode::Recursive => TAG_RECURSIVE,
+        });
+        w.u64(id);
+        w.object(start);
+        trie.write(w);
+    }
 }
 
 /// Reads a request frame into `trie` (`seen` is scratch): its mode, id and
 /// start context, `None` when malformed — and a recursive request chases
 /// exactly one name, so one with another number of queries is malformed.
 pub(crate) fn read_request(
-    mut frame: &[u8],
+    frame: &[u8],
     trie: &mut NameTrie,
     seen: &mut Vec<u64>,
 ) -> Option<(Mode, u64, ObjectId)> {
-    if frame.remaining() < REQUEST_HEADER {
-        return None;
-    }
-    let mode = match frame.get_u8() {
+    let mut r = Reader::new(frame);
+    let mode = match r.u8()? {
         TAG_BATCH_REQUEST => Mode::Iterative,
         TAG_RECURSIVE => Mode::Recursive,
         _ => return None,
     };
-    let (id, start) = (frame.get_u64(), ObjectId::from_index(frame.get_u32()));
-    get_trie(&mut frame, trie, seen)?;
+    let (id, start) = (r.u64()?, r.object()?);
+    trie.read(&mut r, seen)?;
     (mode == Mode::Iterative || trie.query_count == 1).then_some((mode, id, start))
 }
 
@@ -875,12 +695,15 @@ fn decode_request(buf: &[u8], mode: Mode) -> Option<BatchRequest> {
 }
 
 impl BatchRequest {
-    /// Encodes the batch request into an iterative wire frame.
+    /// Encodes the batch request into an iterative wire frame. Panics when
+    /// the wire cannot carry it ([`codec::encode`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.trie.request_len());
-        put_request(&mut buf, Mode::Iterative, self.id, self.start, &self.trie);
-        debug_assert_eq!(buf.len(), self.trie.request_len());
-        buf.freeze()
+        codec::encode(&RequestFrame(
+            Mode::Iterative,
+            self.id,
+            self.start,
+            &self.trie,
+        ))
     }
 
     /// Decodes an iterative request frame. Returns `None` on malformed
@@ -905,26 +728,18 @@ pub struct BatchReply {
     pub lookups_saved: u32,
 }
 
-/// Exact size of the frame [`put_batch_reply`] appends.
-pub(crate) fn batch_reply_len(outcomes: &[Outcome]) -> usize {
-    1 + 8 + 4 + 4 + 4 + outcomes.iter().map(outcome_wire_len).sum::<usize>()
-}
+/// A batch-reply frame as it goes out: its id, the servers touched, the
+/// lookups saved and the outcomes.
+pub(crate) struct ReplyFrame<'a>(pub u64, pub u32, pub u32, pub &'a [Outcome]);
 
-/// Appends a batch-reply frame to `buf`.
-pub(crate) fn put_batch_reply(
-    buf: &mut BytesMut,
-    id: u64,
-    servers_touched: u32,
-    lookups_saved: u32,
-    outcomes: &[Outcome],
-) {
-    buf.put_u8(TAG_BATCH_REPLY);
-    buf.put_u64(id);
-    buf.put_u32(servers_touched);
-    buf.put_u32(lookups_saved);
-    buf.put_u32(u32::try_from(outcomes.len()).expect("batch too large for wire"));
-    for o in outcomes {
-        put_outcome(buf, o);
+impl Layout for ReplyFrame<'_> {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        let ReplyFrame(id, servers_touched, lookups_saved, outcomes) = *self;
+        w.u8(TAG_BATCH_REPLY);
+        w.u64(id);
+        w.u32(servers_touched);
+        w.u32(lookups_saved);
+        w.list32(outcomes, put_outcome);
     }
 }
 
@@ -932,27 +747,24 @@ pub(crate) fn put_batch_reply(
 /// request id, the servers touched and the lookups saved. `None` on a
 /// malformed frame, whatever `outcomes` then holds: half a reply is no
 /// reply.
-pub(crate) fn read_reply(mut frame: &[u8], outcomes: &mut Vec<Outcome>) -> Option<(u64, u32, u32)> {
-    if frame.remaining() < 1 + 8 + 4 + 4 + 4 || frame.get_u8() != TAG_BATCH_REPLY {
-        return None;
-    }
-    let (id, touched) = (frame.get_u64(), frame.get_u32());
-    let (saved, count) = (frame.get_u32(), frame.get_u32());
+pub(crate) fn read_reply(frame: &[u8], outcomes: &mut Vec<Outcome>) -> Option<(u64, u32, u32)> {
+    let mut r = Reader::new(frame);
+    r.tag(TAG_BATCH_REPLY)?;
+    let (id, touched, saved, count) = (r.u64()?, r.u32()?, r.u32()?, r.u32()?);
     outcomes.clear();
-    outcomes.reserve((count as usize).min(frame.len()));
+    outcomes.reserve(r.capacity(count as usize, 1));
     for _ in 0..count {
-        outcomes.push(get_outcome(&mut frame)?);
+        outcomes.push(get_outcome(&mut r)?);
     }
     Some((id, touched, saved))
 }
 
 impl BatchReply {
-    /// Encodes the batch reply into a wire frame.
+    /// Encodes the batch reply into a wire frame. Panics when the wire
+    /// cannot carry it ([`codec::encode`]).
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(batch_reply_len(&self.outcomes));
         let (touched, saved) = (self.servers_touched, self.lookups_saved);
-        put_batch_reply(&mut buf, self.id, touched, saved, &self.outcomes);
-        buf.freeze()
+        codec::encode(&ReplyFrame(self.id, touched, saved, &self.outcomes))
     }
 
     /// Decodes a batch-reply frame. Returns `None` on malformed input.
@@ -971,6 +783,8 @@ impl BatchReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+    use naming_core::entity::ActivityId;
 
     fn name(p: &str) -> CompoundName {
         CompoundName::parse_path(p).unwrap()
@@ -985,9 +799,7 @@ mod tests {
 
     /// `req` under the recursive tag.
     fn recursive(req: &BatchRequest) -> Bytes {
-        let mut buf = BytesMut::new();
-        put_request(&mut buf, Mode::Recursive, req.id, req.start, &req.trie);
-        buf.freeze()
+        codec::encode(&RequestFrame(Mode::Recursive, req.id, req.start, &req.trie))
     }
 
     #[test]
@@ -1033,8 +845,8 @@ mod tests {
 
     #[test]
     fn batch_frame_capacity_estimates_are_exact() {
-        // The batch wire path pre-sizes its buffers; the estimates must
-        // match what the encoders actually emit (no realloc, no waste).
+        // The encoders size their frames first: each is written into a
+        // buffer of exactly its length (no realloc, no waste).
         let (trie, _) = NameTrie::build(&[
             name("/usr/bin/cc"),
             name("/usr/bin/ld"),
@@ -1043,10 +855,8 @@ mod tests {
         let req = BatchRequest {
             id: 1,
             start: ObjectId::from_index(0),
-            trie: trie.clone(),
+            trie,
         };
-        assert_eq!(req.encode().len(), trie.request_len());
-
         let reply = BatchReply {
             id: 1,
             outcomes: vec![
@@ -1063,12 +873,11 @@ mod tests {
             servers_touched: 2,
             lookups_saved: 5,
         };
-        let outcomes: usize = reply.outcomes.iter().map(outcome_wire_len).sum();
-        assert_eq!(reply.encode().len(), batch_reply_len(&reply.outcomes));
-        assert_eq!(
-            batch_reply_len(&reply.outcomes),
-            1 + 8 + 4 + 4 + 4 + outcomes
-        );
+        for frame in [req.encode(), reply.encode()] {
+            let len = frame.len();
+            assert_eq!(frame.try_into_mut().unwrap().capacity(), len);
+        }
+        assert_eq!(reply.encode().len(), 1 + 8 + 4 + 4 + 4 + 6 + 11 + 1 + 1 + 5);
     }
 
     #[test]
@@ -1301,7 +1110,6 @@ mod tests {
                     })
                     .collect();
                 let delta = ZoneDelta { id, shards };
-                prop_assert_eq!(delta.encode().len(), delta.wire_len());
                 prop_assert_eq!(ZoneDelta::decode(delta.encode()), Some(delta));
             }
 
@@ -1439,7 +1247,6 @@ mod tests {
                 (1023, ZoneSerial::new(u64::MAX)),
             ],
         };
-        assert_eq!(req.encode().len(), req.wire_len());
         assert_eq!(ZoneDeltaRequest::decode(req.encode()), Some(req.clone()));
         let delta = ZoneDelta {
             id: 42,
@@ -1469,7 +1276,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(delta.encode().len(), delta.wire_len());
         assert_eq!(ZoneDelta::decode(delta.encode()), Some(delta.clone()));
         // Cross-decoding and truncation fail cleanly.
         assert!(ZoneDelta::decode(req.encode()).is_none());

@@ -8,6 +8,9 @@
 //! The simulator provides exactly the behaviours coherence questions are
 //! about, and nothing more:
 //!
+//! * [`codec`]: the wire's primitives — one writer that sizes and writes
+//!   every frame, one bounds-checked reader, and the width rule deciding
+//!   what a frame's fields can carry;
 //! * [`topology`]: networks and machines with *renumberable* addresses
 //!   (exercised by the partially-qualified-identifier experiments);
 //! * [`world::World`]: processes with per-activity contexts (inherited on
@@ -41,6 +44,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod codec;
 pub mod event;
 pub mod message;
 pub mod pool;

@@ -1,70 +1,16 @@
-//! Execution tracing and counters for experiments.
+//! Named counters for experiments.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use naming_core::closure::NameSource;
-use naming_core::entity::{ActivityId, Entity};
-use naming_core::name::CompoundName;
-
-use crate::time::VirtualTime;
-
-/// A traced simulator event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// An activity resolved a name.
-    Resolved {
-        /// The resolving activity.
-        pid: ActivityId,
-        /// The resolved name.
-        name: CompoundName,
-        /// How the activity obtained the name.
-        source: NameSource,
-        /// The entity obtained (possibly `⊥`).
-        entity: Entity,
-    },
-    /// A message left its sender.
-    MessageSent {
-        /// Sender.
-        from: ActivityId,
-        /// Receiver.
-        to: ActivityId,
-        /// Number of names carried.
-        names: usize,
-    },
-    /// A message reached its receiver's mailbox.
-    MessageDelivered {
-        /// Sender.
-        from: ActivityId,
-        /// Receiver.
-        to: ActivityId,
-    },
-    /// A process was created.
-    Spawned {
-        /// The new process.
-        pid: ActivityId,
-        /// Its parent, if any.
-        parent: Option<ActivityId>,
-    },
-    /// A machine or network address changed.
-    Renumbered {
-        /// Human-readable description of what changed.
-        what: String,
-    },
-}
-
-/// An append-only log of [`TraceEvent`]s with named counters.
-///
-/// Event recording can be disabled (counters stay on) to keep long
-/// experiment runs cheap.
+/// Named counters of what a world did: messages sent, delivered and lost,
+/// processes spawned, names resolved, and whatever else callers bump.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
-    events: Vec<(VirtualTime, TraceEvent)>,
     /// The per-message counters, one fixed slot each (see [`HOT_KEYS`]).
     hot: [u64; HOT_KEYS.len()],
     /// Every other counter, by name.
     counters: BTreeMap<&'static str, u64>,
-    record_events: bool,
 }
 
 /// The counters every simulated message pays for. They live in fixed
@@ -88,34 +34,6 @@ fn hot_mirror(slot: usize) -> &'static naming_telemetry::metrics::Counter {
 }
 
 impl TraceLog {
-    /// Creates a log with event recording enabled.
-    pub fn new() -> TraceLog {
-        TraceLog {
-            record_events: true,
-            ..TraceLog::default()
-        }
-    }
-
-    /// Creates a log that only keeps counters.
-    pub fn counters_only() -> TraceLog {
-        TraceLog::default()
-    }
-
-    /// Appends an event (if recording) and bumps its kind counter.
-    pub fn record(&mut self, time: VirtualTime, event: TraceEvent) {
-        let key = match &event {
-            TraceEvent::Resolved { .. } => "resolved",
-            TraceEvent::MessageSent { .. } => "sent",
-            TraceEvent::MessageDelivered { .. } => "delivered",
-            TraceEvent::Spawned { .. } => "spawned",
-            TraceEvent::Renumbered { .. } => "renumbered",
-        };
-        self.bump(key);
-        if self.record_events {
-            self.events.push((time, event));
-        }
-    }
-
     /// Increments a named counter.
     ///
     /// The increment is mirrored into the process-wide
@@ -153,24 +71,8 @@ impl TraceLog {
         }
     }
 
-    /// The recorded events in order.
-    pub fn events(&self) -> &[(VirtualTime, TraceEvent)] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Clears recorded events and counters.
+    /// Clears every counter.
     pub fn clear(&mut self) {
-        self.events.clear();
         self.hot = Default::default();
         self.counters.clear();
     }
@@ -222,44 +124,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_events_and_counters() {
-        let mut log = TraceLog::new();
-        log.record(
-            VirtualTime::from_ticks(1),
-            TraceEvent::Spawned {
-                pid: ActivityId::from_index(0),
-                parent: None,
-            },
-        );
-        log.record(
-            VirtualTime::from_ticks(2),
-            TraceEvent::MessageSent {
-                from: ActivityId::from_index(0),
-                to: ActivityId::from_index(1),
-                names: 1,
-            },
-        );
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.counter("spawned"), 1);
-        assert_eq!(log.counter("sent"), 1);
-        assert_eq!(log.counter("delivered"), 0);
-        assert!(log.to_string().contains("spawned=1"));
-    }
-
-    #[test]
-    fn counters_only_mode_skips_events() {
-        let mut log = TraceLog::counters_only();
-        log.record(
-            VirtualTime::ZERO,
-            TraceEvent::Renumbered { what: "net".into() },
-        );
-        assert!(log.is_empty());
-        assert_eq!(log.counter("renumbered"), 1);
-    }
-
-    #[test]
     fn hot_and_named_counters_read_and_print_as_one_sorted_map() {
-        let mut log = TraceLog::counters_only();
+        let mut log = TraceLog::default();
         log.bump("unroutable");
         log.bump("sent");
         log.add("wire_bytes", 40);
@@ -277,18 +143,33 @@ mod tests {
     }
 
     #[test]
+    fn records_events_and_counters() {
+        // What a world did is counted, one key per kind of event.
+        let mut log = TraceLog::default();
+        log.bump("spawned");
+        log.bump("sent");
+        assert_eq!(log.counter("spawned"), 1);
+        assert_eq!(log.counter("sent"), 1);
+        assert_eq!(log.counter("delivered"), 0);
+        assert!(log.to_string().contains("spawned=1"));
+    }
+
+    #[test]
+    fn counters_only_mode_skips_events() {
+        // A log keeps counts only: an event leaves nothing behind but its
+        // counter, so its printed form is the counters alone.
+        let mut log = TraceLog::default();
+        log.bump("renumbered");
+        assert_eq!(log.counter("renumbered"), 1);
+        assert_eq!(log.to_string(), "trace[renumbered=1]");
+    }
+
+    #[test]
     fn clear_resets() {
-        let mut log = TraceLog::new();
+        let mut log = TraceLog::default();
         log.bump("x");
-        log.record(
-            VirtualTime::ZERO,
-            TraceEvent::MessageDelivered {
-                from: ActivityId::from_index(0),
-                to: ActivityId::from_index(1),
-            },
-        );
+        log.bump("delivered");
         log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.counter("x"), 0);
+        assert_eq!((log.counter("x"), log.counter("delivered")), (0, 0));
     }
 }

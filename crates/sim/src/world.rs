@@ -24,7 +24,7 @@ use crate::message::{Message, Parts, Payload};
 use crate::rng::SimRng;
 use crate::time::VirtualTime;
 use crate::topology::{MachineId, NetworkId, Topology};
-use crate::trace::{TraceEvent, TraceLog};
+use crate::trace::TraceLog;
 
 /// A process's stable address local to its machine (nonzero; `0` is the
 /// PQID wildcard).
@@ -175,7 +175,7 @@ impl World {
             timers: EventQueue::new(),
             next_seq: 0,
             rng: SimRng::seeded(seed),
-            trace: TraceLog::counters_only(),
+            trace: TraceLog::default(),
             faults: FaultPlan::default(),
             live_timers: FxHashMap::default(),
             in_flight: 0,
@@ -332,11 +332,6 @@ impl World {
         &self.trace
     }
 
-    /// Mutable trace log.
-    pub fn trace_mut(&mut self) -> &mut TraceLog {
-        &mut self.trace
-    }
-
     /// The world's RNG.
     pub fn rng_mut(&mut self) -> &mut SimRng {
         &mut self.rng
@@ -359,18 +354,13 @@ impl World {
     pub fn renumber_machine(&mut self, m: MachineId) -> crate::topology::MachineAddr {
         let fresh = self.topology.fresh_machine_addr();
         let old = self.topology.renumber_machine(m, fresh);
-        let what = format!(
-            "machine {} {} -> {}",
-            self.topology.machine_name(m),
-            old,
-            fresh
-        );
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
-            naming_telemetry::recorder::instant("sim", format!("renumber {what}"), Vec::new());
+            let name = self.topology.machine_name(m);
+            let what = format!("renumber machine {name} {old} -> {fresh}");
+            naming_telemetry::recorder::instant("sim", what, Vec::new());
         }
-        self.trace
-            .record(self.clock, TraceEvent::Renumbered { what });
+        self.trace.bump("renumbered");
         fresh
     }
 
@@ -379,18 +369,13 @@ impl World {
     pub fn renumber_network(&mut self, n: NetworkId) -> crate::topology::NetAddr {
         let fresh = self.topology.fresh_net_addr();
         let old = self.topology.renumber_network(n, fresh);
-        let what = format!(
-            "network {} {} -> {}",
-            self.topology.network_name(n),
-            old,
-            fresh
-        );
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
-            naming_telemetry::recorder::instant("sim", format!("renumber {what}"), Vec::new());
+            let name = self.topology.network_name(n);
+            let what = format!("renumber network {name} {old} -> {fresh}");
+            naming_telemetry::recorder::instant("sim", what, Vec::new());
         }
-        self.trace
-            .record(self.clock, TraceEvent::Renumbered { what });
+        self.trace.bump("renumbered");
         fresh
     }
 
@@ -474,8 +459,7 @@ impl World {
             alive: true,
         });
         self.state.activity_state_mut(pid).tag = machine.0 as u64;
-        self.trace
-            .record(self.clock, TraceEvent::Spawned { pid, parent });
+        self.trace.bump("spawned");
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
             naming_telemetry::recorder::instant(
@@ -600,15 +584,7 @@ impl World {
         self.sync_clock();
         let entity =
             naming_core::closure::resolve_with_rule(&self.state, &self.registry, rule, &m, name);
-        self.trace.record(
-            self.clock,
-            TraceEvent::Resolved {
-                pid,
-                name: name.clone(),
-                source,
-                entity,
-            },
-        );
+        self.trace.bump("resolved");
         entity
     }
 
@@ -630,14 +606,7 @@ impl World {
         let mut msg = Message::new(from, to, parts);
         msg.sent_at = self.clock;
         let (fm, tm) = (self.spawned(from).machine, self.spawned(to).machine);
-        self.trace.record(
-            self.clock,
-            TraceEvent::MessageSent {
-                from,
-                to,
-                names: msg.name_count(),
-            },
-        );
+        self.trace.bump("sent");
         // Wire-size accounting: framed payload bytes attempted on the
         // wire (counted even when the link or fault plan eats the
         // message — the sender still paid for them).
@@ -779,8 +748,7 @@ impl World {
         match self.process_mut(to) {
             Some(p) if p.alive => {
                 p.mailbox.push_back(msg);
-                self.trace
-                    .record(self.clock, TraceEvent::MessageDelivered { from, to });
+                self.trace.bump("delivered");
             }
             Some(_) => {
                 self.trace.bump("dropped");

@@ -19,11 +19,17 @@
 //!   mailbox, before anything sizes a vector by what it claims;
 //! * labels that name nothing are answered `⊥` at the same doors, and past
 //!   a referral a recursive request is forwarded across, and are never
-//!   interned.
+//!   interned;
+//! * what the wire's fields cannot carry — a label past 16 bits of length,
+//!   a trie node with more children than a 16-bit count — is unreachable
+//!   in every driver and every cache, never `⊥` and never cached, with no
+//!   request sent; an authority sends no zone frame it cannot carry.
 
 use bytes::Bytes;
 use naming_core::prelude::*;
 use naming_core::resolve::DEFAULT_DEPTH_LIMIT;
+use naming_resolver::cache::CachingResolver;
+use naming_resolver::coherence::CoherenceMode;
 use naming_resolver::concurrent::ConcurrentService;
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::runtime::PipelinedService;
@@ -214,6 +220,117 @@ fn name_servers_honour_the_depth_limit() {
     assert_eq!(at, at_again);
     assert_eq!(over, &[Outcome::NotFound]);
     assert_eq!(over, over_again);
+}
+
+/// One machine holding `/d/f0`, served and placed there, an engine over it
+/// and a client beside it.
+fn wide_world() -> (World, ProtocolEngine, ActivityId, ObjectId) {
+    let mut w = World::new(7);
+    let net = w.add_network("n");
+    let m = w.add_machine("m", net);
+    let root = w.machine_root(m);
+    let d = store::ensure_dir(w.state_mut(), root, "d");
+    store::create_file(w.state_mut(), d, "f0", vec![]);
+    let mut svc = NameService::install(&mut w, &[m]);
+    svc.place_subtree(&w, root, m);
+    let client = w.spawn(m, "client", None);
+    (w, ProtocolEngine::new(svc), client, root)
+}
+
+/// `names`, resolved from `/` of a fresh `wide_world()` through every
+/// driver — blocking, pipelined, and a cache in exact and in lease mode —
+/// are each unreachable: ⊥ flagged as a transport verdict, no request sent,
+/// nothing cached.
+fn wider_than_the_wire_in_every_driver(names: &[CompoundName]) {
+    let n = names.len();
+    let (mut w, mut engine, client, root) = wide_world();
+    let got = engine.resolve_batch(&mut w, client, root, names);
+    assert_eq!(got.entities, vec![Entity::Undefined; n]);
+    assert_eq!(
+        (got.unreachable, got.messages),
+        (vec![true; n], 0),
+        "blocking"
+    );
+
+    let (mut w, engine, client, root) = wide_world();
+    let mut svc = PipelinedService::new(engine, 2);
+    svc.submit(&mut w, client, root, names);
+    let got = svc.drain(&mut w).remove(0);
+    assert_eq!(got.entities, vec![Entity::Undefined; n]);
+    assert_eq!(
+        (got.unreachable, got.messages),
+        (vec![true; n], 0),
+        "pipelined"
+    );
+
+    for mode in [CoherenceMode::Exact, CoherenceMode::Lease { ttl: None }] {
+        let (mut w, engine, client, root) = wide_world();
+        let mut cache = CachingResolver::with_mode(engine, 64, mode);
+        let got = cache.resolve_batch(&mut w, client, root, names);
+        assert_eq!(got.entities, vec![Entity::Undefined; n], "{mode:?}");
+        assert_eq!((got.messages, cache.len()), (0, 0), "{mode:?}");
+        assert_eq!(cache.negative_stats().recorded, 0, "{mode:?}: a false ⊥");
+    }
+}
+
+/// `/d/f0 … /d/f69999` share one exchange whose trie node `d` has more
+/// children than its 16-bit count can say: the exchange gives up its riders.
+#[test]
+fn a_trie_wider_than_the_wire_is_unreachable_in_every_driver() {
+    let names: Vec<CompoundName> = (0..70_000).map(|i| path(&format!("/d/f{i}"))).collect();
+    wider_than_the_wire_in_every_driver(&names);
+    // As many as the count can say are carried, and answered.
+    let (mut w, mut engine, client, root) = wide_world();
+    let got = engine.resolve_batch(&mut w, client, root, &names[..usize::from(u16::MAX)]);
+    assert!(got.entities[0].is_defined());
+    assert!(!got.unreachable.contains(&true));
+}
+
+/// A label longer than its 16-bit length field is marked unreachable before
+/// any request goes out, and the rest of its batch is resolved as usual.
+#[test]
+fn a_label_wider_than_the_wire_is_unreachable_in_every_driver() {
+    let long = Name::new(&"x".repeat(70_000));
+    let name = CompoundName::new([Name::root(), Name::new("d"), long]).unwrap();
+    wider_than_the_wire_in_every_driver(std::slice::from_ref(&name));
+    let (mut w, mut engine, client, root) = wide_world();
+    let got = engine.resolve_batch(&mut w, client, root, &[name, path("/d/f0")]);
+    assert_eq!(got.unreachable, [true, false]);
+    assert!(got.entities[1].is_defined());
+}
+
+/// Binding a label no zone frame can carry leaves the authority unable to
+/// publish or answer for the zone: it sends nothing, so `publish_zone`
+/// counts no update and a lease-mode `sync` returns `None`, as for a lost
+/// exchange.
+#[test]
+fn an_authority_sends_no_zone_frame_wider_than_the_wire() {
+    let mut w = World::new(7);
+    let net = w.add_network("n");
+    let (m, m2) = (w.add_machine("m", net), w.add_machine("m2", net));
+    let root = w.machine_root(m);
+    let d = store::ensure_dir(w.state_mut(), root, "d");
+    let mut svc = NameService::install(&mut w, &[m, m2]);
+    svc.place_subtree(&w, root, m);
+    svc.replicate_zone(&mut w, d, m2);
+    let client = w.spawn(m, "client", None);
+    let lease = CoherenceMode::Lease { ttl: None };
+    let mut cache = CachingResolver::with_mode(ProtocolEngine::new(svc), 64, lease);
+    assert!(cache.sync(&mut w, client, m).is_some());
+    assert_eq!(cache.engine_mut().publish_zone(&mut w, d), 1);
+
+    let long = Name::new(&"x".repeat(70_000));
+    let engine = cache.engine_mut();
+    let bound = engine.publish_binding(&mut w, d, long, Some(Entity::Object(root)));
+    assert!(bound.is_some());
+    let sent = w.trace().counter("sent");
+    assert_eq!(engine.publish_zone(&mut w, d), 0);
+    assert!(cache.sync(&mut w, client, m).is_none());
+    assert_eq!(
+        w.trace().counter("sent"),
+        sent + 1,
+        "only the pull went out"
+    );
 }
 
 proptest! {
