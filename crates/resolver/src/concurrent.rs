@@ -18,7 +18,18 @@
 //! Answers are collected by submission order, so a drain is deterministic
 //! regardless of worker count or scheduling — the property the CI
 //! determinism leg and `bench_concurrent` assert byte-for-byte.
+//!
+//! The hand-off stays awake. Both waits — an idle worker's for a frame,
+//! [`ConcurrentService::drain`]'s for an answer — go through the channel's
+//! receiver, which probes for a bounded time before it parks, so a frame or
+//! an answer that arrives within that time costs its sender no wake system
+//! call; [`ServiceReport::worker_parks`] and [`ServiceReport::drain_parks`]
+//! count the waits that did park. And a drain that finds no answer ready
+//! while frames are still queued serves the next one itself, as one more
+//! worker, instead of waiting for the pool to reach it. Wall-clock
+//! scheduling only: no answer, order or counted figure depends on it.
 
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -27,7 +38,7 @@ use naming_core::entity::Entity;
 use naming_core::name::{CompoundName, Name};
 use naming_core::snapshot::{SnapshotMemoStats, StateSnapshot};
 use naming_core::state::SystemState;
-use naming_telemetry::metrics::MetricsRegistry;
+use naming_telemetry::metrics::{Counter, Histogram, MetricsRegistry};
 // Re-exported so downstream crates can consume [`ServiceReport`] fields
 // without depending on naming-telemetry themselves.
 pub use naming_telemetry::flight::{FlightLog, FlightRecorder, SharedFlightRecorder};
@@ -55,12 +66,15 @@ pub struct BatchAnswer {
     /// One entity per query id, total-function semantics (`⊥` =
     /// [`Entity::Undefined`]).
     pub entities: Vec<Entity>,
-    /// The worker that served the batch (scheduling detail; varies run to
-    /// run — everything else in the answer is deterministic).
+    /// The worker that served the batch: a pool thread's index, or
+    /// [`ConcurrentService::workers`] when `drain` served it itself
+    /// (scheduling detail; varies run to run — everything else in the
+    /// answer is deterministic).
     pub worker: usize,
 }
 
-/// What one worker did over its lifetime.
+/// What one worker — a pool thread, or `drain` serving queued frames
+/// itself — did over its lifetime.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerReport {
     /// Batches served.
@@ -87,7 +101,8 @@ pub struct WorkerReport {
 /// Aggregated lifetime report, returned by [`ConcurrentService::shutdown`].
 #[derive(Clone, Debug, Default)]
 pub struct ServiceReport {
-    /// Per-worker reports, indexed by worker.
+    /// Per-worker reports, indexed by [`BatchAnswer::worker`]: one per pool
+    /// thread, then one for the frames `drain` served itself.
     pub workers: Vec<WorkerReport>,
     /// Snapshots published.
     pub publishes: u64,
@@ -100,6 +115,12 @@ pub struct ServiceReport {
     /// [`ConcurrentService::with_sampling`]). Entries are ordered by
     /// `(request id, query index)` — identical for every worker count.
     pub flight: FlightLog,
+    /// Times an idle worker parked waiting for a frame. Wall-clock
+    /// scheduling: varies run to run and never feeds an answer.
+    pub worker_parks: u64,
+    /// Times [`ConcurrentService::drain`] parked waiting for an answer.
+    /// Same caveat as `worker_parks`.
+    pub drain_parks: u64,
 }
 
 impl ServiceReport {
@@ -145,10 +166,17 @@ pub struct ConcurrentService {
     staging: SystemState,
     current: StateSnapshot,
     jobs: Option<Sender<Job>>,
+    /// The job channel's receiving end for `drain`, which serves queued
+    /// frames itself while no answer is ready. It also keeps the channel's
+    /// park count in reach once `jobs` is dropped at shutdown.
+    queued: Receiver<Job>,
     results: Receiver<(u64, BatchAnswer)>,
     workers: Vec<JoinHandle<WorkerReport>>,
-    /// Per-worker flight recorders (worker-index order), shared with the
-    /// pool; empty when the service was built without sampling.
+    /// `drain`'s own server, made the first time it serves a frame.
+    drainer: Option<Server>,
+    /// Per-worker flight recorders (worker-index order, `drain`'s last),
+    /// shared with the pool; empty when the service was built without
+    /// sampling.
     flights: Vec<SharedFlightRecorder>,
     next_seq: u64,
     pending: u64,
@@ -192,7 +220,7 @@ impl ConcurrentService {
         let flights: Vec<SharedFlightRecorder> = if sample_every == 0 {
             Vec::new()
         } else {
-            (0..workers)
+            (0..=workers)
                 .map(|idx| FlightRecorder::new(idx as u32, sample_every).into_shared())
                 .collect()
         };
@@ -201,7 +229,7 @@ impl ConcurrentService {
                 let rx = jobs_rx.clone();
                 let tx = results_tx.clone();
                 let flight = flights.get(idx).cloned();
-                std::thread::spawn(move || worker_loop(idx, rx, tx, flight))
+                std::thread::spawn(move || worker_loop(Server::new(idx, flight), rx, tx))
             })
             .collect();
         let current = StateSnapshot::capture(&initial);
@@ -210,8 +238,10 @@ impl ConcurrentService {
             staging: initial,
             current,
             jobs: Some(jobs_tx),
+            queued: jobs_rx,
             results: results_rx,
             workers: handles,
+            drainer: None,
             flights,
             next_seq: 0,
             pending: 0,
@@ -305,12 +335,28 @@ impl ConcurrentService {
     /// Blocks until every submitted batch has been answered and returns
     /// the answers **in submission order** — deterministic for any worker
     /// count.
+    ///
+    /// While no answer is ready and frames are still queued, the calling
+    /// thread serves the next one itself, as worker
+    /// [`ConcurrentService::workers`]: the tail of a backlog is walked on
+    /// one more thread instead of waited for.
     pub fn drain(&mut self) -> Vec<BatchAnswer> {
         // Pending jobs hold the last `pending` sequence numbers, densely.
         let first = self.next_seq - self.pending;
         let mut by_seq: Vec<Option<BatchAnswer>> = vec![None; self.pending as usize];
         while self.pending > 0 {
-            let (seq, answer) = self.results.recv().expect("workers alive while draining");
+            let (seq, answer) = match self.results.try_recv() {
+                Ok(done) => done,
+                Err(_) => match self.queued.try_recv() {
+                    Ok(job) => {
+                        let idx = self.workers.len();
+                        self.drainer
+                            .get_or_insert_with(|| Server::new(idx, self.flights.get(idx).cloned()))
+                            .serve(job)
+                    }
+                    Err(_) => self.results.recv().expect("workers alive while draining"),
+                },
+            };
             by_seq[(seq - first) as usize] = Some(answer);
             self.pending -= 1;
         }
@@ -338,11 +384,17 @@ impl ConcurrentService {
     pub fn shutdown(mut self) -> ServiceReport {
         // Closing the job channel ends every worker's `iter()` loop.
         self.jobs = None;
-        let workers = self
+        let mut workers: Vec<WorkerReport> = self
             .workers
             .drain(..)
             .map(|h| h.join().expect("worker thread panicked"))
             .collect();
+        workers.push(self.drainer.take().map(Server::finish).unwrap_or_default());
+        // No receiver parks on a closed channel: both counts are final.
+        let worker_parks = self.queued.parks();
+        let drain_parks = self.results.parks();
+        naming_telemetry::counter!("service.concurrent.worker_parks").add(worker_parks);
+        naming_telemetry::counter!("service.concurrent.drain_parks").add(drain_parks);
         // Merge after the join so queued-but-undrained work is included.
         let flight = self.flight_log();
         ServiceReport {
@@ -351,6 +403,8 @@ impl ConcurrentService {
             noop_publishes: self.noop_publishes,
             queue_depth_hwm: self.queue_depth_hwm,
             flight,
+            worker_parks,
+            drain_parks,
         }
     }
 }
@@ -364,46 +418,63 @@ impl Drop for ConcurrentService {
     }
 }
 
-/// The worker body: every received frame's trie goes through the name
-/// server's walk, [`authority_walk`], against the job's snapshot — one
-/// lookup per distinct prefix, the whole namespace held here — and each
-/// name's outcome is its entity: `Resolved(e)` is `e`, anything else `⊥`,
-/// as [`Resolver::resolve_entity`](naming_core::resolve::Resolver::resolve_entity)
+/// What serves frames: a pool worker, or `drain` while it waits. Every
+/// frame's trie goes through the name server's walk, [`authority_walk`],
+/// against the job's snapshot — one lookup per distinct prefix, the whole
+/// namespace held here — and each name's outcome is its entity:
+/// `Resolved(e)` is `e`, anything else `⊥`, as
+/// [`Resolver::resolve_entity`](naming_core::resolve::Resolver::resolve_entity)
 /// answers it.
-fn worker_loop(
+#[derive(Debug)]
+struct Server {
     idx: usize,
-    jobs: Receiver<Job>,
-    results: Sender<(u64, BatchAnswer)>,
+    report: WorkerReport,
+    /// Private latency histograms (wall clock, observational only).
+    queue_wait: Arc<Histogram>,
+    service_time: Arc<Histogram>,
+    /// This server's `service.worker{idx}.*` registry counters. The
+    /// `counter!` macro caches per call site, which would conflate servers,
+    /// so they are resolved from the registry once.
+    batches: Arc<Counter>,
+    queries: Arc<Counter>,
+    scratch: AuthorityScratch,
     flight: Option<SharedFlightRecorder>,
-) -> WorkerReport {
-    let mut report = WorkerReport::default();
-    // Worker-private latency histograms (wall clock, observational only).
-    // `Histogram` is only constructible through a registry, so keep a
-    // local one rather than polluting the global namespace per worker.
-    let local = MetricsRegistry::new();
-    let queue_wait = local.histogram("worker.queue_wait_ns");
-    let service_time = local.histogram("worker.service_ns");
-    // The `counter!` macro caches per call site, which would conflate
-    // workers; resolve this worker's handles from the registry once. The
-    // names come from the interner, so every worker index — not just the
-    // first eight — gets its own counters.
-    let (worker_batches, worker_queries) = {
-        let (batches, queries) =
-            crate::worker_metrics::batch_query_names(crate::worker_metrics::Family::Service, idx);
-        let reg = naming_telemetry::metrics::global();
-        (reg.counter(batches), reg.counter(queries))
-    };
-    let mut scratch = AuthorityScratch::default();
-    for job in jobs.iter() {
+}
+
+impl Server {
+    fn new(idx: usize, flight: Option<SharedFlightRecorder>) -> Server {
+        // `Histogram` is only constructible through a registry, so keep a
+        // local one rather than polluting the global namespace per worker.
+        let local = MetricsRegistry::new();
+        let (batches, queries) = crate::worker_metrics::batch_query_counters(
+            crate::worker_metrics::Family::Service,
+            idx,
+        );
+        Server {
+            idx,
+            report: WorkerReport::default(),
+            queue_wait: local.histogram("worker.queue_wait_ns"),
+            service_time: local.histogram("worker.service_ns"),
+            batches,
+            queries,
+            scratch: AuthorityScratch::default(),
+            flight,
+        }
+    }
+
+    /// Answers one job, returning its sequence number with the answer.
+    fn serve(&mut self, job: Job) -> (u64, BatchAnswer) {
         let started = Instant::now();
-        queue_wait.record(started.duration_since(job.submitted).as_nanos() as u64);
+        self.queue_wait
+            .record(started.duration_since(job.submitted).as_nanos() as u64);
         let trie = &job.req.trie;
         let mut entities = vec![Entity::Undefined; trie.query_count() as usize];
+        let flight = &self.flight;
         let (lookups, saved) = authority_walk(
             job.snap.state(),
             job.req.start,
             trie,
-            &mut scratch,
+            &mut self.scratch,
             Onward::Here,
             |query, path, outcome| {
                 let entity = match outcome {
@@ -411,7 +482,7 @@ fn worker_loop(
                     _ => Entity::Undefined,
                 };
                 entities[query as usize] = entity;
-                if let Some(flight) = &flight {
+                if let Some(flight) = flight {
                     // Admission hashes (request id, name), so the merged log
                     // is the same for any worker count; the outcome string
                     // renders only for admitted entries.
@@ -425,15 +496,17 @@ fn worker_loop(
                 }
             },
         );
-        service_time.record(started.elapsed().as_nanos() as u64);
+        self.service_time
+            .record(started.elapsed().as_nanos() as u64);
         let queries = entities.len() as u64;
+        let report = &mut self.report;
         report.batches += 1;
         report.queries += queries;
         let (lookups, saved) = (u64::from(lookups), u64::from(saved));
         report.lookups += lookups;
         report.lookups_saved += saved;
-        worker_batches.bump();
-        worker_queries.add(queries);
+        self.batches.bump();
+        self.queries.add(queries);
         naming_telemetry::counter!("service.concurrent.batches").bump();
         naming_telemetry::counter!("service.concurrent.queries").add(queries);
         naming_telemetry::counter!("service.concurrent.lookups").add(lookups);
@@ -441,16 +514,31 @@ fn worker_loop(
         let answer = BatchAnswer {
             id: job.req.id,
             entities,
-            worker: idx,
+            worker: self.idx,
         };
-        if results.send((job.seq, answer)).is_err() {
+        (job.seq, answer)
+    }
+
+    fn finish(mut self) -> WorkerReport {
+        self.report.queue_wait = self.queue_wait.snapshot();
+        self.report.service_time = self.service_time.snapshot();
+        self.report
+    }
+}
+
+/// A pool thread: serves every job until the job channel closes.
+fn worker_loop(
+    mut server: Server,
+    jobs: Receiver<Job>,
+    results: Sender<(u64, BatchAnswer)>,
+) -> WorkerReport {
+    for job in jobs.iter() {
+        if results.send(server.serve(job)).is_err() {
             // Service dropped mid-flight; nothing left to report to.
             break;
         }
     }
-    report.queue_wait = queue_wait.snapshot();
-    report.service_time = service_time.snapshot();
-    report
+    server.finish()
 }
 
 // The tests hold the pool to the core resolver's answers.
@@ -755,6 +843,71 @@ mod tests {
             .workers
             .iter()
             .all(|w| w.queue_wait.count == w.batches));
+    }
+
+    /// A drain that finds no answer ready serves queued frames itself. The
+    /// pool's one worker is held inside its first frame (it waits on its
+    /// flight recorder's lock), so every other frame is the drain's to
+    /// serve; the answers, their order and the reports must not tell.
+    #[test]
+    fn drain_serves_queued_frames_while_the_pool_is_busy() {
+        let (s, root) = tree();
+        let mut svc = ConcurrentService::with_sampling(s, 1, 1);
+        let held = Arc::clone(&svc.flights[0]);
+        let drainer = Arc::clone(&svc.flights[1]);
+        let paths = ["/etc/passwd", "/nope"];
+        let guard = held.lock();
+        for id in 0..8u64 {
+            let (req, _) = batch(id, root, &paths);
+            svc.submit(req);
+        }
+        let draining = std::thread::spawn(move || {
+            let answers = svc.drain();
+            (answers, svc.shutdown())
+        });
+        // The worker holds at most one frame; the drain serves the others.
+        while drainer.lock().seen() < 7 * paths.len() as u64 {
+            std::thread::yield_now();
+        }
+        drop(guard);
+        let (answers, report) = draining.join().unwrap();
+        assert_eq!(
+            answers.iter().map(|a| a.id).collect::<Vec<_>>(),
+            (0..8).collect::<Vec<_>>()
+        );
+        assert!(answers
+            .iter()
+            .all(|a| a.entities[0].is_defined() && !a.entities[1].is_defined()));
+        assert_eq!(report.workers.len(), 2);
+        assert!(report.workers[1].batches >= 7);
+        assert_eq!(report.batches(), 8);
+        let by_drain = answers.iter().filter(|a| a.worker == 1).count() as u64;
+        assert_eq!(by_drain, report.workers[1].batches);
+        assert_eq!(
+            report.workers[1].queue_wait.count,
+            report.workers[1].batches
+        );
+        assert_eq!(report.flight.seen, 8 * paths.len() as u64);
+    }
+
+    /// Park counts are reported at shutdown and added to the registry.
+    #[test]
+    fn shutdown_reports_parks_and_mirrors_them_into_the_registry() {
+        let parks = |name| naming_telemetry::metrics::global().snapshot().counter(name);
+        let before = (
+            parks("service.concurrent.worker_parks"),
+            parks("service.concurrent.drain_parks"),
+        );
+        let (s, root) = tree();
+        let mut svc = ConcurrentService::new(s, 2);
+        for id in 0..16u64 {
+            let (req, _) = batch(id, root, &["/etc/passwd"]);
+            svc.submit(req);
+            svc.drain();
+        }
+        let report = svc.shutdown();
+        assert!(parks("service.concurrent.worker_parks") >= before.0 + report.worker_parks);
+        assert!(parks("service.concurrent.drain_parks") >= before.1 + report.drain_parks);
     }
 
     /// Regression: the old fixed 8-slot name tables aliased every worker

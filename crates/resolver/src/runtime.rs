@@ -31,11 +31,13 @@
 //! Queue wait (admission minus submission tick) is reported per batch.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::CompoundName;
 use naming_sim::time::{Duration, VirtualTime};
 use naming_sim::world::{Stepped, World};
+use naming_telemetry::metrics::Counter;
 
 use crate::continuation::{Continuation, Dense};
 use crate::engine::{ProtocolEngine, ReferralHop, MAX_STEPS_PER_BATCH};
@@ -140,6 +142,9 @@ pub struct PipelinedService {
     done: BTreeMap<u64, PipelinedAnswer>,
     in_flight_queries: usize,
     report: PipelineReport,
+    /// Per logical worker, its `(batches, queries)` registry counters,
+    /// resolved on the worker's first completion.
+    worker_counters: Vec<Option<(Arc<Counter>, Arc<Counter>)>>,
 }
 
 impl PipelinedService {
@@ -175,6 +180,7 @@ impl PipelinedService {
                 max_in_flight,
                 ..PipelineReport::default()
             },
+            worker_counters: Vec::new(),
         }
     }
 
@@ -372,13 +378,17 @@ impl PipelinedService {
         naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
         naming_telemetry::gauge!("pipeline.in_flight_queries").set(self.in_flight_queries as i64);
         naming_telemetry::histogram!("pipeline.continuation_depth").record(u64::from(stats.rounds));
-        let (batches, queries) = crate::worker_metrics::batch_query_names(
-            crate::worker_metrics::Family::Pipeline,
-            worker,
-        );
-        let reg = naming_telemetry::metrics::global();
-        reg.counter(batches).bump();
-        reg.counter(queries).add(stats.entities.len() as u64);
+        if self.worker_counters.len() <= worker {
+            self.worker_counters.resize(worker + 1, None);
+        }
+        let (batches, queries) = self.worker_counters[worker].get_or_insert_with(|| {
+            crate::worker_metrics::batch_query_counters(
+                crate::worker_metrics::Family::Pipeline,
+                worker,
+            )
+        });
+        batches.bump();
+        queries.add(stats.entities.len() as u64);
         self.done.insert(
             seq,
             PipelinedAnswer {

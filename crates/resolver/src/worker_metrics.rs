@@ -8,7 +8,9 @@
 //! worker index ever used in the process (a handful of short strings),
 //! and every pool size gets distinct counters.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use naming_telemetry::metrics::Counter;
 
 /// Which serving runtime the worker belongs to; each family gets its own
 /// metric namespace so a thread pool and a reactor running in the same
@@ -23,7 +25,7 @@ pub(crate) enum Family {
 
 /// Returns the interned `("{family}.worker{idx}.batches",
 /// "{family}.worker{idx}.queries")` pair for any worker index.
-pub(crate) fn batch_query_names(family: Family, idx: usize) -> (&'static str, &'static str) {
+fn batch_query_names(family: Family, idx: usize) -> (&'static str, &'static str) {
     static SERVICE: OnceLock<Mutex<Vec<(&'static str, &'static str)>>> = OnceLock::new();
     static PIPELINE: OnceLock<Mutex<Vec<(&'static str, &'static str)>>> = OnceLock::new();
     let (cell, prefix) = match family {
@@ -40,6 +42,15 @@ pub(crate) fn batch_query_names(family: Family, idx: usize) -> (&'static str, &'
         table.push((batches, queries));
     }
     table[idx]
+}
+
+/// The global registry's `(batches, queries)` counters for worker `idx` of
+/// `family`. Takes a lock and a registry read: a worker resolves them once
+/// and keeps the handles.
+pub(crate) fn batch_query_counters(family: Family, idx: usize) -> (Arc<Counter>, Arc<Counter>) {
+    let (batches, queries) = batch_query_names(family, idx);
+    let reg = naming_telemetry::metrics::global();
+    (reg.counter(batches), reg.counter(queries))
 }
 
 #[cfg(test)]
