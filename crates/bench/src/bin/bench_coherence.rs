@@ -35,10 +35,10 @@
 //! Everything reported is virtual-time/message/byte counts —
 //! deterministic per seed; no wall-clock quantities enter the file.
 
+use naming_bench::cli::{self, Doc, Flag, Kind::*};
 use naming_bench::scenarios::coherence_zones;
 use naming_core::entity::{Entity, ObjectId};
 use naming_core::name::{CompoundName, Name};
-use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 use naming_resolver::cache::CachingResolver;
 use naming_resolver::coherence::CoherenceMode;
@@ -46,11 +46,8 @@ use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::wire::Mode;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
+use naming_telemetry::json::json_string;
 
-const DEFAULT_ZONES: usize = 4;
-const DEFAULT_LEAVES: usize = 6;
-const DEFAULT_ROUNDS: usize = 24;
-const DEFAULT_SEED: u64 = 1993;
 /// Anti-entropy cadence in the sweep: one pull every SYNC_EVERY rounds.
 const SYNC_EVERY: usize = 2;
 /// Virtual ticks between rounds. Cache hits cost no virtual time, so
@@ -134,6 +131,7 @@ fn publish_rotation(rep: &mut Replica, k: usize) -> (usize, usize) {
     (z, j)
 }
 
+#[derive(Default)]
 struct ComboResult {
     ttl: Option<u64>,
     publish_every: usize,
@@ -205,23 +203,7 @@ fn run_combo(
         ttl,
         publish_every,
         drop_rate,
-        lookups: 0,
-        lease_hits: 0,
-        lease_messages: 0,
-        stale_served: 0,
-        max_staleness_ticks: 0,
-        sum_staleness_ticks: 0,
-        false_bottom: 0,
-        gave_up: 0,
-        syncs: 0,
-        missed_syncs: 0,
-        transfer_bytes: 0,
-        full_transfers: 0,
-        incremental_transfers: 0,
-        entries_dropped: 0,
-        exact_hits: 0,
-        exact_messages: 0,
-        exact_stale_served: 0,
+        ..ComboResult::default()
     };
     let lease_sent0 = lease.w.trace().counter("sent");
     let exact_sent0 = exact.w.trace().counter("sent");
@@ -304,70 +286,52 @@ fn run_combo(
     out
 }
 
-fn ttl_json(ttl: Option<u64>) -> String {
-    match ttl {
-        Some(t) => t.to_string(),
-        None => json_string("inf"),
-    }
-}
-
-fn render(zones: usize, leaves: usize, rounds: usize, seed: u64, combos: &[ComboResult]) -> String {
-    let rows: Vec<String> = combos
-        .iter()
-        .map(|c| {
-            let mean = if c.stale_served == 0 {
-                0.0
-            } else {
-                c.sum_staleness_ticks as f64 / c.stale_served as f64
-            };
-            format!(
-                "    {{\"ttl\": {}, \"publish_every\": {}, \"drop_rate\": {:.1}, \
-                 \"lookups\": {}, \"lease\": {{\"hits\": {}, \"messages\": {}, \
-                 \"stale_served\": {}, \"max_staleness_ticks\": {}, \
-                 \"mean_staleness_ticks\": {:.2}, \"false_bottom\": {}, \"gave_up\": {}, \
-                 \"syncs\": {}, \"missed_syncs\": {}, \"transfer_bytes\": {}, \
-                 \"full_transfers\": {}, \"incremental_transfers\": {}, \
-                 \"entries_dropped\": {}}}, \"exact\": {{\"hits\": {}, \"messages\": {}, \
-                 \"stale_served\": {}}}}}",
-                ttl_json(c.ttl),
-                c.publish_every,
-                c.drop_rate,
-                c.lookups,
-                c.lease_hits,
-                c.lease_messages,
-                c.stale_served,
-                c.max_staleness_ticks,
-                mean,
-                c.false_bottom,
-                c.gave_up,
-                c.syncs,
-                c.missed_syncs,
-                c.transfer_bytes,
-                c.full_transfers,
-                c.incremental_transfers,
-                c.entries_dropped,
-                c.exact_hits,
-                c.exact_messages,
-                c.exact_stale_served
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": {},\n  \"seed\": {},\n  \"zones\": {},\n  \"leaves\": {},\n  \
-         \"rounds\": {},\n  \"sync_every\": {},\n  \"sweep\": [\n{}\n  ]\n}}\n",
-        json_string("coherence"),
-        seed,
-        zones,
-        leaves,
-        rounds,
-        SYNC_EVERY,
-        rows.join(",\n")
-    )
+fn render(zones: usize, leaves: usize, rounds: usize, seed: u64, combos: &[ComboResult]) -> Doc {
+    let rows = combos.iter().map(|c| {
+        let mean = if c.stale_served == 0 {
+            0.0
+        } else {
+            c.sum_staleness_ticks as f64 / c.stale_served as f64
+        };
+        let lease = Doc::row()
+            .val("hits", c.lease_hits)
+            .val("messages", c.lease_messages)
+            .val("stale_served", c.stale_served)
+            .val("max_staleness_ticks", c.max_staleness_ticks)
+            .fix("mean_staleness_ticks", mean, 2)
+            .val("false_bottom", c.false_bottom)
+            .val("gave_up", c.gave_up)
+            .val("syncs", c.syncs)
+            .val("missed_syncs", c.missed_syncs)
+            .val("transfer_bytes", c.transfer_bytes)
+            .val("full_transfers", c.full_transfers)
+            .val("incremental_transfers", c.incremental_transfers)
+            .val("entries_dropped", c.entries_dropped);
+        let exact = Doc::row()
+            .val("hits", c.exact_hits)
+            .val("messages", c.exact_messages)
+            .val("stale_served", c.exact_stale_served);
+        Doc::row()
+            .val("ttl", c.ttl.map_or(json_string("inf"), |t| t.to_string()))
+            .val("publish_every", c.publish_every)
+            .fix("drop_rate", c.drop_rate, 1)
+            .val("lookups", c.lookups)
+            .obj("lease", lease)
+            .obj("exact", exact)
+    });
+    Doc::block()
+        .str("bench", "coherence")
+        .val("seed", seed)
+        .val("zones", zones)
+        .val("leaves", leaves)
+        .val("rounds", rounds)
+        .val("sync_every", SYNC_EVERY)
+        .rows("sweep", rows)
 }
 
 /// `--json` cmp mode: lossless, anti-entropy (or healing) after every
 /// publish, answers only. Exact and lease(∞) must print identical bytes.
-fn render_cmp(zones: usize, leaves: usize, rounds: usize, seed: u64, lease_mode: bool) -> String {
+fn render_cmp(zones: usize, leaves: usize, rounds: usize, seed: u64, lease_mode: bool) -> Doc {
     let mode = if lease_mode {
         CoherenceMode::Lease { ttl: None }
     } else {
@@ -383,12 +347,12 @@ fn render_cmp(zones: usize, leaves: usize, rounds: usize, seed: u64, lease_mode:
                 let (got, _) =
                     rep.r
                         .resolve(&mut rep.w, rep.client, rep.start, &name, Mode::Iterative);
-                rows.push(format!(
-                    "    {{\"round\": {}, \"name\": {}, \"entity\": {}}}",
-                    round,
-                    json_string(&name.to_string()),
-                    json_string(&got.to_string())
-                ));
+                rows.push(
+                    Doc::row()
+                        .val("round", round)
+                        .str("name", &name.to_string())
+                        .str("entity", &got.to_string()),
+                );
             }
         }
         publish_rotation(&mut rep, round);
@@ -405,95 +369,31 @@ fn render_cmp(zones: usize, leaves: usize, rounds: usize, seed: u64, lease_mode:
         0,
         "the working set outgrew the cache"
     );
-    format!(
-        "{{\n  \"bench\": {},\n  \"seed\": {},\n  \"answers\": [\n{}\n  ]\n}}\n",
-        json_string("coherence-cmp"),
-        seed,
-        rows.join(",\n")
-    )
+    Doc::block()
+        .str("bench", "coherence-cmp")
+        .val("seed", seed)
+        .rows("answers", rows)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_coherence.json");
-    let mut to_stdout = false;
-    let mut json_cmp = false;
-    let mut lease_mode = true;
-    let mut seed = DEFAULT_SEED;
-    let mut zones = DEFAULT_ZONES;
-    let mut leaves = DEFAULT_LEAVES;
-    let mut rounds = DEFAULT_ROUNDS;
-    let mut i = 0;
-    while i < args.len() {
-        let numeric = |args: &[String], i: usize, flag: &str| -> u64 {
-            match args.get(i).and_then(|s| s.parse().ok()) {
-                Some(v) => v,
-                None => {
-                    eprintln!("{flag} requires a numeric argument");
-                    std::process::exit(2);
-                }
-            }
-        };
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--stdout" => to_stdout = true,
-            "--json" => json_cmp = true,
-            "--mode" => {
-                i += 1;
-                lease_mode = match args.get(i).map(String::as_str) {
-                    Some("lease") => true,
-                    Some("exact") => false,
-                    _ => {
-                        eprintln!("--mode requires `exact` or `lease`");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--seed" => {
-                i += 1;
-                seed = numeric(&args, i, "--seed");
-            }
-            "--zones" => {
-                i += 1;
-                zones = numeric(&args, i, "--zones") as usize;
-            }
-            "--leaves" => {
-                i += 1;
-                leaves = numeric(&args, i, "--leaves") as usize;
-            }
-            "--rounds" => {
-                i += 1;
-                rounds = numeric(&args, i, "--rounds") as usize;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_coherence [--out PATH] [--stdout] [--json] \
-                     [--mode exact|lease] [--seed N] [--zones N] [--leaves N] [--rounds N]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const FLAGS: &[Flag] = &[
+    Flag("--json", Switch, None),
+    Flag("--mode", Choice(&["exact", "lease"]), Some("lease")),
+    Flag("--seed", Int, Some("1993")),
+    Flag("--zones", Count, Some("4")),
+    Flag("--leaves", Count, Some("6")),
+    Flag("--rounds", Count, Some("24")),
+];
 
-    if json_cmp {
-        print!(
-            "{}",
-            render_cmp(zones.min(3), leaves.min(4), rounds.min(8), seed, lease_mode)
-        );
+fn main() {
+    let args = cli::parse("bench_coherence", &[cli::OUT, FLAGS]);
+    let seed = args.int("--seed");
+    let (zones, leaves) = (args.count("--zones"), args.count("--leaves"));
+    let rounds = args.count("--rounds");
+
+    if args.on("--json") {
+        let lease_mode = args.text("--mode") == Some("lease");
+        let doc = render_cmp(zones.min(3), leaves.min(4), rounds.min(8), seed, lease_mode);
+        println!("{doc}");
         return;
     }
 
@@ -541,14 +441,8 @@ fn main() {
             );
         }
     }
-    let json = render(zones, leaves, rounds, seed, &combos);
-    if to_stdout {
-        print!("{json}");
-    } else {
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {out}");
-    }
+    args.emit(
+        &render(zones, leaves, rounds, seed, &combos),
+        "BENCH_coherence.json",
+    );
 }

@@ -33,21 +33,22 @@
 //! (serial when `--workers` is absent) so the CI determinism leg can
 //! diff serial vs 4-worker output byte-for-byte.
 
+use naming_bench::cli::{self, Doc, Flag, Kind::*};
+use naming_bench::scenarios::Lcg;
 use naming_core::entity::{Entity, ObjectId};
 use naming_core::name::{CompoundName, Name};
-use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 use naming_core::state::SystemState;
 use naming_resolver::concurrent::{ConcurrentService, HistogramSnapshot};
 use naming_resolver::wire::{BatchRequest, NameTrie};
 use naming_sim::pool::VirtualPool;
 use naming_sim::time::Duration;
+use naming_telemetry::json::json_string;
 use std::time::Instant;
 
 const BATCHES: usize = 64;
 const BATCH_SIZE: usize = 64;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const DEFAULT_ITERS: u32 = 20;
 
 /// The batch64 workload: a 3-level tree (8 dirs × 8 subdirs × 8 files)
 /// and 64 batches of 64 root-relative paths, ~1 in 16 of them unbound.
@@ -73,14 +74,9 @@ fn build_workload() -> Workload {
             }
         }
     }
-    // Deterministic path mix (LCG): mostly live leaves, some misses.
-    let mut x = 0x9e3779b97f4a7c15u64;
-    let mut step = || {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        x >> 33
-    };
+    // Deterministic path mix: mostly live leaves, some misses.
+    let mut rng = Lcg(0x9e3779b97f4a7c15);
+    let mut step = || rng.draw();
     let batches = (0..BATCHES)
         .map(|_| {
             (0..BATCH_SIZE)
@@ -166,7 +162,7 @@ struct WallRun {
     service_p99_ns: u64,
 }
 
-fn measure(iters: u32) -> (usize, Vec<ScalePoint>) {
+fn measure(iters: usize) -> (usize, Vec<ScalePoint>) {
     let w = build_workload();
     let reqs = frames(&w);
     let answers = serial_answers(&w, &reqs);
@@ -227,7 +223,7 @@ fn wall_run(
     answers: &[Vec<Entity>],
     workers: usize,
     queries: usize,
-    iters: u32,
+    iters: usize,
 ) -> WallRun {
     let mut last_report = None;
     let t = Instant::now();
@@ -243,7 +239,7 @@ fn wall_run(
         }
         last_report = Some(report);
     }
-    let ops_per_sec = f64::from(iters) * queries as f64 / t.elapsed().as_secs_f64();
+    let ops_per_sec = (iters * queries) as f64 / t.elapsed().as_secs_f64();
     let report = last_report.expect("iters > 0 is enforced at argument parsing");
     assert_eq!(
         report.queue_depth_hwm, BATCHES as u64,
@@ -261,60 +257,39 @@ fn wall_run(
     }
 }
 
-fn render(iters: u32, queries: usize, points: &[ScalePoint]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"workers\": {}, \"virtual_makespan_ticks\": {}, \
-                 \"throughput_per_ktick\": {:.1}, \"speedup_vs_1_worker\": {:.2}, \
-                 \"utilization\": {:.3}, \"queue_depth_hwm\": {}, \
-                 \"wall_ops_per_sec\": {:.0}}}",
-                p.workers,
-                p.makespan_ticks,
-                p.per_ktick,
-                p.speedup,
-                p.utilization,
-                p.wall.queue_depth_hwm,
-                p.wall.ops_per_sec
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": {},\n  \"workload\": {},\n  \"batches\": {},\n  \
-         \"batch_size\": {},\n  \"queries\": {},\n  \"iters\": {},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        json_string("concurrent"),
-        json_string("batch64"),
-        BATCHES,
-        BATCH_SIZE,
-        queries,
-        iters,
-        rows.join(",\n")
-    )
+fn render(iters: usize, queries: usize, points: &[ScalePoint]) -> Doc {
+    let rows = points.iter().map(|p| {
+        Doc::row()
+            .val("workers", p.workers)
+            .val("virtual_makespan_ticks", p.makespan_ticks)
+            .fix("throughput_per_ktick", p.per_ktick, 1)
+            .fix("speedup_vs_1_worker", p.speedup, 2)
+            .fix("utilization", p.utilization, 3)
+            .val("queue_depth_hwm", p.wall.queue_depth_hwm)
+            .fix("wall_ops_per_sec", p.wall.ops_per_sec, 0)
+    });
+    Doc::block()
+        .str("bench", "concurrent")
+        .str("workload", "batch64")
+        .val("batches", BATCHES)
+        .val("batch_size", BATCH_SIZE)
+        .val("queries", queries)
+        .val("iters", iters)
+        .rows("results", rows)
 }
 
 /// `--json` mode: dump the answers themselves (deterministic; the CI leg
 /// diffs serial vs 4-worker output byte-for-byte).
-fn render_answers(answers: &[Vec<Entity>]) -> String {
-    let rows: Vec<String> = answers
-        .iter()
-        .enumerate()
-        .map(|(id, es)| {
-            let cells: Vec<String> = es.iter().map(|e| json_string(&e.to_string())).collect();
-            format!(
-                "    {{\"batch\": {}, \"entities\": [{}]}}",
-                id,
-                cells.join(", ")
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": {},\n  \"workload\": {},\n  \"answers\": [\n{}\n  ]\n}}\n",
-        json_string("concurrent"),
-        json_string("batch64"),
-        rows.join(",\n")
-    )
+fn render_answers(answers: &[Vec<Entity>]) -> Doc {
+    let rows = answers.iter().enumerate().map(|(id, es)| {
+        Doc::row()
+            .val("batch", id)
+            .list("entities", es.iter().map(|e| json_string(&e.to_string())))
+    });
+    Doc::block()
+        .str("bench", "concurrent")
+        .str("workload", "batch64")
+        .rows("answers", rows)
 }
 
 fn answers_via_workers(workers: usize) -> Vec<Vec<Entity>> {
@@ -332,102 +307,37 @@ fn answers_via_workers(workers: usize) -> Vec<Vec<Entity>> {
     got.into_iter().map(|a| a.entities).collect()
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_concurrent.json");
-    let mut to_stdout = false;
-    let mut json_answers = false;
-    let mut workers = 0usize;
-    let mut iters = DEFAULT_ITERS;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--stdout" => {
-                to_stdout = true;
-            }
-            "--json" => {
-                json_answers = true;
-            }
-            "--workers" => {
-                i += 1;
-                workers = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--workers requires an integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--iters" => {
-                i += 1;
-                iters = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--iters requires a positive integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_concurrent [--out PATH] [--stdout] [--iters N]\n       \
-                     bench_concurrent --json [--workers N]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const FLAGS: &[Flag] = &[
+    Flag("--iters", Count, Some("20")),
+    Flag("--json", Switch, None),
+    Flag("--workers", Int, Some("0")),
+];
 
-    if json_answers {
-        print!("{}", render_answers(&answers_via_workers(workers)));
+fn main() {
+    let args = cli::parse("bench_concurrent", &[cli::OUT, FLAGS]);
+    if args.on("--json") {
+        let answers = answers_via_workers(args.count("--workers"));
+        println!("{}", render_answers(&answers));
         return;
     }
 
+    let iters = args.count("--iters");
     let (queries, points) = measure(iters);
-    let json = render(iters, queries, &points);
-    if to_stdout {
-        print!("{json}");
-    } else {
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        for p in &points {
-            let wall = &p.wall;
-            eprintln!(
-                "{:2} workers: makespan {:>7} ticks, {:>8.1}/ktick, speedup {:>5.2}x, util {:.3}, \
-                 {:>10.0} ops/s",
-                p.workers,
-                p.makespan_ticks,
-                p.per_ktick,
-                p.speedup,
-                p.utilization,
-                wall.ops_per_sec
-            );
-            eprintln!(
-                "           queue hwm {}, wait p50/p99 {}/{} us, service p50/p99 {}/{} us",
-                wall.queue_depth_hwm,
-                wall.queue_wait_p50_ns / 1_000,
-                wall.queue_wait_p99_ns / 1_000,
-                wall.service_p50_ns / 1_000,
-                wall.service_p99_ns / 1_000,
-            );
-        }
-        eprintln!("wrote {out}");
+    for p in &points {
+        let wall = &p.wall;
+        eprintln!(
+            "{:2} workers: makespan {:>7} ticks, {:>8.1}/ktick, speedup {:>5.2}x, util {:.3}, \
+             {:>10.0} ops/s",
+            p.workers, p.makespan_ticks, p.per_ktick, p.speedup, p.utilization, wall.ops_per_sec
+        );
+        eprintln!(
+            "           queue hwm {}, wait p50/p99 {}/{} us, service p50/p99 {}/{} us",
+            wall.queue_depth_hwm,
+            wall.queue_wait_p50_ns / 1_000,
+            wall.queue_wait_p99_ns / 1_000,
+            wall.service_p50_ns / 1_000,
+            wall.service_p99_ns / 1_000,
+        );
     }
+    args.emit(&render(iters, queries, &points), "BENCH_concurrent.json");
 }

@@ -30,14 +30,10 @@
 //! Everything reported is measured in virtual time and message counts —
 //! deterministic per seed; no wall-clock quantities enter the file.
 
+use naming_bench::cli::{self, Doc, Flag, Kind::*};
 use naming_bench::scenarios::chaos_zones;
-use naming_core::report::json_string;
 use naming_resolver::engine::{ProtocolEngine, RetryPolicy};
 use naming_resolver::wire::Mode;
-
-const DEFAULT_HOPS: usize = 4;
-const DEFAULT_LEAVES: usize = 24;
-const DEFAULT_SEED: u64 = 1993;
 
 /// The sweep's retry schedule: deadlines generous enough for the far
 /// client (RTT ≈ 2 × 100 cross-network), attempts generous enough that a
@@ -148,65 +144,50 @@ fn run_crash(hops: usize, leaves: usize, seed: u64) -> CrashResult {
     }
 }
 
-fn render(
-    hops: usize,
-    leaves: usize,
-    seed: u64,
-    sweep: &[RateResult],
-    crash: &CrashResult,
-) -> String {
+fn render(hops: usize, leaves: usize, seed: u64, sweep: &[RateResult], crash: &CrashResult) -> Doc {
     let pol = sweep_policy();
-    let rows: Vec<String> = sweep
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"drop_rate\": {:.1}, \"resolved\": {}, \"gave_up\": {}, \
-                 \"false_bottom\": {}, \"goodput\": {:.4}, \"messages\": {}, \
-                 \"latency_ticks\": {}, \"retransmissions\": {}, \"late_replies\": {}, \
-                 \"failovers\": {}, \"exhausted\": {}}}",
-                r.drop_rate,
-                r.resolved,
-                r.gave_up,
-                r.false_bottom,
-                r.resolved as f64 / leaves as f64,
-                r.messages,
-                r.latency_ticks,
-                r.retransmissions,
-                r.late_replies,
-                r.failovers,
-                r.exhausted
-            )
-        })
-        .collect();
-    let false_bottom_total: usize = sweep.iter().map(|r| r.false_bottom).sum();
-    format!(
-        "{{\n  \"bench\": {},\n  \"seed\": {},\n  \"hops\": {},\n  \"leaves\": {},\n  \
-         \"retry\": {{\"base_timeout_ticks\": {}, \"max_attempts\": {}, \"backoff_cap\": {}}},\n  \
-         \"false_bottom_total\": {},\n  \"sweep\": [\n{}\n  ],\n  \
-         \"crash\": {{\"resolved_during_outage\": {}, \"failovers_during_outage\": {}, \
-         \"republished\": {}, \"resolved_after_restart\": {}, \
-         \"failovers_after_restart\": {}}}\n}}\n",
-        json_string("faults"),
-        seed,
-        hops,
-        leaves,
-        pol.base_timeout_ticks,
-        pol.max_attempts,
-        pol.backoff_cap,
-        false_bottom_total,
-        rows.join(",\n"),
-        crash.resolved_during_outage,
-        crash.failovers_during_outage,
-        crash.republished,
-        crash.resolved_after_restart,
-        crash.failovers_after_restart
-    )
+    let rows = sweep.iter().map(|r| {
+        Doc::row()
+            .fix("drop_rate", r.drop_rate, 1)
+            .val("resolved", r.resolved)
+            .val("gave_up", r.gave_up)
+            .val("false_bottom", r.false_bottom)
+            .fix("goodput", r.resolved as f64 / leaves as f64, 4)
+            .val("messages", r.messages)
+            .val("latency_ticks", r.latency_ticks)
+            .val("retransmissions", r.retransmissions)
+            .val("late_replies", r.late_replies)
+            .val("failovers", r.failovers)
+            .val("exhausted", r.exhausted)
+    });
+    let retry = Doc::row()
+        .val("base_timeout_ticks", pol.base_timeout_ticks)
+        .val("max_attempts", pol.max_attempts)
+        .val("backoff_cap", pol.backoff_cap);
+    let crash = Doc::row()
+        .val("resolved_during_outage", crash.resolved_during_outage)
+        .val("failovers_during_outage", crash.failovers_during_outage)
+        .val("republished", crash.republished)
+        .val("resolved_after_restart", crash.resolved_after_restart)
+        .val("failovers_after_restart", crash.failovers_after_restart);
+    Doc::block()
+        .str("bench", "faults")
+        .val("seed", seed)
+        .val("hops", hops)
+        .val("leaves", leaves)
+        .obj("retry", retry)
+        .val(
+            "false_bottom_total",
+            sweep.iter().map(|r| r.false_bottom).sum::<usize>(),
+        )
+        .rows("sweep", rows)
+        .obj("crash", crash)
 }
 
 /// `--json` mode: one deterministic record per name at a fixed drop rate.
 /// At drop 0 this output must be byte-identical with and without the
 /// retry layer — the CI cmp leg's contract.
-fn render_single(hops: usize, leaves: usize, seed: u64, drop_rate: f64, retry: bool) -> String {
+fn render_single(hops: usize, leaves: usize, seed: u64, drop_rate: f64, retry: bool) -> Doc {
     let (mut w, svc, _machines, client, start, names, _standby, _zones) =
         chaos_zones(hops, leaves, seed);
     let mut engine = ProtocolEngine::new(svc);
@@ -214,118 +195,46 @@ fn render_single(hops: usize, leaves: usize, seed: u64, drop_rate: f64, retry: b
         engine.set_retry_policy(Some(sweep_policy()));
     }
     w.set_message_drop_rate(drop_rate);
-    let rows: Vec<String> = names
+    let rows: Vec<Doc> = names
         .iter()
         .map(|n| {
             let s = engine.resolve(&mut w, client, start, n, Mode::Iterative);
-            format!(
-                "    {{\"name\": {}, \"entity\": {}, \"unreachable\": {}, \
-                 \"messages\": {}, \"latency_ticks\": {}}}",
-                json_string(&n.to_string()),
-                json_string(&s.entity.to_string()),
-                s.unreachable,
-                s.messages,
-                s.latency.ticks()
-            )
+            Doc::row()
+                .str("name", &n.to_string())
+                .str("entity", &s.entity.to_string())
+                .val("unreachable", s.unreachable)
+                .val("messages", s.messages)
+                .val("latency_ticks", s.latency.ticks())
         })
         .collect();
-    format!(
-        "{{\n  \"bench\": {},\n  \"seed\": {},\n  \"drop_rate\": {:.2},\n  \
-         \"names\": [\n{}\n  ]\n}}\n",
-        json_string("faults-single"),
-        seed,
-        drop_rate,
-        rows.join(",\n")
-    )
+    Doc::block()
+        .str("bench", "faults-single")
+        .val("seed", seed)
+        .fix("drop_rate", drop_rate, 2)
+        .rows("names", rows)
 }
 
+const FLAGS: &[Flag] = &[
+    Flag("--json", Switch, None),
+    Flag("--seed", Int, Some("1993")),
+    Flag("--drop", Prob, Some("0")),
+    Flag("--no-retry", Switch, None),
+    Flag("--hops", Count, Some("4")),
+    Flag("--leaves", Count, Some("24")),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_faults.json");
-    let mut to_stdout = false;
-    let mut json_single = false;
-    let mut seed = DEFAULT_SEED;
-    let mut drop_rate = 0.0f64;
-    let mut retry = true;
-    let mut hops = DEFAULT_HOPS;
-    let mut leaves = DEFAULT_LEAVES;
-    let mut watch_every: u64 = 0;
-    let mut metrics_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let numeric = |args: &[String], i: usize, flag: &str| -> f64 {
-            match args.get(i).and_then(|s| s.parse().ok()) {
-                Some(v) => v,
-                None => {
-                    eprintln!("{flag} requires a numeric argument");
-                    std::process::exit(2);
-                }
-            }
-        };
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--stdout" => to_stdout = true,
-            "--json" => json_single = true,
-            "--no-retry" => retry = false,
-            "--seed" => {
-                i += 1;
-                seed = numeric(&args, i, "--seed") as u64;
-            }
-            "--drop" => {
-                i += 1;
-                drop_rate = numeric(&args, i, "--drop");
-            }
-            "--hops" => {
-                i += 1;
-                hops = numeric(&args, i, "--hops") as usize;
-            }
-            "--leaves" => {
-                i += 1;
-                leaves = numeric(&args, i, "--leaves") as usize;
-            }
-            "--watch" => {
-                i += 1;
-                watch_every = numeric(&args, i, "--watch") as u64;
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = match args.get(i) {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        eprintln!("--metrics-out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_faults [--out PATH] [--stdout] [--json] [--seed N] \
-                     [--drop F] [--no-retry] [--hops N] [--leaves N] \
-                     [--watch N] [--metrics-out PATH]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let args = cli::parse("bench_faults", &[cli::OUT, cli::WATCH, FLAGS]);
+    let seed = args.int("--seed");
+    let (hops, leaves) = (args.count("--hops"), args.count("--leaves"));
+    let mut watch = args.watch();
 
-    let mut watch = naming_bench::watch::MetricsWatch::new(watch_every, metrics_out);
-
-    if json_single {
-        print!("{}", render_single(hops, leaves, seed, drop_rate, retry));
+    if args.on("--json") {
+        let retry = !args.on("--no-retry");
+        println!(
+            "{}",
+            render_single(hops, leaves, seed, args.prob("--drop"), retry)
+        );
         watch.finish();
         return;
     }
@@ -357,32 +266,26 @@ fn main() {
     assert_eq!(crash.resolved_after_restart, leaves);
     assert!(crash.failovers_during_outage > 0);
 
-    let json = render(hops, leaves, seed, &sweep, &crash);
-    if to_stdout {
-        print!("{json}");
-    } else {
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        for r in &sweep {
-            eprintln!(
-                "drop {:.1}: {:2}/{} resolved, {:3} retransmissions, {:2} late, \
-                 {:2} failovers, {:6} msgs, false-bottom {}",
-                r.drop_rate,
-                r.resolved,
-                leaves,
-                r.retransmissions,
-                r.late_replies,
-                r.failovers,
-                r.messages,
-                r.false_bottom
-            );
-        }
+    for r in &sweep {
         eprintln!(
-            "crash: {} via replica, {} failovers; restart republished {} zones",
-            crash.resolved_during_outage, crash.failovers_during_outage, crash.republished
+            "drop {:.1}: {:2}/{} resolved, {:3} retransmissions, {:2} late, \
+             {:2} failovers, {:6} msgs, false-bottom {}",
+            r.drop_rate,
+            r.resolved,
+            leaves,
+            r.retransmissions,
+            r.late_replies,
+            r.failovers,
+            r.messages,
+            r.false_bottom
         );
-        eprintln!("wrote {out}");
     }
+    eprintln!(
+        "crash: {} via replica, {} failovers; restart republished {} zones",
+        crash.resolved_during_outage, crash.failovers_during_outage, crash.republished
+    );
+    args.emit(
+        &render(hops, leaves, seed, &sweep, &crash),
+        "BENCH_faults.json",
+    );
 }

@@ -24,85 +24,64 @@
 //!
 //! [`WindowedHistogram`]: naming_telemetry::window::WindowedHistogram
 
+use naming_bench::cli::{self, Doc, Flag, Kind::*};
 use naming_bench::experiments::e20_observatory::{run, E20Result};
-use naming_core::report::json_string;
 
 /// Documented instrumentation budget (docs/observability.md): percent
 /// slowdown the live observatory may add to a resolution workload.
 const BUDGET_PCT: f64 = 2.0;
-const DEFAULT_SEED: u64 = 19930601; // matches the experiment suite
-const DEFAULT_SAMPLES: u32 = 41;
 
-/// The deterministic SLO section: phase ledger + observatory grade.
-fn slo_json(seed: u64, r: &E20Result) -> String {
-    let phases: Vec<String> = r
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"phase\": {}, \"resolves\": {}, \"defined\": {}, \
-                 \"unreachable\": {}, \"false_bottoms\": {}, \
-                 \"retransmissions\": {}, \"failovers\": {}, \
-                 \"latency_p50_ticks\": {}, \"latency_p99_ticks\": {}}}",
-                json_string(p.phase),
-                p.resolves,
-                p.defined,
-                p.unreachable,
-                p.false_bottoms,
-                p.retransmissions,
-                p.failovers,
-                p.latency_p50,
-                p.latency_p99
-            )
-        })
-        .collect();
-    let breaches: Vec<String> = r
+/// The deterministic section: phase ledger + observatory grade.
+fn slo_doc(seed: u64, r: &E20Result) -> Doc {
+    let phases = r.phases.iter().map(|p| {
+        Doc::row()
+            .str("phase", p.phase)
+            .val("resolves", p.resolves)
+            .val("defined", p.defined)
+            .val("unreachable", p.unreachable)
+            .val("false_bottoms", p.false_bottoms)
+            .val("retransmissions", p.retransmissions)
+            .val("failovers", p.failovers)
+            .val("latency_p50_ticks", p.latency_p50)
+            .val("latency_p99_ticks", p.latency_p99)
+    });
+    let breaches = r
         .breaches_by_objective
         .iter()
-        .map(|(objective, n)| {
-            format!(
-                "{{\"objective\": {}, \"count\": {}}}",
-                json_string(objective),
-                n
-            )
-        })
-        .collect();
+        .map(|(objective, n)| Doc::row().str("objective", objective).val("count", n));
+    let thresholds = Doc::row()
+        .val("staleness_ticks", r.thresholds.staleness_ticks)
+        .val("false_bottom_rate", r.thresholds.false_bottom_rate)
+        .val("unreachable_rate", r.thresholds.unreachable_rate)
+        .val("publish_p99_ticks", r.thresholds.publish_p99_ticks);
     let rep = &r.report;
-    format!(
-        "  \"bench\": {},\n  \"seed\": {},\n  \"thresholds\": {{\
-         \"staleness_ticks\": {}, \"false_bottom_rate\": {}, \
-         \"unreachable_rate\": {}, \"publish_p99_ticks\": {}}},\n  \
-         \"phases\": [\n{}\n  ],\n  \"slo\": {{\n    \
-         \"resolves\": {},\n    \"false_bottoms\": {},\n    \
-         \"false_bottom_rate\": {:.4},\n    \"unreachables\": {},\n    \
-         \"unreachable_rate\": {:.4},\n    \"publishes\": {},\n    \
-         \"publish_latency_p50_ticks\": {},\n    \
-         \"publish_latency_p99_ticks\": {},\n    \
-         \"staleness_windows\": {},\n    \"staleness_max_ticks\": {},\n    \
-         \"publish_burn\": {:.4},\n    \"breaches\": {},\n    \
-         \"breaches_by_objective\": [{}],\n    \"ok\": {}\n  }}",
-        json_string("observatory"),
-        seed,
-        r.thresholds.staleness_ticks,
-        r.thresholds.false_bottom_rate,
-        r.thresholds.unreachable_rate,
-        r.thresholds.publish_p99_ticks,
-        phases.join(",\n"),
-        rep.resolves,
-        rep.false_bottoms,
-        rep.false_bottom_rate,
-        rep.unreachables,
-        rep.unreachable_rate,
-        rep.publishes,
-        rep.publish_latency.quantile(0.50),
-        rep.publish_latency.quantile(0.99),
-        rep.staleness_windows,
-        rep.staleness.quantile(1.0),
-        rep.publish_burn,
-        rep.breaches,
-        breaches.join(", "),
-        rep.ok()
-    )
+    let slo = Doc::block()
+        .val("resolves", rep.resolves)
+        .val("false_bottoms", rep.false_bottoms)
+        .fix("false_bottom_rate", rep.false_bottom_rate, 4)
+        .val("unreachables", rep.unreachables)
+        .fix("unreachable_rate", rep.unreachable_rate, 4)
+        .val("publishes", rep.publishes)
+        .val(
+            "publish_latency_p50_ticks",
+            rep.publish_latency.quantile(0.50),
+        )
+        .val(
+            "publish_latency_p99_ticks",
+            rep.publish_latency.quantile(0.99),
+        )
+        .val("staleness_windows", rep.staleness_windows)
+        .val("staleness_max_ticks", rep.staleness.quantile(1.0))
+        .fix("publish_burn", rep.publish_burn, 4)
+        .val("breaches", rep.breaches)
+        .list("breaches_by_objective", breaches)
+        .val("ok", rep.ok());
+    Doc::block()
+        .str("bench", "observatory")
+        .val("seed", seed)
+        .obj("thresholds", thresholds)
+        .rows("phases", phases)
+        .obj("slo", slo)
 }
 
 /// Wall-clock overhead probe: resolves every file of a 2000-object tree
@@ -117,7 +96,7 @@ fn slo_json(seed: u64, r: &E20Result) -> String {
 /// Returns (ops per pass, bare Mops, instrumented Mops, overhead %).
 ///
 /// [`WindowedHistogram`]: naming_telemetry::window::WindowedHistogram
-fn overhead_probe(samples: u32) -> (usize, f64, f64, f64) {
+fn overhead_probe(samples: usize) -> (usize, f64, f64, f64) {
     use naming_bench::scenarios::wide_tree;
     use naming_core::resolve::Resolver;
     use naming_telemetry::window::WindowedHistogram;
@@ -182,7 +161,7 @@ fn overhead_probe(samples: u32) -> (usize, f64, f64, f64) {
     bares.sort_by(f64::total_cmp);
     instrs.sort_by(f64::total_cmp);
     ratios.sort_by(f64::total_cmp);
-    let mid = samples as usize / 2;
+    let mid = samples / 2;
     let ops = per_pass as f64;
     (
         per_pass,
@@ -192,111 +171,47 @@ fn overhead_probe(samples: u32) -> (usize, f64, f64, f64) {
     )
 }
 
-fn overhead_json(samples: u32) -> String {
+fn overhead_doc(samples: usize) -> Doc {
     let (per_pass, bare, instr, pct) = overhead_probe(samples);
-    format!(
-        "  \"overhead\": {{\"workload\": {}, \"resolves_per_pass\": {}, \
-         \"bare_mops\": {:.2}, \"instrumented_mops\": {:.2}, \
-         \"overhead_pct\": {:.2}, \"budget_pct\": {:.1}, \
-         \"within_budget\": {}}}",
-        json_string("wide_tree_2000_batch64"),
-        per_pass,
-        bare,
-        instr,
-        pct,
-        BUDGET_PCT,
-        pct <= BUDGET_PCT
-    )
+    Doc::row()
+        .str("workload", "wide_tree_2000_batch64")
+        .val("resolves_per_pass", per_pass)
+        .fix("bare_mops", bare, 2)
+        .fix("instrumented_mops", instr, 2)
+        .fix("overhead_pct", pct, 2)
+        .fix("budget_pct", BUDGET_PCT, 1)
+        .val("within_budget", pct <= BUDGET_PCT)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_observatory.json");
-    let mut to_stdout = false;
-    let mut json_only = false;
-    let mut seed = DEFAULT_SEED;
-    let mut samples = DEFAULT_SAMPLES;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--stdout" => {
-                to_stdout = true;
-            }
-            "--json" => {
-                json_only = true;
-            }
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed requires an integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--samples" => {
-                i += 1;
-                samples = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--samples requires a positive integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_observatory [--out PATH] [--stdout] [--seed S] [--samples N]\n       \
-                     bench_observatory --json [--seed S]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const FLAGS: &[Flag] = &[
+    Flag("--json", Switch, None),
+    // The experiment suite's seed.
+    Flag("--seed", Int, Some("19930601")),
+    Flag("--samples", Count, Some("41")),
+];
 
+fn main() {
+    let args = cli::parse("bench_observatory", &[cli::OUT, FLAGS]);
+    let seed = args.int("--seed");
     let result = run(seed);
-    let slo = slo_json(seed, &result);
-    if json_only {
+    let slo = slo_doc(seed, &result);
+    if args.on("--json") {
         // Deterministic section only, diffable byte-for-byte.
-        print!("{{\n{slo}\n}}\n");
+        println!("{slo}");
         return;
     }
-    let json = format!("{{\n{slo},\n{}\n}}\n", overhead_json(samples));
-    if to_stdout {
-        print!("{json}");
-    } else {
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        let rep = &result.report;
-        eprintln!(
-            "slo: {} resolves, false-bottom rate {:.4}, unreachable rate {:.4}, \
-             publish p99 {} ticks, {} staleness windows (max {} ticks), {} breaches",
-            rep.resolves,
-            rep.false_bottom_rate,
-            rep.unreachable_rate,
-            rep.publish_latency.quantile(0.99),
-            rep.staleness_windows,
-            rep.staleness.quantile(1.0),
-            rep.breaches
-        );
-        eprintln!("wrote {out}");
-    }
+    let doc = slo.obj("overhead", overhead_doc(args.count("--samples")));
+    let rep = &result.report;
+    eprintln!(
+        "slo: {} resolves, false-bottom rate {:.4}, unreachable rate {:.4}, \
+         publish p99 {} ticks, {} staleness windows (max {} ticks), {} breaches",
+        rep.resolves,
+        rep.false_bottom_rate,
+        rep.unreachable_rate,
+        rep.publish_latency.quantile(0.99),
+        rep.staleness_windows,
+        rep.staleness.quantile(1.0),
+        rep.breaches
+    );
+    args.emit(&doc, "BENCH_observatory.json");
 }

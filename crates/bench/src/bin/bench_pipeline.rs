@@ -36,9 +36,10 @@
 //! resolver, `--workers N` through an N-worker reactor. The CI
 //! determinism leg diffs the two byte-for-byte at several worker counts.
 
+use naming_bench::cli::{self, Doc, Flag, Kind::*};
+use naming_bench::scenarios::Lcg;
 use naming_core::entity::{Entity, ObjectId};
 use naming_core::name::CompoundName;
-use naming_core::report::json_string;
 use naming_resolver::engine::{ProtocolEngine, RetryPolicy};
 use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
@@ -47,6 +48,8 @@ use naming_sim::store;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
+/// The `--batches` default: the scale at which the reactor's in-flight and
+/// throughput claims are asserted.
 const DEFAULT_BATCHES: usize = 16384;
 /// Every 10th batch walks the 4-hop chain; the rest are warm singletons.
 const DEEP_EVERY: usize = 10;
@@ -98,19 +101,13 @@ fn build_world() -> (World, NameService, Vec<MachineId>, ObjectId) {
 
 /// The skew workload: one name per batch, deterministic LCG mix.
 fn build_batches(n: usize) -> Vec<CompoundName> {
-    let mut x = 0x9e3779b97f4a7c15u64;
-    let mut step = || {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        x >> 33
-    };
+    let mut rng = Lcg(0x9e3779b97f4a7c15);
     (0..n)
         .map(|i| {
             let path = if i % DEEP_EVERY == 0 {
-                format!("/h1/h2/h3/h4/f{}", step() % 8)
+                format!("/h1/h2/h3/h4/f{}", rng.draw() % 8)
             } else {
-                format!("/w{}", step() % 8)
+                format!("/w{}", rng.draw() % 8)
             };
             CompoundName::parse_path(&path).unwrap()
         })
@@ -192,18 +189,17 @@ fn pipelined_run(batches: &[CompoundName], workers: usize) -> PipelinedRun {
     }
 }
 
+/// One worker count: the blocking pool's makespan and the reactor's run.
 struct Point {
     workers: usize,
     pool_makespan_ticks: u64,
-    pool_per_ktick: f64,
-    pipelined_makespan_ticks: u64,
-    pipelined_per_ktick: f64,
-    speedup_vs_pool: f64,
-    in_flight_hwm: usize,
-    in_flight_queries_hwm: usize,
-    backlog_hwm: usize,
-    queue_wait_p99_ticks: u64,
-    wall_ops_per_sec: f64,
+    run: PipelinedRun,
+}
+
+impl Point {
+    fn speedup_vs_pool(&self) -> f64 {
+        self.pool_makespan_ticks as f64 / self.run.makespan_ticks as f64
+    }
 }
 
 fn measure(n: usize) -> Vec<Point> {
@@ -234,7 +230,12 @@ fn measure(n: usize) -> Vec<Point> {
                     run.in_flight_queries_hwm
                 );
             }
-            let speedup = pool_makespan as f64 / run.makespan_ticks as f64;
+            let point = Point {
+                workers,
+                pool_makespan_ticks: pool_makespan,
+                run,
+            };
+            let speedup = point.speedup_vs_pool();
             if n >= DEFAULT_BATCHES {
                 assert!(
                     speedup >= 2.0,
@@ -242,70 +243,46 @@ fn measure(n: usize) -> Vec<Point> {
                      (got {speedup:.2}x at {workers} workers)"
                 );
             }
-            Point {
-                workers,
-                pool_makespan_ticks: pool_makespan,
-                pool_per_ktick: n as f64 * 1000.0 / pool_makespan as f64,
-                pipelined_makespan_ticks: run.makespan_ticks,
-                pipelined_per_ktick: n as f64 * 1000.0 / run.makespan_ticks as f64,
-                speedup_vs_pool: speedup,
-                in_flight_hwm: run.in_flight_hwm,
-                in_flight_queries_hwm: run.in_flight_queries_hwm,
-                backlog_hwm: run.backlog_hwm,
-                queue_wait_p99_ticks: run.queue_wait_p99_ticks,
-                wall_ops_per_sec: run.wall_ops_per_sec,
-            }
+            point
         })
         .collect()
 }
 
-fn render(n: usize, points: &[Point]) -> String {
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"workers\": {}, \"pool_makespan_ticks\": {}, \
-                 \"pool_per_ktick\": {:.1}, \"pipelined_makespan_ticks\": {}, \
-                 \"pipelined_per_ktick\": {:.1}, \"speedup_vs_pool\": {:.2}, \
-                 \"in_flight_hwm\": {}, \"in_flight_queries_hwm\": {}, \
-                 \"backlog_hwm\": {}, \"queue_wait_p99_ticks\": {}, \
-                 \"wall_ops_per_sec\": {:.0}}}",
-                p.workers,
-                p.pool_makespan_ticks,
-                p.pool_per_ktick,
-                p.pipelined_makespan_ticks,
-                p.pipelined_per_ktick,
-                p.speedup_vs_pool,
-                p.in_flight_hwm,
-                p.in_flight_queries_hwm,
-                p.backlog_hwm,
-                p.queue_wait_p99_ticks,
-                p.wall_ops_per_sec,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": {},\n  \"workload\": {},\n  \"batches\": {},\n  \
-         \"deep_every\": {},\n  \"drop_rate\": {},\n  \"per_worker_limit\": {},\n  \
-         \"results\": [\n{}\n  ]\n}}\n",
-        json_string("pipeline"),
-        json_string("skew-chain"),
-        n,
-        DEEP_EVERY,
-        DROP_RATE,
-        PER_WORKER_LIMIT,
-        rows.join(",\n")
-    )
+fn render(n: usize, points: &[Point]) -> Doc {
+    let per_ktick = |makespan: u64| n as f64 * 1000.0 / makespan as f64;
+    let rows = points.iter().map(|p| {
+        let run = &p.run;
+        Doc::row()
+            .val("workers", p.workers)
+            .val("pool_makespan_ticks", p.pool_makespan_ticks)
+            .fix("pool_per_ktick", per_ktick(p.pool_makespan_ticks), 1)
+            .val("pipelined_makespan_ticks", run.makespan_ticks)
+            .fix("pipelined_per_ktick", per_ktick(run.makespan_ticks), 1)
+            .fix("speedup_vs_pool", p.speedup_vs_pool(), 2)
+            .val("in_flight_hwm", run.in_flight_hwm)
+            .val("in_flight_queries_hwm", run.in_flight_queries_hwm)
+            .val("backlog_hwm", run.backlog_hwm)
+            .val("queue_wait_p99_ticks", run.queue_wait_p99_ticks)
+            .fix("wall_ops_per_sec", run.wall_ops_per_sec, 0)
+    });
+    Doc::block()
+        .str("bench", "pipeline")
+        .str("workload", "skew-chain")
+        .val("batches", n)
+        .val("deep_every", DEEP_EVERY)
+        .val("drop_rate", DROP_RATE)
+        .val("per_worker_limit", PER_WORKER_LIMIT)
+        .rows("results", rows)
 }
 
 /// `--json` mode: per-batch answers on a lossless timeline (deterministic
 /// at every worker count; the CI leg diffs reactor vs blocking output
 /// byte-for-byte).
-fn render_answers(n: usize, workers: usize) -> String {
+fn render_answers(n: usize, workers: usize) -> Doc {
     let batches = build_batches(n);
-    let rows: Vec<String> = if workers == 0 {
-        let (mut w, svc, machines, root) = build_world();
-        let client = w.spawn(machines[0], "client", None);
+    let (mut w, svc, machines, root) = build_world();
+    let client = w.spawn(machines[0], "client", None);
+    let rows: Vec<Doc> = if workers == 0 {
         let mut engine = ProtocolEngine::new(svc);
         batches
             .iter()
@@ -321,8 +298,6 @@ fn render_answers(n: usize, workers: usize) -> String {
             })
             .collect()
     } else {
-        let (mut w, svc, machines, root) = build_world();
-        let client = w.spawn(machines[0], "client", None);
         let mut svc =
             PipelinedService::with_limit(ProtocolEngine::new(svc), workers, PER_WORKER_LIMIT);
         for name in &batches {
@@ -333,112 +308,47 @@ fn render_answers(n: usize, workers: usize) -> String {
             .map(|a| answer_row(a.seq, a.rounds, a.entities[0], a.unreachable[0]))
             .collect()
     };
-    format!(
-        "{{\n  \"bench\": {},\n  \"workload\": {},\n  \"answers\": [\n{}\n  ]\n}}\n",
-        json_string("pipeline"),
-        json_string("skew-chain"),
-        rows.join(",\n")
-    )
+    Doc::block()
+        .str("bench", "pipeline")
+        .str("workload", "skew-chain")
+        .rows("answers", rows)
 }
 
-fn answer_row(batch: u64, rounds: u32, entity: Entity, unreachable: bool) -> String {
-    format!(
-        "    {{\"batch\": {}, \"rounds\": {}, \"entity\": {}, \"unreachable\": {}}}",
-        batch,
-        rounds,
-        json_string(&entity.to_string()),
-        unreachable
-    )
+fn answer_row(batch: u64, rounds: u32, entity: Entity, unreachable: bool) -> Doc {
+    Doc::row()
+        .val("batch", batch)
+        .val("rounds", rounds)
+        .str("entity", &entity.to_string())
+        .val("unreachable", unreachable)
 }
+
+const FLAGS: &[Flag] = &[
+    Flag("--batches", Count, Some("16384")),
+    Flag("--json", Switch, None),
+    Flag("--workers", Int, Some("0")),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_pipeline.json");
-    let mut to_stdout = false;
-    let mut json_answers = false;
-    let mut workers = 0usize;
-    let mut batches = DEFAULT_BATCHES;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--stdout" => {
-                to_stdout = true;
-            }
-            "--json" => {
-                json_answers = true;
-            }
-            "--workers" => {
-                i += 1;
-                workers = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) => n,
-                    None => {
-                        eprintln!("--workers requires an integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--batches" => {
-                i += 1;
-                batches = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--batches requires a positive integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_pipeline [--out PATH] [--stdout] [--batches N]\n       \
-                     bench_pipeline --json [--workers N]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
-    if json_answers {
-        print!("{}", render_answers(batches, workers));
+    let args = cli::parse("bench_pipeline", &[cli::OUT, FLAGS]);
+    let batches = args.count("--batches");
+    if args.on("--json") {
+        println!("{}", render_answers(batches, args.count("--workers")));
         return;
     }
 
     let points = measure(batches);
-    let json = render(batches, &points);
-    if to_stdout {
-        print!("{json}");
-    } else {
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        for p in &points {
-            eprintln!(
-                "{:2} workers: pool {:>9} ticks, pipelined {:>7} ticks ({:>5.2}x), \
-                 in-flight hwm {:>5}, queue-wait p99 {:>6} ticks, {:>9.0} ops/s wall",
-                p.workers,
-                p.pool_makespan_ticks,
-                p.pipelined_makespan_ticks,
-                p.speedup_vs_pool,
-                p.in_flight_queries_hwm,
-                p.queue_wait_p99_ticks,
-                p.wall_ops_per_sec,
-            );
-        }
-        eprintln!("wrote {out}");
+    for p in &points {
+        eprintln!(
+            "{:2} workers: pool {:>9} ticks, pipelined {:>7} ticks ({:>5.2}x), \
+             in-flight hwm {:>5}, queue-wait p99 {:>6} ticks, {:>9.0} ops/s wall",
+            p.workers,
+            p.pool_makespan_ticks,
+            p.run.makespan_ticks,
+            p.speedup_vs_pool(),
+            p.run.in_flight_queries_hwm,
+            p.run.queue_wait_p99_ticks,
+            p.run.wall_ops_per_sec,
+        );
     }
+    args.emit(&render(batches, &points), "BENCH_pipeline.json");
 }

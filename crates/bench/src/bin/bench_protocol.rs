@@ -24,9 +24,9 @@
 
 use std::time::Instant;
 
+use naming_bench::cli::{self, Doc, Flag, Kind::Count};
 use naming_bench::scenarios::protocol_zones;
 use naming_core::entity::Entity;
-use naming_core::report::json_string;
 use naming_resolver::cache::CachingResolver;
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::wire::Mode;
@@ -34,7 +34,6 @@ use naming_resolver::wire::Mode;
 const HOPS: usize = 4;
 const LEAVES: usize = 64;
 const SEED: u64 = 1993;
-const DEFAULT_ITERS: u32 = 20;
 
 struct WorkloadResult {
     workload: &'static str,
@@ -96,7 +95,7 @@ fn referral_cached(seed: u64) -> (Vec<Entity>, u64, u64) {
     (entities, messages, latency)
 }
 
-fn measure(iters: u32) -> Vec<WorkloadResult> {
+fn measure(iters: usize) -> Vec<WorkloadResult> {
     let (base_entities, base_msgs, base_lat) = iterative_baseline(SEED);
     assert!(
         base_entities.iter().all(|e| e.is_defined()),
@@ -109,10 +108,10 @@ fn measure(iters: u32) -> Vec<WorkloadResult> {
         "batched answers must equal iterative answers"
     );
     let t = Instant::now();
-    for i in 0..iters {
-        std::hint::black_box(batched(SEED ^ u64::from(i)));
+    for i in 0..iters as u64 {
+        std::hint::black_box(batched(SEED ^ i));
     }
-    let batch_ops = f64::from(iters) * LEAVES as f64 / t.elapsed().as_secs_f64();
+    let batch_ops = (iters * LEAVES) as f64 / t.elapsed().as_secs_f64();
 
     let (cached_entities, cached_msgs, cached_lat) = referral_cached(SEED);
     assert_eq!(
@@ -120,10 +119,10 @@ fn measure(iters: u32) -> Vec<WorkloadResult> {
         "referral-cached answers must equal iterative answers"
     );
     let t = Instant::now();
-    for i in 0..iters {
-        std::hint::black_box(referral_cached(SEED ^ u64::from(i)));
+    for i in 0..iters as u64 {
+        std::hint::black_box(referral_cached(SEED ^ i));
     }
-    let cached_ops = f64::from(iters) * LEAVES as f64 / t.elapsed().as_secs_f64();
+    let cached_ops = (iters * LEAVES) as f64 / t.elapsed().as_secs_f64();
 
     vec![
         WorkloadResult {
@@ -147,99 +146,42 @@ fn measure(iters: u32) -> Vec<WorkloadResult> {
     ]
 }
 
-fn render(iters: u32, results: &[WorkloadResult]) -> String {
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"workload\": {}, \"names\": {}, \"hops\": {}, \
-                 \"iterative_messages\": {}, \"iterative_latency_ticks\": {}, \
-                 \"optimized_messages\": {}, \"optimized_latency_ticks\": {}, \
-                 \"message_reduction\": {:.2}, \"resolutions_per_sec\": {:.0}}}",
-                json_string(r.workload),
-                r.names,
-                HOPS,
-                r.baseline_messages,
-                r.baseline_latency_ticks,
-                r.optimized_messages,
-                r.optimized_latency_ticks,
-                r.reduction(),
-                r.resolutions_per_sec
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": {},\n  \"iters\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        json_string("protocol"),
-        iters,
-        rows.join(",\n")
-    )
+fn render(iters: usize, results: &[WorkloadResult]) -> Doc {
+    let rows = results.iter().map(|r| {
+        Doc::row()
+            .str("workload", r.workload)
+            .val("names", r.names)
+            .val("hops", HOPS)
+            .val("iterative_messages", r.baseline_messages)
+            .val("iterative_latency_ticks", r.baseline_latency_ticks)
+            .val("optimized_messages", r.optimized_messages)
+            .val("optimized_latency_ticks", r.optimized_latency_ticks)
+            .fix("message_reduction", r.reduction(), 2)
+            .fix("resolutions_per_sec", r.resolutions_per_sec, 0)
+    });
+    Doc::block()
+        .str("bench", "protocol")
+        .val("iters", iters)
+        .rows("results", rows)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_protocol.json");
-    let mut to_stdout = false;
-    let mut iters = DEFAULT_ITERS;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--stdout" => {
-                to_stdout = true;
-            }
-            "--iters" => {
-                i += 1;
-                iters = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--iters requires a positive integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!("usage: bench_protocol [--out PATH] [--stdout] [--iters N]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const FLAGS: &[Flag] = &[Flag("--iters", Count, Some("20"))];
 
+fn main() {
+    let args = cli::parse("bench_protocol", &[cli::OUT, FLAGS]);
+    let iters = args.count("--iters");
     let results = measure(iters);
-    let json = render(iters, &results);
-    if to_stdout {
-        print!("{json}");
-    } else {
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        for r in &results {
-            eprintln!(
-                "{:32} {:4} msgs -> {:4} msgs ({:5.1}x), {:6} -> {:6} ticks, {:>9.0} res/s",
-                r.workload,
-                r.baseline_messages,
-                r.optimized_messages,
-                r.reduction(),
-                r.baseline_latency_ticks,
-                r.optimized_latency_ticks,
-                r.resolutions_per_sec
-            );
-        }
-        eprintln!("wrote {out}");
+    for r in &results {
+        eprintln!(
+            "{:32} {:4} msgs -> {:4} msgs ({:5.1}x), {:6} -> {:6} ticks, {:>9.0} res/s",
+            r.workload,
+            r.baseline_messages,
+            r.optimized_messages,
+            r.reduction(),
+            r.baseline_latency_ticks,
+            r.optimized_latency_ticks,
+            r.resolutions_per_sec
+        );
     }
+    args.emit(&render(iters, &results), "BENCH_protocol.json");
 }

@@ -26,16 +26,15 @@
 
 use std::time::Instant;
 
+use naming_bench::cli::{self, Doc, Flag, Kind::Count};
 use naming_bench::scenarios::deep_chain;
 use naming_core::context::{Context, INLINE_CAP};
 use naming_core::entity::{Entity, ObjectId};
 use naming_core::memo::ResolutionMemo;
 use naming_core::name::Name;
-use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 
 const DEPTHS: [usize; 3] = [4, 16, 64];
-const DEFAULT_ITERS: u32 = 200_000;
 /// Binding count for the small-context lookup leg — a typical directory
 /// fan-out, comfortably inside the inline tier.
 const SMALL_CTX_BINDINGS: usize = 6;
@@ -57,7 +56,7 @@ struct CtxLookupResult {
 /// a naturally-inline context and once on a `force_spill`ed twin. Each
 /// timed op is one lookup; probes rotate through every bound name so the
 /// inline scan is exercised at all positions, not just the best case.
-fn measure_context_lookup(bindings: usize, iters: u32) -> CtxLookupResult {
+fn measure_context_lookup(bindings: usize, iters: usize) -> CtxLookupResult {
     assert!(
         bindings <= INLINE_CAP,
         "leg must stay inside the inline tier"
@@ -76,10 +75,10 @@ fn measure_context_lookup(bindings: usize, iters: u32) -> CtxLookupResult {
     let time = |ctx: &Context| {
         let t = Instant::now();
         for i in 0..iters {
-            let n = names[i as usize % bindings];
+            let n = names[i % bindings];
             std::hint::black_box(ctx.lookup(std::hint::black_box(n)));
         }
-        f64::from(iters) / t.elapsed().as_secs_f64()
+        iters as f64 / t.elapsed().as_secs_f64()
     };
     // Spilled first so any warm-up penalty lands on the tier we expect to
     // win anyway.
@@ -92,7 +91,7 @@ fn measure_context_lookup(bindings: usize, iters: u32) -> CtxLookupResult {
     }
 }
 
-fn measure(depth: usize, iters: u32) -> DepthResult {
+fn measure(depth: usize, iters: usize) -> DepthResult {
     let (state, root, name) = deep_chain(depth);
     let r = Resolver::new();
 
@@ -100,7 +99,7 @@ fn measure(depth: usize, iters: u32) -> DepthResult {
     for _ in 0..iters {
         std::hint::black_box(r.resolve_entity(&state, root, std::hint::black_box(&name)));
     }
-    let naive = f64::from(iters) / t.elapsed().as_secs_f64();
+    let naive = iters as f64 / t.elapsed().as_secs_f64();
 
     let mut memo = ResolutionMemo::new();
     r.resolve_entity_memo(&state, root, &name, &mut memo);
@@ -114,7 +113,7 @@ fn measure(depth: usize, iters: u32) -> DepthResult {
             &mut memo,
         ));
     }
-    let memoized = f64::from(iters) / t.elapsed().as_secs_f64();
+    let memoized = iters as f64 / t.elapsed().as_secs_f64();
 
     DepthResult {
         depth,
@@ -124,43 +123,35 @@ fn measure(depth: usize, iters: u32) -> DepthResult {
     }
 }
 
-fn render(iters: u32, results: &[DepthResult], ctx: &CtxLookupResult) -> String {
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"depth\": {}, \"naive_ops_per_sec\": {:.0}, \
-                 \"memoized_ops_per_sec\": {:.0}, \"speedup\": {:.2}, \
-                 \"memo_hit_rate\": {:.4}}}",
-                r.depth,
-                r.naive_ops_per_sec,
-                r.memoized_ops_per_sec,
-                r.memoized_ops_per_sec / r.naive_ops_per_sec,
-                r.hit_rate
-            )
-        })
-        .collect();
-    let ctx_row = format!(
-        "  \"context_lookup\": {{\"bindings\": {}, \"inline_ops_per_sec\": {:.0}, \
-         \"spilled_ops_per_sec\": {:.0}, \"inline_speedup\": {:.2}}}",
-        ctx.bindings,
-        ctx.inline_ops_per_sec,
-        ctx.spilled_ops_per_sec,
-        ctx.inline_ops_per_sec / ctx.spilled_ops_per_sec
-    );
-    format!(
-        "{{\n  \"bench\": {},\n  \"iters\": {},\n  \"results\": [\n{}\n  ],\n{}\n}}\n",
-        json_string("resolution"),
-        iters,
-        rows.join(",\n"),
-        ctx_row
-    )
+fn render(iters: usize, results: &[DepthResult], ctx: &CtxLookupResult) -> Doc {
+    let rows = results.iter().map(|r| {
+        Doc::row()
+            .val("depth", r.depth)
+            .fix("naive_ops_per_sec", r.naive_ops_per_sec, 0)
+            .fix("memoized_ops_per_sec", r.memoized_ops_per_sec, 0)
+            .fix("speedup", r.memoized_ops_per_sec / r.naive_ops_per_sec, 2)
+            .fix("memo_hit_rate", r.hit_rate, 4)
+    });
+    let ctx_row = Doc::row()
+        .val("bindings", ctx.bindings)
+        .fix("inline_ops_per_sec", ctx.inline_ops_per_sec, 0)
+        .fix("spilled_ops_per_sec", ctx.spilled_ops_per_sec, 0)
+        .fix(
+            "inline_speedup",
+            ctx.inline_ops_per_sec / ctx.spilled_ops_per_sec,
+            2,
+        );
+    Doc::block()
+        .str("bench", "resolution")
+        .val("iters", iters)
+        .rows("results", rows)
+        .obj("context_lookup", ctx_row)
 }
 
 /// A short traced pass over the same scenarios: 100 plain + 100 memoized
 /// resolutions per depth, one recorder track per depth, written as a
 /// Chrome trace. Runs after the timing loops so tracing never skews them.
-fn traced_pass(path: &str) {
+fn traced_pass() {
     use naming_telemetry::recorder;
     recorder::install();
     for (i, &depth) in DEPTHS.iter().enumerate() {
@@ -175,116 +166,36 @@ fn traced_pass(path: &str) {
             std::hint::black_box(r.resolve_entity_memo(&state, root, &name, &mut memo));
         }
     }
-    let data = recorder::take().expect("recorder was just installed");
-    naming_telemetry::chrome::write(&data, std::path::Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
-        "wrote Chrome trace to {path} ({} resolutions, {} events)",
-        data.resolutions.len(),
-        data.events.len()
-    );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_resolution.json");
-    let mut to_stdout = false;
-    let mut iters = DEFAULT_ITERS;
-    let mut trace_path: Option<String> = None;
-    let mut metrics = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace" => {
-                i += 1;
-                trace_path = match args.get(i) {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        eprintln!("--trace requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--metrics" => {
-                metrics = true;
-            }
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--stdout" => {
-                to_stdout = true;
-            }
-            "--iters" => {
-                i += 1;
-                iters = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--iters requires a positive integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_resolution [--out PATH] [--stdout] [--iters N] \
-                     [--trace PATH] [--metrics]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const FLAGS: &[Flag] = &[Flag("--iters", Count, Some("200000"))];
 
+fn main() {
+    let args = cli::parse("bench_resolution", &[cli::OUT, cli::TELEMETRY, FLAGS]);
+    let iters = args.count("--iters");
     let results: Vec<DepthResult> = DEPTHS.iter().map(|&d| measure(d, iters)).collect();
     let ctx = measure_context_lookup(SMALL_CTX_BINDINGS, iters);
-    let json = render(iters, &results, &ctx);
-    if to_stdout {
-        print!("{json}");
-    } else {
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        for r in &results {
-            eprintln!(
-                "depth {:2}: naive {:>12.0} ops/s, memoized {:>12.0} ops/s ({:.2}x, hit rate {:.1}%)",
-                r.depth,
-                r.naive_ops_per_sec,
-                r.memoized_ops_per_sec,
-                r.memoized_ops_per_sec / r.naive_ops_per_sec,
-                100.0 * r.hit_rate
-            );
-        }
+    for r in &results {
         eprintln!(
-            "context lookup ({} bindings): inline {:>12.0} ops/s, spilled {:>12.0} ops/s ({:.2}x)",
-            ctx.bindings,
-            ctx.inline_ops_per_sec,
-            ctx.spilled_ops_per_sec,
-            ctx.inline_ops_per_sec / ctx.spilled_ops_per_sec
+            "depth {:2}: naive {:>12.0} ops/s, memoized {:>12.0} ops/s ({:.2}x, hit rate {:.1}%)",
+            r.depth,
+            r.naive_ops_per_sec,
+            r.memoized_ops_per_sec,
+            r.memoized_ops_per_sec / r.naive_ops_per_sec,
+            100.0 * r.hit_rate
         );
-        eprintln!("wrote {out}");
     }
+    eprintln!(
+        "context lookup ({} bindings): inline {:>12.0} ops/s, spilled {:>12.0} ops/s ({:.2}x)",
+        ctx.bindings,
+        ctx.inline_ops_per_sec,
+        ctx.spilled_ops_per_sec,
+        ctx.inline_ops_per_sec / ctx.spilled_ops_per_sec
+    );
+    args.emit(&render(iters, &results, &ctx), "BENCH_resolution.json");
 
-    if let Some(path) = &trace_path {
-        traced_pass(path);
+    if args.text("--trace").is_some() {
+        traced_pass();
     }
-    if metrics {
-        eprintln!(
-            "{}",
-            naming_telemetry::metrics::global().snapshot().to_json()
-        );
-    }
+    args.write_telemetry();
 }

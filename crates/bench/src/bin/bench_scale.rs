@@ -43,13 +43,15 @@
 
 use naming_core::entity::{Entity, ObjectId};
 use naming_core::name::{CompoundName, Name};
-use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 use naming_core::state::{SystemState, MAX_SHARDS};
 use naming_resolver::concurrent::ConcurrentService;
 use naming_resolver::wire::{BatchRequest, NameTrie};
+use naming_telemetry::json::json_string;
 
 use naming_bench::alloc::allocation_count;
+use naming_bench::cli::{self, Doc, Flag, Kind::*};
+use naming_bench::scenarios::Lcg;
 use std::time::Instant;
 
 /// Count every heap allocation this binary makes: the arena claim —
@@ -106,23 +108,9 @@ const TIERS: [Tier; 3] = [
 
 const DEFAULT_OPS: usize = 200_000;
 const DEFAULT_PUBLISHES: usize = 64;
-const DEFAULT_WORKERS: usize = 8;
 const SMOKE_OPS: usize = 2_000;
 const SMOKE_PUBLISHES: usize = 8;
 const BATCH_SIZE: usize = 64;
-
-/// Deterministic 64-bit LCG (same constants as the other bench binaries).
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
 
 /// A built tier: the sharded state plus the handles traffic needs.
 struct Grid {
@@ -181,7 +169,7 @@ impl Grid {
     /// clustered in low shards.
     fn draw_zone(&self, rng: &mut Lcg) -> usize {
         let total = *self.zipf_cum.last().unwrap();
-        let u = (rng.next() as f64 / (1u64 << 31) as f64 / 2.0) % 1.0 * total;
+        let u = (rng.draw() as f64 / (1u64 << 31) as f64 / 2.0) % 1.0 * total;
         let rank = self.zipf_cum.partition_point(|&c| c <= u);
         rank.wrapping_mul(0x9E37_79B1) & (self.zones - 1)
     }
@@ -189,8 +177,8 @@ impl Grid {
     /// One op: a full path from the root, ~1 in 16 unbound.
     fn draw_name(&self, rng: &mut Lcg) -> CompoundName {
         let z = self.draw_zone(rng);
-        let d = rng.next() as usize % self.dirs;
-        let path = if rng.next().is_multiple_of(16) {
+        let d = rng.draw() as usize % self.dirs;
+        let path = if rng.draw().is_multiple_of(16) {
             format!("/z{z}/d{d}/missing")
         } else {
             format!("/z{z}/d{d}/f0")
@@ -390,189 +378,93 @@ fn pool_phase(grid: &Grid, names: &[CompoundName], publishes: usize, workers: us
     }
 }
 
-fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
-    match v {
-        Some(x) => x.to_string(),
-        None => "null".to_string(),
-    }
-}
-
-fn render(results: &[TierResult], ops: usize, publishes: usize, workers: usize) -> String {
-    let rows: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"tier\": {}, \"contexts\": {}, \"zones\": {}, \"dirs_per_zone\": {}, \
-                 \"shards\": {}, \"build_ms\": {:.1}, \"build_rss_kb\": {}, \
-                 \"peak_rss_kb\": {}, \"serial_ops_per_sec\": {:.0}, \
-                 \"serial_ns_per_op\": {:.1}, \"resolve_allocs_per_op\": {:.4}, \
-                 \"pool_ops_per_sec\": {:.0}, \"pool_allocs_per_op\": {:.4}, \
-                 \"publish_mean_us\": {:.2}, \"publish_max_us\": {:.2}, \
-                 \"publish_shards_shared_min\": {}, \"noop_publishes\": {}}}",
-                json_string(r.label),
-                r.contexts,
-                r.zones,
-                r.dirs,
-                r.shards,
-                r.build_ms,
-                opt(r.build_rss_kb),
-                opt(r.peak_rss_kb),
-                r.serial_ops_per_sec,
-                r.serial_ns_per_op,
-                r.resolve_allocs_per_op,
-                r.pool.ops_per_sec,
-                r.pool.allocs_per_op,
-                r.pool.publish_mean_us,
-                r.pool.publish_max_us,
+fn render(results: &[TierResult], ops: usize, publishes: usize, workers: usize) -> Doc {
+    let or_null = |v: Option<u64>| v.map_or("null".to_owned(), |kb| kb.to_string());
+    let rows = results.iter().map(|r| {
+        Doc::row()
+            .str("tier", r.label)
+            .val("contexts", r.contexts)
+            .val("zones", r.zones)
+            .val("dirs_per_zone", r.dirs)
+            .val("shards", r.shards)
+            .fix("build_ms", r.build_ms, 1)
+            .val("build_rss_kb", or_null(r.build_rss_kb))
+            .val("peak_rss_kb", or_null(r.peak_rss_kb))
+            .fix("serial_ops_per_sec", r.serial_ops_per_sec, 0)
+            .fix("serial_ns_per_op", r.serial_ns_per_op, 1)
+            .fix("resolve_allocs_per_op", r.resolve_allocs_per_op, 4)
+            .fix("pool_ops_per_sec", r.pool.ops_per_sec, 0)
+            .fix("pool_allocs_per_op", r.pool.allocs_per_op, 4)
+            .fix("publish_mean_us", r.pool.publish_mean_us, 2)
+            .fix("publish_max_us", r.pool.publish_max_us, 2)
+            .val(
+                "publish_shards_shared_min",
                 r.pool.publish_shards_shared_min,
-                r.pool.noop_publishes,
             )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": {},\n  \"workload\": {},\n  \"ops\": {},\n  \
-         \"publishes\": {},\n  \"workers\": {},\n  \"tiers\": [\n{}\n  ]\n}}\n",
-        json_string("scale"),
-        json_string("zipf-grid"),
-        ops,
-        publishes,
-        workers,
-        rows.join(",\n")
-    )
+            .val("noop_publishes", r.pool.noop_publishes)
+    });
+    Doc::block()
+        .str("bench", "scale")
+        .str("workload", "zipf-grid")
+        .val("ops", ops)
+        .val("publishes", publishes)
+        .val("workers", workers)
+        .rows("tiers", rows)
 }
 
 /// `--json` mode: a fixed 8-zone grid, 64 deterministic ops, resolved
 /// labels printed one per op. Output is identical for every shard layout —
 /// the CI leg `cmp`s a sharded run against `--shards 1`.
-fn render_answers(shards: usize) -> String {
+fn render_answers(shards: usize) -> Doc {
     let shards = shards.clamp(1, 8);
     let grid = build_grid(8, 8, shards);
     let r = Resolver::new();
     let mut rng = Lcg(0xfeed_face);
-    let labels: Vec<String> = (0..64)
-        .map(|_| {
-            let name = grid.draw_name(&mut rng);
-            match r.resolve_entity(&grid.state, grid.root, &name) {
-                Entity::Object(o) => json_string(grid.state.object_label(o)),
-                other => json_string(&other.to_string()),
-            }
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": {},\n  \"workload\": {},\n  \"answers\": [\n    {}\n  ]\n}}\n",
-        json_string("scale"),
-        json_string("zipf-grid"),
-        labels.join(",\n    ")
-    )
+    let labels = (0..64).map(|_| {
+        let name = grid.draw_name(&mut rng);
+        match r.resolve_entity(&grid.state, grid.root, &name) {
+            Entity::Object(o) => json_string(grid.state.object_label(o)),
+            other => json_string(&other.to_string()),
+        }
+    });
+    Doc::block()
+        .str("bench", "scale")
+        .str("workload", "zipf-grid")
+        .rows("answers", labels)
 }
 
+const FLAGS: &[Flag] = &[
+    Flag("--smoke", Switch, None),
+    Flag("--json", Switch, None),
+    Flag("--ops", Count, None),
+    Flag("--publishes", Count, None),
+    Flag("--workers", Count, Some("8")),
+    Flag("--shards", Count, None),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = String::from("BENCH_scale.json");
-    let mut to_stdout = false;
-    let mut smoke = false;
-    let mut json_answers = false;
-    let mut ops = 0usize;
-    let mut publishes = 0usize;
-    let mut workers = DEFAULT_WORKERS;
-    let mut shards = MAX_SHARDS;
-    let mut watch_every: u64 = 0;
-    let mut metrics_out: Option<String> = None;
-    fn uint_arg(args: &[String], i: usize, name: &str) -> usize {
-        match args.get(i).and_then(|s| s.parse().ok()) {
-            Some(n) if n > 0 => n,
-            _ => {
-                eprintln!("{name} requires a positive integer argument");
-                std::process::exit(2);
-            }
-        }
+    let args = cli::parse("bench_scale", &[cli::OUT, cli::WATCH, FLAGS]);
+    let shards = args.opt_count("--shards").unwrap_or(MAX_SHARDS);
+    if shards > MAX_SHARDS {
+        cli::fail(&format!("--shards must be at most {MAX_SHARDS}"));
     }
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(p) => p.clone(),
-                    None => {
-                        eprintln!("--out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--stdout" => to_stdout = true,
-            "--smoke" => smoke = true,
-            "--json" => json_answers = true,
-            "--ops" => {
-                i += 1;
-                ops = uint_arg(&args, i, "--ops");
-            }
-            "--publishes" => {
-                i += 1;
-                publishes = uint_arg(&args, i, "--publishes");
-            }
-            "--workers" => {
-                i += 1;
-                workers = uint_arg(&args, i, "--workers");
-            }
-            "--shards" => {
-                i += 1;
-                let n = uint_arg(&args, i, "--shards");
-                if n > MAX_SHARDS {
-                    eprintln!("--shards must be at most {MAX_SHARDS}");
-                    std::process::exit(2);
-                }
-                shards = n;
-            }
-            "--watch" => {
-                i += 1;
-                watch_every = uint_arg(&args, i, "--watch") as u64;
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = match args.get(i) {
-                    Some(p) => Some(p.clone()),
-                    None => {
-                        eprintln!("--metrics-out requires a path argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bench_scale [--out PATH] [--stdout] [--smoke] [--ops N]\n       \
-                     [--publishes N] [--workers N] [--shards N] [--watch N]\n       \
-                     [--metrics-out PATH]\n       \
-                     bench_scale --json [--shards N]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let mut watch = args.watch();
 
-    let mut watch = naming_bench::watch::MetricsWatch::new(watch_every, metrics_out);
-
-    if json_answers {
-        print!("{}", render_answers(shards));
+    if args.on("--json") {
+        println!("{}", render_answers(shards));
         watch.finish();
         return;
     }
 
-    if ops == 0 {
-        ops = if smoke { SMOKE_OPS } else { DEFAULT_OPS };
-    }
-    if publishes == 0 {
-        publishes = if smoke {
-            SMOKE_PUBLISHES
-        } else {
-            DEFAULT_PUBLISHES
-        };
-    }
+    let smoke = args.on("--smoke");
+    let (ops, publishes) = if smoke {
+        (SMOKE_OPS, SMOKE_PUBLISHES)
+    } else {
+        (DEFAULT_OPS, DEFAULT_PUBLISHES)
+    };
+    let ops = args.opt_count("--ops").unwrap_or(ops);
+    let publishes = args.opt_count("--publishes").unwrap_or(publishes);
+    let workers = args.count("--workers");
     let tiers: &[Tier] = if smoke { &TIERS[..1] } else { &TIERS };
     let results: Vec<TierResult> = tiers
         .iter()
@@ -599,14 +491,8 @@ fn main() {
         })
         .collect();
     watch.finish();
-    let json = render(&results, ops, publishes, workers);
-    if to_stdout {
-        print!("{json}");
-    } else {
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {out}");
-    }
+    args.emit(
+        &render(&results, ops, publishes, workers),
+        "BENCH_scale.json",
+    );
 }

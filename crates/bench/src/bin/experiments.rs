@@ -25,7 +25,8 @@
 //!
 //! Without `--exp`, the whole suite (E1–E20) runs in paper order.
 
-use naming_bench::experiments::{run_all, run_experiment, CATALOG};
+use naming_bench::cli::{self, Flag, Kind::*};
+use naming_bench::experiments::{run_all, run_experiment, CATALOG, IDS};
 use naming_core::report::Table;
 use naming_core::sweep::map_chunks;
 use naming_telemetry::recorder;
@@ -74,101 +75,32 @@ fn run_suite(seed: u64) -> Vec<Table> {
     tables
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut exp: Option<String> = None;
-    let mut seed: u64 = 19930601; // ICDCS '93
-    let mut csv = false;
-    let mut json = false;
-    let mut trace_path: Option<String> = None;
-    let mut metrics = false;
-    let mut metrics_out: Option<String> = None;
-    let mut watch_every: u64 = 0;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--exp" => {
-                i += 1;
-                exp = args.get(i).cloned();
-                if exp.is_none() {
-                    eprintln!("--exp requires an argument (e1..e11)");
-                    std::process::exit(2);
-                }
-            }
-            "--seed" => {
-                i += 1;
-                seed = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(s) => s,
-                    None => {
-                        eprintln!("--seed requires an integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--csv" => {
-                csv = true;
-            }
-            "--json" => {
-                json = true;
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = args.get(i).cloned();
-                if trace_path.is_none() {
-                    eprintln!("--trace requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-            "--metrics" => {
-                metrics = true;
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = args.get(i).cloned();
-                if metrics_out.is_none() {
-                    eprintln!("--metrics-out requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-            "--watch" => {
-                i += 1;
-                watch_every = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => n,
-                    _ => {
-                        eprintln!("--watch requires a positive integer argument");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--list" => {
-                for info in CATALOG {
-                    println!("{:4}  {}", info.id, info.artifact);
-                }
-                return;
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: experiments [--exp eN] [--seed S] [--list] [--csv | --json] \
-                     [--trace PATH] [--metrics] [--metrics-out PATH] [--watch N]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+const FLAGS: &[Flag] = &[
+    Flag("--exp", Choice(&IDS), None),
+    // ICDCS '93
+    Flag("--seed", Int, Some("19930601")),
+    Flag("--list", Switch, None),
+    Flag("--csv", Switch, None),
+    Flag("--json", Switch, None),
+];
 
-    if csv && json {
-        eprintln!("--csv and --json are mutually exclusive");
-        std::process::exit(2);
+fn main() {
+    let args = cli::parse("experiments", &[cli::WATCH, cli::TELEMETRY, FLAGS]);
+    if args.on("--list") {
+        for info in CATALOG {
+            println!("{:4}  {}", info.id, info.artifact);
+        }
+        return;
     }
-    if trace_path.is_some() {
+    let (csv, json) = (args.on("--csv"), args.on("--json"));
+    if csv && json {
+        cli::fail("--csv and --json are mutually exclusive");
+    }
+    let seed = args.int("--seed");
+    if args.text("--trace").is_some() {
         recorder::install();
     }
-    let mut watch = naming_bench::watch::MetricsWatch::new(watch_every, metrics_out.clone());
+    let mut watch = args.watch();
     let emit = |tables: Vec<naming_core::report::Table>| {
         if json {
             let objects: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
@@ -191,17 +123,12 @@ fn main() {
         println!("Coherence in Naming — experiment suite (seed {seed})");
         println!();
     }
-    match exp {
-        Some(id) => match run_one(&id, seed) {
-            Some(tables) => {
-                watch.tick(&id);
-                emit(tables);
-            }
-            None => {
-                eprintln!("unknown experiment {id:?}; try --list");
-                std::process::exit(2);
-            }
-        },
+    match args.text("--exp") {
+        Some(id) => {
+            let tables = run_one(id, seed).expect("--exp is a catalog id");
+            watch.tick(id);
+            emit(tables);
+        }
         None if watch.watching() => {
             // A periodic dump needs a between-experiments boundary, so run
             // the catalog serially, ticking after each experiment. Table
@@ -217,26 +144,5 @@ fn main() {
     }
 
     watch.finish();
-    if let Some(path) = &trace_path {
-        if let Some(data) = recorder::take() {
-            naming_telemetry::chrome::write(&data, std::path::Path::new(path)).unwrap_or_else(
-                |e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                },
-            );
-            eprintln!(
-                "wrote Chrome trace to {path} ({} resolutions, {} events, {} dropped)",
-                data.resolutions.len(),
-                data.events.len(),
-                data.dropped
-            );
-        }
-    }
-    if metrics {
-        eprintln!(
-            "{}",
-            naming_telemetry::metrics::global().snapshot().to_json()
-        );
-    }
+    args.write_telemetry();
 }

@@ -61,6 +61,17 @@ pub const CATALOG: &[ExperimentInfo] = &[
     ExperimentInfo { id: "e20", artifact: "chaos campaign under the coherence-SLO observatory (extension)" },
 ];
 
+/// The catalog's ids, in its order: what `experiments --exp` accepts.
+pub const IDS: [&str; CATALOG.len()] = {
+    let mut ids = [""; CATALOG.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = CATALOG[i].id;
+        i += 1;
+    }
+    ids
+};
+
 /// Runs one experiment by id and returns its rendered tables.
 ///
 /// Returns `None` for an unknown id.

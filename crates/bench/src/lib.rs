@@ -17,6 +17,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod alloc;
+pub mod cli;
 pub mod experiments;
 pub mod scenarios;
 pub mod watch;

@@ -11,6 +11,22 @@ use naming_sim::store;
 use naming_sim::workload::{grow_tree, TreeManifest, TreeSpec};
 use naming_sim::world::World;
 
+/// The bench binaries' deterministic 64-bit LCG (Knuth's MMIX constants):
+/// each draw is the top 31 bits of the next state.
+#[derive(Clone, Copy, Debug)]
+pub struct Lcg(pub u64);
+
+impl Lcg {
+    /// The next draw, below 2^31.
+    pub fn draw(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+}
+
 /// A deep chain `root/c0/c1/…/c{depth-1}/leaf` for resolution-depth
 /// benches. Returns `(state, root, full path)`.
 pub fn deep_chain(depth: usize) -> (SystemState, ObjectId, CompoundName) {

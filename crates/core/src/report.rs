@@ -6,6 +6,7 @@
 
 use std::fmt;
 
+use naming_telemetry::json::json_string;
 use serde::{Deserialize, Serialize};
 
 /// A simple aligned text table.
@@ -179,27 +180,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Quotes and escapes `s` as a JSON string literal (RFC 8259): quote,
-/// backslash, and control characters are escaped; everything else passes
-/// through as UTF-8.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats a fraction as a percentage with one decimal, e.g. `62.5%`.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
@@ -294,11 +274,17 @@ mod tests {
         );
     }
 
+    /// Cells reach JSON through the telemetry crate's escaper: control
+    /// characters escaped, everything else passed through as UTF-8.
     #[test]
     fn json_string_escapes_control_chars() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-        assert_eq!(json_string("⊥"), "\"⊥\"");
+        let mut t = Table::new("plain", &["\u{1}"]);
+        t.row(vec!["⊥".into()]);
+        assert_eq!(
+            t.to_json(),
+            "{\"title\": \"plain\", \"headers\": [\"\\u0001\"], \
+             \"rows\": [[\"⊥\"]], \"notes\": []}"
+        );
     }
 
     #[test]

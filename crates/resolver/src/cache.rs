@@ -27,13 +27,13 @@ use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::lease::ZoneSerial;
 use naming_core::memo::ResolutionMemo;
 use naming_core::name::{CompoundName, Name};
-use naming_core::report::json_string;
 use naming_core::resolve::Resolver;
 use naming_core::state::SystemState;
 use naming_core::sweep;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
+use naming_telemetry::json::json_string;
 
 use crate::coherence::{
     CoherenceMode, Heard, LeaseCacheStats, LeasedCache, SerialObservation, SerialTable, Validity,

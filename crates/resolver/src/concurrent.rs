@@ -45,13 +45,17 @@ pub use naming_telemetry::flight::{FlightLog, FlightRecorder, SharedFlightRecord
 pub use naming_telemetry::metrics::HistogramSnapshot;
 
 use crate::service::{authority_walk, AuthorityScratch, Onward};
-use crate::wire::{BatchRequest, Outcome};
+use crate::wire::{self, BatchRequest, Mode, Outcome};
 
 /// A unit of work: one batch frame plus the snapshot it resolves against.
 struct Job {
     seq: u64,
     req: BatchRequest,
     snap: StateSnapshot,
+    /// The answer, one `⊥` per query until served: made by `submit` on the
+    /// caller's thread, so a frame costs the caller the same whichever
+    /// thread serves it.
+    entities: Vec<Entity>,
     /// Wall-clock submission time, for queue-wait measurement. Purely
     /// observational — it feeds the worker's latency histograms and
     /// never touches an answer.
@@ -172,8 +176,10 @@ pub struct ConcurrentService {
     queued: Receiver<Job>,
     results: Receiver<(u64, BatchAnswer)>,
     workers: Vec<JoinHandle<WorkerReport>>,
-    /// `drain`'s own server, made the first time it serves a frame.
-    drainer: Option<Server>,
+    /// `drain`'s own server, made with the pool.
+    drainer: Server,
+    /// Forest-check scratch for [`ConcurrentService::submit_frame`]'s decode.
+    seen: Vec<u64>,
     /// Per-worker flight recorders (worker-index order, `drain`'s last),
     /// shared with the pool; empty when the service was built without
     /// sampling.
@@ -241,7 +247,8 @@ impl ConcurrentService {
             queued: jobs_rx,
             results: results_rx,
             workers: handles,
-            drainer: None,
+            drainer: Server::new(workers, flights.get(workers).cloned()),
+            seen: Vec::new(),
             flights,
             next_seq: 0,
             pending: 0,
@@ -313,6 +320,7 @@ impl ConcurrentService {
         self.queue_depth_hwm = self.queue_depth_hwm.max(self.pending);
         let job = Job {
             seq,
+            entities: vec![Entity::Undefined; req.trie.query_count() as usize],
             req,
             snap: self.current.clone(),
             submitted: Instant::now(),
@@ -327,7 +335,7 @@ impl ConcurrentService {
     /// Decodes and queues an encoded [`BatchRequest`] frame. Returns
     /// `false` (submitting nothing) on a malformed frame.
     pub fn submit_frame(&mut self, frame: bytes::Bytes) -> bool {
-        BatchRequest::decode(frame)
+        wire::decode_request(&frame, Mode::Iterative, &mut self.seen)
             .map(|req| self.submit(req))
             .is_some()
     }
@@ -348,12 +356,7 @@ impl ConcurrentService {
             let (seq, answer) = match self.results.try_recv() {
                 Ok(done) => done,
                 Err(_) => match self.queued.try_recv() {
-                    Ok(job) => {
-                        let idx = self.workers.len();
-                        self.drainer
-                            .get_or_insert_with(|| Server::new(idx, self.flights.get(idx).cloned()))
-                            .serve(job)
-                    }
+                    Ok(job) => self.drainer.serve(job),
                     Err(_) => self.results.recv().expect("workers alive while draining"),
                 },
             };
@@ -389,7 +392,7 @@ impl ConcurrentService {
             .drain(..)
             .map(|h| h.join().expect("worker thread panicked"))
             .collect();
-        workers.push(self.drainer.take().map(Server::finish).unwrap_or_default());
+        workers.push(self.drainer.finish());
         // No receiver parks on a closed channel: both counts are final.
         let worker_parks = self.queued.parks();
         let drain_parks = self.results.parks();
@@ -468,7 +471,7 @@ impl Server {
         self.queue_wait
             .record(started.duration_since(job.submitted).as_nanos() as u64);
         let trie = &job.req.trie;
-        let mut entities = vec![Entity::Undefined; trie.query_count() as usize];
+        let mut entities = job.entities;
         let flight = &self.flight;
         let (lookups, saved) = authority_walk(
             job.snap.state(),
@@ -519,10 +522,10 @@ impl Server {
         (job.seq, answer)
     }
 
-    fn finish(mut self) -> WorkerReport {
+    fn finish(&mut self) -> WorkerReport {
         self.report.queue_wait = self.queue_wait.snapshot();
         self.report.service_time = self.service_time.snapshot();
-        self.report
+        std::mem::take(&mut self.report)
     }
 }
 

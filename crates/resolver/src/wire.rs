@@ -261,7 +261,9 @@ impl Frame {
     /// malformed body.
     pub fn decode(buf: Bytes) -> Option<Frame> {
         match *buf.first()? {
-            TAG_RECURSIVE => decode_request(&buf, Mode::Recursive).map(Frame::Recursive),
+            TAG_RECURSIVE => {
+                decode_request(&buf, Mode::Recursive, &mut Vec::new()).map(Frame::Recursive)
+            }
             TAG_ZONE_UPDATE => ZoneUpdate::decode(buf).map(Frame::ZoneUpdate),
             TAG_BATCH_REQUEST => BatchRequest::decode(buf).map(Frame::BatchRequest),
             TAG_BATCH_REPLY => BatchReply::decode(buf).map(Frame::BatchReply),
@@ -686,11 +688,11 @@ pub(crate) fn read_request(
     (mode == Mode::Iterative || trie.query_count == 1).then_some((mode, id, start))
 }
 
-/// A request frame of `mode` as a [`BatchRequest`]; `None` when malformed
-/// or of the other mode.
-fn decode_request(buf: &[u8], mode: Mode) -> Option<BatchRequest> {
+/// A request frame of `mode` as a [`BatchRequest`] (`seen` is scratch);
+/// `None` when malformed or of the other mode.
+pub(crate) fn decode_request(buf: &[u8], mode: Mode, seen: &mut Vec<u64>) -> Option<BatchRequest> {
     let mut trie = NameTrie::default();
-    let (read, id, start) = read_request(buf, &mut trie, &mut Vec::new())?;
+    let (read, id, start) = read_request(buf, &mut trie, seen)?;
     (read == mode).then_some(BatchRequest { id, start, trie })
 }
 
@@ -709,7 +711,7 @@ impl BatchRequest {
     /// Decodes an iterative request frame. Returns `None` on malformed
     /// input.
     pub fn decode(buf: Bytes) -> Option<BatchRequest> {
-        decode_request(&buf, Mode::Iterative)
+        decode_request(&buf, Mode::Iterative, &mut Vec::new())
     }
 }
 

@@ -26,11 +26,12 @@ use naming_core::entity::{ActivityId, ObjectId};
 use naming_core::name::CompoundName;
 use naming_resolver::cache::CachingResolver;
 use naming_resolver::coherence::CoherenceMode;
+use naming_resolver::concurrent::ConcurrentService;
 use naming_resolver::engine::{ProtocolEngine, RetryPolicy};
 use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
 use naming_resolver::wire::{
-    BatchReply, BatchRequest, Frame, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
+    BatchReply, BatchRequest, Frame, NameTrie, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
 };
 use naming_sim::store;
 use naming_sim::topology::MachineId;
@@ -437,6 +438,61 @@ fn loss_retransmission_and_failover_cost_only_the_frames_lost() {
 
 /// A frame that claims 2³² (or 2¹⁶) elements and brings none: refused by
 /// every decoder before the claim has sized anything.
+/// A frame submitted to the worker pool costs the submitting thread its
+/// request's two trie tables and its answer, whether a pool thread or the
+/// drain serves it — the answer is made at submit — and a drain one more,
+/// for the answers in submission order. The decode's forest check runs in
+/// the service's scratch.
+#[test]
+fn a_pooled_frame_costs_its_submitter_the_same_whoever_serves_it() {
+    const FRAMES: usize = 32;
+    let (s, _) = star(13);
+    let frames: Vec<Bytes> = (0..FRAMES)
+        .map(|b| {
+            let (trie, _) = NameTrie::build(&batch(b, 64));
+            let id = b as u64;
+            BatchRequest {
+                id,
+                start: s.hub,
+                trie,
+            }
+            .encode()
+        })
+        .collect();
+    let mut svc = ConcurrentService::new(s.w.state().clone(), 1);
+    // Allocations of one wave, and how many frames the pool thread (0) and
+    // the drain (1) served.
+    let mut wave = || {
+        let wave = frames.clone();
+        let mut served = [0u64; 2];
+        let (allocations, _, _) = allocations_in(|| {
+            for frame in wave {
+                assert!(svc.submit_frame(frame));
+            }
+            for answer in svc.drain() {
+                served[answer.worker] += 1;
+            }
+        });
+        (allocations, served)
+    };
+    // Warm up until both servers have walked a frame: the queues, the
+    // walks' scratch and the registry's counters are then at full size.
+    let mut seen = [0u64; 2];
+    while seen.contains(&0) {
+        let (_, served) = wave();
+        seen = [seen[0] + served[0], seen[1] + served[1]];
+    }
+    seen = [0; 2];
+    for round in 0.. {
+        let (allocations, served) = wave();
+        assert_eq!(allocations, 3 * FRAMES as u64 + 1, "served {served:?}");
+        seen = [seen[0] + served[0], seen[1] + served[1]];
+        if round >= 8 && !seen.contains(&0) {
+            break;
+        }
+    }
+}
+
 #[test]
 fn a_length_field_sizes_no_allocation_beyond_its_frame() {
     let lying = |tag: u8, header: usize, count: &[u8]| {
