@@ -27,6 +27,9 @@ use crate::name::Name;
 /// Sentinel for "no slot" in the lists and "empty" in the index.
 const NIL: u32 = u32::MAX;
 
+/// A free slot's `prev`, which no live slot has.
+const FREE: u32 = NIL - 1;
+
 /// Smallest index allocated (cells); always a power of two.
 const MIN_CELLS: usize = 8;
 
@@ -61,6 +64,7 @@ const EMPTY: Cell = Cell { tag: 0, slot: NIL };
 #[derive(Clone, Debug)]
 struct Slot<V> {
     tag: u32,
+    /// Previous (more recently used) live slot, or [`FREE`] on a free one.
     prev: u32,
     /// Next (less recently used) live slot — or, on a free slot, the next
     /// free one.
@@ -193,24 +197,23 @@ impl<V> SlabLru<V> {
         let slot = id.0;
         self.detach(slot);
         self.unindex(slot);
-        self.slots[slot as usize].next = self.free;
+        let s = &mut self.slots[slot as usize];
+        (s.prev, s.next) = (FREE, self.free);
         self.free = slot;
         self.len -= 1;
     }
 
-    /// Keeps the entries whose value `keep` approves, visiting most
-    /// recently used first, and removes the rest in place; returns how many
-    /// were removed.
+    /// Keeps the entries whose value `keep` approves and removes the rest
+    /// in place; returns how many were removed. Visits live slots in slab
+    /// (memory) order, not along the recency list, which survivors keep.
     pub fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> usize {
-        let (mut slot, mut removed) = (self.head, 0);
-        while slot != NIL {
-            let s = &self.slots[slot as usize];
-            let next = s.next;
-            if !keep(&s.value) {
-                self.remove(SlotId(slot));
+        let mut removed = 0;
+        for slot in 0..self.slots.len() {
+            let s = &self.slots[slot];
+            if s.prev != FREE && !keep(&s.value) {
+                self.remove(SlotId(slot as u32));
                 removed += 1;
             }
-            slot = next;
         }
         removed
     }
@@ -262,7 +265,7 @@ impl<V> SlabLru<V> {
             slot
         } else {
             let slot = u32::try_from(self.slots.len()).expect("slab slot overflow");
-            assert_ne!(slot, NIL, "slab slot overflow");
+            assert!(slot < FREE, "slab slot overflow");
             self.slots.push(Slot {
                 tag,
                 prev: NIL,
@@ -419,7 +422,9 @@ mod tests {
                     !std::mem::replace(&mut listed[slot as usize], true),
                     "free slot is live"
                 );
-                (slot, free) = (self.slots[slot as usize].next, free + 1);
+                let s = &self.slots[slot as usize];
+                assert_eq!(s.prev, FREE, "free slot {slot} not marked free");
+                (slot, free) = (s.next, free + 1);
             }
             assert_eq!(
                 free + self.len,
@@ -564,7 +569,19 @@ mod tests {
                                 .filter(|(_, &v)| !keep(v))
                                 .map(|(k, _)| k.clone())
                                 .collect();
-                            let removed = store.retain(|&v| keep(v));
+                            // Live slots are visited once each, in slab order.
+                            let in_slab_order: Vec<u32> = store
+                                .slots
+                                .iter()
+                                .filter(|s| s.prev != FREE)
+                                .map(|s| s.value)
+                                .collect();
+                            let mut visited = Vec::new();
+                            let removed = store.retain(|&v| {
+                                visited.push(v);
+                                keep(v)
+                            });
+                            prop_assert_eq!(visited, in_slab_order);
                             prop_assert_eq!(removed, doomed.len());
                             for k in &doomed {
                                 model.remove(k);

@@ -334,10 +334,10 @@ impl<P: Validity> Plane<P> {
         [self.positives.sweep(by), referrals, negatives]
     }
 
-    fn zone_moved(&mut self, shard: usize, serial: ZoneSerial) -> usize {
-        self.positives.zone_moved(shard, serial)
-            + self.referrals.zone_moved(shard, serial)
-            + self.negatives.zone_moved(shard, serial)
+    fn zones_moved(&mut self, moved: &[(usize, ZoneSerial)]) -> usize {
+        self.positives.zones_moved(moved)
+            + self.referrals.zones_moved(moved)
+            + self.negatives.zones_moved(moved)
     }
 
     fn clear(&mut self) {
@@ -371,6 +371,8 @@ pub struct CachingResolver {
     /// Zone serials this replica has heard through anti-entropy pulls —
     /// the *only* authority the lease plane ever validates against.
     table: SerialTable,
+    /// A pull's moved `(shard, serial)` pairs; kept, so a pull allocates none.
+    moved: Vec<(usize, ZoneSerial)>,
 }
 
 /// What one anti-entropy pull ([`CachingResolver::sync`]) accomplished.
@@ -432,6 +434,7 @@ impl CachingResolver {
             },
             mode,
             table: SerialTable::new(),
+            moved: Vec::new(),
         }
     }
 
@@ -632,6 +635,9 @@ impl CachingResolver {
     ///
     /// This is the lease plane's *only* source of invalidation evidence —
     /// it reads authoritative state exclusively through the wire.
+    ///
+    /// Cost: one walk of each store per pull, however many zones moved —
+    /// the moved zones are collected first and dropped in one pass.
     pub fn sync(
         &mut self,
         world: &mut World,
@@ -646,24 +652,26 @@ impl CachingResolver {
             bytes,
             ..SyncReport::default()
         };
+        self.moved.clear();
         for slice in &delta.shards {
-            if slice.full {
-                report.shards_full += 1;
-            } else {
-                report.shards_incremental += 1;
-            }
+            report.shards_full += usize::from(slice.full);
+            report.shards_incremental += usize::from(!slice.full);
             report.changes += slice.changes.len();
             match self.table.observe(slice.shard, slice.serial) {
                 SerialObservation::Unchanged => continue,
                 SerialObservation::Advanced => {}
                 SerialObservation::Regressed => report.regressions += 1,
             }
-            // The zone's serial moved: entries stamped under the old
-            // serial were justified by history the zone no longer stands
-            // behind. Drop them eagerly; probes would drop them lazily.
-            let dropped = on_plane!(&mut self.plane, p => p.zone_moved(slice.shard, slice.serial));
-            report.entries_dropped += dropped as u64;
+            self.moved.push((slice.shard, slice.serial));
         }
+        // Entries stamped under a moved zone's old serial were justified by
+        // history the zone no longer stands behind. Drop them eagerly;
+        // probes would drop them lazily.
+        let moved = &self.moved;
+        if !moved.is_empty() {
+            report.entries_dropped = on_plane!(&mut self.plane, p => p.zones_moved(moved)) as u64;
+        }
+        mirror_sync_counts(&report);
         Some(report)
     }
 
@@ -706,6 +714,24 @@ fn mirror_probe_counts(hits: u64, misses: u64) {
     }
     if misses > 0 {
         naming_telemetry::counter!("cache.misses").add(misses);
+    }
+}
+
+/// Mirrors one pull's report into the `coherence.sync.*` registry counters,
+/// once per pull; a counter that never moved stays unregistered.
+fn mirror_sync_counts(r: &SyncReport) {
+    use naming_telemetry::counter;
+    if r.entries_dropped > 0 {
+        counter!("coherence.sync.entries_dropped").add(r.entries_dropped);
+    }
+    if r.shards_full > 0 {
+        counter!("coherence.sync.shards_full").add(r.shards_full as u64);
+    }
+    if r.shards_incremental > 0 {
+        counter!("coherence.sync.shards_incremental").add(r.shards_incremental as u64);
+    }
+    if r.regressions > 0 {
+        counter!("coherence.sync.regressions").add(r.regressions as u64);
     }
 }
 
@@ -1356,7 +1382,8 @@ mod tests {
         r.sync(&mut w, client, m1).expect("warm-up sync");
         r.restart_replica();
         assert!(r.is_empty());
-        assert_eq!(r.serial_table().snapshot().len(), 0);
+        let heard = r.serial_table().snapshot_for(w.state().shard_count());
+        assert!(heard.iter().all(|&(_, v)| v == ZoneSerial::ZERO));
         let cold = r.sync(&mut w, client, m1).expect("sync completes");
         assert!(
             cold.shards_full >= 1,

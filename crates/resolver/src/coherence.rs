@@ -132,13 +132,6 @@ impl SerialTable {
         }
     }
 
-    /// `(shard, serial)` pairs heard so far, for building a
-    /// [`ZoneDeltaRequest`](crate::wire::ZoneDeltaRequest).
-    pub fn snapshot(&self) -> Vec<(usize, ZoneSerial)> {
-        let heard = self.heard.iter().copied().enumerate();
-        heard.filter(|&(_, v)| v != ZoneSerial::ZERO).collect()
-    }
-
     /// One `(shard, serial)` pair for *every* shard in `0..shards`,
     /// filling never-heard shards with [`ZoneSerial::ZERO`] — the request
     /// shape of a full anti-entropy pull, where silence about a shard
@@ -246,10 +239,10 @@ pub trait Validity: Sized {
         &[]
     }
 
-    /// — and nothing to drop when an anti-entropy pull hears `shard` move
-    /// to `serial`; one that does drops every entry stamped under another
-    /// serial of that zone. Returns how many.
-    fn zone_moved(&mut self, _shard: usize, _serial: ZoneSerial) -> usize {
+    /// — and nothing to drop when an anti-entropy pull hears zones move; one
+    /// that does drops, in one pass, each entry with a stamp `(z, s)` such
+    /// that `moved` holds some `(z, s')` with `s' != s`. Returns how many.
+    fn zones_moved(&mut self, _moved: &[(usize, ZoneSerial)]) -> usize {
         0
     }
 
@@ -313,6 +306,9 @@ struct LeasedEntry {
     zones: Vec<usize>,
     /// Per zone in `zones`, the serial heard at record time.
     stamps: Vec<ZoneSerial>,
+    /// Bit `z % 64` for each zone `z`: a pull whose moved zones miss the
+    /// mask cannot refute the entry, and leaves the vectors unread.
+    mask: u64,
 }
 
 impl LeasedEntry {
@@ -434,6 +430,7 @@ impl Validity for LeasedCache {
         e.zones.dedup();
         e.stamps.clear();
         e.stamps.extend(e.zones.iter().map(|&z| by.table.known(z)));
+        e.mask = e.zones.iter().fold(0, |m, &z| m | 1 << (z % 64));
         self.stats.recorded += 1;
         self.stats.evictions += u64::from(how == Upsert::Inserted { evicted: true });
         true
@@ -458,16 +455,18 @@ impl Validity for LeasedCache {
     }
 
     /// Drops every entry whose lease has lapsed at `by.now`. (Serial
-    /// movement is swept when it is heard: [`Validity::zone_moved`].)
+    /// movement is swept when it is heard: [`Validity::zones_moved`].)
     fn sweep(&mut self, by: Heard<'_>) -> usize {
         let n = self.store.retain(|e| by.now < e.expires_at);
         self.stats.expired += n as u64;
         n
     }
 
-    fn zone_moved(&mut self, shard: usize, serial: ZoneSerial) -> usize {
-        let moved = |e: &LeasedEntry| e.stamped().any(|(z, s)| z == shard && s != serial);
-        let n = self.store.retain(|e| !moved(e));
+    fn zones_moved(&mut self, moved: &[(usize, ZoneSerial)]) -> usize {
+        let mask = moved.iter().fold(0, |m, &(z, _)| m | 1 << (z % 64));
+        let refutes = |(z, s)| moved.iter().any(|&(m, heard)| m == z && heard != s);
+        let keep = |e: &LeasedEntry| e.mask & mask == 0 || !e.stamped().any(refutes);
+        let n = self.store.retain(keep);
         self.stats.serial_dropped += n as u64;
         n
     }
@@ -639,7 +638,10 @@ mod tests {
         assert_eq!(t.known(3), ZoneSerial::new(2));
         t.reset();
         assert_eq!(t.known(3), ZoneSerial::ZERO);
-        assert!(t.snapshot().is_empty());
+        assert_eq!(
+            t.snapshot_for(4),
+            [0, 1, 2, 3].map(|s| (s, ZoneSerial::ZERO))
+        );
     }
 
     #[test]
@@ -848,7 +850,9 @@ mod tests {
             t.observe(MAX_SHARDS - 1, serial),
             SerialObservation::Advanced
         );
-        assert_eq!(t.snapshot(), vec![(MAX_SHARDS - 1, serial)]);
+        let heard = t.snapshot_for(MAX_SHARDS).into_iter();
+        let heard: Vec<_> = heard.filter(|&(_, v)| v != ZoneSerial::ZERO).collect();
+        assert_eq!(heard, vec![(MAX_SHARDS - 1, serial)]);
     }
 
     #[test]
@@ -881,8 +885,18 @@ mod tests {
             &[0, 1],
             false,
         );
-        assert_eq!(c.zone_moved(0, ZoneSerial::new(2)), 2);
-        assert_eq!(c.len(), 1);
+        // Zone 64 shares zone 0's mask bit; its stamp keeps the entry.
+        c.record(
+            at(0, None, &table),
+            oid(4),
+            &[Name::new("d")],
+            Entity::Object(oid(8)),
+            &[64],
+            false,
+        );
+        assert_eq!(c.zones_moved(&[(0, ZoneSerial::new(2))]), 2);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.footprint(oid(4), &[Name::new("d")]), [64]);
         assert_eq!(
             c.probe(at(1, None, &table), oid(2), &[Name::new("b")]),
             Probe::Hit(Entity::Object(oid(6)))

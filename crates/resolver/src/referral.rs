@@ -194,10 +194,10 @@ impl<P: Validity, const NEGATIVE: bool> Validated<P, NEGATIVE> {
         self.dropped(n)
     }
 
-    /// Drops every entry stamped under another serial of `shard` than
-    /// `serial` ([`Validity::zone_moved`]); returns how many.
-    pub fn zone_moved(&mut self, shard: usize, serial: ZoneSerial) -> usize {
-        let n = self.store.zone_moved(shard, serial);
+    /// Drops, in one pass, every entry stamped under another serial of a
+    /// zone than `moved` gives it ([`Validity::zones_moved`]); returns how many.
+    pub fn zones_moved(&mut self, moved: &[(usize, ZoneSerial)]) -> usize {
+        let n = self.store.zones_moved(moved);
         self.dropped(n)
     }
 

@@ -9,12 +9,15 @@
 //! the lease-mode resolver under test never touches it.
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
-use naming_core::lease::ZoneSerial;
+use naming_core::lease::{Lease, ZoneSerial};
 use naming_core::name::{CompoundName, Name};
 use naming_core::resolve::Resolver;
 use naming_resolver::cache::{CachingResolver, DEFAULT_CACHE_CAPACITY};
-use naming_resolver::coherence::CoherenceMode;
+use naming_resolver::coherence::{
+    CoherenceMode, Heard, LeaseCacheStats, LeasedCache, SerialObservation, SerialTable, Validity,
+};
 use naming_resolver::engine::ProtocolEngine;
+use naming_resolver::referral::{NegativeCache, ReferralCache};
 use naming_resolver::service::NameService;
 use naming_resolver::wire::Mode;
 use naming_sim::store;
@@ -309,6 +312,446 @@ proptest! {
                     clean_since_sync = true;
                 }
                 Op::Advance(t) => advance(&mut w, client, t),
+            }
+        }
+    }
+}
+
+// --- One drop pass per pull ---------------------------------------------
+//
+// A pull collects every zone whose heard serial moved, then walks each
+// store once. What it drops must be exactly what one walk per moved zone,
+// in reply order, drops: that per-zone loop, over a model store, is the
+// reference below.
+
+/// Zones an entry may be stamped with: more than 64, so that zones 64
+/// apart (0 and 64, 1 and 65, …) share a bit of the entries' zone mask.
+const POOL: [usize; 8] = [0, 1, 2, 7, 64, 65, 66, 71];
+
+type Key = (ObjectId, Vec<Name>);
+
+fn key(pick: u8) -> Key {
+    let pick = u32::from(pick);
+    let suffix = (0..=pick % 2)
+        .map(|k| Name::new(&format!("k{}", pick / 2 + k)))
+        .collect();
+    (ObjectId::from_index(pick % 3), suffix)
+}
+
+/// One leased entry of the model.
+#[derive(Clone, Debug)]
+struct Held {
+    key: Key,
+    expires_at: u64,
+    stamps: Vec<(usize, ZoneSerial)>,
+}
+
+/// The reference store: entries most recently used first, the lease
+/// rule spelled out, and the pull's drop run once per moved zone.
+#[derive(Debug)]
+struct Model {
+    held: Vec<Held>,
+    capacity: usize,
+    stats: LeaseCacheStats,
+}
+
+impl Model {
+    fn new(capacity: usize) -> Model {
+        Model {
+            held: Vec::new(),
+            capacity,
+            stats: LeaseCacheStats::default(),
+        }
+    }
+
+    fn take(&mut self, key: &Key) -> Option<Held> {
+        let at = self.held.iter().position(|h| h.key == *key)?;
+        Some(self.held.remove(at))
+    }
+
+    fn record(&mut self, by: Heard<'_>, key: &Key, zones: &[usize]) {
+        if self.take(key).is_none() && self.held.len() == self.capacity {
+            self.held.pop();
+            self.stats.evictions += 1;
+        }
+        let mut zones = zones.to_vec();
+        zones.sort_unstable();
+        zones.dedup();
+        let stamps = zones.iter().map(|&z| (z, by.table.known(z))).collect();
+        let expires_at = Lease::grant(by.now, by.ttl, ZoneSerial::ZERO).expires_at;
+        let held = Held {
+            key: key.clone(),
+            expires_at,
+            stamps,
+        };
+        self.held.insert(0, held);
+        self.stats.recorded += 1;
+    }
+
+    /// Returns whether the probe dropped the entry it found.
+    fn probe(&mut self, by: Heard<'_>, key: &Key) -> bool {
+        let Some(h) = self.take(key) else {
+            self.stats.misses += 1;
+            return false;
+        };
+        if by.now >= h.expires_at {
+            self.stats.expired += 1;
+        } else if h.stamps.iter().any(|&(z, s)| by.table.known(z) != s) {
+            self.stats.serial_dropped += 1;
+        } else {
+            self.stats.hits += 1;
+            self.held.insert(0, h);
+            return false;
+        }
+        self.stats.misses += 1;
+        true
+    }
+
+    /// The per-zone drop: what one moved slice refutes.
+    fn zone_moved(&mut self, shard: usize, serial: ZoneSerial) -> usize {
+        let before = self.held.len();
+        let moved = |h: &Held| h.stamps.iter().any(|&(z, s)| z == shard && s != serial);
+        self.held.retain(|h| !moved(h));
+        let n = before - self.held.len();
+        self.stats.serial_dropped += n as u64;
+        n
+    }
+
+    fn sweep(&mut self, now: u64) -> usize {
+        let before = self.held.len();
+        self.held.retain(|h| now < h.expires_at);
+        let n = before - self.held.len();
+        self.stats.expired += n as u64;
+        n
+    }
+
+    fn keys_lru_first(&self) -> Vec<Key> {
+        self.held.iter().rev().map(|h| h.key.clone()).collect()
+    }
+}
+
+/// The cache's keys, least recently used first, read without looking
+/// inside: a copy is topped up to its bound with fresh entries, then each
+/// further fresh entry evicts the least recently used one, and the held
+/// key that vanished is the next in line.
+fn keys_lru_first(cache: &LeasedCache, held: &[Key]) -> Vec<Key> {
+    let mut copy = cache.clone();
+    let (table, mut fresh) = (SerialTable::new(), 0u32);
+    let mut fill = |copy: &mut LeasedCache| {
+        let suffix = [Name::new(&format!("fill{fresh}"))];
+        let by = Heard {
+            now: 0,
+            ttl: None,
+            table: &table,
+        };
+        copy.record(
+            by,
+            ObjectId::from_index(99),
+            &suffix,
+            Entity::Undefined,
+            &[],
+            false,
+        );
+        fresh += 1;
+    };
+    while copy.len() < copy.capacity() {
+        fill(&mut copy);
+    }
+    let present = |copy: &LeasedCache, k: &Key| !copy.footprint(k.0, &k.1).is_empty();
+    let mut left: Vec<Key> = held.iter().filter(|k| present(&copy, k)).cloned().collect();
+    assert_eq!(left.len(), held.len(), "a held key is missing");
+    let mut order = Vec::new();
+    while !left.is_empty() {
+        fill(&mut copy);
+        let gone = left
+            .iter()
+            .position(|k| !present(&copy, k))
+            .expect("one evicted");
+        order.push(left.remove(gone));
+    }
+    order
+}
+
+/// One step of the equivalence schedule.
+#[derive(Clone, Debug)]
+enum Step {
+    /// Record a key in store 0 (positive), 1 (referral) or 2 (negative),
+    /// stamped with some of [`POOL`]'s zones, under a 40-tick or an
+    /// infinite lease.
+    Record(Key, usize, Vec<usize>, Option<u64>),
+    /// Probe a key in the positive (`true`) or the negative store.
+    Probe(Key, bool),
+    /// A pull whose reply names these `(zone, serial)` slices in order.
+    Pull(Vec<(usize, ZoneSerial)>),
+    /// A pull in which a zone moves one serial on and back again.
+    Bounce(usize),
+    /// A replica restart forgets every heard serial.
+    Reset,
+    /// Time passes, and lapsed leases are swept (`true`) or left for probes.
+    Advance(u64, bool),
+}
+
+/// Decodes one step from `(selector, a, b, slices)`: 0–3 record, 4–5
+/// probe, 6–7 pull, 8 bounce, 9 reset, 10 advance.
+fn step(selector: u8, a: u8, b: u64, slices: &[(u8, u64)]) -> Step {
+    let zone = |z: u8| POOL[usize::from(z)];
+    match selector {
+        0..=3 => {
+            let zones = slices.iter().take(3).map(|&(z, _)| zone(z)).collect();
+            Step::Record(
+                key(a % 16),
+                (b % 3) as usize,
+                zones,
+                (b & 4 != 0).then_some(40),
+            )
+        }
+        4..=5 => Step::Probe(key(a % 16), b.is_multiple_of(2)),
+        6..=7 => Step::Pull(
+            slices
+                .iter()
+                .map(|&(z, s)| (zone(z), ZoneSerial::new(s)))
+                .collect(),
+        ),
+        8 => Step::Bounce(zone(a % 8)),
+        9 => Step::Reset,
+        _ => Step::Advance(1 + b % 30, a & 1 == 1),
+    }
+}
+
+proptest! {
+    /// One drop pass per pull leaves what one pass per moved zone left:
+    /// the same survivors in the same recency order, the same lease
+    /// counters, the same side-cache invalidations and the same count of
+    /// entries dropped by the pull.
+    #[test]
+    fn one_drop_pass_per_pull_equals_one_per_moved_zone(
+        capacity in 1usize..10,
+        raw in prop::collection::vec(
+            (0u8..11, any::<u8>(), any::<u64>(), prop::collection::vec((0u8..8, 0u64..4), 1..6)),
+            1..120,
+        ),
+    ) {
+        let mut positives = LeasedCache::with_capacity(capacity);
+        let mut referrals: ReferralCache<LeasedCache> = ReferralCache::with_capacity(capacity);
+        let mut negatives: NegativeCache<LeasedCache> = NegativeCache::with_capacity(capacity);
+        let mut models = [Model::new(capacity), Model::new(capacity), Model::new(capacity)];
+        let mut side_invalidated = [0u64; 2];
+        let mut table = SerialTable::new();
+        let mut moved = Vec::new();
+        let mut now = 0u64;
+        for (selector, a, b, slices) in raw {
+            let reply = match step(selector, a, b, &slices) {
+                Step::Record(k, store, zones, ttl) => {
+                    let by = Heard { now, ttl, table: &table };
+                    let target = ObjectId::from_index(7);
+                    let kept = match store {
+                        0 => positives.record(by, k.0, &k.1, Entity::Object(target), &zones, true),
+                        1 => referrals.record(by, k.0, &k.1, target, &zones),
+                        _ => negatives.record(by, k.0, &k.1, &zones, false),
+                    };
+                    prop_assert!(kept);
+                    models[store].record(by, &k, &zones);
+                    None
+                }
+                Step::Probe(k, positive) => {
+                    let by = Heard { now, ttl: None, table: &table };
+                    if positive {
+                        positives.probe(by, k.0, &k.1);
+                        models[0].probe(by, &k);
+                    } else {
+                        negatives.probe(by, k.0, &k.1);
+                        side_invalidated[1] += u64::from(models[2].probe(by, &k));
+                    }
+                    None
+                }
+                Step::Pull(reply) => Some(reply),
+                Step::Bounce(z) => {
+                    let at = table.known(z);
+                    Some(vec![(z, ZoneSerial::new(at.get() + 1)), (z, at)])
+                }
+                Step::Reset => {
+                    table.reset();
+                    None
+                }
+                Step::Advance(ticks, sweep) => {
+                    now += ticks;
+                    if sweep {
+                        let by = Heard { now, ttl: None, table: &table };
+                        prop_assert_eq!(positives.sweep(by), models[0].sweep(now));
+                        let swept = [referrals.sweep(by), negatives.sweep(by)];
+                        let expected = [models[1].sweep(now), models[2].sweep(now)];
+                        prop_assert_eq!(swept, expected);
+                        side_invalidated[0] += expected[0] as u64;
+                        side_invalidated[1] += expected[1] as u64;
+                    }
+                    None
+                }
+            };
+            if let Some(reply) = reply {
+                // The reference: each slice that moves its zone is dropped by
+                // its own walk of every store.
+                let mut heard = table.clone();
+                let mut expected = [0usize; 3];
+                for &(z, s) in &reply {
+                    if heard.observe(z, s) != SerialObservation::Unchanged {
+                        for (m, e) in models.iter_mut().zip(&mut expected) {
+                            *e += m.zone_moved(z, s);
+                        }
+                    }
+                }
+                // The pull: adopt every slice, then one pass per store.
+                moved.clear();
+                for &(z, s) in &reply {
+                    if table.observe(z, s) != SerialObservation::Unchanged {
+                        moved.push((z, s));
+                    }
+                }
+                let dropped = [
+                    positives.zones_moved(&moved),
+                    referrals.zones_moved(&moved),
+                    negatives.zones_moved(&moved),
+                ];
+                prop_assert_eq!(dropped, expected);
+                side_invalidated[0] += expected[1] as u64;
+                side_invalidated[1] += expected[2] as u64;
+                for z in POOL {
+                    prop_assert_eq!(table.known(z), heard.known(z));
+                }
+            }
+            prop_assert_eq!(positives.stats(), models[0].stats);
+            prop_assert_eq!(positives.len(), models[0].held.len());
+            prop_assert_eq!(referrals.len(), models[1].held.len());
+            prop_assert_eq!(negatives.len(), models[2].held.len());
+            prop_assert_eq!(referrals.stats().invalidated, side_invalidated[0]);
+            prop_assert_eq!(negatives.stats().invalidated, side_invalidated[1]);
+            let lru = models[0].keys_lru_first();
+            prop_assert_eq!(keys_lru_first(&positives, &lru), lru);
+        }
+    }
+}
+
+/// Zones of the pulled world: past 64, so that two zones share each of
+/// the first eight mask bits.
+const WORLD_ZONES: usize = 72;
+
+/// `/dZ/f0`, `/dZ/f1` and the unbound `/dZ/nope` for every zone `Z`; each
+/// directory and its files live in zone `Z`, and odd zones are served by
+/// a second machine, so their names cost a referral. Returns the
+/// directories and the names.
+fn zoned(
+    capacity: usize,
+) -> (
+    World,
+    CachingResolver,
+    ActivityId,
+    ObjectId,
+    MachineId,
+    Vec<ObjectId>,
+    Vec<CompoundName>,
+) {
+    let mut w = World::with_shards(83, WORLD_ZONES);
+    let net = w.add_network("n");
+    let m0 = w.add_machine("m0", net);
+    let m1 = w.add_machine("m1", net);
+    let (root0, root1) = (w.machine_root(m0), w.machine_root(m1));
+    let (mut dirs, mut names) = (Vec::new(), Vec::new());
+    for z in 0..WORLD_ZONES {
+        w.state_mut().set_default_shard(z);
+        let label = format!("d{z}");
+        let dir = if z % 2 == 0 {
+            store::ensure_dir(w.state_mut(), root0, &label)
+        } else {
+            let dir = store::ensure_dir(w.state_mut(), root1, &label);
+            store::attach(w.state_mut(), root0, &label, dir, false);
+            dir
+        };
+        for leaf in ["f0", "f1", "nope"] {
+            if leaf != "nope" {
+                store::create_file(w.state_mut(), dir, leaf, vec![]);
+            }
+            names.push(CompoundName::parse_path(&format!("/{label}/{leaf}")).unwrap());
+        }
+        dirs.push(dir);
+    }
+    let mut svc = NameService::install(&mut w, &[m0, m1]);
+    svc.place_subtree(&w, root1, m1);
+    svc.place_subtree(&w, root0, m0);
+    let client = w.spawn(m0, "client", None);
+    let mode = CoherenceMode::Lease { ttl: None };
+    let r = CachingResolver::with_mode(ProtocolEngine::new(svc), capacity, mode);
+    (w, r, client, root0, m0, dirs, names)
+}
+
+/// Entries the three stores have dropped for coherence so far.
+fn dropped_so_far(r: &CachingResolver) -> u64 {
+    r.lease_stats().serial_dropped + r.referral_stats().invalidated + r.negative_stats().invalidated
+}
+
+proptest! {
+    /// Random resolve/publish/pull schedules over 72 zones, a store that
+    /// evicts, staged regressions and replica restarts: every pull's
+    /// `entries_dropped` is exactly what its one pass took out of the
+    /// three stores, and after a pull every answer is current and no
+    /// probe finds an entry the pull should have dropped.
+    #[test]
+    fn a_pull_over_many_zones_reports_what_it_dropped(
+        capacity in 24usize..96,
+        raw in prop::collection::vec((0u8..10, any::<u16>()), 1..40),
+    ) {
+        let (mut w, mut r, client, root, m, dirs, names) = zoned(capacity);
+        let oracle = Resolver::new();
+        let mut clean_since_sync = false;
+        let mut version = 0u32;
+        for (selector, pick) in raw {
+            let pick = usize::from(pick);
+            match selector {
+                0..=3 => {
+                    let from = pick % names.len();
+                    let batch: Vec<CompoundName> =
+                        names.iter().cycle().skip(from).take(24).cloned().collect();
+                    let before = dropped_so_far(&r);
+                    let out = r.resolve_batch(&mut w, client, root, &batch);
+                    if clean_since_sync {
+                        for (name, got) in batch.iter().zip(&out.entities) {
+                            let truth = oracle.resolve_entity(w.state(), root, name);
+                            prop_assert_eq!(*got, truth, "{} after a pull", name);
+                        }
+                        // The pull dropped eagerly all that its serials
+                        // refute: no probe finds more.
+                        prop_assert_eq!(dropped_so_far(&r), before, "a pull left a refuted entry");
+                    }
+                }
+                4..=5 => {
+                    let z = pick % WORLD_ZONES;
+                    version += 1;
+                    w.state_mut().set_default_shard(z);
+                    let fresh = w.state_mut().add_data_object(format!("v{version}"), vec![]);
+                    r.engine_mut()
+                        .publish_binding(&mut w, dirs[z], Name::new("f0"), Some(Entity::Object(fresh)))
+                        .expect("publish commits");
+                    clean_since_sync = false;
+                }
+                6..=7 => {
+                    let before = dropped_so_far(&r);
+                    let report = r.sync(&mut w, client, m).expect("lossless pull completes");
+                    prop_assert_eq!(report.entries_dropped, dropped_so_far(&r) - before);
+                    prop_assert_eq!(
+                        report.shards_full + report.shards_incremental,
+                        WORLD_ZONES
+                    );
+                    clean_since_sync = true;
+                }
+                8 => {
+                    // A replica that heard a future the authority lost.
+                    let z = pick % WORLD_ZONES;
+                    let ahead = ZoneSerial::new(r.serial_table().known(z).get() + 64);
+                    r.serial_table_mut().observe(z, ahead);
+                    clean_since_sync = false;
+                }
+                _ => {
+                    r.restart_replica();
+                    clean_since_sync = false;
+                }
             }
         }
     }

@@ -6,19 +6,23 @@
 //! the slot — key, zones and stamps — it left behind. This binary counts
 //! heap allocations with its own global allocator (per thread, so the
 //! harness's other threads cannot leak into a measurement) and holds each
-//! of those paths to exactly zero.
+//! of those paths to exactly zero — and an anti-entropy pull to what its
+//! exchange costs, the drop pass adding nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use naming_core::entity::{Entity, ObjectId};
+use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::lease::ZoneSerial;
 use naming_core::name::{CompoundName, Name};
 use naming_core::state::SystemState;
-use naming_resolver::coherence::{Heard, LeasedCache, Probe, SerialTable, Validity};
+use naming_resolver::cache::CachingResolver;
+use naming_resolver::coherence::{CoherenceMode, Heard, LeasedCache, Probe, SerialTable, Validity};
+use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::referral::ReferralCache;
 use naming_resolver::service::NameService;
 use naming_sim::store;
+use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
 thread_local! {
@@ -178,7 +182,7 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
             _ => {
                 let moved = ZoneSerial::new(round);
                 table.observe(1, moved);
-                assert_eq!(cache.zone_moved(1, moved), 8);
+                assert_eq!(cache.zones_moved(&[(1, moved)]), 8);
             }
         }
         assert!(cache.is_empty());
@@ -197,4 +201,79 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
     assert_eq!(cache.slots(), 8);
     assert_eq!(cache.stats().recorded, 1_266 * 8);
     assert_eq!(allocated, 0, "a steady-state record or drop allocated");
+}
+
+/// Allocations of one warm pull in which one zone moved by one change —
+/// the request's serial list and frame, the authority's answer, the
+/// decoded delta — as counted when each moved zone still had its own drop
+/// walk. The one drop pass over the caches adds none.
+const PULL_ALLOCATIONS: u64 = 10;
+
+/// Eight zones, one directory in each holding 32 files, all bound under
+/// the root of zone 0 on one machine; returns the directories and every
+/// `/dK/fJ` name.
+fn zoned() -> (
+    World,
+    CachingResolver,
+    ActivityId,
+    ObjectId,
+    MachineId,
+    Vec<ObjectId>,
+    Vec<CompoundName>,
+) {
+    let mut w = World::with_shards(93, 8);
+    let net = w.add_network("n");
+    let m = w.add_machine("m", net);
+    let root = w.machine_root(m);
+    let mut dirs = Vec::new();
+    let mut names = Vec::new();
+    for z in 0..8 {
+        w.state_mut().set_default_shard(z);
+        let dir = store::ensure_dir(w.state_mut(), root, &format!("d{z}"));
+        for f in 0..32 {
+            store::create_file(w.state_mut(), dir, &format!("f{f}"), vec![]);
+            names.push(CompoundName::parse_path(&format!("/d{z}/f{f}")).unwrap());
+        }
+        dirs.push(dir);
+    }
+    let mut svc = NameService::install(&mut w, &[m]);
+    svc.place_subtree(&w, root, m);
+    let client = w.spawn(m, "client", None);
+    let mode = CoherenceMode::Lease { ttl: None };
+    let r = CachingResolver::with_mode(ProtocolEngine::new(svc), 1024, mode);
+    (w, r, client, root, m, dirs, names)
+}
+
+#[test]
+fn a_warm_pull_allocates_its_exchange_and_no_more() {
+    let (mut w, mut r, client, root, m, dirs, names) = zoned();
+    // Counters register and the pull's scratch grows on the first pulls.
+    r.resolve_batch(&mut w, client, root, &names);
+    r.sync(&mut w, client, m).expect("cold pull completes");
+    r.sync(&mut w, client, m).expect("warm pull completes");
+    for (round, held) in [8usize, 64, 256, 256, 8, 64].into_iter().enumerate() {
+        // Refill the cache with `held` names, then move one zone by one
+        // change; neither is counted.
+        for chunk in names[..held].chunks(64) {
+            r.resolve_batch(&mut w, client, root, chunk);
+        }
+        let zone = round % 8;
+        let fresh = w.state_mut().add_data_object(format!("v{round}"), vec![]);
+        r.engine_mut()
+            .publish_binding(
+                &mut w,
+                dirs[zone],
+                Name::new("new"),
+                Some(Entity::Object(fresh)),
+            )
+            .expect("publish commits");
+        let mut report = None;
+        let allocated = allocations_in(|| report = r.sync(&mut w, client, m));
+        let report = report.expect("lossless pull completes");
+        assert_eq!((report.shards_full, report.changes), (0, 1));
+        assert_eq!(
+            allocated, PULL_ALLOCATIONS,
+            "a pull over {held} cached names allocated {allocated}"
+        );
+    }
 }

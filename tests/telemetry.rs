@@ -6,7 +6,8 @@
 use naming_core::audit::AuditSpec;
 use naming_core::builder::NamespaceBuilder;
 use naming_core::closure::{ContextRegistry, MetaContext, NameSource, StandardRule};
-use naming_core::entity::Entity;
+use naming_core::entity::{ActivityId, Entity, ObjectId};
+use naming_core::lease::ZoneSerial;
 use naming_core::monitor::{CoherenceMonitor, TraceHandle};
 use naming_core::name::CompoundName;
 use naming_core::name::Name;
@@ -18,6 +19,7 @@ use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::service::NameService;
 use naming_resolver::wire::Mode;
 use naming_sim::store;
+use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
 /// Runs a compact build-farm scenario across the whole stack — remote
@@ -130,10 +132,19 @@ fn traced_and_untraced_runs_agree() {
     assert!(snapshot.counter("protocol.resolves") > 0);
 }
 
-/// Drives one resolver through every way a side-cache counter can move —
-/// lookups that hit, miss and drop on sight, records, and the eager sweeps
-/// of its mode — and returns its referral and negative counter sets.
-fn churn_side_caches(mode: CoherenceMode) -> [naming_resolver::referral::ValidatedCacheStats; 2] {
+/// `/remote/data` on m1 refers through to m2's `export` directory; a
+/// client on m1 resolves through a cache under `mode`. Returns the world,
+/// the resolver, the client, m1's root, the directory and m1.
+fn remote_data(
+    mode: CoherenceMode,
+) -> (
+    World,
+    CachingResolver,
+    ActivityId,
+    ObjectId,
+    ObjectId,
+    MachineId,
+) {
     let mut w = World::new(81);
     let net = w.add_network("n");
     let m1 = w.add_machine("m1", net);
@@ -147,7 +158,15 @@ fn churn_side_caches(mode: CoherenceMode) -> [naming_resolver::referral::Validat
     svc.place_subtree(&w, root2, m2);
     svc.place_subtree(&w, root, m1);
     let client = w.spawn(m1, "client", None);
-    let mut r = CachingResolver::with_mode(ProtocolEngine::new(svc), DEFAULT_CACHE_CAPACITY, mode);
+    let r = CachingResolver::with_mode(ProtocolEngine::new(svc), DEFAULT_CACHE_CAPACITY, mode);
+    (w, r, client, root, sub, m1)
+}
+
+/// Drives one resolver through every way a side-cache counter can move —
+/// lookups that hit, miss and drop on sight, records, and the eager sweeps
+/// of its mode — and returns its referral and negative counter sets.
+fn churn_side_caches(mode: CoherenceMode) -> [naming_resolver::referral::ValidatedCacheStats; 2] {
+    let (mut w, mut r, client, root, sub, m1) = remote_data(mode);
     let names: Vec<CompoundName> = ["/remote/data", "/remote/nope", "/remote/gone", "/remote"]
         .iter()
         .map(|p| CompoundName::parse_path(p).unwrap())
@@ -213,6 +232,63 @@ fn side_cache_registry_counters_equal_the_struct_counters() {
             moved.counter(name),
             exact + lease,
             "{name} drifted from the struct"
+        );
+    }
+}
+
+/// Every anti-entropy pull adds its report to the `coherence.sync.*`
+/// counters, once: a cold pull (full transfers), warm pulls (incremental,
+/// dropping what a publish refuted) and a pull across a staged authority
+/// regression.
+#[test]
+fn sync_registry_counters_equal_the_reports() {
+    let _turn = CACHE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let before = naming_telemetry::metrics::global().snapshot();
+    let (mut w, mut r, client, root, sub, m1) = remote_data(CoherenceMode::Lease { ttl: None });
+    let names: Vec<CompoundName> = ["/remote/data", "/remote/nope", "/remote"]
+        .iter()
+        .map(|p| CompoundName::parse_path(p).unwrap())
+        .collect();
+    let mut totals = [0u64; 4];
+    let mut pull = |w: &mut World, r: &mut CachingResolver| {
+        r.resolve_batch(w, client, root, &names);
+        let report = r.sync(w, client, m1).expect("sync completes");
+        let counts = [
+            report.entries_dropped,
+            report.shards_full as u64,
+            report.shards_incremental as u64,
+            report.regressions as u64,
+        ];
+        for (total, n) in totals.iter_mut().zip(counts) {
+            *total += n;
+        }
+    };
+    pull(&mut w, &mut r);
+    for version in 0..3 {
+        let fresh = w.state_mut().add_data_object(format!("v{version}"), vec![]);
+        r.engine_mut()
+            .publish_binding(&mut w, sub, Name::new("data"), Some(Entity::Object(fresh)))
+            .expect("publish commits");
+        pull(&mut w, &mut r);
+    }
+    let shard = SystemState::shard_of_id(sub);
+    let ahead = r.serial_table().known(shard).get() + 64;
+    r.serial_table_mut().observe(shard, ZoneSerial::new(ahead));
+    pull(&mut w, &mut r);
+    let moved = naming_telemetry::metrics::global().snapshot().diff(&before);
+    let names = [
+        "entries_dropped",
+        "shards_full",
+        "shards_incremental",
+        "regressions",
+    ];
+    for (name, total) in names.into_iter().zip(totals) {
+        let counter = format!("coherence.sync.{name}");
+        assert!(total > 0, "{counter} never moved");
+        assert_eq!(
+            moved.counter(&counter),
+            total,
+            "{counter} drifted from the reports"
         );
     }
 }
