@@ -71,7 +71,7 @@ fn slo_doc(seed: u64, r: &E20Result) -> Doc {
             rep.publish_latency.quantile(0.99),
         )
         .val("staleness_windows", rep.staleness_windows)
-        .val("staleness_max_ticks", rep.staleness.quantile(1.0))
+        .val("staleness_max_ticks", rep.staleness_max_ticks)
         .fix("publish_burn", rep.publish_burn, 4)
         .val("breaches", rep.breaches)
         .list("breaches_by_objective", breaches)
@@ -210,7 +210,7 @@ fn main() {
         rep.unreachable_rate,
         rep.publish_latency.quantile(0.99),
         rep.staleness_windows,
-        rep.staleness.quantile(1.0),
+        rep.staleness_max_ticks,
         rep.breaches
     );
     args.emit(&doc, "BENCH_observatory.json");

@@ -115,9 +115,7 @@ pub mod prelude {
     pub use crate::name::{CompoundName, Name};
     pub use crate::replica::ReplicaRegistry;
     pub use crate::resolve::{Resolution, ResolveError, Resolver};
-    pub use crate::snapshot::{
-        resolve_with_rule_snapshot, SnapshotMemo, SnapshotMemoStats, StateSnapshot,
-    };
+    pub use crate::snapshot::StateSnapshot;
     pub use crate::state::{Document, ObjectState, Segment, SystemState};
 }
 

@@ -40,8 +40,13 @@
 //! the store every `(start, suffix)` cache shares; this module adds only
 //! the generation-validation rule and its counters.
 //!
-//! A memo is tied to the one [`SystemState`] it was populated against;
-//! probing it with a different state is not meaningful (entries record
+//! A memo is tied to one lineage of states: a [`SystemState`], its clones
+//! and the [`crate::snapshot::StateSnapshot`]s captured from it. Within a
+//! lineage the naming and shard versions only grow, and a context's
+//! generation only grows within an epoch, so equal generations mean equal
+//! bindings, and a probe is exact against any state of it — live or
+//! frozen, newer or older than the one an entry was recorded against.
+//! Probing with an unrelated state is not meaningful (entries record
 //! object ids and counters of the original).
 
 use serde::{Deserialize, Serialize};

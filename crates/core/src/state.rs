@@ -22,10 +22,9 @@
 //!
 //! * **Per-shard generations.** Every shard carries its own
 //!   `naming_version`/`epoch` pair, advanced only when *that* shard is
-//!   written. Caches ([`crate::memo::ResolutionMemo`],
-//!   [`crate::snapshot::SnapshotMemo`]) validate against the generations of
-//!   just the shards a resolution walked, so a write to one zone leaves
-//!   every other zone's cached footprints intact.
+//!   written. The memo ([`crate::memo::ResolutionMemo`]) validates against
+//!   the generations of just the shards a resolution walked, so a write to
+//!   one zone leaves every other zone's cached footprints intact.
 //! * **Copy-on-publish.** `SystemState::clone` clones a `Vec<Arc<Shard>>` —
 //!   O(shards), not O(objects). Mutation goes through `Arc::make_mut`, so
 //!   the first write to a shard after a clone copies that shard alone.
@@ -420,24 +419,6 @@ impl SystemState {
     pub fn shard_serials(&self) -> Vec<ZoneSerial> {
         let serial = |s: &Arc<Shard>| ZoneSerial::new(s.naming_version);
         self.shards.iter().map(serial).collect()
-    }
-
-    /// `(naming_version, epoch)` of shard `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is not a shard of this state.
-    pub fn shard_stamp(&self, shard: usize) -> (u64, u64) {
-        let s = &self.shards[shard];
-        (s.naming_version, s.epoch)
-    }
-
-    /// `(naming_version, epoch)` of every shard, in shard order.
-    pub fn shard_stamps(&self) -> Vec<(u64, u64)> {
-        self.shards
-            .iter()
-            .map(|s| (s.naming_version, s.epoch))
-            .collect()
     }
 
     /// Number of objects in shard `shard`.

@@ -8,6 +8,10 @@
 //! a from-scratch naive walk — under direct resolution and under every
 //! closure rule (`R(activity)`, `R(sender)`, `R(object)`, and a per-source
 //! mix) for every name source.
+//!
+//! The same memo also serves frozen snapshots captured along the way, in
+//! any order: an older snapshot than the newest, as an in-flight batch of
+//! the worker pool holds, must get exactly its own state's answer.
 
 use naming_core::closure::PerSourceRule;
 use naming_core::prelude::*;
@@ -98,12 +102,13 @@ fn rules() -> Vec<Box<dyn ResolutionRule + Sync>> {
 proptest! {
     #[test]
     fn memoized_resolution_matches_naive(
-        ops in proptest::collection::vec((0u8..6, 0u8..32, 0u8..32, 0u8..32), 1..100),
+        ops in proptest::collection::vec((0u8..8, 0u8..32, 0u8..32, 0u8..32), 1..100),
     ) {
         let mut f = fixture();
         let resolver = Resolver::new();
         let mut memo = ResolutionMemo::new();
         let rules = rules();
+        let mut snaps: Vec<StateSnapshot> = Vec::new();
         for (op, a, b, c) in ops {
             let ctx = f.ctxs[(a as usize) % N_CTX];
             match op {
@@ -127,6 +132,17 @@ proptest! {
                     // epoch protects the memo here.
                     *f.sys.context_mut(ctx).expect("ctx is a context") = Context::new();
                 }
+                6 => snaps.push(StateSnapshot::capture(&f.sys)),
+                7 if !snaps.is_empty() => {
+                    // Any captured snapshot, not only the newest.
+                    let snap = &snaps[(b as usize) % snaps.len()];
+                    let name = compound(c, a);
+                    let naive = resolver.resolve_entity(snap.state(), ctx, &name);
+                    let memoized =
+                        resolver.resolve_entity_memo(snap.state(), ctx, &name, &mut memo);
+                    prop_assert_eq!(naive, memoized, "snapshot resolution diverged");
+                }
+                7 => {}
                 _ => {
                     let name = compound(b, c);
                     let naive = resolver.resolve_entity(&f.sys, ctx, &name);

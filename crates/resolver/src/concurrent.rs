@@ -35,8 +35,9 @@ use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, Sender};
 use naming_core::entity::Entity;
+use naming_core::memo::MemoStats;
 use naming_core::name::{CompoundName, Name};
-use naming_core::snapshot::{SnapshotMemoStats, StateSnapshot};
+use naming_core::snapshot::StateSnapshot;
 use naming_core::state::SystemState;
 use naming_telemetry::metrics::{Counter, Histogram, MetricsRegistry};
 // Re-exported so downstream crates can consume [`ServiceReport`] fields
@@ -92,7 +93,7 @@ pub struct WorkerReport {
     /// [`crate::service::NameService::local_resolve_batch`] counts them.
     pub lookups_saved: u64,
     /// Always zero: workers keep no memo. Retained for report readers.
-    pub memo: SnapshotMemoStats,
+    pub memo: MemoStats,
     /// Wall-clock nanoseconds each batch waited in the queue before this
     /// worker dequeued it. Observational (wall clock, not VirtualTime):
     /// it varies run to run and never feeds an answer.

@@ -80,6 +80,9 @@ pub struct StalenessObservatory {
     resolve_latency: WindowedHistogram,
     publish_latency: WindowedHistogram,
     staleness: WindowedHistogram,
+    /// The longest staleness window seen, exact: the windowed histogram
+    /// only keeps power-of-two bucket bounds, and forgets old windows.
+    staleness_max: u64,
     resolves: u64,
     bottoms: u64,
     false_bottoms: u64,
@@ -98,6 +101,7 @@ impl StalenessObservatory {
             resolve_latency: WindowedHistogram::new(window_ticks, max_windows),
             publish_latency: WindowedHistogram::new(window_ticks, max_windows),
             staleness: WindowedHistogram::new(window_ticks, max_windows),
+            staleness_max: 0,
             resolves: 0,
             bottoms: 0,
             false_bottoms: 0,
@@ -173,6 +177,7 @@ impl StalenessObservatory {
     pub fn note_staleness_window(&mut self, start: u64, end: u64) {
         let span = end.saturating_sub(start);
         self.staleness_windows += 1;
+        self.staleness_max = self.staleness_max.max(span);
         self.staleness.record(end, span);
         naming_telemetry::counter!("slo.staleness.windows").bump();
         naming_telemetry::histogram!("slo.staleness.window").record(span);
@@ -242,6 +247,7 @@ impl StalenessObservatory {
             publish_latency: self.publish_latency.snapshot(),
             staleness_windows: self.staleness_windows,
             staleness: self.staleness.snapshot(),
+            staleness_max_ticks: self.staleness_max,
             publish_burn: if self.thresholds.publish_p99_ticks == 0 {
                 0.0
             } else {
@@ -289,6 +295,9 @@ pub struct SloReport {
     pub staleness_windows: u64,
     /// Staleness-window distribution (window lengths, ticks).
     pub staleness: HistogramSnapshot,
+    /// The longest staleness window observed over the whole run, in ticks:
+    /// exact, where `staleness`'s top quantile reads a bucket bound.
+    pub staleness_max_ticks: u64,
     /// Publish p99 ÷ budget (>1 = over budget).
     pub publish_burn: f64,
     /// Total threshold violations.

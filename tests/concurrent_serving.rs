@@ -209,5 +209,8 @@ fn in_flight_batches_answer_from_their_own_snapshot_across_a_publish() {
     let report = svc.shutdown();
     let total = |f: fn(&WorkerReport) -> u64| report.workers.iter().map(f).sum::<u64>();
     assert_eq!((total(|w| w.lookups), total(|w| w.lookups_saved)), (24, 24));
-    assert_eq!(total(|w| w.memo.hits + w.memo.misses + w.memo.resets), 0);
+    assert_eq!(
+        total(|w| w.memo.hits + w.memo.misses + w.memo.invalidations),
+        0
+    );
 }

@@ -162,3 +162,15 @@ fn observatory_grades_the_chaos_campaign_reproducibly() {
         "breach must be attributed to the staleness objective"
     );
 }
+
+#[test]
+fn staleness_max_is_the_longest_window_not_a_bucket_bound() {
+    use naming_resolver::observatory::{SloThresholds, StalenessObservatory};
+    let mut obs = StalenessObservatory::new(SloThresholds::default(), 1_000, 8);
+    obs.note_staleness_window(1_000, 10_000);
+    let rep = obs.report();
+    assert_eq!(rep.staleness_max_ticks, 9_000);
+    // The histogram's top quantile is only the bound of 9 000's
+    // power-of-two bucket.
+    assert_eq!(rep.staleness.quantile(1.0), 16_383);
+}
