@@ -22,7 +22,7 @@
 //!   negative-cache false-⊥s, sync/transfer accounting; and for the
 //!   exact twin, its message and staleness numbers. The binary asserts
 //!   the lease bound before writing: at drop 0 every observed staleness
-//!   window is strictly below the TTL.
+//!   window is strictly below the TTL and at most one sync period.
 //! * **`--json`**: the CI cmp leg. A lossless schedule with healing
 //!   (exact) or syncing (lease, ttl=∞) after every publish, printing one
 //!   deterministic record per resolution — answers only, no mode
@@ -424,7 +424,9 @@ fn main() {
     // The paper's bounded-staleness claim, checked: on a lossless
     // network a lease can serve a stale answer for strictly less than
     // its TTL — the entry was granted before the publish and cannot
-    // outlive grant + ttl.
+    // outlive grant + ttl — and for at most one sync period: the next
+    // pull hears the publish, and keeps only what it cannot have changed.
+    let sync_period = SYNC_EVERY as u64 * ROUND_GAP;
     for c in &combos {
         if c.drop_rate == 0.0 {
             if let Some(ttl) = c.ttl {
@@ -435,6 +437,12 @@ fn main() {
                     ttl
                 );
             }
+            assert!(
+                c.max_staleness_ticks <= sync_period,
+                "staleness window {} > one sync period {} at drop 0 — a pull kept a changed entry",
+                c.max_staleness_ticks,
+                sync_period
+            );
             assert_eq!(
                 c.exact_stale_served, 0,
                 "exact mode with healing served a stale answer"

@@ -449,7 +449,7 @@ impl ResolutionMemo {
     /// the "heal" operation of a caching resolver that has been serving
     /// stale entries.
     pub fn invalidate_stale(&mut self, state: &SystemState) -> usize {
-        let dropped = self.store.retain(|e| entry_current(state, e));
+        let dropped = self.store.retain(|_, e| entry_current(state, e));
         self.stats.invalidations += dropped as u64;
         dropped
     }

@@ -203,14 +203,15 @@ impl<V> SlabLru<V> {
         self.len -= 1;
     }
 
-    /// Keeps the entries whose value `keep` approves and removes the rest
-    /// in place; returns how many were removed. Visits live slots in slab
+    /// Keeps the entries `keep` approves and removes the rest in place;
+    /// returns how many were removed. `keep` sees each entry's suffix and
+    /// may update its value as it judges it. Visits live slots in slab
     /// (memory) order, not along the recency list, which survivors keep.
-    pub fn retain(&mut self, mut keep: impl FnMut(&V) -> bool) -> usize {
+    pub fn retain(&mut self, mut keep: impl FnMut(&[Name], &mut V) -> bool) -> usize {
         let mut removed = 0;
         for slot in 0..self.slots.len() {
-            let s = &self.slots[slot];
-            if s.prev != FREE && !keep(&s.value) {
+            let s = &mut self.slots[slot];
+            if s.prev != FREE && !keep(&s.suffix, &mut s.value) {
                 self.remove(SlotId(slot as u32));
                 removed += 1;
             }
@@ -555,7 +556,8 @@ mod tests {
                         }
                         model.remove(&k);
                     }
-                    // Retain by a predicate over the value; rarely, clear.
+                    // Retain by a predicate over the value, bumping every
+                    // survivor in place; rarely, clear.
                     _ => {
                         if arg == 0 {
                             store.clear();
@@ -569,23 +571,26 @@ mod tests {
                                 .filter(|(_, &v)| !keep(v))
                                 .map(|(k, _)| k.clone())
                                 .collect();
-                            // Live slots are visited once each, in slab order.
-                            let in_slab_order: Vec<u32> = store
+                            // Live slots are visited once each, in slab order,
+                            // each with its own suffix.
+                            let in_slab_order: Vec<(Vec<Name>, u32)> = store
                                 .slots
                                 .iter()
                                 .filter(|s| s.prev != FREE)
-                                .map(|s| s.value)
+                                .map(|s| (s.suffix.clone(), s.value))
                                 .collect();
                             let mut visited = Vec::new();
-                            let removed = store.retain(|&v| {
-                                visited.push(v);
-                                keep(v)
+                            let removed = store.retain(|suffix, v| {
+                                visited.push((suffix.to_vec(), *v));
+                                *v += 1;
+                                keep(*v - 1)
                             });
                             prop_assert_eq!(visited, in_slab_order);
                             prop_assert_eq!(removed, doomed.len());
                             for k in &doomed {
                                 model.remove(k);
                             }
+                            model.values.values_mut().for_each(|v| *v += 1);
                         }
                     }
                 }

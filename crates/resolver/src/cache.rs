@@ -24,7 +24,6 @@
 use std::ops::Range;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
-use naming_core::lease::ZoneSerial;
 use naming_core::memo::ResolutionMemo;
 use naming_core::name::{CompoundName, Name};
 use naming_core::resolve::Resolver;
@@ -36,7 +35,8 @@ use naming_sim::world::World;
 use naming_telemetry::json::json_string;
 
 use crate::coherence::{
-    CoherenceMode, Heard, LeaseCacheStats, LeasedCache, SerialObservation, SerialTable, Validity,
+    CoherenceMode, Heard, LeaseCacheStats, LeasedCache, Moved, MovedZone, Pass, SerialObservation,
+    SerialTable, Validity,
 };
 use crate::engine::{ProtocolEngine, ReferralHop};
 use crate::referral::{
@@ -334,7 +334,7 @@ impl<P: Validity> Plane<P> {
         [self.positives.sweep(by), referrals, negatives]
     }
 
-    fn zones_moved(&mut self, moved: &[(usize, ZoneSerial)]) -> usize {
+    fn zones_moved(&mut self, moved: Moved<'_>) -> Pass {
         self.positives.zones_moved(moved)
             + self.referrals.zones_moved(moved)
             + self.negatives.zones_moved(moved)
@@ -371,8 +371,8 @@ pub struct CachingResolver {
     /// Zone serials this replica has heard through anti-entropy pulls —
     /// the *only* authority the lease plane ever validates against.
     table: SerialTable,
-    /// A pull's moved `(shard, serial)` pairs; kept, so a pull allocates none.
-    moved: Vec<(usize, ZoneSerial)>,
+    /// A pull's moved zones; kept, so a pull allocates none.
+    moved: Vec<MovedZone>,
 }
 
 /// What one anti-entropy pull ([`CachingResolver::sync`]) accomplished.
@@ -390,8 +390,12 @@ pub struct SyncReport {
     /// restart); the heard serial is re-adopted either way.
     pub regressions: usize,
     /// Cached entries (positive, referral, negative) dropped because a
-    /// zone they depend on moved past their stamped serial.
+    /// zone they depend on moved past their stamped serial, and the move
+    /// may have changed their answer.
     pub entries_dropped: u64,
+    /// Cached entries kept under a moved zone, because its exact diff
+    /// cannot reach their answer, and re-stamped to the serial heard.
+    pub entries_restamped: u64,
 }
 
 impl CachingResolver {
@@ -630,14 +634,17 @@ impl CachingResolver {
     /// Anti-entropy pull: asks the authority on `machine` for zone deltas
     /// since the serials this replica last heard, adopts the answered
     /// serials, and drops every cached entry stamped under a serial its
-    /// zone has moved past. Returns `None` when the exchange was lost
-    /// (the next periodic pull catches up).
+    /// zone has moved past — unless the zone's slice is an exact diff
+    /// from that serial whose changes cannot reach the entry's answer:
+    /// that entry is re-stamped and kept ([`Validity::zones_moved`]).
+    /// Returns `None` when the exchange was lost (the next periodic pull
+    /// catches up).
     ///
     /// This is the lease plane's *only* source of invalidation evidence —
     /// it reads authoritative state exclusively through the wire.
     ///
     /// Cost: one walk of each store per pull, however many zones moved —
-    /// the moved zones are collected first and dropped in one pass.
+    /// the moved zones are collected first and judged in one pass.
     pub fn sync(
         &mut self,
         world: &mut World,
@@ -653,23 +660,24 @@ impl CachingResolver {
             ..SyncReport::default()
         };
         self.moved.clear();
-        for slice in &delta.shards {
+        for (at, slice) in delta.shards.iter().enumerate() {
             report.shards_full += usize::from(slice.full);
             report.shards_incremental += usize::from(!slice.full);
             report.changes += slice.changes.len();
-            match self.table.observe(slice.shard, slice.serial) {
-                SerialObservation::Unchanged => continue,
-                SerialObservation::Advanced => {}
-                SerialObservation::Regressed => report.regressions += 1,
+            if let Some((moved, seen)) = self.table.adopt(at, slice) {
+                report.regressions += usize::from(seen == SerialObservation::Regressed);
+                self.moved.push(moved);
             }
-            self.moved.push((slice.shard, slice.serial));
         }
         // Entries stamped under a moved zone's old serial were justified by
-        // history the zone no longer stands behind. Drop them eagerly;
-        // probes would drop them lazily.
-        let moved = &self.moved;
-        if !moved.is_empty() {
-            report.entries_dropped = on_plane!(&mut self.plane, p => p.zones_moved(moved)) as u64;
+        // history the zone no longer stands behind, unless its diff proves
+        // that history left them alone. Judge them eagerly; probes would
+        // drop them lazily.
+        if !self.moved.is_empty() {
+            let moved = Moved::new(&self.moved, &delta.shards);
+            let pass = on_plane!(&mut self.plane, p => p.zones_moved(moved));
+            report.entries_dropped = pass.dropped as u64;
+            report.entries_restamped = pass.restamped as u64;
         }
         mirror_sync_counts(&report);
         Some(report)
@@ -724,6 +732,9 @@ fn mirror_sync_counts(r: &SyncReport) {
     if r.entries_dropped > 0 {
         counter!("coherence.sync.entries_dropped").add(r.entries_dropped);
     }
+    if r.entries_restamped > 0 {
+        counter!("coherence.sync.entries_restamped").add(r.entries_restamped);
+    }
     if r.shards_full > 0 {
         counter!("coherence.sync.shards_full").add(r.shards_full as u64);
     }
@@ -766,6 +777,7 @@ fn audit_against_authority(
 mod tests {
     use super::*;
     use crate::service::NameService;
+    use naming_core::lease::ZoneSerial;
     use naming_core::name::Name;
     use naming_sim::store;
     use naming_sim::topology::MachineId;

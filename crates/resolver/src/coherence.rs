@@ -31,6 +31,25 @@
 //! drops a superset of what generation healing drops, and every dropped
 //! entry refetches to the identical authoritative answer (the CI cmp leg
 //! pins this byte-for-byte).
+//!
+//! A pull need not drop everything stamped under a zone that moved. Each
+//! journaled change carries `was`, the binding it replaced, and an
+//! incremental slice is the exact list of changes since the serial the
+//! puller held. An entry stamped at that serial is dropped only when a
+//! change can reach it: a changed label is one of its interior labels, or
+//! its last label when the entry is a referral or the change's `was` is
+//! the entry's entity. Everything else is re-stamped to the serial heard,
+//! its lease untouched. This is §2's rule read
+//! backwards: a walk consults σ only at the bindings it crosses, each by
+//! one label of the name, and only the last binding is its answer — so a
+//! change to `(ctx, n)` alters the answer only if `n` is an interior label
+//! or the answer was `was`. A referral's target may be the nearest
+//! replica's copy of the context bound, which no `was` names, so a change
+//! of its last label always drops it. Full transfers, regressions and
+//! slices from any other serial say nothing about which bindings moved and
+//! keep the zone-wide drop. An entry that was already stale when recorded
+//! (a lagging copy answered it) still dies by its TTL: nothing here
+//! extends a lease.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -40,7 +59,7 @@ use naming_core::name::Name;
 use naming_core::slab_lru::{SlabLru, Upsert};
 use naming_core::state::MAX_SHARDS;
 
-use crate::wire::ZoneChange;
+use crate::wire::{ShardDelta, ZoneChange};
 
 /// How a cache decides whether an entry may still be served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,6 +149,31 @@ impl SerialTable {
         } else {
             SerialObservation::Regressed
         }
+    }
+
+    /// Folds slice `at` of a pull's reply into the table
+    /// ([`SerialTable::observe`]) and says how its zone moved, as
+    /// [`Validity::zones_moved`] takes it: by an exact diff from the serial
+    /// heard before when the slice is incremental and moves the zone
+    /// forward, zone-wide otherwise. `None` when the zone did not move.
+    pub fn adopt(
+        &mut self,
+        at: usize,
+        slice: &ShardDelta,
+    ) -> Option<(MovedZone, SerialObservation)> {
+        let since = self.known(slice.shard);
+        let seen = self.observe(slice.shard, slice.serial);
+        let diff = match seen {
+            SerialObservation::Unchanged => return None,
+            SerialObservation::Advanced => (!slice.full).then_some((since, at)),
+            SerialObservation::Regressed => None,
+        };
+        let moved = MovedZone {
+            shard: slice.shard,
+            serial: slice.serial,
+            diff,
+        };
+        Some((moved, seen))
     }
 
     /// One `(shard, serial)` pair for *every* shard in `0..shards`,
@@ -239,11 +283,22 @@ pub trait Validity: Sized {
         &[]
     }
 
-    /// — and nothing to drop when an anti-entropy pull hears zones move; one
-    /// that does drops, in one pass, each entry with a stamp `(z, s)` such
-    /// that `moved` holds some `(z, s')` with `s' != s`. Returns how many.
-    fn zones_moved(&mut self, _moved: &[(usize, ZoneSerial)]) -> usize {
-        0
+    /// — and nothing to drop when an anti-entropy pull hears zones move. One
+    /// that does visits every entry once and, for each stamp `(z, s)` whose
+    /// zone `moved` names, takes the zone's slices in reply order: a slice
+    /// that leaves the zone at `s` changes nothing; an exact diff from `s`
+    /// whose changes cannot reach the entry re-stamps it to the slice's
+    /// serial; anything else — a full transfer, a regression, a diff from
+    /// another serial, a change that can reach it — drops it. A change of
+    /// `(ctx, n)` reaches an entry when `n` is one of its interior labels,
+    /// or its last label and the entry is a referral or the change's `was`
+    /// is the entry's entity. Sound by §2: the walk that answered the entry
+    /// consulted σ only at the bindings it crossed, each by one of its
+    /// labels, and its answer is the last one's value — so a change it does
+    /// not reach left the answer as it was. Leases are never extended: an
+    /// entry already stale when recorded still lapses on time.
+    fn zones_moved(&mut self, _moved: Moved<'_>) -> Pass {
+        Pass::default()
     }
 
     /// Removes one entry; returns whether it existed.
@@ -255,6 +310,107 @@ pub trait Validity: Sized {
     /// Drops every entry the evidence already refutes; returns how many.
     /// (Probes do this lazily; sweeping reclaims the space eagerly.)
     fn sweep(&mut self, by: Self::Evidence<'_>) -> usize;
+}
+
+/// One zone an anti-entropy pull heard move, as [`Validity::zones_moved`]
+/// is given it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MovedZone {
+    /// The zone (shard).
+    pub shard: usize,
+    /// The serial heard now.
+    pub serial: ZoneSerial,
+    /// When the slice is the exact diff from the serial heard before it:
+    /// that serial, and the slice's index in the pull's reply. `None` for a
+    /// full transfer or a regression, which say nothing about *which*
+    /// bindings changed: the zone-wide drop.
+    pub diff: Option<(ZoneSerial, usize)>,
+}
+
+impl MovedZone {
+    /// A zone whose move is known only by its serial: every entry stamped
+    /// under another serial of it goes.
+    pub fn zone_wide(shard: usize, serial: ZoneSerial) -> MovedZone {
+        MovedZone {
+            shard,
+            serial,
+            diff: None,
+        }
+    }
+}
+
+/// What one anti-entropy pull heard: the zones that moved, in reply order
+/// (a zone may move twice in one reply), and the reply's slices, whose
+/// changes carry the `(label, was)` pairs the delta filter reads.
+#[derive(Clone, Copy, Debug)]
+pub struct Moved<'a> {
+    zones: &'a [MovedZone],
+    slices: &'a [ShardDelta],
+    /// The store holds referrals: their target may be a replica's copy of
+    /// the context the name is bound to, which no `was` can recognise.
+    referrals: bool,
+}
+
+impl<'a> Moved<'a> {
+    /// The moves `zones`, whose diffs index `slices`.
+    pub fn new(zones: &'a [MovedZone], slices: &'a [ShardDelta]) -> Moved<'a> {
+        Moved {
+            zones,
+            slices,
+            referrals: false,
+        }
+    }
+
+    /// The same moves, as a store of referrals must judge them.
+    pub fn of_referrals(self) -> Moved<'a> {
+        Moved {
+            referrals: true,
+            ..self
+        }
+    }
+
+    /// Bit `z % 64` of every moved zone `z`.
+    fn mask(&self) -> u64 {
+        self.zones.iter().fold(0, |m, z| m | 1 << (z.shard % 64))
+    }
+
+    /// Whether a change in slice `slice` may alter what a walk of `suffix`
+    /// answered, `entity`. By §2 the walk consults σ only at the bindings
+    /// it crosses, each by one label of `suffix`: a change of `(ctx, n)`
+    /// matters only if `n` is an interior label — the walk may go on
+    /// through it — or the last label, and then only if it replaced the
+    /// answer (`was == entity`). A referral's answer may be a replica's
+    /// copy, so any change of its last label reaches it. A slice the reply
+    /// does not hold reaches everything.
+    fn reaches(&self, slice: usize, suffix: &[Name], entity: Entity) -> bool {
+        let (Some(slice), Some((last, interior))) = (self.slices.get(slice), suffix.split_last())
+        else {
+            return true;
+        };
+        slice.changes.iter().any(|c| {
+            interior.contains(&c.name) || (c.name == *last && (self.referrals || c.was == entity))
+        })
+    }
+}
+
+/// What one [`Validity::zones_moved`] pass did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Pass {
+    /// Entries dropped.
+    pub dropped: usize,
+    /// Entries kept under a moved zone and re-stamped to its new serial.
+    pub restamped: usize,
+}
+
+impl std::ops::Add for Pass {
+    type Output = Pass;
+
+    fn add(self, other: Pass) -> Pass {
+        Pass {
+            dropped: self.dropped + other.dropped,
+            restamped: self.restamped + other.restamped,
+        }
+    }
 }
 
 /// Counters for a leased cache.
@@ -457,18 +613,42 @@ impl Validity for LeasedCache {
     /// Drops every entry whose lease has lapsed at `by.now`. (Serial
     /// movement is swept when it is heard: [`Validity::zones_moved`].)
     fn sweep(&mut self, by: Heard<'_>) -> usize {
-        let n = self.store.retain(|e| by.now < e.expires_at);
+        let n = self.store.retain(|_, e| by.now < e.expires_at);
         self.stats.expired += n as u64;
         n
     }
 
-    fn zones_moved(&mut self, moved: &[(usize, ZoneSerial)]) -> usize {
-        let mask = moved.iter().fold(0, |m, &(z, _)| m | 1 << (z % 64));
-        let refutes = |(z, s)| moved.iter().any(|&(m, heard)| m == z && heard != s);
-        let keep = |e: &LeasedEntry| e.mask & mask == 0 || !e.stamped().any(refutes);
-        let n = self.store.retain(keep);
-        self.stats.serial_dropped += n as u64;
-        n
+    /// The entry's zone mask is tested first: most entries depend on no
+    /// moved zone, and their stamps are left unread.
+    fn zones_moved(&mut self, moved: Moved<'_>) -> Pass {
+        let mask = moved.mask();
+        let mut restamped = 0;
+        let dropped = self.store.retain(|suffix, e| {
+            if e.mask & mask == 0 {
+                return true;
+            }
+            let mut touched = false;
+            for (&z, stamp) in e.zones.iter().zip(e.stamps.iter_mut()) {
+                for m in moved.zones.iter().filter(|m| m.shard == z) {
+                    if m.serial == *stamp {
+                        continue;
+                    }
+                    match m.diff {
+                        Some((since, slice))
+                            if since == *stamp && !moved.reaches(slice, suffix, e.entity) =>
+                        {
+                            *stamp = m.serial;
+                            touched = true;
+                        }
+                        _ => return false,
+                    }
+                }
+            }
+            restamped += usize::from(touched);
+            true
+        });
+        self.stats.serial_dropped += dropped as u64;
+        Pass { dropped, restamped }
     }
 }
 
@@ -611,6 +791,7 @@ mod tests {
             entity: bound
                 .map(|o| Entity::Object(oid(o)))
                 .unwrap_or(Entity::Undefined),
+            was: Entity::Undefined,
         }
     }
 
@@ -894,12 +1075,143 @@ mod tests {
             &[64],
             false,
         );
-        assert_eq!(c.zones_moved(&[(0, ZoneSerial::new(2))]), 2);
+        let moved = [MovedZone::zone_wide(0, ZoneSerial::new(2))];
+        let pass = c.zones_moved(Moved::new(&moved, &[]));
+        assert_eq!((pass.dropped, pass.restamped), (2, 0));
         assert_eq!(c.len(), 2);
         assert_eq!(c.footprint(oid(4), &[Name::new("d")]), [64]);
         assert_eq!(
             c.probe(at(1, None, &table), oid(2), &[Name::new("b")]),
             Probe::Hit(Entity::Object(oid(6)))
+        );
+    }
+
+    /// Entries under `/a/b` (→ 5), `/a/c` (→ 6), `/d` (→ 7) and the
+    /// unbound `/a/e`, all in zone 0 at serial 1, each kept for 100 ticks.
+    fn filtered() -> (LeasedCache, SerialTable) {
+        let mut table = SerialTable::new();
+        table.observe(0, ZoneSerial::new(1));
+        let mut c = LeasedCache::with_capacity(8);
+        for (path, to) in [
+            ("a/b", Some(5)),
+            ("a/c", Some(6)),
+            ("d", Some(7)),
+            ("a/e", None),
+        ] {
+            let suffix: Vec<Name> = path.split('/').map(Name::new).collect();
+            let e = to.map_or(Entity::Undefined, |o| Entity::Object(oid(o)));
+            c.record(at(0, Some(100), &table), oid(1), &suffix, e, &[0], false);
+        }
+        (c, table)
+    }
+
+    /// One incremental slice of zone 0 from serial 1 to 2.
+    fn diff(changes: Vec<ZoneChange>) -> [ShardDelta; 1] {
+        [ShardDelta {
+            shard: 0,
+            serial: ZoneSerial::new(2),
+            full: false,
+            changes,
+        }]
+    }
+
+    fn rebind(name: &str, was: Option<u32>, to: Option<u32>) -> ZoneChange {
+        let entity = |o: Option<u32>| o.map_or(Entity::Undefined, |o| Entity::Object(oid(o)));
+        ZoneChange {
+            ctx: oid(3),
+            name: Name::new(name),
+            entity: entity(to),
+            was: entity(was),
+        }
+    }
+
+    fn held(c: &mut LeasedCache, table: &SerialTable, now: u64) -> Vec<&'static str> {
+        ["a/b", "a/c", "d", "a/e"]
+            .into_iter()
+            .filter(|path| {
+                let suffix: Vec<Name> = path.split('/').map(Name::new).collect();
+                matches!(
+                    c.probe(at(now, None, table), oid(1), &suffix),
+                    Probe::Hit(_)
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_diff_drops_only_the_entries_its_changes_reach() {
+        let moved = [MovedZone {
+            shard: 0,
+            serial: ZoneSerial::new(2),
+            diff: Some((ZoneSerial::new(1), 0)),
+        }];
+        // `b` rebound away from 5: the entry that answered 5 goes; `c`
+        // rebound from something it did not answer leaves `/a/c`; `e`
+        // bound where nothing was kills the ⊥ it cached.
+        let slices = diff(vec![
+            rebind("b", Some(5), Some(9)),
+            rebind("c", Some(8), Some(9)),
+            rebind("e", None, Some(9)),
+        ]);
+        let (mut c, mut table) = filtered();
+        let pass = c.zones_moved(Moved::new(&moved, &slices));
+        assert_eq!((pass.dropped, pass.restamped), (2, 2));
+        table.observe(0, ZoneSerial::new(2));
+        assert_eq!(held(&mut c, &table, 99), ["a/c", "d"]);
+        // The survivors were re-stamped, not re-leased.
+        assert_eq!(held(&mut c, &table, 100), [] as [&str; 0]);
+
+        // An interior label reaches everything below it.
+        let slices = diff(vec![rebind("a", Some(2), Some(2))]);
+        let (mut c, mut table) = filtered();
+        let pass = c.zones_moved(Moved::new(&moved, &slices));
+        assert_eq!((pass.dropped, pass.restamped), (3, 1));
+        table.observe(0, ZoneSerial::new(2));
+        assert_eq!(held(&mut c, &table, 1), ["d"]);
+
+        // As a referral store judges it, any change of a last label reaches.
+        let slices = diff(vec![rebind("c", Some(8), Some(9))]);
+        let (mut c, mut table) = filtered();
+        let pass = c.zones_moved(Moved::new(&moved, &slices).of_referrals());
+        assert_eq!((pass.dropped, pass.restamped), (1, 3));
+        table.observe(0, ZoneSerial::new(2));
+        assert_eq!(held(&mut c, &table, 1), ["a/b", "d", "a/e"]);
+    }
+
+    #[test]
+    fn only_an_exact_diff_from_the_stamp_keeps_anything() {
+        let slices = diff(vec![rebind("zz", None, Some(9))]);
+        // A full transfer, a regression and a diff from another serial
+        // all fall back to the zone-wide drop.
+        for m in [
+            MovedZone::zone_wide(0, ZoneSerial::new(2)),
+            MovedZone {
+                shard: 0,
+                serial: ZoneSerial::new(2),
+                diff: Some((ZoneSerial::ZERO, 0)),
+            },
+            MovedZone {
+                shard: 0,
+                serial: ZoneSerial::new(2),
+                diff: Some((ZoneSerial::new(1), 1)),
+            },
+        ] {
+            let (mut c, _) = filtered();
+            assert_eq!(c.zones_moved(Moved::new(&[m], &slices)).dropped, 4);
+            assert!(c.is_empty());
+        }
+        // A zone that moves there and back in one reply: the diff re-stamps,
+        // the zone-wide step back refutes the new stamp.
+        let there = MovedZone {
+            shard: 0,
+            serial: ZoneSerial::new(2),
+            diff: Some((ZoneSerial::new(1), 0)),
+        };
+        let back = MovedZone::zone_wide(0, ZoneSerial::new(1));
+        let (mut c, _) = filtered();
+        assert_eq!(
+            c.zones_moved(Moved::new(&[there, back], &slices)).dropped,
+            4
         );
     }
 

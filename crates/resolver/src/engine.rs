@@ -300,6 +300,12 @@ impl ProtocolEngine {
         self.counters
     }
 
+    /// The correlation id the next request will carry: ids are issued in
+    /// order, one per request sent.
+    pub fn next_request_id(&self) -> u64 {
+        self.next_id
+    }
+
     /// Allocates a fresh request id. Shared with the pipelined runtime so
     /// interleaved use of both drivers never collides correlation ids.
     pub(crate) fn alloc_id(&mut self) -> u64 {
@@ -585,12 +591,12 @@ impl ProtocolEngine {
     }
 
     /// Commits one naming write — `Some(entity)` binds, `None` unbinds —
-    /// and journals it at the zone serial the write advanced to, so
-    /// anti-entropy pulls can replay it incrementally. This is the
-    /// publication path of lease coherence: writes that bypass it (raw
-    /// `state_mut()` mutation) still advance the serial, but the journal
-    /// detects the gap and falls back to full transfers rather than
-    /// serving a diff with holes.
+    /// and journals it, with the binding it replaced, at the zone serial
+    /// the write advanced to, so anti-entropy pulls can replay it
+    /// incrementally. This is the publication path of lease coherence:
+    /// writes that bypass it (raw `state_mut()` mutation) still advance the
+    /// serial, but the journal detects the gap and falls back to full
+    /// transfers rather than serving a diff with holes.
     ///
     /// Returns the zone serial after the write, or `None` when the write
     /// was refused (e.g. `ctx` is not a context).
@@ -602,6 +608,7 @@ impl ProtocolEngine {
         entity: Option<Entity>,
     ) -> Option<ZoneSerial> {
         let shard = SystemState::shard_of_id(ctx);
+        let was = world.state().lookup(ctx, name);
         let committed = match entity {
             Some(e) => world.state_mut().bind(ctx, name, e).is_ok(),
             None => world.state_mut().unbind(ctx, name).is_ok(),
@@ -617,6 +624,7 @@ impl ProtocolEngine {
                 ctx,
                 name,
                 entity: entity.unwrap_or(Entity::Undefined),
+                was,
             },
         );
         Some(serial)
@@ -904,6 +912,7 @@ impl ProtocolEngine {
                             ctx: o,
                             name,
                             entity,
+                            was: Entity::Undefined,
                         })
                     })
                     .collect();

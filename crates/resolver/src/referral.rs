@@ -19,14 +19,13 @@
 //! σ; the lease policy, which may not read σ, in [`coherence`](crate::coherence).
 
 use naming_core::entity::{Entity, ObjectId};
-use naming_core::lease::ZoneSerial;
 use naming_core::memo::ResolutionMemo;
 use naming_core::name::Name;
 use naming_core::resolve::Resolver;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::coherence::{Probe, Validity};
+use crate::coherence::{Moved, Pass, Probe, Validity};
 use crate::service::NameService;
 
 /// Default bound on cached referrals / negative entries.
@@ -194,11 +193,18 @@ impl<P: Validity, const NEGATIVE: bool> Validated<P, NEGATIVE> {
         self.dropped(n)
     }
 
-    /// Drops, in one pass, every entry stamped under another serial of a
-    /// zone than `moved` gives it ([`Validity::zones_moved`]); returns how many.
-    pub fn zones_moved(&mut self, moved: &[(usize, ZoneSerial)]) -> usize {
-        let n = self.store.zones_moved(moved);
-        self.dropped(n)
+    /// Drops, in one pass, every entry the zones a pull heard move may have
+    /// changed, and re-stamps the rest ([`Validity::zones_moved`]) — a
+    /// referral on any change of its last label.
+    pub fn zones_moved(&mut self, moved: Moved<'_>) -> Pass {
+        let moved = if NEGATIVE {
+            moved
+        } else {
+            moved.of_referrals()
+        };
+        let pass = self.store.zones_moved(moved);
+        self.dropped(pass.dropped);
+        pass
     }
 
     /// Drops every entry (not counted as invalidations).

@@ -152,6 +152,8 @@ impl ZoneDeltaRequest {
 
 /// One binding change inside a [`ShardDelta`]: `entity` is the new value
 /// of `name` in context `ctx`; [`Entity::Undefined`] encodes an unbind.
+/// `was` is the binding the change replaced, journaled so a puller can
+/// tell which of its cached answers the change could have altered.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ZoneChange {
     /// The context object the change landed in.
@@ -160,6 +162,9 @@ pub struct ZoneChange {
     pub name: Name,
     /// The new binding (⊥ = the name was unbound).
     pub entity: Entity,
+    /// The binding before the change (⊥ = the name was unbound). A full
+    /// transfer's dump says ⊥: it replays no history.
+    pub was: Entity,
 }
 
 /// One zone's slice of a [`ZoneDelta`] reply.
@@ -200,6 +205,7 @@ impl Layout for ZoneDelta {
                 w.object(c.ctx);
                 w.label(c.name.as_str());
                 w.entity(c.entity);
+                w.entity(c.was);
             });
         });
     }
@@ -220,10 +226,15 @@ impl ZoneDelta {
         let shards = r.list16(2 + 8 + 1 + 4, |r| {
             let (shard, serial) = (usize::from(r.u16()?), ZoneSerial::new(r.u64()?));
             let full = r.flag()?;
-            let changes = r.list32(4 + 2 + 1, |r| {
+            let changes = r.list32(4 + 2 + 1 + 1, |r| {
                 let (ctx, name) = (r.object()?, Name::new(r.label()?));
-                let entity = r.entity()?;
-                Some(ZoneChange { ctx, name, entity })
+                let (entity, was) = (r.entity()?, r.entity()?);
+                Some(ZoneChange {
+                    ctx,
+                    name,
+                    entity,
+                    was,
+                })
             })?;
             Some(ShardDelta {
                 shard,
@@ -1074,7 +1085,7 @@ mod tests {
             }
 
             /// ZoneDelta round-trip for arbitrary well-formed content:
-            /// incremental and full slices, binds and unbinds.
+            /// incremental and full slices, binds, unbinds and rebinds.
             #[test]
             fn zone_delta_roundtrip_general(
                 id in any::<u64>(),
@@ -1084,7 +1095,7 @@ mod tests {
                         any::<u64>(),
                         any::<bool>(),
                         proptest::collection::vec(
-                            (0u32..100_000, "[a-z]{1,6}", 0u32..3, 0u32..100),
+                            (0u32..100_000, "[a-z]{1,6}", 0u32..9, 0u32..100),
                             0..8,
                         ),
                     ),
@@ -1099,14 +1110,19 @@ mod tests {
                         full: *full,
                         changes: raw
                             .iter()
-                            .map(|(ctx, n, kind, idx)| ZoneChange {
-                                ctx: ObjectId::from_index(*ctx),
-                                name: Name::new(n),
-                                entity: match kind {
+                            .map(|(ctx, n, kinds, idx)| {
+                                // The new binding's kind, and the old one's.
+                                let entity = |kind| match kind {
                                     0 => Entity::Object(ObjectId::from_index(*idx)),
                                     1 => Entity::Activity(ActivityId::from_index(*idx)),
                                     _ => Entity::Undefined,
-                                },
+                                };
+                                ZoneChange {
+                                    ctx: ObjectId::from_index(*ctx),
+                                    name: Name::new(n),
+                                    entity: entity(kinds % 3),
+                                    was: entity(kinds / 3),
+                                }
                             })
                             .collect(),
                     })
@@ -1262,11 +1278,13 @@ mod tests {
                             ctx: ObjectId::from_index(4),
                             name: Name::new("data"),
                             entity: Entity::Object(ObjectId::from_index(9)),
+                            was: Entity::Undefined,
                         },
                         ZoneChange {
                             ctx: ObjectId::from_index(4),
                             name: Name::new("gone"),
                             entity: Entity::Undefined,
+                            was: Entity::Object(ObjectId::from_index(5)),
                         },
                     ],
                 },

@@ -8,18 +8,23 @@
 //! ([`Resolver::resolve_entity`]) is the *experimenter's* instrument;
 //! the lease-mode resolver under test never touches it.
 
+use std::collections::BTreeMap;
+
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::lease::{Lease, ZoneSerial};
 use naming_core::name::{CompoundName, Name};
 use naming_core::resolve::Resolver;
+use naming_core::state::SystemState;
 use naming_resolver::cache::{CachingResolver, DEFAULT_CACHE_CAPACITY};
 use naming_resolver::coherence::{
-    CoherenceMode, Heard, LeaseCacheStats, LeasedCache, SerialObservation, SerialTable, Validity,
+    CoherenceMode, Heard, LeaseCacheStats, LeasedCache, Moved, MovedZone, Probe, SerialObservation,
+    SerialTable, Validity,
 };
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::referral::{NegativeCache, ReferralCache};
 use naming_resolver::service::NameService;
-use naming_resolver::wire::Mode;
+use naming_resolver::wire::{Mode, ZoneDelta, ZoneDeltaRequest};
+use naming_sim::message::Payload;
 use naming_sim::store;
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
@@ -599,17 +604,19 @@ proptest! {
                         }
                     }
                 }
-                // The pull: adopt every slice, then one pass per store.
+                // The pull: adopt every slice, then one pass per store. Every
+                // slice is a full transfer or a regression: the zone-wide rule.
                 moved.clear();
                 for &(z, s) in &reply {
                     if table.observe(z, s) != SerialObservation::Unchanged {
-                        moved.push((z, s));
+                        moved.push(MovedZone::zone_wide(z, s));
                     }
                 }
+                let pull = Moved::new(&moved, &[]);
                 let dropped = [
-                    positives.zones_moved(&moved),
-                    referrals.zones_moved(&moved),
-                    negatives.zones_moved(&moved),
+                    positives.zones_moved(pull).dropped,
+                    referrals.zones_moved(pull).dropped,
+                    negatives.zones_moved(pull).dropped,
                 ];
                 prop_assert_eq!(dropped, expected);
                 side_invalidated[0] += expected[1] as u64;
@@ -755,4 +762,409 @@ proptest! {
             }
         }
     }
+}
+
+// --- The delta filter is sound ------------------------------------------
+//
+// A pull that hears an exact diff keeps every entry the diff's changes
+// cannot reach, and re-stamps it. The reference is the zone-wide rule the
+// filter refines: each pull is judged twice, by the stores and by copies of
+// them told only which zones moved.
+
+/// Shards of the filtered world: the root's, one per exported directory,
+/// and the one the second machine's copy of `/d2` lives in.
+const FILTER_SHARDS: usize = 4;
+
+/// Per context a publish may land in (the root, `/d1`, `/d2`, `/d1/s`,
+/// `/d2/s`), the labels it may bind, unbind or rebind there: interior ones
+/// (`d1`, `d2`, `s`) and leaves, one of them (`nope`) unbound to begin with.
+const FILTER_LABELS: [&[&str]; 5] = [
+    &["d1", "d2", "nope"],
+    &["s", "f0", "f1", "nope"],
+    &["s", "f0", "f1", "nope"],
+    &["g0", "nope"],
+    &["g0", "nope"],
+];
+
+/// `/d1` and `/d2`, each in its own zone with the files `f0`, `f1` and the
+/// directory `s` holding `g0`, all served by m0; `/d2` is replicated onto
+/// m1. The engine journals at most three changes a zone, so a pull past
+/// them is a full transfer.
+struct Filtered {
+    w: World,
+    engine: ProtocolEngine,
+    client: ActivityId,
+    m0: MachineId,
+    /// The root, `/d1`, `/d2`, `/d1/s`, `/d2/s`: where publishes land.
+    contexts: Vec<ObjectId>,
+    /// m1's copy of `/d2`.
+    copy: ObjectId,
+    /// Every name the schedule caches, and every proper prefix of it.
+    names: Vec<CompoundName>,
+}
+
+fn filtered_world() -> Filtered {
+    let mut w = World::with_shards(85, FILTER_SHARDS);
+    let net = w.add_network("n");
+    let m0 = w.add_machine("m0", net);
+    let m1 = w.add_machine("m1", net);
+    let root = w.machine_root(m0);
+    let (mut contexts, mut subs) = (vec![root], Vec::new());
+    for z in 1..=2 {
+        w.state_mut().set_default_shard(z);
+        let dir = store::ensure_dir(w.state_mut(), root, &format!("d{z}"));
+        let sub = store::ensure_dir(w.state_mut(), dir, "s");
+        for leaf in ["f0", "f1"] {
+            store::create_file(w.state_mut(), dir, leaf, vec![]);
+        }
+        store::create_file(w.state_mut(), sub, "g0", vec![]);
+        contexts.push(dir);
+        subs.push(sub);
+    }
+    contexts.extend(subs);
+    let mut svc = NameService::install(&mut w, &[m0, m1]);
+    svc.place_subtree(&w, root, m0);
+    w.state_mut().set_default_shard(3);
+    let copy = svc.replicate_zone(&mut w, contexts[2], m1);
+    w.state_mut().set_default_shard(0);
+    let client = w.spawn(m0, "client", None);
+    let mut engine = ProtocolEngine::new(svc);
+    engine.set_journal_window(3);
+    let names = ["d1", "d2"]
+        .into_iter()
+        .flat_map(|d| {
+            ["", "/f0", "/f1", "/nope", "/s", "/s/g0", "/s/nope"].map(|rest| format!("/{d}{rest}"))
+        })
+        .map(|p| CompoundName::parse_path(&p).unwrap())
+        .collect();
+    Filtered {
+        w,
+        engine,
+        client,
+        m0,
+        contexts,
+        copy,
+        names,
+    }
+}
+
+/// The naive walk of `suffix` from `root`: its answer, and the zones of
+/// every context it consulted plus the answer's — the whole footprint, so
+/// that no binding the walk crosses lies outside the entry's zones.
+fn walked(state: &SystemState, root: ObjectId, suffix: &[Name]) -> (Entity, Vec<usize>) {
+    let (mut at, mut zones) = (Entity::Object(root), Vec::new());
+    for &label in suffix {
+        match at {
+            Entity::Object(ctx) if state.is_context_object(ctx) => {
+                zones.push(SystemState::shard_of_id(ctx));
+                at = state.lookup(ctx, label);
+            }
+            _ => return (Entity::Undefined, zones),
+        }
+    }
+    if let Entity::Object(o) = at {
+        zones.push(SystemState::shard_of_id(o));
+    }
+    (at, zones)
+}
+
+/// Whether `store` holds `suffix` from `root` (a held entry always has a zone).
+fn holds(store: &LeasedCache, root: ObjectId, suffix: &[Name]) -> bool {
+    !store.footprint(root, suffix).is_empty()
+}
+
+proptest! {
+    /// Random bind, unbind and rebind schedules over leaf and interior
+    /// labels — rebinds to the value already bound and binds of unbound
+    /// names among them, `/d2`'s copy on the second machine refreshed now
+    /// and then — with entries recorded as the truth of their moment and
+    /// pulls that are exact diffs or, past the journal, full transfers.
+    /// At every pull:
+    /// - what the filter drops, the zone-wide rule drops too;
+    /// - what the zone-wide rule drops and the filter keeps still resolves,
+    ///   naively at the pull's read, to its cached entity (a referral to a
+    ///   replica of it);
+    /// - every survivor is stamped with the serials heard, and
+    /// - expires exactly when it was granted to.
+    #[test]
+    fn a_diff_keeps_only_entries_its_changes_cannot_reach(
+        raw in prop::collection::vec((0u8..10, any::<u8>(), any::<u8>()), 1..96),
+    ) {
+        let Filtered { mut w, mut engine, client, m0, contexts, copy, names } = filtered_world();
+        let root = contexts[0];
+        let oracle = Resolver::new();
+        // Positives, referrals, negatives; and what each key was last
+        // recorded as: its entity and expiry.
+        let mut stores = [0; 3].map(|_| LeasedCache::with_capacity(256));
+        let mut granted: [BTreeMap<Vec<Name>, (Entity, u64)>; 3] = Default::default();
+        let mut table = SerialTable::new();
+        let (mut now, mut version) = (0u64, 0u32);
+        for (selector, a, b) in raw {
+            match selector {
+                // Record a name's truth of the moment, and a referral for each
+                // proper prefix that reaches a context — `/d2`'s sometimes to
+                // its copy, as the nearest server would hand it out.
+                0..=2 => {
+                    let name = &names[usize::from(a) % names.len()];
+                    let ttl = (b & 1 == 1).then_some(40);
+                    let by = Heard { now, ttl, table: &table };
+                    let comps = name.components();
+                    for len in 2..=comps.len() {
+                        let (entity, zones) = walked(w.state(), root, &comps[..len]);
+                        let (store, entity) = match entity {
+                            Entity::Object(o) if len < comps.len() => {
+                                if !w.state().is_context_object(o) {
+                                    continue;
+                                }
+                                let via_copy = o == contexts[2] && b & 2 != 0;
+                                (1, Entity::Object(if via_copy { copy } else { o }))
+                            }
+                            _ if len < comps.len() => continue,
+                            e if e.is_defined() => (0, e),
+                            e => (2, e),
+                        };
+                        if len == comps.len() {
+                            prop_assert_eq!(entity, oracle.resolve_entity(w.state(), root, name));
+                        }
+                        let mut zones = zones;
+                        if let Entity::Object(o) = entity {
+                            zones.push(SystemState::shard_of_id(o));
+                        }
+                        prop_assert!(stores[store].record(by, root, &comps[..len], entity, &zones, true));
+                        let expires_at = Lease::grant(now, ttl, ZoneSerial::ZERO).expires_at;
+                        granted[store].insert(comps[..len].to_vec(), (entity, expires_at));
+                    }
+                }
+                // Bind, unbind or rebind a label in one of the contexts: to a
+                // fresh object, to a directory, to what it holds already, or
+                // to nothing.
+                3..=5 => {
+                    let at = usize::from(a) % contexts.len();
+                    let labels = FILTER_LABELS[at];
+                    let (ctx, label) = (contexts[at], Name::new(labels[usize::from(a / 8) % labels.len()]));
+                    let entity = match b % 4 {
+                        0 => {
+                            version += 1;
+                            w.state_mut().set_default_shard(SystemState::shard_of_id(ctx));
+                            let fresh = w.state_mut().add_data_object(format!("v{version}"), vec![]);
+                            Some(Entity::Object(fresh))
+                        }
+                        1 => Some(Entity::Object(contexts[1 + usize::from(b / 4) % 4])),
+                        2 => Some(w.state().lookup(ctx, label)).filter(|e| e.is_defined()),
+                        _ => None,
+                    };
+                    // Refused only when it would unbind what is not bound.
+                    let _ = engine.publish_binding(&mut w, ctx, label, entity);
+                }
+                // The pull, judged twice.
+                6..=7 => {
+                    let since = table.snapshot_for(FILTER_SHARDS);
+                    let (delta, _) = engine
+                        .pull_zone_deltas(&mut w, client, m0, since)
+                        .expect("lossless pull completes");
+                    let mut moved = Vec::new();
+                    for (at, slice) in delta.shards.iter().enumerate() {
+                        moved.extend(table.adopt(at, slice).map(|(m, _)| m));
+                    }
+                    let wide_moves: Vec<MovedZone> = moved
+                        .iter()
+                        .map(|m| MovedZone::zone_wide(m.shard, m.serial))
+                        .collect();
+                    let before = stores.clone();
+                    let mut wide = stores.clone();
+                    for (i, (store, wide)) in stores.iter_mut().zip(&mut wide).enumerate() {
+                        let (filter, zone_wide) =
+                            (Moved::new(&moved, &delta.shards), Moved::new(&wide_moves, &[]));
+                        let (filter, zone_wide) = if i == 1 {
+                            (filter.of_referrals(), zone_wide.of_referrals())
+                        } else {
+                            (filter, zone_wide)
+                        };
+                        let (pass, wide_pass) = (store.zones_moved(filter), wide.zones_moved(zone_wide));
+                        prop_assert_eq!(store.len() + pass.dropped, wide.len() + wide_pass.dropped);
+                        // What the zone-wide rule drops, the filter drops or re-stamps.
+                        prop_assert_eq!(wide_pass.restamped, 0);
+                        prop_assert_eq!(pass.restamped + pass.dropped, wide_pass.dropped);
+                    }
+                    for (i, granted) in granted.iter().enumerate() {
+                        let (mut alive, mut lapsed) = (stores[i].clone(), stores[i].clone());
+                        for (suffix, &(cached, expires_at)) in granted {
+                            if !holds(&before[i], root, suffix) {
+                                continue;
+                            }
+                            let (kept, wide_kept) =
+                                (holds(&stores[i], root, suffix), holds(&wide[i], root, suffix));
+                            prop_assert!(kept || !wide_kept, "the filter alone dropped {suffix:?}");
+                            if !kept {
+                                continue;
+                            }
+                            if !wide_kept {
+                                let (truth, _) = walked(w.state(), root, suffix);
+                                let same = match (truth, cached) {
+                                    (Entity::Object(t), Entity::Object(c)) => {
+                                        w.replicas().are_replicas(t, c)
+                                    }
+                                    (t, c) => t == c,
+                                };
+                                prop_assert!(same, "kept {suffix:?} → {cached}, but it reads {truth}");
+                            }
+                            // Stamped with what was heard: served up to the last
+                            // tick of its lease, and not at it.
+                            let at = |tick| Heard { now: tick, ttl: None, table: &table };
+                            prop_assert_eq!(
+                                alive.probe(at(expires_at - 1), root, suffix),
+                                Probe::Hit(cached)
+                            );
+                            prop_assert_eq!(lapsed.probe(at(expires_at), root, suffix), Probe::Expired);
+                        }
+                    }
+                }
+                // `/d2`'s copy catches up with its primary: a write its
+                // zone's journal never hears.
+                8 => engine.service().sync_zone(&mut w, contexts[2]),
+                _ => now += 1 + u64::from(b % 50),
+            }
+        }
+    }
+}
+
+// --- A hostile delta ----------------------------------------------------
+
+/// Lease of the mutation test's entries, in ticks.
+const HOSTILE_TTL: u64 = 10_000;
+
+/// A warm replica about to pull: a cold pull behind it, three names cached
+/// at the returned tick under [`HOSTILE_TTL`], then two publishes — one
+/// rebinding a cached leaf, one binding a label nothing cached reads.
+fn warm_pull() -> (World, CachingResolver, ActivityId, ObjectId, MachineId, u64) {
+    let mode = CoherenceMode::Lease {
+        ttl: Some(HOSTILE_TTL),
+    };
+    let (mut w, mut r, client, root, sub, m1) = setup(mode);
+    r.sync(&mut w, client, m1).expect("cold pull completes");
+    let granted = w.now().ticks();
+    r.resolve_batch(&mut w, client, root, &hostile_names());
+    republish(&mut w, &mut r, sub, "hostile");
+    r.engine_mut()
+        .publish_binding(&mut w, sub, Name::new("beside"), Some(Entity::Object(sub)))
+        .expect("publish commits");
+    (w, r, client, root, m1, granted)
+}
+
+fn hostile_names() -> Vec<CompoundName> {
+    ["/remote/data", "/remote/nope", "/remote"]
+        .map(|p| CompoundName::parse_path(p).unwrap())
+        .to_vec()
+}
+
+/// What a resolver shows of itself: its counters and heard serials, and
+/// what it answers — and from where — for every name.
+fn observed(
+    w: &mut World,
+    r: &mut CachingResolver,
+    client: ActivityId,
+    root: ObjectId,
+) -> (String, Vec<(Entity, bool)>) {
+    let counters = format!(
+        "{:?} {:?} {:?} {:?} {:?}",
+        r.stats(),
+        r.lease_stats(),
+        r.referral_stats(),
+        r.negative_stats(),
+        r.serial_table().snapshot_for(w.state().shard_count()),
+    );
+    let answers = hostile_names()
+        .iter()
+        .map(|name| r.resolve(w, client, root, name, Mode::Iterative))
+        .collect();
+    (counters, answers)
+}
+
+/// Structure-aware mutation of `ZoneDelta`: the authority's honest answer
+/// to a warm pull, every byte overwritten four ways and the frame cut at
+/// every length, forged as the first reply the replica hears. Nothing
+/// panics. A frame that does not decode, or does not bear the pull's id,
+/// changes nothing: the honest answer behind it is the one heard. A frame
+/// that does is heard instead — and may keep entries it should not, but
+/// none past its lease.
+#[test]
+fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
+    // The honest answer, asked for by hand with the id the pull will use.
+    let (mut w, mut r, client, _root, m1, _) = warm_pull();
+    let id = r.engine().next_request_id();
+    let server = r.engine().service().server_on(m1);
+    let since = r.serial_table().snapshot_for(w.state().shard_count());
+    w.send(
+        client,
+        server,
+        Payload::bytes(ZoneDeltaRequest { id, since }.encode()),
+    );
+    r.engine_mut().pump_idle(&mut w);
+    let Some(Payload::Bytes(honest)) = w.receive(client).and_then(|m| m.parts.into_iter().next())
+    else {
+        panic!("the authority answered");
+    };
+    let honest = honest.to_vec();
+    let reply = ZoneDelta::decode(honest.clone().into()).expect("the honest answer decodes");
+    assert!(reply
+        .shards
+        .iter()
+        .any(|s| !s.full && !s.changes.is_empty()));
+
+    let run = |frame: Option<&[u8]>| {
+        let (mut w, mut r, client, root, m1, granted) = warm_pull();
+        assert_eq!(r.engine().next_request_id(), id);
+        if let Some(frame) = frame {
+            let server = r.engine().service().server_on(m1);
+            w.send(server, client, Payload::bytes(frame.to_vec()));
+        }
+        let report = r.sync(&mut w, client, m1).expect("lossless pull completes");
+        (w, r, client, root, granted, report)
+    };
+    let clean = {
+        let (mut w, mut r, client, root, _, report) = run(None);
+        assert!(report.entries_dropped > 0 && report.entries_restamped > 0);
+        (report, observed(&mut w, &mut r, client, root))
+    };
+    let (mut w, mut r, client, root, _, report) = run(Some(&honest));
+    assert_eq!(
+        (report, observed(&mut w, &mut r, client, root)),
+        clean,
+        "the honest frame"
+    );
+
+    let mut frames: Vec<Vec<u8>> = (0..honest.len())
+        .map(|cut| honest[..cut].to_vec())
+        .collect();
+    for at in 0..honest.len() {
+        for byte in [honest[at] ^ 1, honest[at] ^ 0x80, 0, 0xff] {
+            let mut frame = honest.clone();
+            frame[at] = byte;
+            frames.push(frame);
+        }
+    }
+    let (mut refused, mut heard) = (0, 0);
+    for frame in &frames {
+        let (mut w, mut r, client, root, granted, report) = run(Some(frame));
+        let decoded = ZoneDelta::decode(frame[..].to_vec().into());
+        if decoded.is_none_or(|d| d.id != id) {
+            let got = (report, observed(&mut w, &mut r, client, root));
+            assert_eq!(got, clean, "an unheard frame changed the replica");
+            refused += 1;
+            continue;
+        }
+        heard += 1;
+        // Whatever the frame made the replica keep lapses on schedule.
+        let now = w.now().ticks();
+        assert!(now < granted + HOSTILE_TTL);
+        advance(&mut w, client, granted + HOSTILE_TTL - now);
+        for name in hostile_names() {
+            let (_, from_cache) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
+            assert!(!from_cache, "{name} served past its lease");
+        }
+    }
+    assert!(
+        refused > 100 && heard > 100,
+        "{refused} refused, {heard} heard"
+    );
 }

@@ -17,7 +17,9 @@ use naming_core::lease::ZoneSerial;
 use naming_core::name::{CompoundName, Name};
 use naming_core::state::SystemState;
 use naming_resolver::cache::CachingResolver;
-use naming_resolver::coherence::{CoherenceMode, Heard, LeasedCache, Probe, SerialTable, Validity};
+use naming_resolver::coherence::{
+    CoherenceMode, Heard, LeasedCache, Moved, MovedZone, Probe, SerialTable, Validity,
+};
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::referral::ReferralCache;
 use naming_resolver::service::NameService;
@@ -180,9 +182,9 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
             }
             1 => assert_eq!(cache.sweep(heard(now + 10, None, table)), 8),
             _ => {
-                let moved = ZoneSerial::new(round);
-                table.observe(1, moved);
-                assert_eq!(cache.zones_moved(&[(1, moved)]), 8);
+                let moved = [MovedZone::zone_wide(1, ZoneSerial::new(round))];
+                table.observe(1, moved[0].serial);
+                assert_eq!(cache.zones_moved(Moved::new(&moved, &[])).dropped, 8);
             }
         }
         assert!(cache.is_empty());
@@ -206,7 +208,8 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
 /// Allocations of one warm pull in which one zone moved by one change —
 /// the request's serial list and frame, the authority's answer, the
 /// decoded delta — as counted when each moved zone still had its own drop
-/// walk. The one drop pass over the caches adds none.
+/// walk. The one pass over the caches, which drops what the change
+/// reaches and re-stamps the rest, adds none.
 const PULL_ALLOCATIONS: u64 = 10;
 
 /// Eight zones, one directory in each holding 32 files, all bound under
@@ -247,10 +250,22 @@ fn zoned() -> (
 #[test]
 fn a_warm_pull_allocates_its_exchange_and_no_more() {
     let (mut w, mut r, client, root, m, dirs, names) = zoned();
-    // Counters register and the pull's scratch grows on the first pulls.
+    // Counters register and the pull's scratch grows on the first pulls:
+    // a cold one drops what it finds, a warm one after a publish re-stamps
+    // the names the publish cannot reach.
     r.resolve_batch(&mut w, client, root, &names);
     r.sync(&mut w, client, m).expect("cold pull completes");
-    r.sync(&mut w, client, m).expect("warm pull completes");
+    r.resolve_batch(&mut w, client, root, &names);
+    r.engine_mut()
+        .publish_binding(
+            &mut w,
+            dirs[0],
+            Name::new("warm"),
+            Some(Entity::Object(dirs[1])),
+        )
+        .expect("publish commits");
+    let warm = r.sync(&mut w, client, m).expect("warm pull completes");
+    assert!(warm.entries_restamped > 0);
     for (round, held) in [8usize, 64, 256, 256, 8, 64].into_iter().enumerate() {
         // Refill the cache with `held` names, then move one zone by one
         // change; neither is counted.

@@ -238,8 +238,8 @@ fn side_cache_registry_counters_equal_the_struct_counters() {
 
 /// Every anti-entropy pull adds its report to the `coherence.sync.*`
 /// counters, once: a cold pull (full transfers), warm pulls (incremental,
-/// dropping what a publish refuted) and a pull across a staged authority
-/// regression.
+/// dropping what a publish refuted and re-stamping what it cannot reach)
+/// and a pull across a staged authority regression.
 #[test]
 fn sync_registry_counters_equal_the_reports() {
     let _turn = CACHE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -249,12 +249,13 @@ fn sync_registry_counters_equal_the_reports() {
         .iter()
         .map(|p| CompoundName::parse_path(p).unwrap())
         .collect();
-    let mut totals = [0u64; 4];
+    let mut totals = [0u64; 5];
     let mut pull = |w: &mut World, r: &mut CachingResolver| {
         r.resolve_batch(w, client, root, &names);
         let report = r.sync(w, client, m1).expect("sync completes");
         let counts = [
             report.entries_dropped,
+            report.entries_restamped,
             report.shards_full as u64,
             report.shards_incremental as u64,
             report.regressions as u64,
@@ -278,6 +279,7 @@ fn sync_registry_counters_equal_the_reports() {
     let moved = naming_telemetry::metrics::global().snapshot().diff(&before);
     let names = [
         "entries_dropped",
+        "entries_restamped",
         "shards_full",
         "shards_incremental",
         "regressions",
