@@ -145,6 +145,7 @@ struct ComboResult {
     sum_staleness_ticks: u64,
     false_bottom: u64,
     gave_up: u64,
+    expired: u64,
     syncs: u64,
     missed_syncs: u64,
     transfer_bytes: u64,
@@ -175,6 +176,12 @@ fn run_combo(
     // sweep measures steady-state churn rather than the cold-start
     // stampede (a cold miss costs a full cross-network RTT of virtual
     // time, which would lapse every short-TTL lease before first reuse).
+    // A lease replica's warm state is its heard serials too: it
+    // bootstraps with a pull (full transfers, nothing cached yet) and the
+    // pass is proved by another, as a running replica's would have been.
+    let authority = lease.machines[0];
+    let pull = |rep: &mut Replica| rep.r.sync(&mut rep.w, rep.client, authority);
+    pull(&mut lease).expect("a lossless bootstrap pull completes");
     for z in 0..zones {
         for j in 0..leaves {
             let name = lease.names[z][j].clone();
@@ -194,9 +201,9 @@ fn run_combo(
             );
         }
     }
+    pull(&mut lease).expect("a lossless warm pull completes");
     lease.w.set_message_drop_rate(drop_rate);
     exact.w.set_message_drop_rate(drop_rate);
-    let authority = lease.machines[0];
     let oracle = Resolver::new();
     let mut last_publish = vec![vec![0u64; leaves]; zones];
     let mut out = ComboResult {
@@ -208,6 +215,8 @@ fn run_combo(
     let lease_sent0 = lease.w.trace().counter("sent");
     let exact_sent0 = exact.w.trace().counter("sent");
     let mut publishes = 0usize;
+    // What the oracle says gave up: a bound name answered ⊥ off the wire.
+    let mut oracle_gave_up = 0;
     for round in 0..rounds {
         for (z, publish_row) in last_publish.iter().enumerate() {
             for (j, &last_pub) in publish_row.iter().enumerate() {
@@ -216,13 +225,15 @@ fn run_combo(
                 // Lease replica: resolve, then let the experimenter (not
                 // the resolver!) compare against the authority.
                 let now = lease.w.now().ticks();
-                let (got, from_cache) = lease.r.resolve(
+                let verdict = lease.r.resolve_outcome(
                     &mut lease.w,
                     lease.client,
                     lease.start,
                     &name,
                     Mode::Iterative,
                 );
+                let (got, from_cache) = (verdict.entity, verdict.from_cache);
+                out.gave_up += u64::from(verdict.unreachable); // never cached
                 let truth = oracle.resolve_entity(lease.w.state(), lease.start, &name);
                 if from_cache && got != truth {
                     if got == Entity::Undefined {
@@ -233,7 +244,7 @@ fn run_combo(
                     out.max_staleness_ticks = out.max_staleness_ticks.max(window);
                     out.sum_staleness_ticks += window;
                 } else if !from_cache && got == Entity::Undefined && truth.is_defined() {
-                    out.gave_up += 1; // transport verdict, never cached
+                    oracle_gave_up += 1;
                 }
                 // Exact twin, same name, its own world.
                 let (egot, _efc) = exact.r.resolve(
@@ -260,7 +271,7 @@ fn run_combo(
         pace(&mut lease, ROUND_GAP);
         pace(&mut exact, ROUND_GAP);
         if round % SYNC_EVERY == 0 {
-            match lease.r.sync(&mut lease.w, lease.client, authority) {
+            match pull(&mut lease) {
                 Some(rep) => {
                     out.syncs += 1;
                     out.transfer_bytes += rep.bytes;
@@ -279,7 +290,13 @@ fn run_combo(
         (0, 0),
         "the working set outgrew a cache"
     );
+    // Every name is bound: the transport verdict is exactly the oracle's.
+    assert_eq!(
+        out.gave_up, oracle_gave_up,
+        "a transport failure was reported as ⊥, or a ⊥ as one"
+    );
     out.lease_hits = lease.r.stats().hits;
+    out.expired = lease.r.lease_stats().expired;
     out.exact_hits = exact.r.stats().hits;
     out.lease_messages = lease.w.trace().counter("sent") - lease_sent0;
     out.exact_messages = exact.w.trace().counter("sent") - exact_sent0;
@@ -301,6 +318,7 @@ fn render(zones: usize, leaves: usize, rounds: usize, seed: u64, combos: &[Combo
             .fix("mean_staleness_ticks", mean, 2)
             .val("false_bottom", c.false_bottom)
             .val("gave_up", c.gave_up)
+            .val("expired", c.expired)
             .val("syncs", c.syncs)
             .val("missed_syncs", c.missed_syncs)
             .val("transfer_bytes", c.transfer_bytes)
@@ -423,9 +441,11 @@ fn main() {
     }
     // The paper's bounded-staleness claim, checked: on a lossless
     // network a lease can serve a stale answer for strictly less than
-    // its TTL — the entry was granted before the publish and cannot
-    // outlive grant + ttl — and for at most one sync period: the next
-    // pull hears the publish, and keeps only what it cannot have changed.
+    // its TTL — the entry was granted, or last renewed, before the publish
+    // and cannot outlive that + ttl — and for at most one sync period: the
+    // next pull hears the publish, and keeps only what it cannot have
+    // changed. And a pull renews what it proves: with a lease longer than
+    // the sync period, every lease is proved again before it lapses.
     let sync_period = SYNC_EVERY as u64 * ROUND_GAP;
     for c in &combos {
         if c.drop_rate == 0.0 {
@@ -447,6 +467,9 @@ fn main() {
                 c.exact_stale_served, 0,
                 "exact mode with healing served a stale answer"
             );
+            if c.ttl.is_some_and(|ttl| ttl > sync_period) {
+                assert_eq!(c.expired, 0, "a lease lapsed that a pull had proved");
+            }
         }
     }
     args.emit(

@@ -43,7 +43,7 @@ use crate::referral::{
     NegativeCache, ReferralCache, ValidatedCacheStats, DEFAULT_REFERRAL_CAPACITY,
 };
 use crate::service::NameService;
-use crate::wire::Mode;
+use crate::wire::{Mode, ZoneRead};
 
 /// Default bound on the number of cached resolutions.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 12;
@@ -92,6 +92,18 @@ impl CacheStats {
     }
 }
 
+/// What one cached resolution answered ([`CachingResolver::resolve_outcome`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CachedOutcome {
+    /// The entity (possibly `⊥`).
+    pub entity: Entity,
+    /// Answered by a cache (positive or negative), no network.
+    pub from_cache: bool,
+    /// The `⊥` is a transport verdict — the exchange gave up — and says
+    /// nothing of the binding.
+    pub unreachable: bool,
+}
+
 /// What a cached batch resolution cost.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CachedBatchOutcome {
@@ -99,6 +111,9 @@ pub struct CachedBatchOutcome {
     pub entities: Vec<Entity>,
     /// Per name: answered by a cache (positive or negative), no network.
     pub from_cache: Vec<bool>,
+    /// The slots whose `⊥` is a transport verdict — their exchange gave up
+    /// — in ascending order (empty, and unallocated, when none did).
+    pub unreachable: Vec<usize>,
     /// Wire messages exchanged for the cache misses.
     pub messages: u64,
     /// Virtual time the misses' exchanges took, overlapped: they all go
@@ -126,19 +141,29 @@ struct Plane<P: Validity> {
     evidence: Draw<P>,
     /// Scratch, kept between calls so a miss allocates nothing: per miss of
     /// the batch at hand, its slot, where its exchange starts (context,
-    /// components consumed) and its range of `jump_zones`, which holds each
-    /// miss's footprint up to there back to back — the start context's
-    /// shard, what a cached-referral jump inherited, the target's shard.
-    misses: Vec<(usize, ObjectId, usize, Range<usize>)>,
+    /// components consumed) and its [`Jumped`] footprint, whose range of
+    /// `jump_zones` holds each miss's footprint up to there back to back —
+    /// the start context's shard, what a cached-referral jump inherited,
+    /// the target's shard.
+    misses: Vec<(usize, ObjectId, usize, Jumped)>,
     jump_zones: Vec<usize>,
-    /// Scratch: the whole footprint of the name at hand, rebuilt in place.
+    /// Scratch: the whole footprint of the name at hand, rebuilt in place,
+    /// and the zones its servers read — when they may renew it.
     zones: Vec<usize>,
+    proof: Vec<ZoneRead>,
+    /// Scratch: what the batch's replies read, by slot.
+    reads: Vec<(usize, ZoneRead)>,
     /// Scratch: the referrals the batch at hand has filed, as `(context,
     /// slot, prefix length)` — a prefix is recorded once a batch.
     filed: Vec<(ObjectId, usize, usize)>,
 }
 
 type Draw<P> = for<'a> fn(&'a World, Heard<'a>) -> <P as Validity>::Evidence<'a>;
+
+/// A miss's footprint up to where its exchange starts — a range of
+/// `Plane::jump_zones` — and whether what it records may be renewed: not
+/// after a jump through a referral that may not.
+type Jumped = (Range<usize>, bool);
 
 /// The plane chosen once in [`CachingResolver::with_mode`].
 #[derive(Debug)]
@@ -167,6 +192,8 @@ impl<P: Validity> Plane<P> {
             misses: Vec::new(),
             jump_zones: Vec::new(),
             zones: Vec::new(),
+            proof: Vec::new(),
+            reads: Vec::new(),
             filed: Vec::new(),
         }
     }
@@ -182,15 +209,20 @@ impl<P: Validity> Plane<P> {
         start: ObjectId,
         name: &CompoundName,
         mode: Mode,
-    ) -> (Entity, bool) {
+    ) -> CachedOutcome {
         let (by, comps) = ((self.evidence)(world, heard), name.components());
+        let cached = |entity| CachedOutcome {
+            entity,
+            from_cache: true,
+            unreachable: false,
+        };
         if let Some(e) = self.positives.serve(by, start, comps) {
             mirror_probe_counts(1, 0);
-            return (e, true);
+            return cached(e);
         }
         mirror_probe_counts(0, 1);
         if self.negatives.probe(by, start, comps) {
-            return (Entity::Undefined, true);
+            return cached(Entity::Undefined);
         }
         self.jump_zones.clear();
         // Referrals are only followed — and seen — by an iterative client.
@@ -200,8 +232,14 @@ impl<P: Validity> Plane<P> {
         self.filed.clear();
         let by = (self.evidence)(world, heard);
         let key = (start, std::slice::from_ref(name), 0);
-        self.file(by, key, jumped, &hops, (stats.entity, stats.unreachable));
-        (stats.entity, false)
+        let reads = if P::RENEWS { engine.reads() } else { &[] };
+        let answer = (stats.entity, stats.unreachable);
+        self.file(by, key, jumped, (&hops, reads), answer);
+        CachedOutcome {
+            entity: stats.entity,
+            from_cache: false,
+            unreachable: stats.unreachable,
+        }
     }
 
     /// Many names through the caches; see [`CachingResolver::resolve_batch`].
@@ -218,6 +256,7 @@ impl<P: Validity> Plane<P> {
         let mut out = CachedBatchOutcome {
             entities: vec![Entity::Undefined; names.len()],
             from_cache: vec![false; names.len()],
+            unreachable: Vec::new(),
             messages: 0,
             latency: Duration::ZERO,
         };
@@ -245,15 +284,26 @@ impl<P: Validity> Plane<P> {
             let by = (self.evidence)(world, heard);
             (out.messages, out.latency) = (batch.messages, batch.latency);
             self.filed.clear();
-            // Referrals come back by miss, in miss order.
-            let mut hops = &batch.referrals[..];
+            let mut reads = std::mem::take(&mut self.reads);
+            reads.clear();
+            if P::RENEWS {
+                reads.extend_from_slice(engine.reads());
+                reads.sort_unstable_by_key(|&(slot, _)| slot);
+            }
+            // Referrals and reads come back by miss, in miss order.
+            let (mut hops, mut read) = (&batch.referrals[..], &reads[..]);
             for (i, (slot, _, _, jumped)) in misses.drain(..).enumerate() {
                 out.entities[slot] = batch.entities[i];
-                let own;
+                let (own, own_reads);
                 (own, hops) = hops.split_at(hops.partition_point(|hop| hop.slot == i));
+                (own_reads, read) = read.split_at(read.partition_point(|&(s, _)| s == i));
                 let answer = (batch.entities[i], batch.unreachable[i]);
-                self.file(by, (start, names, slot), jumped, own, answer);
+                if answer.1 {
+                    out.unreachable.push(slot);
+                }
+                self.file(by, (start, names, slot), jumped, (own, own_reads), answer);
             }
+            self.reads = reads;
         }
         self.misses = misses;
         out
@@ -262,15 +312,15 @@ impl<P: Validity> Plane<P> {
     /// Where the exchange for a missed name starts — the deepest cached,
     /// still-valid referral for a prefix of `comps` (when `service` is
     /// given to place it), else `start` — as `(context, components
-    /// consumed to get there, range of `jump_zones` holding the footprint
-    /// so far)`. Jumping changes message counts only.
+    /// consumed to get there, footprint so far)`. Jumping changes message
+    /// counts only.
     fn miss(
         &mut self,
         by: P::Evidence<'_>,
         service: Option<&NameService>,
         start: ObjectId,
         comps: &[Name],
-    ) -> (ObjectId, usize, Range<usize>) {
+    ) -> (ObjectId, usize, Jumped) {
         let lo = self.jump_zones.len();
         self.jump_zones.push(SystemState::shard_of_id(start));
         let jump = service.and_then(|s| self.referrals.lookup_deepest(by, s, start, comps));
@@ -282,27 +332,36 @@ impl<P: Validity> Plane<P> {
             }
             None => (start, 0),
         };
-        (from, plen, lo..self.jump_zones.len())
+        let vouched = plen == 0 || (P::RENEWS && self.referrals.vouched(start, &comps[..plen]));
+        (from, plen, (lo..self.jump_zones.len(), vouched))
     }
 
     /// Files what the exchanges for `names[slot]` brought back, its
-    /// footprint so far being `jumped`. The referrals it followed (`hops`,
-    /// each after a prefix of the whole name) are remembered under the
-    /// cumulative footprint of the zones crossed to reach them, each
-    /// prefix once in `filed`. Then the answer: a binding enters the
-    /// positive cache, a `⊥` the negative cache — whose recorder refuses it
-    /// when the network alone failed us.
+    /// footprint so far being `jumped`: the referrals it followed (`hops`,
+    /// each after a prefix of the whole name) and what the answering
+    /// servers read (`reads`). Every zone read joins the footprint —
+    /// silently walked ones too — and, unless the jump forbids it, the
+    /// reads go with each entry as its proof for renewal. The referrals are
+    /// remembered under the cumulative footprint of the zones crossed to
+    /// reach them, each prefix once in `filed`. Then the answer: a binding
+    /// enters the positive cache, a `⊥` the negative cache — whose recorder
+    /// refuses it when the network alone failed us.
     fn file(
         &mut self,
         by: P::Evidence<'_>,
         (start, names, slot): (ObjectId, &[CompoundName], usize),
-        jumped: Range<usize>,
-        hops: &[ReferralHop],
+        (jumped, vouched): Jumped,
+        (hops, reads): (&[ReferralHop], &[(usize, ZoneRead)]),
         (entity, unreachable): (Entity, bool),
     ) {
         let comps = names[slot].components();
         self.zones.clear();
         self.zones.extend_from_slice(&self.jump_zones[jumped]);
+        self.zones.extend(reads.iter().map(|&(_, (zone, _))| zone));
+        self.proof.clear();
+        if vouched {
+            self.proof.extend(reads.iter().map(|&(_, read)| read));
+        }
         // A hop consumed a proper prefix: the continuation follows no other.
         for &ReferralHop { consumed, ctx, .. } in hops {
             self.zones.push(SystemState::shard_of_id(ctx));
@@ -312,18 +371,22 @@ impl<P: Validity> Plane<P> {
             };
             if !self.filed.iter().any(same) {
                 self.filed.push((ctx, slot, consumed));
-                self.referrals.record(by, start, prefix, ctx, &self.zones);
+                let (zones, proof, ctx) = (&self.zones, &self.proof, Entity::Object(ctx));
+                self.referrals
+                    .record_read(by, start, prefix, ctx, zones, proof, false);
             }
         }
         if let Entity::Object(o) = entity {
             self.zones.push(SystemState::shard_of_id(o));
         }
+        let (zones, proof) = (&self.zones, &self.proof);
         if entity.is_defined() {
             self.positives
-                .record(by, start, comps, entity, &self.zones, true);
+                .record_read(by, start, comps, entity, zones, proof, true);
         } else {
+            let undefined = Entity::Undefined;
             self.negatives
-                .record(by, start, comps, &self.zones, unreachable);
+                .record_read(by, start, comps, undefined, zones, proof, unreachable);
         }
     }
 
@@ -359,10 +422,11 @@ impl<P: Validity> Plane<P> {
 /// [`CachingResolver::serial_table`] — and entries are stamped with a
 /// *protocol-visible* zone footprint: the start context's shard, every
 /// referral target's shard (including the footprint inherited from a
-/// cached-referral jump), and the answer object's shard. Contexts a
-/// server walks silently between referrals are covered by the TTL bound
-/// alone, exactly as a DNS resolver's cached record is unaffected by a
-/// parent-zone edit.
+/// cached-referral jump), every zone the answering servers read — the
+/// contexts a server walks silently between referrals among them, as each
+/// reply states — and the answer object's shard. A lease lapses after its
+/// TTL unless the pulls since proved the entry still current
+/// ([`crate::coherence`]): then it is renewed.
 #[derive(Debug)]
 pub struct CachingResolver {
     engine: ProtocolEngine,
@@ -544,8 +608,12 @@ impl CachingResolver {
     /// precisely the §5 incoherence this type exists to measure; use
     /// [`CachingResolver::heal`] to apply generation-based invalidation.
     /// In lease mode a hit is an entry whose lease, granted from the tick
-    /// its resolution started, holds and whose zones' heard serials have
-    /// not moved.
+    /// its resolution started or renewed from the last pull that proved
+    /// it, holds and whose zones' heard serials have not moved.
+    ///
+    /// Returns the entity and whether a cache answered;
+    /// [`CachingResolver::resolve_outcome`] also says whether a `⊥` is a
+    /// transport verdict.
     pub fn resolve(
         &mut self,
         world: &mut World,
@@ -554,9 +622,24 @@ impl CachingResolver {
         name: &CompoundName,
         mode: Mode,
     ) -> (Entity, bool) {
-        let heard = Self::heard(self.mode, &self.table, world.now().ticks());
-        let engine = &mut self.engine;
-        on_plane!(&mut self.plane, p => p.resolve_one(engine, world, heard, client, start, name, mode))
+        let out = self.resolve_outcome(world, client, start, name, mode);
+        (out.entity, out.from_cache)
+    }
+
+    /// [`CachingResolver::resolve`], with the transport verdict.
+    pub fn resolve_outcome(
+        &mut self,
+        world: &mut World,
+        client: ActivityId,
+        start: ObjectId,
+        name: &CompoundName,
+        mode: Mode,
+    ) -> CachedOutcome {
+        self.mirroring_renewals(|r| {
+            let heard = Self::heard(r.mode, &r.table, world.now().ticks());
+            let engine = &mut r.engine;
+            on_plane!(&mut r.plane, p => p.resolve_one(engine, world, heard, client, start, name, mode))
+        })
     }
 
     /// Resolves many names through the cache in one shot: cache (and
@@ -576,9 +659,24 @@ impl CachingResolver {
         start: ObjectId,
         names: &[CompoundName],
     ) -> CachedBatchOutcome {
-        let heard = Self::heard(self.mode, &self.table, world.now().ticks());
-        let engine = &mut self.engine;
-        on_plane!(&mut self.plane, p => p.resolve_many(engine, world, heard, client, start, names))
+        self.mirroring_renewals(|r| {
+            let heard = Self::heard(r.mode, &r.table, world.now().ticks());
+            let engine = &mut r.engine;
+            on_plane!(&mut r.plane, p => p.resolve_many(engine, world, heard, client, start, names))
+        })
+    }
+
+    /// Runs `f`, then mirrors the positive store's lease renewals it made
+    /// into the `coherence.lease.renewed` registry counter, in one add like
+    /// [`mirror_probe_counts`].
+    fn mirroring_renewals<T>(&mut self, f: impl FnOnce(&mut CachingResolver) -> T) -> T {
+        let before = self.lease_stats().renewed;
+        let out = f(self);
+        let renewed = self.lease_stats().renewed - before;
+        if renewed > 0 {
+            naming_telemetry::counter!("coherence.lease.renewed").add(renewed);
+        }
+        out
     }
 
     /// Drops one cache entry.
@@ -618,17 +716,18 @@ impl CachingResolver {
     }
 
     /// Drops every leased entry (positive, referral, negative) whose
-    /// lease has lapsed at virtual time `now`; returns how many. A no-op
-    /// in exact mode. Probes drop lapsed entries on sight anyway; this
+    /// lease has lapsed at virtual time `now`, unless the pulls since have
+    /// proved it (then it is renewed); returns how many went. A no-op in
+    /// exact mode. Probes drop lapsed entries on sight anyway; this
     /// reclaims space for entries that are never probed again.
     pub fn sweep_leases(&mut self, now: u64) -> usize {
-        match &mut self.plane {
+        self.mirroring_renewals(|r| match &mut r.plane {
             Planes::Oracle(_) => 0,
             Planes::Lease(p) => {
-                let swept = p.sweep(Self::heard(self.mode, &self.table, now));
+                let swept = p.sweep(Self::heard(r.mode, &r.table, now));
                 swept.iter().sum()
             }
-        }
+        })
     }
 
     /// Anti-entropy pull: asks the authority on `machine` for zone deltas
@@ -652,6 +751,7 @@ impl CachingResolver {
         machine: MachineId,
     ) -> Option<SyncReport> {
         let since = self.table.snapshot_for(world.state().shard_count());
+        let sent = world.now().ticks();
         let (delta, bytes) = self
             .engine
             .pull_zone_deltas(world, client, machine, since)?;
@@ -668,6 +768,9 @@ impl CachingResolver {
                 report.regressions += usize::from(seen == SerialObservation::Regressed);
                 self.moved.push(moved);
             }
+            // The reply proves the zone at the serial it states, as of no
+            // earlier than the pull went out.
+            self.table.vouch(slice.shard, sent);
         }
         // Entries stamped under a moved zone's old serial were justified by
         // history the zone no longer stands behind, unless its diff proves
@@ -1460,6 +1563,38 @@ mod tests {
             w.set_message_drop_rate(0.0);
             let (healed, _) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
             assert!(healed.is_defined(), "no poisoned ⊥ survives the outage");
+        }
+    }
+
+    #[test]
+    fn a_transport_failure_is_reported_unreachable_not_bottom() {
+        // Under total loss a cached resolve tells the caller the exchange
+        // gave up — single and batch, under either policy — while a `⊥` a
+        // cache or an authority stated is a verdict on the binding.
+        for mode in [
+            CoherenceMode::Exact,
+            CoherenceMode::Lease { ttl: Some(1_000) },
+        ] {
+            let (mut w, mut r, client, root, _m1) = setup_mode(mode);
+            let path = |p| CompoundName::parse_path(p).unwrap();
+            let (bound, unbound) = (path("/remote/data"), path("/remote/nope"));
+            let out = r.resolve_batch(&mut w, client, root, std::slice::from_ref(&unbound));
+            assert_eq!(
+                (out.entities, out.unreachable),
+                (vec![Entity::Undefined], vec![])
+            );
+            w.set_message_drop_rate(1.0);
+            let single = r.resolve_outcome(&mut w, client, root, &bound, Mode::Iterative);
+            let gave_up = CachedOutcome {
+                entity: Entity::Undefined,
+                from_cache: false,
+                unreachable: true,
+            };
+            assert_eq!(single, gave_up, "{mode:?}");
+            let names = [unbound.clone(), bound.clone(), unbound, bound];
+            let out = r.resolve_batch(&mut w, client, root, &names);
+            assert_eq!(out.unreachable, [1, 3], "{mode:?}");
+            assert_eq!(out.from_cache, [true, false, true, false]);
         }
     }
 

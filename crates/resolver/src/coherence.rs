@@ -47,9 +47,27 @@
 //! replica's copy of the context bound, which no `was` names, so a change
 //! of its last label always drops it. Full transfers, regressions and
 //! slices from any other serial say nothing about which bindings moved and
-//! keep the zone-wide drop. An entry that was already stale when recorded
-//! (a lagging copy answered it) still dies by its TTL: nothing here
-//! extends a lease.
+//! keep the zone-wide drop.
+//!
+//! A pull also *renews* what it proves. Each reply says which zones its
+//! walks read, at which serial ([`ZoneRead`]): a primary context's zone at
+//! σ's current serial, a replica copy's at the primary's serial when the
+//! copy was last refreshed. An entry whose every read serial is at or past
+//! the serial heard for its zone when it was recorded is *renewable*; an
+//! answer from a lagging copy never is. [`SerialTable`] keeps, per zone,
+//! the tick the last pull that vouched for the heard serial (a heartbeat or
+//! a diff) was *sent*. A probe or sweep that finds a renewable entry's
+//! lease lapsed while all its stamps still read the heard serials re-grants
+//! it until the earliest such tick over its zones plus the TTL.
+//!
+//! Why this is sound: the entry was read at a serial r at or past its
+//! stamp, so every change after r lies in the diffs that re-stamped it —
+//! and none of them could reach it. Its answer is therefore σ's answer at
+//! the serial the pull proved, and σ held that serial no earlier than the
+//! pull was sent: counting the lease from the send tick keeps staleness
+//! under the TTL, and on a lossless network within one pull period (the
+//! next pull drops what a change reached). An entry recorded with no read
+//! proof — or through a cached referral that had none — dies by its TTL.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -59,7 +77,7 @@ use naming_core::name::Name;
 use naming_core::slab_lru::{SlabLru, Upsert};
 use naming_core::state::MAX_SHARDS;
 
-use crate::wire::{ShardDelta, ZoneChange};
+use crate::wire::{ShardDelta, ZoneChange, ZoneRead};
 
 /// How a cache decides whether an entry may still be served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,12 +123,15 @@ pub enum SerialObservation {
 }
 
 /// A replica's knowledge of zone serials: the newest serial *heard* per
-/// shard, strictly via anti-entropy — never read from σ.
+/// shard, strictly via anti-entropy — never read from σ — and when a pull
+/// last vouched for it.
 #[derive(Clone, Debug, Default)]
 pub struct SerialTable {
-    /// Indexed by shard, grown on demand; a shard past the end — like one
-    /// explicitly at [`ZoneSerial::ZERO`] — was never heard from.
-    heard: Vec<ZoneSerial>,
+    /// Indexed by shard, grown on demand: the serial heard, and the tick the
+    /// last pull that proved the zone at it was sent (0: none did). A shard
+    /// past the end — like one explicitly at [`ZoneSerial::ZERO`] — was
+    /// never heard from.
+    heard: Vec<(ZoneSerial, u64)>,
 }
 
 impl SerialTable {
@@ -124,7 +145,27 @@ impl SerialTable {
     /// ([`ZoneSerial::ZERO`] when the zone was never heard from).
     #[inline]
     pub fn known(&self, shard: usize) -> ZoneSerial {
-        self.heard.get(shard).copied().unwrap_or(ZoneSerial::ZERO)
+        self.heard
+            .get(shard)
+            .map_or(ZoneSerial::ZERO, |&(serial, _)| serial)
+    }
+
+    /// The tick the last pull that proved `shard` at its heard serial was
+    /// sent (0 when none did).
+    #[inline]
+    pub fn proved_at(&self, shard: usize) -> u64 {
+        self.heard.get(shard).map_or(0, |&(_, sent)| sent)
+    }
+
+    /// Records that a pull sent at `sent` proved `shard` at the serial now
+    /// heard: a heartbeat or a diff, adopted ([`SerialTable::adopt`]) first.
+    pub fn vouch(&mut self, shard: usize, sent: u64) {
+        if shard < MAX_SHARDS {
+            if shard >= self.heard.len() {
+                self.heard.resize(shard + 1, (ZoneSerial::ZERO, 0));
+            }
+            self.heard[shard].1 = sent;
+        }
     }
 
     /// Folds an authoritative serial into the table, reporting how it
@@ -141,9 +182,10 @@ impl SerialTable {
             return SerialObservation::Unchanged;
         }
         if shard >= self.heard.len() {
-            self.heard.resize(shard + 1, ZoneSerial::ZERO);
+            self.heard.resize(shard + 1, (ZoneSerial::ZERO, 0));
         }
-        self.heard[shard] = serial;
+        // Nothing has proved the new serial yet.
+        self.heard[shard] = (serial, 0);
         if serial.is_newer_than(known) {
             SerialObservation::Advanced
         } else {
@@ -262,9 +304,11 @@ pub trait Validity: Sized {
     /// Records that `suffix` from `start` denotes `entity`; returns whether
     /// the entry was kept. `zones` is the protocol-visible footprint of the
     /// resolution: the shards of the start context, of every referral
-    /// target and of the answer. A validated cache keeps only what the
-    /// policy can justify; the positive cache records `on_trust` — the
-    /// protocol's answer as given, the counterpart of [`Validity::serve`].
+    /// target, of every zone a server read and of the answer. A validated
+    /// cache keeps only what the policy can justify; the positive cache
+    /// records `on_trust` — the protocol's answer as given, the counterpart
+    /// of [`Validity::serve`]. The entry has no read proof, so it is never
+    /// renewed.
     fn record(
         &mut self,
         by: Self::Evidence<'_>,
@@ -273,7 +317,35 @@ pub trait Validity: Sized {
         entity: Entity,
         zones: &[usize],
         on_trust: bool,
+    ) -> bool {
+        self.record_read(by, start, suffix, entity, zones, &[], on_trust)
+    }
+
+    /// [`Validity::record`] with what the answering walks read: a policy
+    /// that renews leases keeps the entry renewable when every read serial
+    /// is at or past the one heard for its zone (no read: never).
+    #[allow(clippy::too_many_arguments)]
+    fn record_read(
+        &mut self,
+        by: Self::Evidence<'_>,
+        start: ObjectId,
+        suffix: &[Name],
+        entity: Entity,
+        zones: &[usize],
+        reads: &[ZoneRead],
+        on_trust: bool,
     ) -> bool;
+
+    /// Whether [`Validity::record_read`] reads its `reads` — a policy that
+    /// renews what a pull proves.
+    const RENEWS: bool = false;
+
+    /// Whether the held entry for `(start, suffix)` may be renewed: a
+    /// caller that jumped through a cached referral may renew what it
+    /// records downstream only if so.
+    fn vouched(&self, _start: ObjectId, _suffix: &[Name]) -> bool {
+        false
+    }
 
     /// The zones the held entry for `(start, suffix)` depends on (empty
     /// when nothing is held), which a caller that jumped through a cached
@@ -295,8 +367,8 @@ pub trait Validity: Sized {
     /// is the entry's entity. Sound by §2: the walk that answered the entry
     /// consulted σ only at the bindings it crossed, each by one of its
     /// labels, and its answer is the last one's value — so a change it does
-    /// not reach left the answer as it was. Leases are never extended: an
-    /// entry already stale when recorded still lapses on time.
+    /// not reach left the answer as it was. A pass extends no lease; a probe
+    /// renews what the pulls proved (module doc).
     fn zones_moved(&mut self, _moved: Moved<'_>) -> Pass {
         Pass::default()
     }
@@ -429,6 +501,8 @@ pub struct LeaseCacheStats {
     pub recorded: u64,
     /// Entries evicted by the capacity bound.
     pub evictions: u64,
+    /// Lapsed leases re-granted because the pulls since proved the entry.
+    pub renewed: u64,
 }
 
 impl LeaseCacheStats {
@@ -465,11 +539,30 @@ struct LeasedEntry {
     /// Bit `z % 64` for each zone `z`: a pull whose moved zones miss the
     /// mask cannot refute the entry, and leaves the vectors unread.
     mask: u64,
+    /// Every zone was read at or past the serial heard at record time.
+    renewable: bool,
 }
 
 impl LeasedEntry {
     fn stamped(&self) -> impl Iterator<Item = (usize, ZoneSerial)> + '_ {
         self.zones.iter().copied().zip(self.stamps.iter().copied())
+    }
+
+    /// Re-grants a lapsed lease: a renewable entry whose stamps all read
+    /// the heard serials runs until the earliest tick a pull proving one of
+    /// its zones was sent, plus the TTL — if that is still ahead of now.
+    fn renew(&mut self, by: Heard<'_>) -> bool {
+        if !self.renewable || self.stamped().any(|(z, s)| by.table.known(z) != s) {
+            return false;
+        }
+        let granted = self.zones.iter().map(|&z| by.table.proved_at(z)).min();
+        let expires_at =
+            granted.map_or(0, |t| Lease::grant(t, by.ttl, ZoneSerial::ZERO).expires_at);
+        let renewed = by.now < expires_at;
+        if renewed {
+            self.expires_at = expires_at;
+        }
+        renewed
     }
 }
 
@@ -533,14 +626,18 @@ impl Validity for LeasedCache {
         self.store.len()
     }
 
-    /// Validates with the two replica-local checks.
+    /// Validates with the two replica-local checks, renewing a lapsed lease
+    /// the pulls since have proved.
     fn probe(&mut self, by: Heard<'_>, start: ObjectId, suffix: &[Name]) -> Probe {
         let Some(slot) = self.store.find(start, suffix) else {
             self.stats.misses += 1;
             return Probe::Miss;
         };
-        let entry = self.store.value(slot);
-        let verdict = if by.now >= entry.expires_at {
+        let entry = self.store.value_mut(slot);
+        let lapsed = by.now >= entry.expires_at;
+        let renewed = lapsed && entry.renew(by);
+        self.stats.renewed += u64::from(renewed);
+        let verdict = if lapsed && !renewed {
             self.stats.expired += 1;
             Probe::Expired
         } else if entry.stamped().any(|(z, s)| by.table.known(z) != s) {
@@ -560,18 +657,22 @@ impl Validity for LeasedCache {
         verdict
     }
 
+    const RENEWS: bool = true;
+
     /// Grants a lease at `by.now` for `by.ttl` ticks, stamping each of
     /// `zones` with the serial currently heard. Justified by the protocol's
     /// answer alone, trusted or not: a lagging authority *may* plant a stale
-    /// entry, and the lease bounds how long it misleads. A `ttl` of 0 is
-    /// never valid, so records nothing.
-    fn record(
+    /// entry, and the lease bounds how long it misleads — its reads lag the
+    /// serials heard, so it is not renewable. A `ttl` of 0 is never valid,
+    /// so records nothing.
+    fn record_read(
         &mut self,
         by: Heard<'_>,
         start: ObjectId,
         suffix: &[Name],
         entity: Entity,
         zones: &[usize],
+        reads: &[ZoneRead],
         _on_trust: bool,
     ) -> bool {
         if by.ttl == Some(0) {
@@ -587,6 +688,8 @@ impl Validity for LeasedCache {
         e.stamps.clear();
         e.stamps.extend(e.zones.iter().map(|&z| by.table.known(z)));
         e.mask = e.zones.iter().fold(0, |m, &z| m | 1 << (z % 64));
+        let fresh = |&(z, read): &ZoneRead| read.distance_from(by.table.known(z)).is_some();
+        e.renewable = !reads.is_empty() && reads.iter().all(fresh);
         self.stats.recorded += 1;
         self.stats.evictions += u64::from(how == Upsert::Inserted { evicted: true });
         true
@@ -597,6 +700,11 @@ impl Validity for LeasedCache {
             Some(slot) => &self.store.value(slot).zones,
             None => &[],
         }
+    }
+
+    fn vouched(&self, start: ObjectId, suffix: &[Name]) -> bool {
+        let found = self.store.find(start, suffix);
+        found.is_some_and(|slot| self.store.value(slot).renewable)
     }
 
     /// No invalidation is counted — that is the caller's policy.
@@ -610,11 +718,21 @@ impl Validity for LeasedCache {
         self.store.clear();
     }
 
-    /// Drops every entry whose lease has lapsed at `by.now`. (Serial
-    /// movement is swept when it is heard: [`Validity::zones_moved`].)
+    /// Drops every entry whose lease has lapsed at `by.now` and cannot be
+    /// renewed. (Serial movement is swept when it is heard:
+    /// [`Validity::zones_moved`].)
     fn sweep(&mut self, by: Heard<'_>) -> usize {
-        let n = self.store.retain(|_, e| by.now < e.expires_at);
+        let mut renewed = 0;
+        let n = self.store.retain(|_, e| {
+            if by.now < e.expires_at {
+                return true;
+            }
+            let kept = e.renew(by);
+            renewed += u64::from(kept);
+            kept
+        });
         self.stats.expired += n as u64;
+        self.stats.renewed += renewed;
         n
     }
 

@@ -26,7 +26,7 @@ use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::engine::{BatchResolveStats, ProtocolEngine, ReferralHop};
+use crate::engine::{BatchResolveStats, ProtocolEngine, ReferralHop, BLOCKING};
 use crate::wire::{Mode, Outcome, RequestFrame};
 
 /// A table keyed by numbers handed out in increasing order (request ids,
@@ -359,6 +359,13 @@ impl Continuation {
             for i in ex.riders.clone() {
                 let outcome = engine.scratch.outcomes.get(self.mapping[i] as usize);
                 self.file(self.round[i], outcome.copied());
+                // What each name's answer stands on, for the blocking
+                // driver's caller: a cache that renews what it records.
+                if self.seq == BLOCKING {
+                    let (s, slot) = (&mut engine.scratch, self.round[i].slot);
+                    let reads = s.reads.iter().map(|&read| (slot, read));
+                    s.reads_by_slot.extend(reads);
+                }
             }
             return;
         }

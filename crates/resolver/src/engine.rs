@@ -21,10 +21,10 @@ use naming_sim::world::{Stepped, World};
 
 use crate::coherence::ZoneJournal;
 use crate::continuation::{Continuation, Dense, Route, Start};
-use crate::service::{BatchScratch, NameService};
+use crate::service::{note_read, BatchScratch, NameService};
 use crate::wire::{
     self, Frame, Label, Mode, NameTrie, Outcome, ReplyFrame, RequestFrame, ShardDelta, WalkScratch,
-    ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
+    ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneRead, ZoneUpdate,
 };
 
 /// What a completed resolution cost.
@@ -164,8 +164,11 @@ pub(crate) struct Scratch {
     pub(crate) remap: Vec<u32>,
     seen: Vec<u64>,
     batch: BatchScratch,
-    /// The reply being read.
+    /// The reply being read: its outcomes and the zones it read.
     pub(crate) outcomes: Vec<Outcome>,
+    pub(crate) reads: Vec<ZoneRead>,
+    /// What the last blocking resolution's replies read, by input slot.
+    pub(crate) reads_by_slot: Vec<(usize, ZoneRead)>,
     pub(crate) spares: Spares,
 }
 
@@ -203,16 +206,17 @@ pub(crate) const MAX_STEPS_PER_BATCH: usize = 100_000;
 
 /// The key the blocking driver files its one continuation under. No
 /// pipelined submission ticket reaches it.
-const BLOCKING: u64 = u64::MAX;
+pub(crate) const BLOCKING: u64 = u64::MAX;
 
 /// Drives the resolution protocol over a [`World`].
 #[derive(Debug)]
 pub struct ProtocolEngine {
     service: NameService,
     /// Recursive requests a server forwarded: (server, request id) → whom
-    /// to relay the answer to. Forgotten with the superseded attempts (see
-    /// `forget_unanswerable`) or when the server restarts.
-    forwarding: BTreeMap<(ActivityId, u64), ActivityId>,
+    /// to relay the answer to, and the zones the server's own walk read.
+    /// Forgotten with the superseded attempts (see `forget_unanswerable`)
+    /// or when the server restarts.
+    forwarding: BTreeMap<(ActivityId, u64), (ActivityId, Vec<ZoneRead>)>,
     next_id: u64,
     /// Request id → the exchange awaiting its reply, for every driver on
     /// this engine. An id leaves when answered, superseded or given up.
@@ -500,6 +504,7 @@ impl ProtocolEngine {
     ) -> BatchResolveStats {
         let t0 = world.now();
         let sent0 = world.trace().counter("sent");
+        self.scratch.reads_by_slot.clear();
         let mut cont = Continuation::new(self, BLOCKING, client, names, mode);
         self.drain_servers(world);
         let mut steps = 0usize;
@@ -522,6 +527,13 @@ impl ProtocolEngine {
         }
     }
 
+    /// The zones the replies of the last blocking resolution read, each as
+    /// `(input slot, read)`, in the order they were heard: what a name's
+    /// answer stands on.
+    pub(crate) fn reads(&self) -> &[(usize, ZoneRead)] {
+        &self.scratch.reads_by_slot
+    }
+
     /// Hands `deliver` what `client` has heard since it was last polled,
     /// each with the route to the exchange it is about: first the replies
     /// waiting in its mailbox — servers touched and lookups saved, the
@@ -539,8 +551,9 @@ impl ProtocolEngine {
                 let Payload::Bytes(bytes) = part else {
                     continue;
                 };
-                let read = wire::read_reply(&bytes, &mut self.scratch.outcomes);
-                self.scratch.spares.recycle(bytes);
+                let s = &mut self.scratch;
+                let read = wire::read_reply(&bytes, &mut s.outcomes, &mut s.reads);
+                s.spares.recycle(bytes);
                 let Some((id, touched, saved)) = read else {
                     continue;
                 };
@@ -815,14 +828,15 @@ impl ProtocolEngine {
                 let request = RequestFrame(Mode::Recursive, id, next_ctx, &s.trie);
                 let frame = codec::encode_with(&request, |len| s.spares.take(len));
                 if let Some(frame) = frame {
-                    self.forwarding.insert((server, id), requester);
+                    let own = s.batch.reads.clone();
+                    self.forwarding.insert((server, id), (requester, own));
                     return world.send(server, next, Payload::Bytes(frame));
                 }
             }
             // Nobody runs there, or the wire cannot carry what is left.
             s.batch.outcomes[0] = Outcome::Unreachable { attempts: 0 };
         }
-        let reply = ReplyFrame(id, 1, saved, &s.batch.outcomes);
+        let reply = ReplyFrame(id, 1, saved, &s.batch.outcomes, &s.batch.reads);
         let reply = codec::encode_with(&reply, |len| s.spares.take(len));
         if let Some(reply) = reply {
             world.send(server, requester, Payload::Bytes(reply));
@@ -830,20 +844,23 @@ impl ProtocolEngine {
     }
 
     /// Relays the answer to a recursive request `server` forwarded to whom
-    /// it forwarded it for, counting `server` among the servers touched. A
-    /// reply nothing was forwarded for is dropped.
+    /// it forwarded it for, counting `server` among the servers touched and
+    /// adding the zones its own walk read. A reply nothing was forwarded for
+    /// is dropped.
     fn relay_reply(&mut self, world: &mut World, server: ActivityId, frame: Bytes) {
         let s = &mut self.scratch;
-        let read = wire::read_reply(&frame, &mut s.outcomes);
+        let read = wire::read_reply(&frame, &mut s.outcomes, &mut s.reads);
         s.spares.recycle(frame);
         let Some((id, touched, saved)) = read else {
             return;
         };
-        let Some(requester) = self.forwarding.remove(&(server, id)) else {
+        let Some((requester, own)) = self.forwarding.remove(&(server, id)) else {
             return;
         };
+        own.into_iter()
+            .for_each(|read| note_read(&mut s.reads, read));
         let touched = touched.saturating_add(1);
-        let reply = ReplyFrame(id, touched, saved, &s.outcomes);
+        let reply = ReplyFrame(id, touched, saved, &s.outcomes, &s.reads);
         let reply = codec::encode_with(&reply, |len| s.spares.take(len));
         if let Some(reply) = reply {
             world.send(server, requester, Payload::Bytes(reply));
@@ -865,6 +882,17 @@ impl ProtocolEngine {
         if let Some(ctx) = world.state_mut().context_mut(copy) {
             let fresh: naming_core::context::Context = update.bindings.iter().copied().collect();
             *ctx = fresh;
+        }
+        // The frame carries no serial. Where the copy now holds the
+        // primary's bindings as they stand, it is as fresh as the primary's
+        // zone; otherwise it keeps the serial it had, which is older than
+        // what it holds — a copy may understate its freshness, never
+        // overstate it.
+        let state = world.state();
+        let current = state.context(update.zone).map(|p| p.iter());
+        if current.is_some_and(|p| p.eq(update.bindings.iter().copied())) {
+            let shard = SystemState::shard_of_id(update.zone);
+            self.service.refreshed(copy, state.shard_serial(shard));
         }
     }
 

@@ -27,6 +27,7 @@ use naming_sim::world::World;
 
 use crate::coherence::{Moved, Pass, Probe, Validity};
 use crate::service::NameService;
+use crate::wire::ZoneRead;
 
 /// Default bound on cached referrals / negative entries.
 pub const DEFAULT_REFERRAL_CAPACITY: usize = 1 << 10;
@@ -71,13 +72,14 @@ impl Validity for ResolutionMemo {
     /// changed in flight — and a cache that can't justify an entry must not
     /// keep it. An empty footprint (a depth verdict) would validate forever
     /// and is refused too. The walk goes into the memo's own buffer.
-    fn record(
+    fn record_read(
         &mut self,
         world: &World,
         start: ObjectId,
         suffix: &[Name],
         entity: Entity,
         _zones: &[usize],
+        _reads: &[ZoneRead],
         on_trust: bool,
     ) -> bool {
         let state = world.state();
@@ -212,6 +214,41 @@ impl<P: Validity, const NEGATIVE: bool> Validated<P, NEGATIVE> {
         self.store.clear();
     }
 
+    /// Whether the held entry for `(start, name)` may be renewed
+    /// ([`Validity::vouched`]).
+    pub(crate) fn vouched(&self, start: ObjectId, name: &[Name]) -> bool {
+        self.store.vouched(start, name)
+    }
+
+    /// Records that `name` from `start` denotes `entity`, having crossed
+    /// `zones` and read `reads` ([`Validity::record_read`]) — unless the
+    /// verdict is `unreachable` ([`NegativeCache::record`]). Returns
+    /// whether an entry was kept.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn record_read(
+        &mut self,
+        by: P::Evidence<'_>,
+        start: ObjectId,
+        name: &[Name],
+        entity: Entity,
+        zones: &[usize],
+        reads: &[ZoneRead],
+        unreachable: bool,
+    ) -> bool {
+        if unreachable {
+            naming_telemetry::counter!("cache.unreachable_uncached").bump();
+            return false;
+        }
+        let kept = self
+            .store
+            .record_read(by, start, name, entity, zones, reads, false);
+        self.stats.recorded += u64::from(kept);
+        if kept && NEGATIVE {
+            naming_telemetry::counter!("negcache.recorded").bump();
+        }
+        kept
+    }
+
     /// The one place `hits` and `misses` move, struct and registry together.
     fn looked_up(&mut self, hit: bool) -> bool {
         self.stats.hits += u64::from(hit);
@@ -250,11 +287,7 @@ impl<P: Validity> ReferralCache<P> {
         ctx: ObjectId,
         zones: &[usize],
     ) -> bool {
-        let kept = self
-            .store
-            .record(by, start, prefix, Entity::Object(ctx), zones, false);
-        self.stats.recorded += u64::from(kept);
-        kept
+        self.record_read(by, start, prefix, Entity::Object(ctx), zones, &[], false)
     }
 
     /// Finds the deepest cached, still-valid referral for a proper prefix
@@ -318,18 +351,8 @@ impl<P: Validity> NegativeCache<P> {
         zones: &[usize],
         unreachable: bool,
     ) -> bool {
-        if unreachable {
-            naming_telemetry::counter!("cache.unreachable_uncached").bump();
-            return false;
-        }
-        let kept = self
-            .store
-            .record(by, start, name, Entity::Undefined, zones, false);
-        if kept {
-            self.stats.recorded += 1;
-            naming_telemetry::counter!("negcache.recorded").bump();
-        }
-        kept
+        let undefined = Entity::Undefined;
+        self.record_read(by, start, name, undefined, zones, &[], unreachable)
     }
 }
 

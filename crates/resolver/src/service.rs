@@ -13,16 +13,18 @@
 //! [`crate::concurrent`] with "go on everywhere".
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::hash::FxHashMap;
+use naming_core::lease::ZoneSerial;
 use naming_core::name::CompoundName;
 use naming_core::resolve::DEFAULT_DEPTH_LIMIT;
 use naming_core::state::{SystemState, LOCAL_BITS, MAX_SHARD_OBJECTS};
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::wire::{Label, NameTrie, Outcome, WalkScratch};
+use crate::wire::{Label, NameTrie, Outcome, WalkScratch, ZoneRead};
 
 /// Which machine is authoritative for each object: one flat table per
 /// state shard, indexed by the object's shard-local index. Object ids are
@@ -97,11 +99,23 @@ pub(crate) struct AuthorityScratch {
 }
 
 /// The buffers of [`NameService::local_resolve_batch`], reusable from one
-/// request to the next; `outcomes` holds the last trie's, by query id.
+/// request to the next; `outcomes` holds the last trie's, by query id, and
+/// `reads` the zones its walk read.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     walk: AuthorityScratch,
     pub(crate) outcomes: Vec<Outcome>,
+    pub(crate) reads: Vec<ZoneRead>,
+}
+
+/// Adds `read` to `reads`, one entry a zone: where a zone was read at two
+/// serials, the answers stand on the older.
+pub(crate) fn note_read(reads: &mut Vec<ZoneRead>, (shard, serial): ZoneRead) {
+    match reads.iter_mut().find(|(z, _)| *z == shard) {
+        Some((_, at)) if at.is_newer_than(serial) => *at = serial,
+        Some(_) => {}
+        None => reads.push((shard, serial)),
+    }
 }
 
 /// The authority's walk of §2's rule over a trie of names from `start`,
@@ -192,8 +206,11 @@ pub struct NameService {
     placement: Placement,
     /// zone object → (secondary machine → copy object).
     replicas: BTreeMap<ObjectId, BTreeMap<MachineId, ObjectId>>,
-    /// copy object → its zone: `replicas` read backwards.
-    zone_of_copy: FxHashMap<ObjectId, ObjectId>,
+    /// copy object → its zone (`replicas` read backwards), and the serial
+    /// of the zone's shard the copy was last refreshed at. `Relaxed` is
+    /// enough: the serial publishes no other data — the copy's bindings
+    /// are written under the world's exclusive borrow.
+    zone_of_copy: FxHashMap<ObjectId, (ObjectId, AtomicU64)>,
 }
 
 impl NameService {
@@ -322,8 +339,34 @@ impl NameService {
             .or_default()
             .insert(secondary, copy);
         assert!(prev.is_none(), "zone already replicated on that machine");
-        self.zone_of_copy.insert(copy, zone);
+        let serial = world.state().shard_serial(SystemState::shard_of_id(zone));
+        let refreshed = AtomicU64::new(serial.get());
+        self.zone_of_copy.insert(copy, (zone, refreshed));
         copy
+    }
+
+    /// Records that `copy` now holds its zone's bindings as of `serial` of
+    /// the zone's shard.
+    pub(crate) fn refreshed(&self, copy: ObjectId, serial: ZoneSerial) {
+        if let Some((_, at)) = self.zone_of_copy.get(&copy) {
+            at.store(serial.get(), Ordering::Relaxed);
+        }
+    }
+
+    /// What a walk reads at `ctx`: its zone at σ's current serial, or — for
+    /// a replica copy — the primary's zone at the serial of the copy's last
+    /// refresh.
+    fn read_at(&self, world: &World, ctx: ObjectId) -> ZoneRead {
+        match self.zone_of_copy.get(&ctx) {
+            Some((zone, at)) => (
+                SystemState::shard_of_id(*zone),
+                ZoneSerial::new(at.load(Ordering::Relaxed)),
+            ),
+            None => {
+                let shard = SystemState::shard_of_id(ctx);
+                (shard, world.state().shard_serial(shard))
+            }
+        }
     }
 
     /// Copies the primary zone's current bindings onto every replica.
@@ -336,11 +379,13 @@ impl NameService {
             .context(zone)
             .expect("zone is a context")
             .inherit();
+        let serial = world.state().shard_serial(SystemState::shard_of_id(zone));
         for &copy in secondaries.values() {
             *world
                 .state_mut()
                 .context_mut(copy)
                 .expect("replica is a context") = primary.clone();
+            self.refreshed(copy, serial);
         }
     }
 
@@ -383,7 +428,7 @@ impl NameService {
         &self,
         ctx: ObjectId,
     ) -> impl Iterator<Item = (MachineId, ObjectId)> + '_ {
-        let zone = self.zone_of_copy.get(&ctx).copied().unwrap_or(ctx);
+        let zone = self.zone_of_copy.get(&ctx).map_or(ctx, |&(zone, _)| zone);
         let served = |&(m, _): &(MachineId, ObjectId)| self.server_if_on(m).is_some();
         self.zone_group(zone).filter(served)
     }
@@ -510,7 +555,9 @@ impl NameService {
     }
 
     /// [`NameService::local_resolve_batch`] in the caller's buffers: returns
-    /// the lookups saved.
+    /// the lookups saved. The zones the walk reads — its start and every
+    /// context it goes on at here — are noted as it enters them, outside
+    /// [`authority_walk`], which the worker pool shares.
     pub(crate) fn local_resolve_batch_in(
         &self,
         world: &World,
@@ -519,21 +566,33 @@ impl NameService {
         trie: &NameTrie,
         scratch: &mut BatchScratch,
     ) -> u32 {
-        let BatchScratch { walk, outcomes } = scratch;
+        let BatchScratch {
+            walk,
+            outcomes,
+            reads,
+        } = scratch;
         let n = trie.query_count() as usize;
         outcomes.clear();
+        reads.clear();
         if self.machine_of_object(start) != Some(machine) {
             naming_telemetry::counter!("service.wrong_server").add(n as u64);
             outcomes.resize(n, Outcome::WrongServer);
             return 0;
         }
         outcomes.resize(n, Outcome::NotFound);
+        reads.push(self.read_at(world, start));
         let (lookups, saved) = authority_walk(
             world.state(),
             start,
             trie,
             walk,
-            |o| self.onward(world, machine, o),
+            |o| {
+                let onward = self.onward(world, machine, o);
+                if let Onward::Here(at) = onward {
+                    note_read(reads, self.read_at(world, at));
+                }
+                onward
+            },
             |q, _, outcome| outcomes[q as usize] = outcome,
         );
         naming_telemetry::counter!("service.batch_queries").add(n as u64);

@@ -726,8 +726,19 @@ impl BatchRequest {
     }
 }
 
+/// A zone a walk read, and the serial it read it at: a primary context's
+/// zone at σ's current serial, a replica copy's zone at the primary's
+/// serial when the copy was last refreshed.
+pub type ZoneRead = (usize, ZoneSerial);
+
 /// The reply to a [`BatchRequest`]: one outcome per query id, plus hop
 /// accounting for how much work prefix sharing saved.
+///
+/// On the wire the outcomes are followed by the zones the answering walks
+/// read ([`ZoneRead`]s, one per zone, at the oldest serial read there) —
+/// what a lease cache needs to renew what it records. The resolution path
+/// reads them into the engine's scratch; this typed view states none and
+/// drops what it reads.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchReply {
     /// Echoes [`BatchRequest::id`].
@@ -742,25 +753,39 @@ pub struct BatchReply {
 }
 
 /// A batch-reply frame as it goes out: its id, the servers touched, the
-/// lookups saved and the outcomes.
-pub(crate) struct ReplyFrame<'a>(pub u64, pub u32, pub u32, pub &'a [Outcome]);
+/// lookups saved, the outcomes and the zones read.
+pub(crate) struct ReplyFrame<'a>(
+    pub u64,
+    pub u32,
+    pub u32,
+    pub &'a [Outcome],
+    pub &'a [ZoneRead],
+);
 
 impl Layout for ReplyFrame<'_> {
     fn write<S: Sink>(&self, w: &mut Writer<S>) {
-        let ReplyFrame(id, servers_touched, lookups_saved, outcomes) = *self;
+        let ReplyFrame(id, servers_touched, lookups_saved, outcomes, reads) = *self;
         w.u8(TAG_BATCH_REPLY);
         w.u64(id);
         w.u32(servers_touched);
         w.u32(lookups_saved);
         w.list32(outcomes, put_outcome);
+        w.list16(reads, |w, &(shard, serial)| {
+            w.usize16(shard);
+            w.u64(serial.get());
+        });
     }
 }
 
-/// Reads a reply frame: the outcomes by query id into `outcomes`, and the
-/// request id, the servers touched and the lookups saved. `None` on a
-/// malformed frame, whatever `outcomes` then holds: half a reply is no
-/// reply.
-pub(crate) fn read_reply(frame: &[u8], outcomes: &mut Vec<Outcome>) -> Option<(u64, u32, u32)> {
+/// Reads a reply frame: the outcomes by query id into `outcomes`, the zones
+/// read into `reads`, and the request id, the servers touched and the
+/// lookups saved. `None` on a malformed frame, whatever the buffers then
+/// hold: half a reply is no reply.
+pub(crate) fn read_reply(
+    frame: &[u8],
+    outcomes: &mut Vec<Outcome>,
+    reads: &mut Vec<ZoneRead>,
+) -> Option<(u64, u32, u32)> {
     let mut r = Reader::new(frame);
     r.tag(TAG_BATCH_REPLY)?;
     let (id, touched, saved, count) = (r.u64()?, r.u32()?, r.u32()?, r.u32()?);
@@ -769,21 +794,28 @@ pub(crate) fn read_reply(frame: &[u8], outcomes: &mut Vec<Outcome>) -> Option<(u
     for _ in 0..count {
         outcomes.push(get_outcome(&mut r)?);
     }
+    let count = r.u16()?;
+    reads.clear();
+    reads.reserve(r.capacity(usize::from(count), 2 + 8));
+    for _ in 0..count {
+        reads.push((usize::from(r.u16()?), ZoneSerial::new(r.u64()?)));
+    }
     Some((id, touched, saved))
 }
 
 impl BatchReply {
-    /// Encodes the batch reply into a wire frame. Panics when the wire
-    /// cannot carry it ([`codec::encode`]).
+    /// Encodes the batch reply into a wire frame, stating no zones read.
+    /// Panics when the wire cannot carry it ([`codec::encode`]).
     pub fn encode(&self) -> Bytes {
         let (touched, saved) = (self.servers_touched, self.lookups_saved);
-        codec::encode(&ReplyFrame(self.id, touched, saved, &self.outcomes))
+        codec::encode(&ReplyFrame(self.id, touched, saved, &self.outcomes, &[]))
     }
 
     /// Decodes a batch-reply frame. Returns `None` on malformed input.
     pub fn decode(buf: Bytes) -> Option<BatchReply> {
         let mut outcomes = Vec::new();
-        let (id, servers_touched, lookups_saved) = read_reply(&buf, &mut outcomes)?;
+        let read = read_reply(&buf, &mut outcomes, &mut Vec::new());
+        let (id, servers_touched, lookups_saved) = read?;
         Some(BatchReply {
             id,
             outcomes,
@@ -890,7 +922,28 @@ mod tests {
             let len = frame.len();
             assert_eq!(frame.try_into_mut().unwrap().capacity(), len);
         }
-        assert_eq!(reply.encode().len(), 1 + 8 + 4 + 4 + 4 + 6 + 11 + 1 + 1 + 5);
+        assert_eq!(
+            reply.encode().len(),
+            1 + 8 + 4 + 4 + 4 + 6 + 11 + 1 + 1 + 5 + 2
+        );
+    }
+
+    #[test]
+    fn a_reply_frame_carries_the_zones_read() {
+        let outcomes = [Outcome::NotFound];
+        let reads = [(0, ZoneSerial::new(7)), (513, ZoneSerial::new(u64::MAX))];
+        let frame = codec::encode(&ReplyFrame(9, 1, 0, &outcomes, &reads));
+        // The read list: its 16-bit count, then 10 bytes a zone.
+        assert_eq!(frame.len(), 1 + 8 + 4 + 4 + 4 + 1 + 2 + 2 * (2 + 8));
+        let (mut got, mut read) = (Vec::new(), Vec::new());
+        assert_eq!(read_reply(&frame, &mut got, &mut read), Some((9, 1, 0)));
+        assert_eq!((&got[..], &read[..]), (&outcomes[..], &reads[..]));
+        // The typed view drops them; a cut list is no reply.
+        assert_eq!(
+            BatchReply::decode(frame.clone()).map(|r| r.outcomes),
+            Some(vec![Outcome::NotFound])
+        );
+        assert!(read_reply(&frame[..frame.len() - 1], &mut got, &mut read).is_none());
     }
 
     #[test]

@@ -1085,8 +1085,8 @@ fn observed(
 /// every length, forged as the first reply the replica hears. Nothing
 /// panics. A frame that does not decode, or does not bear the pull's id,
 /// changes nothing: the honest answer behind it is the one heard. A frame
-/// that does is heard instead — and may keep entries it should not, but
-/// none past its lease.
+/// that does is heard instead — and may keep, or renew, entries it should
+/// not, but none past the pull's send tick plus the TTL.
 #[test]
 fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
     // The honest answer, asked for by hand with the id the pull will use.
@@ -1112,14 +1112,15 @@ fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
         .any(|s| !s.full && !s.changes.is_empty()));
 
     let run = |frame: Option<&[u8]>| {
-        let (mut w, mut r, client, root, m1, granted) = warm_pull();
+        let (mut w, mut r, client, root, m1, _) = warm_pull();
         assert_eq!(r.engine().next_request_id(), id);
         if let Some(frame) = frame {
             let server = r.engine().service().server_on(m1);
             w.send(server, client, Payload::bytes(frame.to_vec()));
         }
+        let sent = w.now().ticks();
         let report = r.sync(&mut w, client, m1).expect("lossless pull completes");
-        (w, r, client, root, granted, report)
+        (w, r, client, root, sent, report)
     };
     let clean = {
         let (mut w, mut r, client, root, _, report) = run(None);
@@ -1145,7 +1146,7 @@ fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
     }
     let (mut refused, mut heard) = (0, 0);
     for frame in &frames {
-        let (mut w, mut r, client, root, granted, report) = run(Some(frame));
+        let (mut w, mut r, client, root, sent, report) = run(Some(frame));
         let decoded = ZoneDelta::decode(frame[..].to_vec().into());
         if decoded.is_none_or(|d| d.id != id) {
             let got = (report, observed(&mut w, &mut r, client, root));
@@ -1154,10 +1155,11 @@ fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
             continue;
         }
         heard += 1;
-        // Whatever the frame made the replica keep lapses on schedule.
+        // Whatever the frame made the replica keep or renew lapses a TTL
+        // after the pull went out.
         let now = w.now().ticks();
-        assert!(now < granted + HOSTILE_TTL);
-        advance(&mut w, client, granted + HOSTILE_TTL - now);
+        assert!(now < sent + HOSTILE_TTL);
+        advance(&mut w, client, sent + HOSTILE_TTL - now);
         for name in hostile_names() {
             let (_, from_cache) = r.resolve(&mut w, client, root, &name, Mode::Iterative);
             assert!(!from_cache, "{name} served past its lease");
@@ -1167,4 +1169,197 @@ fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
         refused > 100 && heard > 100,
         "{refused} refused, {heard} heard"
     );
+}
+
+// --- Renewal ------------------------------------------------------------
+
+/// Lease of the renewal test's entries, in ticks: three client round trips.
+const RENEW_TTL: u64 = 600;
+
+/// Per context a publish may land in (`/d1`, `/d1/s`, `/d2`), the labels
+/// it may bind, unbind or rebind there, `s` among them an interior one.
+const RENEW_LABELS: [&[&str]; 3] = [
+    &["f0", "f1", "s", "nope"],
+    &["g0", "nope"],
+    &["f0", "f1", "nope"],
+];
+
+/// `/d1` (zone 1, files `f0` and `f1`) and `/d2` (zone 2, likewise) under
+/// m0's root; `/d1/s` in zone 3 holds `g0` of zone 1, so a walk to it reads
+/// zone 3 without a referral or an answer there. `/d2` is replicated onto
+/// m1, whose root binds it too: a name from there is answered by the copy
+/// (zone 4), which lags its primary until it is refreshed. The client sits
+/// on a network of its own, so a pull's reply lands a round trip after it
+/// went out; the engine journals at most three changes a zone.
+struct Renewal {
+    w: World,
+    r: CachingResolver,
+    client: ActivityId,
+    m0: MachineId,
+    /// `/d1`, `/d1/s`, `/d2`: where publishes land.
+    contexts: [ObjectId; 3],
+    /// Every name the schedule resolves, with its start: m0's root or m1's.
+    names: Vec<(ObjectId, CompoundName)>,
+}
+
+fn renewal_world() -> Renewal {
+    let mut w = World::with_shards(87, 5);
+    let net = w.add_network("servers");
+    let (m0, m1) = (w.add_machine("m0", net), w.add_machine("m1", net));
+    let (root0, root1) = (w.machine_root(m0), w.machine_root(m1));
+    let dir = |w: &mut World, parent, name, shard, files: &[&str], file_shard| {
+        w.state_mut().set_default_shard(shard);
+        let dir = store::ensure_dir(w.state_mut(), parent, name);
+        w.state_mut().set_default_shard(file_shard);
+        for &file in files {
+            store::create_file(w.state_mut(), dir, file, vec![]);
+        }
+        dir
+    };
+    let d1 = dir(&mut w, root0, "d1", 1, &["f0", "f1"], 1);
+    let s = dir(&mut w, d1, "s", 3, &["g0"], 1);
+    let d2 = dir(&mut w, root0, "d2", 2, &["f0", "f1"], 2);
+    w.state_mut().set_default_shard(0);
+    store::attach(w.state_mut(), root1, "d2", d2, false);
+    let mut svc = NameService::install(&mut w, &[m0, m1]);
+    svc.place_subtree(&w, root0, m0);
+    svc.place_subtree(&w, root1, m1);
+    w.state_mut().set_default_shard(4);
+    svc.replicate_zone(&mut w, d2, m1);
+    let far = w.add_network("client-net");
+    let host = w.add_machine("client-host", far);
+    let client = w.spawn(host, "client", None);
+    let mut engine = ProtocolEngine::new(svc);
+    engine.set_journal_window(3);
+    let mode = CoherenceMode::Lease {
+        ttl: Some(RENEW_TTL),
+    };
+    let r = CachingResolver::with_mode(engine, DEFAULT_CACHE_CAPACITY, mode);
+    let from = |root, paths: &[&str]| {
+        let paths = paths.iter().map(|p| CompoundName::parse_path(p).unwrap());
+        paths.map(move |name| (root, name)).collect::<Vec<_>>()
+    };
+    let mut names = from(
+        root0,
+        &[
+            "/d1/f0",
+            "/d1/f1",
+            "/d1/nope",
+            "/d1/s/g0",
+            "/d1/s/nope",
+            "/d2/f0",
+        ],
+    );
+    names.extend(from(root1, &["/d2/f0", "/d2/f1", "/d2/nope"]));
+    Renewal {
+        w,
+        r,
+        client,
+        m0,
+        contexts: [d1, s, d2],
+        names,
+    }
+}
+
+proptest! {
+    /// Random schedules of resolves, publishes, pulls — diffs, heartbeats,
+    /// full transfers past the journal, and pulls the network loses —,
+    /// refreshes of the lagging copy (direct or pushed over the wire) and
+    /// clock advances, some landing just past a TTL after the last pull
+    /// went out. Whatever a cache serves is σ's answer at a moment the
+    /// replica heard less than one TTL ago: the start of the resolution
+    /// that fetched it, or the sending of a pull — the entry was renewed
+    /// by what the pull proved.
+    #[test]
+    fn a_renewed_lease_serves_only_what_a_pull_proved_within_its_ttl(
+        raw in prop::collection::vec((0u8..16, any::<u8>(), any::<u16>()), 1..160),
+    ) {
+        let Renewal { mut w, mut r, client, m0, contexts, names } = renewal_world();
+        let oracle = Resolver::new();
+        let truths = |w: &World| -> Vec<Entity> {
+            names.iter().map(|(start, name)| oracle.resolve_entity(w.state(), *start, name)).collect()
+        };
+        // When the replica heard what: per name, the resolutions that
+        // fetched it; for every name, the truths at each pull's sending.
+        let mut fetched: Vec<Vec<(u64, Entity)>> = vec![Vec::new(); names.len()];
+        let mut pulled: Vec<(u64, Vec<Entity>)> = Vec::new();
+        let mut version = 0u32;
+        for (selector, a, b) in raw {
+            let resolve = match selector {
+                0..=4 => Some(usize::from(a)),
+                5..=6 => {
+                    let at = usize::from(a) % contexts.len();
+                    let labels = RENEW_LABELS[at];
+                    let label = Name::new(labels[usize::from(a / 4) % labels.len()]);
+                    let ctx = contexts[at];
+                    let entity = match b % 3 {
+                        0 => {
+                            version += 1;
+                            w.state_mut().set_default_shard(SystemState::shard_of_id(ctx));
+                            let fresh = w.state_mut().add_data_object(format!("v{version}"), vec![]);
+                            Some(Entity::Object(fresh))
+                        }
+                        1 => Some(w.state().lookup(ctx, label)).filter(|e| e.is_defined()),
+                        _ => None,
+                    };
+                    // Refused only when it would unbind what is not bound.
+                    let _ = r.engine_mut().publish_binding(&mut w, ctx, label, entity);
+                    None
+                }
+                7..=9 => {
+                    let sent = w.now().ticks();
+                    r.sync(&mut w, client, m0).expect("a lossless pull completes");
+                    pulled.push((sent, truths(&w)));
+                    None
+                }
+                10 => {
+                    w.set_message_drop_rate(1.0);
+                    assert!(r.sync(&mut w, client, m0).is_none(), "a lost pull proves nothing");
+                    w.set_message_drop_rate(0.0);
+                    None
+                }
+                11 => {
+                    r.engine().service().sync_zone(&mut w, contexts[2]);
+                    None
+                }
+                12 => {
+                    r.engine_mut().publish_zone(&mut w, contexts[2]);
+                    None
+                }
+                13..=14 => {
+                    advance(&mut w, client, 1 + u64::from(b % 400));
+                    None
+                }
+                _ => {
+                    // Just past a TTL after the last pull went out: a lease
+                    // renewed from its reply's arrival would still serve.
+                    let edge = pulled.last().map_or(0, |&(sent, _)| sent + RENEW_TTL + u64::from(b % 200));
+                    let now = w.now().ticks();
+                    if edge > now {
+                        advance(&mut w, client, edge - now);
+                    }
+                    Some(usize::from(a))
+                }
+            };
+            let Some(i) = resolve.map(|a| a % names.len()) else {
+                continue;
+            };
+            let (start, name) = &names[i];
+            let now = w.now().ticks();
+            let got = r.resolve_outcome(&mut w, client, *start, name, Mode::Iterative);
+            prop_assert!(!got.unreachable);
+            if !got.from_cache {
+                fetched[i].push((now, got.entity));
+                continue;
+            }
+            let recent = |&(at, e): &(u64, Entity)| e == got.entity && now - at < RENEW_TTL;
+            let proved = pulled.iter().any(|(sent, truths)| recent(&(*sent, truths[i])));
+            prop_assert!(
+                fetched[i].iter().any(recent) || proved,
+                "served {} for {} at t{} — fetched {:?}, pulled {:?}",
+                got.entity, name, now, fetched[i],
+                pulled.iter().map(|(sent, truths)| (*sent, truths[i])).collect::<Vec<_>>()
+            );
+        }
+    }
 }

@@ -114,6 +114,35 @@ fn lease_hit_probes_allocate_nothing() {
 }
 
 #[test]
+fn a_probe_that_renews_allocates_nothing() {
+    // Every entry was read at the serials heard, under a 10-tick lease; a
+    // pull proves both zones every 10 ticks, so each probe 5 ticks later
+    // finds the lease lapsed and renews it in place.
+    let mut table = SerialTable::new();
+    table.observe(0, ZoneSerial::new(3));
+    table.observe(2, ZoneSerial::new(1));
+    let reads = [(0, ZoneSerial::new(3)), (2, ZoneSerial::new(1))];
+    let mut cache = LeasedCache::with_capacity(128);
+    let keys = keys();
+    for (i, (start, suffix)) in keys.iter().enumerate() {
+        let (by, e) = (heard(0, Some(10), &table), Entity::Object(oid(i as u32)));
+        cache.record_read(by, *start, suffix, e, &[0, 2], &reads, false);
+    }
+    let allocated = allocations_in(|| {
+        for round in 1..=100u64 {
+            table.vouch(0, 10 * round);
+            table.vouch(2, 10 * round);
+            for (start, suffix) in &keys {
+                let by = heard(10 * round + 5, Some(10), &table);
+                assert!(matches!(cache.probe(by, *start, suffix), Probe::Hit(_)));
+            }
+        }
+    });
+    assert_eq!(cache.stats().renewed, 100 * keys.len() as u64);
+    assert_eq!(allocated, 0, "a renewing probe allocated");
+}
+
+#[test]
 fn leased_referral_jumps_allocate_nothing() {
     // m1 hosts the root tree, m2 hosts /usr/remote.
     let mut w = World::new(91);

@@ -295,6 +295,59 @@ fn sync_registry_counters_equal_the_reports() {
     }
 }
 
+/// Every lapsed lease a probe or a sweep renews — singly, in a batch or
+/// in a sweep — adds to `coherence.lease.renewed` what it adds to the
+/// struct.
+#[test]
+fn lease_renewals_registry_counter_equals_the_struct_counter() {
+    const TTL: u64 = 2_000;
+    let _turn = CACHE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let before = naming_telemetry::metrics::global().snapshot();
+    let (mut w, mut r, client, root, _sub, m1) =
+        remote_data(CoherenceMode::Lease { ttl: Some(TTL) });
+    let names: Vec<CompoundName> = ["/remote/data", "/remote/nope", "/remote"]
+        .iter()
+        .map(|p| CompoundName::parse_path(p).unwrap())
+        .collect();
+    r.sync(&mut w, client, m1).expect("cold pull completes");
+    r.resolve_batch(&mut w, client, root, &names);
+    let mut renewed = Vec::new();
+    for round in 0..6 {
+        // Half a lease on, a pull proves the entries again: from the second
+        // round on, each lease has lapsed and is renewed.
+        w.schedule_wake(
+            client,
+            naming_sim::time::Duration::from_ticks(TTL / 2),
+            u64::MAX,
+        );
+        while w.step() {}
+        w.drain_wakes(client);
+        let was = r.lease_stats().renewed;
+        match round % 3 {
+            0 => {
+                for name in &names {
+                    r.resolve(&mut w, client, root, name, Mode::Iterative);
+                }
+            }
+            1 => {
+                r.resolve_batch(&mut w, client, root, &names);
+            }
+            _ => {
+                r.sweep_leases(w.now().ticks());
+            }
+        }
+        renewed.push(r.lease_stats().renewed - was);
+        r.sync(&mut w, client, m1).expect("pull completes");
+    }
+    assert!(renewed[1..].iter().all(|&n| n > 0), "renewed {renewed:?}");
+    let moved = naming_telemetry::metrics::global().snapshot().diff(&before);
+    assert_eq!(
+        moved.counter("coherence.lease.renewed"),
+        r.lease_stats().renewed,
+        "coherence.lease.renewed drifted from the struct"
+    );
+}
+
 #[test]
 fn monitor_observations_link_to_traces() {
     let mut sys = SystemState::new();
