@@ -22,7 +22,9 @@
 //!   negative-cache false-⊥s, sync/transfer accounting; and for the
 //!   exact twin, its message and staleness numbers. The binary asserts
 //!   the lease bound before writing: at drop 0 every observed staleness
-//!   window is strictly below the TTL and at most one sync period.
+//!   window is strictly below the TTL and at most one sync period, and
+//!   where the TTL exceeds the sync period no lease lapses once a pull has
+//!   found the replica warm (`expired`).
 //! * **`--json`**: the CI cmp leg. A lossless schedule with healing
 //!   (exact) or syncing (lease, ttl=∞) after every publish, printing one
 //!   deterministic record per resolution — answers only, no mode
@@ -176,12 +178,6 @@ fn run_combo(
     // sweep measures steady-state churn rather than the cold-start
     // stampede (a cold miss costs a full cross-network RTT of virtual
     // time, which would lapse every short-TTL lease before first reuse).
-    // A lease replica's warm state is its heard serials too: it
-    // bootstraps with a pull (full transfers, nothing cached yet) and the
-    // pass is proved by another, as a running replica's would have been.
-    let authority = lease.machines[0];
-    let pull = |rep: &mut Replica| rep.r.sync(&mut rep.w, rep.client, authority);
-    pull(&mut lease).expect("a lossless bootstrap pull completes");
     for z in 0..zones {
         for j in 0..leaves {
             let name = lease.names[z][j].clone();
@@ -201,9 +197,9 @@ fn run_combo(
             );
         }
     }
-    pull(&mut lease).expect("a lossless warm pull completes");
     lease.w.set_message_drop_rate(drop_rate);
     exact.w.set_message_drop_rate(drop_rate);
+    let authority = lease.machines[0];
     let oracle = Resolver::new();
     let mut last_publish = vec![vec![0u64; leaves]; zones];
     let mut out = ComboResult {
@@ -215,6 +211,11 @@ fn run_combo(
     let lease_sent0 = lease.w.trace().counter("sent");
     let exact_sent0 = exact.w.trace().counter("sent");
     let mut publishes = 0usize;
+    // The warm-up's leases stand on no pull, and the first pull's full
+    // transfers drop them all: the lapses counted are those after the
+    // first pull that finds the replica's serials warm (no full transfer),
+    // when every lease held has been proved.
+    let mut expired_before = None;
     // What the oracle says gave up: a bound name answered ⊥ off the wire.
     let mut oracle_gave_up = 0;
     for round in 0..rounds {
@@ -271,8 +272,11 @@ fn run_combo(
         pace(&mut lease, ROUND_GAP);
         pace(&mut exact, ROUND_GAP);
         if round % SYNC_EVERY == 0 {
-            match pull(&mut lease) {
+            match lease.r.sync(&mut lease.w, lease.client, authority) {
                 Some(rep) => {
+                    if rep.shards_full == 0 {
+                        expired_before.get_or_insert(lease.r.lease_stats().expired);
+                    }
                     out.syncs += 1;
                     out.transfer_bytes += rep.bytes;
                     out.full_transfers += rep.shards_full as u64;
@@ -296,7 +300,7 @@ fn run_combo(
         "a transport failure was reported as ⊥, or a ⊥ as one"
     );
     out.lease_hits = lease.r.stats().hits;
-    out.expired = lease.r.lease_stats().expired;
+    out.expired = expired_before.map_or(0, |before| lease.r.lease_stats().expired - before);
     out.exact_hits = exact.r.stats().hits;
     out.lease_messages = lease.w.trace().counter("sent") - lease_sent0;
     out.exact_messages = exact.w.trace().counter("sent") - exact_sent0;

@@ -170,6 +170,10 @@ pub(crate) struct Scratch {
     /// What the last blocking resolution's replies read, by input slot.
     pub(crate) reads_by_slot: Vec<(usize, ZoneRead)>,
     pub(crate) spares: Spares,
+    /// Read lists between forwards: a forwarding server's own reads wait in
+    /// one until its answer is relayed, so never more than were forwarded
+    /// at once.
+    read_spares: Vec<Vec<ZoneRead>>,
 }
 
 /// Frame buffers between flights — a sender encodes into one, whoever reads
@@ -199,6 +203,12 @@ impl Spares {
             self.0.push(buf);
         }
     }
+}
+
+/// Hands a forward's read list back, emptied, for the next forward.
+fn recycle_reads(spares: &mut Vec<Vec<ZoneRead>>, mut own: Vec<ZoneRead>) {
+    own.clear();
+    spares.push(own);
 }
 
 /// Safety bound on the events a driver pumps per in-flight batch.
@@ -335,7 +345,10 @@ impl ProtocolEngine {
     pub(crate) fn forget_unanswerable(&mut self, world: &World) {
         if world.messages_in_flight() == 0 {
             self.superseded.clear();
-            self.forwarding.clear();
+            let spares = &mut self.scratch.read_spares;
+            while let Some((_, (_, own))) = self.forwarding.pop_first() {
+                recycle_reads(spares, own);
+            }
         }
     }
 
@@ -828,7 +841,8 @@ impl ProtocolEngine {
                 let request = RequestFrame(Mode::Recursive, id, next_ctx, &s.trie);
                 let frame = codec::encode_with(&request, |len| s.spares.take(len));
                 if let Some(frame) = frame {
-                    let own = s.batch.reads.clone();
+                    let mut own = s.read_spares.pop().unwrap_or_default();
+                    own.extend_from_slice(&s.batch.reads);
                     self.forwarding.insert((server, id), (requester, own));
                     return world.send(server, next, Payload::Bytes(frame));
                 }
@@ -857,8 +871,8 @@ impl ProtocolEngine {
         let Some((requester, own)) = self.forwarding.remove(&(server, id)) else {
             return;
         };
-        own.into_iter()
-            .for_each(|read| note_read(&mut s.reads, read));
+        own.iter().for_each(|&read| note_read(&mut s.reads, read));
+        recycle_reads(&mut s.read_spares, own);
         let touched = touched.saturating_add(1);
         let reply = ReplyFrame(id, touched, saved, &s.outcomes, &s.reads);
         let reply = codec::encode_with(&reply, |len| s.spares.take(len));
@@ -885,15 +899,20 @@ impl ProtocolEngine {
         }
         // The frame carries no serial. Where the copy now holds the
         // primary's bindings as they stand, it is as fresh as the primary's
-        // zone; otherwise it keeps the serial it had, which is older than
-        // what it holds — a copy may understate its freshness, never
-        // overstate it.
+        // zone. Otherwise the update may have been pushed before the copy's
+        // last refresh and landed after it, so no serial the copy held is
+        // known to cover what it now holds: it reads at
+        // [`ZoneSerial::ZERO`], which no pull proves once the zone has been
+        // written — a copy may understate its freshness, never overstate it.
         let state = world.state();
+        let shard = SystemState::shard_of_id(update.zone);
         let current = state.context(update.zone).map(|p| p.iter());
-        if current.is_some_and(|p| p.eq(update.bindings.iter().copied())) {
-            let shard = SystemState::shard_of_id(update.zone);
-            self.service.refreshed(copy, state.shard_serial(shard));
-        }
+        let serial = if current.is_some_and(|p| p.eq(update.bindings.iter().copied())) {
+            state.shard_serial(shard)
+        } else {
+            ZoneSerial::ZERO
+        };
+        self.service.refreshed(copy, serial);
     }
 
     /// Answers an anti-entropy pull. Per requested shard: equal serials

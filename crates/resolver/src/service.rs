@@ -346,7 +346,8 @@ impl NameService {
     }
 
     /// Records that `copy` now holds its zone's bindings as of `serial` of
-    /// the zone's shard.
+    /// the zone's shard ([`ZoneSerial::ZERO`] when no serial is known to
+    /// cover them).
     pub(crate) fn refreshed(&self, copy: ObjectId, serial: ZoneSerial) {
         if let Some((_, at)) = self.zone_of_copy.get(&copy) {
             at.store(serial.get(), Ordering::Relaxed);

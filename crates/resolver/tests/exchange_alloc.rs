@@ -31,7 +31,7 @@ use naming_resolver::engine::{ProtocolEngine, RetryPolicy};
 use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
 use naming_resolver::wire::{
-    BatchReply, BatchRequest, Frame, NameTrie, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
+    BatchReply, BatchRequest, Frame, Mode, NameTrie, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
 };
 use naming_sim::store;
 use naming_sim::topology::MachineId;
@@ -381,6 +381,41 @@ fn a_cached_batch_of_misses_allocates_its_answer_and_its_outcome() {
         });
         assert_eq!(held, 0, "{mode:?}: a store or a scratch grew");
         assert_eq!(allocations, 5_000 * PER_CACHED_BATCH, "{mode:?}");
+    }
+}
+
+/// What a recursive resolve costs per server that forwards it: the server
+/// cuts the rest of the name out of the request in buffers of its own and
+/// files the forward. Its own reads, which the relayed answer must list
+/// too, wait in a list it reuses.
+const PER_FORWARD: u64 = 3;
+
+#[test]
+fn a_forwarded_recursive_resolve_costs_the_same_per_hop_once_warm() {
+    let (mut s, svc) = star(7);
+    let mut engine = ProtocolEngine::new(svc);
+    // A name answered by the hub, by a region, by a zone: 0, 1, 2 forwards.
+    let names =
+        ["/r0", "/r1/z2", "/r1/z2/f3", "/r3/z1/nope"].map(|p| CompoundName::parse_path(p).unwrap());
+    for name in &names {
+        engine.resolve(&mut s.w, s.client, s.hub, name, Mode::Recursive);
+    }
+    let alone = {
+        let (allocations, _, _) = allocations_in(|| {
+            engine.resolve(&mut s.w, s.client, s.hub, &names[0], Mode::Recursive);
+        });
+        allocations
+    };
+    for _ in 0..50 {
+        for name in &names {
+            let sent0 = sent(&s.w);
+            let (allocations, _, held) = allocations_in(|| {
+                engine.resolve(&mut s.w, s.client, s.hub, name, Mode::Recursive);
+            });
+            let forwards = (sent(&s.w) - sent0) / 2 - 1;
+            assert_eq!(held, 0, "{name}: a forward left memory behind");
+            assert_eq!(allocations, alone + PER_FORWARD * forwards, "{name}");
+        }
     }
 }
 

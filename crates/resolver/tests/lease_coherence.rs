@@ -1363,3 +1363,57 @@ proptest! {
         }
     }
 }
+
+/// A zone update pushed before a refresh can land after it, putting the
+/// copy back a version while its primary moves on. The copy must not then
+/// claim the refresh's serial: an answer from it would be renewable, and
+/// every heartbeat would keep it alive past its TTL. Here `/d2/f0` is
+/// pushed, rebound, refreshed onto the copy, and the old push lands during
+/// the next pull; what the copy answers must die by its TTL however many
+/// pulls go by.
+#[test]
+fn an_update_that_lands_after_a_refresh_proves_nothing() {
+    let Renewal {
+        mut w,
+        mut r,
+        client,
+        m0,
+        contexts,
+        names,
+    } = renewal_world();
+    let d2 = contexts[2];
+    let (root1, f0) = names
+        .iter()
+        .find(|(start, name)| *start != names[0].0 && name.to_string() == "/d2/f0")
+        .cloned()
+        .expect("/d2/f0 from m1's root");
+    assert_eq!(r.engine_mut().publish_zone(&mut w, d2), 1);
+    w.state_mut()
+        .set_default_shard(SystemState::shard_of_id(d2));
+    let fresh = w.state_mut().add_data_object("v1", vec![]);
+    r.engine_mut()
+        .publish_binding(&mut w, d2, Name::new("f0"), Some(Entity::Object(fresh)))
+        .expect("publish commits");
+    r.engine().service().sync_zone(&mut w, d2);
+    r.sync(&mut w, client, m0)
+        .expect("a lossless pull completes");
+    let fetched_at = w.now().ticks();
+    let got = r.resolve_outcome(&mut w, client, root1, &f0, Mode::Iterative);
+    assert!(!got.from_cache && !got.unreachable);
+    assert_ne!(
+        got.entity,
+        Entity::Object(fresh),
+        "the old push landed on the copy after its refresh"
+    );
+    while w.now().ticks() < fetched_at + RENEW_TTL {
+        advance(&mut w, client, RENEW_TTL / 4);
+        r.sync(&mut w, client, m0)
+            .expect("a lossless pull completes");
+    }
+    let again = r.resolve_outcome(&mut w, client, root1, &f0, Mode::Iterative);
+    assert!(
+        !again.from_cache,
+        "a copy's answer was renewed past its TTL: {}",
+        again.entity
+    );
+}
