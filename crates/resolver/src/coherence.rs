@@ -55,10 +55,13 @@
 //! copy was last refreshed. An entry whose every read serial is at or past
 //! the serial heard for its zone when it was recorded is *renewable*; an
 //! answer from a lagging copy never is. [`SerialTable`] keeps, per zone,
-//! the tick the last pull that vouched for the heard serial (a heartbeat or
-//! a diff) was *sent*. A probe or sweep that finds a renewable entry's
-//! lease lapsed while all its stamps still read the heard serials re-grants
-//! it until the earliest such tick over its zones plus the TTL.
+//! the tick the last pull that vouched for the heard serial was *sent*.
+//! Every slice of a reply vouches for its zone — heartbeats, diffs, full
+//! transfers and regressions alike: a slice states the serial σ held when
+//! the pull was answered, and the zone-wide pass has dropped every entry
+//! stamped under another serial. A probe or sweep that finds a renewable
+//! entry's lease lapsed while all its stamps still read the heard serials
+//! re-grants it until the earliest such tick over its zones plus the TTL.
 //!
 //! Why this is sound: the entry was read at a serial r at or past its
 //! stamp, so every change after r lies in the diffs that re-stamped it —
@@ -75,9 +78,9 @@ use naming_core::entity::{Entity, ObjectId};
 use naming_core::lease::{Lease, ZoneSerial};
 use naming_core::name::Name;
 use naming_core::slab_lru::{SlabLru, Upsert};
-use naming_core::state::MAX_SHARDS;
+use naming_core::state::{SystemState, MAX_SHARDS};
 
-use crate::wire::{ShardDelta, ZoneChange, ZoneRead};
+use crate::wire::{ShardDelta, ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneRead};
 
 /// How a cache decides whether an entry may still be served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,7 +161,10 @@ impl SerialTable {
     }
 
     /// Records that a pull sent at `sent` proved `shard` at the serial now
-    /// heard: a heartbeat or a diff, adopted ([`SerialTable::adopt`]) first.
+    /// heard. Any slice does, once adopted ([`SerialTable::adopt`]) — a full
+    /// transfer or a regression too: it states the serial σ held when the
+    /// pull was answered, and the zone-wide pass over its moved zone drops
+    /// every entry stamped under another serial.
     pub fn vouch(&mut self, shard: usize, sent: u64) {
         if shard < MAX_SHARDS {
             if shard >= self.heard.len() {
@@ -882,6 +888,47 @@ impl ZoneJournal {
                 .collect(),
         )
     }
+
+    /// Answers an anti-entropy pull against σ = `state`, in request order,
+    /// leaving out the zones σ does not have. Each zone's slice states σ's
+    /// serial and what changed since the puller's: nothing at equal serials
+    /// (a heartbeat), the diff where the window covers it (IXFR), and
+    /// otherwise — window evicted, authority restarted behind the puller,
+    /// an unjournaled write — a full dump of the zone's live bindings
+    /// (AXFR).
+    pub fn answer(&self, state: &SystemState, req: &ZoneDeltaRequest) -> ZoneDelta {
+        let mut shards = Vec::with_capacity(req.since.len());
+        for &(shard, since) in &req.since {
+            if shard >= state.shard_count() {
+                continue;
+            }
+            let serial = state.shard_serial(shard);
+            let diff = self.delta_since(shard, since, serial);
+            let full = diff.is_none();
+            let changes = diff.unwrap_or_else(|| {
+                state
+                    .objects()
+                    .filter(|&o| SystemState::shard_of_id(o) == shard)
+                    .filter_map(|o| state.context(o).map(|ctx| (o, ctx)))
+                    .flat_map(|(o, ctx)| {
+                        ctx.iter().map(move |(name, entity)| ZoneChange {
+                            ctx: o,
+                            name,
+                            entity,
+                            was: Entity::Undefined,
+                        })
+                    })
+                    .collect()
+            });
+            shards.push(ShardDelta {
+                shard,
+                serial,
+                full,
+                changes,
+            });
+        }
+        ZoneDelta { id: req.id, shards }
+    }
 }
 
 impl Default for ZoneJournal {
@@ -1399,6 +1446,39 @@ mod tests {
         assert_eq!(j.delta_since(0, ZoneSerial::new(5), cur), None);
         // An unknown shard has no journal at all.
         assert_eq!(j.delta_since(7, ZoneSerial::ZERO, ZoneSerial::new(1)), None);
+    }
+
+    #[test]
+    fn the_journal_answers_a_pull_slice_by_slice() {
+        let mut state = SystemState::with_shards(2);
+        let ctx = state.add_context_object_in(1, "zone");
+        let mut j = ZoneJournal::with_window(2);
+        let before = state.shard_serial(1);
+        let mut serials = Vec::new();
+        for n in ["a", "b", "c"] {
+            state.bind(ctx, Name::new(n), ctx).unwrap();
+            let mut bound = change(0, n, None);
+            (bound.ctx, bound.entity) = (ctx, Entity::Object(ctx));
+            j.record(1, state.shard_serial(1), bound);
+            serials.push(state.shard_serial(1));
+        }
+        let now = serials[2];
+        let since = vec![(1, now), (1, serials[1]), (2, before), (1, before)];
+        let delta = j.answer(&state, &ZoneDeltaRequest { id: 9, since });
+        assert_eq!(delta.id, 9);
+        // A heartbeat, a diff, then — shard 2 is none of σ's — a full dump:
+        // `before` fell out of the two-change window.
+        let got: Vec<_> = delta
+            .shards
+            .iter()
+            .map(|s| (s.shard, s.serial, s.full, s.changes.len()))
+            .collect();
+        assert_eq!(
+            got,
+            [(1, now, false, 0), (1, now, false, 1), (1, now, true, 3)]
+        );
+        assert_eq!(delta.shards[1].changes[0].name, Name::new("c"));
+        assert!(delta.shards[2].changes.iter().all(|c| c.ctx == ctx));
     }
 
     #[test]

@@ -23,8 +23,8 @@ use crate::coherence::ZoneJournal;
 use crate::continuation::{Continuation, Dense, Route, Start};
 use crate::service::{note_read, BatchScratch, NameService};
 use crate::wire::{
-    self, Frame, Label, Mode, NameTrie, Outcome, ReplyFrame, RequestFrame, ShardDelta, WalkScratch,
-    ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneRead, ZoneUpdate,
+    self, Label, Mode, NameTrie, Outcome, ReplyFrame, RequestFrame, WalkScratch, ZoneChange,
+    ZoneDelta, ZoneDeltaRequest, ZoneRead, ZoneUpdate,
 };
 
 /// What a completed resolution cost.
@@ -341,7 +341,9 @@ impl ProtocolEngine {
     /// more. Most are left because a request or reply was *lost*; they
     /// would otherwise stay for good. Drivers call this right after polling
     /// the mailboxes of the clients they serve, so no late reply waits
-    /// there uncounted.
+    /// there uncounted — all but [`ProtocolEngine::pump_idle`], the one
+    /// caller that polls no client: a late reply waiting in a client's
+    /// mailbox when it runs is forgotten uncounted.
     pub(crate) fn forget_unanswerable(&mut self, world: &World) {
         if world.messages_in_flight() == 0 {
             self.superseded.clear();
@@ -523,7 +525,7 @@ impl ProtocolEngine {
         let mut steps = 0usize;
         while !cont.advance(self, world) {
             while cont.suspended() {
-                self.poll_client(world, client, |engine, world, (owner, k), reply| {
+                self.poll_client(world, client, None, |engine, world, (owner, k), reply| {
                     if owner == BLOCKING {
                         cont.heard(engine, world, k, reply);
                     }
@@ -547,24 +549,40 @@ impl ProtocolEngine {
         &self.scratch.reads_by_slot
     }
 
-    /// Hands `deliver` what `client` has heard since it was last polled,
-    /// each with the route to the exchange it is about: first the replies
-    /// waiting in its mailbox — servers touched and lookups saved, the
-    /// outcomes in `scratch.outcomes` — then (`None`) the deadlines. A
-    /// reply nothing awaits is late (counted) or stray; a deadline nothing
-    /// awaits was answered on the step it expired, or already superseded.
+    /// Reads `client`'s mailbox — the one place a client's mail is read —
+    /// and hands `deliver` what it has heard since it was last polled, each
+    /// with the route to the exchange it is about: first the replies waiting
+    /// there — servers touched and lookups saved, the outcomes in
+    /// `scratch.outcomes` — then (`None`) the deadlines, unless a pull
+    /// polls. Returns the answer to pull `pull`, if it came, with its
+    /// frame's length. A reply nothing awaits is late (counted) or stray; a
+    /// deadline nothing awaits was answered on the step it expired, or
+    /// already superseded.
     pub(crate) fn poll_client(
         &mut self,
         world: &mut World,
         client: ActivityId,
+        pull: Option<u64>,
         mut deliver: impl FnMut(&mut ProtocolEngine, &mut World, Route, Option<(u32, u32)>),
-    ) {
+    ) -> Option<(ZoneDelta, u64)> {
+        let mut pulled = None;
         while let Some(msg) = world.receive(client) {
             for part in msg.parts {
                 let Payload::Bytes(bytes) = part else {
                     continue;
                 };
                 let s = &mut self.scratch;
+                if bytes.first() == Some(&wire::TAG_ZONE_DELTA) {
+                    let len = bytes.len() as u64;
+                    let delta = ZoneDelta::decode(bytes.clone());
+                    s.spares.recycle(bytes);
+                    match delta {
+                        Some(delta) if Some(delta.id) == pull => pulled = Some((delta, len)),
+                        Some(delta) => self.note_stale_reply(delta.id),
+                        None => {}
+                    }
+                    continue;
+                }
                 let read = wire::read_reply(&bytes, &mut s.outcomes, &mut s.reads);
                 s.spares.recycle(bytes);
                 let Some((id, touched, saved)) = read else {
@@ -576,14 +594,15 @@ impl ProtocolEngine {
                 }
             }
         }
-        if self.retry.is_none() {
-            return;
-        }
-        while let Some(token) = world.take_wake(client) {
-            if let Some(&mut route) = self.routes.get_mut(token) {
-                deliver(self, world, route, None);
+        // A pull leaves the deadlines to the drivers that armed them.
+        if self.retry.is_some() && pull.is_none() {
+            while let Some(token) = world.take_wake(client) {
+                if let Some(&mut route) = self.routes.get_mut(token) {
+                    deliver(self, world, route, None);
+                }
             }
         }
+        pulled
     }
 
     /// Publishes a replicated zone's current bindings: the primary's
@@ -671,25 +690,19 @@ impl ProtocolEngine {
         since: Vec<(usize, ZoneSerial)>,
     ) -> Option<(ZoneDelta, u64)> {
         let id = self.alloc_id();
-        let req = ZoneDeltaRequest { id, since };
-        let frame = codec::try_encode(&req)?;
+        let frame = codec::try_encode(&ZoneDeltaRequest { id, since })?;
         let req_bytes = frame.len() as u64;
         let server = self.service.server_on(machine);
         self.drain_servers(world);
         world.send(client, server, Payload::Bytes(frame));
         let mut steps = 0usize;
         loop {
-            while let Some(msg) = world.receive(client) {
-                for part in msg.parts {
-                    let Payload::Bytes(b) = part else { continue };
-                    let rep_bytes = b.len() as u64;
-                    if let Some(rep) = ZoneDelta::decode(b) {
-                        if rep.id == id {
-                            return Some((rep, req_bytes + rep_bytes));
-                        }
-                        self.note_stale_reply(rep.id);
-                    }
-                }
+            // Nothing else awaits this client's mail meanwhile: a late reply
+            // is counted, anything else dropped.
+            if let Some((delta, rep_bytes)) =
+                self.poll_client(world, client, Some(id), |_, _, _, _| {})
+            {
+                return Some((delta, req_bytes + rep_bytes));
             }
             if !self.pump_one(world, &mut steps) {
                 return None;
@@ -782,17 +795,22 @@ impl ProtocolEngine {
                         self.answer_request(world, machine, server, from, b)
                     }
                     Some(&wire::TAG_BATCH_REPLY) => self.relay_reply(world, server, b),
-                    _ => match Frame::decode(b) {
-                        Some(Frame::ZoneUpdate(update)) => {
-                            self.handle_zone_update(world, machine, update)
+                    Some(&wire::TAG_ZONE_UPDATE) => {
+                        if let Some(update) = ZoneUpdate::decode(b) {
+                            self.handle_zone_update(world, machine, update);
                         }
-                        Some(Frame::ZoneDeltaRequest(req)) => {
-                            self.handle_zone_delta_request(world, server, from, req)
+                    }
+                    Some(&wire::TAG_ZONE_DELTA_REQUEST) => {
+                        let req = ZoneDeltaRequest::decode(b);
+                        let delta = req.map(|req| self.journal.answer(world.state(), &req));
+                        // An answer the wire cannot carry is not sent: the
+                        // pull is lost.
+                        if let Some(frame) = delta.and_then(|d| codec::try_encode(&d)) {
+                            world.send(server, from, Payload::Bytes(frame));
                         }
-                        // Anything else is dropped like any undecodable
-                        // frame.
-                        _ => {}
-                    },
+                    }
+                    // Anything else is dropped like any undecodable frame.
+                    _ => {}
                 }
             }
         }
@@ -881,101 +899,16 @@ impl ProtocolEngine {
         }
     }
 
-    fn handle_zone_update(
-        &mut self,
-        world: &mut World,
-        machine: naming_sim::topology::MachineId,
-        update: ZoneUpdate,
-    ) {
+    /// Installs a pushed zone on `machine`'s copy of it. The primary
+    /// ignores its own echo.
+    fn handle_zone_update(&mut self, world: &mut World, machine: MachineId, update: ZoneUpdate) {
         let Some(copy) = self.service.zone_copy_on(update.zone, machine) else {
             return;
         };
-        if copy == update.zone {
-            return; // the primary ignores its own echo
-        }
-        if let Some(ctx) = world.state_mut().context_mut(copy) {
-            let fresh: naming_core::context::Context = update.bindings.iter().copied().collect();
-            *ctx = fresh;
-        }
-        // The frame carries no serial. Where the copy now holds the
-        // primary's bindings as they stand, it is as fresh as the primary's
-        // zone. Otherwise the update may have been pushed before the copy's
-        // last refresh and landed after it, so no serial the copy held is
-        // known to cover what it now holds: it reads at
-        // [`ZoneSerial::ZERO`], which no pull proves once the zone has been
-        // written — a copy may understate its freshness, never overstate it.
-        let state = world.state();
-        let shard = SystemState::shard_of_id(update.zone);
-        let current = state.context(update.zone).map(|p| p.iter());
-        let serial = if current.is_some_and(|p| p.eq(update.bindings.iter().copied())) {
-            state.shard_serial(shard)
-        } else {
-            ZoneSerial::ZERO
-        };
-        self.service.refreshed(copy, serial);
-    }
-
-    /// Answers an anti-entropy pull. Per requested shard: equal serials
-    /// yield an empty incremental slice (a pure heartbeat), a journal
-    /// window that still covers `since` yields the diff, and anything
-    /// else — window evicted, authority restarted behind the puller, or
-    /// an unjournaled-write gap — degrades to a full dump of the shard's
-    /// live bindings (the AXFR fallback).
-    fn handle_zone_delta_request(
-        &mut self,
-        world: &mut World,
-        server: ActivityId,
-        requester: ActivityId,
-        req: ZoneDeltaRequest,
-    ) {
-        let mut shards = Vec::with_capacity(req.since.len());
-        for &(shard, since) in &req.since {
-            if shard >= world.state().shard_count() {
-                continue;
-            }
-            let current = world.state().shard_serial(shard);
-            let slice = if since == current {
-                ShardDelta {
-                    shard,
-                    serial: current,
-                    full: false,
-                    changes: Vec::new(),
-                }
-            } else if let Some(changes) = self.journal.delta_since(shard, since, current) {
-                ShardDelta {
-                    shard,
-                    serial: current,
-                    full: false,
-                    changes,
-                }
-            } else {
-                let state = world.state();
-                let changes = state
-                    .objects()
-                    .filter(|&o| SystemState::shard_of_id(o) == shard)
-                    .filter_map(|o| state.context(o).map(|ctx| (o, ctx)))
-                    .flat_map(|(o, ctx)| {
-                        ctx.iter().map(move |(name, entity)| ZoneChange {
-                            ctx: o,
-                            name,
-                            entity,
-                            was: Entity::Undefined,
-                        })
-                    })
-                    .collect();
-                ShardDelta {
-                    shard,
-                    serial: current,
-                    full: true,
-                    changes,
-                }
-            };
-            shards.push(slice);
-        }
-        let reply = ZoneDelta { id: req.id, shards };
-        // An answer the wire cannot carry is not sent: the pull is lost.
-        if let Some(frame) = codec::try_encode(&reply) {
-            world.send(server, requester, Payload::Bytes(frame));
+        if copy != update.zone {
+            let bindings = update.bindings.into_iter().collect();
+            self.service
+                .install_copy(world, update.zone, copy, bindings);
         }
     }
 }
@@ -1366,6 +1299,45 @@ mod tests {
             c.late_replies >= 1,
             "superseded attempts answered eventually: {c:?}"
         );
+    }
+
+    #[test]
+    fn a_pull_counts_the_late_replies_it_reads() {
+        // The zone's primary is on a far network, its replica beside the
+        // client. A resolve from the zone itself addresses the primary
+        // first; its deadline fails over to the replica, which answers long
+        // before the primary's reply lands — during the pull that follows,
+        // whose reading of the mailbox must count it.
+        let mut w = World::new(73);
+        let (near, far) = (w.add_network("near"), w.add_network("far"));
+        let (home, standby) = (w.add_machine("home", near), w.add_machine("standby", near));
+        let remote = w.add_machine("remote", far);
+        let root = w.machine_root(remote);
+        let zone = store::ensure_dir(w.state_mut(), root, "zone");
+        let leaf = store::create_file(w.state_mut(), zone, "leaf", vec![]);
+        let mut svc = NameService::install(&mut w, &[home, standby, remote]);
+        svc.place_subtree(&w, root, remote);
+        svc.replicate_zone(&mut w, zone, standby);
+        let client = w.spawn(home, "client", None);
+        let mut engine = ProtocolEngine::new(svc);
+        engine.set_retry_policy(Some(RetryPolicy {
+            base_timeout_ticks: 30, // RTT to the primary is 200 ticks
+            max_attempts: 8,
+            backoff_cap: 0,
+        }));
+        let name = CompoundName::new([Name::new("leaf")]).unwrap();
+        let shard = SystemState::shard_of_id(zone);
+        for _ in 0..10 {
+            let stats = engine.resolve(&mut w, client, zone, &name, Mode::Iterative);
+            assert_eq!(stats.entity, Entity::Object(leaf));
+            let since = vec![(shard, w.state().shard_serial(shard))];
+            let pulled = engine.pull_zone_deltas(&mut w, client, remote, since);
+            assert!(pulled.is_some(), "the pull completes");
+        }
+        let c = engine.retry_counters();
+        assert!(c.failovers >= 1 && c.retransmissions >= 1, "{c:?}");
+        // Every superseded attempt was answered while a pull read the mail.
+        assert_eq!(c.late_replies, c.retransmissions, "{c:?}");
     }
 
     #[test]

@@ -339,7 +339,7 @@ impl PipelinedService {
             ..
         } = self;
         for &client in clients {
-            engine.poll_client(world, client, |engine, world, (owner, k), reply| {
+            engine.poll_client(world, client, None, |engine, world, (owner, k), reply| {
                 let Some(batch) = inflight.get_mut(owner) else {
                     return;
                 };

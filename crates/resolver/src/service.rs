@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use naming_core::context::Context;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::hash::FxHashMap;
 use naming_core::lease::ZoneSerial;
@@ -345,10 +346,33 @@ impl NameService {
         copy
     }
 
-    /// Records that `copy` now holds its zone's bindings as of `serial` of
-    /// the zone's shard ([`ZoneSerial::ZERO`] when no serial is known to
-    /// cover them).
-    pub(crate) fn refreshed(&self, copy: ObjectId, serial: ZoneSerial) {
+    /// Makes `copy` of `zone` hold `bindings`, and records the serial its
+    /// reads state from then on: the primary's current serial when the copy
+    /// now equals the primary, [`ZoneSerial::ZERO`] otherwise. A pushed
+    /// update carries no serial, and one pushed before the copy's last
+    /// refresh may land after it; then no serial the copy held is known to
+    /// cover what it holds, and `ZERO` is proved by no pull once the zone
+    /// has been written. A copy may understate its freshness, never
+    /// overstate it.
+    pub(crate) fn install_copy(
+        &self,
+        world: &mut World,
+        zone: ObjectId,
+        copy: ObjectId,
+        bindings: Context,
+    ) {
+        if let Some(ctx) = world.state_mut().context_mut(copy) {
+            *ctx = bindings;
+        }
+        let state = world.state();
+        let fresh = state
+            .context(copy)
+            .is_some_and(|c| state.context(zone) == Some(c));
+        let serial = if fresh {
+            state.shard_serial(SystemState::shard_of_id(zone))
+        } else {
+            ZoneSerial::ZERO
+        };
         if let Some((_, at)) = self.zone_of_copy.get(&copy) {
             at.store(serial.get(), Ordering::Relaxed);
         }
@@ -380,13 +404,8 @@ impl NameService {
             .context(zone)
             .expect("zone is a context")
             .inherit();
-        let serial = world.state().shard_serial(SystemState::shard_of_id(zone));
         for &copy in secondaries.values() {
-            *world
-                .state_mut()
-                .context_mut(copy)
-                .expect("replica is a context") = primary.clone();
-            self.refreshed(copy, serial);
+            self.install_copy(world, zone, copy, primary.clone());
         }
     }
 

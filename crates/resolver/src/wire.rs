@@ -247,51 +247,15 @@ impl ZoneDelta {
     }
 }
 
-/// Any protocol frame, decoded once by its tag byte — what a receiver
-/// that cannot know the frame type in advance (a server mailbox, a client
-/// awaiting either reply format) uses instead of trial-decoding each type.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Frame {
-    /// A recursive resolution request: a batch request of exactly one
-    /// name, which the servers chase to its end.
-    Recursive(BatchRequest),
-    /// A replica zone push.
-    ZoneUpdate(ZoneUpdate),
-    /// A batched (iterative) resolution request.
-    BatchRequest(BatchRequest),
-    /// The reply to either request.
-    BatchReply(BatchReply),
-    /// An anti-entropy pull.
-    ZoneDeltaRequest(ZoneDeltaRequest),
-    /// An anti-entropy answer.
-    ZoneDelta(ZoneDelta),
-}
-
-impl Frame {
-    /// Decodes whichever frame `buf` holds; `None` for an unknown tag or a
-    /// malformed body.
-    pub fn decode(buf: Bytes) -> Option<Frame> {
-        match *buf.first()? {
-            TAG_RECURSIVE => {
-                decode_request(&buf, Mode::Recursive, &mut Vec::new()).map(Frame::Recursive)
-            }
-            TAG_ZONE_UPDATE => ZoneUpdate::decode(buf).map(Frame::ZoneUpdate),
-            TAG_BATCH_REQUEST => BatchRequest::decode(buf).map(Frame::BatchRequest),
-            TAG_BATCH_REPLY => BatchReply::decode(buf).map(Frame::BatchReply),
-            TAG_ZONE_DELTA_REQUEST => ZoneDeltaRequest::decode(buf).map(Frame::ZoneDeltaRequest),
-            TAG_ZONE_DELTA => ZoneDelta::decode(buf).map(Frame::ZoneDelta),
-            _ => None,
-        }
-    }
-}
-
-// Tag 2, the scalar reply, is retired: both requests are answered by tag 5.
+// A frame's first byte is its tag: each receiver dispatches on it, then
+// reads the frame with that type's decoder. Tag 2, the scalar reply, is
+// retired: both requests are answered by tag 5.
 pub(crate) const TAG_RECURSIVE: u8 = 1;
-const TAG_ZONE_UPDATE: u8 = 3;
+pub(crate) const TAG_ZONE_UPDATE: u8 = 3;
 pub(crate) const TAG_BATCH_REQUEST: u8 = 4;
 pub(crate) const TAG_BATCH_REPLY: u8 = 5;
-const TAG_ZONE_DELTA_REQUEST: u8 = 6;
-const TAG_ZONE_DELTA: u8 = 7;
+pub(crate) const TAG_ZONE_DELTA_REQUEST: u8 = 6;
+pub(crate) const TAG_ZONE_DELTA: u8 = 7;
 
 const OUT_RESOLVED: u8 = 1;
 const OUT_REFERRAL: u8 = 2;
@@ -651,8 +615,8 @@ impl NameTrie {
 /// A resolution request: many names (as a shared-prefix trie) resolved
 /// from one start context in a single wire exchange; the reply carries one
 /// outcome per query id. Its own frame is iterative (the client follows
-/// referrals). The same body under the recursive tag ([`Frame::Recursive`])
-/// holds exactly one name, and the server chases its referrals itself.
+/// referrals). The same body under the recursive tag (tag 1) holds exactly
+/// one name, and the server chases its referrals itself.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchRequest {
     /// Correlation id chosen by the requester.
@@ -847,19 +811,22 @@ mod tests {
         codec::encode(&RequestFrame(Mode::Recursive, req.id, req.start, &req.trie))
     }
 
+    /// A recursive request frame as a name server reads it.
+    fn read_recursive(frame: &[u8]) -> Option<BatchRequest> {
+        decode_request(frame, Mode::Recursive, &mut Vec::new())
+    }
+
     #[test]
     fn request_roundtrip() {
         let r = one(42, 7, name("/usr/bin/cc"));
         let (rec, it) = (recursive(&r), r.encode());
-        assert_eq!(
-            Frame::decode(rec.clone()),
-            Some(Frame::Recursive(r.clone()))
-        );
-        assert_eq!(Frame::decode(it.clone()), Some(Frame::BatchRequest(r)));
-        // One body, two tags: the iterative decoder refuses the other one.
+        assert_eq!(read_recursive(&rec), Some(r.clone()));
+        assert_eq!(BatchRequest::decode(it.clone()), Some(r));
+        // One body, two tags: each decoder refuses the other one.
         assert_eq!((rec[0], it[0]), (TAG_RECURSIVE, TAG_BATCH_REQUEST));
         assert_eq!(rec[1..], it[1..]);
         assert!(BatchRequest::decode(rec).is_none());
+        assert!(read_recursive(&it).is_none());
     }
 
     #[test]
@@ -975,20 +942,19 @@ mod tests {
         // A request frame is not a reply.
         let req = one(1, 0, name("/x"));
         assert!(BatchReply::decode(recursive(&req)).is_none());
-        // The tag picks the decoder; unknown tags, the retired scalar reply
-        // tag and empty frames are none.
-        assert_eq!(
-            Frame::decode(recursive(&req)),
-            Some(Frame::Recursive(req.clone()))
-        );
-        assert!(Frame::decode(Bytes::from_static(&[])).is_none());
-        assert!(Frame::decode(Bytes::from_static(&[9, 0, 0])).is_none());
+        // A decoder reads its own tags only: unknown tags, the retired
+        // scalar reply tag and empty frames are no request and no reply.
+        assert_eq!(read_recursive(&recursive(&req)), Some(req.clone()));
         let scalar_reply = [2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, OUT_NOT_FOUND];
-        assert!(Frame::decode(Bytes::copy_from_slice(&scalar_reply)).is_none());
+        let (mut trie, mut seen) = (NameTrie::default(), Vec::new());
+        for junk in [&[][..], &[9, 0, 0], &scalar_reply] {
+            assert!(read_request(junk, &mut trie, &mut seen).is_none());
+            assert!(read_reply(junk, &mut Vec::new(), &mut Vec::new()).is_none());
+        }
         // Truncated compound name.
         let mut good = BytesMut::from(&recursive(&req)[..]);
         good.truncate(good.len() - 1);
-        assert!(Frame::decode(good.freeze()).is_none());
+        assert!(read_recursive(&good).is_none());
         // A recursive request chases exactly one name: none or two are
         // refused, where the iterative tag takes any number.
         for paths in [&[][..], &["/x", "/y"][..]] {
@@ -998,7 +964,7 @@ mod tests {
                 trie,
                 ..req.clone()
             };
-            assert!(Frame::decode(recursive(&many)).is_none(), "{paths:?}");
+            assert!(read_recursive(&recursive(&many)).is_none(), "{paths:?}");
             assert!(BatchRequest::decode(many.encode()).is_some());
         }
     }
@@ -1112,11 +1078,9 @@ mod tests {
                 let b = Bytes::from(data);
                 // A request's labels are looked up, not interned: one never
                 // interned is re-encoded empty, and that is a fixed point.
-                if let Some(Frame::Recursive(req)) = Frame::decode(b.clone()) {
-                    let again = Frame::decode(recursive(&req));
-                    let Some(Frame::Recursive(again)) = again else {
-                        panic!("a recursive frame re-encodes recursive");
-                    };
+                if let Some(req) = read_recursive(&b) {
+                    let again = read_recursive(&recursive(&req));
+                    let again = again.expect("a recursive frame re-encodes recursive");
                     prop_assert_eq!(recursive(&again), recursive(&req));
                 }
                 if let Some(breq) = BatchRequest::decode(b.clone()) {
@@ -1278,11 +1242,11 @@ mod tests {
                 let full = recursive(&req);
                 if cut < full.len() {
                     let truncated = full.slice(..cut);
-                    if let Some(got) = Frame::decode(truncated) {
+                    if let Some(got) = read_recursive(&truncated) {
                         // Only acceptable if truncation removed nothing
                         // semantically (never the case here since every
                         // byte matters) — so this must be the full frame.
-                        prop_assert_eq!(got, Frame::Recursive(req));
+                        prop_assert_eq!(got, req);
                     }
                 }
             }
@@ -1298,12 +1262,12 @@ mod tests {
             ) {
                 let n = CompoundName::new(segs.iter().map(|s| Name::new(s))).unwrap();
                 let req = one(id, start, n);
-                let (frame, expected) = if chase {
-                    (recursive(&req), Frame::Recursive(req))
+                let got = if chase {
+                    read_recursive(&recursive(&req))
                 } else {
-                    (req.encode(), Frame::BatchRequest(req))
+                    BatchRequest::decode(req.encode())
                 };
-                prop_assert_eq!(Frame::decode(frame), Some(expected));
+                prop_assert_eq!(got, Some(req));
             }
         }
     }
@@ -1383,9 +1347,8 @@ mod tests {
         };
         let (root, x) = (Name::root(), Name::new("x"));
         let chased = one(1, 0, CompoundName::new([root, known, x]).unwrap());
-        let Some(Frame::Recursive(got)) = Frame::decode(patched(recursive(&chased))) else {
-            panic!("the patched frame is still a recursive request");
-        };
+        let got = read_recursive(&patched(recursive(&chased)));
+        let got = got.expect("the patched frame is still a recursive request");
         assert_eq!(labels(&got), [Some(root), None, Some(x)]);
         let batch = one(2, 0, CompoundName::new([Name::root(), known]).unwrap());
         let got = BatchRequest::decode(patched(batch.encode())).unwrap();
@@ -1404,6 +1367,6 @@ mod tests {
     fn unicode_names_survive_the_wire() {
         let n = CompoundName::new([Name::new("café"), Name::new("naïve")]).unwrap();
         let r = one(1, 0, n);
-        assert_eq!(Frame::decode(recursive(&r)), Some(Frame::Recursive(r)));
+        assert_eq!(read_recursive(&recursive(&r)), Some(r));
     }
 }

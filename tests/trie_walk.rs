@@ -34,7 +34,7 @@ use naming_resolver::concurrent::ConcurrentService;
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
-use naming_resolver::wire::{BatchRequest, Frame, Mode, NameTrie, Outcome};
+use naming_resolver::wire::{BatchReply, BatchRequest, Mode, NameTrie, Outcome};
 use naming_sim::message::Payload;
 use naming_sim::store;
 use naming_sim::topology::MachineId;
@@ -207,9 +207,7 @@ fn name_servers_honour_the_depth_limit() {
         let Payload::Bytes(b) = &msg.parts[0] else {
             panic!("a reply carries a frame");
         };
-        let Some(Frame::BatchReply(reply)) = Frame::decode(b.clone()) else {
-            panic!("a reply frame");
-        };
+        let reply = BatchReply::decode(b.clone()).expect("a reply frame");
         answers.push((reply.id, reply.outcomes));
     }
     answers.sort_by_key(|&(id, _)| id);
@@ -536,7 +534,6 @@ fn a_frame_that_lies_about_its_counts_is_refused_at_every_door() {
     let mut pool = ConcurrentService::new(state, 2);
     for frame in &hostile {
         assert!(BatchRequest::decode(frame.clone()).is_none());
-        assert!(Frame::decode(frame.clone()).is_none());
         assert!(!pool.submit_frame(frame.clone()));
     }
     assert!(pool.submit_frame(good));
@@ -545,16 +542,27 @@ fn a_frame_that_lies_about_its_counts_is_refused_at_every_door() {
 
     // A name server's mailbox: the frames are dropped like any other
     // undecodable mail — no reply, no panic, no allocation by their claims.
-    let (mut w, svc, m1, _) = referral_world();
+    // It is the only door a recursive request (`none`, `two`) has: an
+    // honest one sent after them is the one answer.
+    let (mut w, svc, m1, root1) = referral_world();
     let server = svc.server_on(m1);
     let stranger = w.spawn(m1, "stranger", None);
     for frame in hostile {
         w.send(stranger, server, vec![Payload::Bytes(frame)]);
     }
+    let honest = chain_frame(1, 99, root1, &["/", "usr", "motd"]);
+    w.send(stranger, server, Payload::Bytes(honest));
     let mut engine = ProtocolEngine::new(svc);
     engine.pump_idle(&mut w);
     assert_eq!(w.mailbox_len(server), 0, "the server read its mail");
-    assert!(w.receive(stranger).is_none(), "and answered none of it");
+    let answer = w.receive(stranger).expect("the honest request is answered");
+    let Payload::Bytes(b) = &answer.parts[0] else {
+        panic!("a reply carries a frame");
+    };
+    let reply = BatchReply::decode(b.clone()).expect("a reply frame");
+    assert_eq!(reply.id, 99);
+    assert!(matches!(reply.outcomes[..], [Outcome::Resolved(e)] if e.is_defined()));
+    assert!(w.receive(stranger).is_none(), "and none of the rest");
 }
 
 /// A batch request as raw bytes, none of its labels ever passed to
@@ -669,9 +677,7 @@ fn labels_that_name_nothing_are_answered_bottom_and_never_interned() {
         let Payload::Bytes(b) = &msg.parts[0] else {
             panic!("a reply carries a frame");
         };
-        let Some(Frame::BatchReply(reply)) = Frame::decode(b.clone()) else {
-            panic!("a reply frame");
-        };
+        let reply = BatchReply::decode(b.clone()).expect("a reply frame");
         if reply.id < FRAMES as u64 {
             batch_replies += 1;
             let (last, garbage) = reply.outcomes.split_last().unwrap();
