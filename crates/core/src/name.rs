@@ -18,7 +18,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::OnceLock;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use serde::de::Visitor;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
@@ -157,6 +157,29 @@ fn interner() -> &'static RwLock<Interner> {
     INTERNER.get_or_init(|| RwLock::new(Interner::new()))
 }
 
+/// The interner's index under one read guard: [`Lookups::get`] is
+/// [`Name::lookup`] without a lock per label.
+///
+/// Nothing may intern while the guard is held. On the holding thread,
+/// [`Name::new`] — or [`Name::lookup`], or a second guard — can deadlock:
+/// once a writer waits behind the guard, new readers wait behind the
+/// writer. On another thread, `Name::new` of a new label waits until the
+/// guard is dropped. Take one, look the labels up, drop it.
+pub struct Lookups(RwLockReadGuard<'static, Interner>);
+
+impl Lookups {
+    /// The atom `s` was interned as, if it ever was; never inserts.
+    pub fn get(&self, s: &str) -> Option<Name> {
+        self.0.index.get(s).map(|&sym| Name(sym))
+    }
+}
+
+impl fmt::Debug for Lookups {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lookups").finish_non_exhaustive()
+    }
+}
+
 /// An atomic name (identifier).
 ///
 /// Names are interned: two `Name`s constructed from equal strings are equal
@@ -198,11 +221,18 @@ impl Name {
 
     /// The atom `s` was interned as, if it ever was: an index probe under
     /// the read lock that never inserts. A label no [`Name::new`] call has
-    /// seen cannot be bound in any context, so a server reading labels
-    /// from a peer looks them up here instead of letting the peer grow
-    /// the interner.
+    /// seen cannot be bound in any context, so a reader of labels from a
+    /// peer looks them up instead of letting the peer grow the interner.
+    /// This takes the lock for one label; a server decoding a request
+    /// looks all of its labels up under one guard, [`Name::lookups`].
     pub fn lookup(s: &str) -> Option<Name> {
-        interner().read().index.get(s).map(|&sym| Name(sym))
+        Name::lookups().get(s)
+    }
+
+    /// The interner's read lock, taken once for many [`Lookups::get`]
+    /// probes. See [`Lookups`] for what its holder must not do.
+    pub fn lookups() -> Lookups {
+        Lookups(interner().read())
     }
 
     /// Returns the string this name was interned from. Lock-free: resolves
@@ -559,6 +589,13 @@ mod tests {
         let n = Name::new("lookup-interned");
         assert_eq!(Name::lookup("lookup-interned"), Some(n));
         assert_eq!(Name::lookup(ROOT), Some(Name::root()));
+        // Many labels under one guard, with the same answers.
+        let names = Name::lookups();
+        assert_eq!(names.get("lookup-interned"), Some(n));
+        assert_eq!(names.get("lookup-never-interned"), None);
+        assert_eq!(names.get(PARENT), Some(Name::parent()));
+        drop(names);
+        assert_eq!(Name::lookup("lookup-never-interned"), None);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use naming_telemetry::flight::{FlightLog, FlightRecorder, SharedFlightRecord
 pub use naming_telemetry::metrics::HistogramSnapshot;
 
 use crate::service::{authority_walk, AuthorityScratch, Onward};
-use crate::wire::{self, BatchRequest, Mode, Outcome};
+use crate::wire::{self, BatchRequest, Mode, NameTrie, Outcome};
 
 /// A unit of work: one batch frame plus the snapshot it resolves against.
 struct Job {
@@ -62,6 +62,10 @@ struct Job {
     /// never touches an answer.
     submitted: Instant,
 }
+
+/// What a served job sends back: its sequence number, its answer, and the
+/// trie it was read into, for the next frame to reuse.
+type Served = (u64, BatchAnswer, NameTrie);
 
 /// A completed batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -175,12 +179,19 @@ pub struct ConcurrentService {
     /// frames itself while no answer is ready. It also keeps the channel's
     /// park count in reach once `jobs` is dropped at shutdown.
     queued: Receiver<Job>,
-    results: Receiver<(u64, BatchAnswer)>,
+    results: Receiver<Served>,
     workers: Vec<JoinHandle<WorkerReport>>,
     /// `drain`'s own server, made with the pool.
     drainer: Server,
     /// Forest-check scratch for [`ConcurrentService::submit_frame`]'s decode.
     seen: Vec<u64>,
+    /// Tries that served a frame, for `submit_frame` to read the next ones
+    /// into: back from `drain` in submission order, so which trie a frame
+    /// reuses — and whether it must grow — never depends on which thread
+    /// served first. No more than were ever pending at once.
+    tries: Vec<NameTrie>,
+    /// `drain`'s tries by submission order while answers come in.
+    returned: Vec<Option<NameTrie>>,
     /// Per-worker flight recorders (worker-index order, `drain`'s last),
     /// shared with the pool; empty when the service was built without
     /// sampling.
@@ -223,7 +234,7 @@ impl ConcurrentService {
     ) -> ConcurrentService {
         assert!(workers > 0, "worker pool must be nonempty");
         let (jobs_tx, jobs_rx) = channel::unbounded::<Job>();
-        let (results_tx, results_rx) = channel::unbounded::<(u64, BatchAnswer)>();
+        let (results_tx, results_rx) = channel::unbounded::<Served>();
         let flights: Vec<SharedFlightRecorder> = if sample_every == 0 {
             Vec::new()
         } else {
@@ -250,6 +261,8 @@ impl ConcurrentService {
             workers: handles,
             drainer: Server::new(workers, flights.get(workers).cloned()),
             seen: Vec::new(),
+            tries: Vec::new(),
+            returned: Vec::new(),
             flights,
             next_seq: 0,
             pending: 0,
@@ -315,10 +328,17 @@ impl ConcurrentService {
     /// Answers are retrieved with [`ConcurrentService::drain`], in
     /// submission order.
     pub fn submit(&mut self, req: BatchRequest) {
+        let jobs = self.jobs.as_ref().expect("service not shut down");
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending += 1;
-        self.queue_depth_hwm = self.queue_depth_hwm.max(self.pending);
+        if self.pending > self.queue_depth_hwm {
+            self.queue_depth_hwm = self.pending;
+            // No more jobs than are pending ever wait in the queue: room
+            // for them all, made here, is room the queue never grows into
+            // on this thread however far the pool falls behind.
+            jobs.reserve(self.pending as usize);
+        }
         let job = Job {
             seq,
             entities: vec![Entity::Undefined; req.trie.query_count() as usize],
@@ -326,19 +346,24 @@ impl ConcurrentService {
             snap: self.current.clone(),
             submitted: Instant::now(),
         };
-        self.jobs
-            .as_ref()
-            .expect("service not shut down")
-            .send(job)
-            .expect("worker pool alive");
+        jobs.send(job).expect("worker pool alive");
     }
 
-    /// Decodes and queues an encoded [`BatchRequest`] frame. Returns
-    /// `false` (submitting nothing) on a malformed frame.
+    /// Decodes and queues an encoded [`BatchRequest`] frame, read into a
+    /// trie that served an earlier frame. Returns `false` (submitting
+    /// nothing) on a malformed frame.
     pub fn submit_frame(&mut self, frame: bytes::Bytes) -> bool {
-        wire::decode_request(&frame, Mode::Iterative, &mut self.seen)
-            .map(|req| self.submit(req))
-            .is_some()
+        let mut trie = self.tries.pop().unwrap_or_default();
+        match wire::read_request(&frame, &mut trie, &mut self.seen) {
+            Some((Mode::Iterative, id, start)) => {
+                self.submit(BatchRequest { id, start, trie });
+                true
+            }
+            _ => {
+                self.tries.push(trie);
+                false
+            }
+        }
     }
 
     /// Blocks until every submitted batch has been answered and returns
@@ -353,8 +378,9 @@ impl ConcurrentService {
         // Pending jobs hold the last `pending` sequence numbers, densely.
         let first = self.next_seq - self.pending;
         let mut by_seq: Vec<Option<BatchAnswer>> = vec![None; self.pending as usize];
+        self.returned.resize_with(self.pending as usize, || None);
         while self.pending > 0 {
-            let (seq, answer) = match self.results.try_recv() {
+            let (seq, answer, trie) = match self.results.try_recv() {
                 Ok(done) => done,
                 Err(_) => match self.queued.try_recv() {
                     Ok(job) => self.drainer.serve(job),
@@ -362,7 +388,15 @@ impl ConcurrentService {
                 },
             };
             by_seq[(seq - first) as usize] = Some(answer);
+            self.returned[(seq - first) as usize] = Some(trie);
             self.pending -= 1;
+        }
+        // A trie `submit` brought is kept too, while fewer are kept than
+        // were ever pending.
+        for trie in self.returned.drain(..).flatten() {
+            if self.tries.len() < self.queue_depth_hwm as usize {
+                self.tries.push(trie);
+            }
         }
         by_seq
             .into_iter()
@@ -466,8 +500,9 @@ impl Server {
         }
     }
 
-    /// Answers one job, returning its sequence number with the answer.
-    fn serve(&mut self, job: Job) -> (u64, BatchAnswer) {
+    /// Answers one job, returning its sequence number with the answer and
+    /// the job's trie.
+    fn serve(&mut self, job: Job) -> Served {
         let started = Instant::now();
         self.queue_wait
             .record(started.duration_since(job.submitted).as_nanos() as u64);
@@ -520,7 +555,7 @@ impl Server {
             entities,
             worker: self.idx,
         };
-        (job.seq, answer)
+        (job.seq, answer, job.req.trie)
     }
 
     fn finish(&mut self) -> WorkerReport {
@@ -531,11 +566,7 @@ impl Server {
 }
 
 /// A pool thread: serves every job until the job channel closes.
-fn worker_loop(
-    mut server: Server,
-    jobs: Receiver<Job>,
-    results: Sender<(u64, BatchAnswer)>,
-) -> WorkerReport {
+fn worker_loop(mut server: Server, jobs: Receiver<Job>, results: Sender<Served>) -> WorkerReport {
     for job in jobs.iter() {
         if results.send(server.serve(job)).is_err() {
             // Service dropped mid-flight; nothing left to report to.

@@ -10,7 +10,8 @@
 //! interleaves many.
 //!
 //! An exchange allocates nothing: the frame the simulator must own in
-//! flight is a buffer recycled through the engine's scratch, vectors are
+//! flight is a buffer recycled through the engine's scratch — the reader
+//! hands it back, or the simulator when it loses it —, vectors are
 //! reused ([`ProtocolEngine::idle`]), requests built in the scratch,
 //! replies folded where they lie.
 
@@ -316,7 +317,8 @@ impl Continuation {
             return self.give_up(self.exchanges[k].riders.clone());
         };
         let server = engine.service().server_on(machine);
-        world.send(self.client, server, Payload::Bytes(frame));
+        let unsent = world.send(self.client, server, Payload::Bytes(frame));
+        engine.scratch.spares.reclaim(unsent);
         self.stats.messages += 1;
         if let Some(policy) = engine.retry_policy() {
             let after = Duration::from_ticks(policy.timeout_ticks(ex.id, ex.attempt));

@@ -14,7 +14,7 @@ use naming_core::lease::ZoneSerial;
 use naming_core::name::{CompoundName, Name};
 use naming_core::state::SystemState;
 use naming_sim::codec;
-use naming_sim::message::Payload;
+use naming_sim::message::{Parts, Payload};
 use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
 use naming_sim::world::{Stepped, World};
@@ -177,7 +177,8 @@ pub(crate) struct Scratch {
 }
 
 /// Frame buffers between flights — a sender encodes into one, whoever reads
-/// the frame hands it back — so never more than flew at once.
+/// the frame hands it back, and a frame the network does not carry comes
+/// back to its sender — so never more than flew at once.
 #[derive(Debug, Default)]
 pub(crate) struct Spares(Vec<BytesMut>);
 
@@ -201,6 +202,16 @@ impl Spares {
         if let Some(mut buf) = spare.filter(|b| fits && b.capacity() >= FRAME_CAPACITY) {
             buf.clear();
             self.0.push(buf);
+        }
+    }
+
+    /// Takes back the frames of a message [`World::send`] handed back
+    /// unsent: lost, or unroutable.
+    pub(crate) fn reclaim(&mut self, unsent: Option<Parts>) {
+        for part in unsent.into_iter().flatten() {
+            if let Payload::Bytes(frame) = part {
+                self.recycle(frame);
+            }
         }
     }
 }
@@ -630,7 +641,8 @@ impl ProtocolEngine {
         let from = self.service.server_on(primary);
         for &m in secondaries {
             let to = self.service.server_on(m);
-            world.send(from, to, Payload::Bytes(frame.clone()));
+            let unsent = world.send(from, to, Payload::Bytes(frame.clone()));
+            self.scratch.spares.reclaim(unsent);
         }
         secondaries.len()
     }
@@ -694,7 +706,8 @@ impl ProtocolEngine {
         let req_bytes = frame.len() as u64;
         let server = self.service.server_on(machine);
         self.drain_servers(world);
-        world.send(client, server, Payload::Bytes(frame));
+        let unsent = world.send(client, server, Payload::Bytes(frame));
+        self.scratch.spares.reclaim(unsent);
         let mut steps = 0usize;
         loop {
             // Nothing else awaits this client's mail meanwhile: a late reply
@@ -806,7 +819,8 @@ impl ProtocolEngine {
                         // An answer the wire cannot carry is not sent: the
                         // pull is lost.
                         if let Some(frame) = delta.and_then(|d| codec::try_encode(&d)) {
-                            world.send(server, from, Payload::Bytes(frame));
+                            let unsent = world.send(server, from, Payload::Bytes(frame));
+                            self.scratch.spares.reclaim(unsent);
                         }
                     }
                     // Anything else is dropped like any undecodable frame.
@@ -862,7 +876,8 @@ impl ProtocolEngine {
                     let mut own = s.read_spares.pop().unwrap_or_default();
                     own.extend_from_slice(&s.batch.reads);
                     self.forwarding.insert((server, id), (requester, own));
-                    return world.send(server, next, Payload::Bytes(frame));
+                    let unsent = world.send(server, next, Payload::Bytes(frame));
+                    return s.spares.reclaim(unsent);
                 }
             }
             // Nobody runs there, or the wire cannot carry what is left.
@@ -871,7 +886,8 @@ impl ProtocolEngine {
         let reply = ReplyFrame(id, 1, saved, &s.batch.outcomes, &s.batch.reads);
         let reply = codec::encode_with(&reply, |len| s.spares.take(len));
         if let Some(reply) = reply {
-            world.send(server, requester, Payload::Bytes(reply));
+            let unsent = world.send(server, requester, Payload::Bytes(reply));
+            s.spares.reclaim(unsent);
         }
     }
 
@@ -895,7 +911,8 @@ impl ProtocolEngine {
         let reply = ReplyFrame(id, touched, saved, &s.outcomes, &s.reads);
         let reply = codec::encode_with(&reply, |len| s.spares.take(len));
         if let Some(reply) = reply {
-            world.send(server, requester, Payload::Bytes(reply));
+            let unsent = world.send(server, requester, Payload::Bytes(reply));
+            s.spares.reclaim(unsent);
         }
     }
 

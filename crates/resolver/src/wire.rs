@@ -560,8 +560,10 @@ impl NameTrie {
             fresh
         };
         let mut queries = 0u32;
+        // Every label under one interner guard; nothing here interns.
+        let names = Name::lookups();
         for i in 0..node_count {
-            let component = Name::lookup(r.label()?);
+            let component = names.get(r.label()?);
             let query = match r.u8()? {
                 0 => None,
                 1 => {
@@ -1353,7 +1355,8 @@ mod tests {
         let batch = one(2, 0, CompoundName::new([Name::root(), known]).unwrap());
         let got = BatchRequest::decode(patched(batch.encode())).unwrap();
         assert_eq!(labels(&got), [Some(Name::root()), None]);
-        assert_eq!(Name::lookup(unknown), None, "decoding a request interned");
+        let interned = Name::lookups().get(unknown);
+        assert_eq!(interned, None, "decoding a request interned");
         // A reply's receiver may learn what it is told: zone frames intern.
         let update = ZoneUpdate {
             zone: ObjectId::from_index(0),

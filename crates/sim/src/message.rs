@@ -117,9 +117,6 @@ pub struct Message {
     pub sent_at: VirtualTime,
 }
 
-// Every delivery-heap sift moves a whole message: with its key, a cache line.
-const _: () = assert!(std::mem::size_of::<Message>() <= 48);
-
 impl Message {
     /// Creates a message; `sent_at` is stamped by the world on send.
     pub fn new(from: ActivityId, to: ActivityId, parts: impl Into<Parts>) -> Message {

@@ -3,10 +3,10 @@
 //!
 //! [`World`] owns a [`SystemState`] (the σ function), a [`ContextRegistry`]
 //! (the `R(a)`/`R(o)` associations), a [`Topology`] (machines, networks,
-//! addresses), the process table, and a deterministic event queue for
-//! message delivery. Naming schemes (crate `naming-schemes`) configure the
-//! world — build directory trees, assign per-process contexts — and
-//! experiments drive it.
+//! addresses), the process table, and deterministic queues for message
+//! delivery and deadline timers. Naming schemes (crate `naming-schemes`)
+//! configure the world — build directory trees, assign per-process
+//! contexts — and experiments drive it.
 
 use std::collections::VecDeque;
 
@@ -19,7 +19,7 @@ use naming_core::replica::ReplicaRegistry;
 use naming_core::resolve::Resolver;
 use naming_core::state::{ObjectState, SystemState};
 
-use crate::event::EventQueue;
+use crate::event::{EventQueue, Lanes};
 use crate::message::{Message, Parts, Payload};
 use crate::rng::SimRng;
 use crate::time::VirtualTime;
@@ -124,10 +124,13 @@ pub struct World {
     /// never spawned as a process here.
     processes: Vec<Option<ProcessInfo>>,
     clock: VirtualTime,
-    /// Messages in flight and, apart, the deadline timers — most die young,
-    /// and the message heap would carry each to its deadline. One counter
-    /// numbers both: [`World::step_event`] merges them by `(time, seq)`.
-    queue: EventQueue<Message>,
+    /// Messages in flight, in one FIFO lane per latency value: each is due
+    /// at the clock plus its latency and the clock never goes back, so a
+    /// lane is in `(time, seq)` order as it is sent. Apart, in a heap, the
+    /// deadline timers — their deadlines carry jitter, and most die young.
+    /// One counter numbers both: [`World::step_event`] merges them by
+    /// `(time, seq)`.
+    queue: Lanes<Message>,
     timers: EventQueue<Timer>,
     next_seq: u64,
     rng: SimRng,
@@ -142,8 +145,6 @@ pub struct World {
     /// step — so timers that never fire leave the timeline byte-identical
     /// to a world that never scheduled them.
     live_timers: FxHashMap<u64, u64>,
-    /// Messages scheduled for delivery and not yet delivered.
-    in_flight: usize,
 }
 
 impl World {
@@ -171,14 +172,13 @@ impl World {
             machines: Vec::new(),
             processes: Vec::new(),
             clock: VirtualTime::ZERO,
-            queue: EventQueue::new(),
+            queue: Lanes::default(),
             timers: EventQueue::new(),
             next_seq: 0,
             rng: SimRng::seeded(seed),
             trace: TraceLog::default(),
             faults: FaultPlan::default(),
             live_timers: FxHashMap::default(),
-            in_flight: 0,
         }
     }
 
@@ -597,12 +597,20 @@ impl World {
     // --- messaging ---------------------------------------------------------
 
     /// Sends a message; delivery is scheduled after the topology's latency
-    /// for the machine pair.
+    /// for the machine pair. Returns `None` when it is; a message the fault
+    /// plan loses or a severed link cannot route is handed back, its parts
+    /// the sender's again — only a message that reaches a dead process is
+    /// gone.
     ///
     /// # Panics
     ///
     /// Panics if either endpoint was not spawned in this world.
-    pub fn send(&mut self, from: ActivityId, to: ActivityId, parts: impl Into<Parts>) {
+    pub fn send(
+        &mut self,
+        from: ActivityId,
+        to: ActivityId,
+        parts: impl Into<Parts>,
+    ) -> Option<Parts> {
         let mut msg = Message::new(from, to, parts);
         msg.sent_at = self.clock;
         let (fm, tm) = (self.spawned(from).machine, self.spawned(to).machine);
@@ -624,18 +632,19 @@ impl World {
         if !self.link_up(fm, tm) {
             self.trace.bump("unroutable");
             self.observe_undelivered("unroutable", from, to);
-            return;
+            return Some(msg.parts);
         }
         if self.faults.drop_rate > 0.0 && self.rng.chance(self.faults.drop_rate) {
             self.trace.bump("lost");
             self.observe_undelivered("lost", from, to);
-            return;
+            return Some(msg.parts);
         }
         let latency = self.topology.latency(fm, tm);
-        self.in_flight += 1;
+        let due = self.clock + latency;
         self.queue
-            .schedule_seq(self.clock + latency, self.next_seq, msg);
+            .schedule_seq(latency.ticks(), due, self.next_seq, msg);
         self.next_seq += 1;
+        None
     }
 
     /// Messages sent and still travelling: not lost, not yet delivered to
@@ -643,7 +652,7 @@ impl World {
     /// reach any mailbox until somebody sends again — timers only wake
     /// their owners.
     pub fn messages_in_flight(&self) -> usize {
-        self.in_flight
+        self.queue.len()
     }
 
     /// Schedules a deadline timer: after `after` elapses, `token` becomes
@@ -737,7 +746,6 @@ impl World {
         }
         let (time, msg) = self.queue.pop()?;
         self.clock = time;
-        self.in_flight -= 1;
         let (from, to) = (msg.from, msg.to);
         if naming_telemetry::recorder::is_active() {
             self.sync_clock();
@@ -903,6 +911,40 @@ mod tests {
         w.send(a, b, vec![Payload::bytes(vec![0u8; 5])]);
         assert_eq!(w.trace().counter("wire_bytes"), 18);
         assert_eq!(w.trace().counter("lost"), 1);
+    }
+
+    #[test]
+    fn send_hands_back_what_it_does_not_schedule() {
+        let (mut w, m1, m2) = two_machine_world();
+        let a = w.spawn(m1, "x", None);
+        let b = w.spawn(m2, "y", None);
+        let frame = || Parts::from(Payload::bytes(&b"frame"[..]));
+        assert_eq!(w.send(a, b, frame()), None, "scheduled");
+        w.run();
+        assert_eq!(w.receive(b).map(|m| m.parts), Some(frame()));
+        // Lost by the fault plan: the parts come back as they were sent.
+        w.set_message_drop_rate(1.0);
+        assert_eq!(w.send(a, b, frame()), Some(frame()));
+        w.set_message_drop_rate(0.0);
+        // Unroutable over a severed link: likewise, several parts too.
+        w.set_link_up(m1, m2, false);
+        let two = vec![Payload::bytes(&b"a"[..]), Payload::bytes(&b"b"[..])];
+        assert_eq!(w.send(a, b, two.clone()), Some(Parts::from(two)));
+        w.set_link_up(m1, m2, true);
+        // Sent to a process that is dead when it lands: scheduled, and gone.
+        w.kill(b);
+        assert_eq!(w.send(a, b, frame()), None);
+        w.run();
+        let t = w.trace();
+        assert_eq!(
+            (
+                t.counter("lost"),
+                t.counter("unroutable"),
+                t.counter("dropped")
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!(t.counter("delivered"), 1);
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! Messages and deadline timers wait in two queues; the world must step
-//! them as the one `(time, seq)` heap they used to share would.
+//! Messages wait in one FIFO lane per latency and deadline timers in a
+//! heap; the world must step them as the one `(time, seq)` heap they used
+//! to share would.
 //!
 //! The reference below is that heap, kept whole: every event in one
 //! `BinaryHeap`, dead timers left in it until they surface. Random
 //! schedules run against both. With at most a handful of timers pending,
 //! the world's compaction (dead entries outnumbering live ones) triggers
-//! all the time.
+//! all the time. Messages go over local, same-network and cross-network
+//! links, and the latency model changes mid-run — a link's latency can
+//! fall below that of a message still in flight on it, and two links can
+//! come to share a latency — so lanes merged by their heads' time alone,
+//! or lanes kept per link class, step out of the heap's order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use naming_sim::time::Duration;
+use naming_sim::topology::LatencyModel;
 use naming_sim::world::{Stepped, World};
 use proptest::prelude::*;
 
@@ -30,9 +36,9 @@ struct OneHeap {
     heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
     /// Token → the sequence number of its live arming.
     live: HashMap<u64, u64>,
-    alive: [bool; 3],
+    alive: [bool; 4],
     /// Fired and untaken tokens, per process.
-    wakes: [Vec<u64>; 3],
+    wakes: [Vec<u64>; 4],
 }
 
 impl OneHeap {
@@ -90,19 +96,21 @@ impl OneHeap {
 proptest! {
     #[test]
     fn two_queues_step_like_one_heap(
-        ops in proptest::collection::vec(((0u8..10, 0usize..3, 0usize..3), (0u64..24, 0u64..5)), 0..120)
+        ops in proptest::collection::vec(((0u8..11, 0usize..4, 0usize..4), (0u64..24, 0u64..5)), 0..120)
     ) {
         let mut w = World::new(1);
-        let net = w.add_network("n");
-        let machines = [w.add_machine("a", net), w.add_machine("b", net)];
-        // Two processes share a machine: latencies 1 and 10 tie with timers.
+        let (near, far) = (w.add_network("n"), w.add_network("m"));
+        let machines = [w.add_machine("a", near), w.add_machine("b", near), w.add_machine("c", far)];
+        // Two processes share a machine, one is on another network: local,
+        // same-network and cross-network latencies tie with timers.
         let pids = [
             w.spawn(machines[0], "p0", None),
             w.spawn(machines[0], "p1", None),
             w.spawn(machines[1], "p2", None),
+            w.spawn(machines[2], "p3", None),
         ];
         let index = |pid| pids.iter().position(|&p| p == pid).unwrap();
-        let mut model = OneHeap { alive: [true; 3], ..OneHeap::default() };
+        let mut model = OneHeap { alive: [true; 4], ..OneHeap::default() };
 
         let check_step = |w: &mut World, model: &mut OneHeap| {
             let stepped = w.step_event().map(|ev| match ev {
@@ -138,6 +146,13 @@ proptest! {
                 7 => {
                     w.revive(pids[a]);
                     model.revive(a);
+                }
+                // New latencies for messages sent from now on, up or down.
+                8 => {
+                    let local = token;
+                    let same_network = after;
+                    let cross_network = after + 10 * b as u64;
+                    w.topology_mut().set_latency_model(LatencyModel { local, same_network, cross_network });
                 }
                 _ => {
                     check_step(&mut w, &mut model);
