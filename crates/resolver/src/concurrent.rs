@@ -39,7 +39,7 @@ use naming_core::memo::MemoStats;
 use naming_core::name::{CompoundName, Name};
 use naming_core::snapshot::StateSnapshot;
 use naming_core::state::SystemState;
-use naming_telemetry::metrics::{Counter, Histogram, MetricsRegistry};
+use naming_telemetry::metrics::{Histogram, MetricsRegistry};
 // Re-exported so downstream crates can consume [`ServiceReport`] fields
 // without depending on naming-telemetry themselves.
 pub use naming_telemetry::flight::{FlightLog, FlightRecorder, SharedFlightRecorder};
@@ -470,11 +470,6 @@ struct Server {
     /// Private latency histograms (wall clock, observational only).
     queue_wait: Arc<Histogram>,
     service_time: Arc<Histogram>,
-    /// This server's `service.worker{idx}.*` registry counters. The
-    /// `counter!` macro caches per call site, which would conflate servers,
-    /// so they are resolved from the registry once.
-    batches: Arc<Counter>,
-    queries: Arc<Counter>,
     scratch: AuthorityScratch,
     flight: Option<SharedFlightRecorder>,
 }
@@ -484,17 +479,11 @@ impl Server {
         // `Histogram` is only constructible through a registry, so keep a
         // local one rather than polluting the global namespace per worker.
         let local = MetricsRegistry::new();
-        let (batches, queries) = crate::worker_metrics::batch_query_counters(
-            crate::worker_metrics::Family::Service,
-            idx,
-        );
         Server {
             idx,
             report: WorkerReport::default(),
             queue_wait: local.histogram("worker.queue_wait_ns"),
             service_time: local.histogram("worker.service_ns"),
-            batches,
-            queries,
             scratch: AuthorityScratch::default(),
             flight,
         }
@@ -544,8 +533,6 @@ impl Server {
         let (lookups, saved) = (u64::from(lookups), u64::from(saved));
         report.lookups += lookups;
         report.lookups_saved += saved;
-        self.batches.bump();
-        self.queries.add(queries);
         naming_telemetry::counter!("service.concurrent.batches").bump();
         naming_telemetry::counter!("service.concurrent.queries").add(queries);
         naming_telemetry::counter!("service.concurrent.lookups").add(lookups);
@@ -943,32 +930,5 @@ mod tests {
         let report = svc.shutdown();
         assert!(parks("service.concurrent.worker_parks") >= before.0 + report.worker_parks);
         assert!(parks("service.concurrent.drain_parks") >= before.1 + report.drain_parks);
-    }
-
-    /// Regression: the old fixed 8-slot name tables aliased every worker
-    /// past index 7 onto `service.worker7.*`. A pool wider than eight
-    /// workers must register a distinct counter pair per worker.
-    #[test]
-    fn wide_pool_registers_distinct_per_worker_counters() {
-        let (s, root) = tree();
-        let mut svc = ConcurrentService::new(s, 10);
-        for id in 0..32u64 {
-            let (req, _) = batch(id, root, &["/etc/passwd"]);
-            svc.submit(req);
-        }
-        svc.drain();
-        svc.shutdown();
-        // Every worker resolves its handles at thread start, so all ten
-        // names exist in the global registry regardless of job placement.
-        let snap = naming_telemetry::metrics::global().snapshot();
-        for i in 0..10 {
-            for kind in ["batches", "queries"] {
-                let name = format!("service.worker{i}.{kind}");
-                assert!(
-                    snap.counters.contains_key(&name),
-                    "missing per-worker counter {name}"
-                );
-            }
-        }
     }
 }

@@ -4,10 +4,10 @@
 //! one piece of state per name: the context to continue from and how many
 //! components are consumed. A [`Continuation`] holds that state for a
 //! batch of names and owns every step that changes it. It never pumps the
-//! event queue: a driver does, and hands it what the client heard. There
-//! are two — [`ProtocolEngine::resolve_batch`] runs one continuation to
-//! completion, [`PipelinedService`](crate::runtime::PipelinedService)
-//! interleaves many.
+//! event queue: the engine's one pump ([`ProtocolEngine::pump`]) does, and
+//! hands each continuation in flight what its client heard of it, whichever
+//! driver launched it — [`ProtocolEngine::resolve_batch`] one at a time,
+//! [`PipelinedService`](crate::runtime::PipelinedService) many.
 //!
 //! An exchange allocates nothing: the frame the simulator must own in
 //! flight is a buffer recycled through the engine's scratch — the reader
@@ -27,11 +27,11 @@ use naming_sim::time::Duration;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
 
-use crate::engine::{BatchResolveStats, ProtocolEngine, ReferralHop, BLOCKING};
+use crate::engine::{BatchResolveStats, ProtocolEngine, ReferralHop};
 use crate::wire::{Mode, Outcome, RequestFrame};
 
 /// A table keyed by numbers handed out in increasing order (request ids,
-/// submission tickets): slot `key − first`, with leading empty slots
+/// launch tickets): slot `key − first`, with leading empty slots
 /// dropped as they empty, so a lookup indexes and the table is as long as
 /// the span of live keys.
 #[derive(Debug)]
@@ -40,14 +40,16 @@ pub(crate) struct Dense<T> {
     slots: VecDeque<Option<T>>,
 }
 
-impl<T> Dense<T> {
-    pub(crate) fn new() -> Dense<T> {
+impl<T> Default for Dense<T> {
+    fn default() -> Dense<T> {
         Dense {
             first: 0,
             slots: VecDeque::new(),
         }
     }
+}
 
+impl<T> Dense<T> {
     /// Files `value` under `key`, which must exceed every key filed so far.
     pub(crate) fn insert(&mut self, key: u64, value: T) {
         if self.slots.is_empty() {
@@ -77,10 +79,15 @@ impl<T> Dense<T> {
     pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten()
     }
+
+    /// Leading empty slots are dropped, so an empty table holds no slot.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
 }
 
 /// Where a request id leads: `(owner, k)` — exchange `k` of the current
-/// round of the continuation its driver knows as `owner`.
+/// round of the continuation launched under ticket `owner`.
 pub(crate) type Route = (u64, usize);
 
 /// A name and where its resolution starts: `(context, components of the
@@ -123,9 +130,9 @@ struct Exchange {
 /// far, and the round in progress.
 #[derive(Debug)]
 pub(crate) struct Continuation {
-    /// The key its driver files it under; its routes carry it as `owner`.
-    pub(crate) seq: u64,
-    client: ActivityId,
+    /// The ticket the pump files it under; its routes carry it as `owner`.
+    pub(crate) ticket: u64,
+    pub(crate) client: ActivityId,
     mode: Mode,
     /// The names, flat, and where each starts (one more entry than names).
     labels: Vec<Name>,
@@ -156,13 +163,12 @@ impl Continuation {
     /// [`Resolver::resolve_entity`]: naming_core::resolve::Resolver::resolve_entity
     pub(crate) fn new<'n>(
         engine: &mut ProtocolEngine,
-        seq: u64,
         client: ActivityId,
         names: impl ExactSizeIterator<Item = Start<'n>>,
         mode: Mode,
     ) -> Continuation {
         let mut cont = engine.idle.pop().unwrap_or_else(|| Continuation {
-            seq,
+            ticket: 0,
             client,
             mode,
             labels: Vec::new(),
@@ -174,7 +180,7 @@ impl Continuation {
             exchanges: Vec::new(),
             outstanding: 0,
         });
-        (cont.seq, cont.client, cont.mode) = (seq, client, mode);
+        (cont.client, cont.mode) = (client, mode);
         let n = names.len();
         cont.labels.clear();
         cont.ends.clear();
@@ -324,7 +330,7 @@ impl Continuation {
             let after = Duration::from_ticks(policy.timeout_ticks(ex.id, ex.attempt));
             world.schedule_wake(self.client, after, ex.id);
         }
-        engine.routes.insert(ex.id, (self.seq, k));
+        engine.routes.insert(ex.id, (self.ticket, k));
     }
 
     /// What the client heard about exchange `k`: its answer (servers
@@ -363,7 +369,7 @@ impl Continuation {
                 self.file(self.round[i], outcome.copied());
                 // What each name's answer stands on, for the blocking
                 // driver's caller: a cache that renews what it records.
-                if self.seq == BLOCKING {
+                if engine.scratch.reads_of == Some(self.ticket) {
                     let (s, slot) = (&mut engine.scratch, self.round[i].slot);
                     let reads = s.reads.iter().map(|&read| (slot, read));
                     s.reads_by_slot.extend(reads);
@@ -436,8 +442,8 @@ impl Continuation {
         }
     }
 
-    /// No event will ever arrive for what is still outstanding (dead
-    /// protocol, or the pump budget is spent): every unanswered exchange's
+    /// No event will arrive for what is still outstanding (dead protocol,
+    /// or the pump's budget is spent): every unanswered exchange's
     /// slots get transport verdicts and the round completes without it.
     pub(crate) fn fail_unanswered(&mut self, engine: &mut ProtocolEngine) {
         for k in 0..self.exchanges.len() {

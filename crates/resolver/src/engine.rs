@@ -5,8 +5,16 @@
 //! The simulator's processes are passive mailboxes; the engine supplies
 //! the server logic, pumping the event queue and handling each delivered
 //! frame. All scheduling remains deterministic.
+//!
+//! The engine holds the one pump, `ProtocolEngine::pump`: every
+//! continuation in flight, by ticket, and every client that launched one
+//! or a pull. Each driver is a thin caller of it — a blocking `resolve*`
+//! pumps until its ticket finishes, a pull until its `ZoneDelta` comes,
+//! the [`PipelinedService`](crate::runtime::PipelinedService) until any of
+//! its batches finishes — and whoever pumps hands each reply and deadline
+//! to the continuation that awaits it, so no driver drops another's mail.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use bytes::{Bytes, BytesMut};
 use naming_core::entity::{ActivityId, Entity, ObjectId};
@@ -15,7 +23,7 @@ use naming_core::name::{CompoundName, Name};
 use naming_core::state::SystemState;
 use naming_sim::codec;
 use naming_sim::message::{Parts, Payload};
-use naming_sim::time::Duration;
+use naming_sim::time::{Duration, VirtualTime};
 use naming_sim::topology::MachineId;
 use naming_sim::world::{Stepped, World};
 
@@ -167,8 +175,10 @@ pub(crate) struct Scratch {
     /// The reply being read: its outcomes and the zones it read.
     pub(crate) outcomes: Vec<Outcome>,
     pub(crate) reads: Vec<ZoneRead>,
-    /// What the last blocking resolution's replies read, by input slot.
+    /// What the last blocking resolution's replies read, by input slot,
+    /// and the ticket it runs under: no other continuation's go there.
     pub(crate) reads_by_slot: Vec<(usize, ZoneRead)>,
+    pub(crate) reads_of: Option<u64>,
     pub(crate) spares: Spares,
     /// Read lists between forwards: a forwarding server's own reads wait in
     /// one until its answer is relayed, so never more than were forwarded
@@ -225,10 +235,6 @@ fn recycle_reads(spares: &mut Vec<Vec<ZoneRead>>, mut own: Vec<ZoneRead>) {
 /// Safety bound on the events a driver pumps per in-flight batch.
 pub(crate) const MAX_STEPS_PER_BATCH: usize = 100_000;
 
-/// The key the blocking driver files its one continuation under. No
-/// pipelined submission ticket reaches it.
-pub(crate) const BLOCKING: u64 = u64::MAX;
-
 /// Drives the resolution protocol over a [`World`].
 #[derive(Debug)]
 pub struct ProtocolEngine {
@@ -259,6 +265,22 @@ pub struct ProtocolEngine {
     pub(crate) scratch: Scratch,
     /// Finished continuations, kept for their vectors: the most ever live.
     pub(crate) idle: Vec<Continuation>,
+    /// Launched, unfinished continuations by ticket; the routes name them.
+    conts: Dense<Continuation>,
+    next_ticket: u64,
+    /// Continuations whose round completed since they last advanced.
+    ready: Vec<u64>,
+    /// Finished continuations with their completion tick, until the
+    /// driver that launched them takes them.
+    finished: Vec<(u64, VirtualTime, Continuation)>,
+    /// Every client that launched a continuation or a pull, and those an
+    /// event named since their mail was last read.
+    clients: BTreeSet<ActivityId>,
+    touched: Vec<ActivityId>,
+    /// The pull awaiting its answer, and that answer with its frame's
+    /// length once heard.
+    pull: Option<u64>,
+    pulled: Option<(ZoneDelta, u64)>,
     /// Test reference: sweep every server mailbox after every event, as
     /// the engine did before events named their process.
     #[cfg(test)]
@@ -272,13 +294,21 @@ impl ProtocolEngine {
             service,
             forwarding: BTreeMap::new(),
             next_id: 1,
-            routes: Dense::new(),
+            routes: Dense::default(),
             retry: None,
             superseded: HashSet::default(),
             counters: RetryCounters::default(),
             journal: ZoneJournal::default(),
             scratch: Scratch::default(),
             idle: Vec::new(),
+            conts: Dense::default(),
+            next_ticket: 0,
+            ready: Vec::new(),
+            finished: Vec::new(),
+            clients: BTreeSet::new(),
+            touched: Vec::new(),
+            pull: None,
+            pulled: None,
             #[cfg(test)]
             sweep_every_event: false,
         }
@@ -331,8 +361,9 @@ impl ProtocolEngine {
         self.next_id
     }
 
-    /// Allocates a fresh request id. Shared with the pipelined runtime so
-    /// interleaved use of both drivers never collides correlation ids.
+    /// Allocates a fresh request id: one counter for every continuation's
+    /// requests and every pull, so interleaved drivers never collide
+    /// correlation ids.
     pub(crate) fn alloc_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -350,11 +381,12 @@ impl ProtocolEngine {
     /// event queue has run dry): no request is still on its way to a server
     /// and no reply on its way back, so none of them can be answered any
     /// more. Most are left because a request or reply was *lost*; they
-    /// would otherwise stay for good. Drivers call this right after polling
-    /// the mailboxes of the clients they serve, so no late reply waits
-    /// there uncounted — all but [`ProtocolEngine::pump_idle`], the one
-    /// caller that polls no client: a late reply waiting in a client's
-    /// mailbox when it runs is forgotten uncounted.
+    /// would otherwise stay for good. The pump calls this after each
+    /// routing pass, when every known client's mail has been read, so no
+    /// late reply waits there uncounted — and so does
+    /// [`ProtocolEngine::pump_idle`], which reads no client's mail: a late
+    /// reply waiting in a client's mailbox when it runs is forgotten
+    /// uncounted.
     pub(crate) fn forget_unanswerable(&mut self, world: &World) {
         if world.messages_in_flight() == 0 {
             self.superseded.clear();
@@ -451,7 +483,7 @@ impl ProtocolEngine {
         from: Start<'_>,
         mode: Mode,
     ) -> (ResolveStats, Vec<ReferralHop>) {
-        let batch = self.run_to_completion(world, client, std::iter::once(from), mode);
+        let batch = self.block_on(world, client, std::iter::once(from), mode);
         let stats = ResolveStats {
             entity: batch.entities[0],
             messages: batch.messages,
@@ -508,7 +540,7 @@ impl ProtocolEngine {
         client: ActivityId,
         names: impl ExactSizeIterator<Item = Start<'n>>,
     ) -> BatchResolveStats {
-        let stats = self.run_to_completion(world, client, names, Mode::Iterative);
+        let stats = self.block_on(world, client, names, Mode::Iterative);
         naming_telemetry::counter!("protocol.batch_resolves").bump();
         naming_telemetry::counter!("protocol.hops_saved").add(stats.hops_saved);
         naming_telemetry::counter!("protocol.coalesced").add(stats.coalesced);
@@ -517,11 +549,11 @@ impl ProtocolEngine {
         stats
     }
 
-    /// The blocking driver: one [`Continuation`], run to completion on
-    /// `client`'s mailbox. `messages` and `latency` are what went over the
-    /// wire and how much virtual time passed meanwhile — everything on
-    /// the timeline, not only this batch's own traffic.
-    fn run_to_completion<'n>(
+    /// The blocking driver: launches one [`Continuation`] and pumps until
+    /// it finishes. `messages` and `latency` are what went over the wire
+    /// and how much virtual time passed meanwhile — everything on the
+    /// timeline, not only this batch's own traffic.
+    fn block_on<'n>(
         &mut self,
         world: &mut World,
         client: ActivityId,
@@ -531,26 +563,125 @@ impl ProtocolEngine {
         let t0 = world.now();
         let sent0 = world.trace().counter("sent");
         self.scratch.reads_by_slot.clear();
-        let mut cont = Continuation::new(self, BLOCKING, client, names, mode);
+        let cont = Continuation::new(self, client, names, mode);
         self.drain_servers(world);
-        let mut steps = 0usize;
-        while !cont.advance(self, world) {
-            while cont.suspended() {
-                self.poll_client(world, client, None, |engine, world, (owner, k), reply| {
-                    if owner == BLOCKING {
-                        cont.heard(engine, world, k, reply);
-                    }
-                });
-                if cont.suspended() && !self.pump_one(world, &mut steps) {
-                    cont.fail_unanswered(self);
-                }
+        let ticket = self.launch(world, cont);
+        self.scratch.reads_of = Some(ticket);
+        let mut budget = MAX_STEPS_PER_BATCH;
+        let cont = loop {
+            if let Some((_, cont)) = self.take_finished(ticket) {
+                break cont;
             }
-        }
+            self.pump(world, &mut budget);
+        };
         BatchResolveStats {
             messages: world.trace().counter("sent") - sent0,
             latency: world.now() - t0,
             ..cont.finish(self)
         }
+    }
+
+    /// Files `cont` under the next ticket and starts it: its first round
+    /// goes out now, and its client's mail is read on the pump's next
+    /// routing pass. One that finishes on the spot is parked as finished.
+    pub(crate) fn launch(&mut self, world: &mut World, mut cont: Continuation) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        cont.ticket = ticket;
+        self.clients.insert(cont.client);
+        self.touched.push(cont.client);
+        if cont.advance(self, world) {
+            self.finished.push((ticket, world.now(), cont));
+        } else {
+            self.conts.insert(ticket, cont);
+        }
+        ticket
+    }
+
+    /// The continuation launched under `ticket` and the tick it finished
+    /// at, once it has.
+    pub(crate) fn take_finished(&mut self, ticket: u64) -> Option<(VirtualTime, Continuation)> {
+        let at = self.finished.iter().position(|&(t, ..)| t == ticket)?;
+        let (_, tick, cont) = self.finished.remove(at);
+        Some((tick, cont))
+    }
+
+    /// The first finished continuation no driver has taken yet.
+    pub(crate) fn parked(&self) -> Option<u64> {
+        self.finished.first().map(|&(ticket, ..)| ticket)
+    }
+
+    /// Has the pump read every known client's mail on its next routing
+    /// pass: the sweep for mail a caller's own stepping delivered.
+    pub(crate) fn touch_clients(&mut self) {
+        self.touched.clear();
+        self.touched.extend(self.clients.iter().copied());
+    }
+
+    /// The one pump. Reads the mail of the clients an event named (or a
+    /// launch or pull touched), hands each reply and deadline to the
+    /// continuation that awaits it, advances those whose round completed
+    /// in ticket order, and runs the next event — until a continuation
+    /// finishes in this call: its ticket is returned and it is parked for
+    /// its driver, and the rest of the ready list waits for the next call.
+    /// `None`: the pull waited on is over, or nothing is in flight. On a
+    /// dry queue or a spent `budget` (events left to run) the open
+    /// exchanges get transport verdicts and a pull is given up.
+    pub(crate) fn pump(&mut self, world: &mut World, budget: &mut usize) -> Option<u64> {
+        let mut conts = std::mem::take(&mut self.conts);
+        let pulling = self.pull.is_some();
+        let finished = 'pump: loop {
+            for i in 0..self.touched.len() {
+                self.poll_client(world, self.touched[i], &mut conts);
+            }
+            self.touched.clear();
+            if pulling && self.pull.is_none() {
+                break None;
+            }
+            self.ready.sort_unstable_by(|a, b| b.cmp(a));
+            self.ready.dedup();
+            while let Some(ticket) = self.ready.pop() {
+                let Some(cont) = conts.get_mut(ticket) else {
+                    continue;
+                };
+                if cont.advance(self, world) {
+                    let cont = conts.remove(ticket).expect("just advanced");
+                    self.finished.push((ticket, world.now(), cont));
+                    break 'pump Some(ticket);
+                }
+            }
+            // Every known client's mail so far has been routed: a late
+            // reply can now only come from a message still travelling.
+            self.forget_unanswerable(world);
+            if conts.is_empty() && !pulling {
+                break None;
+            }
+            let stepped = if *budget > 0 {
+                world.step_event()
+            } else {
+                None
+            };
+            let Some(ev) = stepped else {
+                // Dead protocol, or out of budget: no event will arrive for
+                // what is outstanding. Its slots get transport verdicts;
+                // finishing those rounds may start new ones (referrals
+                // already in hand), which re-arms the queue.
+                for cont in conts.values_mut() {
+                    cont.fail_unanswered(self);
+                    self.ready.push(cont.ticket);
+                }
+                self.pull = None;
+                continue;
+            };
+            *budget -= 1;
+            self.serve(world, ev);
+            let (Stepped::Delivered(pid) | Stepped::Woke(pid)) = ev;
+            if self.clients.contains(&pid) {
+                self.touched.push(pid);
+            }
+        };
+        self.conts = conts;
+        finished
     }
 
     /// The zones the replies of the last blocking resolution read, each as
@@ -561,22 +692,18 @@ impl ProtocolEngine {
     }
 
     /// Reads `client`'s mailbox — the one place a client's mail is read —
-    /// and hands `deliver` what it has heard since it was last polled, each
-    /// with the route to the exchange it is about: first the replies waiting
-    /// there — servers touched and lookups saved, the outcomes in
-    /// `scratch.outcomes` — then (`None`) the deadlines, unless a pull
-    /// polls. Returns the answer to pull `pull`, if it came, with its
-    /// frame's length. A reply nothing awaits is late (counted) or stray; a
-    /// deadline nothing awaits was answered on the step it expired, or
-    /// already superseded.
-    pub(crate) fn poll_client(
+    /// and hands the continuations in `conts` what it has heard since it was
+    /// last polled: first the replies waiting there, then the deadlines.
+    /// One whose round is complete goes on the ready list. A `ZoneDelta`
+    /// answers the pull awaited. A reply nothing awaits is late (counted)
+    /// or stray; a deadline nothing awaits was answered on the step it
+    /// expired, or already superseded.
+    fn poll_client(
         &mut self,
         world: &mut World,
         client: ActivityId,
-        pull: Option<u64>,
-        mut deliver: impl FnMut(&mut ProtocolEngine, &mut World, Route, Option<(u32, u32)>),
-    ) -> Option<(ZoneDelta, u64)> {
-        let mut pulled = None;
+        conts: &mut Dense<Continuation>,
+    ) {
         while let Some(msg) = world.receive(client) {
             for part in msg.parts {
                 let Payload::Bytes(bytes) = part else {
@@ -588,7 +715,10 @@ impl ProtocolEngine {
                     let delta = ZoneDelta::decode(bytes.clone());
                     s.spares.recycle(bytes);
                     match delta {
-                        Some(delta) if Some(delta.id) == pull => pulled = Some((delta, len)),
+                        Some(delta) if Some(delta.id) == self.pull => {
+                            self.pull = None;
+                            self.pulled = Some((delta, len));
+                        }
                         Some(delta) => self.note_stale_reply(delta.id),
                         None => {}
                     }
@@ -600,20 +730,35 @@ impl ProtocolEngine {
                     continue;
                 };
                 match self.routes.get_mut(id) {
-                    Some(&mut route) => deliver(self, world, route, Some((touched, saved))),
+                    Some(&mut route) => self.deliver(world, conts, route, Some((touched, saved))),
                     None => self.note_stale_reply(id),
                 }
             }
         }
-        // A pull leaves the deadlines to the drivers that armed them.
-        if self.retry.is_some() && pull.is_none() {
+        if self.retry.is_some() {
             while let Some(token) = world.take_wake(client) {
                 if let Some(&mut route) = self.routes.get_mut(token) {
-                    deliver(self, world, route, None);
+                    self.deliver(world, conts, route, None);
                 }
             }
         }
-        pulled
+    }
+
+    /// Hands exchange `k` of continuation `owner` what was heard of it.
+    fn deliver(
+        &mut self,
+        world: &mut World,
+        conts: &mut Dense<Continuation>,
+        (owner, k): Route,
+        reply: Option<(u32, u32)>,
+    ) {
+        let cont = conts
+            .get_mut(owner)
+            .expect("a route names a continuation in flight");
+        cont.heard(self, world, k, reply);
+        if !cont.suspended() {
+            self.ready.push(owner);
+        }
     }
 
     /// Publishes a replicated zone's current bindings: the primary's
@@ -689,11 +834,12 @@ impl ProtocolEngine {
 
     /// Pulls zone deltas from the authority on `machine`: sends a
     /// [`ZoneDeltaRequest`] carrying `since` (the serials the caller
-    /// already holds) and pumps the queue until the matching
-    /// [`ZoneDelta`] arrives. Returns the delta plus the wire bytes the
-    /// exchange cost (request + reply frames), or `None` when the
-    /// exchange was lost or the wire cannot carry one of its frames (no
-    /// retry: anti-entropy is periodic, the next pull catches up).
+    /// already holds) and pumps until the matching [`ZoneDelta`] arrives;
+    /// replies and deadlines heard meanwhile go to the continuations that
+    /// await them. Returns the delta plus the wire bytes the exchange cost
+    /// (request + reply frames), or `None` when the exchange was lost or
+    /// the wire cannot carry one of its frames (no retry: anti-entropy is
+    /// periodic, the next pull catches up).
     pub fn pull_zone_deltas(
         &mut self,
         world: &mut World,
@@ -708,19 +854,13 @@ impl ProtocolEngine {
         self.drain_servers(world);
         let unsent = world.send(client, server, Payload::Bytes(frame));
         self.scratch.spares.reclaim(unsent);
-        let mut steps = 0usize;
-        loop {
-            // Nothing else awaits this client's mail meanwhile: a late reply
-            // is counted, anything else dropped.
-            if let Some((delta, rep_bytes)) =
-                self.poll_client(world, client, Some(id), |_, _, _, _| {})
-            {
-                return Some((delta, req_bytes + rep_bytes));
-            }
-            if !self.pump_one(world, &mut steps) {
-                return None;
-            }
-        }
+        self.clients.insert(client);
+        self.touched.push(client);
+        self.pull = Some(id);
+        let mut budget = MAX_STEPS_PER_BATCH;
+        while self.pump(world, &mut budget).is_some() {}
+        let (delta, rep_bytes) = self.pulled.take()?;
+        Some((delta, req_bytes + rep_bytes))
     }
 
     /// Drains the event queue, letting servers process whatever is in
@@ -735,22 +875,6 @@ impl ProtocolEngine {
         }
         self.forget_unanswerable(world);
         n
-    }
-
-    /// Runs the next event, within the pump budget, and lets the server it
-    /// reached handle its mail. False when the budget is spent or the
-    /// event queue is dry.
-    fn pump_one(&mut self, world: &mut World, steps: &mut usize) -> bool {
-        if *steps >= MAX_STEPS_PER_BATCH {
-            return false;
-        }
-        let Some(ev) = world.step_event() else {
-            self.forget_unanswerable(world);
-            return false;
-        };
-        *steps += 1;
-        self.serve(world, ev);
-        true
     }
 
     /// Records a reply that arrived after its attempt was superseded by a

@@ -48,4 +48,3 @@ pub mod referral;
 pub mod runtime;
 pub mod service;
 pub mod wire;
-pub(crate) mod worker_metrics;

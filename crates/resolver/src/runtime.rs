@@ -1,21 +1,22 @@
 //! The event-driven pipelined service runtime: a reactor that multiplexes
 //! many in-flight batch resolutions on one simulated timeline.
 //!
-//! [`ProtocolEngine::resolve_batch`] drives one continuation (the
-//! crate's `continuation` module: the client side of the protocol) at a
-//! time: it pumps the event queue until that batch is done, so a batch
-//! stalled on a deep referral chain or a retry backoff holds up
-//! everything queued behind it — head-of-line blocking, one blocked
-//! "thread" per batch. The [`PipelinedService`] reactor drives many at
-//! once: it admits them, hands each reply and deadline wake to the one
-//! that awaits it, and advances every continuation whose round completed,
-//! interleaved on the same timeline. Rounds, retries and verdicts are the
-//! continuation's; nothing of the protocol is repeated here.
+//! [`ProtocolEngine::resolve_batch`] launches one continuation (the
+//! crate's `continuation` module: the client side of the protocol) and
+//! waits for it: a batch stalled on a deep referral chain or a retry
+//! backoff holds up everything its caller would do next — head-of-line
+//! blocking, one blocked "thread" per batch. The [`PipelinedService`]
+//! reactor keeps many in flight at once: it admits them, and the engine's
+//! one pump hands each reply and deadline wake to the continuation that
+//! awaits it and advances every one whose round completed, interleaved on
+//! the same timeline. The reactor reads no mailbox and steps no event;
+//! rounds, retries and verdicts are the continuation's, and nothing of the
+//! protocol is repeated here.
 //!
 //! # Determinism
 //!
 //! Workers are *logical*: a batch is assigned `seq % workers` purely for
-//! metric attribution, and admission, sends, and completions happen in
+//! attribution, and admission, sends, and completions happen in
 //! submission order regardless of the worker count. Wake-ups ride the
 //! existing [`World::schedule_wake`] axis. A run is therefore
 //! byte-identical at any worker count — the CI leg diffs the bench output
@@ -30,14 +31,12 @@
 //! completions free slots, at the virtual instant of the completion.
 //! Queue wait (admission minus submission tick) is reported per batch.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::collections::{BTreeMap, VecDeque};
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::CompoundName;
 use naming_sim::time::{Duration, VirtualTime};
-use naming_sim::world::{Stepped, World};
-use naming_telemetry::metrics::Counter;
+use naming_sim::world::World;
 
 use crate::continuation::{Continuation, Dense};
 use crate::engine::{ProtocolEngine, ReferralHop, MAX_STEPS_PER_BATCH};
@@ -48,10 +47,11 @@ use crate::wire::Mode;
 /// limit, not a preallocation.
 pub const DEFAULT_PER_WORKER_LIMIT: usize = 2048;
 
-/// A submitted batch: its continuation and when it queued and started.
+/// A submitted batch: its submission ticket and when it queued and
+/// started.
 #[derive(Debug)]
 struct Batch {
-    cont: Continuation,
+    seq: u64,
     submitted_at: VirtualTime,
     admitted_at: VirtualTime,
 }
@@ -131,20 +131,14 @@ pub struct PipelineReport {
 #[derive(Debug)]
 pub struct PipelinedService {
     engine: ProtocolEngine,
-    backlog: VecDeque<Batch>,
-    /// Admitted, unfinished batches by submission ticket; the engine's
-    /// routes name them as owners.
+    /// Submitted batches waiting for a slot, each with its continuation.
+    backlog: VecDeque<(Continuation, Batch)>,
+    /// Admitted, unfinished batches by the ticket the engine launched them
+    /// under.
     inflight: Dense<Batch>,
-    /// Batches whose round completed since they last advanced.
-    ready: Vec<u64>,
-    /// Every client process that ever submitted; polled for replies.
-    clients: BTreeSet<ActivityId>,
     done: BTreeMap<u64, PipelinedAnswer>,
     in_flight_queries: usize,
     report: PipelineReport,
-    /// Per logical worker, its `(batches, queries)` registry counters,
-    /// resolved on the worker's first completion.
-    worker_counters: Vec<Option<(Arc<Counter>, Arc<Counter>)>>,
 }
 
 impl PipelinedService {
@@ -170,9 +164,7 @@ impl PipelinedService {
         PipelinedService {
             engine,
             backlog: VecDeque::new(),
-            inflight: Dense::new(),
-            ready: Vec::new(),
-            clients: BTreeSet::new(),
+            inflight: Dense::default(),
             done: BTreeMap::new(),
             in_flight_queries: 0,
             report: PipelineReport {
@@ -180,7 +172,6 @@ impl PipelinedService {
                 max_in_flight,
                 ..PipelineReport::default()
             },
-            worker_counters: Vec::new(),
         }
     }
 
@@ -222,14 +213,15 @@ impl PipelinedService {
     ) -> u64 {
         let seq = self.report.submitted;
         self.report.submitted += 1;
-        self.clients.insert(client);
         let now = world.now();
         let names = names.iter().map(|name| (start, 0, name.components()));
-        self.backlog.push_back(Batch {
-            cont: Continuation::new(&mut self.engine, seq, client, names, Mode::Iterative),
+        let batch = Batch {
+            seq,
             submitted_at: now,
             admitted_at: now,
-        });
+        };
+        let cont = Continuation::new(&mut self.engine, client, names, Mode::Iterative);
+        self.backlog.push_back((cont, batch));
         self.admit(world);
         self.report.backlog_hwm = self.report.backlog_hwm.max(self.backlog.len());
         seq
@@ -239,76 +231,50 @@ impl PipelinedService {
     /// returns all completed answers in submission order.
     pub fn drain(&mut self, world: &mut World) -> Vec<PipelinedAnswer> {
         self.run(world);
-        self.take_completed()
-    }
-
-    /// Completed answers collected so far, in submission order, without
-    /// driving the reactor.
-    pub fn take_completed(&mut self) -> Vec<PipelinedAnswer> {
         std::mem::take(&mut self.done).into_values().collect()
     }
 
-    /// Pumps the event queue until every in-flight and queued batch has
+    /// Pumps the engine until every in-flight and queued batch has
     /// completed.
     pub fn run(&mut self, world: &mut World) {
-        let budget = MAX_STEPS_PER_BATCH.saturating_mul(self.in_flight() + self.backlog.len() + 1);
-        let mut steps = 0usize;
+        let mut budget =
+            MAX_STEPS_PER_BATCH.saturating_mul(self.in_flight() + self.backlog.len() + 1);
         // One sweep of every server and client for mail that a caller's
-        // own stepping delivered while the reactor was not pumping; after
-        // that each event names the one process to look at.
+        // own stepping delivered while nobody pumped; after that each
+        // event names the one process to look at.
         self.engine.drain_servers(world);
-        let mut touched: Vec<ActivityId> = self.clients.iter().copied().collect();
+        self.engine.touch_clients();
+        // Batches that finished while another driver pumped.
+        while let Some(ticket) = self.engine.parked() {
+            self.retire(ticket);
+        }
         loop {
+            if budget == 0 {
+                // Out of budget: queued work is dropped as unreachable.
+                while let Some((mut cont, mut batch)) = self.backlog.pop_front() {
+                    cont.stats.unreachable.fill(true);
+                    batch.admitted_at = world.now();
+                    self.complete(world.now(), batch, cont);
+                }
+            }
+            // Completions free admission slots at once (same virtual
+            // instant), before the next ready batch advances.
             self.admit(world);
-            self.dispatch(world, &touched);
-            touched.clear();
-            // Every client's mail so far has been routed: a late reply
-            // can now only come from a message still travelling.
-            self.engine.forget_unanswerable(world);
-            if self.report.submitted == self.report.completed {
+            let Some(ticket) = self.engine.pump(world, &mut budget) else {
                 return;
-            }
-            let stepped = if steps < budget {
-                world.step_event()
-            } else {
-                None
             };
-            let Some(ev) = stepped else {
-                // Dead protocol: no event will ever arrive for the
-                // outstanding requests. Their slots get transport
-                // verdicts; finishing those rounds may start new ones
-                // (referrals already in hand), which re-arms the queue.
-                for batch in self.inflight.values_mut() {
-                    batch.cont.fail_unanswered(&mut self.engine);
-                    self.ready.push(batch.cont.seq);
-                }
-                if steps >= budget {
-                    // Out of budget: also drop queued work as unreachable.
-                    while let Some(mut batch) = self.backlog.pop_front() {
-                        batch.cont.stats.unreachable.fill(true);
-                        batch.admitted_at = world.now();
-                        self.complete(world.now(), batch);
-                    }
-                }
-                continue;
-            };
-            steps += 1;
-            self.engine.serve(world, ev);
-            let (Stepped::Delivered(pid) | Stepped::Woke(pid)) = ev;
-            if self.clients.contains(&pid) {
-                touched.push(pid);
-            }
+            self.retire(ticket);
         }
     }
 
     /// Admits queued batches while slots are free, in submission order.
     fn admit(&mut self, world: &mut World) {
         while self.in_flight() < self.report.max_in_flight {
-            let Some(mut batch) = self.backlog.pop_front() else {
+            let Some((cont, mut batch)) = self.backlog.pop_front() else {
                 return;
             };
             batch.admitted_at = world.now();
-            self.in_flight_queries += batch.cont.stats.entities.len();
+            self.in_flight_queries += cont.stats.entities.len();
             self.report.in_flight_queries_hwm = self
                 .report
                 .in_flight_queries_hwm
@@ -318,81 +284,41 @@ impl PipelinedService {
                 .set(self.in_flight_queries as i64);
             naming_telemetry::histogram!("pipeline.queue_wait_ticks")
                 .record((batch.admitted_at - batch.submitted_at).ticks());
-            if batch.cont.advance(&mut self.engine, world) {
-                self.in_flight_queries -= batch.cont.stats.entities.len();
-                self.complete(world.now(), batch);
-            } else {
+            let ticket = self.engine.launch(world, cont);
+            self.inflight.insert(ticket, batch);
+            if !self.retire(ticket) {
                 self.report.in_flight_hwm = self.report.in_flight_hwm.max(self.in_flight());
-                self.inflight.insert(batch.cont.seq, batch);
             }
         }
     }
 
-    /// Hands the replies delivered to, and the deadline wakes fired for,
-    /// `clients` to the continuations that await them, then advances
-    /// every batch whose round completed.
-    fn dispatch(&mut self, world: &mut World, clients: &[ActivityId]) {
-        let PipelinedService {
-            engine,
-            inflight,
-            ready,
-            ..
-        } = self;
-        for &client in clients {
-            engine.poll_client(world, client, None, |engine, world, (owner, k), reply| {
-                let Some(batch) = inflight.get_mut(owner) else {
-                    return;
-                };
-                batch.cont.heard(engine, world, k, reply);
-                if !batch.cont.suspended() {
-                    ready.push(owner);
-                }
-            });
-        }
-        // Completions free admission slots at once (same virtual instant).
-        let mut ready = std::mem::take(&mut self.ready);
-        ready.sort_unstable();
-        ready.dedup();
-        for seq in ready.drain(..) {
-            let Some(batch) = self.inflight.get_mut(seq) else {
-                continue;
-            };
-            if !batch.cont.advance(&mut self.engine, world) {
-                continue;
-            }
-            if let Some(batch) = self.inflight.remove(seq) {
-                self.in_flight_queries -= batch.cont.stats.entities.len();
-                self.complete(world.now(), batch);
-                self.admit(world);
-            }
-        }
-        self.ready = ready;
+    /// Retires the batch launched under `ticket` into the completed set, if
+    /// it has finished.
+    fn retire(&mut self, ticket: u64) -> bool {
+        let Some((at, cont)) = self.engine.take_finished(ticket) else {
+            return false;
+        };
+        let batch = self
+            .inflight
+            .remove(ticket)
+            .expect("the reactor launched it");
+        self.in_flight_queries -= cont.stats.entities.len();
+        self.complete(at, batch, cont);
+        true
     }
 
-    /// Retires a finished batch into the completed set.
-    fn complete(&mut self, now: VirtualTime, batch: Batch) {
-        let seq = batch.cont.seq;
-        let stats = batch.cont.finish(&mut self.engine);
+    /// Turns a finished batch's continuation into its answer.
+    fn complete(&mut self, now: VirtualTime, batch: Batch, cont: Continuation) {
+        let stats = cont.finish(&mut self.engine);
         self.report.completed += 1;
-        let worker = (seq % self.report.workers as u64) as usize;
+        let worker = (batch.seq % self.report.workers as u64) as usize;
         naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
         naming_telemetry::gauge!("pipeline.in_flight_queries").set(self.in_flight_queries as i64);
         naming_telemetry::histogram!("pipeline.continuation_depth").record(u64::from(stats.rounds));
-        if self.worker_counters.len() <= worker {
-            self.worker_counters.resize(worker + 1, None);
-        }
-        let (batches, queries) = self.worker_counters[worker].get_or_insert_with(|| {
-            crate::worker_metrics::batch_query_counters(
-                crate::worker_metrics::Family::Pipeline,
-                worker,
-            )
-        });
-        batches.bump();
-        queries.add(stats.entities.len() as u64);
         self.done.insert(
-            seq,
+            batch.seq,
             PipelinedAnswer {
-                seq,
+                seq: batch.seq,
                 entities: stats.entities,
                 unreachable: stats.unreachable,
                 rounds: stats.rounds,
@@ -681,6 +607,68 @@ mod tests {
         for r in &runs[1..] {
             assert_eq!(r, &runs[0]);
         }
+    }
+
+    /// A pipelined batch in flight while another driver pumps the same
+    /// client's mailbox: `during` runs between submission and drain.
+    /// Returns the batch's answer and the engine's retry counters.
+    fn batch_beside(
+        policy: Option<RetryPolicy>,
+        during: impl FnOnce(&mut World, &mut ProtocolEngine, ActivityId, &[MachineId], ObjectId),
+    ) -> (PipelinedAnswer, RetryCounters) {
+        let (mut w, svc, machines, root, _) = chain_world(71);
+        let client = w.spawn(machines[0], "client", None);
+        let mut engine = ProtocolEngine::new(svc);
+        engine.set_retry_policy(policy);
+        let mut svc = PipelinedService::new(engine, 1);
+        svc.submit(&mut w, client, root, &names(&["/hop1/hop2/leaf"]));
+        during(&mut w, svc.engine_mut(), client, &machines, root);
+        let answer = svc.drain(&mut w).remove(0);
+        (answer, svc.engine().retry_counters())
+    }
+
+    /// A pull reads the client's mail while a batch waits for its reply:
+    /// the reply is the batch's, not the pull's to drop.
+    #[test]
+    fn a_pull_leaves_a_pipelined_batch_its_replies() {
+        let leaf = chain_world(71).4;
+        let (answer, _) = batch_beside(None, |w, engine, client, machines, _| {
+            let pulled = engine.pull_zone_deltas(w, client, machines[2], vec![]);
+            assert!(pulled.is_some());
+        });
+        assert_eq!(answer.entities, vec![leaf]);
+        assert_eq!(answer.unreachable, vec![false]);
+    }
+
+    /// A blocking resolve on the same client finishes, and so does the
+    /// batch that was in flight when it began.
+    #[test]
+    fn a_blocking_resolve_leaves_a_pipelined_batch_its_replies() {
+        let leaf = chain_world(71).4;
+        let (answer, _) = batch_beside(None, |w, engine, client, _, root| {
+            let stats = engine.resolve_batch(w, client, root, &names(&["/hop1/hop2/leaf"]));
+            assert_eq!(stats.entities, vec![leaf]);
+            assert_eq!(stats.unreachable, vec![false]);
+        });
+        assert_eq!(answer.entities, vec![leaf]);
+        assert_eq!(answer.unreachable, vec![false]);
+    }
+
+    /// Under deadlines, a reply another driver read is not one the batch
+    /// has to ask for again: a lossless run retransmits nothing.
+    #[test]
+    fn replies_read_by_other_drivers_cost_no_retransmission() {
+        let leaf = chain_world(71).4;
+        let policy = Some(RetryPolicy::default());
+        let (answer, counters) = batch_beside(policy, |w, engine, client, machines, root| {
+            let pulled = engine.pull_zone_deltas(w, client, machines[2], vec![]);
+            assert!(pulled.is_some());
+            let stats = engine.resolve_batch(w, client, root, &names(&["/hop1"]));
+            assert_eq!(stats.unreachable, vec![false]);
+        });
+        assert_eq!(answer.entities, vec![leaf]);
+        assert_eq!(answer.unreachable, vec![false]);
+        assert_eq!(counters.retransmissions, 0, "{counters:?}");
     }
 
     /// A hub whose root grafts one zone per machine: `/z{i}/leaf` costs a
