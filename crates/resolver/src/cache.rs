@@ -228,13 +228,14 @@ impl<P: Validity> Plane<P> {
         // Referrals are only followed — and seen — by an iterative client.
         let service = (mode == Mode::Iterative).then(|| engine.service());
         let (from, offset, jumped) = self.miss(by, service, start, comps);
-        let (stats, hops) = engine.resolve_traced_from(world, client, (from, offset, comps), mode);
+        let stats = engine.resolve_traced_from(world, client, (from, offset, comps), mode);
         self.filed.clear();
         let by = (self.evidence)(world, heard);
         let key = (start, std::slice::from_ref(name), 0);
+        let hops = &engine.answer().referrals;
         let reads = if P::RENEWS { engine.reads() } else { &[] };
         let answer = (stats.entity, stats.unreachable);
-        self.file(by, key, jumped, (&hops, reads), answer);
+        self.file(by, key, jumped, (hops, reads), answer);
         CachedOutcome {
             entity: stats.entity,
             from_cache: false,
@@ -280,7 +281,8 @@ impl<P: Validity> Plane<P> {
         if !misses.is_empty() {
             let asked = misses.iter();
             let asked = asked.map(|&(slot, from, plen, _)| (from, plen, names[slot].components()));
-            let batch = engine.resolve_from(world, client, asked);
+            engine.resolve_from(world, client, asked);
+            let batch = engine.answer();
             let by = (self.evidence)(world, heard);
             (out.messages, out.latency) = (batch.messages, batch.latency);
             self.filed.clear();

@@ -13,7 +13,14 @@
 //! flight is a buffer recycled through the engine's scratch — the reader
 //! hands it back, or the simulator when it loses it —, vectors are
 //! reused ([`ProtocolEngine::idle`]), requests built in the scratch,
-//! replies folded where they lie.
+//! replies folded where they lie. Nor does the answer below its caller:
+//! a continuation starts in the answer vectors it holds, and the blocking
+//! driver keeps the finished one ([`ProtocolEngine::answered`]) and lends
+//! its answer to a caller that only reads it — a cache recording a miss, a
+//! single resolve — so the next resolution starts in the same vectors. Only
+//! an answer handed to its caller to keep (`resolve_batch`,
+//! `resolve_traced`, the reactor's) takes them, and the next continuation
+//! on that one makes its own.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -76,8 +83,20 @@ impl<T> Dense<T> {
         Some(value)
     }
 
+    /// The entry under the least key, removed: the front slot is never
+    /// empty.
+    pub(crate) fn pop_first(&mut self) -> Option<(u64, T)> {
+        let key = self.first;
+        self.remove(key).map(|value| (key, value))
+    }
+
     pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.slots.iter().flatten().count()
     }
 
     /// Leading empty slots are dropped, so an empty table holds no slot.
@@ -153,7 +172,8 @@ pub(crate) struct Continuation {
 
 impl Continuation {
     /// A continuation for `names`, each from its own start, on a finished
-    /// one's vectors when the engine has any idle. A name longer than
+    /// one's vectors when the engine keeps any: the blocking driver's last,
+    /// else an idle one, answer vectors included. A name longer than
     /// [`DEFAULT_DEPTH_LIMIT`] is answered `⊥` here, where the whole of it
     /// is known, as [`Resolver::resolve_entity`] answers it; one whose rest
     /// holds a label the wire cannot carry is unreachable — a transport
@@ -167,7 +187,8 @@ impl Continuation {
         names: impl ExactSizeIterator<Item = Start<'n>>,
         mode: Mode,
     ) -> Continuation {
-        let mut cont = engine.idle.pop().unwrap_or_else(|| Continuation {
+        let reused = engine.answered.take().or_else(|| engine.idle.pop());
+        let mut cont = reused.unwrap_or_else(|| Continuation {
             ticket: 0,
             client,
             mode,
@@ -186,7 +207,15 @@ impl Continuation {
         cont.ends.clear();
         cont.ends.push(0);
         cont.pending.clear();
-        let mut unreachable = vec![false; n];
+        // The answer starts in the vectors the last one left, if any.
+        let BatchResolveStats {
+            mut entities,
+            mut unreachable,
+            mut referrals,
+            ..
+        } = std::mem::take(&mut cont.stats);
+        refill(&mut entities, n, Entity::Undefined);
+        refill(&mut unreachable, n, false);
         for (slot, (ctx, consumed, name)) in names.enumerate() {
             cont.labels.extend_from_slice(name);
             cont.ends.push(cont.labels.len());
@@ -206,11 +235,13 @@ impl Continuation {
                 consumed,
             });
         }
+        // Each hop consumes a component and the last is never handed on.
+        referrals.clear();
+        referrals.reserve_exact(cont.labels.len() - n);
         cont.stats = BatchResolveStats {
-            entities: vec![Entity::Undefined; n],
+            entities,
             unreachable,
-            // Each hop consumes a component and the last is never handed on.
-            referrals: Vec::with_capacity(cont.labels.len() - n),
+            referrals,
             ..BatchResolveStats::default()
         };
         cont
@@ -221,6 +252,19 @@ impl Continuation {
         let stats = std::mem::take(&mut self.stats);
         engine.idle.push(self);
         stats
+    }
+
+    /// Drops the batch unanswered: the routes of its open exchanges go, so
+    /// a reply still on its way is a stray, and the vectors go back to the
+    /// engine.
+    pub(crate) fn abandon(mut self, engine: &mut ProtocolEngine) {
+        for ex in self.exchanges.drain(..) {
+            if ex.open {
+                engine.routes.remove(ex.id);
+            }
+        }
+        self.outstanding = 0;
+        engine.idle.push(self);
     }
 
     /// Whether the round in progress still waits for an answer.
@@ -462,4 +506,12 @@ impl Continuation {
             self.stats.unreachable[work.slot] = true;
         }
     }
+}
+
+/// `v` as `n` copies of `value`, in the buffer it has when that is large
+/// enough, else in one made to measure: what a buffer reaches it keeps.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.reserve_exact(n);
+    v.resize(n, value);
 }

@@ -265,6 +265,9 @@ pub struct ProtocolEngine {
     pub(crate) scratch: Scratch,
     /// Finished continuations, kept for their vectors: the most ever live.
     pub(crate) idle: Vec<Continuation>,
+    /// The last blocking resolution, finished: its answer is lent to the
+    /// caller until the next continuation starts on its vectors.
+    pub(crate) answered: Option<Continuation>,
     /// Launched, unfinished continuations by ticket; the routes name them.
     conts: Dense<Continuation>,
     next_ticket: u64,
@@ -301,6 +304,7 @@ impl ProtocolEngine {
             journal: ZoneJournal::default(),
             scratch: Scratch::default(),
             idle: Vec::new(),
+            answered: None,
             conts: Dense::default(),
             next_ticket: 0,
             ready: Vec::new(),
@@ -452,8 +456,7 @@ impl ProtocolEngine {
         name: &CompoundName,
         mode: Mode,
     ) -> ResolveStats {
-        let (stats, _) = self.resolve_traced(world, client, start, name, mode);
-        stats
+        self.resolve_traced_from(world, client, (start, 0, name.components()), mode)
     }
 
     /// Like [`ProtocolEngine::resolve`], but also reports every referral
@@ -471,19 +474,23 @@ impl ProtocolEngine {
         name: &CompoundName,
         mode: Mode,
     ) -> (ResolveStats, Vec<ReferralHop>) {
-        self.resolve_traced_from(world, client, (start, 0, name.components()), mode)
+        let stats = self.resolve_traced_from(world, client, (start, 0, name.components()), mode);
+        (stats, self.take_answer().referrals)
     }
 
-    /// [`ProtocolEngine::resolve_traced`] for a name whose resolution
-    /// starts past a prefix of it.
+    /// [`ProtocolEngine::resolve`] for a name whose resolution starts past
+    /// a prefix of it. The hops stay in the engine's [`answer`].
+    ///
+    /// [`answer`]: ProtocolEngine::answer
     pub(crate) fn resolve_traced_from(
         &mut self,
         world: &mut World,
         client: ActivityId,
         from: Start<'_>,
         mode: Mode,
-    ) -> (ResolveStats, Vec<ReferralHop>) {
-        let batch = self.block_on(world, client, std::iter::once(from), mode);
+    ) -> ResolveStats {
+        self.block_on(world, client, std::iter::once(from), mode);
+        let batch = self.answer();
         let stats = ResolveStats {
             entity: batch.entities[0],
             messages: batch.messages,
@@ -491,7 +498,6 @@ impl ProtocolEngine {
             latency: batch.latency,
             unreachable: batch.unreachable[0],
         };
-        let hops = batch.referrals;
         naming_telemetry::counter!("protocol.resolves").bump();
         naming_telemetry::histogram!("protocol.latency_ticks").record(stats.latency.ticks());
         naming_telemetry::histogram!("protocol.messages").record(stats.messages);
@@ -513,7 +519,7 @@ impl ProtocolEngine {
                 ],
             );
         }
-        (stats, hops)
+        stats
     }
 
     /// Resolves many names from one start context in coalesced, batched
@@ -529,37 +535,42 @@ impl ProtocolEngine {
         names: &[CompoundName],
     ) -> BatchResolveStats {
         let names = names.iter().map(|name| (start, 0, name.components()));
-        self.resolve_from(world, client, names)
+        self.resolve_from(world, client, names);
+        self.take_answer()
     }
 
     /// [`ProtocolEngine::resolve_batch`] for names that each start where
     /// they say: all of them in one exchange set, whatever their contexts.
+    /// The answer stays in the engine: see [`ProtocolEngine::answer`].
     pub(crate) fn resolve_from<'n>(
         &mut self,
         world: &mut World,
         client: ActivityId,
         names: impl ExactSizeIterator<Item = Start<'n>>,
-    ) -> BatchResolveStats {
-        let stats = self.block_on(world, client, names, Mode::Iterative);
+    ) {
+        self.block_on(world, client, names, Mode::Iterative);
+        let stats = self.answer();
         naming_telemetry::counter!("protocol.batch_resolves").bump();
         naming_telemetry::counter!("protocol.hops_saved").add(stats.hops_saved);
         naming_telemetry::counter!("protocol.coalesced").add(stats.coalesced);
         naming_telemetry::histogram!("protocol.batch_size").record(stats.entities.len() as u64);
         naming_telemetry::histogram!("protocol.batch_messages").record(stats.messages);
-        stats
     }
 
     /// The blocking driver: launches one [`Continuation`] and pumps until
-    /// it finishes. `messages` and `latency` are what went over the wire
-    /// and how much virtual time passed meanwhile — everything on the
-    /// timeline, not only this batch's own traffic.
+    /// it finishes, then keeps it, answer and all: a caller that only reads
+    /// the answer borrows it ([`ProtocolEngine::answer`]), one that keeps
+    /// it takes it ([`ProtocolEngine::take_answer`]). `messages` and
+    /// `latency` are what went over the wire and how much virtual time
+    /// passed meanwhile — everything on the timeline, not only this batch's
+    /// own traffic.
     fn block_on<'n>(
         &mut self,
         world: &mut World,
         client: ActivityId,
         names: impl ExactSizeIterator<Item = Start<'n>>,
         mode: Mode,
-    ) -> BatchResolveStats {
+    ) {
         let t0 = world.now();
         let sent0 = world.trace().counter("sent");
         self.scratch.reads_by_slot.clear();
@@ -568,17 +579,32 @@ impl ProtocolEngine {
         let ticket = self.launch(world, cont);
         self.scratch.reads_of = Some(ticket);
         let mut budget = MAX_STEPS_PER_BATCH;
-        let cont = loop {
+        let mut cont = loop {
             if let Some((_, cont)) = self.take_finished(ticket) {
                 break cont;
             }
             self.pump(world, &mut budget);
         };
-        BatchResolveStats {
-            messages: world.trace().counter("sent") - sent0,
-            latency: world.now() - t0,
-            ..cont.finish(self)
-        }
+        cont.stats.messages = world.trace().counter("sent") - sent0;
+        cont.stats.latency = world.now() - t0;
+        self.answered = Some(cont);
+    }
+
+    /// The answer of the last blocking resolution, lent: the engine keeps
+    /// its vectors for the next one.
+    pub(crate) fn answer(&self) -> &BatchResolveStats {
+        &self
+            .answered
+            .as_ref()
+            .expect("a resolution has finished")
+            .stats
+    }
+
+    /// The answer of the last blocking resolution, taken: the caller keeps
+    /// its vectors, and the next continuation makes its own.
+    fn take_answer(&mut self) -> BatchResolveStats {
+        let cont = self.answered.take().expect("a resolution has finished");
+        cont.finish(self)
     }
 
     /// Files `cont` under the next ticket and starts it: its first round
@@ -604,6 +630,24 @@ impl ProtocolEngine {
         let at = self.finished.iter().position(|&(t, ..)| t == ticket)?;
         let (_, tick, cont) = self.finished.remove(at);
         Some((tick, cont))
+    }
+
+    /// Takes the continuation launched under `ticket` out of the pump,
+    /// finished or not, and drops its batch unanswered.
+    pub(crate) fn abandon(&mut self, ticket: u64) {
+        let cont = match self.conts.remove(ticket) {
+            Some(cont) => Some(cont),
+            None => self.take_finished(ticket).map(|(_, cont)| cont),
+        };
+        if let Some(cont) = cont {
+            cont.abandon(self);
+        }
+    }
+
+    /// Continuations the pump holds: in flight, or finished and not taken.
+    #[cfg(test)]
+    pub(crate) fn in_pump(&self) -> usize {
+        self.conts.len() + self.finished.len()
     }
 
     /// The first finished continuation no driver has taken yet.

@@ -31,7 +31,7 @@
 //! completions free slots, at the virtual instant of the completion.
 //! Queue wait (admission minus submission tick) is reported per batch.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::CompoundName;
@@ -136,7 +136,9 @@ pub struct PipelinedService {
     /// Admitted, unfinished batches by the ticket the engine launched them
     /// under.
     inflight: Dense<Batch>,
-    done: BTreeMap<u64, PipelinedAnswer>,
+    /// Completed answers in completion order, put in submission order by
+    /// [`PipelinedService::drain`]; the buffer is kept from wave to wave.
+    done: Vec<PipelinedAnswer>,
     in_flight_queries: usize,
     report: PipelineReport,
 }
@@ -165,7 +167,7 @@ impl PipelinedService {
             engine,
             backlog: VecDeque::new(),
             inflight: Dense::default(),
-            done: BTreeMap::new(),
+            done: Vec::new(),
             in_flight_queries: 0,
             report: PipelineReport {
                 workers,
@@ -185,8 +187,17 @@ impl PipelinedService {
         &mut self.engine
     }
 
-    /// Unwraps the engine.
-    pub fn into_engine(self) -> ProtocolEngine {
+    /// Unwraps the engine, abandoning every batch still queued or in
+    /// flight: its continuation leaves the engine's pump, its routes go —
+    /// a reply still on its way is a stray, not a late reply — and its
+    /// vectors go back to the engine's idle ones.
+    pub fn into_engine(mut self) -> ProtocolEngine {
+        for (cont, _) in self.backlog.drain(..) {
+            cont.abandon(&mut self.engine);
+        }
+        while let Some((ticket, _)) = self.inflight.pop_first() {
+            self.engine.abandon(ticket);
+        }
         self.engine
     }
 
@@ -231,7 +242,9 @@ impl PipelinedService {
     /// returns all completed answers in submission order.
     pub fn drain(&mut self, world: &mut World) -> Vec<PipelinedAnswer> {
         self.run(world);
-        std::mem::take(&mut self.done).into_values().collect()
+        // Tickets are unique: an unstable sort is exact, and sorts in place.
+        self.done.sort_unstable_by_key(|answer| answer.seq);
+        self.done.drain(..).collect()
     }
 
     /// Pumps the engine until every in-flight and queued batch has
@@ -315,24 +328,21 @@ impl PipelinedService {
         naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
         naming_telemetry::gauge!("pipeline.in_flight_queries").set(self.in_flight_queries as i64);
         naming_telemetry::histogram!("pipeline.continuation_depth").record(u64::from(stats.rounds));
-        self.done.insert(
-            batch.seq,
-            PipelinedAnswer {
-                seq: batch.seq,
-                entities: stats.entities,
-                unreachable: stats.unreachable,
-                rounds: stats.rounds,
-                messages: stats.messages,
-                servers_touched: stats.servers_touched,
-                coalesced: stats.coalesced,
-                hops_saved: stats.hops_saved,
-                referrals: stats.referrals,
-                submitted_at: batch.submitted_at,
-                admitted_at: batch.admitted_at,
-                completed_at: now,
-                worker,
-            },
-        );
+        self.done.push(PipelinedAnswer {
+            seq: batch.seq,
+            entities: stats.entities,
+            unreachable: stats.unreachable,
+            rounds: stats.rounds,
+            messages: stats.messages,
+            servers_touched: stats.servers_touched,
+            coalesced: stats.coalesced,
+            hops_saved: stats.hops_saved,
+            referrals: stats.referrals,
+            submitted_at: batch.submitted_at,
+            admitted_at: batch.admitted_at,
+            completed_at: now,
+            worker,
+        });
     }
 }
 
@@ -669,6 +679,31 @@ mod tests {
         assert_eq!(answer.entities, vec![leaf]);
         assert_eq!(answer.unreachable, vec![false]);
         assert_eq!(counters.retransmissions, 0, "{counters:?}");
+    }
+
+    /// A reactor unwrapped with batches in flight abandons them: nothing of
+    /// theirs stays in the engine's pump, a reply still on its way is a
+    /// stray rather than a late reply, and blocking resolves on the same
+    /// client answer as before.
+    #[test]
+    fn an_unwrapped_reactor_leaves_nothing_in_the_pump() {
+        let (mut w, svc, machines, root, leaf) = chain_world(71);
+        let client = w.spawn(machines[0], "client", None);
+        let mut svc = PipelinedService::new(ProtocolEngine::new(svc), 1);
+        let deep = names(&["/hop1/hop2/leaf"]);
+        for _ in 0..5 {
+            svc.submit(&mut w, client, root, &deep);
+        }
+        assert_eq!(svc.in_flight(), 5);
+        let mut engine = svc.into_engine();
+        let counters = engine.retry_counters();
+        for _ in 0..10 {
+            let stats = engine.resolve_batch(&mut w, client, root, &deep);
+            assert_eq!(stats.entities, vec![leaf]);
+            assert_eq!(stats.unreachable, vec![false]);
+        }
+        assert_eq!(engine.in_pump(), 0, "abandoned batches left in the pump");
+        assert_eq!(engine.retry_counters(), counters);
     }
 
     /// A hub whose root grafts one zone per machine: `/z{i}/leaf` costs a

@@ -6,15 +6,18 @@
 //! the names in a batch — a continuation's vectors are reused, requests are
 //! built in the engine's scratch, the server decodes, walks and answers in
 //! it, the client folds a reply from it — so once the buffers circulate a
-//! batch costs the three vectors of its answer, whatever its size and
-//! however many messages it took. A frame the network loses comes back to
-//! its sender too; only one that reaches a dead server takes its buffer
-//! with it, and one too large for the buffers that circulate has, as
-//! every frame used to, a buffer of its own, made to measure: two
+//! batch whose answer the caller keeps costs the three vectors of that
+//! answer, whatever its size and however many messages it took, and one
+//! whose answer the caller only reads costs nothing: the engine lends it
+//! and the next batch starts in its vectors. A frame the network loses
+//! comes back to its sender too; only one that reaches a dead server takes
+//! its buffer with it, and one too large for the buffers that circulate
+//! has, as every frame used to, a buffer of its own, made to measure: two
 //! allocations, and the buffers that circulate are none the fewer. A client
-//! cache's misses are one such batch, each name from its own jump, and its
-//! stores refill the slots they recycle, so a batch of misses costs its
-//! answer and its outcome. This binary counts with its own global allocator
+//! cache's misses are one such batch, each name from its own jump, read
+//! where the engine keeps it, and its stores refill the slots they recycle,
+//! so a batch of misses costs its outcome and a single miss nothing. This
+//! binary counts with its own global allocator
 //! (per thread, so the harness's other threads cannot leak into a
 //! measurement), on a three-level star: the hub refers to a region, the
 //! region to a zone.
@@ -252,12 +255,13 @@ fn a_pipelined_wave_allocates_its_answers_whatever_its_messages() {
         let (allocations, messages) = wave(&mut s, 100, n);
         assert!(messages >= 6 * WAVE as u64);
         let large = PER_LARGE_FRAME * large_frames(n) * WAVE as u64;
-        // Besides each answer's vectors: the completed map's nodes and the
-        // vector the answers are returned in, a few allocations a wave.
-        let per_batch = (allocations - large) as f64 / WAVE as f64;
-        assert!(
-            (PER_BATCH as f64..PER_BATCH as f64 + 1.0).contains(&per_batch),
-            "{n} names: {allocations} allocations, {messages} messages"
+        // Besides each answer's vectors: the vector the answers are
+        // returned in. The completed answers wait in a buffer kept from
+        // wave to wave.
+        assert_eq!(
+            allocations,
+            PER_BATCH * WAVE as u64 + 1 + large,
+            "{n} names, {messages} messages"
         );
     }
 }
@@ -320,9 +324,9 @@ fn ten_thousand_batches_leave_every_pool_and_scratch_where_it_was() {
     assert_eq!(held, 0, "the reactor's pools grew");
 }
 
-/// A cached batch of misses: its answer's three vectors and the two of the
-/// outcome the cache hands back.
-const PER_CACHED_BATCH: u64 = PER_BATCH + 2;
+/// A cached batch of misses: the two vectors of the outcome the cache hands
+/// back. The answer underneath is read where the engine keeps it.
+const PER_CACHED_BATCH: u64 = 2;
 
 /// Cached batch `b` over `zones` zones, 64 names: two files of every zone,
 /// except that every fourth batch asks for the second half's zones
@@ -382,6 +386,64 @@ fn a_cached_batch_of_misses_allocates_its_answer_and_its_outcome() {
         });
         assert_eq!(held, 0, "{mode:?}: a store or a scratch grew");
         assert_eq!(allocations, 5_000 * PER_CACHED_BATCH, "{mode:?}");
+    }
+}
+
+/// An iterative resolve whose caller reads the answer and drops the hops
+/// allocates nothing once warm: the engine keeps the answer, and the next
+/// resolve starts in its vectors.
+#[test]
+fn a_warm_single_resolve_allocates_nothing() {
+    let (mut s, svc) = star(7);
+    let mut engine = ProtocolEngine::new(svc);
+    let names: Vec<CompoundName> = batch(0, 16);
+    for name in &names {
+        engine.resolve(&mut s.w, s.client, s.hub, name, Mode::Iterative);
+    }
+    for name in names.iter().cycle().take(200) {
+        let sent0 = sent(&s.w);
+        let (allocations, _, held) = allocations_in(|| {
+            let stats = engine.resolve(&mut s.w, s.client, s.hub, name, Mode::Iterative);
+            assert!(!stats.unreachable);
+        });
+        // Three labels: the hub, the region, the zone.
+        assert_eq!(sent(&s.w) - sent0, 6, "{name}");
+        assert_eq!((allocations, held), (0, 0), "{name}");
+    }
+}
+
+/// A cache miss on a single name reads the engine's answer where it lies:
+/// nothing is allocated once warm, in either mode. The store holds half the
+/// names asked in turn, so every name misses and refills the slot of one
+/// recorded before it.
+#[test]
+fn a_warm_cached_single_miss_allocates_nothing() {
+    for mode in [CoherenceMode::Exact, CoherenceMode::Lease { ttl: None }] {
+        let (mut s, svc) = star(19);
+        let names: Vec<CompoundName> = (0..REGIONS * ZONES * FILES)
+            .map(|i| {
+                let (r, z, f) = (i % REGIONS, (i / REGIONS) % ZONES, i / (REGIONS * ZONES));
+                CompoundName::parse_path(&format!("/r{r}/z{z}/f{f}")).unwrap()
+            })
+            .collect();
+        let mut cache = CachingResolver::with_mode(ProtocolEngine::new(svc), names.len() / 2, mode);
+        let mut run = |s: &mut Star, name: &CompoundName| {
+            allocations_in(|| {
+                let out = cache.resolve_outcome(&mut s.w, s.client, s.hub, name, Mode::Iterative);
+                assert!(out.entity.is_defined() && !out.unreachable);
+                assert!(!out.from_cache, "{name} was served from the cache");
+            })
+        };
+        // The first round walks from the root and leaves a referral to
+        // every zone; the next fill every slot of the store and register
+        // every counter the stores mirror once per 1 024 probes.
+        for name in names.iter().cycle().take(8 * names.len()) {
+            run(&mut s, name);
+        }
+        for name in names.iter().cycle().take(4 * names.len()) {
+            let (allocations, _, held) = run(&mut s, name);
+            assert_eq!((allocations, held), (0, 0), "{mode:?}: {name}");
+        }
     }
 }
 
