@@ -649,10 +649,17 @@ impl SystemState {
     /// within each shard. For a single-shard state this is exactly global
     /// creation order.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.shards
-            .iter()
-            .enumerate()
-            .flat_map(|(s, sh)| (0..sh.objects.len()).map(move |l| Self::pack(s, l)))
+        (0..self.shards.len()).flat_map(|s| self.shard_objects(s))
+    }
+
+    /// Iterates over the object ids of shard `shard` alone, in creation
+    /// order: the part of [`SystemState::objects`] that lies in it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is not a shard of this state.
+    pub fn shard_objects(&self, shard: usize) -> impl Iterator<Item = ObjectId> {
+        (0..self.shards[shard].objects.len()).map(move |l| Self::pack(shard, l))
     }
 
     /// True if `o` is a context object in the current state.

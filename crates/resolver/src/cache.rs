@@ -24,6 +24,7 @@
 use std::ops::Range;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
+use naming_core::lease::ZoneSerial;
 use naming_core::memo::ResolutionMemo;
 use naming_core::name::{CompoundName, Name};
 use naming_core::resolve::Resolver;
@@ -437,7 +438,9 @@ pub struct CachingResolver {
     /// Zone serials this replica has heard through anti-entropy pulls —
     /// the *only* authority the lease plane ever validates against.
     table: SerialTable,
-    /// A pull's moved zones; kept, so a pull allocates none.
+    /// A pull's serials asked from and moved zones; kept, so a pull
+    /// allocates neither.
+    since: Vec<(usize, ZoneSerial)>,
     moved: Vec<MovedZone>,
 }
 
@@ -504,6 +507,7 @@ impl CachingResolver {
             },
             mode,
             table: SerialTable::new(),
+            since: Vec::new(),
             moved: Vec::new(),
         }
     }
@@ -752,20 +756,19 @@ impl CachingResolver {
         client: ActivityId,
         machine: MachineId,
     ) -> Option<SyncReport> {
-        let since = self.table.snapshot_for(world.state().shard_count());
+        let shards = world.state().shard_count();
+        self.table.since_into(shards, &mut self.since);
         let sent = world.now().ticks();
-        let (delta, bytes) = self
-            .engine
-            .pull_zone_deltas(world, client, machine, since)?;
+        let (delta, bytes) = self.engine.pull_kept(world, client, machine, &self.since)?;
         let mut report = SyncReport {
             bytes,
             ..SyncReport::default()
         };
         self.moved.clear();
-        for (at, slice) in delta.shards.iter().enumerate() {
+        for (at, slice) in delta.slices().enumerate() {
             report.shards_full += usize::from(slice.full);
             report.shards_incremental += usize::from(!slice.full);
-            report.changes += slice.changes.len();
+            report.changes += slice.changes;
             if let Some((moved, seen)) = self.table.adopt(at, slice) {
                 report.regressions += usize::from(seen == SerialObservation::Regressed);
                 self.moved.push(moved);
@@ -779,7 +782,7 @@ impl CachingResolver {
         // that history left them alone. Judge them eagerly; probes would
         // drop them lazily.
         if !self.moved.is_empty() {
-            let moved = Moved::new(&self.moved, &delta.shards);
+            let moved = Moved::kept(&self.moved, delta);
             let pass = on_plane!(&mut self.plane, p => p.zones_moved(moved));
             report.entries_dropped = pass.dropped as u64;
             report.entries_restamped = pass.restamped as u64;

@@ -22,6 +22,16 @@
 //!   authority's retained [`ZoneJournal`] window no longer covers it, or
 //!   the serial regressed (replica restart) — a complete dump (AXFR).
 //!
+//! A warm pull allocates nothing. The replica asks from a serial list it
+//! keeps ([`SerialTable::since_into`]). The authority reads the request
+//! into a list its engine keeps and writes the answer from the journal and
+//! σ straight into a spare frame (`ZoneJournal::answer_frame`, the one
+//! body of [`ZoneJournal::answer`]); a full dump walks only its own zone's
+//! objects. The replica reads the reply into slices it keeps
+//! ([`KeptDelta`]): a full slice's changes are
+//! counted, never kept — its zone is judged zone-wide, and the drop never
+//! reads them — so nothing of a full transfer outlives the pull.
+//!
 //! Validation under [`CoherenceMode::Lease`] is two replica-local checks:
 //! lease not expired, and no *heard* serial newer than the stamped one.
 //! Neither reads σ; staleness is therefore bounded by TTL plus
@@ -79,8 +89,11 @@ use naming_core::lease::{Lease, ZoneSerial};
 use naming_core::name::Name;
 use naming_core::slab_lru::{SlabLru, Upsert};
 use naming_core::state::{SystemState, MAX_SHARDS};
+use naming_sim::codec::{Layout, Sink, Writer};
 
-use crate::wire::{ShardDelta, ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneRead};
+use crate::wire::{
+    DeltaSink, KeptDelta, ShardDelta, SliceHead, ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneRead,
+};
 
 /// How a cache decides whether an entry may still be served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -199,16 +212,18 @@ impl SerialTable {
         }
     }
 
-    /// Folds slice `at` of a pull's reply into the table
-    /// ([`SerialTable::observe`]) and says how its zone moved, as
-    /// [`Validity::zones_moved`] takes it: by an exact diff from the serial
-    /// heard before when the slice is incremental and moves the zone
-    /// forward, zone-wide otherwise. `None` when the zone did not move.
+    /// Folds slice `at` of a pull's reply — a [`ShardDelta`] or a kept
+    /// [`SliceHead`] — into the table ([`SerialTable::observe`]) and says
+    /// how its zone moved, as [`Validity::zones_moved`] takes it: by an
+    /// exact diff from the serial heard before when the slice is
+    /// incremental and moves the zone forward, zone-wide otherwise. `None`
+    /// when the zone did not move.
     pub fn adopt(
         &mut self,
         at: usize,
-        slice: &ShardDelta,
+        slice: impl Into<SliceHead>,
     ) -> Option<(MovedZone, SerialObservation)> {
+        let slice = slice.into();
         let since = self.known(slice.shard);
         let seen = self.observe(slice.shard, slice.serial);
         let diff = match seen {
@@ -229,7 +244,16 @@ impl SerialTable {
     /// shape of a full anti-entropy pull, where silence about a shard
     /// would otherwise mean never learning it exists.
     pub fn snapshot_for(&self, shards: usize) -> Vec<(usize, ZoneSerial)> {
-        (0..shards).map(|s| (s, self.known(s))).collect()
+        let mut since = Vec::new();
+        self.since_into(shards, &mut since);
+        since
+    }
+
+    /// [`SerialTable::snapshot_for`] into `since`, which it replaces: a
+    /// puller that keeps the list asks in the same buffer every time.
+    pub fn since_into(&self, shards: usize, since: &mut Vec<(usize, ZoneSerial)>) {
+        since.clear();
+        since.extend((0..shards).map(|s| (s, self.known(s))));
     }
 
     /// Forgets everything — a replica restart losing its warm state. The
@@ -423,10 +447,17 @@ impl MovedZone {
 #[derive(Clone, Copy, Debug)]
 pub struct Moved<'a> {
     zones: &'a [MovedZone],
-    slices: &'a [ShardDelta],
+    slices: Slices<'a>,
     /// The store holds referrals: their target may be a replica's copy of
     /// the context the name is bound to, which no `was` can recognise.
     referrals: bool,
+}
+
+/// A reply's slices, as decoded or as kept.
+#[derive(Clone, Copy, Debug)]
+enum Slices<'a> {
+    Decoded(&'a [ShardDelta]),
+    Kept(&'a KeptDelta),
 }
 
 impl<'a> Moved<'a> {
@@ -434,8 +465,16 @@ impl<'a> Moved<'a> {
     pub fn new(zones: &'a [MovedZone], slices: &'a [ShardDelta]) -> Moved<'a> {
         Moved {
             zones,
-            slices,
+            slices: Slices::Decoded(slices),
             referrals: false,
+        }
+    }
+
+    /// The moves `zones`, whose diffs index the slices of `kept`.
+    pub fn kept(zones: &'a [MovedZone], kept: &'a KeptDelta) -> Moved<'a> {
+        Moved {
+            slices: Slices::Kept(kept),
+            ..Moved::new(zones, &[])
         }
     }
 
@@ -459,13 +498,16 @@ impl<'a> Moved<'a> {
     /// through it — or the last label, and then only if it replaced the
     /// answer (`was == entity`). A referral's answer may be a replica's
     /// copy, so any change of its last label reaches it. A slice the reply
-    /// does not hold reaches everything.
+    /// does not hold, or whose changes were not kept, reaches everything.
     fn reaches(&self, slice: usize, suffix: &[Name], entity: Entity) -> bool {
-        let (Some(slice), Some((last, interior))) = (self.slices.get(slice), suffix.split_last())
-        else {
+        let changes = match self.slices {
+            Slices::Decoded(slices) => slices.get(slice).map(|s| &s.changes[..]),
+            Slices::Kept(kept) => kept.diff(slice),
+        };
+        let (Some(changes), Some((last, interior))) = (changes, suffix.split_last()) else {
             return true;
         };
-        slice.changes.iter().any(|c| {
+        changes.iter().any(|c| {
             interior.contains(&c.name) || (c.name == *last && (self.referrals || c.was == entity))
         })
     }
@@ -687,10 +729,15 @@ impl Validity for LeasedCache {
         let (how, e) = self.store.upsert(start, suffix);
         e.entity = entity;
         e.expires_at = Lease::grant(by.now, by.ttl, ZoneSerial::ZERO).expires_at;
+        // Each zone once: a slot's buffers grow to the most distinct zones
+        // an entry of it had, not to the longest list it was handed.
         e.zones.clear();
-        e.zones.extend_from_slice(zones);
+        for &z in zones {
+            if !e.zones.contains(&z) {
+                e.zones.push(z);
+            }
+        }
         e.zones.sort_unstable();
-        e.zones.dedup();
         e.stamps.clear();
         e.stamps.extend(e.zones.iter().map(|&z| by.table.known(z)));
         e.mask = e.zones.iter().fold(0, |m, &z| m | 1 << (z % 64));
@@ -779,6 +826,10 @@ impl Validity for LeasedCache {
 /// Default bound on retained changes per zone in a [`ZoneJournal`].
 pub const DEFAULT_JOURNAL_WINDOW: usize = 64;
 
+/// The most changes a zone's log is sized for up front: a longer window
+/// grows past it as it fills.
+const RESERVED_CHANGES: usize = 1024;
+
 /// One zone's retained change log.
 #[derive(Clone, Debug)]
 struct ShardLog {
@@ -829,11 +880,16 @@ impl ZoneJournal {
     /// publication), the retained history is no longer contiguous and is
     /// discarded — older pullers then get full transfers, which is sound;
     /// serving a diff with silent gaps would not be.
+    ///
+    /// A zone's log is sized to the window on its first change (up to
+    /// 1 024 changes) and holds no more than the window, so a zone that
+    /// keeps changing allocates once.
     pub fn record(&mut self, shard: usize, serial: ZoneSerial, change: ZoneChange) {
         let prev = ZoneSerial::new(serial.get().wrapping_sub(1));
+        let reserved = self.window.min(RESERVED_CHANGES);
         let log = self.logs.entry(shard).or_insert_with(|| ShardLog {
             base: prev,
-            entries: VecDeque::new(),
+            entries: VecDeque::with_capacity(reserved),
         });
         if let Some(&(last, _)) = log.entries.back() {
             if serial != last.bump() {
@@ -843,12 +899,13 @@ impl ZoneJournal {
         } else if log.base != prev {
             log.base = prev;
         }
-        log.entries.push_back((serial, change));
-        while log.entries.len() > self.window {
+        // The oldest change leaves before the newest joins.
+        if log.entries.len() == self.window {
             if let Some((s, _)) = log.entries.pop_front() {
                 log.base = s;
             }
         }
+        log.entries.push_back((serial, change));
     }
 
     /// The exact changes in `shard` after `since`, **iff** the retained
@@ -863,30 +920,40 @@ impl ZoneJournal {
         since: ZoneSerial,
         current: ZoneSerial,
     ) -> Option<Vec<ZoneChange>> {
-        if since == current {
-            return Some(Vec::new());
-        }
+        self.diff(shard, since, current)
+            .map(|(_, diff)| diff.copied().collect())
+    }
+
+    /// [`ZoneJournal::delta_since`] read in place: how many changes, and
+    /// the changes.
+    fn diff(
+        &self,
+        shard: usize,
+        since: ZoneSerial,
+        current: ZoneSerial,
+    ) -> Option<(usize, impl Iterator<Item = &ZoneChange>)> {
         // A puller "ahead" of the authority is the authority-restart
         // case: no diff can reconcile it.
-        current.distance_from(since)?;
-        let log = self.logs.get(&shard)?;
-        // Coverage: the window must reach back to `since` …
-        if log.base.is_newer_than(since) {
-            return None;
-        }
-        // … and forward to `current` (a gap at the tail means σ moved
-        // without the journal hearing about it).
-        match log.entries.back() {
-            Some(&(last, _)) if last == current => {}
-            _ => return None,
-        }
-        Some(
-            log.entries
-                .iter()
-                .filter(|&&(s, _)| s.is_newer_than(since))
-                .map(|(_, c)| c.clone())
-                .collect(),
-        )
+        let newer = usize::try_from(current.distance_from(since)?).ok()?;
+        let tail = if newer == 0 {
+            None
+        } else {
+            let log = self.logs.get(&shard)?;
+            // Coverage: the window must reach back to `since` …
+            if log.base.is_newer_than(since) {
+                return None;
+            }
+            // … and forward to `current` (a gap at the tail means σ moved
+            // without the journal hearing about it).
+            match log.entries.back() {
+                Some(&(last, _)) if last == current => {}
+                _ => return None,
+            }
+            // The log holds consecutive serials: the changes after `since`
+            // are its last `newer`.
+            Some(log.entries.range(log.entries.len().checked_sub(newer)?..))
+        };
+        Some((newer, tail.into_iter().flatten().map(|(_, c)| c)))
     }
 
     /// Answers an anti-entropy pull against σ = `state`, in request order,
@@ -897,37 +964,84 @@ impl ZoneJournal {
     /// an unjournaled write — a full dump of the zone's live bindings
     /// (AXFR).
     pub fn answer(&self, state: &SystemState, req: &ZoneDeltaRequest) -> ZoneDelta {
-        let mut shards = Vec::with_capacity(req.since.len());
-        for &(shard, since) in &req.since {
-            if shard >= state.shard_count() {
-                continue;
-            }
+        let mut delta = ZoneDelta {
+            id: req.id,
+            shards: Vec::new(),
+        };
+        self.answer_into(state, req.id, &req.since, &mut delta);
+        delta
+    }
+
+    /// [`ZoneJournal::answer`] to pull `id` from `since`, as the frame that
+    /// carries it: written from the journal and σ as it goes out, with
+    /// nothing collected first.
+    pub(crate) fn answer_frame<'a>(
+        &'a self,
+        state: &'a SystemState,
+        id: u64,
+        since: &'a [(usize, ZoneSerial)],
+    ) -> AnswerFrame<'a> {
+        AnswerFrame {
+            journal: self,
+            state,
+            id,
+            since,
+        }
+    }
+
+    /// Hands the answer to pull `id` from `since` to `sink`, slice by
+    /// slice: the one body of [`ZoneJournal::answer`] and of the frame
+    /// `answer_frame` writes. A full dump reads only its own zone's objects.
+    fn answer_into(
+        &self,
+        state: &SystemState,
+        id: u64,
+        since: &[(usize, ZoneSerial)],
+        sink: &mut impl DeltaSink,
+    ) {
+        let served = |&&(shard, _): &&(usize, ZoneSerial)| shard < state.shard_count();
+        sink.start(id, since.iter().filter(served).count());
+        for &(shard, since) in since.iter().filter(served) {
             let serial = state.shard_serial(shard);
-            let diff = self.delta_since(shard, since, serial);
-            let full = diff.is_none();
-            let changes = diff.unwrap_or_else(|| {
-                state
-                    .objects()
-                    .filter(|&o| SystemState::shard_of_id(o) == shard)
-                    .filter_map(|o| state.context(o).map(|ctx| (o, ctx)))
-                    .flat_map(|(o, ctx)| {
-                        ctx.iter().map(move |(name, entity)| ZoneChange {
-                            ctx: o,
-                            name,
-                            entity,
-                            was: Entity::Undefined,
-                        })
-                    })
-                    .collect()
-            });
-            shards.push(ShardDelta {
+            let head = |full, changes| SliceHead {
                 shard,
                 serial,
                 full,
                 changes,
-            });
+            };
+            if let Some((newer, diff)) = self.diff(shard, since, serial) {
+                sink.slice(head(false, newer), newer);
+                for c in diff {
+                    sink.change(c.ctx, c.name.as_str(), c.entity, c.was);
+                }
+                continue;
+            }
+            let contexts = || {
+                let objects = state.shard_objects(shard);
+                objects.filter_map(|o| state.context(o).map(|ctx| (o, ctx)))
+            };
+            let bindings = contexts().map(|(_, ctx)| ctx.len()).sum();
+            sink.slice(head(true, bindings), bindings);
+            for (o, ctx) in contexts() {
+                for (name, entity) in ctx.iter() {
+                    sink.change(o, name.as_str(), entity, Entity::Undefined);
+                }
+            }
         }
-        ZoneDelta { id: req.id, shards }
+    }
+}
+
+/// A pull's answer as it goes out ([`ZoneJournal::answer_frame`]).
+pub(crate) struct AnswerFrame<'a> {
+    journal: &'a ZoneJournal,
+    state: &'a SystemState,
+    id: u64,
+    since: &'a [(usize, ZoneSerial)],
+}
+
+impl Layout for AnswerFrame<'_> {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        self.journal.answer_into(self.state, self.id, self.since, w);
     }
 }
 
@@ -1479,6 +1593,57 @@ mod tests {
         );
         assert_eq!(delta.shards[1].changes[0].name, Name::new("c"));
         assert!(delta.shards[2].changes.iter().all(|c| c.ctx == ctx));
+    }
+
+    /// The answer the authority writes straight into its frame is the
+    /// frame of the answer built whole, slice by slice: a heartbeat, a
+    /// diff, a window evicted past the puller, a puller ahead of σ (a
+    /// regression), and a shard σ lacks, left out.
+    #[test]
+    fn the_journal_writes_its_answer_as_it_would_build_it() {
+        let mut state = SystemState::with_shards(2);
+        let ctx = state.add_context_object_in(1, "zone");
+        let mut j = ZoneJournal::with_window(2);
+        let before = state.shard_serial(1);
+        let mut serials = Vec::new();
+        for n in ["a", "b", "c"] {
+            state.bind(ctx, Name::new(n), ctx).unwrap();
+            let mut bound = change(0, n, None);
+            (bound.ctx, bound.entity) = (ctx, Entity::Object(ctx));
+            j.record(1, state.shard_serial(1), bound);
+            serials.push(state.shard_serial(1));
+        }
+        let now = serials[2];
+        let ahead = ZoneSerial::new(now.get() + 5);
+        let since = vec![
+            (1, now),
+            (1, serials[1]),
+            (1, before),
+            (1, ahead),
+            (2, before),
+        ];
+        let slice = |full, names: &[&str]| {
+            let changes = names.iter().map(|n| {
+                let mut c = change(0, n, None);
+                (c.ctx, c.entity) = (ctx, Entity::Object(ctx));
+                c
+            });
+            ShardDelta {
+                shard: 1,
+                serial: now,
+                full,
+                changes: changes.collect(),
+            }
+        };
+        let dump = slice(true, &["a", "b", "c"]);
+        let expected = ZoneDelta {
+            id: 9,
+            shards: vec![slice(false, &[]), slice(false, &["c"]), dump.clone(), dump],
+        };
+        let req = ZoneDeltaRequest { id: 9, since };
+        assert_eq!(j.answer(&state, &req), expected);
+        let written = naming_sim::codec::encode(&j.answer_frame(&state, 9, &req.since));
+        assert_eq!(written, expected.encode());
     }
 
     #[test]

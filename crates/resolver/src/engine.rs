@@ -31,8 +31,8 @@ use crate::coherence::ZoneJournal;
 use crate::continuation::{Continuation, Dense, Route, Start};
 use crate::service::{note_read, BatchScratch, NameService};
 use crate::wire::{
-    self, Label, Mode, NameTrie, Outcome, ReplyFrame, RequestFrame, WalkScratch, ZoneChange,
-    ZoneDelta, ZoneDeltaRequest, ZoneRead, ZoneUpdate,
+    self, KeptDelta, Label, Mode, NameTrie, Outcome, PullFrame, ReplyFrame, RequestFrame,
+    WalkScratch, ZoneChange, ZoneDelta, ZoneRead, ZoneUpdate,
 };
 
 /// What a completed resolution cost.
@@ -184,34 +184,66 @@ pub(crate) struct Scratch {
     /// one until its answer is relayed, so never more than were forwarded
     /// at once.
     read_spares: Vec<Vec<ZoneRead>>,
+    /// The pull being answered: the serials its puller holds.
+    since: Vec<(usize, ZoneSerial)>,
+    /// The last pull's answer, as the cache reads it.
+    delta: KeptDelta,
 }
 
 /// Frame buffers between flights — a sender encodes into one, whoever reads
 /// the frame hands it back, and a frame the network does not carry comes
-/// back to its sender — so never more than flew at once.
+/// back to its sender — so never more than flew at once. Pull frames have
+/// spares of their own, of their own size.
 #[derive(Debug, Default)]
-pub(crate) struct Spares(Vec<BytesMut>);
+pub(crate) struct Spares {
+    frames: Vec<BytesMut>,
+    pulls: Vec<BytesMut>,
+}
 
 /// What a spare holds: the yardstick's largest regular frame is some 400
 /// bytes. A larger frame has, as every frame used to, a buffer of its own.
 const FRAME_CAPACITY: usize = 512;
 
+/// What a pull frame's spare holds. A pull's request and its reply name
+/// every zone, 10 and 15 bytes each, so 65 zones take some 1 KB; a reply's
+/// changes add some 25 bytes each. A full transfer is larger, and has a
+/// buffer of its own that goes when it has been read.
+const PULL_CAPACITY: usize = 4096;
+
 impl Spares {
-    /// An empty buffer for a frame of exactly `len` bytes.
+    /// An empty buffer for a resolution frame of exactly `len` bytes.
     pub(crate) fn take(&mut self, len: usize) -> BytesMut {
-        let spare = (len <= FRAME_CAPACITY).then(|| self.0.pop()).flatten();
-        spare.unwrap_or_else(|| BytesMut::with_capacity(len.max(FRAME_CAPACITY)))
+        Self::take_from(&mut self.frames, FRAME_CAPACITY, len)
+    }
+
+    /// An empty buffer for a pull frame of exactly `len` bytes.
+    fn take_pull(&mut self, len: usize) -> BytesMut {
+        Self::take_from(&mut self.pulls, PULL_CAPACITY, len)
+    }
+
+    fn take_from(spares: &mut Vec<BytesMut>, capacity: usize, len: usize) -> BytesMut {
+        let spare = (len <= capacity).then(|| spares.pop()).flatten();
+        spare.unwrap_or_else(|| BytesMut::with_capacity(len.max(capacity)))
     }
 
     /// Takes back the buffer of a frame that has been read, unless another
     /// view still holds it or it is no spare: the spares are as many as flew
     /// at once and as large as they were made, whatever the traffic seen.
     fn recycle(&mut self, frame: Bytes) {
-        let fits = frame.len() <= FRAME_CAPACITY;
+        let pull = matches!(
+            frame.first(),
+            Some(&(wire::TAG_ZONE_DELTA_REQUEST | wire::TAG_ZONE_DELTA))
+        );
+        let (spares, capacity) = if pull {
+            (&mut self.pulls, PULL_CAPACITY)
+        } else {
+            (&mut self.frames, FRAME_CAPACITY)
+        };
+        let fits = frame.len() <= capacity;
         let spare = frame.try_into_mut().ok();
-        if let Some(mut buf) = spare.filter(|b| fits && b.capacity() >= FRAME_CAPACITY) {
+        if let Some(mut buf) = spare.filter(|b| fits && b.capacity() >= capacity) {
             buf.clear();
-            self.0.push(buf);
+            spares.push(buf);
         }
     }
 
@@ -280,10 +312,12 @@ pub struct ProtocolEngine {
     /// event named since their mail was last read.
     clients: BTreeSet<ActivityId>,
     touched: Vec<ActivityId>,
-    /// The pull awaiting its answer, and that answer with its frame's
-    /// length once heard.
-    pull: Option<u64>,
-    pulled: Option<(ZoneDelta, u64)>,
+    /// The pull awaiting its answer — its id, and whether the answer is to
+    /// be decoded whole rather than read into the kept `scratch.delta` —
+    /// and, once heard, the whole answer if asked for and the frame's
+    /// length.
+    pull: Option<(u64, bool)>,
+    pulled: Option<(Option<ZoneDelta>, u64)>,
     /// Test reference: sweep every server mailbox after every event, as
     /// the engine did before events named their process.
     #[cfg(test)]
@@ -753,21 +787,12 @@ impl ProtocolEngine {
                 let Payload::Bytes(bytes) = part else {
                     continue;
                 };
-                let s = &mut self.scratch;
                 if bytes.first() == Some(&wire::TAG_ZONE_DELTA) {
-                    let len = bytes.len() as u64;
-                    let delta = ZoneDelta::decode(bytes.clone());
-                    s.spares.recycle(bytes);
-                    match delta {
-                        Some(delta) if Some(delta.id) == self.pull => {
-                            self.pull = None;
-                            self.pulled = Some((delta, len));
-                        }
-                        Some(delta) => self.note_stale_reply(delta.id),
-                        None => {}
-                    }
+                    self.hear_delta(&bytes);
+                    self.scratch.spares.recycle(bytes);
                     continue;
                 }
+                let s = &mut self.scratch;
                 let read = wire::read_reply(&bytes, &mut s.outcomes, &mut s.reads);
                 s.spares.recycle(bytes);
                 let Some((id, touched, saved)) = read else {
@@ -785,6 +810,30 @@ impl ProtocolEngine {
                     self.deliver(world, conts, route, None);
                 }
             }
+        }
+    }
+
+    /// Reads a `ZoneDelta` frame a client heard. The pull awaited reads it
+    /// into the kept delta, or whole when it asked for that; a frame that
+    /// does not read whole is no answer. Any other frame that reads whole
+    /// is a late reply (counted) or a stray, and overwrites nothing.
+    fn hear_delta(&mut self, frame: &[u8]) {
+        let awaited = self
+            .pull
+            .filter(|&(id, _)| wire::delta_id(frame) == Some(id));
+        let heard = match awaited {
+            Some((_, true)) => ZoneDelta::read(frame).map(Some),
+            Some((_, false)) => self.scratch.delta.read(frame).map(|_| None),
+            None => {
+                if let Some(stale) = ZoneDelta::read(frame) {
+                    self.note_stale_reply(stale.id);
+                }
+                return;
+            }
+        };
+        if let Some(whole) = heard {
+            self.pull = None;
+            self.pulled = Some((whole, frame.len() as u64));
         }
     }
 
@@ -877,13 +926,13 @@ impl ProtocolEngine {
     }
 
     /// Pulls zone deltas from the authority on `machine`: sends a
-    /// [`ZoneDeltaRequest`] carrying `since` (the serials the caller
-    /// already holds) and pumps until the matching [`ZoneDelta`] arrives;
-    /// replies and deadlines heard meanwhile go to the continuations that
-    /// await them. Returns the delta plus the wire bytes the exchange cost
-    /// (request + reply frames), or `None` when the exchange was lost or
-    /// the wire cannot carry one of its frames (no retry: anti-entropy is
-    /// periodic, the next pull catches up).
+    /// [`ZoneDeltaRequest`](crate::wire::ZoneDeltaRequest) carrying `since`
+    /// (the serials the caller already holds) and pumps until the matching
+    /// [`ZoneDelta`] arrives; replies and deadlines heard meanwhile go to
+    /// the continuations that await them. Returns the delta plus the wire
+    /// bytes the exchange cost (request + reply frames), or `None` when the
+    /// exchange was lost or the wire cannot carry one of its frames (no
+    /// retry: anti-entropy is periodic, the next pull catches up).
     pub fn pull_zone_deltas(
         &mut self,
         world: &mut World,
@@ -891,8 +940,36 @@ impl ProtocolEngine {
         machine: MachineId,
         since: Vec<(usize, ZoneSerial)>,
     ) -> Option<(ZoneDelta, u64)> {
+        let (delta, bytes) = self.pull(world, client, machine, &since, true)?;
+        Some((delta?, bytes))
+    }
+
+    /// [`ProtocolEngine::pull_zone_deltas`] into the engine's kept delta,
+    /// which the answer is lent in: a warm pull allocates nothing.
+    pub(crate) fn pull_kept(
+        &mut self,
+        world: &mut World,
+        client: ActivityId,
+        machine: MachineId,
+        since: &[(usize, ZoneSerial)],
+    ) -> Option<(&KeptDelta, u64)> {
+        let (_, bytes) = self.pull(world, client, machine, since, false)?;
+        Some((&self.scratch.delta, bytes))
+    }
+
+    /// The one pull: the answer decoded whole if `whole`, else read into
+    /// the kept delta.
+    fn pull(
+        &mut self,
+        world: &mut World,
+        client: ActivityId,
+        machine: MachineId,
+        since: &[(usize, ZoneSerial)],
+        whole: bool,
+    ) -> Option<(Option<ZoneDelta>, u64)> {
         let id = self.alloc_id();
-        let frame = codec::try_encode(&ZoneDeltaRequest { id, since })?;
+        let spares = &mut self.scratch.spares;
+        let frame = codec::encode_with(&PullFrame(id, since), |len| spares.take_pull(len))?;
         let req_bytes = frame.len() as u64;
         let server = self.service.server_on(machine);
         self.drain_servers(world);
@@ -900,7 +977,7 @@ impl ProtocolEngine {
         self.scratch.spares.reclaim(unsent);
         self.clients.insert(client);
         self.touched.push(client);
-        self.pull = Some(id);
+        self.pull = Some((id, whole));
         let mut budget = MAX_STEPS_PER_BATCH;
         while self.pump(world, &mut budget).is_some() {}
         let (delta, rep_bytes) = self.pulled.take()?;
@@ -981,16 +1058,7 @@ impl ProtocolEngine {
                             self.handle_zone_update(world, machine, update);
                         }
                     }
-                    Some(&wire::TAG_ZONE_DELTA_REQUEST) => {
-                        let req = ZoneDeltaRequest::decode(b);
-                        let delta = req.map(|req| self.journal.answer(world.state(), &req));
-                        // An answer the wire cannot carry is not sent: the
-                        // pull is lost.
-                        if let Some(frame) = delta.and_then(|d| codec::try_encode(&d)) {
-                            let unsent = world.send(server, from, Payload::Bytes(frame));
-                            self.scratch.spares.reclaim(unsent);
-                        }
-                    }
+                    Some(&wire::TAG_ZONE_DELTA_REQUEST) => self.answer_pull(world, server, from, b),
                     // Anything else is dropped like any undecodable frame.
                     _ => {}
                 }
@@ -1055,6 +1123,31 @@ impl ProtocolEngine {
         let reply = codec::encode_with(&reply, |len| s.spares.take(len));
         if let Some(reply) = reply {
             let unsent = world.send(server, requester, Payload::Bytes(reply));
+            s.spares.reclaim(unsent);
+        }
+    }
+
+    /// Answers a pull: its serials are read into the scratch, and the
+    /// journal writes its answer straight into a spare. A malformed request
+    /// is dropped; an answer the wire cannot carry is not sent, and the
+    /// pull is lost.
+    fn answer_pull(
+        &mut self,
+        world: &mut World,
+        server: ActivityId,
+        puller: ActivityId,
+        frame: Bytes,
+    ) {
+        let s = &mut self.scratch;
+        let read = wire::read_pull(&frame, &mut s.since);
+        s.spares.recycle(frame);
+        let Some(id) = read else {
+            return;
+        };
+        let answer = self.journal.answer_frame(world.state(), id, &s.since);
+        let frame = codec::encode_with(&answer, |len| s.spares.take_pull(len));
+        if let Some(frame) = frame {
+            let unsent = world.send(server, puller, Payload::Bytes(frame));
             s.spares.reclaim(unsent);
         }
     }

@@ -5,9 +5,10 @@
 //! it, and one reads it back through bounds-checked reads. Frames travel as
 //! [`naming_sim::message::Payload::Bytes`] parts through the simulator's
 //! message layer, exactly as a real name-service protocol would travel
-//! over UDP/TCP. The resolution path builds and reads its frames in reused
-//! buffers (`put_*`, `read_*`); the frame types' `encode` and `decode` are
-//! the same code over fresh ones.
+//! over UDP/TCP. The resolution path and the anti-entropy pull build and
+//! read their frames in reused buffers (`*Frame` layouts, `read_*`,
+//! [`KeptDelta`]); the frame types' `encode` and `decode` are the same code
+//! over fresh ones.
 
 use bytes::Bytes;
 use naming_core::entity::{Entity, ObjectId};
@@ -120,15 +121,39 @@ pub struct ZoneDeltaRequest {
     pub since: Vec<(usize, ZoneSerial)>,
 }
 
-impl Layout for ZoneDeltaRequest {
+/// A pull request as it goes out: its id, and the serials held per zone.
+pub(crate) struct PullFrame<'a>(pub u64, pub &'a [(usize, ZoneSerial)]);
+
+impl Layout for PullFrame<'_> {
     fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        let PullFrame(id, since) = *self;
         w.u8(TAG_ZONE_DELTA_REQUEST);
-        w.u64(self.id);
-        w.list16(&self.since, |w, &(shard, serial)| {
+        w.u64(id);
+        w.list16(since, |w, &(shard, serial)| {
             w.usize16(shard);
             w.u64(serial.get());
         });
     }
+}
+
+impl Layout for ZoneDeltaRequest {
+    fn write<S: Sink>(&self, w: &mut Writer<S>) {
+        PullFrame(self.id, &self.since).write(w);
+    }
+}
+
+/// Reads a request frame's serials into `since` and returns its id; `None`
+/// on a malformed frame, whatever `since` then holds.
+pub(crate) fn read_pull(frame: &[u8], since: &mut Vec<(usize, ZoneSerial)>) -> Option<u64> {
+    let mut r = Reader::new(frame);
+    r.tag(TAG_ZONE_DELTA_REQUEST)?;
+    let (id, count) = (r.u64()?, r.u16()?);
+    since.clear();
+    since.reserve(r.capacity(usize::from(count), 2 + 8));
+    for _ in 0..count {
+        since.push((usize::from(r.u16()?), ZoneSerial::new(r.u64()?)));
+    }
+    Some(id)
 }
 
 impl ZoneDeltaRequest {
@@ -140,12 +165,8 @@ impl ZoneDeltaRequest {
 
     /// Decodes a request frame. Returns `None` on malformed input.
     pub fn decode(frame: Bytes) -> Option<ZoneDeltaRequest> {
-        let mut r = Reader::new(&frame);
-        r.tag(TAG_ZONE_DELTA_REQUEST)?;
-        let id = r.u64()?;
-        let since = r.list16(2 + 8, |r| {
-            Some((usize::from(r.u16()?), ZoneSerial::new(r.u64()?)))
-        })?;
+        let mut since = Vec::new();
+        let id = read_pull(&frame, &mut since)?;
         Some(ZoneDeltaRequest { id, since })
     }
 }
@@ -154,7 +175,7 @@ impl ZoneDeltaRequest {
 /// of `name` in context `ctx`; [`Entity::Undefined`] encodes an unbind.
 /// `was` is the binding the change replaced, journaled so a puller can
 /// tell which of its cached answers the change could have altered.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ZoneChange {
     /// The context object the change landed in.
     pub ctx: ObjectId,
@@ -183,6 +204,31 @@ pub struct ShardDelta {
     pub changes: Vec<ZoneChange>,
 }
 
+/// What a slice of a [`ZoneDelta`] states before its changes: the fields
+/// of a [`ShardDelta`], with its changes counted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SliceHead {
+    /// The zone (shard) the slice describes.
+    pub shard: usize,
+    /// The authority's serial as of the frame.
+    pub serial: ZoneSerial,
+    /// A full transfer (AXFR) rather than an incremental diff (IXFR).
+    pub full: bool,
+    /// How many changes the slice carries.
+    pub changes: usize,
+}
+
+impl From<&ShardDelta> for SliceHead {
+    fn from(s: &ShardDelta) -> SliceHead {
+        SliceHead {
+            shard: s.shard,
+            serial: s.serial,
+            full: s.full,
+            changes: s.changes.len(),
+        }
+    }
+}
+
 /// The authority's answer to a [`ZoneDeltaRequest`]: per requested zone,
 /// either an incremental diff or a full transfer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -193,22 +239,116 @@ pub struct ZoneDelta {
     pub shards: Vec<ShardDelta>,
 }
 
+/// What a [`ZoneDelta`] is handed to, slice by slice, by whoever holds it:
+/// a [`Writer`], which writes its frame, or what it is read into — every
+/// change ([`ZoneDelta`]) or only an incremental slice's ([`KeptDelta`]).
+/// A frame is read by one function, [`read_delta`], and the journal hands
+/// its answer over by one, `ZoneJournal::answer_into`.
+pub(crate) trait DeltaSink {
+    /// Reply `id` begins; `slices` follow (for a frame being read, no more
+    /// than the rest of the frame can hold).
+    fn start(&mut self, id: u64, slices: usize);
+    /// The next slice begins; `room` of its changes follow (as above).
+    fn slice(&mut self, head: SliceHead, room: usize);
+    /// The current slice's next change.
+    fn change(&mut self, ctx: ObjectId, label: &str, entity: Entity, was: Entity);
+}
+
+/// The frame's layout.
+impl<S: Sink> DeltaSink for Writer<S> {
+    fn start(&mut self, id: u64, slices: usize) {
+        self.u8(TAG_ZONE_DELTA);
+        self.u64(id);
+        self.usize16(slices);
+    }
+
+    fn slice(&mut self, head: SliceHead, _: usize) {
+        self.usize16(head.shard);
+        self.u64(head.serial.get());
+        self.u8(u8::from(head.full));
+        self.usize32(head.changes);
+    }
+
+    fn change(&mut self, ctx: ObjectId, label: &str, entity: Entity, was: Entity) {
+        self.object(ctx);
+        self.label(label);
+        self.entity(entity);
+        self.entity(was);
+    }
+}
+
 impl Layout for ZoneDelta {
     fn write<S: Sink>(&self, w: &mut Writer<S>) {
-        w.u8(TAG_ZONE_DELTA);
-        w.u64(self.id);
-        w.list16(&self.shards, |w, s| {
-            w.usize16(s.shard);
-            w.u64(s.serial.get());
-            w.u8(u8::from(s.full));
-            w.list32(&s.changes, |w, c| {
-                w.object(c.ctx);
-                w.label(c.name.as_str());
-                w.entity(c.entity);
-                w.entity(c.was);
-            });
+        w.start(self.id, self.shards.len());
+        for s in &self.shards {
+            w.slice(SliceHead::from(s), s.changes.len());
+            for c in &s.changes {
+                w.change(c.ctx, c.name.as_str(), c.entity, c.was);
+            }
+        }
+    }
+}
+
+/// Every change, each label interned.
+impl DeltaSink for ZoneDelta {
+    fn start(&mut self, id: u64, slices: usize) {
+        self.id = id;
+        self.shards.reserve(slices);
+    }
+
+    fn slice(&mut self, head: SliceHead, room: usize) {
+        self.shards.push(ShardDelta {
+            shard: head.shard,
+            serial: head.serial,
+            full: head.full,
+            changes: Vec::with_capacity(room),
         });
     }
+
+    fn change(&mut self, ctx: ObjectId, label: &str, entity: Entity, was: Entity) {
+        if let Some(slice) = self.shards.last_mut() {
+            let name = Name::new(label);
+            slice.changes.push(ZoneChange {
+                ctx,
+                name,
+                entity,
+                was,
+            });
+        }
+    }
+}
+
+/// Reads a [`ZoneDelta`] frame into `into` and returns its id; `None` on a
+/// malformed frame, whatever `into` was handed by then: half a reply is no
+/// reply.
+pub(crate) fn read_delta(frame: &[u8], into: &mut impl DeltaSink) -> Option<u64> {
+    let mut r = Reader::new(frame);
+    r.tag(TAG_ZONE_DELTA)?;
+    let (id, slices) = (r.u64()?, r.u16()?);
+    into.start(id, r.capacity(usize::from(slices), 2 + 8 + 1 + 4));
+    for _ in 0..slices {
+        let (shard, serial) = (usize::from(r.u16()?), ZoneSerial::new(r.u64()?));
+        let (full, changes) = (r.flag()?, r.u32()? as usize);
+        let head = SliceHead {
+            shard,
+            serial,
+            full,
+            changes,
+        };
+        into.slice(head, r.capacity(changes, 4 + 2 + 1 + 1));
+        for _ in 0..changes {
+            let (ctx, label) = (r.object()?, r.label()?);
+            into.change(ctx, label, r.entity()?, r.entity()?);
+        }
+    }
+    Some(id)
+}
+
+/// The id a [`ZoneDelta`] frame states, read from its head alone.
+pub(crate) fn delta_id(frame: &[u8]) -> Option<u64> {
+    let mut r = Reader::new(frame);
+    r.tag(TAG_ZONE_DELTA)?;
+    r.u64()
 }
 
 impl ZoneDelta {
@@ -220,30 +360,78 @@ impl ZoneDelta {
 
     /// Decodes a reply frame. Returns `None` on malformed input.
     pub fn decode(frame: Bytes) -> Option<ZoneDelta> {
-        let mut r = Reader::new(&frame);
-        r.tag(TAG_ZONE_DELTA)?;
-        let id = r.u64()?;
-        let shards = r.list16(2 + 8 + 1 + 4, |r| {
-            let (shard, serial) = (usize::from(r.u16()?), ZoneSerial::new(r.u64()?));
-            let full = r.flag()?;
-            let changes = r.list32(4 + 2 + 1 + 1, |r| {
-                let (ctx, name) = (r.object()?, Name::new(r.label()?));
-                let (entity, was) = (r.entity()?, r.entity()?);
-                Some(ZoneChange {
-                    ctx,
-                    name,
-                    entity,
-                    was,
-                })
-            })?;
-            Some(ShardDelta {
-                shard,
-                serial,
-                full,
-                changes,
-            })
-        })?;
-        Some(ZoneDelta { id, shards })
+        ZoneDelta::read(&frame)
+    }
+
+    /// [`ZoneDelta::decode`], from the frame's bytes.
+    pub(crate) fn read(frame: &[u8]) -> Option<ZoneDelta> {
+        let mut delta = ZoneDelta {
+            id: 0,
+            shards: Vec::new(),
+        };
+        read_delta(frame, &mut delta)?;
+        Some(delta)
+    }
+}
+
+/// A [`ZoneDelta`] as a replica reads it, into buffers it keeps from one
+/// frame to the next: every slice's head, and an incremental slice's
+/// changes. A full transfer's changes are checked and counted, never kept —
+/// a replica judges a full slice zone-wide — so a bootstrap leaves nothing
+/// behind, and a warm read allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct KeptDelta {
+    /// Each slice's head, and where its changes start in `diffs`.
+    slices: Vec<(SliceHead, usize)>,
+    diffs: Vec<ZoneChange>,
+}
+
+impl KeptDelta {
+    /// Reads a [`ZoneDelta`] frame in place of the last one and returns its
+    /// id; `None` on a malformed frame, whatever is then kept. It accepts
+    /// exactly the frames [`ZoneDelta::decode`] accepts.
+    pub fn read(&mut self, frame: &[u8]) -> Option<u64> {
+        read_delta(frame, self)
+    }
+
+    /// The slices' heads, in reply order.
+    pub fn slices(&self) -> impl ExactSizeIterator<Item = SliceHead> + '_ {
+        self.slices.iter().map(|&(head, _)| head)
+    }
+
+    /// The changes of slice `at` when it is incremental; `None` for a full
+    /// slice, whose changes are not kept, or past the last slice.
+    pub fn diff(&self, at: usize) -> Option<&[ZoneChange]> {
+        let &(head, from) = self.slices.get(at)?;
+        let to = self
+            .slices
+            .get(at + 1)
+            .map_or(self.diffs.len(), |&(_, to)| to);
+        (!head.full).then(|| &self.diffs[from..to])
+    }
+}
+
+impl DeltaSink for KeptDelta {
+    fn start(&mut self, _: u64, slices: usize) {
+        self.slices.clear();
+        self.diffs.clear();
+        self.slices.reserve(slices);
+    }
+
+    fn slice(&mut self, head: SliceHead, _: usize) {
+        self.slices.push((head, self.diffs.len()));
+    }
+
+    fn change(&mut self, ctx: ObjectId, label: &str, entity: Entity, was: Entity) {
+        if self.slices.last().is_some_and(|(head, _)| !head.full) {
+            let name = Name::new(label);
+            self.diffs.push(ZoneChange {
+                ctx,
+                name,
+                entity,
+                was,
+            });
+        }
     }
 }
 
@@ -1072,7 +1260,119 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Whether `kept` holds what `delta` decodes to: every slice's head,
+        /// an incremental slice's changes, none of a full slice's.
+        fn kept_holds(kept: &KeptDelta, delta: &ZoneDelta) -> bool {
+            let mut diffs = delta.shards.iter().enumerate();
+            kept.slices().eq(delta.shards.iter().map(SliceHead::from))
+                && diffs.all(|(at, s)| kept.diff(at) == (!s.full).then_some(&s.changes[..]))
+                && kept.diff(delta.shards.len()).is_none()
+        }
+
+        /// Whether the kept readers read `frame` as the owned decoders do —
+        /// the same frames accepted, with the same content — into buffers
+        /// that held another frame before.
+        fn kept_agrees(frame: &[u8]) -> bool {
+            let (mut since, mut kept) = (vec![(7, ZoneSerial::new(7))], KeptDelta::default());
+            let stale = ZoneDelta {
+                id: 1,
+                shards: vec![ShardDelta {
+                    shard: 5,
+                    serial: ZoneSerial::new(3),
+                    full: false,
+                    changes: vec![ZoneChange {
+                        ctx: ObjectId::from_index(1),
+                        name: Name::new("stale"),
+                        entity: Entity::Undefined,
+                        was: Entity::Undefined,
+                    }],
+                }],
+            };
+            assert_eq!(kept.read(&stale.encode()), Some(1));
+            let pulled = read_pull(frame, &mut since);
+            let request = match ZoneDeltaRequest::decode(Bytes::copy_from_slice(frame)) {
+                Some(req) => pulled == Some(req.id) && since == req.since,
+                None => pulled.is_none(),
+            };
+            let read = kept.read(frame);
+            let delta = match ZoneDelta::decode(Bytes::copy_from_slice(frame)) {
+                Some(delta) => read == Some(delta.id) && kept_holds(&kept, &delta),
+                None => read.is_none(),
+            };
+            request && delta
+        }
+
+        /// A drawn slice: its shard, serial and flag, and per change its
+        /// context, label and new binding.
+        type Drawn = (usize, u64, bool, Vec<(u32, String, u32)>);
+
+        /// A reply from drawn slices, and the request its shards answer.
+        fn pull_of(id: u64, slices: &[Drawn]) -> (ZoneDeltaRequest, ZoneDelta) {
+            let shards: Vec<ShardDelta> = slices
+                .iter()
+                .map(|(shard, serial, full, raw)| ShardDelta {
+                    shard: *shard,
+                    serial: ZoneSerial::new(*serial),
+                    full: *full,
+                    changes: raw
+                        .iter()
+                        .map(|(ctx, n, idx)| ZoneChange {
+                            ctx: ObjectId::from_index(*ctx),
+                            name: Name::new(n),
+                            entity: Entity::Object(ObjectId::from_index(*idx)),
+                            was: Entity::Undefined,
+                        })
+                        .collect(),
+                })
+                .collect();
+            let since = shards.iter().map(|s| (s.shard, s.serial)).collect();
+            (ZoneDeltaRequest { id, since }, ZoneDelta { id, shards })
+        }
+
         proptest! {
+            /// Arbitrary bytes under either pull frame's tag: the kept
+            /// readers and the owned decoders accept the same, alike.
+            #[test]
+            fn kept_pull_readers_agree_on_garbage(
+                tag in 6u8..8,
+                tail in proptest::collection::vec(any::<u8>(), 0..96),
+            ) {
+                let frame: Vec<u8> = std::iter::once(tag).chain(tail).collect();
+                prop_assert!(kept_agrees(&frame));
+            }
+
+            /// Well-formed pull frames, cut short or with one byte
+            /// overwritten: the kept readers refuse every proper prefix, and
+            /// accept and refuse what the owned decoders do, alike.
+            #[test]
+            fn kept_pull_readers_agree_on_cuts_and_overwrites(
+                id in any::<u64>(),
+                slices in proptest::collection::vec(
+                    (
+                        0usize..1024,
+                        any::<u64>(),
+                        any::<bool>(),
+                        proptest::collection::vec((0u32..100_000, "[a-z]{1,6}", 0u32..100), 0..4),
+                    ),
+                    0..4,
+                ),
+                cut in any::<usize>(),
+                at in any::<usize>(),
+                byte in any::<u8>(),
+            ) {
+                let (request, reply) = pull_of(id, &slices);
+                for frame in [request.encode(), reply.encode()] {
+                    prop_assert!(kept_agrees(&frame));
+                    let cut = cut % frame.len();
+                    prop_assert!(kept_agrees(&frame[..cut]));
+                    prop_assert!(read_pull(&frame[..cut], &mut Vec::new()).is_none());
+                    prop_assert!(KeptDelta::default().read(&frame[..cut]).is_none());
+                    let mut bad = frame.to_vec();
+                    bad[at % frame.len()] = byte;
+                    prop_assert!(kept_agrees(&bad));
+                }
+            }
+
             /// Decoding arbitrary bytes never panics; it either fails or
             /// yields a frame that re-encodes decodably.
             #[test]

@@ -447,6 +447,42 @@ fn a_warm_cached_single_miss_allocates_nothing() {
     }
 }
 
+/// A full transfer is read, counted and let go: it leaves nothing behind.
+/// After a bootstrap pull over a zone of 12 000 bindings, the bytes the
+/// cache, its engine and the world hold have grown by less than a quarter
+/// of the bytes the exchange carried.
+#[test]
+fn a_full_transfer_leaves_nothing_behind() {
+    let mut w = World::with_shards(97, 2);
+    let net = w.add_network("n");
+    let m = w.add_machine("m", net);
+    let root = w.machine_root(m);
+    // A hundred files in each of 120 directories: one bind at a time checks
+    // the whole context in a debug build, so no context is made large.
+    w.state_mut().set_default_shard(1);
+    for d in 0..120 {
+        let dir = store::ensure_dir(w.state_mut(), root, &format!("d{d}"));
+        for f in 0..100 {
+            store::create_file(w.state_mut(), dir, &format!("f{f}"), vec![]);
+        }
+    }
+    let mut svc = NameService::install(&mut w, &[m]);
+    svc.place_subtree(&w, root, m);
+    let client = w.spawn(m, "client", None);
+    let mode = CoherenceMode::Lease { ttl: None };
+    let mut cache = CachingResolver::with_mode(ProtocolEngine::new(svc), 1024, mode);
+    let mut report = None;
+    let (_, _, held) = allocations_in(|| report = cache.sync(&mut w, client, m));
+    let report = report.expect("a lossless bootstrap completes");
+    assert_eq!(report.shards_full, 2);
+    assert!(report.changes >= 12_000, "{report:?}");
+    assert!(
+        held * 4 < report.bytes as i64,
+        "a bootstrap of {} B left {held} B held",
+        report.bytes
+    );
+}
+
 /// What a recursive resolve costs per server that forwards it: the server
 /// cuts the rest of the name out of the request in buffers of its own and
 /// files the forward. Its own reads, which the relayed answer must list

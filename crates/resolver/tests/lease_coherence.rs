@@ -23,7 +23,7 @@ use naming_resolver::coherence::{
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::referral::{NegativeCache, ReferralCache};
 use naming_resolver::service::NameService;
-use naming_resolver::wire::{Mode, ZoneDelta, ZoneDeltaRequest};
+use naming_resolver::wire::{KeptDelta, Mode, SliceHead, ZoneDelta, ZoneDeltaRequest};
 use naming_sim::message::Payload;
 use naming_sim::store;
 use naming_sim::time::Duration;
@@ -1168,6 +1168,81 @@ fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
     assert!(
         refused > 100 && heard > 100,
         "{refused} refused, {heard} heard"
+    );
+}
+
+/// `frame` cut at every length, and each of its bytes overwritten four
+/// ways.
+fn mutations(frame: &[u8]) -> Vec<Vec<u8>> {
+    let mut frames: Vec<Vec<u8>> = (0..frame.len()).map(|cut| frame[..cut].to_vec()).collect();
+    for at in 0..frame.len() {
+        for byte in [frame[at] ^ 1, frame[at] ^ 0x80, 0, 0xff] {
+            let mut mutated = frame.to_vec();
+            mutated[at] = byte;
+            frames.push(mutated);
+        }
+    }
+    frames
+}
+
+/// Whether `kept` holds what `delta` decodes to: every slice's head, an
+/// incremental slice's changes, none of a full slice's.
+fn kept_holds(kept: &KeptDelta, delta: &ZoneDelta) -> bool {
+    let mut diffs = delta.shards.iter().enumerate();
+    kept.slices().eq(delta.shards.iter().map(SliceHead::from))
+        && diffs.all(|(at, s)| kept.diff(at) == (!s.full).then_some(&s.changes[..]))
+        && kept.diff(delta.shards.len()).is_none()
+}
+
+/// The replica reads a pull's answer into slices it keeps; tests decode it
+/// whole. Both are one reader: every mutation of the authority's honest
+/// answers — to a warm pull, whose slices carry diffs, and to a cold one,
+/// whose slices are full — is accepted by both or by neither, and what is
+/// kept of an accepted frame is what decodes, read over the frame before.
+#[test]
+fn a_mutated_delta_reads_alike_kept_or_decoded() {
+    let (mut w, mut r, client, _root, m1, _) = warm_pull();
+    let server = r.engine().service().server_on(m1);
+    let shards = w.state().shard_count();
+    let warm = r.serial_table().snapshot_for(shards);
+    let cold = (0..shards).map(|s| (s, ZoneSerial::ZERO)).collect();
+    let mut honest = Vec::new();
+    for since in [warm, cold] {
+        let request = ZoneDeltaRequest { id: 1, since }.encode();
+        w.send(client, server, Payload::bytes(request));
+        r.engine_mut().pump_idle(&mut w);
+        let Some(Payload::Bytes(frame)) =
+            w.receive(client).and_then(|m| m.parts.into_iter().next())
+        else {
+            panic!("the authority answered");
+        };
+        honest.push(frame.to_vec());
+    }
+    let [warm, cold] = [0, 1].map(|i| ZoneDelta::decode(honest[i].clone().into()).unwrap());
+    assert!(warm.shards.iter().any(|s| !s.full && !s.changes.is_empty()));
+    assert!(
+        cold.shards.iter().all(|s| s.full) && cold.shards.iter().any(|s| !s.changes.is_empty())
+    );
+
+    let mut kept = KeptDelta::default();
+    let (mut accepted, mut refused) = (0, 0);
+    for frame in honest.iter().flat_map(|frame| mutations(frame)) {
+        let read = kept.read(&frame);
+        match ZoneDelta::decode(frame.into()) {
+            Some(delta) => {
+                assert_eq!(read, Some(delta.id));
+                assert!(kept_holds(&kept, &delta), "{delta:?} kept as {kept:?}");
+                accepted += 1;
+            }
+            None => {
+                assert_eq!(read, None);
+                refused += 1;
+            }
+        }
+    }
+    assert!(
+        accepted > 100 && refused > 100,
+        "{accepted} accepted, {refused} refused"
     );
 }
 

@@ -6,8 +6,8 @@
 //! the slot — key, zones and stamps — it left behind. This binary counts
 //! heap allocations with its own global allocator (per thread, so the
 //! harness's other threads cannot leak into a measurement) and holds each
-//! of those paths to exactly zero — and an anti-entropy pull to what its
-//! exchange costs, the drop pass adding nothing.
+//! of those paths to exactly zero — and a warm anti-entropy pull too, its
+//! exchange and its drop pass alike.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -234,12 +234,13 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
     assert_eq!(allocated, 0, "a steady-state record or drop allocated");
 }
 
-/// Allocations of one warm pull in which one zone moved by one change —
-/// the request's serial list and frame, the authority's answer, the
-/// decoded delta — as counted when each moved zone still had its own drop
-/// walk. The one pass over the caches, which drops what the change
-/// reaches and re-stamps the rest, adds none.
-const PULL_ALLOCATIONS: u64 = 10;
+/// Allocations of one warm pull in which one zone moved by one change:
+/// none. The request is written from the serial list the cache keeps into
+/// a spare frame, the authority reads it into a list the engine keeps and
+/// writes its answer from the journal straight into a spare, and the reply
+/// is read into slices the engine keeps. The one pass over the caches,
+/// which drops what the change reaches and re-stamps the rest, adds none.
+const PULL_ALLOCATIONS: u64 = 0;
 
 /// Eight zones, one directory in each holding 32 files, all bound under
 /// the root of zone 0 on one machine; returns the directories and every
@@ -318,6 +319,89 @@ fn a_warm_pull_allocates_its_exchange_and_no_more() {
         assert_eq!(
             allocated, PULL_ALLOCATIONS,
             "a pull over {held} cached names allocated {allocated}"
+        );
+    }
+}
+
+/// Publishes a fresh binding `new{round}` into the directory of each zone
+/// in `zones`.
+fn publish_in(
+    w: &mut World,
+    r: &mut CachingResolver,
+    dirs: &[ObjectId],
+    zones: &[usize],
+    round: usize,
+) {
+    for &zone in zones {
+        let fresh = w
+            .state_mut()
+            .add_data_object(format!("v{round}.{zone}"), vec![]);
+        let name = Name::new(&format!("new{round}"));
+        r.engine_mut()
+            .publish_binding(w, dirs[zone], name, Some(Entity::Object(fresh)))
+            .expect("publish commits");
+    }
+}
+
+/// A cold pull, then a warm one after publishes in four zones: every
+/// buffer a pull keeps has met its size, and every counter a pull moves
+/// is registered.
+fn warmed() -> (
+    World,
+    CachingResolver,
+    ActivityId,
+    ObjectId,
+    MachineId,
+    Vec<ObjectId>,
+    Vec<CompoundName>,
+) {
+    let (mut w, mut r, client, root, m, dirs, names) = zoned();
+    r.resolve_batch(&mut w, client, root, &names);
+    r.sync(&mut w, client, m).expect("cold pull completes");
+    r.resolve_batch(&mut w, client, root, &names);
+    publish_in(&mut w, &mut r, &dirs, &[0, 1, 2, 3], 0);
+    let warm = r.sync(&mut w, client, m).expect("warm pull completes");
+    assert_eq!((warm.shards_full, warm.changes), (0, 4));
+    assert!(warm.entries_restamped > 0);
+    (w, r, client, root, m, dirs, names)
+}
+
+#[test]
+fn a_warm_heartbeat_pull_allocates_nothing() {
+    let (mut w, mut r, client, root, m, _, names) = warmed();
+    for held in [8usize, 64, 256] {
+        for chunk in names[..held].chunks(64) {
+            r.resolve_batch(&mut w, client, root, chunk);
+        }
+        let mut report = None;
+        let allocated = allocations_in(|| report = r.sync(&mut w, client, m));
+        let report = report.expect("lossless pull completes");
+        assert_eq!((report.shards_full, report.changes), (0, 0));
+        assert_eq!((report.shards_incremental, report.entries_dropped), (8, 0));
+        assert_eq!(
+            allocated, 0,
+            "a heartbeat over {held} cached names allocated"
+        );
+    }
+}
+
+#[test]
+fn a_warm_pull_after_publishes_in_four_zones_allocates_nothing() {
+    let (mut w, mut r, client, root, m, dirs, names) = warmed();
+    let moves: [[usize; 4]; 4] = [[4, 5, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7], [7, 0, 3, 4]];
+    for (round, zones) in moves.iter().enumerate() {
+        for chunk in names.chunks(64) {
+            r.resolve_batch(&mut w, client, root, chunk);
+        }
+        publish_in(&mut w, &mut r, &dirs, zones, round + 1);
+        let mut report = None;
+        let allocated = allocations_in(|| report = r.sync(&mut w, client, m));
+        let report = report.expect("lossless pull completes");
+        assert_eq!((report.shards_full, report.changes), (0, 4));
+        assert!(report.entries_restamped > 0);
+        assert_eq!(
+            allocated, 0,
+            "a pull after publishes in {zones:?} allocated"
         );
     }
 }
