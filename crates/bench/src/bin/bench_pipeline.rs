@@ -166,7 +166,6 @@ fn pipelined_run(batches: &[CompoundName], workers: usize) -> PipelinedRun {
     }
     let answers = svc.drain(&mut w);
     let elapsed = t.elapsed().as_secs_f64();
-    let report = svc.report();
     let makespan = answers
         .iter()
         .map(|a| a.completed_at.ticks())
@@ -178,13 +177,15 @@ fn pipelined_run(batches: &[CompoundName], workers: usize) -> PipelinedRun {
         .div_ceil(100)
         .saturating_sub(1)
         .min(waits.len() - 1)];
+    let entities = answers.iter().map(|a| a.entities[0]).collect();
+    let report = svc.report();
     PipelinedRun {
         makespan_ticks: makespan,
         in_flight_hwm: report.in_flight_hwm,
         in_flight_queries_hwm: report.in_flight_queries_hwm,
         backlog_hwm: report.backlog_hwm,
         queue_wait_p99_ticks: p99,
-        entities: answers.iter().map(|a| a.entities[0]).collect(),
+        entities,
         wall_ops_per_sec: batches.len() as f64 / elapsed,
     }
 }

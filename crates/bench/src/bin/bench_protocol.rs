@@ -73,7 +73,7 @@ fn batched(seed: u64) -> (Vec<Entity>, u64, u64) {
     let (mut w, svc, _machines, client, start, names) = protocol_zones(HOPS, LEAVES, seed);
     let mut engine = ProtocolEngine::new(svc);
     let b = engine.resolve_batch(&mut w, client, start, &names);
-    (b.entities, b.messages, b.latency.ticks())
+    (b.entities.clone(), b.messages, b.latency.ticks())
 }
 
 /// Sequential lookups through the caching resolver: the first walk

@@ -20,6 +20,9 @@
 //! contexts have changed, by comparing version counters instead of
 //! re-resolving every name. Under the lease policy every store validates
 //! by lease expiry and heard zone serials alone.
+//!
+//! [`CachingResolver::resolve_batch`] lends its outcome until the next call
+//! on the resolver, which refills it in place; `clone()` keeps it.
 
 use std::ops::Range;
 
@@ -106,7 +109,7 @@ pub struct CachedOutcome {
 }
 
 /// What a cached batch resolution cost.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CachedBatchOutcome {
     /// One entity per input name, in input order (possibly `⊥`).
     pub entities: Vec<Entity>,
@@ -244,7 +247,9 @@ impl<P: Validity> Plane<P> {
         }
     }
 
-    /// Many names through the caches; see [`CachingResolver::resolve_batch`].
+    /// Many names through the caches, into `out` and the vectors it holds;
+    /// see [`CachingResolver::resolve_batch`].
+    #[allow(clippy::too_many_arguments)]
     fn resolve_many(
         &mut self,
         engine: &mut ProtocolEngine,
@@ -253,15 +258,15 @@ impl<P: Validity> Plane<P> {
         client: ActivityId,
         start: ObjectId,
         names: &[CompoundName],
-    ) -> CachedBatchOutcome {
+        out: &mut CachedBatchOutcome,
+    ) {
         let by = (self.evidence)(world, heard);
-        let mut out = CachedBatchOutcome {
-            entities: vec![Entity::Undefined; names.len()],
-            from_cache: vec![false; names.len()],
-            unreachable: Vec::new(),
-            messages: 0,
-            latency: Duration::ZERO,
-        };
+        out.entities.clear();
+        out.entities.resize(names.len(), Entity::Undefined);
+        out.from_cache.clear();
+        out.from_cache.resize(names.len(), false);
+        out.unreachable.clear();
+        (out.messages, out.latency) = (0, Duration::ZERO);
         let mut misses = std::mem::take(&mut self.misses);
         self.jump_zones.clear();
         let mut hits = 0u64;
@@ -309,7 +314,6 @@ impl<P: Validity> Plane<P> {
             self.reads = reads;
         }
         self.misses = misses;
-        out
     }
 
     /// Where the exchange for a missed name starts — the deepest cached,
@@ -442,6 +446,8 @@ pub struct CachingResolver {
     /// allocates neither.
     since: Vec<(usize, ZoneSerial)>,
     moved: Vec<MovedZone>,
+    /// The last batch's outcome, lent until the next batch refills it.
+    batch: CachedBatchOutcome,
 }
 
 /// What one anti-entropy pull ([`CachingResolver::sync`]) accomplished.
@@ -509,6 +515,7 @@ impl CachingResolver {
             table: SerialTable::new(),
             since: Vec::new(),
             moved: Vec::new(),
+            batch: CachedBatchOutcome::default(),
         }
     }
 
@@ -658,18 +665,21 @@ impl CachingResolver {
     /// Answers are identical to resolving each name via
     /// [`CachingResolver::resolve`] in iterative mode; batching and
     /// referral jumps change message counts, never entities.
+    ///
+    /// The outcome is lent until the next batch; `clone()` keeps it.
     pub fn resolve_batch(
         &mut self,
         world: &mut World,
         client: ActivityId,
         start: ObjectId,
         names: &[CompoundName],
-    ) -> CachedBatchOutcome {
+    ) -> &CachedBatchOutcome {
         self.mirroring_renewals(|r| {
             let heard = Self::heard(r.mode, &r.table, world.now().ticks());
-            let engine = &mut r.engine;
-            on_plane!(&mut r.plane, p => p.resolve_many(engine, world, heard, client, start, names))
-        })
+            let (engine, out) = (&mut r.engine, &mut r.batch);
+            on_plane!(&mut r.plane, p => p.resolve_many(engine, world, heard, client, start, names, out))
+        });
+        &self.batch
     }
 
     /// Runs `f`, then mirrors the positive store's lease renewals it made
@@ -1048,7 +1058,7 @@ mod tests {
             .iter()
             .map(|p| CompoundName::parse_path(p).unwrap())
             .collect();
-        let batch = r.resolve_batch(&mut w, client, root, &names);
+        let batch = r.resolve_batch(&mut w, client, root, &names).clone();
         // Same answers as one-at-a-time resolution (on a fresh resolver).
         let (mut w2, mut r2, client2, root2) = setup();
         for (i, name) in names.iter().enumerate() {
@@ -1518,7 +1528,7 @@ mod tests {
             .iter()
             .map(|p| CompoundName::parse_path(p).unwrap())
             .collect();
-        let batch = r.resolve_batch(&mut w, client, root, &names);
+        let batch = r.resolve_batch(&mut w, client, root, &names).clone();
         let (mut w2, mut r2, client2, root2, _m2) = setup_lease(None);
         for (i, name) in names.iter().enumerate() {
             let (e, _) = r2.resolve(&mut w2, client2, root2, name, Mode::Iterative);
@@ -1585,7 +1595,7 @@ mod tests {
             let (bound, unbound) = (path("/remote/data"), path("/remote/nope"));
             let out = r.resolve_batch(&mut w, client, root, std::slice::from_ref(&unbound));
             assert_eq!(
-                (out.entities, out.unreachable),
+                (out.entities.clone(), out.unreachable.clone()),
                 (vec![Entity::Undefined], vec![])
             );
             w.set_message_drop_rate(1.0);

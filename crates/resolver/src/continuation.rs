@@ -16,11 +16,9 @@
 //! replies folded where they lie. Nor does the answer below its caller:
 //! a continuation starts in the answer vectors it holds, and the blocking
 //! driver keeps the finished one ([`ProtocolEngine::answered`]) and lends
-//! its answer to a caller that only reads it — a cache recording a miss, a
-//! single resolve — so the next resolution starts in the same vectors. Only
-//! an answer handed to its caller to keep (`resolve_batch`,
-//! `resolve_traced`, the reactor's) takes them, and the next continuation
-//! on that one makes its own.
+//! its answer to its caller until the next call, so the next resolution
+//! starts in the same vectors; the reactor hands a finished continuation a
+//! spent answer's vectors for the ones it lends.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -245,13 +243,6 @@ impl Continuation {
             ..BatchResolveStats::default()
         };
         cont
-    }
-
-    /// The answer of a completed batch; the vectors go back to the engine.
-    pub(crate) fn finish(mut self, engine: &mut ProtocolEngine) -> BatchResolveStats {
-        let stats = std::mem::take(&mut self.stats);
-        engine.idle.push(self);
-        stats
     }
 
     /// Drops the batch unanswered: the routes of its open exchanges go, so

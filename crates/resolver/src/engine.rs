@@ -13,6 +13,11 @@
 //! the [`PipelinedService`](crate::runtime::PipelinedService) until any of
 //! its batches finishes — and whoever pumps hands each reply and deadline
 //! to the continuation that awaits it, so no driver drops another's mail.
+//!
+//! A blocking resolution's answer is lent until the next call on the engine
+//! ([`ProtocolEngine::resolve_batch`], the hops of
+//! [`ProtocolEngine::resolve_traced`]): the next resolution starts in its
+//! vectors. `clone()` or `to_vec()` keeps it.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -507,9 +512,9 @@ impl ProtocolEngine {
         start: ObjectId,
         name: &CompoundName,
         mode: Mode,
-    ) -> (ResolveStats, Vec<ReferralHop>) {
+    ) -> (ResolveStats, &[ReferralHop]) {
         let stats = self.resolve_traced_from(world, client, (start, 0, name.components()), mode);
-        (stats, self.take_answer().referrals)
+        (stats, &self.answer().referrals)
     }
 
     /// [`ProtocolEngine::resolve`] for a name whose resolution starts past
@@ -567,10 +572,10 @@ impl ProtocolEngine {
         client: ActivityId,
         start: ObjectId,
         names: &[CompoundName],
-    ) -> BatchResolveStats {
+    ) -> &BatchResolveStats {
         let names = names.iter().map(|name| (start, 0, name.components()));
         self.resolve_from(world, client, names);
-        self.take_answer()
+        self.answer()
     }
 
     /// [`ProtocolEngine::resolve_batch`] for names that each start where
@@ -592,9 +597,8 @@ impl ProtocolEngine {
     }
 
     /// The blocking driver: launches one [`Continuation`] and pumps until
-    /// it finishes, then keeps it, answer and all: a caller that only reads
-    /// the answer borrows it ([`ProtocolEngine::answer`]), one that keeps
-    /// it takes it ([`ProtocolEngine::take_answer`]). `messages` and
+    /// it finishes, then keeps it, answer and all, and lends the answer
+    /// ([`ProtocolEngine::answer`]). `messages` and
     /// `latency` are what went over the wire and how much virtual time
     /// passed meanwhile — everything on the timeline, not only this batch's
     /// own traffic.
@@ -632,13 +636,6 @@ impl ProtocolEngine {
             .as_ref()
             .expect("a resolution has finished")
             .stats
-    }
-
-    /// The answer of the last blocking resolution, taken: the caller keeps
-    /// its vectors, and the next continuation makes its own.
-    fn take_answer(&mut self) -> BatchResolveStats {
-        let cont = self.answered.take().expect("a resolution has finished");
-        cont.finish(self)
     }
 
     /// Files `cont` under the next ticket and starts it: its first round
@@ -1637,7 +1634,12 @@ mod tests {
             }
             let single = engine.resolve(&mut w, client, root, &name, Mode::Iterative);
             let batch = engine.resolve_batch(&mut w, client, root, &names);
-            (single, batch.entities, batch.messages, batch.latency)
+            (
+                single,
+                batch.entities.clone(),
+                batch.messages,
+                batch.latency,
+            )
         };
         let plain = run(false);
         let retried = run(true);

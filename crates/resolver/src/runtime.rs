@@ -30,8 +30,16 @@
 //! submissions beyond the limit queue in FIFO order and are admitted as
 //! completions free slots, at the virtual instant of the completion.
 //! Queue wait (admission minus submission tick) is reported per batch.
+//!
+//! # Lent answers
+//!
+//! [`PipelinedService::drain`] lends its answers ([`Answers`]) until the
+//! next call on the reactor; `to_vec()` keeps them. A finished batch's
+//! continuation takes the vectors of an answer handed back, so a warm wave
+//! allocates nothing.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::CompoundName;
@@ -139,6 +147,10 @@ pub struct PipelinedService {
     /// Completed answers in completion order, put in submission order by
     /// [`PipelinedService::drain`]; the buffer is kept from wave to wave.
     done: Vec<PipelinedAnswer>,
+    /// Whether `done` is the last drain's, lent to its caller.
+    lent: bool,
+    /// Answers handed back: the next completions' vectors.
+    spent: Vec<PipelinedAnswer>,
     in_flight_queries: usize,
     report: PipelineReport,
 }
@@ -168,6 +180,8 @@ impl PipelinedService {
             backlog: VecDeque::new(),
             inflight: Dense::default(),
             done: Vec::new(),
+            lent: false,
+            spent: Vec::new(),
             in_flight_queries: 0,
             report: PipelineReport {
                 workers,
@@ -222,6 +236,7 @@ impl PipelinedService {
         start: ObjectId,
         names: &[CompoundName],
     ) -> u64 {
+        self.reclaim();
         let seq = self.report.submitted;
         self.report.submitted += 1;
         let now = world.now();
@@ -239,17 +254,19 @@ impl PipelinedService {
     }
 
     /// Drives the reactor until every submitted batch has completed, then
-    /// returns all completed answers in submission order.
-    pub fn drain(&mut self, world: &mut World) -> Vec<PipelinedAnswer> {
+    /// lends all completed answers in submission order.
+    pub fn drain(&mut self, world: &mut World) -> Answers<'_> {
         self.run(world);
         // Tickets are unique: an unstable sort is exact, and sorts in place.
         self.done.sort_unstable_by_key(|answer| answer.seq);
-        self.done.drain(..).collect()
+        self.lent = true;
+        Answers(&self.done)
     }
 
     /// Pumps the engine until every in-flight and queued batch has
     /// completed.
     pub fn run(&mut self, world: &mut World) {
+        self.reclaim();
         let mut budget =
             MAX_STEPS_PER_BATCH.saturating_mul(self.in_flight() + self.backlog.len() + 1);
         // One sweep of every server and client for mail that a caller's
@@ -320,29 +337,65 @@ impl PipelinedService {
         true
     }
 
-    /// Turns a finished batch's continuation into its answer.
-    fn complete(&mut self, now: VirtualTime, batch: Batch, cont: Continuation) {
-        let stats = cont.finish(&mut self.engine);
+    /// Turns a finished batch's continuation into its answer: the answer
+    /// takes the continuation's vectors, and the continuation goes back to
+    /// the engine holding a spent answer's.
+    fn complete(&mut self, now: VirtualTime, batch: Batch, mut cont: Continuation) {
         self.report.completed += 1;
         let worker = (batch.seq % self.report.workers as u64) as usize;
+        let stats = &mut cont.stats;
         naming_telemetry::gauge!("pipeline.in_flight").set(self.in_flight() as i64);
         naming_telemetry::gauge!("pipeline.in_flight_queries").set(self.in_flight_queries as i64);
         naming_telemetry::histogram!("pipeline.continuation_depth").record(u64::from(stats.rounds));
+        let spent = self.spent.pop();
+        let (entities, unreachable, referrals) = spent.map_or_else(Default::default, |a| {
+            (a.entities, a.unreachable, a.referrals)
+        });
         self.done.push(PipelinedAnswer {
             seq: batch.seq,
-            entities: stats.entities,
-            unreachable: stats.unreachable,
+            entities: std::mem::replace(&mut stats.entities, entities),
+            unreachable: std::mem::replace(&mut stats.unreachable, unreachable),
             rounds: stats.rounds,
             messages: stats.messages,
             servers_touched: stats.servers_touched,
             coalesced: stats.coalesced,
             hops_saved: stats.hops_saved,
-            referrals: stats.referrals,
+            referrals: std::mem::replace(&mut stats.referrals, referrals),
             submitted_at: batch.submitted_at,
             admitted_at: batch.admitted_at,
             completed_at: now,
             worker,
         });
+        self.engine.idle.push(cont);
+    }
+
+    /// Takes back the answers the last drain lent.
+    fn reclaim(&mut self) {
+        if std::mem::take(&mut self.lent) {
+            self.spent.append(&mut self.done);
+        }
+    }
+}
+
+/// A drained wave's answers in submission order, lent until the next call
+/// on the reactor that lent them; `to_vec()` keeps them.
+#[derive(Clone, Copy, Debug)]
+pub struct Answers<'a>(&'a [PipelinedAnswer]);
+
+impl Deref for Answers<'_> {
+    type Target = [PipelinedAnswer];
+
+    fn deref(&self) -> &[PipelinedAnswer] {
+        self.0
+    }
+}
+
+impl<'a> IntoIterator for &Answers<'a> {
+    type Item = &'a PipelinedAnswer;
+    type IntoIter = std::slice::Iter<'a, PipelinedAnswer>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
     }
 }
 
@@ -494,7 +547,7 @@ mod tests {
             for _ in 0..4 {
                 svc.submit(&mut w, client, root, &names(&["/hop1/hop2/leaf", "/hop1"]));
             }
-            for a in svc.drain(&mut w) {
+            for a in &svc.drain(&mut w) {
                 assert_eq!(a.entities[0], leaf);
                 assert_eq!(a.unreachable, vec![false, false]);
             }
@@ -570,7 +623,7 @@ mod tests {
             svc.submit(&mut w, client, root, &batch);
         }
         assert_eq!(svc.in_flight(), 1);
-        let answers = svc.drain(&mut w);
+        let answers = svc.drain(&mut w).to_vec();
         assert_eq!(answers.len(), 3);
         let rep = svc.report();
         assert_eq!(rep.in_flight_hwm, 1);
@@ -607,7 +660,7 @@ mod tests {
                 };
                 svc.submit(&mut w, client, root, &batch);
             }
-            let mut answers = svc.drain(&mut w);
+            let mut answers = svc.drain(&mut w).to_vec();
             // Worker attribution is the one field that may differ.
             for a in &mut answers {
                 a.worker = 0;
@@ -633,7 +686,7 @@ mod tests {
         let mut svc = PipelinedService::new(engine, 1);
         svc.submit(&mut w, client, root, &names(&["/hop1/hop2/leaf"]));
         during(&mut w, svc.engine_mut(), client, &machines, root);
-        let answer = svc.drain(&mut w).remove(0);
+        let answer = svc.drain(&mut w)[0].clone();
         (answer, svc.engine().retry_counters())
     }
 
@@ -770,7 +823,7 @@ mod tests {
             } else {
                 let stats: Vec<_> = batches
                     .iter()
-                    .map(|b| engine.resolve_batch(&mut w, client, root, b))
+                    .map(|b| engine.resolve_batch(&mut w, client, root, b).clone())
                     .collect();
                 format!("{stats:?}")
             };

@@ -5,18 +5,17 @@
 //! when it has been read. Nothing else on the resolution path may grow with
 //! the names in a batch — a continuation's vectors are reused, requests are
 //! built in the engine's scratch, the server decodes, walks and answers in
-//! it, the client folds a reply from it — so once the buffers circulate a
-//! batch whose answer the caller keeps costs the three vectors of that
-//! answer, whatever its size and however many messages it took, and one
-//! whose answer the caller only reads costs nothing: the engine lends it
-//! and the next batch starts in its vectors. A frame the network loses
+//! it, the client folds a reply from it — and every driver lends its answer
+//! until its next call, which starts in the same vectors, so once the
+//! buffers circulate a batch costs nothing, whatever its size and however
+//! many messages it took. A frame the network loses
 //! comes back to its sender too; only one that reaches a dead server takes
 //! its buffer with it, and one too large for the buffers that circulate
 //! has, as every frame used to, a buffer of its own, made to measure: two
 //! allocations, and the buffers that circulate are none the fewer. A client
 //! cache's misses are one such batch, each name from its own jump, read
-//! where the engine keeps it, and its stores refill the slots they recycle,
-//! so a batch of misses costs its outcome and a single miss nothing. This
+//! where the engine keeps it, its stores refill the slots they recycle and
+//! its outcome is refilled in place, so a batch of misses costs nothing. This
 //! binary counts with its own global allocator
 //! (per thread, so the harness's other threads cannot leak into a
 //! measurement), on a three-level star: the hub refers to a region, the
@@ -173,9 +172,10 @@ fn sent(w: &World) -> u64 {
     w.trace().counter("sent")
 }
 
-/// The answer's three vectors — entities, verdicts, referral hops — are the
-/// caller's to keep, so a batch allocates them whatever else is reused.
-const PER_BATCH: u64 = 3;
+/// The answer's three vectors — entities, verdicts, referral hops — are
+/// lent to the caller and refilled by the next batch: a warm batch
+/// allocates none of them.
+const PER_BATCH: u64 = 0;
 
 /// Allocations and messages of one blocking `resolve_batch`, and the bytes
 /// it left allocated.
@@ -210,7 +210,7 @@ fn large_frames(n: usize) -> u64 {
 }
 
 #[test]
-fn a_blocking_batch_allocates_its_answer_whatever_its_messages() {
+fn a_blocking_batch_allocates_only_its_large_frames_whatever_its_messages() {
     let (mut s, svc) = star(7);
     let mut engine = ProtocolEngine::new(svc);
     // The warm-up sizes the scratch and the recycled continuation for the
@@ -233,7 +233,7 @@ fn a_blocking_batch_allocates_its_answer_whatever_its_messages() {
 }
 
 #[test]
-fn a_pipelined_wave_allocates_its_answers_whatever_its_messages() {
+fn a_pipelined_wave_allocates_only_its_large_frames_whatever_its_messages() {
     const WAVE: usize = 32;
     let (mut s, svc) = star(11);
     let mut svc = PipelinedService::with_limit(ProtocolEngine::new(svc), 2, WAVE / 4);
@@ -250,19 +250,54 @@ fn a_pipelined_wave_allocates_its_answers_whatever_its_messages() {
         });
         (allocations, sent(&s.w) - sent0)
     };
-    wave(&mut s, 0, 64);
+    // Answers and continuations trade vectors: a few waves until every
+    // one of them has met the largest batch.
+    for _ in 0..4 {
+        wave(&mut s, 0, 64);
+    }
     for n in [8, FITS, 64] {
         let (allocations, messages) = wave(&mut s, 100, n);
         assert!(messages >= 6 * WAVE as u64);
         let large = PER_LARGE_FRAME * large_frames(n) * WAVE as u64;
-        // Besides each answer's vectors: the vector the answers are
-        // returned in. The completed answers wait in a buffer kept from
-        // wave to wave.
+        // The answers are lent in a buffer kept from wave to wave, and a
+        // finished continuation takes the vectors of an answer lent before.
         assert_eq!(
             allocations,
-            PER_BATCH * WAVE as u64 + 1 + large,
+            PER_BATCH * WAVE as u64 + large,
             "{n} names, {messages} messages"
         );
+    }
+}
+
+/// A warm wave allocates nothing at all: the caller reads every answer
+/// where the reactor lends it, and the next wave's continuations start in
+/// the vectors of the answers it handed back.
+#[test]
+fn a_warm_pipelined_wave_allocates_nothing() {
+    const WAVE: usize = 32;
+    let (mut s, svc) = star(11);
+    let mut svc = PipelinedService::with_limit(ProtocolEngine::new(svc), 2, WAVE / 4);
+    let batches: Vec<Vec<CompoundName>> = (0..WAVE).map(|b| batch(b, 8)).collect();
+    let mut wave = |s: &mut Star| {
+        allocations_in(|| {
+            for names in &batches {
+                svc.submit(&mut s.w, s.client, s.hub, names);
+            }
+            let answers = svc.drain(&mut s.w);
+            assert_eq!(answers.len(), WAVE);
+            for (a, names) in answers.iter().zip(&batches) {
+                assert_eq!(a.entities.len(), names.len());
+                assert!(a.unreachable.iter().all(|&u| !u));
+            }
+        })
+    };
+    // Answers and continuations trade vectors: a few waves until every
+    // one of them has met a batch.
+    for _ in 0..4 {
+        wave(&mut s);
+    }
+    for w in 0..20 {
+        assert_eq!(wave(&mut s), (0, 0, 0), "wave {w}");
     }
 }
 
@@ -324,9 +359,10 @@ fn ten_thousand_batches_leave_every_pool_and_scratch_where_it_was() {
     assert_eq!(held, 0, "the reactor's pools grew");
 }
 
-/// A cached batch of misses: the two vectors of the outcome the cache hands
-/// back. The answer underneath is read where the engine keeps it.
-const PER_CACHED_BATCH: u64 = 2;
+/// A cached batch of misses: nothing. The outcome's two vectors are lent
+/// and refilled by the next batch, and the answer underneath is read where
+/// the engine keeps it.
+const PER_CACHED_BATCH: u64 = 0;
 
 /// Cached batch `b` over `zones` zones, 64 names: two files of every zone,
 /// except that every fourth batch asks for the second half's zones
@@ -349,7 +385,7 @@ fn cached_batch(b: usize, zones: usize) -> Vec<CompoundName> {
 }
 
 #[test]
-fn a_cached_batch_of_misses_allocates_its_answer_and_its_outcome() {
+fn a_cached_batch_of_misses_allocates_nothing() {
     for mode in [CoherenceMode::Exact, CoherenceMode::Lease { ttl: None }] {
         let (mut s, svc) = star_of(19, 2 * REGIONS);
         let zones = s.zones.len();
@@ -387,6 +423,147 @@ fn a_cached_batch_of_misses_allocates_its_answer_and_its_outcome() {
         assert_eq!(held, 0, "{mode:?}: a store or a scratch grew");
         assert_eq!(allocations, 5_000 * PER_CACHED_BATCH, "{mode:?}");
     }
+}
+
+/// A warm cached batch allocates nothing, in either mode: its hits, its
+/// negative hits and its misses fill the outcome the last batch was lent
+/// in, a longer batch's or a shorter one's.
+#[test]
+fn a_warm_cached_batch_allocates_nothing() {
+    for mode in [CoherenceMode::Exact, CoherenceMode::Lease { ttl: None }] {
+        let (mut s, svc) = star(23);
+        // Every zone's files and a missing one: hits and negative hits once
+        // the cache holds them; the misses a batch of them on its first
+        // pass, with ten names too many for the positive store.
+        let long: Vec<CompoundName> = (0..64).map(|k| batch(k, 1).remove(0)).collect();
+        let short = batch(7, 3);
+        let mut cache = CachingResolver::with_mode(ProtocolEngine::new(svc), 54, mode);
+        let mut run = |s: &mut Star, names: &[CompoundName]| {
+            allocations_in(|| {
+                let out = cache.resolve_batch(&mut s.w, s.client, s.hub, names);
+                assert_eq!(out.entities.len(), names.len());
+                assert!(out.unreachable.is_empty(), "{mode:?}");
+            })
+        };
+        for _ in 0..8 {
+            run(&mut s, &long);
+            run(&mut s, &short);
+        }
+        for round in 0..50 {
+            assert_eq!(run(&mut s, &long), (0, 0, 0), "{mode:?}: round {round}");
+            assert_eq!(run(&mut s, &short), (0, 0, 0), "{mode:?}: round {round}");
+        }
+    }
+}
+
+/// A recycled answer carries nothing over from the call before it: after a
+/// lossy wave of long batches, a lossless wave of short ones; after a long
+/// cached batch with hits and transport verdicts, a short one; after a
+/// blocking batch with referrals, one without. Each answer equals, field for
+/// field, what a fresh driver gives.
+#[test]
+fn recycled_answers_carry_nothing_over() {
+    let paths = |paths: &[&str]| -> Vec<CompoundName> {
+        paths
+            .iter()
+            .map(|p| CompoundName::parse_path(p).unwrap())
+            .collect()
+    };
+    // The reactor: 32 lossy batches of 16 names, then 5 lossless of 3.
+    let short: Vec<Vec<CompoundName>> = (0..5).map(|b| batch(40 + b, 3)).collect();
+    let fresh = {
+        let (mut s, svc) = star(29);
+        let mut svc = PipelinedService::new(ProtocolEngine::new(svc), 2);
+        for names in &short {
+            svc.submit(&mut s.w, s.client, s.hub, names);
+        }
+        svc.drain(&mut s.w).to_vec()
+    };
+    let (mut s, svc) = star(29);
+    let mut svc = PipelinedService::with_limit(ProtocolEngine::new(svc), 2, 4);
+    s.w.set_message_drop_rate(0.3);
+    for b in 0..32 {
+        svc.submit(&mut s.w, s.client, s.hub, &batch(b, 16));
+    }
+    let lossy = svc.drain(&mut s.w);
+    assert!(lossy.iter().any(|a| a.unreachable.contains(&true)));
+    assert!(lossy.iter().any(|a| a.referrals.len() > 3));
+    s.w.set_message_drop_rate(0.0);
+    for names in &short {
+        svc.submit(&mut s.w, s.client, s.hub, names);
+    }
+    let got = svc.drain(&mut s.w);
+    assert_eq!(got.len(), fresh.len());
+    for (i, (got, want)) in got.iter().zip(&fresh).enumerate() {
+        assert_eq!(got.seq, 32 + want.seq, "batch {i}");
+        assert_eq!(got.entities, want.entities, "batch {i}");
+        assert_eq!(got.unreachable, want.unreachable, "batch {i}");
+        assert_eq!(got.referrals, want.referrals, "batch {i}");
+        let counts = |a: &naming_resolver::runtime::PipelinedAnswer| {
+            (
+                a.rounds,
+                a.messages,
+                a.servers_touched,
+                a.coalesced,
+                a.hops_saved,
+            )
+        };
+        assert_eq!(counts(got), counts(want), "batch {i}");
+    }
+
+    // The cache: 64 names, lossy, twice (hits and transport verdicts), then
+    // three lossless names it has not seen, a missing one among them.
+    let long: Vec<CompoundName> = (0..64)
+        .map(|k| {
+            let (r, z, f) = (k % REGIONS, (k / REGIONS) % ZONES, k / 16);
+            CompoundName::parse_path(&format!("/r{r}/z{z}/f{f}")).unwrap()
+        })
+        .collect();
+    let short = paths(&["/r0/z0/f5", "/r1/z2/nope", "/r3/z3/f6"]);
+    for mode in [CoherenceMode::Exact, CoherenceMode::Lease { ttl: None }] {
+        let fresh = {
+            let (mut s, svc) = star(31);
+            let mut cache = CachingResolver::with_mode(ProtocolEngine::new(svc), 256, mode);
+            cache
+                .resolve_batch(&mut s.w, s.client, s.hub, &short)
+                .clone()
+        };
+        let (mut s, svc) = star(31);
+        let mut cache = CachingResolver::with_mode(ProtocolEngine::new(svc), 256, mode);
+        s.w.set_message_drop_rate(0.3);
+        let flagged = (0..20).any(|_| {
+            let out = cache.resolve_batch(&mut s.w, s.client, s.hub, &long);
+            out.from_cache.contains(&true) && !out.unreachable.is_empty()
+        });
+        assert!(flagged, "{mode:?}: no batch both hit and lost");
+        s.w.set_message_drop_rate(0.0);
+        let got = cache.resolve_batch(&mut s.w, s.client, s.hub, &short);
+        assert_eq!(got.entities.len(), short.len());
+        assert_eq!(got.entities, fresh.entities, "{mode:?}");
+        assert_eq!(got.from_cache, fresh.from_cache, "{mode:?}");
+        assert_eq!(got.unreachable, fresh.unreachable, "{mode:?}");
+    }
+
+    // The blocking driver: names that follow two referrals each, then names
+    // the hub answers.
+    let shallow = paths(&["/r0", "/r2", "/nope"]);
+    let fresh = {
+        let (mut s, svc) = star(37);
+        let mut engine = ProtocolEngine::new(svc);
+        engine
+            .resolve_batch(&mut s.w, s.client, s.hub, &shallow)
+            .clone()
+    };
+    let (mut s, svc) = star(37);
+    let mut engine = ProtocolEngine::new(svc);
+    let deep = engine.resolve_batch(&mut s.w, s.client, s.hub, &batch(0, 16));
+    assert!(deep.referrals.len() >= 2 * 16 - 2);
+    let got = engine.resolve_batch(&mut s.w, s.client, s.hub, &shallow);
+    assert!(got.referrals.is_empty());
+    assert_eq!(got.entities, fresh.entities);
+    assert_eq!(got.unreachable, fresh.unreachable);
+    assert_eq!(got.referrals, fresh.referrals);
+    assert_eq!(got.rounds, fresh.rounds);
 }
 
 /// An iterative resolve whose caller reads the answer and drops the hops
@@ -569,7 +746,7 @@ fn loss_retransmission_and_failover_cost_only_the_frames_lost() {
     // A dropped frame's replacement is a buffer and the shared box it
     // travels in; a lost one costs nothing.
     assert!(
-        allocations <= 2 * dropped + (PER_BATCH + 1) * 20 * 16,
+        allocations <= 2 * dropped + PER_BATCH * 20 * 16,
         "{allocations} allocations, {dropped} frames dropped, {lost} lost"
     );
 }

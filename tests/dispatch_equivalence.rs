@@ -111,7 +111,7 @@ fn many_servers_with_loss_resolve_to_the_oracle_and_repeat_exactly() {
         let mut engine = lossy_engine(svc);
         let stats: Vec<_> = batches()
             .iter()
-            .map(|b| engine.resolve_batch(&mut s.w, s.client, s.root, b))
+            .map(|b| engine.resolve_batch(&mut s.w, s.client, s.root, b).clone())
             .collect();
         for (b, st) in batches().iter().zip(&stats) {
             for (n, (&e, &unreachable)) in b.iter().zip(st.entities.iter().zip(&st.unreachable)) {
@@ -129,7 +129,7 @@ fn many_servers_with_loss_resolve_to_the_oracle_and_repeat_exactly() {
         for b in &batches() {
             svc.submit(&mut s.w, s.client, s.root, b);
         }
-        let answers = svc.drain(&mut s.w);
+        let answers = svc.drain(&mut s.w).to_vec();
         for (b, a) in batches().iter().zip(&answers) {
             for (n, (&e, &unreachable)) in b.iter().zip(a.entities.iter().zip(&a.unreachable)) {
                 assert_eq!(e, Resolver::new().resolve_entity(s.w.state(), s.root, n));

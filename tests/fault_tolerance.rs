@@ -110,7 +110,7 @@ fn lossless_runs_match_with_retry_layer_on_and_off() {
         let batch = engine.resolve_batch(&mut w, client, start, &names);
         (
             out,
-            batch.entities,
+            batch.entities.clone(),
             batch.messages,
             batch.latency,
             engine.retry_counters(),

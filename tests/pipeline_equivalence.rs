@@ -73,7 +73,11 @@ fn interleaved_batches_match_serial_blocking_per_batch() {
         let mut blocking = ProtocolEngine::new(svc_a);
         let want: Vec<BatchResolveStats> = chunks
             .iter()
-            .map(|c| blocking.resolve_batch(&mut wa, client_a, start_a, c))
+            .map(|c| {
+                blocking
+                    .resolve_batch(&mut wa, client_a, start_a, c)
+                    .clone()
+            })
             .collect();
 
         let (mut wb, svc_b, _m, client_b, start_b, _names, _s, _z) =
@@ -211,7 +215,7 @@ fn stalled_referral_no_longer_delays_independent_batch() {
     engine.set_retry_policy(Some(RetryPolicy::default()));
     let mut alone = PipelinedService::new(engine, 1);
     alone.submit(&mut w, client, root, std::slice::from_ref(&warm));
-    let baseline = alone.drain(&mut w).remove(0);
+    let baseline = alone.drain(&mut w)[0].clone();
     assert!(!baseline.unreachable[0]);
     assert!(baseline.entities[0].is_defined());
 
@@ -247,7 +251,9 @@ fn stalled_referral_no_longer_delays_independent_batch() {
     let client = w.spawn(machines[0], "client", None);
     let mut blocking = ProtocolEngine::new(svc);
     blocking.set_retry_policy(Some(RetryPolicy::default()));
-    let a = blocking.resolve_batch(&mut w, client, root, std::slice::from_ref(&deep));
+    let a = blocking
+        .resolve_batch(&mut w, client, root, std::slice::from_ref(&deep))
+        .clone();
     let b = blocking.resolve_batch(&mut w, client, root, std::slice::from_ref(&warm));
     assert!(a.unreachable[0]);
     let blocking_warm_tick = a.latency.ticks() + b.latency.ticks();
@@ -299,7 +305,7 @@ fn short_reply_is_a_transport_verdict_in_every_driver() {
     let (mut w, engine, client, start, names) = world_answering_first_request_with(vec![]);
     let mut svc = PipelinedService::new(engine, 2);
     svc.submit(&mut w, client, start, &two(&names));
-    let got = svc.drain(&mut w).remove(0);
+    let got = svc.drain(&mut w)[0].clone();
     assert_eq!(got.entities, vec![Entity::Undefined; 2]);
     assert_eq!(got.unreachable, vec![true, true], "pipelined driver");
 
@@ -352,7 +358,7 @@ fn hostile_referrals_are_never_followed() {
         let (mut w, engine, client, start, _) = hostile();
         let mut svc = PipelinedService::new(engine, 1);
         svc.submit(&mut w, client, start, std::slice::from_ref(&name));
-        let got = svc.drain(&mut w).remove(0);
+        let got = svc.drain(&mut w)[0].clone();
         assert_eq!(
             (got.entities[0], got.unreachable[0]),
             (Entity::Undefined, true)
@@ -437,11 +443,11 @@ fn mutated_replies_fold_into_stated_answers_or_unreachable() {
         if pipelined {
             let mut svc = PipelinedService::new(engine, 1);
             svc.submit(&mut w, client, start, &names);
-            let got = svc.drain(&mut w).remove(0);
+            let got = svc.drain(&mut w)[0].clone();
             (got.entities, got.unreachable, got.referrals, got.rounds)
         } else {
             let mut engine = engine;
-            let got = engine.resolve_batch(&mut w, client, start, &names);
+            let got = engine.resolve_batch(&mut w, client, start, &names).clone();
             (got.entities, got.unreachable, got.referrals, got.rounds)
         }
     };

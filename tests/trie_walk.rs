@@ -171,7 +171,7 @@ fn protocol_honours_the_depth_limit() {
     assert_eq!(batch.unreachable, [false; 3]);
     let mut pipelined = PipelinedService::new(engine, 2);
     pipelined.submit(&mut w, client, root, &names);
-    let answer = pipelined.drain(&mut w).pop().unwrap();
+    let answer = pipelined.drain(&mut w).last().unwrap().clone();
     assert_eq!(answer.entities, expected);
     assert_eq!(answer.unreachable, [false; 3]);
 }
@@ -242,7 +242,7 @@ fn wide_world() -> (World, ProtocolEngine, ActivityId, ObjectId) {
 fn wider_than_the_wire_in_every_driver(names: &[CompoundName]) {
     let n = names.len();
     let (mut w, mut engine, client, root) = wide_world();
-    let got = engine.resolve_batch(&mut w, client, root, names);
+    let got = engine.resolve_batch(&mut w, client, root, names).clone();
     assert_eq!(got.entities, vec![Entity::Undefined; n]);
     assert_eq!(
         (got.unreachable, got.messages),
@@ -253,7 +253,7 @@ fn wider_than_the_wire_in_every_driver(names: &[CompoundName]) {
     let (mut w, engine, client, root) = wide_world();
     let mut svc = PipelinedService::new(engine, 2);
     svc.submit(&mut w, client, root, names);
-    let got = svc.drain(&mut w).remove(0);
+    let got = svc.drain(&mut w)[0].clone();
     assert_eq!(got.entities, vec![Entity::Undefined; n]);
     assert_eq!(
         (got.unreachable, got.messages),
