@@ -519,11 +519,6 @@ impl CachingResolver {
         }
     }
 
-    /// The coherence regime this resolver runs under.
-    pub fn coherence_mode(&self) -> CoherenceMode {
-        self.mode
-    }
-
     /// The zone serials this replica has heard so far.
     pub fn serial_table(&self) -> &SerialTable {
         &self.table
@@ -769,7 +764,9 @@ impl CachingResolver {
         let shards = world.state().shard_count();
         self.table.since_into(shards, &mut self.since);
         let sent = world.now().ticks();
-        let (delta, bytes) = self.engine.pull_kept(world, client, machine, &self.since)?;
+        let (delta, bytes) = self
+            .engine
+            .pull_zone_deltas(world, client, machine, &self.since)?;
         let mut report = SyncReport {
             bytes,
             ..SyncReport::default()
@@ -1512,7 +1509,9 @@ mod tests {
         r.sync(&mut w, client, m1).expect("warm-up sync");
         r.restart_replica();
         assert!(r.is_empty());
-        let heard = r.serial_table().snapshot_for(w.state().shard_count());
+        let mut heard = Vec::new();
+        r.serial_table()
+            .since_into(w.state().shard_count(), &mut heard);
         assert!(heard.iter().all(|&(_, v)| v == ZoneSerial::ZERO));
         let cold = r.sync(&mut w, client, m1).expect("sync completes");
         assert!(

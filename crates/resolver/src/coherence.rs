@@ -15,22 +15,21 @@
 //! * cached bindings carry a [`Lease`]: an expiry on the virtual-time
 //!   axis plus the serials of the zones the entry's resolution walked;
 //! * replicas learn serial movement only through **anti-entropy pulls**:
-//!   a [`ZoneDeltaRequest`](crate::wire::ZoneDeltaRequest) carrying the
-//!   serials the puller already holds, answered by a
-//!   [`ZoneDelta`](crate::wire::ZoneDelta) of per-zone slices that are
-//!   either the exact diff since that serial (IXFR) or — when the
-//!   authority's retained [`ZoneJournal`] window no longer covers it, or
-//!   the serial regressed (replica restart) — a complete dump (AXFR).
+//!   a request carrying the serials the puller already holds (wire tag 6),
+//!   answered by per-zone slices (tag 7) that are either the exact diff
+//!   since that serial (IXFR) or — when the authority's retained
+//!   [`ZoneJournal`] window no longer covers it, or the serial regressed
+//!   (replica restart) — a complete dump (AXFR).
 //!
-//! A warm pull allocates nothing. The replica asks from a serial list it
-//! keeps ([`SerialTable::since_into`]). The authority reads the request
-//! into a list its engine keeps and writes the answer from the journal and
-//! σ straight into a spare frame (`ZoneJournal::answer_frame`, the one
-//! body of [`ZoneJournal::answer`]); a full dump walks only its own zone's
+//! Each pull frame has one form, and a warm pull allocates nothing. The
+//! replica asks from a serial list it keeps ([`SerialTable::since_into`]).
+//! The authority reads the request into a list its engine keeps and writes
+//! the answer from the journal and σ straight into a spare frame
+//! (`ZoneJournal::answer_frame`); a full dump walks only its own zone's
 //! objects. The replica reads the reply into slices it keeps
-//! ([`KeptDelta`]): a full slice's changes are
-//! counted, never kept — its zone is judged zone-wide, and the drop never
-//! reads them — so nothing of a full transfer outlives the pull.
+//! ([`KeptDelta`]): a full slice's changes are counted, never kept — its
+//! zone is judged zone-wide, and the drop never reads them — so nothing of
+//! a full transfer outlives the pull.
 //!
 //! Validation under [`CoherenceMode::Lease`] is two replica-local checks:
 //! lease not expired, and no *heard* serial newer than the stamped one.
@@ -91,9 +90,7 @@ use naming_core::slab_lru::{SlabLru, Upsert};
 use naming_core::state::{SystemState, MAX_SHARDS};
 use naming_sim::codec::{Layout, Sink, Writer};
 
-use crate::wire::{
-    DeltaSink, KeptDelta, ShardDelta, SliceHead, ZoneChange, ZoneDelta, ZoneDeltaRequest, ZoneRead,
-};
+use crate::wire::{DeltaSink, KeptDelta, SliceHead, ZoneChange, ZoneRead};
 
 /// How a cache decides whether an entry may still be served.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -212,18 +209,12 @@ impl SerialTable {
         }
     }
 
-    /// Folds slice `at` of a pull's reply — a [`ShardDelta`] or a kept
-    /// [`SliceHead`] — into the table ([`SerialTable::observe`]) and says
-    /// how its zone moved, as [`Validity::zones_moved`] takes it: by an
-    /// exact diff from the serial heard before when the slice is
-    /// incremental and moves the zone forward, zone-wide otherwise. `None`
-    /// when the zone did not move.
-    pub fn adopt(
-        &mut self,
-        at: usize,
-        slice: impl Into<SliceHead>,
-    ) -> Option<(MovedZone, SerialObservation)> {
-        let slice = slice.into();
+    /// Folds slice `at` of a pull's reply into the table
+    /// ([`SerialTable::observe`]) and says how its zone moved, as
+    /// [`Validity::zones_moved`] takes it: by an exact diff from the serial
+    /// heard before when the slice is incremental and moves the zone
+    /// forward, zone-wide otherwise. `None` when the zone did not move.
+    pub fn adopt(&mut self, at: usize, slice: SliceHead) -> Option<(MovedZone, SerialObservation)> {
         let since = self.known(slice.shard);
         let seen = self.observe(slice.shard, slice.serial);
         let diff = match seen {
@@ -239,18 +230,12 @@ impl SerialTable {
         Some((moved, seen))
     }
 
-    /// One `(shard, serial)` pair for *every* shard in `0..shards`,
-    /// filling never-heard shards with [`ZoneSerial::ZERO`] — the request
-    /// shape of a full anti-entropy pull, where silence about a shard
-    /// would otherwise mean never learning it exists.
-    pub fn snapshot_for(&self, shards: usize) -> Vec<(usize, ZoneSerial)> {
-        let mut since = Vec::new();
-        self.since_into(shards, &mut since);
-        since
-    }
-
-    /// [`SerialTable::snapshot_for`] into `since`, which it replaces: a
-    /// puller that keeps the list asks in the same buffer every time.
+    /// One `(shard, serial)` pair for *every* shard in `0..shards` into
+    /// `since`, which it replaces, filling never-heard shards with
+    /// [`ZoneSerial::ZERO`] — the request shape of a full anti-entropy pull,
+    /// where silence about a shard would otherwise mean never learning it
+    /// exists. A puller that keeps the list asks in the same buffer every
+    /// time.
     pub fn since_into(&self, shards: usize, since: &mut Vec<(usize, ZoneSerial)>) {
         since.clear();
         since.extend((0..shards).map(|s| (s, self.known(s))));
@@ -447,34 +432,20 @@ impl MovedZone {
 #[derive(Clone, Copy, Debug)]
 pub struct Moved<'a> {
     zones: &'a [MovedZone],
-    slices: Slices<'a>,
+    slices: &'a KeptDelta,
     /// The store holds referrals: their target may be a replica's copy of
     /// the context the name is bound to, which no `was` can recognise.
     referrals: bool,
 }
 
-/// A reply's slices, as decoded or as kept.
-#[derive(Clone, Copy, Debug)]
-enum Slices<'a> {
-    Decoded(&'a [ShardDelta]),
-    Kept(&'a KeptDelta),
-}
-
 impl<'a> Moved<'a> {
-    /// The moves `zones`, whose diffs index `slices`.
-    pub fn new(zones: &'a [MovedZone], slices: &'a [ShardDelta]) -> Moved<'a> {
-        Moved {
-            zones,
-            slices: Slices::Decoded(slices),
-            referrals: false,
-        }
-    }
-
-    /// The moves `zones`, whose diffs index the slices of `kept`.
+    /// The moves `zones`, whose diffs index the slices of `kept` (an empty
+    /// one when every move is zone-wide).
     pub fn kept(zones: &'a [MovedZone], kept: &'a KeptDelta) -> Moved<'a> {
         Moved {
-            slices: Slices::Kept(kept),
-            ..Moved::new(zones, &[])
+            zones,
+            slices: kept,
+            referrals: false,
         }
     }
 
@@ -500,10 +471,7 @@ impl<'a> Moved<'a> {
     /// copy, so any change of its last label reaches it. A slice the reply
     /// does not hold, or whose changes were not kept, reaches everything.
     fn reaches(&self, slice: usize, suffix: &[Name], entity: Entity) -> bool {
-        let changes = match self.slices {
-            Slices::Decoded(slices) => slices.get(slice).map(|s| &s.changes[..]),
-            Slices::Kept(kept) => kept.diff(slice),
-        };
+        let changes = self.slices.diff(slice);
         let (Some(changes), Some((last, interior))) = (changes, suffix.split_last()) else {
             return true;
         };
@@ -841,10 +809,10 @@ struct ShardLog {
 }
 
 /// The authority-side delta log: a bounded window of recent changes per
-/// zone, from which [`ZoneDeltaRequest`](crate::wire::ZoneDeltaRequest)s
-/// are answered incrementally. A request older than the window — or one
-/// the journal cannot prove contiguous coverage for — falls back to a
-/// full transfer, never to a silently incomplete diff.
+/// zone, from which anti-entropy pulls are answered incrementally. A
+/// request older than the window — or one the journal cannot prove
+/// contiguous coverage for — falls back to a full transfer, never to a
+/// silently incomplete diff.
 #[derive(Clone, Debug)]
 pub struct ZoneJournal {
     logs: BTreeMap<usize, ShardLog>,
@@ -908,24 +876,12 @@ impl ZoneJournal {
         log.entries.push_back((serial, change));
     }
 
-    /// The exact changes in `shard` after `since`, **iff** the retained
-    /// window provably covers `(since, current]`. `None` means the caller
-    /// must fall back to a full transfer: the window was evicted past
-    /// `since`, the puller's serial regressed relative to the authority's
-    /// (or vice versa), or unjournaled writes broke contiguity at the
-    /// tail.
-    pub fn delta_since(
-        &self,
-        shard: usize,
-        since: ZoneSerial,
-        current: ZoneSerial,
-    ) -> Option<Vec<ZoneChange>> {
-        self.diff(shard, since, current)
-            .map(|(_, diff)| diff.copied().collect())
-    }
-
-    /// [`ZoneJournal::delta_since`] read in place: how many changes, and
-    /// the changes.
+    /// How many changes `shard` had after `since`, and the changes, **iff**
+    /// the retained window provably covers `(since, current]`. `None` means
+    /// the caller must fall back to a full transfer: the window was evicted
+    /// past `since`, the puller's serial regressed relative to the
+    /// authority's (or vice versa), or unjournaled writes broke contiguity
+    /// at the tail.
     fn diff(
         &self,
         shard: usize,
@@ -956,25 +912,15 @@ impl ZoneJournal {
         Some((newer, tail.into_iter().flatten().map(|(_, c)| c)))
     }
 
-    /// Answers an anti-entropy pull against σ = `state`, in request order,
-    /// leaving out the zones σ does not have. Each zone's slice states σ's
+    /// The answer to anti-entropy pull `id` from `since` against σ =
+    /// `state`, as the frame that carries it: written from the journal and σ
+    /// as it goes out, with nothing collected first. Its slices come in
+    /// request order, leaving out the zones σ does not have. Each states σ's
     /// serial and what changed since the puller's: nothing at equal serials
     /// (a heartbeat), the diff where the window covers it (IXFR), and
     /// otherwise — window evicted, authority restarted behind the puller,
     /// an unjournaled write — a full dump of the zone's live bindings
     /// (AXFR).
-    pub fn answer(&self, state: &SystemState, req: &ZoneDeltaRequest) -> ZoneDelta {
-        let mut delta = ZoneDelta {
-            id: req.id,
-            shards: Vec::new(),
-        };
-        self.answer_into(state, req.id, &req.since, &mut delta);
-        delta
-    }
-
-    /// [`ZoneJournal::answer`] to pull `id` from `since`, as the frame that
-    /// carries it: written from the journal and σ as it goes out, with
-    /// nothing collected first.
     pub(crate) fn answer_frame<'a>(
         &'a self,
         state: &'a SystemState,
@@ -988,47 +934,6 @@ impl ZoneJournal {
             since,
         }
     }
-
-    /// Hands the answer to pull `id` from `since` to `sink`, slice by
-    /// slice: the one body of [`ZoneJournal::answer`] and of the frame
-    /// `answer_frame` writes. A full dump reads only its own zone's objects.
-    fn answer_into(
-        &self,
-        state: &SystemState,
-        id: u64,
-        since: &[(usize, ZoneSerial)],
-        sink: &mut impl DeltaSink,
-    ) {
-        let served = |&&(shard, _): &&(usize, ZoneSerial)| shard < state.shard_count();
-        sink.start(id, since.iter().filter(served).count());
-        for &(shard, since) in since.iter().filter(served) {
-            let serial = state.shard_serial(shard);
-            let head = |full, changes| SliceHead {
-                shard,
-                serial,
-                full,
-                changes,
-            };
-            if let Some((newer, diff)) = self.diff(shard, since, serial) {
-                sink.slice(head(false, newer), newer);
-                for c in diff {
-                    sink.change(c.ctx, c.name.as_str(), c.entity, c.was);
-                }
-                continue;
-            }
-            let contexts = || {
-                let objects = state.shard_objects(shard);
-                objects.filter_map(|o| state.context(o).map(|ctx| (o, ctx)))
-            };
-            let bindings = contexts().map(|(_, ctx)| ctx.len()).sum();
-            sink.slice(head(true, bindings), bindings);
-            for (o, ctx) in contexts() {
-                for (name, entity) in ctx.iter() {
-                    sink.change(o, name.as_str(), entity, Entity::Undefined);
-                }
-            }
-        }
-    }
 }
 
 /// A pull's answer as it goes out ([`ZoneJournal::answer_frame`]).
@@ -1039,9 +944,44 @@ pub(crate) struct AnswerFrame<'a> {
     since: &'a [(usize, ZoneSerial)],
 }
 
+/// Written slice by slice; a full dump reads only its own zone's objects.
 impl Layout for AnswerFrame<'_> {
     fn write<S: Sink>(&self, w: &mut Writer<S>) {
-        self.journal.answer_into(self.state, self.id, self.since, w);
+        let AnswerFrame {
+            journal,
+            state,
+            id,
+            since,
+        } = *self;
+        let served = |&&(shard, _): &&(usize, ZoneSerial)| shard < state.shard_count();
+        w.start(id, since.iter().filter(served).count());
+        for &(shard, since) in since.iter().filter(served) {
+            let serial = state.shard_serial(shard);
+            let head = |full, changes| SliceHead {
+                shard,
+                serial,
+                full,
+                changes,
+            };
+            if let Some((newer, diff)) = journal.diff(shard, since, serial) {
+                w.slice(head(false, newer));
+                for c in diff {
+                    w.change(c.ctx, c.name.as_str(), c.entity, c.was);
+                }
+                continue;
+            }
+            let contexts = || {
+                let objects = state.shard_objects(shard);
+                objects.filter_map(|o| state.context(o).map(|ctx| (o, ctx)))
+            };
+            let bindings = contexts().map(|(_, ctx)| ctx.len()).sum();
+            w.slice(head(true, bindings));
+            for (o, ctx) in contexts() {
+                for (name, entity) in ctx.iter() {
+                    w.change(o, name.as_str(), entity, Entity::Undefined);
+                }
+            }
+        }
     }
 }
 
@@ -1054,6 +994,8 @@ impl Default for ZoneJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::tests::{slice, Dump};
+    use naming_sim::codec;
 
     fn oid(raw: u32) -> ObjectId {
         ObjectId::from_index(raw)
@@ -1098,10 +1040,9 @@ mod tests {
         assert_eq!(t.known(3), ZoneSerial::new(2));
         t.reset();
         assert_eq!(t.known(3), ZoneSerial::ZERO);
-        assert_eq!(
-            t.snapshot_for(4),
-            [0, 1, 2, 3].map(|s| (s, ZoneSerial::ZERO))
-        );
+        let mut since = vec![(9, ZoneSerial::new(9))];
+        t.since_into(4, &mut since);
+        assert_eq!(since, [0, 1, 2, 3].map(|s| (s, ZoneSerial::ZERO)));
     }
 
     #[test]
@@ -1310,8 +1251,9 @@ mod tests {
             t.observe(MAX_SHARDS - 1, serial),
             SerialObservation::Advanced
         );
-        let heard = t.snapshot_for(MAX_SHARDS).into_iter();
-        let heard: Vec<_> = heard.filter(|&(_, v)| v != ZoneSerial::ZERO).collect();
+        let mut heard = Vec::new();
+        t.since_into(MAX_SHARDS, &mut heard);
+        heard.retain(|&(_, v)| v != ZoneSerial::ZERO);
         assert_eq!(heard, vec![(MAX_SHARDS - 1, serial)]);
     }
 
@@ -1355,7 +1297,7 @@ mod tests {
             false,
         );
         let moved = [MovedZone::zone_wide(0, ZoneSerial::new(2))];
-        let pass = c.zones_moved(Moved::new(&moved, &[]));
+        let pass = c.zones_moved(Moved::kept(&moved, &KeptDelta::default()));
         assert_eq!((pass.dropped, pass.restamped), (2, 0));
         assert_eq!(c.len(), 2);
         assert_eq!(c.footprint(oid(4), &[Name::new("d")]), [64]);
@@ -1384,14 +1326,13 @@ mod tests {
         (c, table)
     }
 
-    /// One incremental slice of zone 0 from serial 1 to 2.
-    fn diff(changes: Vec<ZoneChange>) -> [ShardDelta; 1] {
-        [ShardDelta {
-            shard: 0,
-            serial: ZoneSerial::new(2),
-            full: false,
-            changes,
-        }]
+    /// One incremental slice of zone 0 from serial 1 to 2, as a replica
+    /// keeps it.
+    fn diff(changes: Vec<ZoneChange>) -> KeptDelta {
+        let slices = vec![slice(0, ZoneSerial::new(2), false, changes)];
+        let mut kept = KeptDelta::default();
+        kept.read(&codec::encode(&Dump { id: 0, slices }));
+        kept
     }
 
     fn rebind(name: &str, was: Option<u32>, to: Option<u32>) -> ZoneChange {
@@ -1433,7 +1374,7 @@ mod tests {
             rebind("e", None, Some(9)),
         ]);
         let (mut c, mut table) = filtered();
-        let pass = c.zones_moved(Moved::new(&moved, &slices));
+        let pass = c.zones_moved(Moved::kept(&moved, &slices));
         assert_eq!((pass.dropped, pass.restamped), (2, 2));
         table.observe(0, ZoneSerial::new(2));
         assert_eq!(held(&mut c, &table, 99), ["a/c", "d"]);
@@ -1443,7 +1384,7 @@ mod tests {
         // An interior label reaches everything below it.
         let slices = diff(vec![rebind("a", Some(2), Some(2))]);
         let (mut c, mut table) = filtered();
-        let pass = c.zones_moved(Moved::new(&moved, &slices));
+        let pass = c.zones_moved(Moved::kept(&moved, &slices));
         assert_eq!((pass.dropped, pass.restamped), (3, 1));
         table.observe(0, ZoneSerial::new(2));
         assert_eq!(held(&mut c, &table, 1), ["d"]);
@@ -1451,7 +1392,7 @@ mod tests {
         // As a referral store judges it, any change of a last label reaches.
         let slices = diff(vec![rebind("c", Some(8), Some(9))]);
         let (mut c, mut table) = filtered();
-        let pass = c.zones_moved(Moved::new(&moved, &slices).of_referrals());
+        let pass = c.zones_moved(Moved::kept(&moved, &slices).of_referrals());
         assert_eq!((pass.dropped, pass.restamped), (1, 3));
         table.observe(0, ZoneSerial::new(2));
         assert_eq!(held(&mut c, &table, 1), ["a/b", "d", "a/e"]);
@@ -1476,7 +1417,7 @@ mod tests {
             },
         ] {
             let (mut c, _) = filtered();
-            assert_eq!(c.zones_moved(Moved::new(&[m], &slices)).dropped, 4);
+            assert_eq!(c.zones_moved(Moved::kept(&[m], &slices)).dropped, 4);
             assert!(c.is_empty());
         }
         // A zone that moves there and back in one reply: the diff re-stamps,
@@ -1489,7 +1430,7 @@ mod tests {
         let back = MovedZone::zone_wide(0, ZoneSerial::new(1));
         let (mut c, _) = filtered();
         assert_eq!(
-            c.zones_moved(Moved::new(&[there, back], &slices)).dropped,
+            c.zones_moved(Moved::kept(&[there, back], &slices)).dropped,
             4
         );
     }
@@ -1519,6 +1460,19 @@ mod tests {
         assert_eq!(c.stats().expired, 1);
     }
 
+    /// The journal's diff of `shard` from `since` to `current`, collected.
+    fn changes_since(
+        j: &ZoneJournal,
+        shard: usize,
+        since: ZoneSerial,
+        current: ZoneSerial,
+    ) -> Option<Vec<ZoneChange>> {
+        let (newer, diff) = j.diff(shard, since, current)?;
+        let diff: Vec<_> = diff.copied().collect();
+        assert_eq!(diff.len(), newer);
+        Some(diff)
+    }
+
     #[test]
     fn journal_serves_incremental_within_window() {
         let mut j = ZoneJournal::with_window(16);
@@ -1530,15 +1484,15 @@ mod tests {
             );
         }
         let cur = ZoneSerial::new(5);
-        assert_eq!(j.delta_since(0, cur, cur), Some(Vec::new()));
-        let d = j.delta_since(0, ZoneSerial::new(3), cur).expect("covered");
+        assert_eq!(changes_since(&j, 0, cur, cur), Some(Vec::new()));
+        let d = changes_since(&j, 0, ZoneSerial::new(3), cur).expect("covered");
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].name, Name::new("n4"));
         assert_eq!(d[1].name, Name::new("n5"));
         // From before any journaled history: full transfer.
         // (base is serial 0 here, so 0 is still coverable …)
         assert_eq!(
-            j.delta_since(0, ZoneSerial::ZERO, cur).map(|d| d.len()),
+            changes_since(&j, 0, ZoneSerial::ZERO, cur).map(|d| d.len()),
             Some(5)
         );
     }
@@ -1553,13 +1507,16 @@ mod tests {
         let cur = ZoneSerial::new(10);
         // since=6 is the window base: still covered (changes 7..=10).
         assert_eq!(
-            j.delta_since(0, ZoneSerial::new(6), cur).map(|d| d.len()),
+            changes_since(&j, 0, ZoneSerial::new(6), cur).map(|d| d.len()),
             Some(4)
         );
         // since=5 fell off the window: full transfer required.
-        assert_eq!(j.delta_since(0, ZoneSerial::new(5), cur), None);
+        assert_eq!(changes_since(&j, 0, ZoneSerial::new(5), cur), None);
         // An unknown shard has no journal at all.
-        assert_eq!(j.delta_since(7, ZoneSerial::ZERO, ZoneSerial::new(1)), None);
+        assert_eq!(
+            changes_since(&j, 7, ZoneSerial::ZERO, ZoneSerial::new(1)),
+            None
+        );
     }
 
     #[test]
@@ -1577,28 +1534,29 @@ mod tests {
             serials.push(state.shard_serial(1));
         }
         let now = serials[2];
-        let since = vec![(1, now), (1, serials[1]), (2, before), (1, before)];
-        let delta = j.answer(&state, &ZoneDeltaRequest { id: 9, since });
+        let since = [(1, now), (1, serials[1]), (2, before), (1, before)];
+        let delta = Dump::read(&codec::encode(&j.answer_frame(&state, 9, &since)));
+        let delta = delta.expect("the answer reads");
         assert_eq!(delta.id, 9);
         // A heartbeat, a diff, then — shard 2 is none of σ's — a full dump:
         // `before` fell out of the two-change window.
         let got: Vec<_> = delta
-            .shards
+            .slices
             .iter()
-            .map(|s| (s.shard, s.serial, s.full, s.changes.len()))
+            .map(|(h, changes)| (h.shard, h.serial, h.full, changes.len()))
             .collect();
         assert_eq!(
             got,
             [(1, now, false, 0), (1, now, false, 1), (1, now, true, 3)]
         );
-        assert_eq!(delta.shards[1].changes[0].name, Name::new("c"));
-        assert!(delta.shards[2].changes.iter().all(|c| c.ctx == ctx));
+        assert_eq!(delta.slices[1].1[0].name, Name::new("c"));
+        assert!(delta.slices[2].1.iter().all(|c| c.ctx == ctx));
     }
 
-    /// The answer the authority writes straight into its frame is the
-    /// frame of the answer built whole, slice by slice: a heartbeat, a
-    /// diff, a window evicted past the puller, a puller ahead of σ (a
-    /// regression), and a shard σ lacks, left out.
+    /// The answer the authority writes straight into its frame is, slice by
+    /// slice and byte for byte, the answer expected: a heartbeat, a diff, a
+    /// window evicted past the puller, a puller ahead of σ (a regression),
+    /// and a shard σ lacks, left out.
     #[test]
     fn the_journal_writes_its_answer_as_it_would_build_it() {
         let mut state = SystemState::with_shards(2);
@@ -1615,35 +1573,29 @@ mod tests {
         }
         let now = serials[2];
         let ahead = ZoneSerial::new(now.get() + 5);
-        let since = vec![
+        let since = [
             (1, now),
             (1, serials[1]),
             (1, before),
             (1, ahead),
             (2, before),
         ];
-        let slice = |full, names: &[&str]| {
+        let of = |full, names: &[&str]| {
             let changes = names.iter().map(|n| {
                 let mut c = change(0, n, None);
                 (c.ctx, c.entity) = (ctx, Entity::Object(ctx));
                 c
             });
-            ShardDelta {
-                shard: 1,
-                serial: now,
-                full,
-                changes: changes.collect(),
-            }
+            slice(1, now, full, changes.collect())
         };
-        let dump = slice(true, &["a", "b", "c"]);
-        let expected = ZoneDelta {
+        let dump = of(true, &["a", "b", "c"]);
+        let expected = Dump {
             id: 9,
-            shards: vec![slice(false, &[]), slice(false, &["c"]), dump.clone(), dump],
+            slices: vec![of(false, &[]), of(false, &["c"]), dump.clone(), dump],
         };
-        let req = ZoneDeltaRequest { id: 9, since };
-        assert_eq!(j.answer(&state, &req), expected);
-        let written = naming_sim::codec::encode(&j.answer_frame(&state, 9, &req.since));
-        assert_eq!(written, expected.encode());
+        let written = codec::encode(&j.answer_frame(&state, 9, &since));
+        assert_eq!(written, codec::encode(&expected));
+        assert_eq!(Dump::read(&written), Some(expected));
     }
 
     #[test]
@@ -1653,24 +1605,23 @@ mod tests {
         j.record(0, ZoneSerial::new(2), change(10, "b", Some(2)));
         // Puller ahead of the authority (authority restarted): no diff.
         assert_eq!(
-            j.delta_since(0, ZoneSerial::new(9), ZoneSerial::new(2)),
+            changes_since(&j, 0, ZoneSerial::new(9), ZoneSerial::new(2)),
             None
         );
         // A write bypassed the journal: σ says current=5, tail says 2.
         assert_eq!(
-            j.delta_since(0, ZoneSerial::new(1), ZoneSerial::new(5)),
+            changes_since(&j, 0, ZoneSerial::new(1), ZoneSerial::new(5)),
             None
         );
         // Recording resumes after the gap: history restarts at the gap.
         j.record(0, ZoneSerial::new(6), change(10, "c", Some(3)));
         assert_eq!(j.retained(0), 1, "non-contiguous history was discarded");
         assert_eq!(
-            j.delta_since(0, ZoneSerial::new(1), ZoneSerial::new(6)),
+            changes_since(&j, 0, ZoneSerial::new(1), ZoneSerial::new(6)),
             None
         );
         assert_eq!(
-            j.delta_since(0, ZoneSerial::new(5), ZoneSerial::new(6))
-                .map(|d| d.len()),
+            changes_since(&j, 0, ZoneSerial::new(5), ZoneSerial::new(6)).map(|d| d.len()),
             Some(1)
         );
     }

@@ -81,20 +81,8 @@ impl<T> Dense<T> {
         Some(value)
     }
 
-    /// The entry under the least key, removed: the front slot is never
-    /// empty.
-    pub(crate) fn pop_first(&mut self) -> Option<(u64, T)> {
-        let key = self.first;
-        self.remove(key).map(|value| (key, value))
-    }
-
     pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.slots.iter().flatten().count()
     }
 
     /// Leading empty slots are dropped, so an empty table holds no slot.
@@ -243,19 +231,6 @@ impl Continuation {
             ..BatchResolveStats::default()
         };
         cont
-    }
-
-    /// Drops the batch unanswered: the routes of its open exchanges go, so
-    /// a reply still on its way is a stray, and the vectors go back to the
-    /// engine.
-    pub(crate) fn abandon(mut self, engine: &mut ProtocolEngine) {
-        for ex in self.exchanges.drain(..) {
-            if ex.open {
-                engine.routes.remove(ex.id);
-            }
-        }
-        self.outstanding = 0;
-        engine.idle.push(self);
     }
 
     /// Whether the round in progress still waits for an answer.

@@ -9,7 +9,7 @@
 //! The engine holds the one pump, `ProtocolEngine::pump`: every
 //! continuation in flight, by ticket, and every client that launched one
 //! or a pull. Each driver is a thin caller of it — a blocking `resolve*`
-//! pumps until its ticket finishes, a pull until its `ZoneDelta` comes,
+//! pumps until its ticket finishes, a pull until its answer comes,
 //! the [`PipelinedService`](crate::runtime::PipelinedService) until any of
 //! its batches finishes — and whoever pumps hands each reply and deadline
 //! to the continuation that awaits it, so no driver drops another's mail.
@@ -37,7 +37,7 @@ use crate::continuation::{Continuation, Dense, Route, Start};
 use crate::service::{note_read, BatchScratch, NameService};
 use crate::wire::{
     self, KeptDelta, Label, Mode, NameTrie, Outcome, PullFrame, ReplyFrame, RequestFrame,
-    WalkScratch, ZoneChange, ZoneDelta, ZoneRead, ZoneUpdate,
+    WalkScratch, ZoneChange, ZoneRead, ZoneUpdate,
 };
 
 /// What a completed resolution cost.
@@ -191,7 +191,7 @@ pub(crate) struct Scratch {
     read_spares: Vec<Vec<ZoneRead>>,
     /// The pull being answered: the serials its puller holds.
     since: Vec<(usize, ZoneSerial)>,
-    /// The last pull's answer, as the cache reads it.
+    /// The last pull's answer, lent to its puller.
     delta: KeptDelta,
 }
 
@@ -317,12 +317,10 @@ pub struct ProtocolEngine {
     /// event named since their mail was last read.
     clients: BTreeSet<ActivityId>,
     touched: Vec<ActivityId>,
-    /// The pull awaiting its answer — its id, and whether the answer is to
-    /// be decoded whole rather than read into the kept `scratch.delta` —
-    /// and, once heard, the whole answer if asked for and the frame's
-    /// length.
-    pull: Option<(u64, bool)>,
-    pulled: Option<(Option<ZoneDelta>, u64)>,
+    /// The id of the pull awaiting its answer and, once the answer is read
+    /// into `scratch.delta`, its frame's length.
+    pull: Option<u64>,
+    pulled: Option<u64>,
     /// Test reference: sweep every server mailbox after every event, as
     /// the engine did before events named their process.
     #[cfg(test)]
@@ -379,7 +377,8 @@ impl ProtocolEngine {
     }
 
     /// Mutable access to the service (placement changes).
-    pub fn service_mut(&mut self) -> &mut NameService {
+    #[cfg(test)]
+    pub(crate) fn service_mut(&mut self) -> &mut NameService {
         &mut self.service
     }
 
@@ -663,24 +662,6 @@ impl ProtocolEngine {
         Some((tick, cont))
     }
 
-    /// Takes the continuation launched under `ticket` out of the pump,
-    /// finished or not, and drops its batch unanswered.
-    pub(crate) fn abandon(&mut self, ticket: u64) {
-        let cont = match self.conts.remove(ticket) {
-            Some(cont) => Some(cont),
-            None => self.take_finished(ticket).map(|(_, cont)| cont),
-        };
-        if let Some(cont) = cont {
-            cont.abandon(self);
-        }
-    }
-
-    /// Continuations the pump holds: in flight, or finished and not taken.
-    #[cfg(test)]
-    pub(crate) fn in_pump(&self) -> usize {
-        self.conts.len() + self.finished.len()
-    }
-
     /// The first finished continuation no driver has taken yet.
     pub(crate) fn parked(&self) -> Option<u64> {
         self.finished.first().map(|&(ticket, ..)| ticket)
@@ -769,10 +750,10 @@ impl ProtocolEngine {
     /// Reads `client`'s mailbox — the one place a client's mail is read —
     /// and hands the continuations in `conts` what it has heard since it was
     /// last polled: first the replies waiting there, then the deadlines.
-    /// One whose round is complete goes on the ready list. A `ZoneDelta`
-    /// answers the pull awaited. A reply nothing awaits is late (counted)
-    /// or stray; a deadline nothing awaits was answered on the step it
-    /// expired, or already superseded.
+    /// One whose round is complete goes on the ready list. A pull's answer
+    /// (tag 7) answers the pull awaited. A reply nothing awaits is late
+    /// (counted) or stray; a deadline nothing awaits was answered on the
+    /// step it expired, or already superseded.
     fn poll_client(
         &mut self,
         world: &mut World,
@@ -810,27 +791,19 @@ impl ProtocolEngine {
         }
     }
 
-    /// Reads a `ZoneDelta` frame a client heard. The pull awaited reads it
-    /// into the kept delta, or whole when it asked for that; a frame that
-    /// does not read whole is no answer. Any other frame that reads whole
-    /// is a late reply (counted) or a stray, and overwrites nothing.
+    /// Reads a pull's answer frame a client heard into the kept delta when
+    /// it bears the id of the pull awaited; one that does not read whole is
+    /// no answer. Any other is dropped unread: a pull is never
+    /// retransmitted, so no answer is late, and an id a superseded
+    /// resolution attempt bore is for that attempt's reply to count.
     fn hear_delta(&mut self, frame: &[u8]) {
-        let awaited = self
+        if self
             .pull
-            .filter(|&(id, _)| wire::delta_id(frame) == Some(id));
-        let heard = match awaited {
-            Some((_, true)) => ZoneDelta::read(frame).map(Some),
-            Some((_, false)) => self.scratch.delta.read(frame).map(|_| None),
-            None => {
-                if let Some(stale) = ZoneDelta::read(frame) {
-                    self.note_stale_reply(stale.id);
-                }
-                return;
-            }
-        };
-        if let Some(whole) = heard {
+            .is_some_and(|id| wire::delta_id(frame) == Some(id))
+            && self.scratch.delta.read(frame).is_some()
+        {
             self.pull = None;
-            self.pulled = Some((whole, frame.len() as u64));
+            self.pulled = Some(frame.len() as u64);
         }
     }
 
@@ -922,48 +895,22 @@ impl ProtocolEngine {
         Some(serial)
     }
 
-    /// Pulls zone deltas from the authority on `machine`: sends a
-    /// [`ZoneDeltaRequest`](crate::wire::ZoneDeltaRequest) carrying `since`
-    /// (the serials the caller already holds) and pumps until the matching
-    /// [`ZoneDelta`] arrives; replies and deadlines heard meanwhile go to
-    /// the continuations that await them. Returns the delta plus the wire
-    /// bytes the exchange cost (request + reply frames), or `None` when the
-    /// exchange was lost or the wire cannot carry one of its frames (no
-    /// retry: anti-entropy is periodic, the next pull catches up).
+    /// Pulls zone deltas from the authority on `machine`: sends a pull
+    /// request (tag 6) carrying `since` (the serials the caller already
+    /// holds) and pumps until the matching answer (tag 7) arrives; replies
+    /// and deadlines heard meanwhile go to the continuations that await
+    /// them. Returns the answer, read into a [`KeptDelta`] the engine keeps
+    /// and lent until the next pull, plus the wire bytes the exchange cost
+    /// (request + reply frames); `None` when the exchange was lost or the
+    /// wire cannot carry one of its frames (no retry: anti-entropy is
+    /// periodic, the next pull catches up). A warm pull allocates nothing.
     pub fn pull_zone_deltas(
-        &mut self,
-        world: &mut World,
-        client: ActivityId,
-        machine: MachineId,
-        since: Vec<(usize, ZoneSerial)>,
-    ) -> Option<(ZoneDelta, u64)> {
-        let (delta, bytes) = self.pull(world, client, machine, &since, true)?;
-        Some((delta?, bytes))
-    }
-
-    /// [`ProtocolEngine::pull_zone_deltas`] into the engine's kept delta,
-    /// which the answer is lent in: a warm pull allocates nothing.
-    pub(crate) fn pull_kept(
         &mut self,
         world: &mut World,
         client: ActivityId,
         machine: MachineId,
         since: &[(usize, ZoneSerial)],
     ) -> Option<(&KeptDelta, u64)> {
-        let (_, bytes) = self.pull(world, client, machine, since, false)?;
-        Some((&self.scratch.delta, bytes))
-    }
-
-    /// The one pull: the answer decoded whole if `whole`, else read into
-    /// the kept delta.
-    fn pull(
-        &mut self,
-        world: &mut World,
-        client: ActivityId,
-        machine: MachineId,
-        since: &[(usize, ZoneSerial)],
-        whole: bool,
-    ) -> Option<(Option<ZoneDelta>, u64)> {
         let id = self.alloc_id();
         let spares = &mut self.scratch.spares;
         let frame = codec::encode_with(&PullFrame(id, since), |len| spares.take_pull(len))?;
@@ -974,11 +921,11 @@ impl ProtocolEngine {
         self.scratch.spares.reclaim(unsent);
         self.clients.insert(client);
         self.touched.push(client);
-        self.pull = Some((id, whole));
+        self.pull = Some(id);
         let mut budget = MAX_STEPS_PER_BATCH;
         while self.pump(world, &mut budget).is_some() {}
-        let (delta, rep_bytes) = self.pulled.take()?;
-        Some((delta, req_bytes + rep_bytes))
+        let rep_bytes = self.pulled.take()?;
+        Some((&self.scratch.delta, req_bytes + rep_bytes))
     }
 
     /// Drains the event queue, letting servers process whatever is in
@@ -1191,7 +1138,8 @@ impl ProtocolEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::BatchReply;
+    use crate::wire::tests::Dump;
+    use crate::wire::{BatchReply, SliceHead};
     use naming_sim::store;
     use naming_sim::topology::MachineId;
 
@@ -1292,6 +1240,29 @@ mod tests {
         assert!(stats.unreachable, "no authority addressable ≠ unbound");
     }
 
+    /// The answer the authority on `machine` sends `client` for a pull from
+    /// `since`, read whole: a full dump's changes too.
+    fn dumped(
+        engine: &mut ProtocolEngine,
+        w: &mut World,
+        client: ActivityId,
+        machine: MachineId,
+        since: &[(usize, ZoneSerial)],
+    ) -> Dump {
+        let (id, server) = (engine.alloc_id(), engine.service().server_on(machine));
+        w.send(
+            client,
+            server,
+            Payload::Bytes(codec::encode(&PullFrame(id, since))),
+        );
+        engine.pump_idle(w);
+        let answer = w.receive(client).and_then(|m| m.parts.into_iter().next());
+        let Some(Payload::Bytes(frame)) = answer else {
+            panic!("the authority answered");
+        };
+        Dump::read(&frame).expect("the answer reads")
+    }
+
     #[test]
     fn zone_delta_pull_round_trips_incrementally() {
         let (mut w, svc, machines, root, _) = chain_world();
@@ -1308,19 +1279,22 @@ mod tests {
             .expect("unbind commits");
         assert!(s2.is_newer_than(s1) && s1.is_newer_than(before));
         let (delta, bytes) = engine
-            .pull_zone_deltas(&mut w, client, machines[0], vec![(shard, before)])
+            .pull_zone_deltas(&mut w, client, machines[0], &[(shard, before)])
             .expect("pull completes");
         assert!(bytes > 0);
-        assert_eq!(delta.shards.len(), 1);
-        let slice = &delta.shards[0];
+        assert_eq!(delta.slices().len(), 1);
+        let slice = delta.slices().next().unwrap();
         assert!(
             !slice.full,
             "journal window covers the gap — IXFR, not AXFR"
         );
-        assert_eq!(slice.serial, s2);
-        assert_eq!(slice.changes.len(), 2);
-        assert_eq!(slice.changes[0].entity, tgt);
-        assert_eq!(slice.changes[1].entity, Entity::Undefined);
+        assert_eq!((slice.serial, slice.changes), (s2, 2));
+        let changes = delta
+            .diff(0)
+            .expect("an incremental slice keeps its changes");
+        assert_eq!(changes.len(), 2);
+        assert_eq!(changes[0].entity, tgt);
+        assert_eq!(changes[1].entity, Entity::Undefined);
     }
 
     #[test]
@@ -1331,12 +1305,16 @@ mod tests {
         let shard = SystemState::shard_of_id(root);
         let current = w.state().shard_serial(shard);
         let (delta, _) = engine
-            .pull_zone_deltas(&mut w, client, machines[0], vec![(shard, current)])
+            .pull_zone_deltas(&mut w, client, machines[0], &[(shard, current)])
             .expect("pull completes");
-        assert_eq!(delta.shards.len(), 1);
-        assert!(!delta.shards[0].full);
-        assert!(delta.shards[0].changes.is_empty());
-        assert_eq!(delta.shards[0].serial, current);
+        let heartbeat = SliceHead {
+            shard,
+            serial: current,
+            full: false,
+            changes: 0,
+        };
+        assert!(delta.slices().eq([heartbeat]));
+        assert_eq!(delta.diff(0), Some(&[][..]));
     }
 
     #[test]
@@ -1357,16 +1335,19 @@ mod tests {
                 )
                 .expect("bind commits");
         }
+        let since = [(shard, before)];
         let (delta, _) = engine
-            .pull_zone_deltas(&mut w, client, machines[0], vec![(shard, before)])
+            .pull_zone_deltas(&mut w, client, machines[0], &since)
             .expect("pull completes");
-        let slice = &delta.shards[0];
+        let slice = delta.slices().next().unwrap();
         assert!(slice.full, "evicted window must force a full transfer");
         assert_eq!(slice.serial, w.state().shard_serial(shard));
         // The dump carries the live bindings, including the five new keys.
+        let dump = dumped(&mut engine, &mut w, client, machines[0], &since);
+        assert_eq!(dump.slices[0].0, slice);
         for i in 0..5 {
-            assert!(slice
-                .changes
+            assert!(dump.slices[0]
+                .1
                 .iter()
                 .any(|c| c.ctx == root && c.name == Name::new(&format!("k{i}"))));
         }
@@ -1376,10 +1357,9 @@ mod tests {
             .publish_binding(&mut w, root, Name::new("k0"), None)
             .expect("unbind commits");
         let (delta2, _) = engine
-            .pull_zone_deltas(&mut w, client, machines[0], vec![(shard, mid)])
+            .pull_zone_deltas(&mut w, client, machines[0], &[(shard, mid)])
             .expect("pull completes");
-        assert!(!delta2.shards[0].full);
-        assert_eq!(delta2.shards[0].changes.len(), 1);
+        assert_eq!(delta2.diff(0).map(<[_]>::len), Some(1));
     }
 
     #[test]
@@ -1391,7 +1371,7 @@ mod tests {
         let before = w.state().shard_serial(shard);
         w.set_message_drop_rate(1.0);
         assert!(engine
-            .pull_zone_deltas(&mut w, client, machines[0], vec![(shard, before)])
+            .pull_zone_deltas(&mut w, client, machines[0], &[(shard, before)])
             .is_none());
     }
 
@@ -1413,12 +1393,18 @@ mod tests {
         engine
             .publish_binding(&mut w, root, Name::new("after"), Some(Entity::Object(root)))
             .expect("bind commits");
+        let since = [(shard, before)];
         let (delta, _) = engine
-            .pull_zone_deltas(&mut w, client, machines[0], vec![(shard, before)])
+            .pull_zone_deltas(&mut w, client, machines[0], &since)
             .expect("pull completes");
-        let slice = &delta.shards[0];
+        let slice = delta.slices().next().unwrap();
         assert!(slice.full, "a serial gap must not be served as a diff");
-        assert!(slice.changes.iter().any(|c| c.name == Name::new("ghost")));
+        let dump = dumped(&mut engine, &mut w, client, machines[0], &since);
+        assert_eq!(dump.slices[0].0, slice);
+        assert!(dump.slices[0]
+            .1
+            .iter()
+            .any(|c| c.name == Name::new("ghost")));
     }
 
     #[test]
@@ -1576,13 +1562,21 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_pull_counts_the_late_replies_it_reads() {
-        // The zone's primary is on a far network, its replica beside the
-        // client. A resolve from the zone itself addresses the primary
-        // first; its deadline fails over to the replica, which answers long
-        // before the primary's reply lands — during the pull that follows,
-        // whose reading of the mailbox must count it.
+    /// The zone's primary is on a far network, its replica beside the
+    /// client, and a deadline is far below the round trip to the primary.
+    /// A resolve of `leaf` from the zone itself addresses the primary
+    /// first; its deadline fails over to the replica, which answers long
+    /// before the primary's reply lands. Returns the world, the engine, the
+    /// client, the replica's and the primary's machines, the zone and
+    /// `leaf`'s entity.
+    fn far_primary() -> (
+        World,
+        ProtocolEngine,
+        ActivityId,
+        [MachineId; 2],
+        ObjectId,
+        Entity,
+    ) {
         let mut w = World::new(73);
         let (near, far) = (w.add_network("near"), w.add_network("far"));
         let (home, standby) = (w.add_machine("home", near), w.add_machine("standby", near));
@@ -1600,19 +1594,65 @@ mod tests {
             max_attempts: 8,
             backoff_cap: 0,
         }));
+        (
+            w,
+            engine,
+            client,
+            [standby, remote],
+            zone,
+            Entity::Object(leaf),
+        )
+    }
+
+    /// The late reply lands during the pull that follows the resolve, whose
+    /// reading of the mailbox must count it.
+    #[test]
+    fn a_pull_counts_the_late_replies_it_reads() {
+        let (mut w, mut engine, client, [_, remote], zone, leaf) = far_primary();
         let name = CompoundName::new([Name::new("leaf")]).unwrap();
         let shard = SystemState::shard_of_id(zone);
         for _ in 0..10 {
             let stats = engine.resolve(&mut w, client, zone, &name, Mode::Iterative);
-            assert_eq!(stats.entity, Entity::Object(leaf));
-            let since = vec![(shard, w.state().shard_serial(shard))];
-            let pulled = engine.pull_zone_deltas(&mut w, client, remote, since);
+            assert_eq!(stats.entity, leaf);
+            let since = [(shard, w.state().shard_serial(shard))];
+            let pulled = engine.pull_zone_deltas(&mut w, client, remote, &since);
             assert!(pulled.is_some(), "the pull completes");
         }
         let c = engine.retry_counters();
         assert!(c.failovers >= 1 && c.retransmissions >= 1, "{c:?}");
         // Every superseded attempt was answered while a pull read the mail.
         assert_eq!(c.late_replies, c.retransmissions, "{c:?}");
+    }
+
+    /// A pull's answer nothing awaits is dropped unread: one forged with the
+    /// id of a superseded resolution attempt takes nothing from the count of
+    /// that attempt's late reply.
+    #[test]
+    fn a_stray_pull_answer_takes_no_late_reply_count() {
+        let (mut w, mut engine, client, [standby, remote], zone, leaf) = far_primary();
+        let superseded = engine.next_request_id();
+        let name = CompoundName::new([Name::new("leaf")]).unwrap();
+        let stats = engine.resolve(&mut w, client, zone, &name, Mode::Iterative);
+        assert_eq!(stats.entity, leaf);
+        let c = engine.retry_counters();
+        assert_eq!((c.retransmissions, c.late_replies), (1, 0), "{c:?}");
+        let forged = Dump {
+            id: superseded,
+            slices: Vec::new(),
+        };
+        let near = engine.service().server_on(standby);
+        w.send(near, client, Payload::Bytes(codec::encode(&forged)));
+        // A pull from the replica hears the forgery, and is over before the
+        // primary's reply lands.
+        assert!(engine
+            .pull_zone_deltas(&mut w, client, standby, &[])
+            .is_some());
+        assert_eq!(engine.retry_counters().late_replies, 0, "a forgery counted");
+        // One from the primary outlasts it: the real late reply counts.
+        assert!(engine
+            .pull_zone_deltas(&mut w, client, remote, &[])
+            .is_some());
+        assert_eq!(engine.retry_counters().late_replies, 1);
     }
 
     #[test]

@@ -201,20 +201,6 @@ impl PipelinedService {
         &mut self.engine
     }
 
-    /// Unwraps the engine, abandoning every batch still queued or in
-    /// flight: its continuation leaves the engine's pump, its routes go —
-    /// a reply still on its way is a stray, not a late reply — and its
-    /// vectors go back to the engine's idle ones.
-    pub fn into_engine(mut self) -> ProtocolEngine {
-        for (cont, _) in self.backlog.drain(..) {
-            cont.abandon(&mut self.engine);
-        }
-        while let Some((ticket, _)) = self.inflight.pop_first() {
-            self.engine.abandon(ticket);
-        }
-        self.engine
-    }
-
     /// Aggregate activity so far.
     pub fn report(&self) -> PipelineReport {
         self.report
@@ -696,7 +682,7 @@ mod tests {
     fn a_pull_leaves_a_pipelined_batch_its_replies() {
         let leaf = chain_world(71).4;
         let (answer, _) = batch_beside(None, |w, engine, client, machines, _| {
-            let pulled = engine.pull_zone_deltas(w, client, machines[2], vec![]);
+            let pulled = engine.pull_zone_deltas(w, client, machines[2], &[]);
             assert!(pulled.is_some());
         });
         assert_eq!(answer.entities, vec![leaf]);
@@ -724,7 +710,7 @@ mod tests {
         let leaf = chain_world(71).4;
         let policy = Some(RetryPolicy::default());
         let (answer, counters) = batch_beside(policy, |w, engine, client, machines, root| {
-            let pulled = engine.pull_zone_deltas(w, client, machines[2], vec![]);
+            let pulled = engine.pull_zone_deltas(w, client, machines[2], &[]);
             assert!(pulled.is_some());
             let stats = engine.resolve_batch(w, client, root, &names(&["/hop1"]));
             assert_eq!(stats.unreachable, vec![false]);
@@ -732,31 +718,6 @@ mod tests {
         assert_eq!(answer.entities, vec![leaf]);
         assert_eq!(answer.unreachable, vec![false]);
         assert_eq!(counters.retransmissions, 0, "{counters:?}");
-    }
-
-    /// A reactor unwrapped with batches in flight abandons them: nothing of
-    /// theirs stays in the engine's pump, a reply still on its way is a
-    /// stray rather than a late reply, and blocking resolves on the same
-    /// client answer as before.
-    #[test]
-    fn an_unwrapped_reactor_leaves_nothing_in_the_pump() {
-        let (mut w, svc, machines, root, leaf) = chain_world(71);
-        let client = w.spawn(machines[0], "client", None);
-        let mut svc = PipelinedService::new(ProtocolEngine::new(svc), 1);
-        let deep = names(&["/hop1/hop2/leaf"]);
-        for _ in 0..5 {
-            svc.submit(&mut w, client, root, &deep);
-        }
-        assert_eq!(svc.in_flight(), 5);
-        let mut engine = svc.into_engine();
-        let counters = engine.retry_counters();
-        for _ in 0..10 {
-            let stats = engine.resolve_batch(&mut w, client, root, &deep);
-            assert_eq!(stats.entities, vec![leaf]);
-            assert_eq!(stats.unreachable, vec![false]);
-        }
-        assert_eq!(engine.in_pump(), 0, "abandoned batches left in the pump");
-        assert_eq!(engine.retry_counters(), counters);
     }
 
     /// A hub whose root grafts one zone per machine: `/z{i}/leaf` costs a
@@ -812,28 +773,22 @@ mod tests {
                 max_attempts: 64,
                 ..RetryPolicy::default()
             }));
-            let answers = if pipelined {
+            let (answers, counters) = if pipelined {
                 let mut svc = PipelinedService::with_limit(engine, 2, 2);
                 for b in &batches {
                     svc.submit(&mut w, client, root, b);
                 }
                 let done = format!("{:?}", svc.drain(&mut w));
-                engine = svc.into_engine();
-                done
+                (done, svc.engine().retry_counters())
             } else {
                 let stats: Vec<_> = batches
                     .iter()
                     .map(|b| engine.resolve_batch(&mut w, client, root, b).clone())
                     .collect();
-                format!("{stats:?}")
+                (format!("{stats:?}"), engine.retry_counters())
             };
             assert_eq!(w.pending_timers(), 0, "timers left behind");
-            (
-                answers,
-                engine.retry_counters(),
-                w.now(),
-                w.trace().to_string(),
-            )
+            (answers, counters, w.now(), w.trace().to_string())
         };
         for pipelined in [false, true] {
             let targeted = run(false, pipelined);

@@ -38,7 +38,6 @@ use crate::wire::{Label, NameTrie, Outcome, WalkScratch, ZoneRead};
 struct Placement {
     /// `shards[shard][local]` is the machine id plus one; zero = unplaced.
     shards: Vec<Vec<u32>>,
-    placed: usize,
 }
 
 impl Placement {
@@ -64,7 +63,6 @@ impl Placement {
         if table.len() <= local {
             table.resize(local + 1, 0);
         }
-        self.placed += usize::from(table[local] == 0);
         table[local] = u32::try_from(machine.0 + 1).expect("machine ids fit in 32 bits");
     }
 }
@@ -289,11 +287,6 @@ impl NameService {
     /// The machine authoritative for an object, if placed.
     pub fn machine_of_object(&self, obj: ObjectId) -> Option<MachineId> {
         self.placement.get(obj)
-    }
-
-    /// Number of placed objects.
-    pub fn placed_count(&self) -> usize {
-        self.placement.placed
     }
 
     /// Replicates the zone (context object) `zone` onto `secondary`: a
@@ -672,9 +665,19 @@ mod tests {
         let (w, svc, m1, m2, root1, rem) = setup();
         assert_eq!(svc.machine_of_object(root1), Some(m1));
         assert_eq!(svc.machine_of_object(rem), Some(m2));
-        assert!(svc.placed_count() >= 4);
+        // Below them, every object is placed with its tree's root.
+        let placed = |ctx, label| {
+            let obj = w.state().lookup(ctx, Name::new(label)).as_object();
+            obj.and_then(|o| svc.machine_of_object(o))
+        };
+        let usr = w
+            .state()
+            .lookup(root1, Name::new("usr"))
+            .as_object()
+            .unwrap();
+        assert_eq!([placed(root1, "usr"), placed(usr, "motd")], [Some(m1); 2]);
+        assert_eq!(placed(rem, "data"), Some(m2));
         assert_eq!(svc.servers().count(), 2);
-        let _ = w;
     }
 
     #[test]

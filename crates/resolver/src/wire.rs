@@ -7,8 +7,9 @@
 //! message layer, exactly as a real name-service protocol would travel
 //! over UDP/TCP. The resolution path and the anti-entropy pull build and
 //! read their frames in reused buffers (`*Frame` layouts, `read_*`,
-//! [`KeptDelta`]); the frame types' `encode` and `decode` are the same code
-//! over fresh ones.
+//! [`KeptDelta`]). A resolution frame also has an owned type, whose
+//! `encode` and `decode` are the same code over fresh buffers; a pull frame
+//! has no other form.
 
 use bytes::Bytes;
 use naming_core::entity::{Entity, ObjectId};
@@ -108,20 +109,11 @@ impl ZoneUpdate {
     }
 }
 
-/// A diff-since-serial pull: the client reports, per zone (shard), the
-/// last serial it has heard, and asks the authority for everything newer.
-/// The IXFR analogue — [`ZoneDelta`] is the answer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ZoneDeltaRequest {
-    /// Correlation id.
-    pub id: u64,
-    /// `(shard, serial already held)` per zone of interest.
-    /// [`ZoneSerial::ZERO`] means "never synced" and in practice forces a
-    /// full transfer.
-    pub since: Vec<(usize, ZoneSerial)>,
-}
-
-/// A pull request as it goes out: its id, and the serials held per zone.
+/// A diff-since-serial pull (tag 6) as it goes out: its id, and per zone
+/// (shard) the last serial the puller has heard — [`ZoneSerial::ZERO`]:
+/// never synced, which in practice forces a full transfer. The authority
+/// answers with everything newer (tag 7, read by [`KeptDelta`]): the IXFR
+/// analogue.
 pub(crate) struct PullFrame<'a>(pub u64, pub &'a [(usize, ZoneSerial)]);
 
 impl Layout for PullFrame<'_> {
@@ -133,12 +125,6 @@ impl Layout for PullFrame<'_> {
             w.usize16(shard);
             w.u64(serial.get());
         });
-    }
-}
-
-impl Layout for ZoneDeltaRequest {
-    fn write<S: Sink>(&self, w: &mut Writer<S>) {
-        PullFrame(self.id, &self.since).write(w);
     }
 }
 
@@ -156,25 +142,10 @@ pub(crate) fn read_pull(frame: &[u8], since: &mut Vec<(usize, ZoneSerial)>) -> O
     Some(id)
 }
 
-impl ZoneDeltaRequest {
-    /// Encodes the request into an exactly sized frame. Panics when the
-    /// wire cannot carry it ([`codec::encode`]).
-    pub fn encode(&self) -> Bytes {
-        codec::encode(self)
-    }
-
-    /// Decodes a request frame. Returns `None` on malformed input.
-    pub fn decode(frame: Bytes) -> Option<ZoneDeltaRequest> {
-        let mut since = Vec::new();
-        let id = read_pull(&frame, &mut since)?;
-        Some(ZoneDeltaRequest { id, since })
-    }
-}
-
-/// One binding change inside a [`ShardDelta`]: `entity` is the new value
-/// of `name` in context `ctx`; [`Entity::Undefined`] encodes an unbind.
-/// `was` is the binding the change replaced, journaled so a puller can
-/// tell which of its cached answers the change could have altered.
+/// One binding change in a slice of a pull's answer: `entity` is the new
+/// value of `name` in context `ctx`; [`Entity::Undefined`] encodes an
+/// unbind. `was` is the binding the change replaced, journaled so a puller
+/// can tell which of its cached answers the change could have altered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ZoneChange {
     /// The context object the change landed in.
@@ -188,68 +159,32 @@ pub struct ZoneChange {
     pub was: Entity,
 }
 
-/// One zone's slice of a [`ZoneDelta`] reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardDelta {
-    /// The zone (shard) this slice describes.
-    pub shard: usize,
-    /// The authority's serial as of this frame; the puller adopts it.
-    pub serial: ZoneSerial,
-    /// `true` — the requested serial fell outside the retained delta
-    /// window (or had regressed) and `changes` is a complete dump of the
-    /// zone's bindings (AXFR fallback). `false` — `changes` is the exact
-    /// incremental diff since the requested serial (IXFR).
-    pub full: bool,
-    /// The changes, in commit order for incremental transfers.
-    pub changes: Vec<ZoneChange>,
-}
-
-/// What a slice of a [`ZoneDelta`] states before its changes: the fields
-/// of a [`ShardDelta`], with its changes counted.
+/// What a slice of a pull's answer (tag 7) states before its changes: one
+/// per requested zone, in request order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SliceHead {
     /// The zone (shard) the slice describes.
     pub shard: usize,
-    /// The authority's serial as of the frame.
+    /// The authority's serial as of the frame; the puller adopts it.
     pub serial: ZoneSerial,
-    /// A full transfer (AXFR) rather than an incremental diff (IXFR).
+    /// `true` — the requested serial fell outside the retained delta
+    /// window (or had regressed) and the changes are a complete dump of the
+    /// zone's bindings (AXFR fallback). `false` — they are the exact
+    /// incremental diff since the requested serial (IXFR), in commit order.
     pub full: bool,
     /// How many changes the slice carries.
     pub changes: usize,
 }
 
-impl From<&ShardDelta> for SliceHead {
-    fn from(s: &ShardDelta) -> SliceHead {
-        SliceHead {
-            shard: s.shard,
-            serial: s.serial,
-            full: s.full,
-            changes: s.changes.len(),
-        }
-    }
-}
-
-/// The authority's answer to a [`ZoneDeltaRequest`]: per requested zone,
-/// either an incremental diff or a full transfer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ZoneDelta {
-    /// Echoes [`ZoneDeltaRequest::id`].
-    pub id: u64,
-    /// One slice per requested shard, in request order.
-    pub shards: Vec<ShardDelta>,
-}
-
-/// What a [`ZoneDelta`] is handed to, slice by slice, by whoever holds it:
-/// a [`Writer`], which writes its frame, or what it is read into — every
-/// change ([`ZoneDelta`]) or only an incremental slice's ([`KeptDelta`]).
-/// A frame is read by one function, [`read_delta`], and the journal hands
-/// its answer over by one, `ZoneJournal::answer_into`.
+/// What a pull's answer is handed to, slice by slice: the [`Writer`] of its
+/// frame (`ZoneJournal::answer_frame`), or the [`KeptDelta`] it is read
+/// into by the one reader, [`read_delta`].
 pub(crate) trait DeltaSink {
     /// Reply `id` begins; `slices` follow (for a frame being read, no more
     /// than the rest of the frame can hold).
     fn start(&mut self, id: u64, slices: usize);
-    /// The next slice begins; `room` of its changes follow (as above).
-    fn slice(&mut self, head: SliceHead, room: usize);
+    /// The next slice begins.
+    fn slice(&mut self, head: SliceHead);
     /// The current slice's next change.
     fn change(&mut self, ctx: ObjectId, label: &str, entity: Entity, was: Entity);
 }
@@ -262,7 +197,7 @@ impl<S: Sink> DeltaSink for Writer<S> {
         self.usize16(slices);
     }
 
-    fn slice(&mut self, head: SliceHead, _: usize) {
+    fn slice(&mut self, head: SliceHead) {
         self.usize16(head.shard);
         self.u64(head.serial.get());
         self.u8(u8::from(head.full));
@@ -277,48 +212,7 @@ impl<S: Sink> DeltaSink for Writer<S> {
     }
 }
 
-impl Layout for ZoneDelta {
-    fn write<S: Sink>(&self, w: &mut Writer<S>) {
-        w.start(self.id, self.shards.len());
-        for s in &self.shards {
-            w.slice(SliceHead::from(s), s.changes.len());
-            for c in &s.changes {
-                w.change(c.ctx, c.name.as_str(), c.entity, c.was);
-            }
-        }
-    }
-}
-
-/// Every change, each label interned.
-impl DeltaSink for ZoneDelta {
-    fn start(&mut self, id: u64, slices: usize) {
-        self.id = id;
-        self.shards.reserve(slices);
-    }
-
-    fn slice(&mut self, head: SliceHead, room: usize) {
-        self.shards.push(ShardDelta {
-            shard: head.shard,
-            serial: head.serial,
-            full: head.full,
-            changes: Vec::with_capacity(room),
-        });
-    }
-
-    fn change(&mut self, ctx: ObjectId, label: &str, entity: Entity, was: Entity) {
-        if let Some(slice) = self.shards.last_mut() {
-            let name = Name::new(label);
-            slice.changes.push(ZoneChange {
-                ctx,
-                name,
-                entity,
-                was,
-            });
-        }
-    }
-}
-
-/// Reads a [`ZoneDelta`] frame into `into` and returns its id; `None` on a
+/// Reads a pull's answer frame into `into` and returns its id; `None` on a
 /// malformed frame, whatever `into` was handed by then: half a reply is no
 /// reply.
 pub(crate) fn read_delta(frame: &[u8], into: &mut impl DeltaSink) -> Option<u64> {
@@ -335,7 +229,7 @@ pub(crate) fn read_delta(frame: &[u8], into: &mut impl DeltaSink) -> Option<u64>
             full,
             changes,
         };
-        into.slice(head, r.capacity(changes, 4 + 2 + 1 + 1));
+        into.slice(head);
         for _ in 0..changes {
             let (ctx, label) = (r.object()?, r.label()?);
             into.change(ctx, label, r.entity()?, r.entity()?);
@@ -344,39 +238,16 @@ pub(crate) fn read_delta(frame: &[u8], into: &mut impl DeltaSink) -> Option<u64>
     Some(id)
 }
 
-/// The id a [`ZoneDelta`] frame states, read from its head alone.
+/// The id a pull's answer frame states, read from its head alone.
 pub(crate) fn delta_id(frame: &[u8]) -> Option<u64> {
     let mut r = Reader::new(frame);
     r.tag(TAG_ZONE_DELTA)?;
     r.u64()
 }
 
-impl ZoneDelta {
-    /// Encodes the reply into an exactly sized frame. Panics when the wire
-    /// cannot carry it ([`codec::encode`]).
-    pub fn encode(&self) -> Bytes {
-        codec::encode(self)
-    }
-
-    /// Decodes a reply frame. Returns `None` on malformed input.
-    pub fn decode(frame: Bytes) -> Option<ZoneDelta> {
-        ZoneDelta::read(&frame)
-    }
-
-    /// [`ZoneDelta::decode`], from the frame's bytes.
-    pub(crate) fn read(frame: &[u8]) -> Option<ZoneDelta> {
-        let mut delta = ZoneDelta {
-            id: 0,
-            shards: Vec::new(),
-        };
-        read_delta(frame, &mut delta)?;
-        Some(delta)
-    }
-}
-
-/// A [`ZoneDelta`] as a replica reads it, into buffers it keeps from one
+/// A pull's answer as a replica reads it, into buffers it keeps from one
 /// frame to the next: every slice's head, and an incremental slice's
-/// changes. A full transfer's changes are checked and counted, never kept —
+/// changes. It is the one form of that answer. A full transfer's changes are checked and counted, never kept —
 /// a replica judges a full slice zone-wide — so a bootstrap leaves nothing
 /// behind, and a warm read allocates nothing.
 #[derive(Clone, Debug, Default)]
@@ -387,9 +258,8 @@ pub struct KeptDelta {
 }
 
 impl KeptDelta {
-    /// Reads a [`ZoneDelta`] frame in place of the last one and returns its
-    /// id; `None` on a malformed frame, whatever is then kept. It accepts
-    /// exactly the frames [`ZoneDelta::decode`] accepts.
+    /// Reads a pull's answer frame in place of the last one and returns its
+    /// id; `None` on a malformed frame, whatever is then kept.
     pub fn read(&mut self, frame: &[u8]) -> Option<u64> {
         read_delta(frame, self)
     }
@@ -418,7 +288,7 @@ impl DeltaSink for KeptDelta {
         self.slices.reserve(slices);
     }
 
-    fn slice(&mut self, head: SliceHead, _: usize) {
+    fn slice(&mut self, head: SliceHead) {
         self.slices.push((head, self.diffs.len()));
     }
 
@@ -853,14 +723,6 @@ pub(crate) fn read_request(
     (mode == Mode::Iterative || trie.query_count == 1).then_some((mode, id, start))
 }
 
-/// A request frame of `mode` as a [`BatchRequest`] (`seen` is scratch);
-/// `None` when malformed or of the other mode.
-pub(crate) fn decode_request(buf: &[u8], mode: Mode, seen: &mut Vec<u64>) -> Option<BatchRequest> {
-    let mut trie = NameTrie::default();
-    let (read, id, start) = read_request(buf, &mut trie, seen)?;
-    (read == mode).then_some(BatchRequest { id, start, trie })
-}
-
 impl BatchRequest {
     /// Encodes the batch request into an iterative wire frame. Panics when
     /// the wire cannot carry it ([`codec::encode`]).
@@ -876,7 +738,9 @@ impl BatchRequest {
     /// Decodes an iterative request frame. Returns `None` on malformed
     /// input.
     pub fn decode(buf: Bytes) -> Option<BatchRequest> {
-        decode_request(&buf, Mode::Iterative, &mut Vec::new())
+        let mut trie = NameTrie::default();
+        let (mode, id, start) = read_request(&buf, &mut trie, &mut Vec::new())?;
+        (mode == Mode::Iterative).then_some(BatchRequest { id, start, trie })
     }
 }
 
@@ -980,10 +844,88 @@ impl BatchReply {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bytes::BytesMut;
     use naming_core::entity::ActivityId;
+
+    /// A pull's answer with every change, a full dump's too: what a test
+    /// reads an answer frame into to check all it carries, and writes one
+    /// from.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub(crate) struct Dump {
+        pub(crate) id: u64,
+        pub(crate) slices: Vec<(SliceHead, Vec<ZoneChange>)>,
+    }
+
+    impl Dump {
+        /// Reads an answer frame; `None` when it is malformed.
+        pub(crate) fn read(frame: &[u8]) -> Option<Dump> {
+            let mut dump = Dump::default();
+            read_delta(frame, &mut dump)?;
+            Some(dump)
+        }
+    }
+
+    impl DeltaSink for Dump {
+        fn start(&mut self, id: u64, _: usize) {
+            self.id = id;
+        }
+
+        fn slice(&mut self, head: SliceHead) {
+            self.slices.push((head, Vec::new()));
+        }
+
+        fn change(&mut self, ctx: ObjectId, label: &str, entity: Entity, was: Entity) {
+            if let Some((_, changes)) = self.slices.last_mut() {
+                let name = Name::new(label);
+                changes.push(ZoneChange {
+                    ctx,
+                    name,
+                    entity,
+                    was,
+                });
+            }
+        }
+    }
+
+    impl Layout for Dump {
+        fn write<S: Sink>(&self, w: &mut Writer<S>) {
+            w.start(self.id, self.slices.len());
+            for (head, changes) in &self.slices {
+                w.slice(*head);
+                for c in changes {
+                    w.change(c.ctx, c.name.as_str(), c.entity, c.was);
+                }
+            }
+        }
+    }
+
+    /// A slice of zone `shard` at `serial`, its head counting `changes`.
+    pub(crate) fn slice(
+        shard: usize,
+        serial: ZoneSerial,
+        full: bool,
+        changes: Vec<ZoneChange>,
+    ) -> (SliceHead, Vec<ZoneChange>) {
+        let head = SliceHead {
+            shard,
+            serial,
+            full,
+            changes: changes.len(),
+        };
+        (head, changes)
+    }
+
+    /// Whether `kept` holds what `dump` holds: every slice's head, an
+    /// incremental slice's changes, none of a full slice's.
+    fn kept_holds(kept: &KeptDelta, dump: &Dump) -> bool {
+        let mut diffs = dump.slices.iter().enumerate();
+        kept.slices().eq(dump.slices.iter().map(|&(head, _)| head))
+            && diffs
+                .all(|(at, (head, changes))| kept.diff(at) == (!head.full).then_some(&changes[..]))
+            && kept.diff(dump.slices.len()).is_none()
+    }
 
     fn name(p: &str) -> CompoundName {
         CompoundName::parse_path(p).unwrap()
@@ -1003,7 +945,9 @@ mod tests {
 
     /// A recursive request frame as a name server reads it.
     fn read_recursive(frame: &[u8]) -> Option<BatchRequest> {
-        decode_request(frame, Mode::Recursive, &mut Vec::new())
+        let mut trie = NameTrie::default();
+        let (mode, id, start) = read_request(frame, &mut trie, &mut Vec::new())?;
+        (mode == Mode::Recursive).then_some(BatchRequest { id, start, trie })
     }
 
     #[test]
@@ -1260,43 +1204,28 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// Whether `kept` holds what `delta` decodes to: every slice's head,
-        /// an incremental slice's changes, none of a full slice's.
-        fn kept_holds(kept: &KeptDelta, delta: &ZoneDelta) -> bool {
-            let mut diffs = delta.shards.iter().enumerate();
-            kept.slices().eq(delta.shards.iter().map(SliceHead::from))
-                && diffs.all(|(at, s)| kept.diff(at) == (!s.full).then_some(&s.changes[..]))
-                && kept.diff(delta.shards.len()).is_none()
-        }
-
-        /// Whether the kept readers read `frame` as the owned decoders do —
-        /// the same frames accepted, with the same content — into buffers
-        /// that held another frame before.
+        /// Whether the kept readers read `frame` into buffers that held
+        /// another frame before as fresh ones read it: the same frames
+        /// accepted, with the same content.
         fn kept_agrees(frame: &[u8]) -> bool {
             let (mut since, mut kept) = (vec![(7, ZoneSerial::new(7))], KeptDelta::default());
-            let stale = ZoneDelta {
+            let stale = ZoneChange {
+                ctx: ObjectId::from_index(1),
+                name: Name::new("stale"),
+                entity: Entity::Undefined,
+                was: Entity::Undefined,
+            };
+            let stale = Dump {
                 id: 1,
-                shards: vec![ShardDelta {
-                    shard: 5,
-                    serial: ZoneSerial::new(3),
-                    full: false,
-                    changes: vec![ZoneChange {
-                        ctx: ObjectId::from_index(1),
-                        name: Name::new("stale"),
-                        entity: Entity::Undefined,
-                        was: Entity::Undefined,
-                    }],
-                }],
+                slices: vec![slice(5, ZoneSerial::new(3), false, vec![stale])],
             };
-            assert_eq!(kept.read(&stale.encode()), Some(1));
-            let pulled = read_pull(frame, &mut since);
-            let request = match ZoneDeltaRequest::decode(Bytes::copy_from_slice(frame)) {
-                Some(req) => pulled == Some(req.id) && since == req.since,
-                None => pulled.is_none(),
-            };
+            assert_eq!(kept.read(&codec::encode(&stale)), Some(1));
+            let (pulled, mut fresh) = (read_pull(frame, &mut since), Vec::new());
+            let request =
+                pulled == read_pull(frame, &mut fresh) && (pulled.is_none() || since == fresh);
             let read = kept.read(frame);
-            let delta = match ZoneDelta::decode(Bytes::copy_from_slice(frame)) {
-                Some(delta) => read == Some(delta.id) && kept_holds(&kept, &delta),
+            let delta = match Dump::read(frame) {
+                Some(dump) => read == Some(dump.id) && kept_holds(&kept, &dump),
                 None => read.is_none(),
             };
             request && delta
@@ -1306,32 +1235,28 @@ mod tests {
         /// context, label and new binding.
         type Drawn = (usize, u64, bool, Vec<(u32, String, u32)>);
 
-        /// A reply from drawn slices, and the request its shards answer.
-        fn pull_of(id: u64, slices: &[Drawn]) -> (ZoneDeltaRequest, ZoneDelta) {
-            let shards: Vec<ShardDelta> = slices
+        /// A reply from drawn slices, and the serials of the request its
+        /// shards answer.
+        fn pull_of(id: u64, slices: &[Drawn]) -> (Vec<(usize, ZoneSerial)>, Dump) {
+            let slices: Vec<_> = slices
                 .iter()
-                .map(|(shard, serial, full, raw)| ShardDelta {
-                    shard: *shard,
-                    serial: ZoneSerial::new(*serial),
-                    full: *full,
-                    changes: raw
-                        .iter()
-                        .map(|(ctx, n, idx)| ZoneChange {
-                            ctx: ObjectId::from_index(*ctx),
-                            name: Name::new(n),
-                            entity: Entity::Object(ObjectId::from_index(*idx)),
-                            was: Entity::Undefined,
-                        })
-                        .collect(),
+                .map(|(shard, serial, full, raw)| {
+                    let changes = raw.iter().map(|(ctx, n, idx)| ZoneChange {
+                        ctx: ObjectId::from_index(*ctx),
+                        name: Name::new(n),
+                        entity: Entity::Object(ObjectId::from_index(*idx)),
+                        was: Entity::Undefined,
+                    });
+                    slice(*shard, ZoneSerial::new(*serial), *full, changes.collect())
                 })
                 .collect();
-            let since = shards.iter().map(|s| (s.shard, s.serial)).collect();
-            (ZoneDeltaRequest { id, since }, ZoneDelta { id, shards })
+            let since = slices.iter().map(|(h, _)| (h.shard, h.serial)).collect();
+            (since, Dump { id, slices })
         }
 
         proptest! {
             /// Arbitrary bytes under either pull frame's tag: the kept
-            /// readers and the owned decoders accept the same, alike.
+            /// readers and fresh ones accept the same, alike.
             #[test]
             fn kept_pull_readers_agree_on_garbage(
                 tag in 6u8..8,
@@ -1343,7 +1268,7 @@ mod tests {
 
             /// Well-formed pull frames, cut short or with one byte
             /// overwritten: the kept readers refuse every proper prefix, and
-            /// accept and refuse what the owned decoders do, alike.
+            /// accept and refuse what fresh ones do, alike.
             #[test]
             fn kept_pull_readers_agree_on_cuts_and_overwrites(
                 id in any::<u64>(),
@@ -1360,8 +1285,8 @@ mod tests {
                 at in any::<usize>(),
                 byte in any::<u8>(),
             ) {
-                let (request, reply) = pull_of(id, &slices);
-                for frame in [request.encode(), reply.encode()] {
+                let (since, reply) = pull_of(id, &slices);
+                for frame in [codec::encode(&PullFrame(id, &since)), codec::encode(&reply)] {
                     prop_assert!(kept_agrees(&frame));
                     let cut = cut % frame.len();
                     prop_assert!(kept_agrees(&frame[..cut]));
@@ -1395,16 +1320,20 @@ mod tests {
                 if let Some(up) = ZoneUpdate::decode(b.clone()) {
                     prop_assert_eq!(ZoneUpdate::decode(up.encode()), Some(up));
                 }
-                if let Some(dreq) = ZoneDeltaRequest::decode(b.clone()) {
-                    prop_assert_eq!(ZoneDeltaRequest::decode(dreq.encode()), Some(dreq));
+                let (mut since, mut again) = (Vec::new(), Vec::new());
+                if let Some(id) = read_pull(&b, &mut since) {
+                    let frame = codec::encode(&PullFrame(id, &since));
+                    prop_assert_eq!(read_pull(&frame, &mut again), Some(id));
+                    prop_assert_eq!(again, since);
                 }
-                if let Some(delta) = ZoneDelta::decode(b) {
-                    prop_assert_eq!(ZoneDelta::decode(delta.encode()), Some(delta));
+                if let Some(dump) = Dump::read(&b) {
+                    prop_assert_eq!(Dump::read(&codec::encode(&dump)), Some(dump));
                 }
             }
 
-            /// ZoneDelta round-trip for arbitrary well-formed content:
-            /// incremental and full slices, binds, unbinds and rebinds.
+            /// A pull's answer round-trips for arbitrary well-formed content
+            /// — incremental and full slices, binds, unbinds and rebinds —
+            /// and a kept delta holds its heads and diffs.
             #[test]
             fn zone_delta_roundtrip_general(
                 id in any::<u64>(),
@@ -1421,33 +1350,32 @@ mod tests {
                     0..5,
                 ),
             ) {
-                let shards: Vec<ShardDelta> = slices
+                let slices = slices
                     .iter()
-                    .map(|(shard, serial, full, raw)| ShardDelta {
-                        shard: *shard,
-                        serial: ZoneSerial::new(*serial),
-                        full: *full,
-                        changes: raw
-                            .iter()
-                            .map(|(ctx, n, kinds, idx)| {
-                                // The new binding's kind, and the old one's.
-                                let entity = |kind| match kind {
-                                    0 => Entity::Object(ObjectId::from_index(*idx)),
-                                    1 => Entity::Activity(ActivityId::from_index(*idx)),
-                                    _ => Entity::Undefined,
-                                };
-                                ZoneChange {
-                                    ctx: ObjectId::from_index(*ctx),
-                                    name: Name::new(n),
-                                    entity: entity(kinds % 3),
-                                    was: entity(kinds / 3),
-                                }
-                            })
-                            .collect(),
+                    .map(|(shard, serial, full, raw)| {
+                        let changes = raw.iter().map(|(ctx, n, kinds, idx)| {
+                            // The new binding's kind, and the old one's.
+                            let entity = |kind| match kind {
+                                0 => Entity::Object(ObjectId::from_index(*idx)),
+                                1 => Entity::Activity(ActivityId::from_index(*idx)),
+                                _ => Entity::Undefined,
+                            };
+                            ZoneChange {
+                                ctx: ObjectId::from_index(*ctx),
+                                name: Name::new(n),
+                                entity: entity(kinds % 3),
+                                was: entity(kinds / 3),
+                            }
+                        });
+                        slice(*shard, ZoneSerial::new(*serial), *full, changes.collect())
                     })
                     .collect();
-                let delta = ZoneDelta { id, shards };
-                prop_assert_eq!(ZoneDelta::decode(delta.encode()), Some(delta));
+                let delta = Dump { id, slices };
+                let frame = codec::encode(&delta);
+                let mut kept = KeptDelta::default();
+                prop_assert_eq!(kept.read(&frame), Some(id));
+                prop_assert!(kept_holds(&kept, &delta));
+                prop_assert_eq!(Dump::read(&frame), Some(delta));
             }
 
             /// Batch frames round-trip for arbitrary well-formed name sets,
@@ -1576,57 +1504,51 @@ mod tests {
 
     #[test]
     fn zone_delta_frames_round_trip() {
-        let req = ZoneDeltaRequest {
+        let since = [
+            (0, ZoneSerial::ZERO),
+            (3, ZoneSerial::new(17)),
+            (1023, ZoneSerial::new(u64::MAX)),
+        ];
+        let req = codec::encode(&PullFrame(42, &since));
+        let mut read = Vec::new();
+        assert_eq!(read_pull(&req, &mut read), Some(42));
+        assert_eq!(read, since);
+        let diff = vec![
+            ZoneChange {
+                ctx: ObjectId::from_index(4),
+                name: Name::new("data"),
+                entity: Entity::Object(ObjectId::from_index(9)),
+                was: Entity::Undefined,
+            },
+            ZoneChange {
+                ctx: ObjectId::from_index(4),
+                name: Name::new("gone"),
+                entity: Entity::Undefined,
+                was: Entity::Object(ObjectId::from_index(5)),
+            },
+        ];
+        let delta = Dump {
             id: 42,
-            since: vec![
-                (0, ZoneSerial::ZERO),
-                (3, ZoneSerial::new(17)),
-                (1023, ZoneSerial::new(u64::MAX)),
+            slices: vec![
+                slice(0, ZoneSerial::new(19), false, diff),
+                slice(3, ZoneSerial::new(2), true, vec![]),
             ],
         };
-        assert_eq!(ZoneDeltaRequest::decode(req.encode()), Some(req.clone()));
-        let delta = ZoneDelta {
-            id: 42,
-            shards: vec![
-                ShardDelta {
-                    shard: 0,
-                    serial: ZoneSerial::new(19),
-                    full: false,
-                    changes: vec![
-                        ZoneChange {
-                            ctx: ObjectId::from_index(4),
-                            name: Name::new("data"),
-                            entity: Entity::Object(ObjectId::from_index(9)),
-                            was: Entity::Undefined,
-                        },
-                        ZoneChange {
-                            ctx: ObjectId::from_index(4),
-                            name: Name::new("gone"),
-                            entity: Entity::Undefined,
-                            was: Entity::Object(ObjectId::from_index(5)),
-                        },
-                    ],
-                },
-                ShardDelta {
-                    shard: 3,
-                    serial: ZoneSerial::new(2),
-                    full: true,
-                    changes: vec![],
-                },
-            ],
-        };
-        assert_eq!(ZoneDelta::decode(delta.encode()), Some(delta.clone()));
+        let full = codec::encode(&delta);
+        let mut kept = KeptDelta::default();
+        assert_eq!(kept.read(&full), Some(42));
+        assert!(kept_holds(&kept, &delta));
+        assert_eq!(Dump::read(&full), Some(delta));
         // Cross-decoding and truncation fail cleanly.
-        assert!(ZoneDelta::decode(req.encode()).is_none());
-        assert!(ZoneDeltaRequest::decode(delta.encode()).is_none());
-        let full = delta.encode();
-        assert!(ZoneDelta::decode(full.slice(..full.len() - 1)).is_none());
+        assert!(kept.read(&req).is_none());
+        assert!(read_pull(&full, &mut read).is_none());
+        assert!(kept.read(&full[..full.len() - 1]).is_none());
         // A corrupt `full` flag byte (neither 0 nor 1) is rejected.
         let mut bad = full.to_vec();
         let flag_at = 1 + 8 + 2 + 2 + 8;
         assert_eq!(bad[flag_at], 0, "expected the first slice's full flag");
         bad[flag_at] = 7;
-        assert!(ZoneDelta::decode(Bytes::from(bad)).is_none());
+        assert!(kept.read(&bad).is_none());
     }
 
     #[test]

@@ -33,9 +33,8 @@ use naming_resolver::concurrent::ConcurrentService;
 use naming_resolver::engine::{ProtocolEngine, RetryPolicy};
 use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
-use naming_resolver::wire::{
-    BatchReply, BatchRequest, Mode, NameTrie, ZoneDelta, ZoneDeltaRequest, ZoneUpdate,
-};
+use naming_resolver::wire::{BatchReply, BatchRequest, KeptDelta, Mode, NameTrie, ZoneUpdate};
+use naming_sim::message::Payload;
 use naming_sim::store;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
@@ -815,7 +814,8 @@ fn a_pooled_frame_costs_its_submitter_the_same_whoever_serves_it() {
 }
 
 /// A frame that claims 2³² (or 2¹⁶) elements and brings none: refused by
-/// every decoder before the claim has sized anything.
+/// every reader — an authority's among them, which reads a pull's request
+/// as it arrives — before the claim has sized anything.
 #[test]
 fn a_length_field_sizes_no_allocation_beyond_its_frame() {
     let lying = |tag: u8, header: usize, count: &[u8]| {
@@ -835,14 +835,28 @@ fn a_length_field_sizes_no_allocation_beyond_its_frame() {
     ];
     // The last one claims its changes inside the one shard it announces.
     frames[5][1 + 8 + 1] = 1;
+    let (mut s, svc) = star(11);
+    let mut engine = ProtocolEngine::new(svc);
+    let server = engine.service().server_on(s.zones[0].0);
+    let mut serve = |w: &mut World, frame: Bytes| {
+        w.send(s.client, server, Payload::Bytes(frame));
+        engine.pump_idle(w);
+    };
+    // The network's queues grow on the first message.
+    serve(&mut s.w, Bytes::from(frames[3].clone()));
+    let mut kept = KeptDelta::default();
     for frame in frames.map(Bytes::from) {
         let (_, bytes, _) = allocations_in(|| {
             assert!(BatchRequest::decode(frame.clone()).is_none());
             assert!(ZoneUpdate::decode(frame.clone()).is_none());
             assert!(BatchReply::decode(frame.clone()).is_none());
-            assert!(ZoneDeltaRequest::decode(frame.clone()).is_none());
-            assert!(ZoneDelta::decode(frame.clone()).is_none());
+            assert!(kept.read(&frame).is_none());
+            serve(&mut s.w, frame);
         });
-        assert!(bytes < 1024, "a decoder sized {bytes} bytes by a claim");
+        assert!(bytes < 1024, "a reader sized {bytes} bytes by a claim");
     }
+    assert!(
+        s.w.receive(s.client).is_none(),
+        "an authority answered a lie"
+    );
 }

@@ -23,7 +23,7 @@ use naming_resolver::coherence::{
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::referral::{NegativeCache, ReferralCache};
 use naming_resolver::service::NameService;
-use naming_resolver::wire::{KeptDelta, Mode, SliceHead, ZoneDelta, ZoneDeltaRequest};
+use naming_resolver::wire::{KeptDelta, Mode};
 use naming_sim::message::Payload;
 use naming_sim::store;
 use naming_sim::time::Duration;
@@ -196,8 +196,8 @@ fn authority_serial_regression_forces_full_transfer_and_readoption() {
 }
 
 /// IXFR window eviction: when more publishes land than the journal
-/// retains, `delta_since` has a gap and the authority answers with a
-/// full transfer instead — which still converges the replica.
+/// retains, its diff has a gap and the authority answers with a full
+/// transfer instead — which still converges the replica.
 #[test]
 fn journal_window_eviction_falls_back_to_full_transfer() {
     let (mut w, mut r, client, root, sub, m1) = setup(CoherenceMode::Lease { ttl: None });
@@ -543,6 +543,7 @@ proptest! {
         let mut side_invalidated = [0u64; 2];
         let mut table = SerialTable::new();
         let mut moved = Vec::new();
+        let no_diff = KeptDelta::default();
         let mut now = 0u64;
         for (selector, a, b, slices) in raw {
             let reply = match step(selector, a, b, &slices) {
@@ -612,7 +613,7 @@ proptest! {
                         moved.push(MovedZone::zone_wide(z, s));
                     }
                 }
-                let pull = Moved::new(&moved, &[]);
+                let pull = Moved::kept(&moved, &no_diff);
                 let dropped = [
                     positives.zones_moved(pull).dropped,
                     referrals.zones_moved(pull).dropped,
@@ -898,6 +899,8 @@ proptest! {
         let mut stores = [0; 3].map(|_| LeasedCache::with_capacity(256));
         let mut granted: [BTreeMap<Vec<Name>, (Entity, u64)>; 3] = Default::default();
         let mut table = SerialTable::new();
+        // What a zone-wide move is judged by: no slice's changes.
+        let no_diff = KeptDelta::default();
         let (mut now, mut version) = (0u64, 0u32);
         for (selector, a, b) in raw {
             match selector {
@@ -958,12 +961,13 @@ proptest! {
                 }
                 // The pull, judged twice.
                 6..=7 => {
-                    let since = table.snapshot_for(FILTER_SHARDS);
+                    let mut since = Vec::new();
+                    table.since_into(FILTER_SHARDS, &mut since);
                     let (delta, _) = engine
-                        .pull_zone_deltas(&mut w, client, m0, since)
+                        .pull_zone_deltas(&mut w, client, m0, &since)
                         .expect("lossless pull completes");
                     let mut moved = Vec::new();
-                    for (at, slice) in delta.shards.iter().enumerate() {
+                    for (at, slice) in delta.slices().enumerate() {
                         moved.extend(table.adopt(at, slice).map(|(m, _)| m));
                     }
                     let wide_moves: Vec<MovedZone> = moved
@@ -974,7 +978,7 @@ proptest! {
                     let mut wide = stores.clone();
                     for (i, (store, wide)) in stores.iter_mut().zip(&mut wide).enumerate() {
                         let (filter, zone_wide) =
-                            (Moved::new(&moved, &delta.shards), Moved::new(&wide_moves, &[]));
+                            (Moved::kept(&moved, delta), Moved::kept(&wide_moves, &no_diff));
                         let (filter, zone_wide) = if i == 1 {
                             (filter.of_referrals(), zone_wide.of_referrals())
                         } else {
@@ -1065,13 +1069,15 @@ fn observed(
     client: ActivityId,
     root: ObjectId,
 ) -> (String, Vec<(Entity, bool)>) {
+    let mut heard = Vec::new();
+    r.serial_table()
+        .since_into(w.state().shard_count(), &mut heard);
     let counters = format!(
-        "{:?} {:?} {:?} {:?} {:?}",
+        "{:?} {:?} {:?} {:?} {heard:?}",
         r.stats(),
         r.lease_stats(),
         r.referral_stats(),
         r.negative_stats(),
-        r.serial_table().snapshot_for(w.state().shard_count()),
     );
     let answers = hostile_names()
         .iter()
@@ -1080,36 +1086,57 @@ fn observed(
     (counters, answers)
 }
 
-/// Structure-aware mutation of `ZoneDelta`: the authority's honest answer
-/// to a warm pull, every byte overwritten four ways and the frame cut at
-/// every length, forged as the first reply the replica hears. Nothing
-/// panics. A frame that does not decode, or does not bear the pull's id,
-/// changes nothing: the honest answer behind it is the one heard. A frame
-/// that does is heard instead — and may keep, or renew, entries it should
-/// not, but none past the pull's send tick plus the TTL.
+/// The authority's answer to pull `id` from `since`, asked for by hand as
+/// a replica asks: a request frame (wire tag 6) of the id and the serials.
+fn answered(
+    w: &mut World,
+    r: &mut CachingResolver,
+    client: ActivityId,
+    m1: MachineId,
+    id: u64,
+    since: &[(usize, ZoneSerial)],
+) -> Vec<u8> {
+    let mut request = vec![6];
+    request.extend(id.to_be_bytes());
+    request.extend((since.len() as u16).to_be_bytes());
+    for &(shard, serial) in since {
+        request.extend((shard as u16).to_be_bytes());
+        request.extend(serial.get().to_be_bytes());
+    }
+    let server = r.engine().service().server_on(m1);
+    w.send(client, server, Payload::bytes(request));
+    r.engine_mut().pump_idle(w);
+    let Some(Payload::Bytes(frame)) = w.receive(client).and_then(|m| m.parts.into_iter().next())
+    else {
+        panic!("the authority answered");
+    };
+    frame.to_vec()
+}
+
+/// Whether the slices of `delta` hold an incremental one with changes.
+fn diffs(delta: &KeptDelta) -> bool {
+    delta.slices().any(|s| !s.full && s.changes > 0)
+}
+
+/// Structure-aware mutation of a pull's answer: the authority's honest
+/// answer to a warm pull, every byte overwritten four ways and the frame
+/// cut at every length, forged as the first reply the replica hears.
+/// Nothing panics. A frame that does not read, or does not bear the pull's
+/// id, changes nothing: the honest answer behind it is the one heard. A
+/// frame that does is heard instead — and may keep, or renew, entries it
+/// should not, but none past the pull's send tick plus the TTL.
 #[test]
 fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
     // The honest answer, asked for by hand with the id the pull will use.
     let (mut w, mut r, client, _root, m1, _) = warm_pull();
     let id = r.engine().next_request_id();
-    let server = r.engine().service().server_on(m1);
-    let since = r.serial_table().snapshot_for(w.state().shard_count());
-    w.send(
-        client,
-        server,
-        Payload::bytes(ZoneDeltaRequest { id, since }.encode()),
-    );
-    r.engine_mut().pump_idle(&mut w);
-    let Some(Payload::Bytes(honest)) = w.receive(client).and_then(|m| m.parts.into_iter().next())
-    else {
-        panic!("the authority answered");
-    };
-    let honest = honest.to_vec();
-    let reply = ZoneDelta::decode(honest.clone().into()).expect("the honest answer decodes");
-    assert!(reply
-        .shards
-        .iter()
-        .any(|s| !s.full && !s.changes.is_empty()));
+    let mut since = Vec::new();
+    r.serial_table()
+        .since_into(w.state().shard_count(), &mut since);
+    let honest = answered(&mut w, &mut r, client, m1, id, &since);
+    let mut reply = KeptDelta::default();
+    assert_eq!(reply.read(&honest), Some(id), "the honest answer reads");
+    assert!(diffs(&reply));
 
     let run = |frame: Option<&[u8]>| {
         let (mut w, mut r, client, root, m1, _) = warm_pull();
@@ -1147,8 +1174,7 @@ fn a_mutated_delta_changes_nothing_or_keeps_nothing_past_its_lease() {
     let (mut refused, mut heard) = (0, 0);
     for frame in &frames {
         let (mut w, mut r, client, root, sent, report) = run(Some(frame));
-        let decoded = ZoneDelta::decode(frame[..].to_vec().into());
-        if decoded.is_none_or(|d| d.id != id) {
+        if reply.read(frame) != Some(id) {
             let got = (report, observed(&mut w, &mut r, client, root));
             assert_eq!(got, clean, "an unheard frame changed the replica");
             refused += 1;
@@ -1185,53 +1211,44 @@ fn mutations(frame: &[u8]) -> Vec<Vec<u8>> {
     frames
 }
 
-/// Whether `kept` holds what `delta` decodes to: every slice's head, an
-/// incremental slice's changes, none of a full slice's.
-fn kept_holds(kept: &KeptDelta, delta: &ZoneDelta) -> bool {
-    let mut diffs = delta.shards.iter().enumerate();
-    kept.slices().eq(delta.shards.iter().map(SliceHead::from))
-        && diffs.all(|(at, s)| kept.diff(at) == (!s.full).then_some(&s.changes[..]))
-        && kept.diff(delta.shards.len()).is_none()
+/// Whether `kept` holds what `fresh` holds: every slice's head, and each
+/// incremental slice's changes.
+fn kept_holds(kept: &KeptDelta, fresh: &KeptDelta) -> bool {
+    kept.slices().eq(fresh.slices())
+        && (0..=fresh.slices().len()).all(|at| kept.diff(at) == fresh.diff(at))
 }
 
-/// The replica reads a pull's answer into slices it keeps; tests decode it
-/// whole. Both are one reader: every mutation of the authority's honest
-/// answers — to a warm pull, whose slices carry diffs, and to a cold one,
-/// whose slices are full — is accepted by both or by neither, and what is
-/// kept of an accepted frame is what decodes, read over the frame before.
+/// The replica reads a pull's answer into slices it keeps from one frame
+/// to the next. Kept or fresh, it is one reader: every mutation of the
+/// authority's honest answers — to a warm pull, whose slices carry diffs,
+/// and to a cold one, whose slices are full — is accepted by both or by
+/// neither, and what is kept of an accepted frame, read over the frame
+/// before, is what a fresh read holds.
 #[test]
 fn a_mutated_delta_reads_alike_kept_or_decoded() {
     let (mut w, mut r, client, _root, m1, _) = warm_pull();
-    let server = r.engine().service().server_on(m1);
     let shards = w.state().shard_count();
-    let warm = r.serial_table().snapshot_for(shards);
-    let cold = (0..shards).map(|s| (s, ZoneSerial::ZERO)).collect();
-    let mut honest = Vec::new();
-    for since in [warm, cold] {
-        let request = ZoneDeltaRequest { id: 1, since }.encode();
-        w.send(client, server, Payload::bytes(request));
-        r.engine_mut().pump_idle(&mut w);
-        let Some(Payload::Bytes(frame)) =
-            w.receive(client).and_then(|m| m.parts.into_iter().next())
-        else {
-            panic!("the authority answered");
-        };
-        honest.push(frame.to_vec());
-    }
-    let [warm, cold] = [0, 1].map(|i| ZoneDelta::decode(honest[i].clone().into()).unwrap());
-    assert!(warm.shards.iter().any(|s| !s.full && !s.changes.is_empty()));
-    assert!(
-        cold.shards.iter().all(|s| s.full) && cold.shards.iter().any(|s| !s.changes.is_empty())
-    );
+    let mut warm = Vec::new();
+    r.serial_table().since_into(shards, &mut warm);
+    let cold: Vec<_> = (0..shards).map(|s| (s, ZoneSerial::ZERO)).collect();
+    let honest = [warm, cold].map(|since| answered(&mut w, &mut r, client, m1, 1, &since));
+    let [warm, cold] = [0, 1].map(|i| {
+        let mut fresh = KeptDelta::default();
+        assert_eq!(fresh.read(&honest[i]), Some(1));
+        fresh
+    });
+    assert!(diffs(&warm));
+    assert!(cold.slices().all(|s| s.full) && cold.slices().any(|s| s.changes > 0));
 
     let mut kept = KeptDelta::default();
     let (mut accepted, mut refused) = (0, 0);
     for frame in honest.iter().flat_map(|frame| mutations(frame)) {
         let read = kept.read(&frame);
-        match ZoneDelta::decode(frame.into()) {
-            Some(delta) => {
-                assert_eq!(read, Some(delta.id));
-                assert!(kept_holds(&kept, &delta), "{delta:?} kept as {kept:?}");
+        let mut fresh = KeptDelta::default();
+        match fresh.read(&frame) {
+            Some(id) => {
+                assert_eq!(read, Some(id));
+                assert!(kept_holds(&kept, &fresh), "{fresh:?} kept as {kept:?}");
                 accepted += 1;
             }
             None => {

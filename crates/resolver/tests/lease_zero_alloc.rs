@@ -23,6 +23,7 @@ use naming_resolver::coherence::{
 use naming_resolver::engine::ProtocolEngine;
 use naming_resolver::referral::ReferralCache;
 use naming_resolver::service::NameService;
+use naming_resolver::wire::KeptDelta;
 use naming_sim::store;
 use naming_sim::topology::MachineId;
 use naming_sim::world::World;
@@ -196,6 +197,7 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
     // One turn of the cycle: eight entries recorded, then dropped — by a
     // probe at the expiry tick, by a sweep, or by their zone's serial
     // moving (what an anti-entropy pull does) — and recorded again.
+    let no_diff = KeptDelta::default();
     let mut turn = |cache: &mut LeasedCache, table: &mut SerialTable, round: u64| {
         let window = &keys[(round as usize * 8) % 56..][..8];
         for (start, suffix) in window {
@@ -213,7 +215,8 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
             _ => {
                 let moved = [MovedZone::zone_wide(1, ZoneSerial::new(round))];
                 table.observe(1, moved[0].serial);
-                assert_eq!(cache.zones_moved(Moved::new(&moved, &[])).dropped, 8);
+                let pull = Moved::kept(&moved, &no_diff);
+                assert_eq!(cache.zones_moved(pull).dropped, 8);
             }
         }
         assert!(cache.is_empty());
