@@ -5,34 +5,25 @@
 //! resolver run side-by-side on an identical schedule.
 //!
 //! ```text
-//! bench_coherence [--out PATH] [--stdout] [--json] [--mode exact|lease]
-//!                 [--seed N] [--zones N] [--leaves N] [--rounds N]
+//! bench_coherence [--out PATH] [--stdout] [--seed N] [--zones N]
+//!                 [--leaves N] [--rounds N]
 //! ```
 //!
-//! Two modes:
-//!
-//! * **Sweep** (default): every grid combination runs the same
-//!   deterministic publish/resolve/sync schedule over the zone-aligned
-//!   star world (`scenarios::coherence_zones`) twice — once under
-//!   `CoherenceMode::Lease` (validation = TTL + zone serials heard over
-//!   the wire, never authoritative state) and once under
-//!   `CoherenceMode::Exact` (oracle generation healing). Each row
-//!   reports, for the lease run, staleness windows measured against the
-//!   authority *by the experimenter* (the resolver itself never looks),
-//!   negative-cache false-⊥s, sync/transfer accounting; and for the
-//!   exact twin, its message and staleness numbers. The binary asserts
-//!   the lease bound before writing: at drop 0 every observed staleness
-//!   window is strictly below the TTL and at most one sync period, and
-//!   where the TTL exceeds the sync period no lease lapses once a pull has
-//!   found the replica warm (`expired`).
-//! * **`--json`**: the CI cmp leg. A lossless schedule with healing
-//!   (exact) or syncing (lease, ttl=∞) after every publish, printing one
-//!   deterministic record per resolution — answers only, no mode
-//!   artifacts. `--mode exact` and `--mode lease` must produce
-//!   byte-identical output: with an infinite TTL and anti-entropy after
-//!   every write, zone-serial invalidation is a superset of generation
-//!   invalidation, and the extra refetches change messages, never
-//!   answers.
+//! Every grid combination runs the same deterministic
+//! publish/resolve/sync schedule over the zone-aligned star world
+//! (`scenarios::coherence_zones`) twice — once under
+//! `CoherenceMode::Lease` (validation = TTL + zone serials heard over the
+//! wire, never authoritative state) and once under `CoherenceMode::Exact`
+//! (oracle generation healing). Each row reports, for the lease run,
+//! staleness windows measured against the authority *by the experimenter*
+//! (the resolver itself never looks), negative-cache false-⊥s,
+//! sync/transfer accounting; and for the exact twin, its message and
+//! staleness numbers. The binary asserts the lease bound before writing:
+//! at drop 0 every observed staleness window is strictly below the TTL and
+//! at most one sync period, and where the TTL exceeds the sync period no
+//! lease lapses once a pull has found the replica warm (`expired`). (That
+//! lease(∞) with a pull after every publish answers exactly like exact
+//! mode with healing is class (c) of `tests/config_matrix.rs`.)
 //!
 //! Everything reported is virtual-time/message/byte counts —
 //! deterministic per seed; no wall-clock quantities enter the file.
@@ -351,55 +342,7 @@ fn render(zones: usize, leaves: usize, rounds: usize, seed: u64, combos: &[Combo
         .rows("sweep", rows)
 }
 
-/// `--json` cmp mode: lossless, anti-entropy (or healing) after every
-/// publish, answers only. Exact and lease(∞) must print identical bytes.
-fn render_cmp(zones: usize, leaves: usize, rounds: usize, seed: u64, lease_mode: bool) -> Doc {
-    let mode = if lease_mode {
-        CoherenceMode::Lease { ttl: None }
-    } else {
-        CoherenceMode::Exact
-    };
-    let mut rep = build(zones, leaves, seed, mode);
-    let authority = rep.machines[0];
-    let mut rows = Vec::new();
-    for round in 0..rounds {
-        for z in 0..zones {
-            for j in 0..leaves {
-                let name = rep.names[z][j].clone();
-                let (got, _) =
-                    rep.r
-                        .resolve(&mut rep.w, rep.client, rep.start, &name, Mode::Iterative);
-                rows.push(
-                    Doc::row()
-                        .val("round", round)
-                        .str("name", &name.to_string())
-                        .str("entity", &got.to_string()),
-                );
-            }
-        }
-        publish_rotation(&mut rep, round);
-        if lease_mode {
-            rep.r
-                .sync(&mut rep.w, rep.client, authority)
-                .expect("lossless sync completes");
-        } else {
-            rep.r.heal(&rep.w);
-        }
-    }
-    assert_eq!(
-        rep.r.stats().evictions,
-        0,
-        "the working set outgrew the cache"
-    );
-    Doc::block()
-        .str("bench", "coherence-cmp")
-        .val("seed", seed)
-        .rows("answers", rows)
-}
-
 const FLAGS: &[Flag] = &[
-    Flag("--json", Switch, None),
-    Flag("--mode", Choice(&["exact", "lease"]), Some("lease")),
     Flag("--seed", Int, Some("1993")),
     Flag("--zones", Count, Some("4")),
     Flag("--leaves", Count, Some("6")),
@@ -411,13 +354,6 @@ fn main() {
     let seed = args.int("--seed");
     let (zones, leaves) = (args.count("--zones"), args.count("--leaves"));
     let rounds = args.count("--rounds");
-
-    if args.on("--json") {
-        let lease_mode = args.text("--mode") == Some("lease");
-        let doc = render_cmp(zones.min(3), leaves.min(4), rounds.min(8), seed, lease_mode);
-        println!("{doc}");
-        return;
-    }
 
     let ttls: [Option<u64>; 3] = [Some(250), Some(1000), None];
     let mut combos = Vec::new();

@@ -4,8 +4,7 @@
 //! nothing about a binding, so it must never surface as "unbound".
 //!
 //! ```text
-//! bench_faults [--out PATH] [--stdout] [--json] [--seed N] [--drop F]
-//!              [--no-retry] [--hops N] [--leaves N]
+//! bench_faults [--out PATH] [--stdout] [--seed N] [--hops N] [--leaves N]
 //!              [--watch N] [--metrics-out PATH]
 //! ```
 //!
@@ -13,19 +12,14 @@
 //! sweep rates; `--metrics-out PATH` says where (a final snapshot is always
 //! flushed there at exit). Neither touches stdout or the JSON artifact.
 //!
-//! Two modes:
-//!
-//! * **Sweep** (default): drop rates 0.0–0.5 over the replicated chain
-//!   world (`scenarios::chaos_zones`), every bound name resolved with the
-//!   retry layer on. Each rate reports resolutions, honest give-ups,
-//!   false ⊥s, wire traffic, and the retry/failover counters. A crash
-//!   phase then kills the deepest zone's primary, resolves through the
-//!   standby replica, restarts the primary, and verifies the direct route
-//!   returns. The binary asserts `false_bottom == 0` before writing.
-//! * **`--json`**: a single run at `--drop` (default 0) printing one
-//!   deterministic record per name. CI compares this output byte-for-byte
-//!   between `--json --drop 0` and `--json --drop 0 --no-retry`: on a
-//!   lossless run the retry layer must be invisible.
+//! The sweep: drop rates 0.0–0.5 over the replicated chain world
+//! (`scenarios::chaos_zones`), every bound name resolved with the retry
+//! layer on. Each rate reports resolutions, honest give-ups, false ⊥s,
+//! wire traffic, and the retry/failover counters. A crash phase then kills
+//! the deepest zone's primary, resolves through the standby replica,
+//! restarts the primary, and verifies the direct route returns. The binary
+//! asserts `false_bottom == 0` before writing. (That the retry layer is
+//! invisible on a lossless run is class (a) of `tests/config_matrix.rs`.)
 //!
 //! Everything reported is measured in virtual time and message counts —
 //! deterministic per seed; no wall-clock quantities enter the file.
@@ -184,41 +178,8 @@ fn render(hops: usize, leaves: usize, seed: u64, sweep: &[RateResult], crash: &C
         .obj("crash", crash)
 }
 
-/// `--json` mode: one deterministic record per name at a fixed drop rate.
-/// At drop 0 this output must be byte-identical with and without the
-/// retry layer — the CI cmp leg's contract.
-fn render_single(hops: usize, leaves: usize, seed: u64, drop_rate: f64, retry: bool) -> Doc {
-    let (mut w, svc, _machines, client, start, names, _standby, _zones) =
-        chaos_zones(hops, leaves, seed);
-    let mut engine = ProtocolEngine::new(svc);
-    if retry {
-        engine.set_retry_policy(Some(sweep_policy()));
-    }
-    w.set_message_drop_rate(drop_rate);
-    let rows: Vec<Doc> = names
-        .iter()
-        .map(|n| {
-            let s = engine.resolve(&mut w, client, start, n, Mode::Iterative);
-            Doc::row()
-                .str("name", &n.to_string())
-                .str("entity", &s.entity.to_string())
-                .val("unreachable", s.unreachable)
-                .val("messages", s.messages)
-                .val("latency_ticks", s.latency.ticks())
-        })
-        .collect();
-    Doc::block()
-        .str("bench", "faults-single")
-        .val("seed", seed)
-        .fix("drop_rate", drop_rate, 2)
-        .rows("names", rows)
-}
-
 const FLAGS: &[Flag] = &[
-    Flag("--json", Switch, None),
     Flag("--seed", Int, Some("1993")),
-    Flag("--drop", Prob, Some("0")),
-    Flag("--no-retry", Switch, None),
     Flag("--hops", Count, Some("4")),
     Flag("--leaves", Count, Some("24")),
 ];
@@ -228,16 +189,6 @@ fn main() {
     let seed = args.int("--seed");
     let (hops, leaves) = (args.count("--hops"), args.count("--leaves"));
     let mut watch = args.watch();
-
-    if args.on("--json") {
-        let retry = !args.on("--no-retry");
-        println!(
-            "{}",
-            render_single(hops, leaves, seed, args.prob("--drop"), retry)
-        );
-        watch.finish();
-        return;
-    }
 
     let sweep: Vec<RateResult> = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
         .iter()

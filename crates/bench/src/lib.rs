@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod alloc;
 pub mod cli;
 pub mod experiments;
 pub mod scenarios;

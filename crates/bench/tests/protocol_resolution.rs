@@ -1,8 +1,9 @@
 //! Batched and iterative resolution must be *observationally identical*
-//! on every experiment workload: the batch protocol saves messages and
-//! rounds, never answers. Each case resolves a workload's names
-//! one-at-a-time on one engine and as a single batch on a fresh but
-//! identically-built engine, then compares entities name-for-name.
+//! on every experiment workload: the batch protocol and the referral cache
+//! save messages and rounds, never answers. Each case resolves a
+//! workload's names one-at-a-time on one engine, then as a single batch
+//! and through the caching resolver on fresh but identically-built
+//! engines, and compares entities name-for-name.
 
 use naming_bench::scenarios::protocol_zones;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
@@ -63,6 +64,20 @@ where
     let mut resolver = CachingResolver::new(ProtocolEngine::new(svc));
     let cached = resolver.resolve_batch(&mut w, client, start, &names);
     assert_eq!(cached.entities, expect, "cached batch disagrees");
+
+    // So do single lookups in a row, each after the first jumping to the
+    // deepest server the referral cache has heard of.
+    let (mut w, svc, client, start, names) = mk();
+    let mut resolver = CachingResolver::new(ProtocolEngine::new(svc));
+    let jumped: Vec<Entity> = names
+        .iter()
+        .map(|n| {
+            resolver
+                .resolve(&mut w, client, start, n, Mode::Iterative)
+                .0
+        })
+        .collect();
+    assert_eq!(jumped, expect, "referral-cached singles disagree");
 }
 
 #[test]

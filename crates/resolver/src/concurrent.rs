@@ -16,8 +16,8 @@
 //!   fresh `Arc`-shared snapshot and swaps it in (copy-on-publish).
 //!
 //! Answers are collected by submission order, so a drain is deterministic
-//! regardless of worker count or scheduling — the property the CI
-//! determinism leg and `bench_concurrent` assert byte-for-byte.
+//! regardless of worker count or scheduling — the property the
+//! configuration matrix (`tests/config_matrix.rs`) asserts.
 //!
 //! The hand-off stays awake. Both waits — an idle worker's for a frame,
 //! [`ConcurrentService::drain`]'s for an answer — go through the channel's
@@ -744,34 +744,47 @@ mod tests {
 
     #[test]
     fn publish_copies_only_written_shards() {
-        // Two zones, two shards: a publish after writing zone A must keep
-        // sharing zone B's shard with staging.
-        let mut s = SystemState::with_shards(2);
-        let root = s.add_context_object_in(0, "root");
-        let za = s.add_context_object_in(0, "za");
-        let zb = s.add_context_object_in(1, "zb");
-        s.bind(root, Name::root(), root).unwrap();
-        s.bind(root, Name::new("za"), za).unwrap();
-        s.bind(root, Name::new("zb"), zb).unwrap();
+        // One zone per shard: a publish after writing zone A must keep
+        // sharing every other zone's shard, with staging and with the
+        // snapshot it replaces.
+        for shards in [2, 8] {
+            let mut s = SystemState::with_shards(shards);
+            let root = s.add_context_object_in(0, "root");
+            s.bind(root, Name::root(), root).unwrap();
+            let zones: Vec<ObjectId> = (0..shards)
+                .map(|z| {
+                    let zone = s.add_context_object_in(z, format!("z{z}"));
+                    s.bind(root, Name::new(&format!("z{z}")), zone).unwrap();
+                    zone
+                })
+                .collect();
+            let (za, sa) = (zones[shards - 1], shards - 1);
 
-        let mut svc = ConcurrentService::new(s, 1);
-        assert_eq!(svc.snapshot().state().shards_shared_with(svc.staging()), 2);
+            let mut svc = ConcurrentService::new(s, 1);
+            let shared =
+                |svc: &ConcurrentService| svc.snapshot().state().shards_shared_with(svc.staging());
+            assert_eq!(shared(&svc), shards);
 
-        svc.update(|sys| {
-            let f = sys.add_data_object_in(0, "f", vec![]);
-            sys.bind(za, Name::new("f"), f).unwrap();
-        });
-        svc.publish();
-        // The fresh snapshot shares the untouched shard 1 with staging.
-        assert_eq!(svc.snapshot().state().shards_shared_with(svc.staging()), 2);
-        svc.update(|sys| {
-            let g = sys.add_data_object_in(0, "g", vec![]);
-            sys.bind(za, Name::new("g"), g).unwrap();
-        });
-        // After more zone-A staging, shard 0 diverges but shard 1 is
-        // still physically shared with the published snapshot.
-        assert_eq!(svc.snapshot().state().shards_shared_with(svc.staging()), 1);
-        svc.shutdown();
+            let prev = svc.snapshot();
+            svc.update(|sys| {
+                let f = sys.add_data_object_in(sa, "f", vec![]);
+                sys.bind(za, Name::new("f"), f).unwrap();
+            });
+            svc.publish();
+            // The fresh snapshot shares every shard with staging, and all
+            // but the written one with the snapshot it replaced.
+            assert_eq!(shared(&svc), shards);
+            let kept = svc.snapshot().state().shards_shared_with(prev.state());
+            assert_eq!(kept, shards - 1, "{shards} shards");
+            svc.update(|sys| {
+                let g = sys.add_data_object_in(sa, "g", vec![]);
+                sys.bind(za, Name::new("g"), g).unwrap();
+            });
+            // After more zone-A staging, zone A's shard diverges but every
+            // other shard is still physically shared with the snapshot.
+            assert_eq!(shared(&svc), shards - 1);
+            svc.shutdown();
+        }
     }
 
     /// Runs the same 24-batch workload under sampling and returns the

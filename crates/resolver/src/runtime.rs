@@ -598,7 +598,8 @@ mod tests {
 
     /// Submissions past the in-flight limit queue, and queued batches are
     /// admitted at the virtual instant an earlier completion frees a
-    /// slot — with a nonzero recorded queue wait.
+    /// slot — with a nonzero recorded queue wait. The limit is per worker:
+    /// `workers × limit` batches are in flight at once.
     #[test]
     fn backpressure_queues_past_limit() {
         let (mut w, svc, machines, root, _) = chain_world(71);
@@ -621,6 +622,23 @@ mod tests {
         // Serialized through one slot: completions in submission order.
         assert!(answers[0].completed_at < answers[1].completed_at);
         assert!(answers[1].completed_at < answers[2].completed_at);
+
+        // More workers, more slots: every worker fills its limit before
+        // anything queues, at the default limit too.
+        for (workers, limit) in [(3, 2), (2, DEFAULT_PER_WORKER_LIMIT)] {
+            let (mut w, svc, machines, root, _) = chain_world(71);
+            let client = w.spawn(machines[0], "client", None);
+            let mut svc = PipelinedService::with_limit(ProtocolEngine::new(svc), workers, limit);
+            for _ in 0..workers * limit + 2 {
+                svc.submit(&mut w, client, root, &batch);
+            }
+            assert_eq!(svc.in_flight(), workers * limit);
+            assert_eq!(svc.drain(&mut w).len(), workers * limit + 2);
+            let rep = svc.report();
+            assert_eq!(rep.in_flight_hwm, workers * limit);
+            assert_eq!(rep.in_flight_queries_hwm, workers * limit);
+            assert_eq!(rep.backlog_hwm, 2);
+        }
     }
 
     /// The reactor's interleaved timeline must not depend on the worker

@@ -47,7 +47,6 @@
 pub mod codec;
 pub mod event;
 pub mod message;
-pub mod pool;
 pub mod rng;
 pub mod store;
 pub mod time;

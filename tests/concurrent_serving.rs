@@ -1,6 +1,7 @@
 //! Serial ≡ concurrent: the multi-worker snapshot server must answer
-//! every batch exactly as the serial resolver does, for any worker count,
-//! across publishes, and under churn between rounds.
+//! every batch exactly as the serial resolver does, across publishes and
+//! under churn between rounds. (One batch at 1, 4 and 8 workers against
+//! the serial resolver is class (b) of `config_matrix.rs`.)
 
 use naming_core::prelude::*;
 use naming_resolver::concurrent::{ConcurrentService, WorkerReport};
@@ -50,30 +51,6 @@ fn serial_key(state: &SystemState, start: ObjectId, req: &BatchRequest) -> Vec<E
         .iter()
         .map(|n| r.resolve_entity(state, start, n))
         .collect()
-}
-
-#[test]
-fn concurrent_answers_equal_serial_for_every_worker_count() {
-    let (s, root) = build();
-    let names = paths(0);
-    let (trie, _) = NameTrie::build(&names);
-    let req = BatchRequest {
-        id: 1,
-        start: root,
-        trie,
-    };
-    let key = serial_key(&s, root, &req);
-    for workers in [1, 2, 4, 8] {
-        let mut svc = ConcurrentService::new(s.clone(), workers);
-        svc.submit(req.clone());
-        let answers = svc.drain();
-        svc.shutdown();
-        assert_eq!(answers.len(), 1);
-        assert_eq!(
-            answers[0].entities, key,
-            "{workers}-worker answers diverge from serial"
-        );
-    }
 }
 
 #[test]
