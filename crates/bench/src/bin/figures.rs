@@ -5,6 +5,9 @@
 //! figures [out-dir]      # default: ./figures
 //! ```
 //!
+//! `--help` prints that usage; any other argument starting with `-`, or a
+//! second argument, exits 2.
+//!
 //! Figures 1 and 2 are conceptual diagrams (sources of names / rule
 //! selection) with no naming graph; Figures 3–6 are regenerated from live
 //! worlds:
@@ -14,6 +17,7 @@
 //! * `fig5-cross-links.dot` — two autonomous systems with cross-links;
 //! * `fig6-embedded.dot` — the Algol-scope subtree with the embedded name.
 
+use naming_bench::cli;
 use naming_core::graph::NamingGraph;
 use naming_core::name::{CompoundName, Name};
 use naming_core::state::{Document, SystemState};
@@ -57,7 +61,20 @@ fn fig6() -> String {
 }
 
 fn main() -> std::io::Result<()> {
-    let out = std::env::args().nth(1).unwrap_or_else(|| "figures".into());
+    let mut args = std::env::args().skip(1);
+    let out = match args.next() {
+        Some(arg) if arg == "--help" || arg == "-h" => {
+            println!("usage: figures [OUT-DIR]   (default: figures)");
+            return Ok(());
+        }
+        Some(arg) if arg.starts_with('-') => {
+            cli::fail(&format!("unknown flag {arg:?}; try --help"))
+        }
+        out => out.unwrap_or_else(|| "figures".into()),
+    };
+    if let Some(extra) = args.next() {
+        cli::fail(&format!("unexpected argument {extra:?}; try --help"));
+    }
     std::fs::create_dir_all(&out)?;
     for (name, dot) in [
         ("fig3-newcastle.dot", fig3()),

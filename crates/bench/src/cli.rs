@@ -5,9 +5,8 @@
 //! and default — and [`parse`] reads the process arguments against it.
 //! `--help` prints the table. An unknown flag, or a missing, malformed or
 //! out-of-range value, exits 2 with a message naming the flag: a count is
-//! an integer ≥ 1, an integer fits a `u64`, a probability is a finite
-//! number in [0, 1], a choice is one of its words. A flag given twice
-//! keeps its last value.
+//! an integer ≥ 1, an integer fits a `u64`, a choice is one of its words.
+//! A flag given twice keeps its last value.
 //!
 //! Three groups are declared here because several binaries share them:
 //! [`OUT`] (`--out PATH` / `--stdout`, the tail every snapshot binary
@@ -42,8 +41,6 @@ pub enum Kind {
     /// An integer ≥ 0 that fits a `u64`: a seed, or a worker count where 0
     /// means "no pool".
     Int,
-    /// A finite number in [0, 1].
-    Prob,
     /// One of the listed words.
     Choice(&'static [&'static str]),
 }
@@ -79,7 +76,6 @@ enum Value {
     On,
     Text(String),
     Int(u64),
-    Prob(f64),
 }
 
 /// Why a command line was not read into [`Args`]: help was asked for
@@ -130,10 +126,6 @@ fn value(flag: &Flag, text: &str) -> Result<Value, String> {
             _ if kind == Kind::Count => refuse("an integer >= 1"),
             _ => refuse("an integer >= 0"),
         },
-        Kind::Prob => match text.parse::<f64>() {
-            Ok(p) if (0.0..=1.0).contains(&p) => Ok(Value::Prob(p)),
-            _ => refuse("a probability in [0, 1]"),
-        },
         Kind::Choice(words) if words.contains(&text) => Ok(Value::Text(text.to_owned())),
         Kind::Choice(words) => refuse(&format!("one of {}", words.join("|"))),
     }
@@ -147,7 +139,6 @@ fn help(bin: &str, flags: &[Flag]) -> String {
             Kind::Switch => String::new(),
             Kind::Path => " PATH".into(),
             Kind::Count | Kind::Int => " N".into(),
-            Kind::Prob => " P".into(),
             Kind::Choice(words) => format!(" {}", words.join("|")),
         };
         let default = default.map_or(String::new(), |d| format!(" (default {d})"));
@@ -239,14 +230,6 @@ impl Args {
     pub fn count(&self, name: &str) -> usize {
         self.opt_count(name)
             .unwrap_or_else(|| panic!("{name} is a number declared with a default"))
-    }
-
-    /// A probability declared with a default.
-    pub fn prob(&self, name: &str) -> f64 {
-        match self.get(name) {
-            Some(Value::Prob(p)) => *p,
-            _ => panic!("{name} is a probability declared with a default"),
-        }
     }
 
     /// Where [`Args::emit`] writes: `None` for stdout (`--stdout`), else
@@ -423,7 +406,6 @@ mod tests {
     const FLAGS: &[Flag] = &[
         Flag("--iters", Count, Some("20")),
         Flag("--seed", Int, Some("1993")),
-        Flag("--drop", Prob, Some("0")),
         Flag("--mode", Choice(&["exact", "lease"]), Some("lease")),
         Flag("--json", Switch, None),
     ];
@@ -474,17 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn a_probability_is_finite_and_in_the_unit_interval() {
-        for bad in ["NaN", "-1", "2", "inf", "1.0001"] {
-            let msg = refused(&["--drop", bad]);
-            assert!(msg.starts_with("--drop requires"), "{msg}");
-        }
-        for (good, p) in [("0", 0.0), ("0.25", 0.25), ("1", 1.0)] {
-            assert_eq!(read(&["--drop", good]).unwrap().prob("--drop"), p);
-        }
-    }
-
-    #[test]
     fn a_choice_is_one_of_its_words() {
         let msg = refused(&["--mode", "lax"]);
         assert_eq!(msg, "--mode requires one of exact|lease, got \"lax\"");
@@ -497,7 +468,6 @@ mod tests {
         let args = read(&[]).unwrap();
         assert_eq!(args.count("--iters"), 20);
         assert_eq!(args.int("--seed"), 1993);
-        assert_eq!(args.prob("--drop"), 0.0);
         assert_eq!(args.text("--mode"), Some("lease"));
         assert!(!args.on("--json"));
         assert_eq!(args.opt_int("--watch"), None);

@@ -458,10 +458,10 @@ impl Drop for ConcurrentService {
 
 /// What serves frames: a pool worker, or `drain` while it waits. Every
 /// frame's trie goes through the name server's walk, [`authority_walk`],
-/// against the job's snapshot — one lookup per distinct prefix, the whole
-/// namespace held here — and each name's outcome is its entity:
-/// `Resolved(e)` is `e`, anything else `⊥`, as
-/// [`Resolver::resolve_entity`](naming_core::resolve::Resolver::resolve_entity)
+/// against the job's snapshot — resolved a depth at a time, one lookup per
+/// distinct prefix, going on everywhere, then reported depth first — and
+/// each name's outcome is its entity: `Resolved(e)` is `e`, anything else
+/// `⊥`, as [`Resolver::resolve_entity`](naming_core::resolve::Resolver::resolve_entity)
 /// answers it.
 #[derive(Debug)]
 struct Server {
@@ -504,6 +504,7 @@ impl Server {
             trie,
             &mut self.scratch,
             Onward::Here,
+            |_| {},
             |query, path, outcome| {
                 let entity = match outcome {
                     Outcome::Resolved(e) => e,

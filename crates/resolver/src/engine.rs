@@ -376,12 +376,6 @@ impl ProtocolEngine {
         &self.service
     }
 
-    /// Mutable access to the service (placement changes).
-    #[cfg(test)]
-    pub(crate) fn service_mut(&mut self) -> &mut NameService {
-        &mut self.service
-    }
-
     /// Installs (or removes) the deadline/retransmission schedule.
     pub fn set_retry_policy(&mut self, policy: Option<RetryPolicy>) {
         self.retry = policy;
@@ -437,12 +431,6 @@ impl ProtocolEngine {
                 recycle_reads(spares, own);
             }
         }
-    }
-
-    /// Superseded attempts a late reply could still arrive for.
-    #[cfg(test)]
-    pub(crate) fn superseded_pending(&self) -> usize {
-        self.superseded.len()
     }
 
     /// Counts a deadline-driven retransmission.
@@ -1142,6 +1130,18 @@ mod tests {
     use crate::wire::{BatchReply, SliceHead};
     use naming_sim::store;
     use naming_sim::topology::MachineId;
+
+    impl ProtocolEngine {
+        /// Mutable access to the service (placement changes).
+        pub(crate) fn service_mut(&mut self) -> &mut NameService {
+            &mut self.service
+        }
+
+        /// Superseded attempts a late reply could still arrive for.
+        pub(crate) fn superseded_pending(&self) -> usize {
+            self.superseded.len()
+        }
+    }
 
     /// A chain of three machines: m0 hosts the root, each subsequent hop's
     /// subtree lives on the next machine. Resolving `/hop1/hop2/leaf`

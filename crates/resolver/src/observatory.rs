@@ -27,7 +27,6 @@
 //! global registry and breach instants on the trace timeline of an
 //! installed recorder.
 
-use naming_core::monitor::CoherenceMonitor;
 use naming_telemetry::metrics::HistogramSnapshot;
 use naming_telemetry::window::WindowedHistogram;
 
@@ -190,15 +189,6 @@ impl StalenessObservatory {
                     self.thresholds.staleness_ticks
                 ),
             );
-        }
-    }
-
-    /// Feeds every degraded window a [`CoherenceMonitor`] observed below
-    /// `coherence_threshold` (see
-    /// [`CoherenceMonitor::degraded_windows`][naming_core::monitor::CoherenceMonitor::degraded_windows]).
-    pub fn absorb_monitor(&mut self, monitor: &CoherenceMonitor, coherence_threshold: f64) {
-        for (start, end) in monitor.degraded_windows(coherence_threshold) {
-            self.note_staleness_window(start, end);
         }
     }
 
@@ -416,6 +406,7 @@ mod tests {
     fn absorbs_monitor_windows() {
         use naming_core::audit::AuditSpec;
         use naming_core::closure::{ContextRegistry, MetaContext, StandardRule};
+        use naming_core::monitor::CoherenceMonitor;
         use naming_core::name::{CompoundName, Name};
         use naming_core::state::SystemState;
 
@@ -452,7 +443,9 @@ mod tests {
         );
 
         let mut obs = StalenessObservatory::new(SloThresholds::default(), 1_000, 8);
-        obs.absorb_monitor(&mon, 0.99);
+        for (start, end) in mon.degraded_windows(0.99) {
+            obs.note_staleness_window(start, end);
+        }
         let r = obs.report();
         assert_eq!(r.staleness_windows, 1);
         assert!(!r.ok(), "4900-tick window over the 2000-tick objective");

@@ -90,11 +90,16 @@ enum St {
     Unreachable,
 }
 
-/// The buffers of [`authority_walk`], reusable from one trie to the next.
+/// The buffers of [`authority_walk`], reusable from one trie to the next:
+/// the report's walk, the subtree counts, the resolve phase's queue and its
+/// table — by node, what it found and where the children start (`None`
+/// where the node's context was no context).
 #[derive(Debug, Default)]
 pub(crate) struct AuthorityScratch {
     walk: WalkScratch<St>,
     sub: Vec<u32>,
+    queue: Vec<(u32, ObjectId)>,
+    table: Vec<Option<(Entity, St)>>,
 }
 
 /// The buffers of [`NameService::local_resolve_batch`], reusable from one
@@ -118,55 +123,79 @@ pub(crate) fn note_read(reads: &mut Vec<ZoneRead>, (shard, serial): ZoneRead) {
 }
 
 /// The authority's walk of §2's rule over a trie of names from `start`,
-/// one lookup in `state` per distinct prefix. `onward` says where the walk
-/// goes on from each context a name reaches. A name longer than
-/// [`DEFAULT_DEPTH_LIMIT`] is `NotFound`. `answer` hears, in walk order,
-/// each query the walk reaches and its outcome; one it does not reach is
-/// `NotFound`. Returns the lookups made and the lookups shared prefixes
-/// saved against one walk per query.
+/// one lookup in `state` per distinct prefix. It resolves one depth at a
+/// time, the depth's lookups back to back and then its context tests, so
+/// that their cache misses overlap; `onward` (pure) says where it goes on
+/// from each context a name reaches. It reports depth first: `entered`
+/// hears each context it went on at here, `answer` each query it reached
+/// and its outcome, in walk order; one it did not reach, or longer than
+/// [`DEFAULT_DEPTH_LIMIT`], is `NotFound`. Returns the lookups made and
+/// those shared prefixes saved against one walk per query.
 pub(crate) fn authority_walk(
     state: &SystemState,
     start: ObjectId,
     trie: &NameTrie,
-    AuthorityScratch { walk, sub }: &mut AuthorityScratch,
-    mut onward: impl FnMut(ObjectId) -> Onward,
+    scratch: &mut AuthorityScratch,
+    onward: impl Fn(ObjectId) -> Onward,
+    mut entered: impl FnMut(ObjectId),
     mut answer: impl FnMut(u32, &[Label], Outcome),
 ) -> (u32, u32) {
+    let (sub, queue, table) = (&mut scratch.sub, &mut scratch.queue, &mut scratch.table);
     // What each query would cost if resolved alone: every query in a
     // node's subtree would have looked that node's component up.
     trie.subtree_query_counts(sub);
     let (mut lookups, mut naive) = (0u32, 0u32);
-    trie.walk(walk, St::Live(start), |ni, node, path, st| {
+    table.clear();
+    table.resize(sub.len(), None);
+    // The live nodes, one depth after another; each is queued once.
+    queue.clear();
+    queue.reserve(sub.len());
+    queue.extend(trie.roots().iter().map(|&r| (r, start)));
+    let (mut at, mut len) = (0, 1);
+    while at < queue.len() && len <= DEFAULT_DEPTH_LIMIT {
+        let depth = at..queue.len();
+        for &(ni, cur) in &queue[depth.clone()] {
+            let (node, ni) = (trie.node(ni), ni as usize);
+            if let Some(c) = state.context(cur) {
+                (lookups, naive) = (lookups + 1, naive + sub[ni]);
+                // A label this process never interned is bound nowhere.
+                let e = node.component.map_or(Entity::Undefined, |l| c.lookup(l));
+                table[ni] = Some((e, St::Dead));
+            }
+        }
+        for i in depth.clone() {
+            let (kids, ni) = (trie.kids_of(trie.node(queue[i].0)), queue[i].0 as usize);
+            let Some((Entity::Object(o), below)) = &mut table[ni] else {
+                continue;
+            };
+            if kids.is_empty() || !state.is_context_object(*o) {
+                continue;
+            }
+            *below = match onward(*o) {
+                Onward::Here(copy) => St::Live(copy),
+                Onward::There(m, ctx) => St::Referred(m, ctx, len),
+                Onward::Nowhere => St::Unreachable,
+            };
+            if let St::Live(copy) = *below {
+                queue.extend(kids.iter().map(|&c| (c, copy)));
+            }
+        }
+        (at, len) = (depth.end, len + 1);
+    }
+    trie.walk(&mut scratch.walk, St::Live(start), |ni, node, path, st| {
         // This node's verdict (`None` leaves `NotFound`) and the state its
         // children start from.
-        let (outcome, below) = match st {
+        let (outcome, below) = match (st, table[ni]) {
             _ if path.len() > DEFAULT_DEPTH_LIMIT => (None, St::Dead),
-            St::Dead => (None, st),
-            St::Unreachable => (Some(Outcome::Unreachable { attempts: 0 }), st),
-            St::Referred(m, ctx, from) => (Some(referral(m, ctx, path.len() - from)), st),
-            St::Live(cur) => {
-                let Some(c) = state.context(cur) else {
-                    return St::Dead;
-                };
-                lookups += 1;
-                naive += sub[ni];
-                // A label this process never interned is bound nowhere.
-                let e = (node.component).map_or(Entity::Undefined, |l| c.lookup(l));
-                let below = match e {
-                    Entity::Object(o) if !node.is_leaf() && state.is_context_object(o) => {
-                        match onward(o) {
-                            Onward::Here(copy) => St::Live(copy),
-                            Onward::There(m, ctx) => St::Referred(m, ctx, path.len()),
-                            Onward::Nowhere => St::Unreachable,
-                        }
-                    }
-                    _ => St::Dead,
-                };
-                let outcome = match e {
-                    Entity::Undefined => Outcome::NotFound,
-                    e => Outcome::Resolved(e),
-                };
-                (Some(outcome), below)
+            (St::Live(_), None) | (St::Dead, _) => (None, St::Dead),
+            (St::Unreachable, _) => (Some(Outcome::Unreachable { attempts: 0 }), st),
+            (St::Referred(m, ctx, from), _) => (Some(referral(m, ctx, path.len() - from)), st),
+            (St::Live(_), Some((e, below))) => {
+                if let St::Live(at) = below {
+                    entered(at);
+                }
+                let found = e.is_defined().then_some(Outcome::Resolved(e));
+                (Some(found.unwrap_or(Outcome::NotFound)), below)
             }
         };
         if let (Some(outcome), Some(q)) = (outcome, node.query) {
@@ -569,8 +598,8 @@ impl NameService {
 
     /// [`NameService::local_resolve_batch`] in the caller's buffers: returns
     /// the lookups saved. The zones the walk reads — its start and every
-    /// context it goes on at here — are noted as it enters them, outside
-    /// [`authority_walk`], which the worker pool shares.
+    /// context it goes on at here — are noted in the order the report phase
+    /// of [`authority_walk`], which the worker pool shares, enters them.
     pub(crate) fn local_resolve_batch_in(
         &self,
         world: &World,
@@ -599,13 +628,8 @@ impl NameService {
             start,
             trie,
             walk,
-            |o| {
-                let onward = self.onward(world, machine, o);
-                if let Onward::Here(at) = onward {
-                    note_read(reads, self.read_at(world, at));
-                }
-                onward
-            },
+            |o| self.onward(world, machine, o),
+            |at| note_read(reads, self.read_at(world, at)),
             |q, _, outcome| outcomes[q as usize] = outcome,
         );
         naming_telemetry::counter!("service.batch_queries").add(n as u64);

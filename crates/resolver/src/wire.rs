@@ -374,13 +374,6 @@ pub struct TrieNode {
     kids: (u32, u32),
 }
 
-impl TrieNode {
-    /// Whether no batched name continues below this node.
-    pub fn is_leaf(&self) -> bool {
-        self.kids.0 == self.kids.1
-    }
-}
-
 /// A set of compound names, shared-prefix compressed: each distinct
 /// prefix appears exactly once, so a server resolving the trie performs
 /// one lookup per *distinct* component run instead of one per name.
@@ -509,11 +502,16 @@ impl NameTrie {
         self.query_count
     }
 
-    fn kids_of(&self, node: &TrieNode) -> &[u32] {
+    /// The node at `index`.
+    pub(crate) fn node(&self, index: u32) -> &TrieNode {
+        &self.nodes[index as usize]
+    }
+
+    pub(crate) fn kids_of(&self, node: &TrieNode) -> &[u32] {
         &self.kids[node.kids.0 as usize..node.kids.1 as usize]
     }
 
-    fn roots(&self) -> &[u32] {
+    pub(crate) fn roots(&self) -> &[u32] {
         &self.kids[self.roots_at as usize..]
     }
 
@@ -521,8 +519,7 @@ impl NameTrie {
     /// once, parents before children and siblings in stored order, as
     /// `(index, node, path, state)` — the path runs from a root down to the
     /// node's own component in one shared buffer, and the state is what its
-    /// parent's visit returned (`start` at the roots). Everything that
-    /// resolves or renders a trie is a visitor of this function.
+    /// parent's visit returned (`start` at the roots).
     pub fn walk<S: Copy>(
         &self,
         scratch: &mut WalkScratch<S>,

@@ -813,6 +813,108 @@ fn a_pooled_frame_costs_its_submitter_the_same_whoever_serves_it() {
     }
 }
 
+/// Frames of every shape from one start: the widest first — 64 names over
+/// eight directories of eight files — then eight names, one, and names that
+/// stop short, go through a file, miss at the top or at a leaf.
+fn shaped_frames(start: ObjectId) -> Vec<Bytes> {
+    let widest: Vec<String> = (0..64).map(|i| format!("/d{}/f{}", i % 8, i / 8)).collect();
+    let eight: Vec<String> = (0..8).map(|i| format!("/d{i}/f{i}")).collect();
+    let odd = ["/d1", "/d1/f1/below", "/nope/x", "/d2/f9", "/"].map(String::from);
+    let shapes = [&widest[..], &eight, &["/d3/f5".to_string()], &odd];
+    (0..)
+        .zip(shapes)
+        .map(|(id, names)| {
+            let names: Vec<CompoundName> = names
+                .iter()
+                .map(|n| CompoundName::parse_path(n).unwrap())
+                .collect();
+            let (trie, _) = NameTrie::build(&names);
+            BatchRequest { id, start, trie }.encode()
+        })
+        .collect()
+}
+
+/// What a name server's request costs once the server has walked the
+/// widest frame, whatever its shape: its reply's buffer, which a sender
+/// with no engine never hands back, and the shared box it travels in.
+const PER_REQUEST: u64 = 2;
+
+/// The authority's walk keeps its buffers — the trie's, and the resolve
+/// phase's queue and per-node table — from frame to frame: once a name
+/// server, and each server of the pool, has walked the widest frame, a
+/// request of any shape costs exactly what it did before the walk went one
+/// depth at a time.
+#[test]
+fn a_warm_walk_costs_the_same_whatever_the_frame_shape() {
+    let mut w = World::new(23);
+    let net = w.add_network("n");
+    let m = w.add_machine("m", net);
+    let root = w.machine_root(m);
+    for d in 0..8 {
+        let dir = store::ensure_dir(w.state_mut(), root, &format!("d{d}"));
+        for f in 0..8 {
+            store::create_file(w.state_mut(), dir, &format!("f{f}"), vec![]);
+        }
+    }
+    let mut svc = NameService::install(&mut w, &[m]);
+    svc.place_subtree(&w, root, m);
+    let server = svc.server_on(m);
+    let client = w.spawn(m, "client", None);
+    let frames = shaped_frames(root);
+    let mut pool = ConcurrentService::new(w.state().clone(), 1);
+    let mut engine = ProtocolEngine::new(svc);
+
+    // A name server's mailbox.
+    let mut request = |w: &mut World, frame: &Bytes| {
+        let frame = frame.clone();
+        let (allocations, _, held) = allocations_in(|| {
+            w.send(client, server, Payload::Bytes(frame));
+            engine.pump_idle(w);
+            assert!(w.receive(client).is_some(), "the request is answered");
+        });
+        (allocations, held)
+    };
+    request(&mut w, &frames[0]);
+    for _ in 0..4 {
+        let costs: Vec<(u64, i64)> = frames.iter().map(|f| request(&mut w, f)).collect();
+        assert_eq!(costs, [(PER_REQUEST, 0); 4]);
+    }
+
+    // The pool: warm until both servers have walked the widest frame, then
+    // waves of every shape.
+    const FRAMES: usize = 32;
+    let mut wave = |shapes: &[Bytes]| {
+        let wave: Vec<Bytes> = shapes.iter().cycle().take(FRAMES).cloned().collect();
+        let mut served = [0u64; 2];
+        let (allocations, _, _) = allocations_in(|| {
+            for frame in wave {
+                assert!(pool.submit_frame(frame));
+            }
+            for answer in pool.drain() {
+                served[answer.worker] += 1;
+            }
+        });
+        (allocations, served)
+    };
+    let mut seen = [0u64; 2];
+    for warm in 0.. {
+        if warm >= 2 && !seen.contains(&0) {
+            break;
+        }
+        let (_, served) = wave(&frames[..1]);
+        seen = [seen[0] + served[0], seen[1] + served[1]];
+    }
+    seen = [0; 2];
+    for round in 0.. {
+        let (allocations, served) = wave(&frames);
+        assert_eq!(allocations, FRAMES as u64 + 1, "served {served:?}");
+        seen = [seen[0] + served[0], seen[1] + served[1]];
+        if round >= 8 && !seen.contains(&0) {
+            break;
+        }
+    }
+}
+
 /// A frame that claims 2³² (or 2¹⁶) elements and brings none: refused by
 /// every reader — an authority's among them, which reads a pull's request
 /// as it arrives — before the claim has sized anything.

@@ -11,7 +11,13 @@
 //! * `NameService::local_resolve_batch` ≡ `local_resolve`, name by name,
 //!   on a world with a referral, a local replica, an unplaced zone and a
 //!   file in mid-path, saving exactly the lookups it saved before the walk
-//!   moved into the kernel;
+//!   moved into the kernel; a reply lists the zones read in the order the
+//!   depth-first walk entered them, and the pool makes exactly the lookups
+//!   it made;
+//! * a fixed request set — that world's names, the depth limit, labels
+//!   never interned, 64 names across four zones of one server — gives the
+//!   reply frames and pool entities the one-pass depth-first walk gave,
+//!   now that the walk resolves a depth at a time before it reports;
 //! * the flat trie encodes to the bytes the per-node-`Vec` trie did;
 //! * a frame that lies about its counts — under either request tag, or a
 //!   recursive one asking other than one name — is refused at every door:
@@ -350,18 +356,29 @@ proptest! {
     }
 }
 
+/// Zones `m1` holds besides its root's: `/z0`…`/z3`, each in a shard of
+/// its own, each holding directories `d0`…`d3` of files `f0`…`f3`.
+const ZONES: usize = 4;
+
 /// `m1` serves `/usr`; `/usr/remote` is `m2`'s export (a referral),
 /// `/usr/mirror` is `m3`'s export replicated onto `m1` (stays local),
-/// `/orphan` is a context nobody was placed for, `/usr/motd` is a file.
+/// `/orphan` is a context nobody was placed for, `/usr/motd` is a file,
+/// `/loop` is bound to itself, and `/z0`…`/z3` are [`ZONES`] of `m1`'s
+/// own. `m1`'s tree is shard 0, the exports shards 1 and 2, the zones
+/// shards 3 on.
 fn referral_world() -> (World, NameService, MachineId, ObjectId) {
-    let mut w = World::new(61);
+    let mut w = World::with_shards(61, 3 + ZONES);
     let net = w.add_network("n");
     let [m1, m2, m3] = ["m1", "m2", "m3"].map(|m| w.add_machine(m, net));
     let root1 = w.machine_root(m1);
     let usr = store::ensure_dir(w.state_mut(), root1, "usr");
     store::create_file(w.state_mut(), usr, "motd", vec![]);
+    let lp = store::ensure_dir(w.state_mut(), root1, "loop");
+    store::attach(w.state_mut(), lp, "loop", lp, false);
+    store::create_file(w.state_mut(), lp, "x", vec![]);
     let mut exports = Vec::new();
-    for (m, graft) in [(m2, "remote"), (m3, "mirror")] {
+    for (shard, (m, graft)) in (1..).zip([(m2, "remote"), (m3, "mirror")]) {
+        w.state_mut().set_default_shard(shard);
         let root = w.machine_root(m);
         let export = store::ensure_dir(w.state_mut(), root, "export");
         store::create_file(w.state_mut(), export, "data", vec![]);
@@ -370,6 +387,17 @@ fn referral_world() -> (World, NameService, MachineId, ObjectId) {
         store::attach(w.state_mut(), usr, graft, export, false);
         exports.push(export);
     }
+    for z in 0..ZONES {
+        w.state_mut().set_default_shard(3 + z);
+        let zone = store::ensure_dir(w.state_mut(), root1, &format!("z{z}"));
+        for d in 0..4 {
+            let dir = store::ensure_dir(w.state_mut(), zone, &format!("d{d}"));
+            for f in 0..4 {
+                store::create_file(w.state_mut(), dir, &format!("f{f}"), vec![]);
+            }
+        }
+    }
+    w.state_mut().set_default_shard(0);
     let mut svc = NameService::install(&mut w, &[m1, m2, m3]);
     for m in [m3, m2, m1] {
         let root = w.machine_root(m);
@@ -383,9 +411,49 @@ fn referral_world() -> (World, NameService, MachineId, ObjectId) {
     (w, svc, m1, root1)
 }
 
+/// Sends each frame to `server`'s mailbox in turn and returns the replies'
+/// bytes, in order.
+fn served_by(
+    w: &mut World,
+    engine: &mut ProtocolEngine,
+    server: ActivityId,
+    frames: &[Bytes],
+) -> Vec<Bytes> {
+    let stranger = w.spawn(w.machine_of(server), "stranger", None);
+    frames
+        .iter()
+        .map(|frame| {
+            w.send(stranger, server, vec![Payload::Bytes(frame.clone())]);
+            engine.pump_idle(w);
+            let reply = w.receive(stranger).expect("every request is answered");
+            let Payload::Bytes(b) = &reply.parts[0] else {
+                panic!("a reply carries a frame");
+            };
+            b.clone()
+        })
+        .collect()
+}
+
+/// The zones a reply frame states its walk read, in the order it states
+/// them: what follows the outcomes, which the frame re-encoded with no
+/// zones (a two-byte empty list) ends with.
+fn zones_read(reply: &Bytes) -> Vec<(u16, u64)> {
+    let bare = BatchReply::decode(reply.clone()).unwrap().encode();
+    let mut tail = &reply[bare.len() - 2..];
+    let mut take = |n: usize| {
+        let (head, rest) = tail.split_at(n);
+        tail = rest;
+        head.iter().fold(0u64, |v, &b| v << 8 | u64::from(b))
+    };
+    let count = take(2);
+    let reads = (0..count).map(|_| (take(2) as u16, take(8))).collect();
+    assert!(tail.is_empty(), "the zones end the frame");
+    reads
+}
+
 #[test]
 fn batch_walk_equals_the_single_walk_and_saves_what_it_saved() {
-    let (w, svc, m1, root1) = referral_world();
+    let (mut w, svc, m1, root1) = referral_world();
     let names: Vec<CompoundName> = [
         "/usr/motd",
         "/usr/motd/through-a-file",
@@ -422,7 +490,126 @@ fn batch_walk_equals_the_single_walk_and_saves_what_it_saved() {
     }
     assert_eq!(kinds, [5, 5, 5, 2], "resolved, referred, ⊥, unreachable");
     assert_eq!(saved, SAVED_AT_PARENT);
+
+    // With two of `m1`'s own zones asked after them, the server states the
+    // zones it read in the order its walk first entered them — depth first:
+    // the mirror, entered three components down under `/usr`, before `/z2`
+    // and `/z1`, entered two down — each once.
+    let zoned = [
+        &names[..],
+        &["/z2/d1/f0", "/z1/d3/f3", "/z2/d0/f9"].map(path),
+    ]
+    .concat();
+    let (trie, _) = NameTrie::build(&zoned);
+    let frame = BatchRequest {
+        id: 1,
+        start: root1,
+        trie: trie.clone(),
+    }
+    .encode();
+    let mut pool = ConcurrentService::new(w.state().clone(), 1);
+    let server = svc.server_on(m1);
+    let mut engine = ProtocolEngine::new(svc);
+    let reply = &served_by(&mut w, &mut engine, server, &[frame])[0];
+    let shards: Vec<u16> = zones_read(reply).iter().map(|&(z, _)| z).collect();
+    assert_eq!(shards, [0, 2, 3 + 2, 3 + 1]);
+    // The pool goes on everywhere — past the referral, into the orphan —
+    // and makes exactly the lookups it made before.
+    pool.submit(BatchRequest {
+        id: 2,
+        start: root1,
+        trie,
+    });
+    pool.drain();
+    let report = pool.shutdown();
+    let lookups = report.workers.iter().map(|r| (r.lookups, r.lookups_saved));
+    let lookups = lookups.fold((0, 0), |(l, s), (a, b)| (l + a, s + b));
+    assert_eq!(lookups, POOL_LOOKUPS_AT_PARENT);
 }
+
+/// The pool's lookups and lookups saved on the zoned batch above, as the
+/// parent commit's one-pass depth-first walk made them.
+const POOL_LOOKUPS_AT_PARENT: (u64, u64) = (26, 39);
+
+/// A fixed request set — the batch above with names at and past the depth
+/// limit; 64 names across `m1`'s zones, one in eight unbound; a name with a
+/// label never interned; a frame of such labels — answered by `m1`'s name
+/// server and by the worker pool: the FNV-1a of the server's reply frames
+/// (outcomes, lookups saved and zones read, in order) and of the pool's
+/// entities are what the parent commit's one-pass depth-first walk gave.
+#[test]
+fn a_fixed_request_set_is_answered_as_the_one_pass_walk_answered_it() {
+    let (mut w, svc, m1, root1) = referral_world();
+    let mut mixed: Vec<CompoundName> = [
+        "/usr/motd",
+        "/usr/motd/through-a-file",
+        "/usr/remote/data",
+        "/usr/remote/a/x",
+        "/usr/remote/a/y/z",
+        "/usr/mirror/data",
+        "/usr/mirror/a/x",
+        "/usr/mirror/nope/deeper",
+        "/orphan/x",
+        "/missing/below",
+        "usr/motd",
+        "/z3/d3",
+    ]
+    .map(path)
+    .to_vec();
+    mixed.extend([deep(DEFAULT_DEPTH_LIMIT), deep(DEFAULT_DEPTH_LIMIT + 1)]);
+    let grid: Vec<CompoundName> = (0..64)
+        .map(|i| {
+            let f = if i % 8 == 7 { 9 } else { i * 7 % 4 };
+            path(&format!("/z{}/d{}/f{f}", i * 3 % ZONES, i * 5 % 4))
+        })
+        .collect();
+    let request = |id, names: &[CompoundName]| {
+        let (trie, _) = NameTrie::build(names);
+        BatchRequest {
+            id,
+            start: root1,
+            trie,
+        }
+        .encode()
+    };
+    let garbage: Vec<String> = (0..5).map(|i| format!("pin-garbage-{i}")).collect();
+    let frames = [
+        request(0, &mixed),
+        request(1, &grid),
+        chain_frame(4, 2, root1, &["/", "z1", "pin-never-interned"]),
+        garbage_frame(3, root1, &garbage),
+    ];
+
+    let mut pool = ConcurrentService::new(w.state().clone(), 2);
+    let server = svc.server_on(m1);
+    let mut engine = ProtocolEngine::new(svc);
+    let replies = served_by(&mut w, &mut engine, server, &frames);
+    assert_eq!(
+        zones_read(&replies[1]).len(),
+        1 + ZONES,
+        "the root's and each zone"
+    );
+    for frame in frames {
+        assert!(pool.submit_frame(frame));
+    }
+    let entities: Vec<Vec<Entity>> = pool.drain().iter().map(|a| a.entities.clone()).collect();
+    pool.shutdown();
+    let digests = (
+        fnv(&replies.iter().flat_map(|r| r.to_vec()).collect::<Vec<u8>>()),
+        fnv(format!("{entities:?}").as_bytes()),
+    );
+    assert_eq!(digests, WALK_DIGESTS_AT_PARENT);
+    for label in garbage
+        .iter()
+        .map(String::as_str)
+        .chain(["pin-never-interned"])
+    {
+        assert_eq!(Name::lookup(label), None, "{label} was interned");
+    }
+}
+
+/// The digests above at the parent commit: (reply frames, pool entities).
+const WALK_DIGESTS_AT_PARENT: (u64, u64) = (320_102_432_230_706_633, 1_273_612_216_881_134_302);
 
 /// `lookups_saved` for the batch above, as the parent commit's hand-rolled
 /// walk in `local_resolve_batch` reported it.
