@@ -77,7 +77,7 @@ fn sorted_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// The campaign's retry schedule (same shape as `bench_faults`).
+/// The campaign's retry schedule (the one `tests/chaos.rs` runs under).
 fn campaign_policy() -> RetryPolicy {
     RetryPolicy {
         base_timeout_ticks: 256,

@@ -352,7 +352,8 @@ impl<P: Validity> Plane<P> {
     /// remembered under the cumulative footprint of the zones crossed to
     /// reach them, each prefix once in `filed`. Then the answer: a binding
     /// enters the positive cache, a `⊥` the negative cache — whose recorder
-    /// refuses it when the network alone failed us.
+    /// refuses it when the network alone failed us. Each keeps only what its
+    /// policy can justify: not a lagging copy's answer.
     fn file(
         &mut self,
         by: P::Evidence<'_>,
@@ -389,7 +390,7 @@ impl<P: Validity> Plane<P> {
         let (zones, proof) = (&self.zones, &self.proof);
         if entity.is_defined() {
             self.positives
-                .record_read(by, start, comps, entity, zones, proof, true);
+                .record_read(by, start, comps, entity, zones, proof, false);
         } else {
             let undefined = Entity::Undefined;
             self.negatives
@@ -1616,8 +1617,9 @@ mod tests {
     fn a_lagging_replicas_answer_heals_on_the_next_write_to_its_zone() {
         // The zone is replicated onto the client's machine, the primary
         // unbinds, and the copy — not yet republished — still answers. The
-        // authoritative walk fails, but its footprint is not empty: the
-        // entry must not outlive the zone's next write.
+        // authoritative walk refutes the answer, so no entry keeps it: kept
+        // under the authority's footprint, no heal would drop it until the
+        // zone's next write.
         for batch in [false, true] {
             let (mut w, mut r, client, root, m1) = setup_mode(CoherenceMode::Exact);
             let name = CompoundName::parse_path("/remote/data").unwrap();
@@ -1633,10 +1635,11 @@ mod tests {
                 r.resolve(&mut w, client, root, &name, Mode::Iterative).0
             };
             assert!(answered.is_defined(), "the lagging copy answered");
-            assert_eq!(r.stale_entries(&w).len(), 1);
+            assert_eq!(r.stale_entries(&w), [], "batch: {batch}");
+            assert!(!r.resolve(&mut w, client, root, &name, Mode::Iterative).1);
             let other = w.state_mut().add_data_object("other", vec![]);
             w.state_mut().bind(sub, Name::new("other"), other).unwrap();
-            assert_eq!(r.heal(&w), 1, "batch: {batch}");
+            assert_eq!(r.heal(&w), 0, "batch: {batch}");
             assert_eq!(r.staleness(&w), 0.0);
         }
     }

@@ -319,11 +319,9 @@ pub trait Validity: Sized {
     /// Records that `suffix` from `start` denotes `entity`; returns whether
     /// the entry was kept. `zones` is the protocol-visible footprint of the
     /// resolution: the shards of the start context, of every referral
-    /// target, of every zone a server read and of the answer. A validated
-    /// cache keeps only what the policy can justify; the positive cache
-    /// records `on_trust` — the protocol's answer as given, the counterpart
-    /// of [`Validity::serve`]. The entry has no read proof, so it is never
-    /// renewed.
+    /// target, of every zone a server read and of the answer. Every cache
+    /// keeps only what the policy can justify, unless `on_trust`. The entry
+    /// has no read proof, so it is never renewed.
     fn record(
         &mut self,
         by: Self::Evidence<'_>,
@@ -677,10 +675,10 @@ impl Validity for LeasedCache {
 
     /// Grants a lease at `by.now` for `by.ttl` ticks, stamping each of
     /// `zones` with the serial currently heard. Justified by the protocol's
-    /// answer alone, trusted or not: a lagging authority *may* plant a stale
-    /// entry, and the lease bounds how long it misleads — its reads lag the
-    /// serials heard, so it is not renewable. A `ttl` of 0 is never valid,
-    /// so records nothing.
+    /// answer alone — unless a read lags the serial heard for its zone: a
+    /// lagging copy's answer, stamped with the serial heard, would outlive
+    /// the next pull, so it is refused. A `ttl` of 0 is never valid, so
+    /// records nothing.
     fn record_read(
         &mut self,
         by: Heard<'_>,
@@ -691,7 +689,8 @@ impl Validity for LeasedCache {
         reads: &[ZoneRead],
         _on_trust: bool,
     ) -> bool {
-        if by.ttl == Some(0) {
+        let fresh = |&(z, read): &ZoneRead| read.distance_from(by.table.known(z)).is_some();
+        if by.ttl == Some(0) || !reads.iter().all(fresh) {
             return false;
         }
         let (how, e) = self.store.upsert(start, suffix);
@@ -709,8 +708,7 @@ impl Validity for LeasedCache {
         e.stamps.clear();
         e.stamps.extend(e.zones.iter().map(|&z| by.table.known(z)));
         e.mask = e.zones.iter().fold(0, |m, &z| m | 1 << (z % 64));
-        let fresh = |&(z, read): &ZoneRead| read.distance_from(by.table.known(z)).is_some();
-        e.renewable = !reads.is_empty() && reads.iter().all(fresh);
+        e.renewable = !reads.is_empty();
         self.stats.recorded += 1;
         self.stats.evictions += u64::from(how == Upsert::Inserted { evicted: true });
         true
