@@ -12,8 +12,16 @@
 //! and display go through the resolved string so that iteration order over
 //! [`crate::context::Context`] bindings is lexicographic and therefore
 //! deterministic across runs regardless of interning order.
+//!
+//! The interner has two directions. Symbol → string is a lock-free,
+//! append-only table. String → symbol is one open-addressed table of
+//! (`u128` key, `u32` symbol) slots under a `RwLock`. A label of at most 15
+//! bytes is its own key, so finding it — as a server does for every label
+//! of a request frame — costs one multiply and one 16-byte compare per slot
+//! probed: no string hash, no pointer chase, no `memcmp`.
 
 use std::fmt;
+use std::hash::Hasher;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::OnceLock;
@@ -22,7 +30,7 @@ use parking_lot::{RwLock, RwLockReadGuard};
 use serde::de::Visitor;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 
-use crate::hash::FxHashMap;
+use crate::hash::FxHasher;
 
 /// The conventional binding name for the root context (`/` in Unix paths).
 pub const ROOT: &str = "/";
@@ -31,9 +39,19 @@ pub const SELF: &str = ".";
 /// The conventional binding name for the parent context.
 pub const PARENT: &str = "..";
 
-/// Initial interner capacity: sized so typical experiments (a few hundred
-/// distinct atoms) never rehash under the write lock.
+/// Atoms the interner's index holds before it first grows: sized so
+/// typical experiments (a few hundred distinct atoms) never grow it under
+/// the write lock. The index keeps at least twice as many slots as atoms,
+/// 20 bytes a slot: 10 KB to start, 40 KB for 1 K atoms.
 const INTERNER_CAPACITY: usize = 256;
+
+/// Labels of at most this many bytes are their own key in the index.
+const INLINE_KEY: usize = 15;
+/// The top byte of a longer label's key: above every inline key's
+/// length + 1 (1..=16).
+const LONG_KEY: u128 = 0xFF << 120;
+/// The multiplier that spreads a key over the index (2^64 / φ).
+const SPREAD: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The conventional names are interned first, at fixed symbols, so
 /// [`Name::root`]/[`Name::self_`]/[`Name::parent`] need no lock at all.
@@ -130,25 +148,127 @@ impl SymbolTable {
     }
 }
 
+/// A label's key in the interner's index; never 0, which marks an empty
+/// slot.
+///
+/// A label of at most [`INLINE_KEY`] bytes is its own key: its bytes
+/// zero-padded, and its length + 1 in the top byte, so `""`, `"a"` and
+/// `"a\0"` are three keys. A longer label's key is [`LONG_KEY`], its length
+/// and a 64-bit hash of its bytes: equal keys there are confirmed against
+/// the symbol's string.
+#[inline]
+fn key(s: &str) -> u128 {
+    let b = s.as_bytes();
+    let n = b.len();
+    let le8 = |w: Option<&[u8; 8]>| w.map_or(0, |w| u64::from_le_bytes(*w));
+    let le4 = |w: Option<&[u8; 4]>| w.map_or(0, |w| u64::from(u32::from_le_bytes(*w)));
+    // Overlapping loads place every byte at its own offset; the bytes two
+    // loads share are equal, so or-ing them is exact.
+    let (lo, hi) = match n {
+        0 => (0, 0),
+        1..=3 => {
+            let (first, mid, last) = (b[0], b[n / 2], b[n - 1]);
+            let lo = u64::from(first) | u64::from(mid) << (8 * (n / 2));
+            (lo | u64::from(last) << (8 * (n - 1)), 0)
+        }
+        4..=7 => (
+            le4(b.first_chunk()) | le4(b.last_chunk()) << (8 * (n - 4)),
+            0,
+        ),
+        8 => (le8(b.first_chunk()), 0),
+        9..=INLINE_KEY => (le8(b.first_chunk()), le8(b.last_chunk()) >> (8 * (16 - n))),
+        _ => {
+            let mut h = FxHasher::default();
+            h.write(b);
+            return LONG_KEY | (n as u128) << 64 | u128::from(h.finish());
+        }
+    };
+    ((n as u128 + 1) << 120) | u128::from(hi) << 64 | u128::from(lo)
+}
+
 /// The string → sym direction of the interner; the sym → string direction
 /// lives in [`SYMBOLS`] so reads skip this lock entirely.
+///
+/// One open-addressed table: slot `i` holds the [`key`] `keys[i]` (0: empty)
+/// and its symbol `syms[i]`, apart so that a probe scans 16-byte keys only.
+/// A probe runs linearly from a key's home slot (the top bits of the key's
+/// halves xor-ed and multiplied by [`SPREAD`]). The table is a power of two
+/// long and at most half full, and it grows only when an atom is interned,
+/// under the write lock: a lookup never changes it, so labels nobody
+/// interned add no slot and lengthen no probe.
 struct Interner {
-    index: FxHashMap<&'static str, u32>,
+    keys: Box<[u128]>,
+    syms: Box<[u32]>,
+    /// `64 - log2(keys.len())`.
+    shift: u32,
     len: u32,
 }
 
 impl Interner {
     fn new() -> Self {
+        let slots = 2 * INTERNER_CAPACITY;
         let mut interner = Interner {
-            index: FxHashMap::with_capacity_and_hasher(INTERNER_CAPACITY, Default::default()),
+            keys: vec![0; slots].into_boxed_slice(),
+            syms: vec![0; slots].into_boxed_slice(),
+            shift: 64 - slots.trailing_zeros(),
             len: 0,
         };
-        for (sym, s) in PREINTERNED.iter().enumerate() {
-            SYMBOLS.publish(sym as u32, s);
-            interner.index.insert(s, sym as u32);
-            interner.len += 1;
+        for s in PREINTERNED {
+            interner.insert(s);
         }
         interner
+    }
+
+    #[inline]
+    fn home(&self, key: u128) -> usize {
+        let folded = (key as u64) ^ (key >> 64) as u64;
+        (folded.wrapping_mul(SPREAD) >> self.shift) as usize
+    }
+
+    /// The symbol `s` was interned as, if it was.
+    #[inline]
+    fn find(&self, s: &str) -> Option<u32> {
+        let key = key(s);
+        let mask = self.keys.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let k = self.keys[i];
+            if k == key && (s.len() <= INLINE_KEY || SYMBOLS.resolve(self.syms[i]) == s) {
+                return Some(self.syms[i]);
+            }
+            if k == 0 {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Interns `s`, which [`Interner::find`] does not hold, as the next
+    /// symbol. The symbol is published before its slot is filled.
+    fn insert(&mut self, s: &'static str) -> u32 {
+        let sym = self.len;
+        SYMBOLS.publish(sym, s);
+        self.len = sym.checked_add(1).expect("interner overflow");
+        if 2 * self.len as usize > self.keys.len() {
+            let wider = 2 * self.keys.len();
+            let keys = std::mem::replace(&mut self.keys, vec![0; wider].into_boxed_slice());
+            let syms = std::mem::replace(&mut self.syms, vec![0; wider].into_boxed_slice());
+            self.shift -= 1;
+            for (&k, &sym) in keys.iter().zip(syms.iter()).filter(|(&k, _)| k != 0) {
+                self.place(k, sym);
+            }
+        }
+        self.place(key(s), sym);
+        sym
+    }
+
+    fn place(&mut self, key: u128, sym: u32) {
+        let mask = self.keys.len() - 1;
+        let mut i = self.home(key);
+        while self.keys[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        (self.keys[i], self.syms[i]) = (key, sym);
     }
 }
 
@@ -169,8 +289,9 @@ pub struct Lookups(RwLockReadGuard<'static, Interner>);
 
 impl Lookups {
     /// The atom `s` was interned as, if it ever was; never inserts.
+    #[inline]
     pub fn get(&self, s: &str) -> Option<Name> {
-        self.0.index.get(s).map(|&sym| Name(sym))
+        self.0.find(s).map(Name)
     }
 }
 
@@ -201,22 +322,14 @@ pub struct Name(u32);
 impl Name {
     /// Interns `s` and returns its atom.
     pub fn new(s: &str) -> Name {
-        {
-            let guard = interner().read();
-            if let Some(&sym) = guard.index.get(s) {
-                return Name(sym);
-            }
-        }
-        let mut guard = interner().write();
-        if let Some(&sym) = guard.index.get(s) {
+        if let Some(sym) = interner().read().find(s) {
             return Name(sym);
         }
-        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let sym = guard.len;
-        SYMBOLS.publish(sym, leaked);
-        guard.len = sym.checked_add(1).expect("interner overflow");
-        guard.index.insert(leaked, sym);
-        Name(sym)
+        let mut guard = interner().write();
+        if let Some(sym) = guard.find(s) {
+            return Name(sym);
+        }
+        Name(guard.insert(Box::leak(s.to_owned().into_boxed_str())))
     }
 
     /// The atom `s` was interned as, if it ever was: an index probe under
@@ -596,6 +709,112 @@ mod tests {
         assert_eq!(names.get(PARENT), Some(Name::parent()));
         drop(names);
         assert_eq!(Name::lookup("lookup-never-interned"), None);
+    }
+
+    /// [`key`] as the plain reading of its doc: copy the bytes, pad, stamp
+    /// the length.
+    fn padded_key(s: &str) -> u128 {
+        let mut bytes = [0u8; 16];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        bytes[15] = s.len() as u8 + 1;
+        u128::from_le_bytes(bytes)
+    }
+
+    #[test]
+    fn a_short_label_is_its_own_key() {
+        // Every inline length, with distinct bytes, against the plain copy.
+        let all: String = ('a'..='z').collect();
+        for n in 0..=INLINE_KEY {
+            let s = &all[..n];
+            assert_eq!(key(s), padded_key(s), "length {n}");
+        }
+        // Padding, length and the long marker keep every key apart, and no
+        // key is the empty slot's 0.
+        let labels = ["", "a", "a\0", "a\0\0", "\0", &"\0".repeat(15)];
+        let long = "x".repeat(16);
+        let keys: Vec<u128> = labels.iter().copied().chain([&long[..]]).map(key).collect();
+        for (i, k) in keys.iter().enumerate() {
+            assert_ne!(*k, 0);
+            assert!(!keys[..i].contains(k), "{:?} shares a key", labels.get(i));
+        }
+        assert_eq!(key(&long) >> 120, LONG_KEY >> 120);
+    }
+
+    #[test]
+    fn the_index_agrees_with_a_model_across_growths() {
+        // Atoms and the symbol Name::new gave each: the model.
+        let mut model: Vec<(String, Name)> = Vec::new();
+        let intern = |model: &mut Vec<(String, Name)>, s: String| {
+            let n = Name::new(&s);
+            model.push((s, n));
+        };
+        // Labels of 0, 1, 14, 15, 16, 17 and 300 bytes.
+        let sized = [
+            (0, 'a'),
+            (1, 'b'),
+            (14, 'c'),
+            (15, 'd'),
+            (16, 'e'),
+            (17, 'f'),
+            (300, 'g'),
+        ];
+        let fixed = sized
+            .map(|(n, c)| c.to_string().repeat(n))
+            .into_iter()
+            .chain([
+                "a".into(),
+                "a\0".into(),
+                "a\0\0".into(),
+                // 'é' is two bytes: at 13–14 the label is inline, at 14–15 it
+                // straddles the inline limit and is long.
+                format!("{}é", "h".repeat(13)),
+                format!("{}é", "h".repeat(14)),
+                format!("{}€", "h".repeat(13)),
+            ]);
+        for s in fixed {
+            intern(&mut model, s);
+        }
+        let check = |model: &[(String, Name)]| {
+            for (s, n) in model {
+                assert_eq!(Name::new(s), *n, "{s:?}");
+                assert_eq!(Name::lookup(s), Some(*n), "{s:?}");
+                assert_eq!(n.as_str(), s);
+            }
+        };
+        check(&model);
+        let distinct: std::collections::HashSet<Name> = model.iter().map(|&(_, n)| n).collect();
+        assert_eq!(distinct.len(), model.len(), "two labels share a symbol");
+        // Fresh atoms, short and long, until the index has grown twice.
+        let slots = || interner().read().keys.len();
+        let (start, mut seen) = (slots(), slots());
+        let mut growths = 0;
+        for i in 0.. {
+            let fresh = match i % 3 {
+                0 => format!("grow{i}"),
+                1 => format!("grow-{i:011}"),
+                _ => format!("grow-a-longer-label-{i}"),
+            };
+            intern(&mut model, fresh);
+            if slots() != seen {
+                seen = slots();
+                growths += 1;
+                check(&model);
+                if growths == 2 {
+                    break;
+                }
+            }
+        }
+        assert!(seen >= 4 * start);
+        // Lookups intern nothing: the count holds under one guard, and a
+        // label found absent stays absent.
+        let (short, long) = ("never-interned", "never-interned-and-longer");
+        let names = Name::lookups();
+        let len = names.0.len;
+        assert_eq!(names.get(short), None);
+        assert_eq!(names.get(long), None);
+        assert_eq!(names.0.len, len);
+        drop(names);
+        assert_eq!((Name::lookup(short), Name::lookup(long)), (None, None));
     }
 
     #[test]

@@ -390,7 +390,7 @@ impl<P: Validity> Plane<P> {
         let (zones, proof) = (&self.zones, &self.proof);
         if entity.is_defined() {
             self.positives
-                .record_read(by, start, comps, entity, zones, proof, false);
+                .record_read(by, start, comps, entity, zones, proof);
         } else {
             let undefined = Entity::Undefined;
             self.negatives

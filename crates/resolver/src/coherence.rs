@@ -320,8 +320,8 @@ pub trait Validity: Sized {
     /// the entry was kept. `zones` is the protocol-visible footprint of the
     /// resolution: the shards of the start context, of every referral
     /// target, of every zone a server read and of the answer. Every cache
-    /// keeps only what the policy can justify, unless `on_trust`. The entry
-    /// has no read proof, so it is never renewed.
+    /// keeps only what the policy can justify. The entry has no read proof,
+    /// so it is never renewed.
     fn record(
         &mut self,
         by: Self::Evidence<'_>,
@@ -329,15 +329,13 @@ pub trait Validity: Sized {
         suffix: &[Name],
         entity: Entity,
         zones: &[usize],
-        on_trust: bool,
     ) -> bool {
-        self.record_read(by, start, suffix, entity, zones, &[], on_trust)
+        self.record_read(by, start, suffix, entity, zones, &[])
     }
 
     /// [`Validity::record`] with what the answering walks read: a policy
     /// that renews leases keeps the entry renewable when every read serial
     /// is at or past the one heard for its zone (no read: never).
-    #[allow(clippy::too_many_arguments)]
     fn record_read(
         &mut self,
         by: Self::Evidence<'_>,
@@ -346,7 +344,6 @@ pub trait Validity: Sized {
         entity: Entity,
         zones: &[usize],
         reads: &[ZoneRead],
-        on_trust: bool,
     ) -> bool;
 
     /// Whether [`Validity::record_read`] reads its `reads` — a policy that
@@ -687,7 +684,6 @@ impl Validity for LeasedCache {
         entity: Entity,
         zones: &[usize],
         reads: &[ZoneRead],
-        _on_trust: bool,
     ) -> bool {
         let fresh = |&(z, read): &ZoneRead| read.distance_from(by.table.known(z)).is_some();
         if by.ttl == Some(0) || !reads.iter().all(fresh) {
@@ -1055,7 +1051,6 @@ mod tests {
             &suffix,
             Entity::Object(oid(9)),
             &[0],
-            false,
         );
         assert_eq!(
             c.probe(at(119, None, &table), oid(1), &suffix),
@@ -1068,7 +1063,6 @@ mod tests {
             &suffix,
             Entity::Object(oid(9)),
             &[0],
-            false,
         );
         assert_eq!(
             c.probe(at(120, None, &table), oid(1), &suffix),
@@ -1082,7 +1076,6 @@ mod tests {
             &suffix,
             Entity::Object(oid(9)),
             &[0],
-            false,
         );
         table.observe(0, ZoneSerial::new(5));
         assert_eq!(
@@ -1105,7 +1098,6 @@ mod tests {
             &suffix,
             Entity::Object(oid(2)),
             &[0],
-            false,
         );
         assert!(c.is_empty(), "ttl 0 is never servable; do not store it");
         c.record(
@@ -1114,7 +1106,6 @@ mod tests {
             &suffix,
             Entity::Object(oid(2)),
             &[0],
-            false,
         );
         assert_eq!(
             c.probe(at(u64::MAX - 1, None, &table), oid(1), &suffix),
@@ -1134,7 +1125,6 @@ mod tests {
                 &suffix,
                 Entity::Object(oid(i)),
                 &[0],
-                false,
             );
         }
         assert_eq!(c.len(), 2);
@@ -1153,14 +1143,7 @@ mod tests {
     /// Records `(oid(1), [label])` under an infinite lease (or `ttl`).
     fn put(c: &mut LeasedCache, table: &SerialTable, now: u64, ttl: Option<u64>, label: &str) {
         let e = Entity::Object(oid(7));
-        c.record(
-            at(now, ttl, table),
-            oid(1),
-            &[Name::new(label)],
-            e,
-            &[0],
-            false,
-        );
+        c.record(at(now, ttl, table), oid(1), &[Name::new(label)], e, &[0]);
     }
 
     #[test]
@@ -1267,7 +1250,6 @@ mod tests {
             &[Name::new("a")],
             Entity::Object(oid(5)),
             &[0],
-            false,
         );
         c.record(
             at(0, None, &table),
@@ -1275,7 +1257,6 @@ mod tests {
             &[Name::new("b")],
             Entity::Object(oid(6)),
             &[1],
-            false,
         );
         c.record(
             at(0, None, &table),
@@ -1283,7 +1264,6 @@ mod tests {
             &[Name::new("c")],
             Entity::Object(oid(7)),
             &[0, 1],
-            false,
         );
         // Zone 64 shares zone 0's mask bit; its stamp keeps the entry.
         c.record(
@@ -1292,7 +1272,6 @@ mod tests {
             &[Name::new("d")],
             Entity::Object(oid(8)),
             &[64],
-            false,
         );
         let moved = [MovedZone::zone_wide(0, ZoneSerial::new(2))];
         let pass = c.zones_moved(Moved::kept(&moved, &KeptDelta::default()));
@@ -1319,7 +1298,7 @@ mod tests {
         ] {
             let suffix: Vec<Name> = path.split('/').map(Name::new).collect();
             let e = to.map_or(Entity::Undefined, |o| Entity::Object(oid(o)));
-            c.record(at(0, Some(100), &table), oid(1), &suffix, e, &[0], false);
+            c.record(at(0, Some(100), &table), oid(1), &suffix, e, &[0]);
         }
         (c, table)
     }
@@ -1443,7 +1422,6 @@ mod tests {
             &[Name::new("a")],
             Entity::Object(oid(5)),
             &[0],
-            false,
         );
         c.record(
             at(0, Some(30), &table),
@@ -1451,7 +1429,6 @@ mod tests {
             &[Name::new("b")],
             Entity::Object(oid(6)),
             &[0],
-            false,
         );
         assert_eq!(c.sweep(at(10, None, &table)), 1);
         assert_eq!(c.len(), 1);

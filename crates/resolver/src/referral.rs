@@ -65,9 +65,8 @@ impl Validity for ResolutionMemo {
 
     /// Re-walks `suffix` at the authority and records under the walk's
     /// generation footprint — non-empty even when the walk fails, so a
-    /// later write along it lets `sweep` drop the entry. Unless `on_trust`,
-    /// the entry is kept only if the walk agrees with `entity` modulo
-    /// replica group: the network can answer for reasons that are not
+    /// later write along it lets `sweep` drop the entry. The entry is kept
+    /// only if the walk agrees with `entity` modulo replica group: the network can answer for reasons that are not
     /// naming state — every message lost, a lagging replica, a binding
     /// changed in flight — and a cache that can't justify an entry must not
     /// keep it. An empty footprint (a depth verdict) would validate forever
@@ -80,7 +79,6 @@ impl Validity for ResolutionMemo {
         entity: Entity,
         _zones: &[usize],
         _reads: &[ZoneRead],
-        on_trust: bool,
     ) -> bool {
         let state = world.state();
         self.record_walk(state, start, suffix, |deps| {
@@ -91,7 +89,7 @@ impl Validity for ResolutionMemo {
                 }
                 (o, e) => o == e,
             };
-            (on_trust || (agreed && !deps.is_empty())).then_some(entity)
+            (agreed && !deps.is_empty()).then_some(entity)
         })
     }
 
@@ -241,7 +239,7 @@ impl<P: Validity, const NEGATIVE: bool> Validated<P, NEGATIVE> {
         }
         let kept = self
             .store
-            .record_read(by, start, name, entity, zones, reads, false);
+            .record_read(by, start, name, entity, zones, reads);
         self.stats.recorded += u64::from(kept);
         if kept && NEGATIVE {
             naming_telemetry::counter!("negcache.recorded").bump();

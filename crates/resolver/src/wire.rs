@@ -1586,6 +1586,96 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn request_labels_are_found_by_their_bytes() {
+        // An interned label of 16 bytes and one of 40 (both past the
+        // interner's 15-byte inline keys), then one of 16 bytes nothing
+        // interned, written over an interned placeholder.
+        let (l16, l40) = (
+            "wire-label-16-in",
+            "wire-label-of-forty-bytes-in-one-request",
+        );
+        let (placeholder, unknown) = ("wire-label-16-pl", "wire-label-16-no");
+        assert_eq!(
+            [l16, l40, placeholder, unknown].map(str::len),
+            [16, 40, 16, 16]
+        );
+        let (a, b, p) = (Name::new(l16), Name::new(l40), Name::new(placeholder));
+        let mut frame = one(3, 0, CompoundName::new([a, b, p]).unwrap())
+            .encode()
+            .to_vec();
+        let at = frame.windows(16).position(|w| w == placeholder.as_bytes());
+        let at = at.expect("the placeholder is in the frame");
+        frame[at..at + 16].copy_from_slice(unknown.as_bytes());
+        let mut trie = NameTrie::default();
+        read_request(&frame, &mut trie, &mut Vec::new()).expect("a request frame");
+        let labels: Vec<Label> = trie.nodes.iter().map(|n| n.component).collect();
+        assert_eq!(labels, [Some(a), Some(b), None]);
+    }
+
+    /// The symbol `n` was interned as: the one integer its `Hash` writes.
+    fn symbol(n: Name) -> u64 {
+        use std::hash::{Hash, Hasher};
+        struct Symbol(u64);
+        impl Hasher for Symbol {
+            fn finish(&self) -> u64 {
+                self.0
+            }
+            fn write(&mut self, _: &[u8]) {
+                unreachable!("a name hashes its symbol")
+            }
+            fn write_u32(&mut self, sym: u32) {
+                self.0 = sym.into();
+            }
+        }
+        let mut h = Symbol(0);
+        n.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn a_request_reads_alike_while_the_interner_grows() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        // Symbols fixed before the writer starts: short and long labels.
+        let labels = ["wire-grow", "wire-grow-label-past-inline", "é"];
+        let name = CompoundName::new(labels.map(Name::new)).unwrap();
+        let want: Vec<Label> = name.iter().map(|&n| Some(n)).collect();
+        let frame = one(4, 0, name).encode();
+        let (started, done) = (Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                // The interner's index is at most half full and starts with
+                // room for 256 atoms. When the first fresh atom took symbol
+                // `a`, it had fewer than max(257, 2a + 2) slots' worth of
+                // room, so a fresh atom at symbol 2a + 257 crossed a growth.
+                let first = symbol(Name::new("wire-grow-0"));
+                let mut i = 1u64;
+                while symbol(Name::new(&format!("wire-grow-{i}"))) < 2 * first + 257 {
+                    i += 1;
+                }
+                done.store(true, Ordering::Release);
+            });
+            let (mut trie, mut seen) = (NameTrie::default(), Vec::new());
+            let mut read = |round: usize| {
+                read_request(&frame, &mut trie, &mut seen).expect("a request frame");
+                let got = trie.nodes.iter().map(|n| n.component);
+                assert!(got.eq(want.iter().copied()), "read {round}");
+            };
+            // One read before the writer starts, reads while it interns, and
+            // one after it has crossed the growth.
+            read(0);
+            started.wait();
+            let mut rounds = 1;
+            while !done.load(Ordering::Acquire) {
+                read(rounds);
+                rounds += 1;
+            }
+            read(rounds);
+        });
+    }
+
+    #[test]
     fn unicode_names_survive_the_wire() {
         let n = CompoundName::new([Name::new("café"), Name::new("naïve")]).unwrap();
         let r = one(1, 0, n);

@@ -455,7 +455,6 @@ fn keys_lru_first(cache: &LeasedCache, held: &[Key]) -> Vec<Key> {
             &suffix,
             Entity::Undefined,
             &[],
-            false,
         );
         fresh += 1;
     };
@@ -551,7 +550,7 @@ proptest! {
                     let by = Heard { now, ttl, table: &table };
                     let target = ObjectId::from_index(7);
                     let kept = match store {
-                        0 => positives.record(by, k.0, &k.1, Entity::Object(target), &zones, true),
+                        0 => positives.record(by, k.0, &k.1, Entity::Object(target), &zones),
                         1 => referrals.record(by, k.0, &k.1, target, &zones),
                         _ => negatives.record(by, k.0, &k.1, &zones, false),
                     };
@@ -933,7 +932,7 @@ proptest! {
                         if let Entity::Object(o) = entity {
                             zones.push(SystemState::shard_of_id(o));
                         }
-                        prop_assert!(stores[store].record(by, root, &comps[..len], entity, &zones, true));
+                        prop_assert!(stores[store].record(by, root, &comps[..len], entity, &zones));
                         let expires_at = Lease::grant(now, ttl, ZoneSerial::ZERO).expires_at;
                         granted[store].insert(comps[..len].to_vec(), (entity, expires_at));
                     }

@@ -96,7 +96,7 @@ fn lease_hit_probes_allocate_nothing() {
     for (i, (start, suffix)) in keys.iter().enumerate() {
         let e = Entity::Object(oid(i as u32));
         let lease = heard(0, Some(1_000_000), &table);
-        cache.record(lease, *start, suffix, e, &[0, 2, 0], false);
+        cache.record(lease, *start, suffix, e, &[0, 2, 0]);
     }
     let mut hits = 0u32;
     let allocated = allocations_in(|| {
@@ -127,7 +127,7 @@ fn a_probe_that_renews_allocates_nothing() {
     let keys = keys();
     for (i, (start, suffix)) in keys.iter().enumerate() {
         let (by, e) = (heard(0, Some(10), &table), Entity::Object(oid(i as u32)));
-        cache.record_read(by, *start, suffix, e, &[0, 2], &reads, false);
+        cache.record_read(by, *start, suffix, e, &[0, 2], &reads);
     }
     let allocated = allocations_in(|| {
         for round in 1..=100u64 {
@@ -202,7 +202,7 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
         let window = &keys[(round as usize * 8) % 56..][..8];
         for (start, suffix) in window {
             let lease = heard(now, Some(10), table);
-            cache.record(lease, *start, suffix, Entity::Undefined, &[1, 0], false);
+            cache.record(lease, *start, suffix, Entity::Undefined, &[1, 0]);
         }
         match round % 3 {
             0 => {
