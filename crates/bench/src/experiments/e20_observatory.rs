@@ -89,7 +89,7 @@ fn campaign_policy() -> RetryPolicy {
 /// Runs E20.
 pub fn run(seed: u64) -> E20Result {
     let (mut w, svc, machines, client, start, names, _standby, zones) =
-        crate::scenarios::chaos_zones(HOPS, LEAVES, seed);
+        crate::scenarios::chaos_zones(HOPS, LEAVES, seed, 1);
     let deep_zone = *zones.last().expect("hops >= 1");
     let deepest = *machines.last().expect("hops >= 1");
     let thresholds = SloThresholds::default();

@@ -6,26 +6,12 @@
 use naming_core::entity::{ActivityId, ObjectId};
 use naming_core::name::{CompoundName, Name};
 use naming_core::state::SystemState;
+use naming_resolver::service::NameService;
 use naming_sim::rng::SimRng;
 use naming_sim::store;
+use naming_sim::topology::MachineId;
 use naming_sim::workload::{grow_tree, TreeManifest, TreeSpec};
 use naming_sim::world::World;
-
-/// The bench binaries' deterministic 64-bit LCG (Knuth's MMIX constants):
-/// each draw is the top 31 bits of the next state.
-#[derive(Clone, Copy, Debug)]
-pub struct Lcg(pub u64);
-
-impl Lcg {
-    /// The next draw, below 2^31.
-    pub fn draw(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
 
 /// A deep chain `root/c0/c1/…/c{depth-1}/leaf` for resolution-depth
 /// benches. Returns `(state, root, full path)`.
@@ -120,27 +106,36 @@ pub fn audit_world(
 /// batching collapses the walk and referral caching collapses repeats.
 ///
 /// Returns `(world, service, machines, client, start, leaf names)`.
-pub fn protocol_zones(
-    hops: usize,
-    leaves: usize,
-    seed: u64,
-) -> (
+pub fn protocol_zones(hops: usize, leaves: usize, seed: u64) -> Chain {
+    chain_zones(hops, leaves, World::new(seed))
+}
+
+/// What [`protocol_zones`] returns.
+type Chain = (
     World,
-    naming_resolver::service::NameService,
-    Vec<naming_sim::topology::MachineId>,
+    NameService,
+    Vec<MachineId>,
     ActivityId,
     ObjectId,
     Vec<CompoundName>,
-) {
+);
+
+/// [`protocol_zones`] built in `w`, machine `i`'s objects in shard `i % n`
+/// of its `n`.
+fn chain_zones(hops: usize, leaves: usize, mut w: World) -> Chain {
     assert!(hops >= 1, "need at least one server");
-    let mut w = World::new(seed);
+    let shards = w.state().shard_count();
     let net = w.add_network("servers");
-    let machines: Vec<naming_sim::topology::MachineId> = (0..hops)
-        .map(|i| w.add_machine(format!("s{i}"), net))
+    let machines: Vec<MachineId> = (0..hops)
+        .map(|i| {
+            w.state_mut().set_default_shard(i % shards);
+            w.add_machine(format!("s{i}"), net)
+        })
         .collect();
     let mut prev: Option<ObjectId> = None;
     let mut comps = vec![Name::root(), Name::new("zone")];
     for (i, &m) in machines.iter().enumerate() {
+        w.state_mut().set_default_shard(i % shards);
         let root = w.machine_root(m);
         let dir = store::ensure_dir(w.state_mut(), root, "zone");
         if let Some(p) = prev {
@@ -157,7 +152,7 @@ pub fn protocol_zones(
         c.push(Name::new(&format!("f{j}")));
         names.push(CompoundName::new(c).expect("nonempty"));
     }
-    let mut svc = naming_resolver::service::NameService::install(&mut w, &machines);
+    let mut svc = NameService::install(&mut w, &machines);
     for &m in machines.iter().rev() {
         let r = w.machine_root(m);
         svc.place_subtree(&w, r, m);
@@ -172,24 +167,28 @@ pub fn protocol_zones(
 /// [`protocol_zones`] hardened for chaos runs: every per-machine zone is
 /// additionally replicated onto one standby machine (on the server
 /// network, off every walk path), whose server can answer for any hop
-/// when a primary times out or dies. Returns the standby machine and the
-/// zone objects (chain order) on top of the `protocol_zones` tuple.
+/// when a primary times out or dies. Machine `i`'s objects live in shard
+/// `i % shards`; one shard builds `protocol_zones`' world. Returns the
+/// standby machine and the zone objects (chain order) on top of the
+/// `protocol_zones` tuple.
 #[allow(clippy::type_complexity)]
 pub fn chaos_zones(
     hops: usize,
     leaves: usize,
     seed: u64,
+    shards: usize,
 ) -> (
     World,
-    naming_resolver::service::NameService,
-    Vec<naming_sim::topology::MachineId>,
+    NameService,
+    Vec<MachineId>,
     ActivityId,
     ObjectId,
     Vec<CompoundName>,
-    naming_sim::topology::MachineId,
+    MachineId,
     Vec<ObjectId>,
 ) {
-    let (mut w, mut svc, machines, client, start, names) = protocol_zones(hops, leaves, seed);
+    let chain = chain_zones(hops, leaves, World::with_shards(seed, shards));
+    let (mut w, mut svc, machines, client, start, names) = chain;
     let net = w.topology().machine_network(machines[0]);
     let standby = w.add_machine("standby", net);
     svc.add_server(&mut w, standby);
@@ -225,8 +224,8 @@ pub fn coherence_zones(
     seed: u64,
 ) -> (
     World,
-    naming_resolver::service::NameService,
-    Vec<naming_sim::topology::MachineId>,
+    NameService,
+    Vec<MachineId>,
     ActivityId,
     ObjectId,
     Vec<ObjectId>,
@@ -235,7 +234,7 @@ pub fn coherence_zones(
     assert!(zones >= 1, "need at least one zone");
     let mut w = World::with_shards(seed, zones + 1);
     let net = w.add_network("servers");
-    let machines: Vec<naming_sim::topology::MachineId> = (0..=zones)
+    let machines: Vec<MachineId> = (0..=zones)
         .map(|i| w.add_machine(format!("m{i}"), net))
         .collect();
     let hub = w.machine_root(machines[0]);
@@ -267,7 +266,7 @@ pub fn coherence_zones(
         dirs.push(dir);
         names.push(zone_names);
     }
-    let mut svc = naming_resolver::service::NameService::install(&mut w, &machines);
+    let mut svc = NameService::install(&mut w, &machines);
     for (z, &dir) in dirs.iter().enumerate() {
         svc.place_subtree(&w, dir, machines[z + 1]);
     }
@@ -317,7 +316,7 @@ mod tests {
 
     #[test]
     fn chaos_zones_standby_mirrors_every_zone() {
-        let (mut w, svc, machines, client, start, names, standby, zones) = chaos_zones(3, 2, 13);
+        let (mut w, svc, machines, client, start, names, standby, zones) = chaos_zones(3, 2, 13, 1);
         assert_eq!(zones.len(), machines.len());
         for &z in &zones {
             assert!(svc.zone_copy_on(z, standby).is_some());

@@ -15,8 +15,10 @@
 //! After every operation all three must agree on every probe: `lookup`,
 //! `get`, `contains`, `len`, lexicographic iteration order, and `PartialEq`
 //! between the two contexts (equality must not see the representation).
-//! Run under `debug_assertions`, every mutation also crosses the context's
-//! internal invariant checks — the CI transition leg relies on that.
+//! Run under `debug_assertions`, as `cargo test` builds it, every mutation
+//! also crosses the context's internal invariant checks (sorted inline
+//! array, order/index agreement in the spilled tier), in both transition
+//! directions.
 
 use std::collections::BTreeMap;
 

@@ -9,7 +9,9 @@
 //! mapping. The two sides must produce the same answers, the same ⊥ verdicts,
 //! and — because the memo's shard tier only short-circuits validations that
 //! the exact per-context check would also have passed — bit-identical
-//! [`MemoStats`].
+//! [`MemoStats`]. Run under `debug_assertions`, as `cargo test` builds it,
+//! every context mutation of a script also crosses the two-tier
+//! representation's internal invariant checks.
 
 use naming_core::prelude::*;
 use proptest::prelude::*;

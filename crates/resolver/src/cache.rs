@@ -727,21 +727,6 @@ impl CachingResolver {
         }
     }
 
-    /// Drops every leased entry (positive, referral, negative) whose
-    /// lease has lapsed at virtual time `now`, unless the pulls since have
-    /// proved it (then it is renewed); returns how many went. A no-op in
-    /// exact mode. Probes drop lapsed entries on sight anyway; this
-    /// reclaims space for entries that are never probed again.
-    pub fn sweep_leases(&mut self, now: u64) -> usize {
-        self.mirroring_renewals(|r| match &mut r.plane {
-            Planes::Oracle(_) => 0,
-            Planes::Lease(p) => {
-                let swept = p.sweep(Self::heard(r.mode, &r.table, now));
-                swept.iter().sum()
-            }
-        })
-    }
-
     /// Anti-entropy pull: asks the authority on `machine` for zone deltas
     /// since the serials this replica last heard, adopts the answered
     /// serials, and drops every cached entry stamped under a serial its
@@ -1647,10 +1632,6 @@ mod tests {
     #[test]
     fn healing_and_lease_sweeping_are_no_ops_on_the_other_plane() {
         let name = CompoundName::parse_path("/remote/data").unwrap();
-        let (mut w, mut exact, client, root, _m1) = setup_mode(CoherenceMode::Exact);
-        exact.resolve(&mut w, client, root, &name, Mode::Iterative);
-        assert_eq!(exact.sweep_leases(u64::MAX), 0);
-        assert_eq!(exact.len(), 1);
         let (mut w, mut leased, client, root, _m1) = setup_lease(Some(50));
         leased.resolve(&mut w, client, root, &name, Mode::Iterative);
         let Entity::Object(sub) = store::resolve_path(w.state(), root, "/remote") else {
@@ -1660,11 +1641,5 @@ mod tests {
         w.state_mut().bind(sub, Name::new("data"), fresh).unwrap();
         assert_eq!(leased.heal(&w), 0, "a lease plane has no oracle store");
         assert_eq!(leased.len(), 1);
-        assert_eq!(
-            leased.sweep_leases(u64::MAX),
-            2,
-            "the binding and its referral"
-        );
-        assert!(leased.is_empty());
     }
 }

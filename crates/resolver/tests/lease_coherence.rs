@@ -6,7 +6,11 @@
 //! protocol over the simulated network — and checks the paper's §5
 //! bounded-staleness contract from the outside: the oracle
 //! ([`Resolver::resolve_entity`]) is the *experimenter's* instrument;
-//! the lease-mode resolver under test never touches it.
+//! the lease-mode resolver under test never touches it. (That it cannot is
+//! a fact of the types: the lease policy's evidence has no σ in it.) Run
+//! under `debug_assertions`, as `cargo test` builds it, the stack runs with
+//! the checks of the layers underneath live, so a broken recency-list
+//! invariant in the store trips here too.
 
 use std::collections::BTreeMap;
 

@@ -16,6 +16,15 @@
 //! * **Replica routing order** — same network first, the primary breaks
 //!   ties, failover lists the primary first — across the placement
 //!   rewrite.
+//!
+//! The harness (`tests/chaos.rs`) runs five servers. The forty here, the
+//! caller's own stepping before an entry point, remote exec and the replica
+//! order are none of its configurations, so these stay beside it.
+//!
+//! Run under `debug_assertions`, as `cargo test` builds it: after handling
+//! the one process an event names, the engine asserts that every other
+//! server mailbox is empty, so each run here checks targeted handling
+//! against the old sweep of every mailbox, event by event.
 
 use naming_core::entity::{ActivityId, Entity, ObjectId};
 use naming_core::name::{CompoundName, Name};

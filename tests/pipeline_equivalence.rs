@@ -14,6 +14,14 @@
 //!   outcome list, or a referral whose count leaves no proper rest of what
 //!   was asked, ends `Unreachable` through every entry point: never ⊥,
 //!   never cached, never a referral hop the client did not ask for.
+//!
+//! These stay beside the fault harness (`tests/chaos.rs`) and the
+//! configuration matrix (`tests/config_matrix.rs`). Head-of-line blocking
+//! is a matter of timing, not of an answer. The short-reply, referral and
+//! mutated-reply cases need forged frames, which neither builds. The
+//! interleaved run submits many batches at once at 3 and 8 workers, where
+//! the harness submits one at 2, and no revert has yet been shown that the
+//! harness or class (a) catches in its place.
 
 use naming_bench::scenarios::chaos_zones;
 use naming_core::entity::{ActivityId, Entity, ObjectId};
@@ -56,7 +64,8 @@ fn assert_batch_eq(got: &PipelinedAnswer, want: &BatchResolveStats, label: &str)
 #[test]
 fn interleaved_batches_match_serial_blocking_per_batch() {
     for workers in [1usize, 3, 8] {
-        let (mut wa, svc_a, _m, client_a, start_a, names, _s, _z) = chaos_zones(HOPS, LEAVES, SEED);
+        let (mut wa, svc_a, _m, client_a, start_a, names, _s, _z) =
+            chaos_zones(HOPS, LEAVES, SEED, 1);
         let chunks: Vec<Vec<CompoundName>> = names.chunks(3).map(|c| c.to_vec()).collect();
         let mut blocking = ProtocolEngine::new(svc_a);
         let want: Vec<BatchResolveStats> = chunks
@@ -69,7 +78,7 @@ fn interleaved_batches_match_serial_blocking_per_batch() {
             .collect();
 
         let (mut wb, svc_b, _m, client_b, start_b, _names, _s, _z) =
-            chaos_zones(HOPS, LEAVES, SEED);
+            chaos_zones(HOPS, LEAVES, SEED, 1);
         let mut svc = PipelinedService::new(ProtocolEngine::new(svc_b), workers);
         for c in &chunks {
             svc.submit(&mut wb, client_b, start_b, c);
@@ -197,7 +206,7 @@ fn world_answering_first_request_with(
     ObjectId,
     Vec<CompoundName>,
 ) {
-    let (mut w, svc, machines, client, start, names, _s, _z) = chaos_zones(HOPS, LEAVES, SEED);
+    let (mut w, svc, machines, client, start, names, _s, _z) = chaos_zones(HOPS, LEAVES, SEED, 1);
     let forged = BatchReply {
         id: 1,
         outcomes,
@@ -247,7 +256,7 @@ fn short_reply_is_a_transport_verdict_in_every_driver() {
 /// hop is reported, and a lease-mode cache on top records no ⊥.
 #[test]
 fn hostile_referrals_are_never_followed() {
-    let (_w, _svc, machines, _c, _start, names, _s, zones) = chaos_zones(HOPS, LEAVES, SEED);
+    let (_w, _svc, machines, _c, _start, names, _s, zones) = chaos_zones(HOPS, LEAVES, SEED, 1);
     let name = names[0].clone();
     let asked = u16::try_from(name.len()).unwrap();
     let referral = |remaining| Outcome::Referral {
@@ -317,7 +326,7 @@ fn hostile_referrals_are_never_followed() {
 /// the name, in either driver, and nothing panics.
 #[test]
 fn mutated_replies_fold_into_stated_answers_or_unreachable() {
-    let (w, svc, machines, _c, start, leaves, _s, _z) = chaos_zones(HOPS, LEAVES, SEED);
+    let (w, svc, machines, _c, start, leaves, _s, _z) = chaos_zones(HOPS, LEAVES, SEED, 1);
     let path = |p: &str| CompoundName::parse_path(p).unwrap();
     let names = vec![
         leaves[0].clone(),
@@ -353,7 +362,7 @@ fn mutated_replies_fold_into_stated_answers_or_unreachable() {
     .encode();
 
     let run = |frame: Option<&[u8]>, pipelined: bool| {
-        let (mut w, svc, machines, client, start, ..) = chaos_zones(HOPS, LEAVES, SEED);
+        let (mut w, svc, machines, client, start, ..) = chaos_zones(HOPS, LEAVES, SEED, 1);
         if let Some(frame) = frame {
             let server = svc.server_on(machines[0]);
             w.send(server, client, vec![Payload::bytes(frame)]);

@@ -190,13 +190,12 @@ fn churn_side_caches(mode: CoherenceMode) -> [naming_resolver::referral::Validat
         round(&mut w, &mut r);
     }
     // … and the eager sweeps drop the rest: a pull that hears the zone
-    // move and a lease sweep on one plane, healing on the other.
+    // move on one plane, healing on the other.
     r.sync(&mut w, client, m1).expect("sync completes");
     round(&mut w, &mut r);
     let gone = w.state_mut().add_data_object("gone", vec![]);
     w.state_mut().bind(sub, Name::new("gone"), gone).unwrap();
     r.heal(&w);
-    r.sweep_leases(u64::MAX);
     [r.referral_stats(), r.negative_stats()]
 }
 
@@ -295,9 +294,8 @@ fn sync_registry_counters_equal_the_reports() {
     }
 }
 
-/// Every lapsed lease a probe or a sweep renews — singly, in a batch or
-/// in a sweep — adds to `coherence.lease.renewed` what it adds to the
-/// struct.
+/// Every lapsed lease a probe renews — singly or in a batch — adds to
+/// `coherence.lease.renewed` what it adds to the struct.
 #[test]
 fn lease_renewals_registry_counter_equals_the_struct_counter() {
     const TTL: u64 = 2_000;
@@ -323,18 +321,12 @@ fn lease_renewals_registry_counter_equals_the_struct_counter() {
         while w.step() {}
         w.drain_wakes(client);
         let was = r.lease_stats().renewed;
-        match round % 3 {
-            0 => {
-                for name in &names {
-                    r.resolve(&mut w, client, root, name, Mode::Iterative);
-                }
+        if round % 2 == 0 {
+            for name in &names {
+                r.resolve(&mut w, client, root, name, Mode::Iterative);
             }
-            1 => {
-                r.resolve_batch(&mut w, client, root, &names);
-            }
-            _ => {
-                r.sweep_leases(w.now().ticks());
-            }
+        } else {
+            r.resolve_batch(&mut w, client, root, &names);
         }
         renewed.push(r.lease_stats().renewed - was);
         r.sync(&mut w, client, m1).expect("pull completes");

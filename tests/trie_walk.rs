@@ -30,6 +30,9 @@
 //!   a trie node with more children than a 16-bit count — is unreachable
 //!   in every driver and every cache, never `⊥` and never cached, with no
 //!   request sent; an authority sends no zone frame it cannot carry.
+//!
+//! Run with debug assertions and overflow checks live, as `cargo test`
+//! builds it: a decode that sized anything by an unchecked count aborts.
 
 use bytes::Bytes;
 use naming_core::prelude::*;
