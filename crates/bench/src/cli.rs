@@ -1,5 +1,5 @@
-//! One command line for the bench binaries, and the writer of their
-//! reports.
+//! The command line of the `experiments` binary (`figures` takes one
+//! directory, and refuses anything else through [`fail`]).
 //!
 //! A binary declares its flags once, as a table of [`Flag`]s — name, kind
 //! and default — and [`parse`] reads the process arguments against it.
@@ -8,23 +8,15 @@
 //! an integer ≥ 1, an integer fits a `u64`, a choice is one of its words.
 //! A flag given twice keeps its last value.
 //!
-//! Three groups are declared here because several binaries share them:
-//! [`OUT`] (`--out PATH` / `--stdout`, the tail every snapshot binary
-//! writes its report through, see [`Args::emit`]), [`WATCH`]
+//! Two groups are declared apart from the binary's own table: [`WATCH`]
 //! (`--watch N` / `--metrics-out PATH`, see [`Args::watch`]) and
 //! [`TELEMETRY`] (`--trace PATH` / `--metrics`, see
 //! [`Args::write_telemetry`]).
-//!
-//! [`Doc`] lays a report out the way the checked-in `BENCH_*.json` files
-//! are: a document one field per line and its rows one per line, nested
-//! objects inline or as blocks, every number at the precision its caller
-//! gives, strings through the one JSON escaper.
 
 use std::collections::HashMap;
-use std::fmt::{self, Display, Write as _};
+use std::fmt::Write as _;
 use std::path::Path;
 
-use naming_telemetry::json::json_string;
 use naming_telemetry::{chrome, metrics, recorder};
 
 use crate::watch::MetricsWatch;
@@ -38,8 +30,7 @@ pub enum Kind {
     Path,
     /// An integer ≥ 1.
     Count,
-    /// An integer ≥ 0 that fits a `u64`: a seed, or a worker count where 0
-    /// means "no pool".
+    /// An integer ≥ 0 that fits a `u64`: a seed.
     Int,
     /// One of the listed words.
     Choice(&'static [&'static str]),
@@ -49,12 +40,6 @@ pub enum Kind {
 /// given (`None`: absent).
 #[derive(Clone, Copy, Debug)]
 pub struct Flag(pub &'static str, pub Kind, pub Option<&'static str>);
-
-/// `--out PATH` / `--stdout`: where [`Args::emit`] puts the report.
-pub const OUT: &[Flag] = &[
-    Flag("--out", Kind::Path, None),
-    Flag("--stdout", Kind::Switch, None),
-];
 
 /// `--watch N` / `--metrics-out PATH`: the metrics exposition
 /// [`Args::watch`] writes while the binary runs.
@@ -219,40 +204,6 @@ impl Args {
             .unwrap_or_else(|| panic!("{name} is a number declared with a default"))
     }
 
-    /// [`Args::opt_int`] as a `usize` (saturating where a `usize` is
-    /// narrower).
-    pub fn opt_count(&self, name: &str) -> Option<usize> {
-        self.opt_int(name)
-            .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
-    }
-
-    /// [`Args::int`] as a `usize`.
-    pub fn count(&self, name: &str) -> usize {
-        self.opt_count(name)
-            .unwrap_or_else(|| panic!("{name} is a number declared with a default"))
-    }
-
-    /// Where [`Args::emit`] writes: `None` for stdout (`--stdout`), else
-    /// `--out` or `default_path`.
-    fn route(&self, default_path: &str) -> Option<String> {
-        (!self.on("--stdout")).then(|| self.text("--out").unwrap_or(default_path).to_owned())
-    }
-
-    /// Writes the report: to stdout under `--stdout`, else to `--out` or
-    /// `default_path`, followed by a "wrote PATH" line on stderr. A file
-    /// that cannot be written exits 1.
-    pub fn emit(&self, doc: &Doc, default_path: &str) {
-        let Some(path) = self.route(default_path) else {
-            println!("{doc}");
-            return;
-        };
-        std::fs::write(&path, format!("{doc}\n")).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {path}");
-    }
-
     /// The metrics watcher [`WATCH`] configures.
     pub fn watch(&self) -> MetricsWatch {
         MetricsWatch::new(
@@ -284,120 +235,6 @@ impl Args {
     }
 }
 
-/// A JSON object as the reports lay it out. A document ([`Doc::block`])
-/// puts each field on its own line; a row ([`Doc::row`]) puts all of them
-/// on one. Values are written as given: [`Doc::val`] takes anything whose
-/// `Display` is JSON (integers, booleans, `null`, numbers printed whole),
-/// [`Doc::fix`] a number at a fixed number of decimals, [`Doc::str`] a
-/// string to escape.
-#[derive(Clone, Debug)]
-pub struct Doc {
-    inline: bool,
-    fields: Vec<(&'static str, Field)>,
-}
-
-#[derive(Clone, Debug)]
-enum Field {
-    Json(String),
-    Object(Doc),
-    /// Items one per line.
-    Rows(Vec<String>),
-}
-
-impl Doc {
-    /// An empty document: one field per line.
-    pub fn block() -> Doc {
-        Doc {
-            inline: false,
-            fields: Vec::new(),
-        }
-    }
-
-    /// An empty row: every field on one line.
-    pub fn row() -> Doc {
-        Doc {
-            inline: true,
-            fields: Vec::new(),
-        }
-    }
-
-    fn with(mut self, key: &'static str, field: Field) -> Doc {
-        self.fields.push((key, field));
-        self
-    }
-
-    /// A field whose `Display` is already JSON.
-    pub fn val(self, key: &'static str, v: impl Display) -> Doc {
-        self.with(key, Field::Json(v.to_string()))
-    }
-
-    /// A number at `places` decimals.
-    pub fn fix(self, key: &'static str, v: f64, places: usize) -> Doc {
-        self.with(key, Field::Json(format!("{v:.places$}")))
-    }
-
-    /// A string, escaped.
-    pub fn str(self, key: &'static str, v: &str) -> Doc {
-        self.with(key, Field::Json(json_string(v)))
-    }
-
-    /// A nested object: inline if `d` is a row, else a block.
-    pub fn obj(self, key: &'static str, d: Doc) -> Doc {
-        self.with(key, Field::Object(d))
-    }
-
-    /// A list on one line.
-    pub fn list<T: Display>(self, key: &'static str, items: impl IntoIterator<Item = T>) -> Doc {
-        let items: Vec<String> = items.into_iter().map(|i| i.to_string()).collect();
-        self.with(key, Field::Json(format!("[{}]", items.join(", "))))
-    }
-
-    /// A list with one item per line (rows, or JSON strings).
-    pub fn rows<T: Display>(self, key: &'static str, items: impl IntoIterator<Item = T>) -> Doc {
-        self.with(
-            key,
-            Field::Rows(items.into_iter().map(|i| i.to_string()).collect()),
-        )
-    }
-
-    /// Writes the object; a block's fields go at `pad` spaces, its closing
-    /// brace two fewer.
-    fn write(&self, out: &mut String, pad: usize) {
-        let (sep, indent) = match self.inline {
-            true => (", ", String::new()),
-            false => (",", format!("\n{}", " ".repeat(pad))),
-        };
-        out.push('{');
-        for (i, (key, field)) in self.fields.iter().enumerate() {
-            out.push_str(if i > 0 { sep } else { "" });
-            let _ = write!(out, "{indent}\"{key}\": ");
-            match field {
-                Field::Json(json) => out.push_str(json),
-                Field::Object(d) => d.write(out, pad + 2),
-                Field::Rows(items) => {
-                    let indent = format!("\n{}", " ".repeat(pad + 2));
-                    let items = items.join(&format!(",{indent}"));
-                    let _ = write!(out, "[{indent}{items}\n{}]", " ".repeat(pad));
-                }
-            }
-        }
-        if !self.inline {
-            let _ = write!(out, "\n{}", " ".repeat(pad - 2));
-        }
-        out.push('}');
-    }
-}
-
-/// The object as text; a document's last line is its closing brace, with
-/// no newline after it.
-impl Display for Doc {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, 2);
-        f.write_str(&out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::Kind::*;
@@ -412,7 +249,7 @@ mod tests {
 
     fn read(args: &[&str]) -> Result<Args, Stop> {
         let args = args.iter().map(|a| a.to_string());
-        Args::read("bench_test", &[OUT, WATCH, FLAGS], args)
+        Args::read("bench_test", &[WATCH, FLAGS], args)
     }
 
     /// The message a refused command line exits 2 with.
@@ -432,7 +269,7 @@ mod tests {
     #[test]
     fn a_missing_value_is_refused_naming_its_flag() {
         assert_eq!(refused(&["--iters"]), "--iters requires a value");
-        assert_eq!(refused(&["--json", "--out"]), "--out requires a value");
+        assert_eq!(refused(&["--json", "--watch"]), "--watch requires a value");
     }
 
     #[test]
@@ -442,7 +279,7 @@ mod tests {
             assert!(msg.starts_with("--iters requires"), "{msg}");
             assert!(refused(&["--watch", bad]).starts_with("--watch requires"));
         }
-        assert_eq!(read(&["--iters", "1"]).unwrap().count("--iters"), 1);
+        assert_eq!(read(&["--iters", "1"]).unwrap().int("--iters"), 1);
     }
 
     #[test]
@@ -466,24 +303,15 @@ mod tests {
     #[test]
     fn defaults_apply_when_a_flag_is_absent_and_the_last_value_wins() {
         let args = read(&[]).unwrap();
-        assert_eq!(args.count("--iters"), 20);
+        assert_eq!(args.int("--iters"), 20);
         assert_eq!(args.int("--seed"), 1993);
         assert_eq!(args.text("--mode"), Some("lease"));
         assert!(!args.on("--json"));
         assert_eq!(args.opt_int("--watch"), None);
         assert_eq!(args.text("--metrics-out"), None);
         let args = read(&["--iters", "5", "--json", "--iters", "7"]).unwrap();
-        assert_eq!(args.count("--iters"), 7);
+        assert_eq!(args.int("--iters"), 7);
         assert!(args.on("--json"));
-    }
-
-    #[test]
-    fn the_report_goes_to_out_or_the_default_path_unless_stdout() {
-        let route = |args: &[&str]| read(args).unwrap().route("BENCH_test.json");
-        assert_eq!(route(&[]).as_deref(), Some("BENCH_test.json"));
-        assert_eq!(route(&["--out", "x.json"]).as_deref(), Some("x.json"));
-        assert_eq!(route(&["--stdout"]), None);
-        assert_eq!(route(&["--out", "x.json", "--stdout"]), None);
     }
 
     #[test]
@@ -493,7 +321,7 @@ mod tests {
                 panic!("{ask} printed no help");
             };
             assert!(text.starts_with("usage: bench_test"));
-            for &Flag(name, _, default) in [OUT, WATCH, FLAGS].concat().iter() {
+            for &Flag(name, _, default) in [WATCH, FLAGS].concat().iter() {
                 let line = text
                     .lines()
                     .find(|l| l.split_whitespace().next() == Some(name))
@@ -504,25 +332,5 @@ mod tests {
             }
             assert!(text.contains("--mode exact|lease (default lease)"));
         }
-    }
-
-    #[test]
-    fn a_doc_lays_out_blocks_rows_and_lists() {
-        let rows = (1..=2).map(|i| Doc::row().val("i", i).fix("x", 0.5 * i as f64, 2));
-        let nested = Doc::block().val("ok", true).list("l", [1, 2]);
-        let doc = Doc::block()
-            .str("bench", "t\"1")
-            .obj("inline", Doc::row().val("null", "null"))
-            .rows("rows", rows)
-            .rows("labels", ["\"a\"", "\"b\""])
-            .obj("block", nested);
-        assert_eq!(
-            doc.to_string(),
-            "{\n  \"bench\": \"t\\\"1\",\n  \"inline\": {\"null\": null},\n  \
-             \"rows\": [\n    {\"i\": 1, \"x\": 0.50},\n    {\"i\": 2, \"x\": 1.00}\n  ],\n  \
-             \"labels\": [\n    \"a\",\n    \"b\"\n  ],\n  \
-             \"block\": {\n    \"ok\": true,\n    \"l\": [1, 2]\n  }\n}"
-        );
-        naming_telemetry::json::check(&doc.to_string()).unwrap();
     }
 }

@@ -296,12 +296,11 @@ pub fn tables(r: &E20Result) -> Vec<Table> {
         &["objective", "observed", "threshold", "held"],
     );
     let rep = &r.report;
-    let worst_staleness = rep.staleness.quantile(1.0);
     slo.row(vec![
         "staleness window (max ticks)".into(),
-        worst_staleness.to_string(),
+        rep.staleness_max_ticks.to_string(),
         r.thresholds.staleness_ticks.to_string(),
-        yes_no(worst_staleness <= r.thresholds.staleness_ticks),
+        yes_no(rep.staleness_max_ticks <= r.thresholds.staleness_ticks),
     ]);
     slo.row(vec![
         "false-⊥ rate".into(),
@@ -408,6 +407,49 @@ mod tests {
         assert_eq!(a.report.breaches, b.report.breaches);
         assert_eq!(a.report.resolve_latency, b.report.resolve_latency);
         assert_eq!(a.report.publish_latency, b.report.publish_latency);
+    }
+
+    /// The campaign at the suite's seed, as the retired
+    /// `BENCH_observatory.json` snapshot held it: the thresholds, the phase
+    /// ledger, and every field of the SLO grade that virtual time decides.
+    #[test]
+    fn the_suite_seed_grades_as_pinned() {
+        let r = run(19930601);
+        let t = r.thresholds;
+        assert_eq!((t.staleness_ticks, t.publish_p99_ticks), (2_000, 1_000));
+        assert_eq!((t.false_bottom_rate, t.unreachable_rate), (0.0, 0.01));
+        let ledger: Vec<_> = (r.phases.iter())
+            .map(|p| {
+                let counts = (p.resolves, p.defined, p.unreachable, p.false_bottoms);
+                let cost = (p.retransmissions, p.failovers);
+                (p.phase, counts, cost, (p.latency_p50, p.latency_p99))
+            })
+            .collect();
+        assert_eq!(
+            ledger,
+            [
+                ("lossless", (12, 12, 0, 0), (0, 0), (800, 800)),
+                ("drop 0.3 + retries", (12, 12, 0, 0), (28, 15), (1592, 5126)),
+                ("churn + publish", (12, 12, 0, 0), (0, 0), (800, 800)),
+                ("primary crash", (12, 12, 0, 0), (12, 12), (1095, 1117)),
+                ("drop 0.4, no retries", (12, 0, 12, 0), (0, 0), (0, 500)),
+            ]
+        );
+        let rep = &r.report;
+        assert_eq!(
+            (rep.resolves, rep.false_bottoms, rep.unreachables),
+            (60, 0, 12)
+        );
+        assert_eq!(rep.false_bottom_rate, 0.0);
+        assert_eq!(format!("{:.4}", rep.unreachable_rate), "0.2000");
+        assert_eq!(rep.publishes, 4);
+        let publish = &rep.publish_latency;
+        assert_eq!((publish.quantile(0.50), publish.quantile(0.99)), (15, 15));
+        assert_eq!((rep.staleness_windows, rep.staleness_max_ticks), (4, 9_610));
+        assert_eq!(format!("{:.4}", rep.publish_burn), "0.0150");
+        assert_eq!(rep.breaches, 1);
+        assert_eq!(r.breaches_by_objective, [("staleness", 1)]);
+        assert!(!rep.ok());
     }
 
     #[test]

@@ -409,18 +409,6 @@ pub struct MovedZone {
     pub diff: Option<(ZoneSerial, usize)>,
 }
 
-impl MovedZone {
-    /// A zone whose move is known only by its serial: every entry stamped
-    /// under another serial of it goes.
-    pub fn zone_wide(shard: usize, serial: ZoneSerial) -> MovedZone {
-        MovedZone {
-            shard,
-            serial,
-            diff: None,
-        }
-    }
-}
-
 /// What one anti-entropy pull heard: the zones that moved, in reply order
 /// (a zone may move twice in one reply), and the reply's slices, whose
 /// changes carry the `(label, was)` pairs the delta filter reads.
@@ -1273,7 +1261,11 @@ mod tests {
             Entity::Object(oid(8)),
             &[64],
         );
-        let moved = [MovedZone::zone_wide(0, ZoneSerial::new(2))];
+        let moved = [MovedZone {
+            shard: 0,
+            serial: ZoneSerial::new(2),
+            diff: None,
+        }];
         let pass = c.zones_moved(Moved::kept(&moved, &KeptDelta::default()));
         assert_eq!((pass.dropped, pass.restamped), (2, 0));
         assert_eq!(c.len(), 2);
@@ -1381,7 +1373,11 @@ mod tests {
         // A full transfer, a regression and a diff from another serial
         // all fall back to the zone-wide drop.
         for m in [
-            MovedZone::zone_wide(0, ZoneSerial::new(2)),
+            MovedZone {
+                shard: 0,
+                serial: ZoneSerial::new(2),
+                diff: None,
+            },
             MovedZone {
                 shard: 0,
                 serial: ZoneSerial::new(2),
@@ -1404,7 +1400,11 @@ mod tests {
             serial: ZoneSerial::new(2),
             diff: Some((ZoneSerial::new(1), 0)),
         };
-        let back = MovedZone::zone_wide(0, ZoneSerial::new(1));
+        let back = MovedZone {
+            shard: 0,
+            serial: ZoneSerial::new(1),
+            diff: None,
+        };
         let (mut c, _) = filtered();
         assert_eq!(
             c.zones_moved(Moved::kept(&[there, back], &slices)).dropped,

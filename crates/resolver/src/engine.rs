@@ -362,7 +362,7 @@ impl ProtocolEngine {
 
     /// Replaces the journal's retention window (changes per zone). A
     /// smaller window forces full transfers sooner — the IXFR→AXFR
-    /// fallback the coherence bench measures. Retained history is reset.
+    /// fallback. Retained history is reset.
     ///
     /// # Panics
     ///

@@ -613,7 +613,7 @@ proptest! {
                 moved.clear();
                 for &(z, s) in &reply {
                     if table.observe(z, s) != SerialObservation::Unchanged {
-                        moved.push(MovedZone::zone_wide(z, s));
+                        moved.push(MovedZone { shard: z, serial: s, diff: None });
                     }
                 }
                 let pull = Moved::kept(&moved, &no_diff);
@@ -975,7 +975,7 @@ proptest! {
                     }
                     let wide_moves: Vec<MovedZone> = moved
                         .iter()
-                        .map(|m| MovedZone::zone_wide(m.shard, m.serial))
+                        .map(|m| MovedZone { diff: None, ..*m })
                         .collect();
                     let before = stores.clone();
                     let mut wide = stores.clone();

@@ -213,7 +213,11 @@ fn entries_that_lapse_and_return_reuse_their_slots() {
             }
             1 => assert_eq!(cache.sweep(heard(now + 10, None, table)), 8),
             _ => {
-                let moved = [MovedZone::zone_wide(1, ZoneSerial::new(round))];
+                let moved = [MovedZone {
+                    shard: 1,
+                    serial: ZoneSerial::new(round),
+                    diff: None,
+                }];
                 table.observe(1, moved[0].serial);
                 let pull = Moved::kept(&moved, &no_diff);
                 assert_eq!(cache.zones_moved(pull).dropped, 8);

@@ -23,7 +23,10 @@
 //! * **(c) coherence modes** — a lossless publish/resolve schedule:
 //!   `CoherenceMode::Exact` healed after each publish, and
 //!   `Lease { ttl: None }` pulled after each publish, answer every
-//!   resolution as the authority's state does at that instant.
+//!   resolution as the authority's state does at that instant. The same
+//!   schedule with a finite TTL, a pull every other round and loss is the
+//!   lease sweep: one digest pins its rows, and lossless staleness stays
+//!   under the TTL and one pull period.
 
 use naming_bench::scenarios::coherence_zones;
 use naming_core::context::INLINE_CAP;
@@ -39,9 +42,11 @@ use naming_resolver::runtime::PipelinedService;
 use naming_resolver::service::NameService;
 use naming_resolver::wire::{BatchRequest, Mode, NameTrie};
 use naming_sim::store;
-use naming_sim::topology::MachineId;
+use naming_sim::time::Duration;
+use naming_sim::topology::{LatencyModel, MachineId};
 use naming_sim::world::World;
 use naming_telemetry::recorder;
+use std::hash::{Hash, Hasher};
 
 const SEED: u64 = 20261019;
 /// Machines in the referral chain, one zone each.
@@ -428,49 +433,142 @@ fn authority_pool_equals_serial_across_a_publish() {
     );
 }
 
-/// One class (c) schedule: every name resolved each round, then one
-/// binding republished, then healed (exact) or pulled (lease). Each
-/// resolution is digested next to the authority's own answer at that
-/// instant.
-fn coherence_run(mode: CoherenceMode) -> Vec<(Verdict, Verdict)> {
-    const ROUNDS: usize = 8;
-    let (mut w, svc, machines, client, start, dirs, names) = coherence_zones(3, 4, SEED);
+/// The class (c) world, `coherence_zones(4, 6, 1993)`: a hub and four
+/// zones of six leaves, each zone on its own server and shard.
+const COHERENCE_SEED: u64 = 1993;
+const COHERENCE_ZONES: usize = 4;
+const COHERENCE_LEAVES: usize = 6;
+/// Counted rounds of a class (c) schedule.
+const ROUNDS: usize = 24;
+/// Virtual ticks between rounds. A cache hit costs no virtual time, so
+/// without pacing a warm round takes none and no lease could lapse.
+const ROUND_GAP: u64 = 100;
+/// The sweep's pull cadence, in rounds.
+const SYNC_EVERY: usize = 2;
+
+/// How often a class (c) schedule writes and pulls, and what it loses.
+#[derive(Clone, Copy)]
+struct Cadence {
+    /// A rebind is published every `publish` rounds.
+    publish: usize,
+    /// A lease replica pulls every `pull` rounds; an exact one heals at
+    /// each publish.
+    pull: usize,
+    /// The message drop rate once the cache is warm.
+    drop: f64,
+}
+
+/// One resolution: the replica's answer, the authority's at that instant,
+/// whether a cache answered, and the ticks since the name was republished.
+struct Served {
+    got: Verdict,
+    truth: Verdict,
+    from_cache: bool,
+    window: u64,
+}
+
+/// What a schedule cost its replica once warm.
+#[derive(Default, Hash)]
+struct Tally {
+    hits: u64,
+    messages: u64,
+    expired: u64,
+    syncs: u64,
+    missed_syncs: u64,
+    transfer_bytes: u64,
+    full_transfers: u64,
+    incremental_transfers: u64,
+    entries_dropped: u64,
+}
+
+/// Advances the clock by `ticks` with no naming traffic.
+fn pace(w: &mut World, client: ActivityId, ticks: u64) {
+    w.schedule_wake(client, Duration::from_ticks(ticks), u64::MAX);
+    while w.step() {}
+    w.drain_wakes(client);
+}
+
+/// One class (c) schedule: after an uncounted pass that warms the cache,
+/// each round resolves every name, publishes the next rebind when one is
+/// due (exact mode heals right after it), waits [`ROUND_GAP`], and pulls
+/// when one is due (lease mode). Each resolution is digested next to the
+/// authority's own answer at that instant.
+fn coherence_run(mode: CoherenceMode, cadence: Cadence) -> (Vec<Served>, Tally) {
+    let (mut w, svc, machines, client, start, dirs, names) =
+        coherence_zones(COHERENCE_ZONES, COHERENCE_LEAVES, COHERENCE_SEED);
+    // A cold miss costs ~20 ticks instead of ~400: the sweep's short TTLs
+    // then sit between the cost of a warm round and a cold one, where a
+    // lease's expiry shows.
+    w.topology_mut().set_latency_model(LatencyModel {
+        local: 1,
+        same_network: 2,
+        cross_network: 5,
+    });
     let mut r = CachingResolver::with_mode(ProtocolEngine::new(svc), DEFAULT_CACHE_CAPACITY, mode);
+    for name in names.iter().flatten() {
+        r.resolve(&mut w, client, start, name, Mode::Iterative);
+    }
+    w.set_message_drop_rate(cadence.drop);
+    let sent = w.trace().counter("sent");
     let oracle = Resolver::new();
-    let mut out = Vec::new();
+    let mut published = [0; COHERENCE_ZONES * COHERENCE_LEAVES];
+    let (mut served, mut tally, mut writes) = (Vec::new(), Tally::default(), 0);
+    // The warm-up's leases stand on no pull, and the first pull's full
+    // transfers drop them all: lapses count from the first pull that finds
+    // the replica's serials warm, when every lease held has been proved.
+    let mut expired_before = None;
     for round in 0..ROUNDS {
-        for name in names.iter().flatten() {
+        for (i, name) in names.iter().flatten().enumerate() {
+            let now = w.now().ticks();
             let got = r.resolve_outcome(&mut w, client, start, name, Mode::Iterative);
             let truth = oracle.resolve_entity(w.state(), start, name);
-            out.push((
-                verdict(w.state(), got.entity, got.unreachable),
-                verdict(w.state(), truth, false),
-            ));
+            served.push(Served {
+                got: verdict(w.state(), got.entity, got.unreachable),
+                truth: verdict(w.state(), truth, false),
+                from_cache: got.from_cache,
+                window: now - published[i],
+            });
         }
-        let (z, j) = (round % dirs.len(), round % names[0].len());
-        let fresh =
-            w.state_mut()
-                .add_data_object_in(z + 1, format!("zone{z}/f{j}@{round}"), vec![]);
-        r.engine_mut()
-            .publish_binding(
-                &mut w,
-                dirs[z],
-                Name::new(&format!("f{j}")),
-                Some(Entity::Object(fresh)),
-            )
-            .expect("publish commits");
-        match mode {
-            CoherenceMode::Exact => {
+        if round % cadence.publish == 0 {
+            let (z, j) = (writes % COHERENCE_ZONES, writes % COHERENCE_LEAVES);
+            let label = format!("zone{z}/f{j}@{writes}");
+            let fresh = w.state_mut().add_data_object_in(z + 1, label, vec![]);
+            r.engine_mut()
+                .publish_binding(
+                    &mut w,
+                    dirs[z],
+                    Name::new(&format!("f{j}")),
+                    Some(Entity::Object(fresh)),
+                )
+                .expect("publish commits");
+            published[z * COHERENCE_LEAVES + j] = w.now().ticks();
+            writes += 1;
+            if mode == CoherenceMode::Exact {
                 r.heal(&w);
             }
-            CoherenceMode::Lease { .. } => {
-                r.sync(&mut w, client, machines[0])
-                    .expect("a lossless pull completes");
+        }
+        pace(&mut w, client, ROUND_GAP);
+        if mode != CoherenceMode::Exact && round % cadence.pull == 0 {
+            let Some(rep) = r.sync(&mut w, client, machines[0]) else {
+                tally.missed_syncs += 1;
+                continue;
+            };
+            if rep.shards_full == 0 {
+                expired_before.get_or_insert(r.lease_stats().expired);
             }
+            tally.syncs += 1;
+            tally.transfer_bytes += rep.bytes;
+            tally.full_transfers += rep.shards_full as u64;
+            tally.incremental_transfers += rep.shards_incremental as u64;
+            tally.entries_dropped += rep.entries_dropped;
         }
     }
+    // Coherence is priced, not capacity: no entry may leave for room.
     assert_eq!(r.stats().evictions, 0, "the working set outgrew the cache");
-    out
+    tally.hits = r.stats().hits;
+    tally.messages = w.trace().counter("sent") - sent;
+    tally.expired = expired_before.map_or(0, |before| r.lease_stats().expired - before);
+    (served, tally)
 }
 
 /// Class (c): with anti-entropy after every write, zone-serial
@@ -478,10 +576,138 @@ fn coherence_run(mode: CoherenceMode) -> Vec<(Verdict, Verdict)> {
 /// healing, and both answer what the authority holds.
 #[test]
 fn lease_with_sync_answers_like_exact_with_heal() {
-    let exact = coherence_run(CoherenceMode::Exact);
-    let lease = coherence_run(CoherenceMode::Lease { ttl: None });
-    assert_eq!(exact, lease);
+    let every_round = Cadence {
+        publish: 1,
+        pull: 1,
+        drop: 0.0,
+    };
+    let answers = |mode| {
+        let (served, _) = coherence_run(mode, every_round);
+        served
+            .into_iter()
+            .map(|s| (s.got, s.truth))
+            .collect::<Vec<_>>()
+    };
+    let exact = answers(CoherenceMode::Exact);
+    assert_eq!(exact, answers(CoherenceMode::Lease { ttl: None }));
     for (i, (got, truth)) in exact.iter().enumerate() {
         assert_eq!(got, truth, "resolution {i} served a stale answer");
     }
+}
+
+/// What a lease run served stale: how often, how long after the publish,
+/// how many of those were ⊥; and how many names it gave up on.
+#[derive(Default, Hash)]
+struct Staleness {
+    stale_served: u64,
+    max_window: u64,
+    sum_window: u64,
+    false_bottom: u64,
+    gave_up: u64,
+}
+
+/// One grid point of the sweep: its lease run, and its exact twin's hits,
+/// messages and stale answers.
+#[derive(Hash)]
+struct Row {
+    ttl: Option<u64>,
+    publish_every: usize,
+    drop_bits: u64,
+    lookups: usize,
+    stale: Staleness,
+    lease: Tally,
+    exact: (u64, u64, u64),
+}
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// The twelve rows' digest: every field of every row.
+const SWEEP: u64 = 5588004106983303487;
+
+/// The lease sweep, class (c) with a finite TTL, a slower pull and loss:
+/// TTL {250, 1000, ∞} × a publish every {1, 4} rounds × drop {0, 0.2},
+/// each lease run beside an exact twin on the same schedule. Every row is
+/// pinned by one digest. A transport failure is never reported as ⊥, nor
+/// a ⊥ as one. Lossless, a lease serves a stale answer for less than its
+/// TTL — the entry was granted or renewed before the publish — and for at
+/// most one pull period, since the next pull hears the publish and keeps
+/// only what it cannot have changed; a lease longer than that period is
+/// proved again before it lapses; and exact mode serves nothing stale.
+#[test]
+fn the_lease_sweep_bounds_staleness_by_ttl_and_pull_period() {
+    let sync_period = SYNC_EVERY as u64 * ROUND_GAP;
+    let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+    for ttl in [Some(250), Some(1000), None] {
+        for publish in [1, 4] {
+            for drop in [0.0, 0.2] {
+                let cadence = Cadence {
+                    publish,
+                    pull: SYNC_EVERY,
+                    drop,
+                };
+                let (served, lease) = coherence_run(CoherenceMode::Lease { ttl }, cadence);
+                let (twin, exact) = coherence_run(CoherenceMode::Exact, cadence);
+                let mut stale = Staleness::default();
+                let mut oracle_gave_up = 0;
+                for s in &served {
+                    stale.gave_up += u64::from(s.got == Verdict::Unreachable);
+                    if s.from_cache && s.got != s.truth {
+                        stale.false_bottom += u64::from(s.got == Verdict::Bottom);
+                        stale.stale_served += 1;
+                        stale.max_window = stale.max_window.max(s.window);
+                        stale.sum_window += s.window;
+                    } else if !s.from_cache
+                        && s.truth != Verdict::Bottom
+                        && matches!(s.got, Verdict::Bottom | Verdict::Unreachable)
+                    {
+                        oracle_gave_up += 1;
+                    }
+                }
+                let exact_stale = twin
+                    .iter()
+                    .filter(|s| s.got != s.truth && matches!(s.got, Verdict::Bound(_)))
+                    .count() as u64;
+                let label = format!("ttl {ttl:?} publish every {publish} drop {drop}");
+                assert_eq!(stale.gave_up, oracle_gave_up, "{label}: gave up");
+                if drop == 0.0 {
+                    assert!(
+                        stale.max_window < ttl.unwrap_or(u64::MAX),
+                        "{label}: window"
+                    );
+                    assert!(
+                        stale.max_window <= sync_period,
+                        "{label}: a pull kept a change"
+                    );
+                    assert_eq!(exact_stale, 0, "{label}: exact mode served a stale answer");
+                    if ttl.is_some_and(|ttl| ttl > sync_period) {
+                        assert_eq!(lease.expired, 0, "{label}: a proved lease lapsed");
+                    }
+                }
+                Row {
+                    ttl,
+                    publish_every: publish,
+                    drop_bits: drop.to_bits(),
+                    lookups: served.len(),
+                    stale,
+                    lease,
+                    exact: (exact.hits, exact.messages, exact_stale),
+                }
+                .hash(&mut digest);
+            }
+        }
+    }
+    assert_eq!(digest.finish(), SWEEP);
 }
